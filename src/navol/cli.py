@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -216,10 +215,7 @@ def _cmd_ortho(inst: Instance, args) -> CommandResult:
 
 def _cmd_diff(inst: Instance, args) -> CommandResult:
     toric = _expect_kind(inst, "toric", "diff-check")
-    if "psi" in toric.metrics:
-        base = toric.metrics["psi"]
-    else:
-        base = toric.metric("canonical", "diff-check")
+    base = toric.metric_or_canonical("psi")
     pos = toric.metric("pos", "diff-check")
     neg = toric.metric("neg", "diff-check")
     if getattr(args, "schedule", None):
@@ -430,13 +426,8 @@ def _cmd_verify_all(args, extra_paths: Sequence[str]) -> CommandResult:
     for path in extra_paths:
         instances.append(parse_instance(path))
 
-    threads = max(1, args.threads or 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_instance_checks, instances))
-    else:
-        chunks = [_instance_checks(inst) for inst in instances]
-    reports: List[VerificationReport] = [r for chunk in chunks for r in chunk]
+    reports: List[VerificationReport] = [
+        r for inst in instances for r in _instance_checks(inst)]
     reports.extend(run_bundled_suite(seed=seed))
 
     for rep in reports:
@@ -495,8 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", default=None,
                         help="artifact directory (default: $NAVOL_OUT_DIR "
                              "or ./navol-out)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent instances")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="what to print on stdout")
     return parser
@@ -532,7 +521,7 @@ def _emit(result: CommandResult, args) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
     try:
         if args.command == "verify-all":
             result = _cmd_verify_all(args, args.instance)

@@ -269,7 +269,7 @@ def cohomology_table(family: ToricFamily, divisor: RealDivisor,
     if qs is None:
         qs = tuple(range(family.dim + 1))
     n = family.dim
-    factorial = 1 if n == 1 else 2
+    factorial = math.factorial(n)
     rows = []
     for m in schedule:
         for q in qs:
@@ -294,7 +294,7 @@ def asymptotic_hq(family: ToricFamily, divisor: RealDivisor, q: int,
     if list(schedule) != sorted(set(schedule)) or not schedule:
         raise PreconditionError("schedule must be strictly increasing and nonempty")
     n = family.dim
-    factorial = 1 if n == 1 else 2
+    factorial = math.factorial(n)
     rows = []
     for m in schedule:
         h = hq(family, divisor, m, q)
@@ -307,7 +307,7 @@ def asymptotic_hq_exact(family: ToricFamily, divisor: RealDivisor,
                         q: int) -> Optional[Fraction]:
     total = divisor.total()
     n = family.dim
-    factorial = 1 if n == 1 else 2
+    factorial = math.factorial(n)
     if q == 0 and family.is_nef(total):
         return factorial * family.polytope(total).volume()
     neg = tuple(-c for c in total)
@@ -340,7 +340,7 @@ def morse_check(family: ToricFamily, d: RealDivisor, e: RealDivisor, q: int,
         if not family.is_nef(div.total()):
             raise PreconditionError(f"{label} = {div.total()} is not nef on {family.name}")
     n = family.dim
-    factorial = 1 if n == 1 else 2
+    factorial = math.factorial(n)
     leading = math.comb(n, q) * family.top_power(d.total(), e.total(), q)
     diff = d.minus(e)
     schedule = list(schedule)

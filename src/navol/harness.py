@@ -9,6 +9,7 @@ rationals needed to re-derive its pass/fail bit.
 """
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -156,8 +157,8 @@ def verify_h0_envelope_equality(psi: PLMetric,
     lengths = [(m, lattice_length(psi, env, m)) for m in schedule]
     passed = all(length == 0 for _, length in lengths)
     series = [("m", "length")] + [(str(m), str(v)) for m, v in lengths]
-    factorial = 1 if psi.dim == 1 else 2
-    volume_gap = factorial * (legendre(env).integral() - legendre(psi).integral())
+    volume_gap = math.factorial(psi.dim) * (
+        legendre(env).integral() - legendre(psi).integral())
     passed = passed and volume_gap == 0
     return VerificationReport(
         theorem="h0-envelope-equality", instance=instance, passed=passed,

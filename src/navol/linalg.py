@@ -1,93 +1,8 @@
-"""Tiny exact linear algebra over Fraction matrices (row lists)."""
+"""Tiny exact planar linear algebra over Fractions."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
-
-from .rational import ZERO, ONE
-
-Matrix = List[List[Fraction]]
-
-
-def row_reduce(rows: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: List[int] = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    _, pivots = row_reduce(rows)
-    return len(pivots)
-
-
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """One exact solution of A x = b, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not rows:
-        return []
-    n = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = row_reduce(aug)
-    for row in red:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    x = [ZERO] * n
-    for i, c in enumerate(pivots):
-        if c == n:
-            return None
-        x[c] = red[i][-1]
-    return x
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the right nullspace of A."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    red, pivots = row_reduce(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * n
-        vec[fc] = ONE
-        for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def det3(a: Sequence[Fraction], b: Sequence[Fraction], c: Sequence[Fraction]) -> Fraction:
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
+from typing import Optional, Sequence, Tuple
 
 
 def cross2(o: Sequence[Fraction], a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

@@ -9,6 +9,7 @@ intermediate combinations are plain dictionaries, never exposed.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -109,9 +110,7 @@ def mixed_monge_ampere(metrics: Sequence[PLMetric]) -> DiscreteMeasure:
             raise PreconditionError("mixed measure needs semipositive metrics")
     if n == 1:
         return monge_ampere(metrics[0])
-    factorial = 1
-    for i in range(2, n + 1):
-        factorial *= i
+    factorial = math.factorial(n)
     combo: Dict[AtomKey, Fraction] = {}
     for size in range(1, n + 1):
         sign = (-1) ** (n - size)

@@ -251,9 +251,7 @@ def _prune_blocks(blocks: Tuple[Block, ...], dim: int) -> Tuple[Block, ...]:
     No pruning across blocks is attempted: a piece inactive at every
     arrangement candidate can still carry the recession behaviour of its
     block on an unbounded cell, so cross-block activity pruning is unsound."""
-    if dim <= 2:
-        blocks = tuple(_prune_convex_block(b, dim) for b in blocks)
-    return blocks
+    return tuple(_prune_convex_block(b, dim) for b in blocks)
 
 
 def _recession_matches_support(blocks: Tuple[Block, ...], P: Polytope) -> bool:
@@ -670,7 +668,7 @@ def legendre(metric: PLMetric) -> RoofFunction:
         return metric._conjugate
     P = metric.polytope
     pieces: Optional[List[Piece]] = None
-    if P.is_full_dimensional() and P.ambient_dim <= 2:
+    if P.is_full_dimensional():
         pieces = []
         for block in metric.blocks:
             facets = _block_conjugate_pieces(block, P.ambient_dim)

@@ -1,11 +1,11 @@
-"""Exact rational polytopes in ambient dimension 1 to 3.
+"""Exact rational polytopes in ambient dimension 1 or 2.
 
-A Polytope is the convex hull of finitely many rational points. There are no
-tolerances anywhere: hulls, membership, lattice point enumeration and volumes
-are computed with Fraction arithmetic only. Lower-dimensional polytopes are
-supported (their volume is 0) via an exact affine chart; lattice enumeration
-and volume work for ambient dimension up to 3, all other operations are used
-in dimensions 1 and 2.
+A Polytope is the convex hull of finitely many rational points: an interval
+or a polygon. There are no tolerances anywhere: hulls, membership, lattice
+point enumeration and volumes are computed with Fraction arithmetic only.
+Other ambient dimensions are refused with PreconditionError. The
+lower-dimensional bodies, a point or a segment in the plane, are supported
+(their volume is 0) with their constraints in closed form.
 
 Vertices are stored in canonical order: counterclockwise starting from the
 lexicographic minimum for full-dimensional planar polytopes, lexicographically
@@ -17,26 +17,16 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import PreconditionError
-from .linalg import cross2, det3, nullspace, rank, row_reduce, solve
+from .linalg import cross2
 from .rational import (Point, ZERO, dot, frac, point, primitive_integer_vector,
                        primitive_same_direction, vadd, vscale, vsub)
 
 IntVector = Tuple[int, ...]
 HalfSpace = Tuple[IntVector, Fraction]   # <a, x> <= b
 Equation = Tuple[IntVector, Fraction]    # <a, x> = b
-
-
-def _dedupe_points(points: Sequence[Point]) -> List[Point]:
-    seen = set()
-    out = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
 
 
 def _hull_1d(points: Sequence[Point]) -> List[Point]:
@@ -48,7 +38,7 @@ def _hull_1d(points: Sequence[Point]) -> List[Point]:
 def _hull_2d(points: Sequence[Point]) -> List[Point]:
     """Andrew's monotone chain; returns the hull counterclockwise, collinear
     boundary points dropped, starting at the lexicographic minimum."""
-    pts = sorted(_dedupe_points(points))
+    pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
     lower: List[Point] = []
@@ -65,20 +55,6 @@ def _hull_2d(points: Sequence[Point]) -> List[Point]:
     if len(hull) < 3:  # all points collinear
         return [min(pts), max(pts)]
     return hull
-
-
-def _left_inverse(columns: List[Point], ambient: int) -> List[List[Fraction]]:
-    """Exact left inverse L (k x n) of the n x k matrix with the given columns."""
-    k = len(columns)
-    gram = [[dot(columns[i], columns[j]) for j in range(k)] for i in range(k)]
-    out: List[List[Fraction]] = [[ZERO] * ambient for _ in range(k)]
-    for col in range(ambient):
-        rhs = [columns[i][col] for i in range(k)]
-        sol = solve(gram, rhs)
-        assert sol is not None
-        for i in range(k):
-            out[i][col] = sol[i]
-    return out
 
 
 class Polytope:
@@ -102,100 +78,35 @@ class Polytope:
         if not pts:
             raise PreconditionError("a polytope needs at least one point")
         n = len(pts[0])
-        if n not in (1, 2, 3):
-            raise PreconditionError(f"ambient dimension {n} unsupported (need 1..3)")
+        if n not in (1, 2):
+            raise PreconditionError(f"ambient dimension {n} unsupported (need 1 or 2)")
         if any(len(p) != n for p in pts):
             raise PreconditionError("points of mixed dimension")
-        pts = _dedupe_points(pts)
+        hull = _hull_1d(pts) if n == 1 else _hull_2d(pts)
 
-        base = pts[0]
-        basis: List[Point] = []
-        for p in pts[1:]:
-            d = vsub(p, base)
-            if rank([list(b) for b in basis] + [list(d)]) > len(basis):
-                basis.append(d)
-        k = len(basis)
-
-        equalities: List[Equation] = []
-        if k < n:
-            if k == 0:
-                for i in range(n):
-                    normal = tuple(1 if j == i else 0 for j in range(n))
-                    equalities.append((normal, base[i]))
-            else:
-                for null in nullspace([list(b) for b in basis]):
-                    normal = primitive_integer_vector(null)
-                    equalities.append((normal, dot(normal, base)))
-
-        if k == n:
-            return cls._from_full_dimensional(pts, n)
-
-        # lower-dimensional: hull in an exact chart, constraints pulled back
-        if k == 0:
-            return cls([base], n, 0, [], equalities)
-        left = _left_inverse(basis, n)
-        chart_pts = [tuple(dot(row, vsub(p, base)) for row in left) for p in pts]
-        inner = cls.from_points(chart_pts)
-        back: Dict[Point, Point] = {cp: p for cp, p in zip(chart_pts, pts)}
-        verts = sorted(back[cv] for cv in inner.vertices)
-        inequalities: List[HalfSpace] = []
-        for alpha, beta in inner.inequalities:
-            ambient_normal = tuple(
-                sum(frac(alpha[i]) * left[i][j] for i in range(k)) for j in range(n)
-            )
-            if all(c == 0 for c in ambient_normal):
-                continue
-            rhs = beta + dot(ambient_normal, base)
-            prim, s = primitive_same_direction(ambient_normal)
-            inequalities.append((prim, rhs * s))
-        return cls(verts, n, k, inequalities, equalities)
-
-    @classmethod
-    def _from_full_dimensional(cls, pts: List[Point], n: int) -> "Polytope":
+        if len(hull) == 1:
+            base = hull[0]
+            equalities = [(tuple(1 if j == i else 0 for j in range(n)), base[i])
+                          for i in range(n)]
+            return cls(hull, n, 0, [], equalities)
         if n == 1:
-            verts = _hull_1d(pts)
-            lo, hi = verts[0][0], verts[-1][0]
-            ineqs = [((1,), hi), ((-1,), -lo)]
-            return cls(verts, 1, 1, ineqs, [])
-        if n == 2:
-            hull = _hull_2d(pts)
-            start = hull.index(min(hull))
-            hull = hull[start:] + hull[:start]
-            ineqs = []
-            for a, b in zip(hull, hull[1:] + hull[:1]):
-                d = vsub(b, a)
-                normal, _ = primitive_same_direction((d[1], -d[0]))
-                ineqs.append((normal, dot(normal, a)))
-            return cls(hull, 2, 2, ineqs, [])
-        return cls._from_full_3d(pts)
-
-    @classmethod
-    def _from_full_3d(cls, pts: List[Point]) -> "Polytope":
-        planes: Dict[Tuple[IntVector, Fraction], None] = {}
-        for i, j, k in itertools.combinations(range(len(pts)), 3):
-            u = vsub(pts[j], pts[i])
-            v = vsub(pts[k], pts[i])
-            normal_raw = (
-                u[1] * v[2] - u[2] * v[1],
-                u[2] * v[0] - u[0] * v[2],
-                u[0] * v[1] - u[1] * v[0],
-            )
-            if all(c == 0 for c in normal_raw):
-                continue
-            normal = primitive_integer_vector(normal_raw)
-            rhs = dot(normal, pts[i])
-            sides = [dot(normal, p) - rhs for p in pts]
-            if all(s <= 0 for s in sides):
-                planes[(normal, rhs)] = None
-            elif all(s >= 0 for s in sides):
-                planes[(tuple(-c for c in normal), -rhs)] = None
-        facets = list(planes.keys())
-        verts = []
-        for p in pts:
-            active = [a for a, b in facets if dot(a, p) == b]
-            if rank([[frac(c) for c in a] for a in active]) == 3:
-                verts.append(p)
-        return cls(sorted(verts), 3, 3, facets, [])
+            lo, hi = hull[0][0], hull[1][0]
+            return cls(hull, 1, 1, [((1,), hi), ((-1,), -lo)], [])
+        if len(hull) == 2:
+            # segment in the plane: bounded along its direction u, pinned
+            # to its line by the primitive normal
+            a, b = hull
+            u, _ = primitive_same_direction(vsub(b, a))
+            minus_u = tuple(-c for c in u)
+            normal = primitive_integer_vector((a[1] - b[1], b[0] - a[0]))
+            return cls(hull, 2, 1, [(u, dot(u, b)), (minus_u, dot(minus_u, a))],
+                       [(normal, dot(normal, a))])
+        ineqs = []
+        for a, b in zip(hull, hull[1:] + hull[:1]):
+            d = vsub(b, a)
+            normal, _ = primitive_same_direction((d[1], -d[0]))
+            ineqs.append((normal, dot(normal, a)))
+        return cls(hull, 2, 2, ineqs, [])
 
     # -- queries ----------------------------------------------------------
 
@@ -243,39 +154,16 @@ class Polytope:
         return out
 
     def volume(self) -> Fraction:
-        """Euclidean volume (length/area/volume); 0 if not full-dimensional."""
+        """Euclidean volume (length or area); 0 if not full-dimensional."""
         if self.affine_dim < self.ambient_dim:
             return ZERO
         v = self.vertices
         if self.ambient_dim == 1:
             return v[-1][0] - v[0][0]
-        if self.ambient_dim == 2:
-            acc = ZERO
-            for a, b in zip(v, v[1:] + v[:1]):
-                acc += a[0] * b[1] - b[0] * a[1]
-            return abs(acc) / 2
-        return self._volume_3d()
-
-    def _volume_3d(self) -> Fraction:
-        nverts = len(self.vertices)
-        centroid = tuple(
-            sum(v[c] for v in self.vertices) / nverts for c in range(3)
-        )
-        total = ZERO
-        for a, b in self.inequalities:
-            on_facet = [v for v in self.vertices if dot(a, v) == b]
-            drop = max(range(3), key=lambda i: abs(a[i]))
-            keep = [i for i in range(3) if i != drop]
-            proj = {(v[keep[0]], v[keep[1]]): v for v in on_facet}
-            ring = _hull_2d(list(proj.keys()))
-            cycle = [proj[q] for q in ring]
-            if len(cycle) < 3:
-                continue
-            w0 = cycle[0]
-            for w1, w2 in zip(cycle[1:], cycle[2:]):
-                total += abs(det3(vsub(w0, centroid), vsub(w1, centroid),
-                                  vsub(w2, centroid)))
-        return total / 6
+        acc = ZERO
+        for a, b in zip(v, v[1:] + v[:1]):
+            acc += a[0] * b[1] - b[0] * a[1]
+        return abs(acc) / 2
 
     def minkowski_sum(self, other: "Polytope") -> "Polytope":
         if self.ambient_dim != other.ambient_dim:

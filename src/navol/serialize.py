@@ -161,11 +161,16 @@ class ToricInstance:
             return next(iter(self.metrics.values()))
         return self.metric("psi", command)
 
+    def metric_or_canonical(self, name: str) -> PLMetric:
+        """The metric called name, else the one called 'canonical', else the
+        canonical metric of the polytope."""
+        for key in (name, "canonical"):
+            if key in self.metrics:
+                return self.metrics[key]
+        return canonical_metric(self.polytope)
+
     def metric_pair(self, command: str) -> Tuple[PLMetric, PLMetric]:
-        first = self.metric("psi1", command)
-        if "psi2" in self.metrics:
-            return first, self.metrics["psi2"]
-        return first, self.metric("canonical", command)
+        return self.metric("psi1", command), self.metric_or_canonical("psi2")
 
 
 @dataclass

@@ -9,6 +9,7 @@ to power the finite-level Lipschitz and proportionality checks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,9 +23,7 @@ from .rational import ZERO, ceil_frac, frac, lcm_of
 def default_schedule(dim: int) -> List[int]:
     if dim <= 1:
         return list(range(1, 21)) + [50, 100, 200]
-    if dim == 2:
-        return list(range(1, 11)) + [20, 40]
-    return list(range(1, 11))
+    return list(range(1, 11)) + [20, 40]
 
 
 def _integer_roof(roof: RoofFunction) -> Tuple[int, List[Tuple[Tuple[int, ...], int]]]:
@@ -43,22 +42,16 @@ def _integer_roof(roof: RoofFunction) -> Tuple[int, List[Tuple[Tuple[int, ...], 
 def _ceil_values(roof: RoofFunction, pts: Sequence[Tuple[int, ...]], m: int) -> List[int]:
     """ceil(m * roof(u/m)) for each integer point u in m*P, exactly."""
     scale, pieces = _integer_roof(roof)
-    dim = len(pts[0]) if pts else 0
     out: List[int] = []
-    if dim == 1:
+    if roof.polytope.ambient_dim == 1:
         data = [(a[0], m * b) for a, b in pieces]
         for (x,) in pts:
             best = max(a * x + mb for a, mb in data)
             out.append(-((-best) // scale))
-    elif dim == 2:
+    else:
         data = [(a[0], a[1], m * b) for a, b in pieces]
         for x, y in pts:
             best = max(a0 * x + a1 * y + mb for a0, a1, mb in data)
-            out.append(-((-best) // scale))
-    else:
-        data = [(a, m * b) for a, b in pieces]
-        for u in pts:
-            best = max(sum(c * x for c, x in zip(a, u)) + mb for a, mb in data)
             out.append(-((-best) // scale))
     return out
 
@@ -100,9 +93,7 @@ class VolumeResult:
 def navol_series(m1: PLMetric, m2: PLMetric,
                  schedule: Optional[Sequence[int]] = None) -> List[SeriesRow]:
     n = m1.dim
-    factorial = 1
-    for i in range(2, n + 1):
-        factorial *= i
+    factorial = math.factorial(n)
     if schedule is None:
         schedule = default_schedule(n)
     rows = []
@@ -156,12 +147,8 @@ def lipschitz_check(m1: PLMetric, m1_alt: PLMetric, m2: PLMetric,
         ok = ok and delta <= bound
     vol_base = energy(envelope(m1), envelope(m2))
     vol_alt = energy(envelope(m1_alt), envelope(m2))
-    n = m1.dim
-    factorial = 1
-    for i in range(2, n + 1):
-        factorial *= i
     limit_lhs = abs(vol_alt - vol_base)
-    limit_rhs = factorial * m1.polytope.volume() * d
+    limit_rhs = math.factorial(m1.dim) * m1.polytope.volume() * d
     ok = ok and limit_lhs <= limit_rhs
     return LipschitzReport(distance=d, rows=rows, limit_lhs=limit_lhs,
                            limit_rhs=limit_rhs, passed=ok)

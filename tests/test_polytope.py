@@ -19,6 +19,25 @@ def _random_points(rng, count):
              F(rng.randint(-6, 6), rng.randint(1, 3))) for _ in range(count)]
 
 
+def _points_and_segments(rng, count):
+    """Points and segments in the plane with rational endpoints; one segment
+    in each pair lies on a lattice line, so it meets lattice points."""
+    bodies = []
+    for _ in range(count):
+        p = _random_points(rng, 1)[0]
+        bodies.append(Polytope.from_points([p, p]))
+        base = (rng.randint(-3, 3), rng.randint(-3, 3))
+        d = (0, 0)
+        while d == (0, 0):
+            d = (rng.randint(-2, 2), rng.randint(-2, 2))
+        ends = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2)]
+        if ends[0] != ends[1]:
+            bodies.append(Polytope.from_points(
+                [(base[0] + t * d[0], base[1] + t * d[1]) for t in ends]))
+        bodies.append(Polytope.from_points(_random_points(rng, 2)))
+    return bodies
+
+
 def test_interval_from_points_dedupes_and_orders():
     P = Polytope.from_points([(F(2),), (F(0),), (F(2),), (F(1),)])
     assert P.vertices == ((F(0),), (F(2),))
@@ -54,6 +73,8 @@ def test_lattice_points_match_enumeration_oracle():
         pts = _random_points(rng, rng.randint(3, 7))
         if polygon_area(convex_hull_2d(pts)) > 0:
             bodies.append(Polytope.from_points(pts))
+    bodies.extend(_points_and_segments(rng, 8))
+    assert {P.affine_dim for P in bodies} == {0, 1, 2}
     for P in bodies:
         for m in (1, 2, 3, 5):
             got = sorted(P.lattice_points(m))
@@ -77,6 +98,14 @@ def test_contains_agrees_with_oracle():
     for _ in range(200):
         p = (F(rng.randint(-4, 8), 2), F(rng.randint(-4, 8), 2))
         assert P.contains(p) == hull_contains(P.vertices, p)
+    for Q in _points_and_segments(rng, 20):
+        a, b = Q.vertices[0], Q.vertices[-1]
+        probes = [tuple(x + t * (y - x) for x, y in zip(a, b))
+                  for t in (F(-1, 2), 0, F(1, 3), 1, F(3, 2))]
+        probes += [(a[0] + 1, a[1]), (a[0], a[1] + F(1, 2))]
+        probes += _random_points(rng, 5)
+        for p in probes:
+            assert Q.contains(p) == hull_contains(Q.vertices, p), (Q, p)
 
 
 def test_dilate_and_minkowski_sum():
@@ -110,6 +139,10 @@ def test_standard_bodies():
 def test_lower_dimensional_bodies():
     with pytest.raises(PreconditionError):
         Polytope.from_points([])
+    with pytest.raises(PreconditionError):
+        Polytope.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(PreconditionError):
+        unit_box(3)
     diag = Polytope.from_points([(0, 0), (1, 1), (F(1, 2), F(1, 2))])
     assert diag.affine_dim == 1
     assert not diag.is_full_dimensional()
