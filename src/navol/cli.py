@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -376,6 +377,7 @@ def _instance_checks(inst: Instance) -> List[VerificationReport]:
         if "D" in inst.divisors and "E" in inst.divisors:
             q = inst.q if inst.q is not None else 1
             schedule = inst.schedule or list(range(1, 51))
+            start = time.monotonic()
             rep = morse_check(inst.family, inst.divisors["D"],
                               inst.divisors["E"], q, schedule)
             reports.append(VerificationReport(
@@ -386,9 +388,10 @@ def _instance_checks(inst: Instance) -> List[VerificationReport]:
                 series=[("m", "h", "bound", "margin")] + [
                     (str(m), str(h), frac_str(b), frac_str(g))
                     for m, h, b, g in rep.rows],
-                runtime=0.0))
+                runtime=time.monotonic() - start))
         if "D" in inst.divisors:
             schedule = inst.schedule or list(range(1, 11))
+            start = time.monotonic()
             table = cohomology_table(inst.family, inst.divisors["D"], schedule)
             ok = table.serre_consistent() and table.h1_all_nonnegative()
             reports.append(VerificationReport(
@@ -399,8 +402,9 @@ def _instance_checks(inst: Instance) -> List[VerificationReport]:
                 series=[("m", "q", "h", "normalized")] + [
                     (str(m), str(q), str(h), frac_str(norm))
                     for m, q, h, norm in table.rows],
-                runtime=0.0))
+                runtime=time.monotonic() - start))
         if inst.scan is not None:
+            start = time.monotonic()
             rep = perturbation_scan(
                 inst.family,
                 [inst.divisors[n] for n in inst.scan.d_names],
@@ -414,7 +418,7 @@ def _instance_checks(inst: Instance) -> List[VerificationReport]:
                 series=[("m", "p", "difference", "bound")] + [
                     (str(m), str(p), str(left), frac_str(b))
                     for m, p, left, b in rep.rows],
-                runtime=0.0))
+                runtime=time.monotonic() - start))
     return reports
 
 

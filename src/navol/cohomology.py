@@ -116,11 +116,16 @@ class ToricFamily:
         if self.name == "P1xP1":
             a, b = cls
             return (a + 1) * (b + 1) if a >= 0 and b >= 0 else 0
+        # sum of max(0, h*y + q + 1) over 0 <= y <= p: h >= 0, so the terms
+        # never decrease, and the sum is an arithmetic series from the first
+        # positive term (h > 0 whenever that term is not the one at y = 0)
         p, q = cls
-        if p < 0:
-            return 0
         h = self.hirzebruch_a
-        return sum(max(0, h * y + q + 1) for y in range(p + 1))
+        if p < 0 or h * p + q + 1 <= 0:
+            return 0
+        first = 0 if q + 1 > 0 else -(q + 1) // h + 1
+        count = p - first + 1
+        return count * (q + 1) + h * (first + p) * count // 2
 
     def polytope(self, d: Sequence) -> Polytope:
         """Divisor polytope of a nef rational class."""

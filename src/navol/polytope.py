@@ -2,7 +2,7 @@
 
 A Polytope is the convex hull of finitely many rational points: an interval
 or a polygon. There are no tolerances anywhere: hulls, membership, lattice
-point enumeration and volumes are computed with Fraction arithmetic only.
+rows and points, and volumes are computed with exact arithmetic only.
 Other ambient dimensions are refused with PreconditionError. The
 lower-dimensional bodies, a point or a segment in the plane, are supported
 (their volume is 0) with their constraints in closed form.
@@ -16,6 +16,7 @@ normal a; lower-dimensional polytopes additionally carry affine-hull equations
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -121,37 +122,45 @@ class Polytope:
                 return False
         return True
 
-    def lattice_points(self, m: int = 1) -> List[IntVector]:
-        """Integer points of m*P in lexicographic order (m >= 0)."""
+    def lattice_rows(self, m: int = 1) -> List[Tuple[int, int, int]]:
+        """Integer points of m*P as rows (y, x_lo, x_hi), by increasing y:
+        the points (x, y) with x_lo <= x <= x_hi. In ambient dimension 1
+        there is at most one row, with y = 0, standing for the points (x,)."""
         if m < 0:
             raise PreconditionError("dilation factor must be nonnegative")
-        if m == 0:
-            origin = tuple(0 for _ in range(self.ambient_dim))
-            return [origin]
-        lows, highs = [], []
-        for c in range(self.ambient_dim):
-            coords = [m * v[c] for v in self.vertices]
-            lo, hi = min(coords), max(coords)
-            lows.append(-(-lo.numerator // lo.denominator))
-            highs.append(hi.numerator // hi.denominator)
-        eqs = [(a, m * b) for a, b in self.equalities]
-        ineqs = [(a, m * b) for a, b in self.inequalities]
-        out: List[IntVector] = []
-        ranges = [range(lo, hi + 1) for lo, hi in zip(lows, highs)]
-        for x in itertools.product(*ranges):
-            ok = True
-            for a, b in eqs:
-                if sum(ai * xi for ai, xi in zip(a, x)) != b:
-                    ok = False
-                    break
-            if ok:
-                for a, b in ineqs:
-                    if sum(ai * xi for ai, xi in zip(a, x)) > b:
-                        ok = False
-                        break
-            if ok:
-                out.append(x)
-        return out
+        if self.ambient_dim == 1:
+            y_lo = y_hi = 0
+        else:
+            ys = [m * v[1] for v in self.vertices]
+            y_lo, y_hi = math.ceil(min(ys)), math.floor(max(ys))
+        # Scaled by the denominator of b, each constraint reads
+        # a0*x + a1*y <= rhs in integers; an equation is two opposite ones.
+        # Those with a0 == 0 bound y only, so they hold on every row of the
+        # y-span; the rest bound x from above (a0 > 0) or below (a0 < 0).
+        halves = list(self.inequalities)
+        for a, b in self.equalities:
+            halves += [(a, b), (tuple(-c for c in a), -b)]
+        upper, lower = [], []
+        for a, b in halves:
+            a0, a1 = a[0] * b.denominator, (a[1] if len(a) > 1 else 0) * b.denominator
+            if a0 > 0:
+                upper.append((a0, a1, m * b.numerator))
+            elif a0 < 0:
+                lower.append((-a0, a1, m * b.numerator))
+        rows = []
+        for y in range(y_lo, y_hi + 1):
+            lo = max(-((rhs - a1 * y) // d) for d, a1, rhs in lower)
+            hi = min((rhs - a1 * y) // d for d, a1, rhs in upper)
+            if lo <= hi:
+                rows.append((y, lo, hi))
+        return rows
+
+    def lattice_points(self, m: int = 1) -> List[IntVector]:
+        """Integer points of m*P in lexicographic order (m >= 0)."""
+        rows = self.lattice_rows(m)
+        if self.ambient_dim == 1:
+            return [(x,) for _, lo, hi in rows for x in range(lo, hi + 1)]
+        return sorted((x, y) for y, lo, hi in rows for x in range(lo, hi + 1))
 
     def volume(self) -> Fraction:
         """Euclidean volume (length or area); 0 if not full-dimensional."""

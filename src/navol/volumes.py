@@ -1,11 +1,17 @@
-"""Non-archimedean volumes via lattice-point counting.
+"""Non-archimedean volumes via lattice-length sums.
 
-The volume of a metric pair is the large-m limit of n!/m^n times the lattice
-length at level m: the sum over u in mP of integer lattice lengths
-ceil(m g2(u/m)) - ceil(m g1(u/m)) of the induced norm quotients, where g_i
-is the Legendre transform of metric i. The exact limit equals the energy of
-the pair of convex envelopes; the series rows exist to demonstrate this and
-to power the finite-level Lipschitz and proportionality checks.
+The volume of a metric pair is the large-m limit of n!/m^(n+1) times the
+lattice length at level m: the sum over the integer points u of mP of
+ceil(m g2(u/m)) - ceil(m g1(u/m)), where g_i is the Legendre transform
+(roof) of metric i. The points come as rows of consecutive integers from
+Polytope.lattice_rows. On a row, m*g_i is the upper envelope of a few integer
+lines over a common denominator L; each piece of that envelope is one
+arithmetic progression, whose ceilings over L one Euclid-like floor_sum adds
+in O(log m) steps. A level costs O(m*K*log m) in the plane and O(K*log m) on
+the line for K roof pieces, and every length is an exact integer. The exact
+limit equals the energy of the pair of convex envelopes; the series rows
+exist to demonstrate this and to power the finite-level Lipschitz and
+proportionality checks.
 """
 from __future__ import annotations
 
@@ -39,21 +45,44 @@ def _integer_roof(roof: RoofFunction) -> Tuple[int, List[Tuple[Tuple[int, ...], 
     return scale, pieces
 
 
-def _ceil_values(roof: RoofFunction, pts: Sequence[Tuple[int, ...]], m: int) -> List[int]:
-    """ceil(m * roof(u/m)) for each integer point u in m*P, exactly."""
+def _floor_sum(n: int, mod: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a*i + b) / mod) for n >= 0, mod >= 1 and any
+    integers a, b, in O(log) steps (the Euclid-like reduction of the AtCoder
+    Library; Python's floor division reduces negative a and b as well)."""
+    total = 0
+    while n:
+        qa, a = divmod(a, mod)
+        qb, b = divmod(b, mod)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        if top < mod:
+            break
+        n, b = divmod(top, mod)
+        mod, a = a, mod
+    return total
+
+
+def _ceil_sum(roof: RoofFunction, rows: Sequence[Tuple[int, int, int]], m: int) -> int:
+    """Sum of ceil(m * roof(u/m)) over the integer points u of the rows.
+
+    On a row the roof is the upper envelope of the integer lines
+    a0*x + (a1*y + m*b), over L. The walk keeps the line that is maximal at
+    x (the steepest on ties) up to the last x before a steeper line strictly
+    overtakes it, and sums the ceilings along that piece with one floor sum.
+    """
     scale, pieces = _integer_roof(roof)
-    out: List[int] = []
-    if roof.polytope.ambient_dim == 1:
-        data = [(a[0], m * b) for a, b in pieces]
-        for (x,) in pts:
-            best = max(a * x + mb for a, mb in data)
-            out.append(-((-best) // scale))
-    else:
-        data = [(a[0], a[1], m * b) for a, b in pieces]
-        for x, y in pts:
-            best = max(a0 * x + a1 * y + mb for a0, a1, mb in data)
-            out.append(-((-best) // scale))
-    return out
+    lines = [(a[0], a[1] if len(a) > 1 else 0, m * b) for a, b in pieces]
+    total = 0
+    for y, lo, hi in rows:
+        row = [(a0, a1 * y + mb) for a0, a1, mb in lines]
+        x = lo
+        while x <= hi:
+            a, c = max(row, key=lambda line: (line[0] * x + line[1], line[0]))
+            end = min([hi] + [(c - c2) // (a2 - a) for a2, c2 in row if a2 > a])
+            # ceil(v / L) == floor((v + L - 1) / L)
+            total += _floor_sum(end - x + 1, scale, a, a * x + c + scale - 1)
+            x = end + 1
+    return total
 
 
 def lattice_length(m1: PLMetric, m2: PLMetric, m: int) -> int:
@@ -62,12 +91,12 @@ def lattice_length(m1: PLMetric, m2: PLMetric, m: int) -> int:
         raise PreconditionError("lattice_length needs metrics on the same polytope")
     if m < 1:
         raise PreconditionError("lattice_length needs a positive level m")
-    pts = m1.polytope.lattice_points(m)
-    if not pts:
-        return 0
-    c2 = _ceil_values(legendre(m2), pts, m)
-    c1 = _ceil_values(legendre(m1), pts, m)
-    return sum(b - a for a, b in zip(c1, c2))
+    rows = m1.polytope.lattice_rows(m)
+    return _ceil_sum(legendre(m2), rows, m) - _ceil_sum(legendre(m1), rows, m)
+
+
+def _point_count(rows: Sequence[Tuple[int, int, int]]) -> int:
+    return sum(hi - lo + 1 for _, lo, hi in rows)
 
 
 @dataclass
@@ -141,7 +170,7 @@ def lipschitz_check(m1: PLMetric, m1_alt: PLMetric, m2: PLMetric,
     for m in schedule:
         base = lattice_length(m1, m2, m)
         alt = lattice_length(m1_alt, m2, m)
-        bound = len(m1.polytope.lattice_points(m)) * int(ceil_frac(m * d))
+        bound = _point_count(m1.polytope.lattice_rows(m)) * int(ceil_frac(m * d))
         delta = abs(alt - base)
         rows.append((m, delta, bound))
         ok = ok and delta <= bound
@@ -175,7 +204,7 @@ def proportionality_check(m1: PLMetric, m2: PLMetric, t: Fraction,
     exact_rows = 0
     ok = True
     for m in schedule:
-        n_pts = len(m1.polytope.lattice_points(m))
+        n_pts = _point_count(m1.polytope.lattice_rows(m))
         delta = lattice_length(shifted, m2, m) - lattice_length(m1, m2, m)
         tm = t * m
         if tm.denominator == 1:

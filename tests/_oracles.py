@@ -234,6 +234,18 @@ def lattice_length_oracle(blocks1, blocks2, m, vertices):
     return total
 
 
+def lattice_length_by_points(pieces1, pieces2, m, points):
+    """The per-point route: over the given integer points u of mP, the sum
+    of ceil(max_k(<s_k, u> + m c_k)) for the roof pieces (s_k, c_k) of g2,
+    minus the same for g1, with one max over all pieces at every point."""
+    def ceil_roof(pieces, pt):
+        return math.ceil(max(sum(s * x for s, x in zip(slope, pt)) + mc
+                             for slope, mc in pieces))
+    lines1 = [(slope, m * c) for slope, c in pieces1]
+    lines2 = [(slope, m * c) for slope, c in pieces2]
+    return sum(ceil_roof(lines2, pt) - ceil_roof(lines1, pt) for pt in points)
+
+
 def breakpoints_1d(blocks, extra=()):
     """All pairwise crossing abscissae of the pieces plus any extras: a
     superset of the true kinks of the min-max function."""

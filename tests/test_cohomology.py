@@ -53,6 +53,21 @@ def test_section_polytopes_count_sections():
         assert len(lattice_points_oracle(P.vertices, 1)) == fam.h0_integral(cls)
 
 
+def test_hirzebruch_sections_closed_form():
+    """h0 on F_h is sum(max(0, h*y + q + 1) for 0 <= y <= p); the library
+    sums it as an arithmetic series, so it stays O(1) in p."""
+    for h in range(4):
+        fam = toric_family(f"F{h}")
+        for q in range(-10, 11):
+            for p in range(41):
+                want = sum(max(0, h * y + q + 1) for y in range(p + 1))
+                assert fam.h0_integral((p, q)) == want, (h, p, q)
+        assert fam.h0_integral((-1, 5)) == 0
+    # F1 at p = 10**6, q = -7: the terms y - 6 are positive from y = 7 on
+    p = 10 ** 6
+    assert F1.h0_integral((p, -7)) == (p - 6) * (p - 5) // 2
+
+
 def test_polytope_requires_nef():
     with pytest.raises(PreconditionError):
         P1XP1.polytope((1, -1))

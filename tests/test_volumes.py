@@ -9,16 +9,80 @@ from navol.errors import PreconditionError
 from navol.harness import (bump_metric, random_convex_metric,
                            random_nonconvex_metric, tent_metric)
 from navol.measures import energy
-from navol.plmetric import canonical_metric, envelope, metric_shift
-from navol.polytope import segment, unit_box
-from navol.volumes import (default_schedule, lattice_length, lipschitz_check,
-                           navol, navol_series, proportionality_check)
+from navol.plmetric import canonical_metric, envelope, legendre, metric_shift
+from navol.polytope import Polytope, segment, unit_box
+from navol.volumes import (_floor_sum, default_schedule, lattice_length,
+                           lipschitz_check, navol, navol_series,
+                           proportionality_check)
 
-from _oracles import lattice_length_oracle
+from _oracles import (lattice_length_by_points, lattice_length_oracle,
+                      lattice_points_oracle)
 
 F = Fraction
 SEG = segment(0, 1)
 BOX = unit_box(2)
+
+
+def _rational(rng, size=3):
+    return F(rng.randint(-size, size), rng.randint(1, 3))
+
+
+def _seeded_bodies(rng, count):
+    """Polygons, points and segments in the plane, intervals and single
+    points on the line, all with rational vertices."""
+    bodies = []
+    for _ in range(count):
+        bodies.append(Polytope.from_points(
+            [(_rational(rng, 1), _rational(rng, 1)) for _ in range(rng.randint(3, 6))]))
+        p = (_rational(rng), _rational(rng))
+        bodies.append(Polytope.from_points([p, p]))
+        bodies.append(Polytope.from_points(
+            [(_rational(rng), _rational(rng)) for _ in range(2)]))
+        # a segment on a lattice line, so it meets lattice points
+        base, d = (rng.randint(-2, 2), rng.randint(-2, 2)), (rng.randint(-2, 2), 1)
+        t0 = _rational(rng)
+        t1 = t0 + F(rng.randint(1, 6), rng.randint(1, 3))
+        bodies.append(Polytope.from_points(
+            [(base[0] + t * d[0], base[1] + t * d[1]) for t in (t0, t1)]))
+        lo = _rational(rng, 6)
+        bodies.append(segment(lo, lo + F(rng.randint(1, 9), rng.randint(1, 3))))
+        bodies.append(Polytope.from_points([(_rational(rng, 6),)]))
+    return bodies
+
+
+def test_floor_sum_matches_brute_force():
+    rng = random.Random(312)
+    for _ in range(3000):
+        n, mod = rng.randint(0, 30), rng.randint(1, 12)
+        a, b = rng.randint(-50, 50), rng.randint(-50, 50)
+        want = sum((a * i + b) // mod for i in range(n))
+        assert _floor_sum(n, mod, a, b) == want, (n, mod, a, b)
+
+
+def test_lattice_rows_count_the_enumeration_oracle():
+    bodies = _seeded_bodies(random.Random(313), 8)
+    assert ({(P.ambient_dim, P.affine_dim) for P in bodies}
+            == {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)})
+    for P in bodies:
+        for m in (1, 2, 3, 5, 8):
+            rows = P.lattice_rows(m)
+            assert len(rows) <= 1 or P.ambient_dim == 2
+            assert [y for y, _, _ in rows] == sorted({y for y, _, _ in rows})
+            width = sum(hi - lo + 1 for _, lo, hi in rows)
+            assert width == len(lattice_points_oracle(P.vertices, m)), (P, m)
+
+
+def test_lattice_length_matches_per_point_route():
+    """Row sums by floor_sum against one max over the roof pieces at every
+    lattice point, on 1-3-branch metrics."""
+    rng = random.Random(314)
+    for P in _seeded_bodies(rng, 6):
+        m1 = random_nonconvex_metric(P, rng, branches=rng.randint(1, 3))
+        m2 = random_nonconvex_metric(P, rng, branches=rng.randint(1, 3))
+        g1, g2 = legendre(m1).pieces, legendre(m2).pieces
+        for m in list(range(1, 13)) + [37, 64]:
+            want = lattice_length_by_points(g1, g2, m, P.lattice_points(m))
+            assert lattice_length(m1, m2, m) == want, (P, m)
 
 
 def test_default_schedules_are_increasing():
@@ -55,8 +119,16 @@ def test_tent_series_frozen_values():
 def test_shifted_square_lengths_closed_form():
     can = canonical_metric(BOX)
     up = metric_shift(can, 1)
-    for m in (1, 2, 3, 5, 9):
+    for m in (1, 2, 3, 5, 9, 2000):
         assert lattice_length(up, can, m) == m * (m + 1) ** 2
+
+
+def test_shifted_segment_length_at_a_huge_level():
+    """One row summed in O(log m) steps; a per-point route visits 10**6 + 1
+    points here."""
+    can = canonical_metric(SEG)
+    m = 10 ** 6
+    assert lattice_length(metric_shift(can, 1), can, m) == m * (m + 1)
 
 
 def test_navol_result_converges_to_energy():
