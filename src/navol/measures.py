@@ -5,6 +5,8 @@ linearity complex; the mass is n! times the volume of the subdifferential
 there (the cell of the dual subdivision of P), so the total mass is n!vol(P)
 exactly. Mixed measures come from polarization over sums of subsets; signed
 intermediate combinations are plain dictionaries, never exposed.
+The energy is the roof-integral gap n!(integral of psi2* - integral of psi1*)
+over P (Burgos-Philippon-Sombra's height formula), not a polarization.
 """
 from __future__ import annotations
 
@@ -14,8 +16,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import PreconditionError
-from .plmetric import (MetricDifference, PLMetric, is_semipositive, legendre,
-                       metric_sum)
+from .plmetric import PLMetric, is_semipositive, legendre, metric_sum
 from .rational import Point, ZERO, frac
 
 AtomKey = Hashable
@@ -129,17 +130,11 @@ def integrate(f: Callable, measure: DiscreteMeasure) -> Fraction:
 
 
 def energy(m1: PLMetric, m2: PLMetric) -> Fraction:
-    """Energy pairing of two semipositive metrics on the same polytope:
-    1/(n+1) times the sum over j of the integral of (psi1 - psi2) against
-    the mixed measure with psi1 taken j times and psi2 taken n-j times."""
+    """Energy pairing of two semipositive metrics on the same polytope, as
+    n!(integral of psi2* - integral of psi1*) over P (0 if P is not
+    full-dimensional); equal to the polarized mixed-measure pairing."""
     if m1.polytope != m2.polytope:
         raise PreconditionError("energy needs metrics on the same polytope")
     if not (is_semipositive(m1) and is_semipositive(m2)):
         raise PreconditionError("energy needs semipositive metrics")
-    n = m1.dim
-    diff = MetricDifference(m1, m2)
-    acc = ZERO
-    for j in range(n + 1):
-        mix = mixed_monge_ampere([m1] * j + [m2] * (n - j))
-        acc += mix.integrate(diff.evaluate)
-    return acc / (n + 1)
+    return math.factorial(m1.dim) * (legendre(m2).integral() - legendre(m1).integral())

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .linalg import solve2x2
-from .polytope import Polytope
+from .polytope import Polytope, _hull_1d, _hull_2d
 from .rational import (Point, ZERO, dot, frac, point, primitive_same_direction,
                        vadd, vscale, vsub)
 
@@ -69,22 +69,18 @@ def _wall_representative(wall: Wall) -> Point:
     return (ZERO, b / a[1])
 
 
-def arrangement_points(pieces: Sequence[Piece], dim: int) -> List[Point]:
-    """Candidate points meeting the closure of every arrangement cell.
-
-    For dim 2 these are all pairwise wall crossings, one representative point
-    per wall (covers all-parallel arrangements), and a base point. Any PL
-    function built from the given pieces whose sup is finite attains it here.
+def arrangement_points(walls: Sequence[Wall], dim: int) -> List[Point]:
+    """Candidate points meeting the closure of every cell of the arrangement
+    of the given walls: for dim 2 all pairwise wall crossings, one
+    representative point per wall (covers all-parallel arrangements), and a
+    base point. A function linear on every cell attains a finite sup here.
     """
-    walls = _walls(pieces)
     pts: Dict[Point, None] = {}
     pts.setdefault(tuple(ZERO for _ in range(dim)), None)
-    if dim == 1:
-        for wall in walls:
-            pts.setdefault(_wall_representative(wall), None)
-        return list(pts.keys())
     for wall in walls:
         pts.setdefault(_wall_representative(wall), None)
+    if dim == 1:
+        return list(pts.keys())
     for (a1, b1), (a2, b2) in itertools.combinations(walls, 2):
         sol = solve2x2(frac(a1[0]), frac(a1[1]), frac(a2[0]), frac(a2[1]), b1, b2)
         if sol is not None:
@@ -225,7 +221,7 @@ class PLMetric:
     def candidate_points(self) -> List[Point]:
         """Superset of the vertices of the linearity complex (cached)."""
         if self._candidates is None:
-            self._candidates = arrangement_points(self.all_pieces(), self.dim)
+            self._candidates = arrangement_points(_walls(self.all_pieces()), self.dim)
         return self._candidates
 
     def is_convex_representation(self) -> bool:
@@ -257,14 +253,17 @@ def _prune_blocks(blocks: Tuple[Block, ...], dim: int) -> Tuple[Block, ...]:
 def _recession_matches_support(blocks: Tuple[Block, ...], P: Polytope) -> bool:
     """Exact directional check that the recession function equals the support
     function of P, i.e. psi stays within bounded distance of the canonical
-    metric. Directions: all wall directions of both homogeneous fans plus a
-    perpendicular/interior probe per sector."""
+    metric. A block's recession is the support function of its slope hull, so
+    only hull vertices enter. Directions: all wall directions of both
+    homogeneous fans plus a perpendicular/interior probe per sector."""
     n = P.ambient_dim
-    slopes = [tuple(s) for b in blocks for s, _ in b]
+    hull = _hull_1d if n == 1 else _hull_2d
+    hulls = [hull([s for s, _ in b]) for b in blocks]
+    slopes = list(dict.fromkeys(s for h in hulls for s in h))
     verts = list(P.vertices)
 
     def rec(w: Point) -> Fraction:
-        return min(max(dot(s, w) for s, _ in b) for b in blocks)
+        return min(max(dot(s, w) for s in h) for h in hulls)
 
     def sup(w: Point) -> Fraction:
         return max(dot(v, w) for v in verts)
@@ -276,8 +275,6 @@ def _recession_matches_support(blocks: Tuple[Block, ...], P: Polytope) -> bool:
     for group in (slopes, verts):
         for a, b in itertools.combinations(group, 2):
             d = vsub(a, b)
-            if d[0] == 0 and d[1] == 0:
-                continue
             for signed in (d, vscale(frac(-1), d)):
                 prim, _ = primitive_same_direction((-signed[1], signed[0]))
                 dirs.setdefault(tuple(frac(c) for c in prim), None)
@@ -738,8 +735,10 @@ def distance(m1: PLMetric, m2: PLMetric) -> Fraction:
     """Exact sup-norm distance sup_v |psi1 - psi2| (finite: equal recessions)."""
     if m1.polytope != m2.polytope:
         raise PreconditionError("distance needs metrics on the same polytope")
-    pieces = m1.all_pieces() + m2.all_pieces()
-    cands = arrangement_points(pieces, m1.dim)
+    # psi1 - psi2 is linear on every cell of the refinement of the two
+    # arrangements; walls between a piece of m1 and a piece of m2 never break it
+    walls = dict.fromkeys(_walls(m1.all_pieces()) + _walls(m2.all_pieces()))
+    cands = arrangement_points(list(walls), m1.dim)
     best = ZERO
     for v in cands:
         d = abs(m1.evaluate(v) - m2.evaluate(v))

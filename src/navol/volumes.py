@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .measures import energy
-from .plmetric import PLMetric, RoofFunction, distance, envelope, is_semipositive, legendre, metric_shift
+from .plmetric import PLMetric, distance, envelope, is_semipositive, legendre, metric_shift
+from .polytope import Polytope
 from .rational import ZERO, ceil_frac, frac, lcm_of
 
 
@@ -32,9 +33,14 @@ def default_schedule(dim: int) -> List[int]:
     return list(range(1, 11)) + [20, 40]
 
 
-def _integer_roof(roof: RoofFunction) -> Tuple[int, List[Tuple[Tuple[int, ...], int]]]:
-    """Common-denominator form: returns (L, pieces) with integer slope/constant
-    data so that max_k(<A_k,u> + m*B_k) = L * m * roof(u/m) for integer u."""
+IntegerRoof = Tuple[int, List[Tuple[Tuple[int, ...], int]]]
+
+
+def _integer_roof(metric: PLMetric) -> IntegerRoof:
+    """Common-denominator form of the metric's roof: returns (L, pieces) with
+    integer slope/constant data so that max_k(<A_k,u> + m*B_k) = L * m * roof(u/m)
+    for integer u."""
+    roof = legendre(metric)
     denoms: List[int] = []
     for slope, const in roof.pieces:
         denoms.extend(c.denominator for c in slope)
@@ -62,7 +68,7 @@ def _floor_sum(n: int, mod: int, a: int, b: int) -> int:
     return total
 
 
-def _ceil_sum(roof: RoofFunction, rows: Sequence[Tuple[int, int, int]], m: int) -> int:
+def _ceil_sum(roof: IntegerRoof, rows: Sequence[Tuple[int, int, int]], m: int) -> int:
     """Sum of ceil(m * roof(u/m)) over the integer points u of the rows.
 
     On a row the roof is the upper envelope of the integer lines
@@ -70,7 +76,7 @@ def _ceil_sum(roof: RoofFunction, rows: Sequence[Tuple[int, int, int]], m: int) 
     x (the steepest on ties) up to the last x before a steeper line strictly
     overtakes it, and sums the ceilings along that piece with one floor sum.
     """
-    scale, pieces = _integer_roof(roof)
+    scale, pieces = roof
     lines = [(a[0], a[1] if len(a) > 1 else 0, m * b) for a, b in pieces]
     total = 0
     for y, lo, hi in rows:
@@ -85,14 +91,22 @@ def _ceil_sum(roof: RoofFunction, rows: Sequence[Tuple[int, int, int]], m: int) 
     return total
 
 
-def lattice_length(m1: PLMetric, m2: PLMetric, m: int) -> int:
-    """Total lattice length at level m of the norm quotient of the pair."""
+def _check_pair(m1: PLMetric, m2: PLMetric) -> None:
     if m1.polytope != m2.polytope:
         raise PreconditionError("lattice_length needs metrics on the same polytope")
+
+
+def _level_rows(P: Polytope, m: int) -> List[Tuple[int, int, int]]:
     if m < 1:
         raise PreconditionError("lattice_length needs a positive level m")
-    rows = m1.polytope.lattice_rows(m)
-    return _ceil_sum(legendre(m2), rows, m) - _ceil_sum(legendre(m1), rows, m)
+    return P.lattice_rows(m)
+
+
+def lattice_length(m1: PLMetric, m2: PLMetric, m: int) -> int:
+    """Total lattice length at level m of the norm quotient of the pair."""
+    _check_pair(m1, m2)
+    rows = _level_rows(m1.polytope, m)
+    return _ceil_sum(_integer_roof(m2), rows, m) - _ceil_sum(_integer_roof(m1), rows, m)
 
 
 def _point_count(rows: Sequence[Tuple[int, int, int]]) -> int:
@@ -163,14 +177,18 @@ def lipschitz_check(m1: PLMetric, m1_alt: PLMetric, m2: PLMetric,
     N_m * ceil(m*d). In the limit: |vol' - vol| <= n!vol(P) * d.
     """
     d = distance(m1, m1_alt)
+    _check_pair(m1, m2)
     if schedule is None:
         schedule = default_schedule(m1.dim)
+    roof1, roof_alt, roof2 = (_integer_roof(x) for x in (m1, m1_alt, m2))
     rows: List[Tuple[int, int, int]] = []
     ok = True
     for m in schedule:
-        base = lattice_length(m1, m2, m)
-        alt = lattice_length(m1_alt, m2, m)
-        bound = _point_count(m1.polytope.lattice_rows(m)) * int(ceil_frac(m * d))
+        level = _level_rows(m1.polytope, m)
+        top = _ceil_sum(roof2, level, m)
+        base = top - _ceil_sum(roof1, level, m)
+        alt = top - _ceil_sum(roof_alt, level, m)
+        bound = _point_count(level) * int(ceil_frac(m * d))
         delta = abs(alt - base)
         rows.append((m, delta, bound))
         ok = ok and delta <= bound
@@ -195,17 +213,21 @@ def proportionality_check(m1: PLMetric, m2: PLMetric, t: Fraction,
                           schedule: Optional[Sequence[int]] = None) -> ProportionalityReport:
     """Shifting a metric by the constant t shifts each lattice length by
     exactly t*m when t*m is an integer, and by a value in
-    [floor(t*m), ceil(t*m)] otherwise; summed over the N_m lattice points."""
+    [floor(t*m), ceil(t*m)] otherwise; summed over the N_m lattice points.
+    The ceiling sums of m2 cancel in the difference of the two lengths."""
     t = frac(t)
+    _check_pair(m1, m2)
     shifted = metric_shift(m1, t)
     if schedule is None:
         schedule = default_schedule(m1.dim)
+    roof1, roof_shifted = _integer_roof(m1), _integer_roof(shifted)
     rows: List[Tuple[int, int, int, int]] = []
     exact_rows = 0
     ok = True
     for m in schedule:
-        n_pts = _point_count(m1.polytope.lattice_rows(m))
-        delta = lattice_length(shifted, m2, m) - lattice_length(m1, m2, m)
+        level = _level_rows(m1.polytope, m)
+        n_pts = _point_count(level)
+        delta = _ceil_sum(roof1, level, m) - _ceil_sum(roof_shifted, level, m)
         tm = t * m
         if tm.denominator == 1:
             lower = upper = int(tm) * n_pts

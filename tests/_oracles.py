@@ -3,9 +3,13 @@
 Everything here is deliberately written from scratch against the textbook
 definitions (exhaustive subset search, direct enumeration, closed forms for
 the classical surfaces) and never calls into the package internals, so the
-library is not used to test itself.  All arithmetic is exact.
+library is not used to test itself.  The one exception is
+`energy_by_mixed_measures`, which polarizes the package's public mixed
+Monge-Ampere measures, a route the package's own energy no longer takes.
+All arithmetic is exact.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -339,6 +343,103 @@ def curvature_atoms_2d_convex_oracle(block):
         if area > 0:
             atoms[v] = 2 * area
     return atoms
+
+
+# --------------------------------------------------------------------------
+# energy, recession and sup-distance by the all-pairs routes
+# --------------------------------------------------------------------------
+
+def energy_by_mixed_measures(m1, m2):
+    """Energy of two semipositive metrics by polarization: 1/(n+1) times the
+    sum over j of the integral of psi1 - psi2 against the mixed measure with
+    psi1 taken j times and psi2 taken n-j times."""
+    from navol.measures import mixed_monge_ampere
+    n = m1.dim
+    total = ZERO
+    for j in range(n + 1):
+        mix = mixed_monge_ampere([m1] * j + [m2] * (n - j))
+        total += mix.integrate(lambda v: m1.evaluate(v) - m2.evaluate(v))
+    return total / (n + 1)
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _angle_order(dirs):
+    """Nonzero plane directions sorted counter-clockwise from the +x axis."""
+    def cmp(a, b):
+        ha = 0 if a[1] > 0 or (a[1] == 0 and a[0] > 0) else 1
+        hb = 0 if b[1] > 0 or (b[1] == 0 and b[0] > 0) else 1
+        if ha != hb:
+            return ha - hb
+        cr = a[0] * b[1] - a[1] * b[0]
+        return -1 if cr > 0 else (1 if cr < 0 else 0)
+    return sorted(dirs, key=functools.cmp_to_key(cmp))
+
+
+def recession_by_all_slopes(blocks, vertices):
+    """Whether min over blocks of max over every slope s of <s, w> equals
+    max over the vertices v of <v, w> for all directions w.  Both sides are
+    linear between the normals of all slope pairs and all vertex pairs, so
+    they are compared on those normals (both signs), the axes and one probe
+    inside each sector between angularly consecutive normals."""
+    slopes = [tuple(Fraction(c) for c in s) for b in blocks for s, _ in b]
+    verts = [tuple(Fraction(c) for c in v) for v in vertices]
+
+    def rec(w):
+        return min(max(_dot(s, w) for s, _ in b) for b in blocks)
+
+    def sup(w):
+        return max(_dot(v, w) for v in verts)
+
+    if len(verts[0]) == 1:
+        return all(rec(w) == sup(w) for w in ((ONE,), (-ONE,)))
+    dirs = set()
+    for group in (slopes, verts):
+        for a, b in itertools.combinations(group, 2):
+            d = (a[0] - b[0], a[1] - b[1])
+            if d == (0, 0):
+                continue
+            scale = max(abs(d[0]), abs(d[1]))
+            dirs.add((-d[1] / scale, d[0] / scale))
+            dirs.add((d[1] / scale, -d[0] / scale))
+    axes = [(ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE)]
+    probes = list(dirs) + axes
+    ordered = _angle_order(dirs or axes)
+    for a, b in zip(ordered, ordered[1:] + ordered[:1]):
+        mid = (a[0] + b[0], a[1] + b[1])
+        probes.append(mid if mid != (0, 0) else (-a[1], a[0]))
+    return all(rec(w) == sup(w) for w in probes)
+
+
+def distance_by_joint_arrangement(blocks1, blocks2):
+    """sup |psi1 - psi2| over the candidate points of the arrangement of the
+    walls between every two pieces of either metric (1-d: the wall points;
+    2-d: every crossing of two walls, one point per wall and the origin)."""
+    pieces = [(tuple(Fraction(c) for c in s), Fraction(c0))
+              for b in list(blocks1) + list(blocks2) for s, c0 in b]
+    dim = len(pieces[0][0])
+    walls = set()
+    for (s1, c1), (s2, c2) in itertools.combinations(pieces, 2):
+        normal = tuple(a - b for a, b in zip(s1, s2))
+        lead = next((c for c in normal if c != 0), None)
+        if lead is not None:
+            walls.add((tuple(c / lead for c in normal), (c2 - c1) / lead))
+    points = {(ZERO,) * dim}
+    for normal, rhs in walls:
+        k = next(i for i, c in enumerate(normal) if c != 0)
+        pt = [ZERO] * dim
+        pt[k] = rhs / normal[k]
+        points.add(tuple(pt))
+    if dim == 2:
+        for (n1, r1), (n2, r2) in itertools.combinations(walls, 2):
+            det = n1[0] * n2[1] - n1[1] * n2[0]
+            if det != 0:
+                points.add(((r1 * n2[1] - n1[1] * r2) / det,
+                            (n1[0] * r2 - r1 * n2[0]) / det))
+    return max(abs(eval_min_max(blocks1, v) - eval_min_max(blocks2, v))
+               for v in points)
 
 
 # --------------------------------------------------------------------------

@@ -6,19 +6,20 @@ from fractions import Fraction
 import pytest
 
 from navol.errors import PreconditionError
-from navol.harness import bump_metric, random_convex_metric, tent_metric
+from navol.harness import (bump_metric, random_convex_metric,
+                           random_nonconvex_metric, tent_metric)
 from navol.measures import (DiscreteMeasure, energy, integrate, monge_ampere,
                             mixed_monge_ampere)
-from navol.plmetric import (canonical_metric, envelope, legendre, metric_shift,
-                            metric_sum)
-from navol.polytope import segment, simplex, unit_box
+from navol.plmetric import canonical_metric, envelope, metric_shift
+from navol.polytope import Polytope, segment, simplex, unit_box
 
 from _oracles import (curvature_atoms_1d_oracle,
-                      curvature_atoms_2d_convex_oracle)
+                      curvature_atoms_2d_convex_oracle, energy_by_mixed_measures)
 
 F = Fraction
 SEG = segment(0, 1)
 BOX = unit_box(2)
+LINE_IN_PLANE = Polytope.from_points([(0, 0), (2, 1)])
 
 
 # --------------------------------------------------------------------------
@@ -165,15 +166,21 @@ def test_energy_antisymmetry_and_cocycle():
 
 
 def test_energy_agrees_with_roof_integral_gap():
-    # primal route (atoms of the mixed measures) versus dual route (exact
-    # integrals of the conjugate roofs over the polytope)
+    # energy is the roof-integral gap; the oracle polarizes mixed measures
     rng = random.Random(218)
-    for P, factorial in ((SEG, 1), (BOX, 2)):
-        for _ in range(4):
-            a = random_convex_metric(P, rng)
-            b = random_convex_metric(P, rng)
-            dual = factorial * (legendre(b).integral() - legendre(a).integral())
-            assert energy(a, b) == dual
+    pairs = []
+    for P in (SEG, BOX, simplex(2)):
+        for _ in range(3):
+            pairs.append((random_convex_metric(P, rng), random_convex_metric(P, rng)))
+        for branches in (2, 3):
+            pairs.append(tuple(envelope(random_nonconvex_metric(P, rng, branches=branches))
+                               for _ in range(2)))
+    for a, b in pairs:
+        assert energy(a, b) == energy_by_mixed_measures(a, b), (a.polytope, a, b)
+    for _ in range(3):
+        a = random_convex_metric(LINE_IN_PLANE, rng)
+        b = random_convex_metric(LINE_IN_PLANE, rng)
+        assert energy(a, b) == energy_by_mixed_measures(a, b) == 0
 
 
 def test_integrate_helper():

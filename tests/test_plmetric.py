@@ -17,8 +17,9 @@ from navol.plmetric import (PLMetric, RoofFunction, canonical_metric, distance,
                             _lower_hull_facets_2d)
 from navol.polytope import Polytope, segment, simplex, unit_box
 
-from _oracles import (brute_lower_hull_facets, envelope_1d_oracle,
-                      eval_min_max, polygon_area, roof_oracle)
+from _oracles import (brute_lower_hull_facets, distance_by_joint_arrangement,
+                      envelope_1d_oracle, eval_min_max, polygon_area,
+                      recession_by_all_slopes, roof_oracle)
 
 F = Fraction
 SEG = segment(0, 1)
@@ -93,6 +94,74 @@ def test_slope_outside_polytope_rejected():
 def test_missing_vertex_slope_rejected():
     with pytest.raises(PreconditionError):
         PLMetric(SEG, [[((F(0),), F(0)), ((F(1, 2),), F(0))]])
+
+
+def test_recession_check_rejects_a_branch_missing_a_vertex_direction():
+    cases = [
+        (SEG, [[((F(0),), F(0)), ((F(1),), F(0))],
+               [((F(0),), F(1)), ((F(1, 2),), F(0))]]),
+        (BOX, [[(v, F(0)) for v in BOX.vertices],
+               [(v, F(1)) for v in BOX.vertices[1:]] + [((F(1, 2), F(1, 2)), F(0))]]),
+    ]
+    for P, blocks in cases:
+        with pytest.raises(PreconditionError, match="bounded distance"):
+            PLMetric(P, blocks, validate="recession")
+
+
+def _interior_slope(P, rng):
+    weights = [rng.randint(0, 3) for _ in P.vertices]
+    weights[rng.randrange(len(weights))] += 1
+    return tuple(sum(w * v[k] for w, v in zip(weights, P.vertices)) / sum(weights)
+                 for k in range(P.ambient_dim))
+
+
+def _random_blocks(P, rng, branches, extra, drop=0.0, spread=0):
+    """Blocks of pieces: the vertices of P (each dropped with probability
+    drop), then extra slopes inside P or, with spread > 0, in a box around it."""
+    blocks = []
+    for _ in range(branches):
+        slopes = [v for v in P.vertices if rng.random() >= drop]
+        for _ in range(rng.randint(0, extra)):
+            if spread and rng.random() < 0.5:
+                slopes.append(tuple(F(rng.randint(-4 * spread, 4 + 4 * spread), 4)
+                                    for _ in range(P.ambient_dim)))
+            else:
+                slopes.append(_interior_slope(P, rng))
+        if not slopes:
+            slopes.append(_interior_slope(P, rng))
+        blocks.append([(s, F(rng.randint(-6, 6), rng.randint(1, 3))) for s in slopes])
+    return blocks
+
+
+def test_recession_check_matches_all_slopes_route():
+    rng = random.Random(59)
+    hexagon = Polytope.from_points([(0, 0), (2, 0), (3, 1), (3, 2), (1, 2), (0, 1)])
+    line = Polytope.from_points([(0, 0), (2, 1)])
+    outcomes = {True: 0, False: 0}
+    for P in (SEG, BOX, simplex(2), hexagon, line):
+        for _ in range(40):
+            blocks = _random_blocks(P, rng, rng.randint(1, 3), extra=3,
+                                    drop=0.1, spread=1)
+            want = recession_by_all_slopes(blocks, P.vertices)
+            try:
+                PLMetric(P, blocks, validate="recession")
+                got = True
+            except PreconditionError:
+                got = False
+            assert got == want, (P, blocks)
+            outcomes[want] += 1
+    assert min(outcomes.values()) >= 40, outcomes
+
+
+def test_distance_matches_joint_arrangement():
+    rng = random.Random(60)
+    for P in (SEG, BOX, simplex(2)):
+        for _ in range(6):
+            a = PLMetric(P, _random_blocks(P, rng, rng.randint(1, 2), extra=1))
+            b = PLMetric(P, _random_blocks(P, rng, rng.randint(1, 2), extra=1))
+            assert distance(a, b) == distance_by_joint_arrangement(a.blocks, b.blocks)
+            assert distance(a, envelope(a)) == distance_by_joint_arrangement(
+                a.blocks, envelope(a).blocks)
 
 
 def test_empty_branch_rejected():

@@ -1,5 +1,6 @@
 """Lattice-length series: exact counts, limits, stability, proportionality."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -195,9 +196,37 @@ def test_lipschitz_stability_report():
     assert rep.limit_lhs <= rep.limit_rhs
 
 
+def test_check_rows_are_lattice_length_differences():
+    # the checks share rows and integer roofs per level; each row must still
+    # be the difference of two plain lattice_length calls
+    rng = random.Random(312)
+    for P, schedule in ((SEG, [1, 2, 5, 13]), (BOX, [1, 3, 4, 9])):
+        for _ in range(3):
+            a = random_nonconvex_metric(P, rng)
+            a_alt = random_nonconvex_metric(P, rng)
+            b = random_convex_metric(P, rng)
+            t = _rational(rng)
+            rep = lipschitz_check(a, a_alt, b, schedule=schedule)
+            prop = proportionality_check(a, b, t, schedule=schedule)
+            assert [row[0] for row in rep.rows] == [row[0] for row in prop.rows] == schedule
+            for (m, delta, bound), (_, pdelta, _, _) in zip(rep.rows, prop.rows):
+                assert delta == abs(lattice_length(a_alt, b, m) - lattice_length(a, b, m))
+                assert bound == len(P.lattice_points(m)) * math.ceil(m * rep.distance)
+                assert pdelta == lattice_length(metric_shift(a, t), b, m) - lattice_length(a, b, m)
+
+
 def test_lattice_length_preconditions():
     tent = tent_metric(SEG)
+    other = canonical_metric(segment(0, 2))
     with pytest.raises(PreconditionError):
-        lattice_length(tent, canonical_metric(segment(0, 2)), 3)
+        lattice_length(tent, other, 3)
     with pytest.raises(PreconditionError):
         lattice_length(tent, canonical_metric(SEG), 0)
+    with pytest.raises(PreconditionError):
+        lipschitz_check(tent, tent, other, schedule=[1])
+    with pytest.raises(PreconditionError):
+        proportionality_check(tent, other, F(1), schedule=[1])
+    for check in (lambda s: lipschitz_check(tent, tent, tent, schedule=s),
+                  lambda s: proportionality_check(tent, tent, F(1), schedule=s)):
+        with pytest.raises(PreconditionError):
+            check([2, 0])
