@@ -20,10 +20,10 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cohomology import (CohomologyTable, MorseReport, PerturbationReport,
+from .cohomology import (COHOMOLOGY_SCHEDULE, MORSE_Q, MORSE_SCHEDULE,
                          cohomology_table, morse_check, perturbation_scan)
 from .errors import InstanceFormatError, PreconditionError
-from .harness import (VerificationReport, run_bundled_suite,
+from .harness import (DIFF_EPS, H0_SCHEDULE, VerificationReport, run_bundled_suite,
                       verify_differentiability, verify_h0_envelope_equality,
                       verify_orthogonality, verify_tree_solvability,
                       verify_vol_is_energy)
@@ -158,12 +158,12 @@ def _cmd_energy(inst: Instance, args) -> CommandResult:
 
 
 def _resolve_m_schedule(args, inst_schedule: Optional[List[int]],
-                        fallback: List[int]) -> List[int]:
+                        fallback: Sequence[int]) -> List[int]:
     if getattr(args, "schedule", None):
         return _parse_int_schedule(args.schedule)
     if inst_schedule:
         return list(inst_schedule)
-    return fallback
+    return list(fallback)
 
 
 def _cmd_navol(inst: Instance, args) -> CommandResult:
@@ -224,7 +224,7 @@ def _cmd_diff(inst: Instance, args) -> CommandResult:
     elif toric.eps_schedule:
         eps = list(toric.eps_schedule)
     else:
-        eps = [Fraction(1, 2 ** k) for k in range(1, 6)]
+        eps = list(DIFF_EPS)
     rep = verify_differentiability(base, pos, neg, eps, instance=toric.name)
     header, rows = _report_csv(rep)
     return CommandResult("diff-check", _report_payload(rep),
@@ -234,7 +234,7 @@ def _cmd_diff(inst: Instance, args) -> CommandResult:
 def _cmd_h0(inst: Instance, args) -> CommandResult:
     toric = _expect_kind(inst, "toric", "h0-check")
     psi = toric.single_metric("h0-check")
-    schedule = _resolve_m_schedule(args, toric.schedule, list(range(1, 26)))
+    schedule = _resolve_m_schedule(args, toric.schedule, H0_SCHEDULE)
     rep = verify_h0_envelope_equality(psi, schedule, instance=toric.name)
     header, rows = _report_csv(rep)
     return CommandResult("h0-check", _report_payload(rep),
@@ -266,8 +266,7 @@ def _cmd_ma_solve(inst: Instance, args) -> CommandResult:
 def _cmd_cohomology(inst: Instance, args) -> CommandResult:
     surface = _expect_kind(inst, "surface", "cohomology")
     div = surface.divisor("D", "cohomology")
-    schedule = _resolve_m_schedule(args, surface.schedule,
-                                  list(range(1, 11)))
+    schedule = _resolve_m_schedule(args, surface.schedule, COHOMOLOGY_SCHEDULE)
     qs = [surface.q] if surface.q is not None else None
     table = cohomology_table(surface.family, div, schedule, qs=qs)
     serre = table.serre_consistent()
@@ -293,9 +292,8 @@ def _cmd_morse(inst: Instance, args) -> CommandResult:
     surface = _expect_kind(inst, "surface", "morse-check")
     d = surface.divisor("D", "morse-check")
     e = surface.divisor("E", "morse-check")
-    q = surface.q if surface.q is not None else 1
-    schedule = _resolve_m_schedule(args, surface.schedule,
-                                  list(range(1, 51)))
+    q = surface.q if surface.q is not None else MORSE_Q
+    schedule = _resolve_m_schedule(args, surface.schedule, MORSE_SCHEDULE)
     rep = morse_check(surface.family, d, e, q, schedule)
     summary = {
         "command": "morse-check",
@@ -365,7 +363,7 @@ def _instance_checks(inst: Instance) -> List[VerificationReport]:
         else:
             psi = inst.single_metric("verify-all")
             reports.append(verify_orthogonality(psi, instance=inst.name))
-            schedule = inst.schedule or list(range(1, 26))
+            schedule = inst.schedule or list(H0_SCHEDULE)
             reports.append(verify_h0_envelope_equality(psi, schedule,
                                                        instance=inst.name))
     elif isinstance(inst, TreeInstance):
@@ -375,8 +373,8 @@ def _instance_checks(inst: Instance) -> List[VerificationReport]:
                                                instance=inst.name))
     elif isinstance(inst, SurfaceInstance):
         if "D" in inst.divisors and "E" in inst.divisors:
-            q = inst.q if inst.q is not None else 1
-            schedule = inst.schedule or list(range(1, 51))
+            q = inst.q if inst.q is not None else MORSE_Q
+            schedule = inst.schedule or list(MORSE_SCHEDULE)
             start = time.monotonic()
             rep = morse_check(inst.family, inst.divisors["D"],
                               inst.divisors["E"], q, schedule)
@@ -390,7 +388,7 @@ def _instance_checks(inst: Instance) -> List[VerificationReport]:
                     for m, h, b, g in rep.rows],
                 runtime=time.monotonic() - start))
         if "D" in inst.divisors:
-            schedule = inst.schedule or list(range(1, 11))
+            schedule = inst.schedule or list(COHOMOLOGY_SCHEDULE)
             start = time.monotonic()
             table = cohomology_table(inst.family, inst.divisors["D"], schedule)
             ok = table.serre_consistent() and table.h1_all_nonnegative()

@@ -11,14 +11,18 @@ values are exact integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .polytope import Polytope
 from .rational import ZERO, ceil_frac, frac, point
 
+# defaults for the CLI's cohomology and morse-check commands and verify-all
+COHOMOLOGY_SCHEDULE = tuple(range(1, 11))
+MORSE_SCHEDULE = tuple(range(1, 51))
+MORSE_Q = 1
 
 Class = Tuple[Fraction, ...]
 
@@ -76,13 +80,6 @@ class ToricFamily:
             return a[0] * b[1] + a[1] * b[0]
         h = self.hirzebruch_a
         return h * a[0] * b[0] + a[0] * b[1] + a[1] * b[0]
-
-    def intersection_matrix(self) -> List[List[Fraction]]:
-        basis = [tuple(Fraction(int(i == j)) for j in range(self.rank))
-                 for i in range(self.rank)]
-        if self.name == "P1":
-            return [[Fraction(1)]]
-        return [[self.intersection(e, f) for f in basis] for e in basis]
 
     def degree(self, d: Sequence) -> Fraction:
         if self.name != "P1":

@@ -8,13 +8,15 @@ the support function of P (slopes at the vertices of P, constants 0).
 
 Two exact finite reductions carry everything. For min-of-max functions,
 arrangement candidate points (pairwise wall crossings plus representatives)
-meet the closure of every linearity cell, so suprema, distances and equality
-tests reduce to finitely many evaluations. For convex max-of-affines blocks,
-the lifted lower hull gives minimal representations and conjugates directly:
-the conjugate of a min of blocks is the max of the block conjugates, each a
-lower-hull facet list. The Legendre conjugate is stored as a RoofFunction
-(max of affine pieces restricted to P) whose exact linearity cells inside P
-yield integrals, the double-conjugate envelope and Monge-Ampere measures.
+meet the closure of every linearity cell, so suprema and distances reduce to
+finitely many evaluations. For convex max-of-affines blocks, the lower hull
+of the lifted slopes gives minimal representations and conjugates directly:
+the conjugate of a min of blocks is the max of the block conjugates, each
+the block's lower-hull pieces (facets, a chain along a line, or a constant),
+on every supported P, points and segments in the plane included. The
+Legendre conjugate is stored as a RoofFunction (max of affine pieces
+restricted to P) whose exact linearity cells inside P yield integrals, the
+double-conjugate envelope and Monge-Ampere measures.
 """
 from __future__ import annotations
 
@@ -103,41 +105,6 @@ def _segment_wall_crossings(wall: Wall, edge: Tuple[Point, Point]) -> List[Point
     return []
 
 
-def bounded_arrangement_points(pieces: Sequence[Piece], domain: Polytope) -> List[Point]:
-    """Candidates for arrangements restricted to a bounded polytope: vertices
-    of the domain, wall crossings inside it, wall/boundary-edge crossings."""
-    walls = _walls(pieces)
-    pts: Dict[Point, None] = {}
-    for v in domain.vertices:
-        pts.setdefault(v, None)
-    if domain.ambient_dim == 1:
-        lo, hi = domain.vertices[0][0], domain.vertices[-1][0]
-        for wall in walls:
-            x = _wall_representative(wall)
-            if lo <= x[0] <= hi:
-                pts.setdefault(x, None)
-        return list(pts.keys())
-    for (a1, b1), (a2, b2) in itertools.combinations(walls, 2):
-        sol = solve2x2(frac(a1[0]), frac(a1[1]), frac(a2[0]), frac(a2[1]), b1, b2)
-        if sol is not None and domain.contains(sol):
-            pts.setdefault(sol, None)
-    if domain.is_full_dimensional() and domain.ambient_dim == 2:
-        edges = domain.edges_ccw()
-    else:
-        edges = []
-    for wall in walls:
-        for edge in edges:
-            for x in _segment_wall_crossings(wall, edge):
-                pts.setdefault(x, None)
-    # lower-dimensional domains: walls may be parallel to the domain line
-    if not domain.is_full_dimensional() and len(domain.vertices) == 2:
-        p, q = domain.vertices
-        for wall in walls:
-            for x in _segment_wall_crossings(wall, (p, q)):
-                pts.setdefault(x, None)
-    return list(pts.keys())
-
-
 def _eval_pieces(pieces: Sequence[Piece], v: Sequence[Fraction]) -> Fraction:
     best = None
     for s, c in pieces:
@@ -174,20 +141,26 @@ class PLMetric:
         self.polytope = polytope
         clean = tuple(_dedupe_block(
             ((point(s), frac(c)) for s, c in block)) for block in blocks)
+        self._conjugate: Optional["RoofFunction"] = None
         if validate == "strict":
             self._validate_strict(clean)
             self.blocks: Tuple[Block, ...] = clean
         elif validate == "recession":
-            self.blocks = _prune_blocks(clean, polytope.ambient_dim)
+            # Each block keeps the pieces whose lifted point lies on its lower
+            # hull, which changes no value. The recession identity makes every
+            # block's slope hull contain P, so the hulls are the conjugate on P.
+            hulls = [_lower_hull(block) for block in clean]
+            self.blocks = tuple(
+                tuple(p for p in block if -p[1] == _eval_pieces(hull, p[0]))
+                for block, hull in zip(clean, hulls))
             if not _recession_matches_support(self.blocks, polytope):
                 raise PreconditionError(
                     "metric is not within bounded distance of the canonical metric")
+            self._conjugate = RoofFunction(polytope, [p for h in hulls for p in h])
         else:
             raise ValueError(f"unknown validation mode {validate!r}")
-        self._conjugate: Optional["RoofFunction"] = None
         self._envelope: Optional["PLMetric"] = None
         self._semipositive: Optional[bool] = None
-        self._candidates: Optional[List[Point]] = None
 
     def _validate_strict(self, blocks: Tuple[Block, ...]) -> None:
         P = self.polytope
@@ -218,12 +191,6 @@ class PLMetric:
 
     __call__ = evaluate
 
-    def candidate_points(self) -> List[Point]:
-        """Superset of the vertices of the linearity complex (cached)."""
-        if self._candidates is None:
-            self._candidates = arrangement_points(_walls(self.all_pieces()), self.dim)
-        return self._candidates
-
     def is_convex_representation(self) -> bool:
         return len(self.blocks) == 1
 
@@ -237,17 +204,6 @@ class PLMetric:
 
     def __repr__(self) -> str:
         return f"PLMetric({len(self.blocks)} branch(es), dim {self.dim})"
-
-
-def _prune_blocks(blocks: Tuple[Block, ...], dim: int) -> Tuple[Block, ...]:
-    """Canonicalize a min-of-max piece system without changing the function.
-
-    Each block taken alone is convex, so its redundant pieces are removed
-    exactly (and provably function-preserving) by the lifted lower-hull test.
-    No pruning across blocks is attempted: a piece inactive at every
-    arrangement candidate can still carry the recession behaviour of its
-    block on an unbounded cell, so cross-block activity pruning is unsound."""
-    return tuple(_prune_convex_block(b, dim) for b in blocks)
 
 
 def _recession_matches_support(blocks: Tuple[Block, ...], P: Polytope) -> bool:
@@ -582,64 +538,30 @@ def _lower_hull_facets_2d(points: List[Tuple[Point, Fraction]]) -> List[Piece]:
     return list(planes.keys())
 
 
-def _lower_hull_membership(points: List[Tuple[Point, Fraction]],
-                           dim: int) -> Optional[List[bool]]:
-    """For each lifted point, whether it lies on the lower hull of the whole
-    set (redundancy test for convex max-of-affines blocks). None when the
-    hull is degenerate and the test cannot certify anything."""
-    if dim == 1:
-        chain = _lower_hull_chain([(s[0], z) for s, z in points])
-        if len(chain) < 2:
-            return None
-        on = []
-        for s, z in points:
-            x = s[0]
-            height = None
-            for (x1, z1), (x2, z2) in zip(chain, chain[1:]):
-                if x1 <= x <= x2:
-                    height = z1 + (z2 - z1) * (x - x1) / (x2 - x1)
-                    break
-            on.append(height is not None and z == height)
-        return on
-    facets = _lower_hull_facets_2d(points)
-    if not facets:
-        return None
-    out = []
-    for s, z in points:
-        height = max(dot(a, s) + b for a, b in facets)
-        out.append(z == height)
-    return out
-
-
-def _prune_convex_block(block: Block, dim: int) -> Block:
-    """Minimal max-of-affines representation of a convex block: keep exactly
-    the pieces whose lifted point (s, -c) lies on the lower hull."""
-    if len(block) <= 2:
-        return block
+def _lower_hull(block: Block) -> List[Piece]:
+    """Lower-hull pieces of a convex block's lifted slopes (s, -c): affine
+    maps u -> <a, u> + b whose max is the block's conjugate on the affine
+    hull of its slopes. These are the facet planes when the slopes span the
+    plane, the lower chain along the line (with a along it) when they are
+    collinear, and the constant -c for a single slope."""
+    slopes = [s for s, _ in block]
     lifted = [(s, -c) for s, c in block]
-    membership = _lower_hull_membership(lifted, dim)
-    if membership is None:
-        return block
-    kept = tuple(p for p, keep in zip(block, membership) if keep)
-    return kept if kept else block
-
-
-def _block_conjugate_pieces(block: Block, dim: int) -> Optional[List[Piece]]:
-    """Conjugate of a convex block max(<s_k, v> + c_k) as max-of-affines in u:
-    the lower-hull facets of the lifted points (s_k, -c_k). Valid on the
-    convex hull of the slopes; None when that hull is lower-dimensional."""
-    lifted = [(s, -c) for s, c in block]
-    if dim == 1:
+    if len(block) == 1:
+        return [(vscale(ZERO, slopes[0]), lifted[0][1])]
+    if len(slopes[0]) == 2:
+        facets = _lower_hull_facets_2d(lifted)
+        if facets:
+            return facets
+        d = vsub(max(slopes), min(slopes))
+        chain = _lower_hull_chain([(dot(d, s), z) for s, z in lifted])
+    else:
+        d = (Fraction(1),)
         chain = _lower_hull_chain([(s[0], z) for s, z in lifted])
-        if len(chain) < 2:
-            return None
-        pieces = []
-        for (x1, z1), (x2, z2) in zip(chain, chain[1:]):
-            lam = (z2 - z1) / (x2 - x1)
-            pieces.append(((lam,), z1 - lam * x1))
-        return pieces
-    facets = _lower_hull_facets_2d(lifted)
-    return facets or None
+    pieces = []
+    for (t1, z1), (t2, z2) in zip(chain, chain[1:]):
+        lam = (z2 - z1) / (t2 - t1)
+        pieces.append((vscale(lam, d), z1 - lam * t1))
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -655,50 +577,15 @@ def legendre(metric: PLMetric) -> RoofFunction:
     """Exact Legendre conjugate psi*(u) = sup_v(<u,v> - psi(v)) on P.
 
     The conjugate of a min of convex blocks is the max of the block
-    conjugates, and each block conjugate is its lifted lower-hull facet list
-    (valid on all of P because every block's slope hull contains P for a
-    validated metric). Degenerate hulls fall back to the candidate method:
-    the sup is attained at an arrangement candidate of psi's pieces, and
-    extra candidates only contribute valid lower bounds.
+    conjugates, and each block conjugate is the lower hull of its lifted
+    slopes (valid on all of P because every block's slope hull contains P
+    for a validated metric). The same route serves every supported P,
+    points and segments in the plane included.
     """
-    if metric._conjugate is not None:
-        return metric._conjugate
-    P = metric.polytope
-    pieces: Optional[List[Piece]] = None
-    if P.is_full_dimensional():
-        pieces = []
-        for block in metric.blocks:
-            facets = _block_conjugate_pieces(block, P.ambient_dim)
-            if facets is None:
-                pieces = None
-                break
-            pieces.extend(facets)
-    if pieces is None:
-        cands = metric.candidate_points()
-        roof = _prune_roof(RoofFunction(P, [(v, -metric.evaluate(v))
-                                            for v in cands]))
-    else:
-        roof = RoofFunction(P, pieces)
-    metric._conjugate = roof
-    return roof
-
-
-def _prune_roof(roof: RoofFunction) -> RoofFunction:
-    P = roof.polytope
-    cands = bounded_arrangement_points(roof.pieces, P)
-    if not cands:
-        return roof
-    keep = []
-    for s, c in roof.pieces:
-        for u in cands:
-            if dot(s, u) + c == roof.evaluate(u):
-                keep.append((s, c))
-                break
-    pruned = RoofFunction(P, keep)
-    for u in cands:
-        if pruned.evaluate(u) != roof.evaluate(u):
-            return roof
-    return pruned
+    if metric._conjugate is None:
+        metric._conjugate = RoofFunction(
+            metric.polytope, [p for block in metric.blocks for p in _lower_hull(block)])
+    return metric._conjugate
 
 
 def envelope(metric: PLMetric) -> PLMetric:
@@ -707,21 +594,22 @@ def envelope(metric: PLMetric) -> PLMetric:
     The second conjugation runs over P only, and its sup is attained at a
     corner of a linearity cell of the roof (the contact set is a face of the
     roof's cell complex, and every face of a finite subdivision of P contains
-    a cell corner). The corner set also contains every vertex of P, which
-    keeps the recession identity intact; redundant corners are pruned by the
-    lower-hull test inside the constructor.
+    a cell corner). On a point or a segment the corners are its ends and the
+    crossings of the roof's walls with it. The corner set also contains every
+    vertex of P, which keeps the recession identity intact; redundant corners
+    are pruned by the lower-hull test inside the constructor.
     """
     if metric._envelope is not None:
         return metric._envelope
     P = metric.polytope
     roof = legendre(metric)
-    corners: Dict[Point, None] = {}
-    for _, region in roof.cells():
-        for u in region:
-            corners.setdefault(u, None)
-    if not corners:
-        for u in bounded_arrangement_points(roof.pieces, P):
-            corners.setdefault(u, None)
+    if P.is_full_dimensional():
+        corners = dict.fromkeys(u for _, region in roof.cells() for u in region)
+    else:
+        ends = (P.vertices[0], P.vertices[-1])
+        corners = dict.fromkeys(P.vertices)
+        for wall in _walls(roof.pieces):
+            corners.update(dict.fromkeys(_segment_wall_crossings(wall, ends)))
     pieces = [(u, -roof.evaluate(u)) for u in corners]
     env = PLMetric(P, [pieces], validate="recession")
     metric._envelope = env
@@ -828,26 +716,3 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
                     for s1, c1 in bp for s2, c2 in bq
                 ])
     return PLMetric(P, blocks, validate="recession")
-
-
-class MetricDifference:
-    """Bounded PL function f = psi_pos - psi_neg on the same polytope,
-    used as integrand and as a deformation direction."""
-
-    def __init__(self, pos: PLMetric, neg: PLMetric):
-        if pos.polytope != neg.polytope:
-            raise PreconditionError("a direction needs both metrics on one polytope")
-        self.pos = pos
-        self.neg = neg
-
-    def evaluate(self, v: Sequence) -> Fraction:
-        return self.pos.evaluate(v) - self.neg.evaluate(v)
-
-    __call__ = evaluate
-
-    @property
-    def polytope(self) -> Polytope:
-        return self.pos.polytope
-
-    def sup_abs(self) -> Fraction:
-        return distance(self.pos, self.neg)

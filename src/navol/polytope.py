@@ -111,14 +111,14 @@ class Polytope:
 
     # -- queries ----------------------------------------------------------
 
-    def contains(self, pt: Sequence, scale: Fraction = Fraction(1)) -> bool:
-        """Exact membership of pt in scale*P."""
+    def contains(self, pt: Sequence) -> bool:
+        """Exact membership of pt in P."""
         x = point(pt)
         for a, b in self.equalities:
-            if dot(a, x) != scale * b:
+            if dot(a, x) != b:
                 return False
         for a, b in self.inequalities:
-            if dot(a, x) > scale * b:
+            if dot(a, x) > b:
                 return False
         return True
 
@@ -188,13 +188,6 @@ class Polytope:
 
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.ambient_dim
-
-    def edges_ccw(self) -> List[Tuple[Point, Point]]:
-        """Boundary edges of a full-dimensional planar polytope, CCW."""
-        if self.ambient_dim != 2 or not self.is_full_dimensional():
-            raise PreconditionError("edges_ccw needs a full-dimensional planar polytope")
-        v = list(self.vertices)
-        return list(zip(v, v[1:] + v[:1]))
 
     # -- identity ---------------------------------------------------------
 

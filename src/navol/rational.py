@@ -13,7 +13,6 @@ from typing import Iterable, Sequence, Tuple
 Point = Tuple[Fraction, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def frac(value) -> Fraction:
@@ -63,10 +62,6 @@ def vscale(t: Fraction, a: Sequence[Fraction]) -> Point:
 
 def ceil_frac(x: Fraction) -> int:
     return math.ceil(x)
-
-
-def floor_frac(x: Fraction) -> int:
-    return math.floor(x)
 
 
 def lcm_of(values: Iterable[int]) -> int:

@@ -11,25 +11,36 @@ from navol.errors import PreconditionError
 from navol.harness import (bump_metric, random_convex_metric,
                            random_nonconvex_metric, random_direction,
                            tent_metric)
-from navol.plmetric import (PLMetric, RoofFunction, canonical_metric, distance,
-                            envelope, is_semipositive, legendre, metric_deform,
-                            metric_min, metric_scale, metric_shift, metric_sum,
-                            _lower_hull_facets_2d)
+from navol.plmetric import (PLMetric, arrangement_points, canonical_metric,
+                            distance, envelope, is_semipositive, legendre,
+                            metric_deform, metric_min, metric_scale, metric_shift,
+                            metric_sum, _lower_hull_facets_2d, _walls)
 from navol.polytope import Polytope, segment, simplex, unit_box
 
-from _oracles import (brute_lower_hull_facets, distance_by_joint_arrangement,
-                      envelope_1d_oracle, eval_min_max, polygon_area,
+from navol.volumes import lattice_length
+
+from _oracles import (block_conjugate_oracle, brute_lower_hull_facets,
+                      distance_by_joint_arrangement, envelope_1d_oracle,
+                      eval_min_max, lattice_length_oracle, polygon_area,
                       recession_by_all_slopes, roof_oracle)
 
 F = Fraction
 SEG = segment(0, 1)
 BOX = unit_box(2)
+HEXAGON = Polytope.from_points([(0, 0), (2, 0), (3, 1), (3, 2), (1, 2), (0, 1)])
+LINE = Polytope.from_points([(0, 0), (2, 1)])
+# A metric on a vertical segment whose envelope and h0 checks once hung.
+STUCK_SEGMENT = Polytope.from_points([(0, 0), (0, 3)])
+STUCK_BLOCKS = [[((0, 0), F(-1, 3)), ((0, 3), F(0))],
+                [((0, 0), F(-7)), ((0, 3), F(7, 3)), ((0, F(9, 4)), F(-1)),
+                 ((0, F(3, 4)), F(-1))]]
 
 
 def _grid(P, steps):
-    if P.ambient_dim == 1:
-        (lo,), (hi,) = min(P.vertices), max(P.vertices)
-        return [(lo + (hi - lo) * F(k, steps),) for k in range(steps + 1)]
+    if P.ambient_dim == 1 or not P.is_full_dimensional():
+        a, b = P.vertices[0], P.vertices[-1]
+        return list(dict.fromkeys(tuple(x + (y - x) * F(k, steps) for x, y in zip(a, b))
+                                  for k in range(steps + 1)))
     pts = []
     xs = [v[0] for v in P.vertices]
     ys = [v[1] for v in P.vertices]
@@ -135,10 +146,8 @@ def _random_blocks(P, rng, branches, extra, drop=0.0, spread=0):
 
 def test_recession_check_matches_all_slopes_route():
     rng = random.Random(59)
-    hexagon = Polytope.from_points([(0, 0), (2, 0), (3, 1), (3, 2), (1, 2), (0, 1)])
-    line = Polytope.from_points([(0, 0), (2, 1)])
     outcomes = {True: 0, False: 0}
-    for P in (SEG, BOX, simplex(2), hexagon, line):
+    for P in (SEG, BOX, simplex(2), HEXAGON, LINE):
         for _ in range(40):
             blocks = _random_blocks(P, rng, rng.randint(1, 3), extra=3,
                                     drop=0.1, spread=1)
@@ -195,6 +204,100 @@ def test_roof_values_match_exhaustive_conjugate_oracle():
         roof = legendre(psi)
         for u in _grid(psi.polytope, 4):
             assert roof.evaluate(u) == roof_oracle(psi.blocks, u), (psi, u)
+
+
+def _deduped(block):
+    """A block with one piece per slope, the largest constant kept."""
+    by_slope = {}
+    for s, c in block:
+        s = tuple(F(x) for x in s)
+        if s not in by_slope or c > by_slope[s]:
+            by_slope[s] = F(c)
+    return list(by_slope.items())
+
+
+def _on_lower_hull(block):
+    """The pieces whose lifted point (s, -c) lies on the lower hull of the
+    block's lifted points: on a brute-force facet when the slopes span the
+    plane, else where the block's exhaustive conjugate equals -c."""
+    facets = brute_lower_hull_facets([(s, -c) for s, c in block]) \
+        if len(block[0][0]) == 2 else set()
+    if facets:
+        return [(s, c) for s, c in block
+                if -c == max(a[0] * s[0] + a[1] * s[1] + b for a, b in facets)]
+    return [(s, c) for s, c in block if block_conjugate_oracle(block, s) == -c]
+
+
+def _deform_branches(psi, eps, pos, neg):
+    """The branches metric_deform builds before pruning (neg convex)."""
+    return [[(tuple(a + eps * b - eps * x for a, b, x in zip(s1, s2, sl)),
+              c1 + eps * c2 - eps * cl)
+             for s1, c1 in bp for s2, c2 in bq]
+            for bp in psi.blocks for bq in pos.blocks for sl, cl in neg.blocks[0]]
+
+
+def test_seeded_conjugate_matches_oracle_and_keeps_hull_pieces():
+    # metric_deform and envelope outputs get their conjugate from the lower
+    # hulls built while pruning; both the roof and the kept pieces are
+    # checked against the exhaustive routes
+    rng = random.Random(61)
+    # the exhaustive oracles grow with the cube of the piece count, so the
+    # polygons get fewer and smaller cases
+    for P, trials, extra in ((SEG, 3, 1), (BOX, 2, 1), (simplex(2), 2, 1),
+                             (HEXAGON, 1, 0), (LINE, 3, 2)):
+        plane = P.is_full_dimensional() and P.ambient_dim == 2
+        grid = _grid(P, 2 if plane else 6)
+        for trial in range(trials):
+            psi = PLMetric(P, _random_blocks(P, rng, 1 if plane else 2, extra))
+            pos = PLMetric(P, _random_blocks(P, rng, 1, extra))
+            neg = random_convex_metric(P, rng)
+            eps = F(1) if trial == 0 else F(1, 3)
+            raw = _deform_branches(psi, eps, pos, neg)
+            moved = metric_deform(psi, eps, pos, neg)
+            # the kept pieces span the same lower hulls as the raw branches
+            assert moved.blocks == tuple(tuple(_on_lower_hull(_deduped(b))) for b in raw)
+            for u in grid:
+                assert legendre(moved).evaluate(u) == roof_oracle(moved.blocks, u), (P, u)
+
+            bumpy = PLMetric(P, _random_blocks(P, rng, 2, extra + 1))
+            env = envelope(bumpy)
+            for u in grid:  # a metric and its envelope share their conjugate on P
+                assert legendre(env).evaluate(u) == roof_oracle(bumpy.blocks, u), (P, u)
+            if P.is_full_dimensional():
+                roof = legendre(bumpy)
+                corners = dict.fromkeys(u for _, region in roof.cells() for u in region)
+                raw_env = [(u, -roof.evaluate(u)) for u in corners]
+                assert env.blocks == (tuple(_on_lower_hull(_deduped(raw_env))),)
+
+
+def test_points_and_segments_in_the_plane_match_the_oracles():
+    rng = random.Random(62)
+    bodies = [STUCK_SEGMENT, LINE,
+              Polytope.from_points([(-1, 2), (3, 2)]),
+              Polytope.from_points([(F(1, 2), F(1, 3)), (F(5, 2), F(4, 3))]),
+              Polytope.from_points([(F(-3, 2), F(7, 5)), (F(1, 3), F(-2))]),
+              Polytope.from_points([(1, 2)]),
+              Polytope.from_points([(F(1, 2), F(-3, 2))])]
+    metrics = [PLMetric(STUCK_SEGMENT, STUCK_BLOCKS)]
+    for P in bodies:
+        for _ in range(3):
+            metrics.append(PLMetric(P, _random_blocks(P, rng, rng.randint(1, 3), extra=3)))
+    far = [(F(9), F(-4)), (F(-7), F(5)), (F(1, 3), F(12))]
+    for psi in metrics:
+        P = psi.polytope
+        roof, env = legendre(psi), envelope(psi)
+        for u in _grid(P, 6):
+            assert roof.evaluate(u) == roof_oracle(psi.blocks, u), (psi.blocks, u)
+        again = envelope(PLMetric(P, env.blocks))
+        for v in _grid(P, 6) + far:
+            assert env.evaluate(v) <= psi.evaluate(v)
+            assert again.evaluate(v) == env.evaluate(v)
+        other = PLMetric(P, _random_blocks(P, rng, 1, extra=2))
+        for m in (1, 2, 3, 6):
+            assert lattice_length(psi, env, m) == lattice_length_oracle(
+                psi.blocks, env.blocks, m, P.vertices)
+            assert lattice_length(other, psi, m) == lattice_length_oracle(
+                other.blocks, psi.blocks, m, P.vertices)
 
 
 def test_tent_roof_closed_form():
@@ -262,10 +365,10 @@ def test_envelope_properties_in_the_plane():
         # arrangement candidate lies under psi everywhere (the candidates
         # exhaust the linearity-cell vertices and the recession rates
         # dominate), hence under the envelope
+        candidates = arrangement_points(_walls(psi.all_pieces()), 2)
         for _ in range(8):
             u = (F(rng.randint(0, 4), 4), F(rng.randint(0, 4), 4))
-            c = min(psi.evaluate(x) - (u[0] * x[0] + u[1] * x[1])
-                    for x in psi.candidate_points())
+            c = min(psi.evaluate(x) - (u[0] * x[0] + u[1] * x[1]) for x in candidates)
             for v in samples:
                 assert u[0] * v[0] + u[1] * v[1] + c <= env.evaluate(v)
 

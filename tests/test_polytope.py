@@ -120,14 +120,6 @@ def test_dilate_and_minkowski_sum():
                                    (F(1), F(2)), (F(0), F(2))}
 
 
-def test_edges_ccw_traverses_positively():
-    P = Polytope.from_points([(0, 0), (2, 0), (2, 2), (0, 2)])
-    edges = P.edges_ccw()
-    assert len(edges) == 4
-    area = sum(a[0] * b[1] - b[0] * a[1] for a, b in edges) / 2
-    assert area == P.volume()
-
-
 def test_standard_bodies():
     assert unit_box(1).volume() == 1
     assert unit_box(2).volume() == 1

@@ -3,6 +3,8 @@ end with its exit-code contract (0 pass / 1 fail / 2 parse / 3 precondition)."""
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -331,3 +333,24 @@ def test_verify_all_deterministic_and_parallel_equal(tmp_path, capsys):
         outs.append(_csv_bodies(out_dir))
     assert outs[0] == outs[1]
     assert outs[0], "verify-all must write at least one CSV"
+
+
+def test_checks_on_a_segment_in_the_plane_finish(tmp_path):
+    # h0-check and ortho-check once ran for minutes on this instance; a child
+    # process with a timeout turns a hang into a failure
+    block = lambda pieces: [{"slope": s, "constant": c} for s, c in pieces]
+    instance = {"kind": "toric", "polytope": [[0, 0], [0, 3]], "schedule": [1, 2, 3],
+                "metrics": {"psi": [
+                    block([([0, 0], "-1/3"), ([0, 3], 0)]),
+                    block([([0, 0], -7), ([0, 3], "7/3"), ([0, "9/4"], -1),
+                           ([0, "3/4"], -1)])]}}
+    path = _write(tmp_path, "segment.json", instance)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for command in ("h0-check", "ortho-check"):
+        done = subprocess.run(
+            [sys.executable, "-m", "navol.cli", command, path,
+             "--out-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
