@@ -17,16 +17,23 @@ on every supported P, points and segments in the plane included. The
 Legendre conjugate is stored as a RoofFunction (max of affine pieces
 restricted to P) whose exact linearity cells inside P yield integrals, the
 double-conjugate envelope and Monge-Ampere measures.
+
+The exact kernels (the lifted lower hull and the pruning by it, the
+recession check, and the arrangement candidates and values behind the
+sup-distance) first scale their rational data by the lcm of its
+denominators, then compute with Python ints only; Fractions appear only in
+their inputs and outputs.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .linalg import solve2x2
 from .polytope import Polytope, _hull_1d, _hull_2d
 from .rational import (Point, ZERO, dot, frac, point, primitive_same_direction,
                        vadd, vscale, vsub)
@@ -34,6 +41,21 @@ from .rational import (Point, ZERO, dot, frac, point, primitive_same_direction,
 Piece = Tuple[Point, Fraction]          # v -> <slope, v> + const
 Block = Tuple[Piece, ...]               # max over pieces
 Wall = Tuple[Tuple[int, ...], Fraction]  # <a, v> = b, canonical form
+IntPlane = Tuple[int, int, int, int]    # nx*x + ny*y + nz*z = d on scaled points
+IntegerRoof = Tuple[int, List[Tuple[Tuple[int, ...], int]]]  # (L, [(L*slope, L*const)])
+
+
+def _common_scale(rows: Iterable[Sequence[Fraction]]) -> Tuple[int, List[Tuple[int, ...]]]:
+    """Scale rational rows by the lcm D of all their denominators: returns D
+    and the integer rows."""
+    rows = list(rows)
+    scale = math.lcm(*{c.denominator for row in rows for c in row})
+    return scale, [_scaled(row, scale) for row in rows]
+
+
+def _scaled(row: Sequence[Fraction], scale: int) -> Tuple[int, ...]:
+    """scale * row as integers (scale a multiple of every denominator)."""
+    return tuple(c.numerator * (scale // c.denominator) for c in row)
 
 
 # ---------------------------------------------------------------------------
@@ -62,32 +84,34 @@ def _walls(pieces: Sequence[Piece]) -> List[Wall]:
     return list(seen.keys())
 
 
-def _wall_representative(wall: Wall) -> Point:
-    a, b = wall
-    if len(a) == 1:
-        return (b / a[0],)
-    if a[0] != 0:
-        return (b / a[0], ZERO)
-    return (ZERO, b / a[1])
-
-
-def arrangement_points(walls: Sequence[Wall], dim: int) -> List[Point]:
+def arrangement_points(walls: Sequence[Wall], dim: int) -> List[Tuple[int, ...]]:
     """Candidate points meeting the closure of every cell of the arrangement
     of the given walls: for dim 2 all pairwise wall crossings, one
     representative point per wall (covers all-parallel arrangements), and a
     base point. A function linear on every cell attains a finite sup here.
-    """
-    pts: Dict[Point, None] = {}
-    pts.setdefault(tuple(ZERO for _ in range(dim)), None)
-    for wall in walls:
-        pts.setdefault(_wall_representative(wall), None)
-    if dim == 1:
-        return list(pts.keys())
-    for (a1, b1), (a2, b2) in itertools.combinations(walls, 2):
-        sol = solve2x2(frac(a1[0]), frac(a1[1]), frac(a2[0]), frac(a2[1]), b1, b2)
-        if sol is not None:
-            pts.setdefault(sol, None)
-    return list(pts.keys())
+
+    The right-hand sides are scaled to one denominator L, so each point x/w
+    comes as the integer row (x_1, .., x_dim, w) in lowest terms, w > 0."""
+    scale = math.lcm(*{b.denominator for _, b in walls})
+    rows = [(a, b.numerator * (scale // b.denominator)) for a, b in walls]
+    pts: Dict[Tuple[int, ...], None] = {}
+
+    def add(*row: int) -> None:
+        g = math.gcd(*row) if row[-1] > 0 else -math.gcd(*row)
+        pts.setdefault(tuple(x // g for x in row), None)
+
+    add(*(0,) * dim, 1)
+    for a, b in rows:
+        if a[0] != 0:
+            add(b, *(0,) * (dim - 1), scale * a[0])
+        else:
+            add(0, b, scale * a[1])
+    if dim == 2:
+        for (a1, b1), (a2, b2) in itertools.combinations(rows, 2):
+            det = a1[0] * a2[1] - a1[1] * a2[0]
+            if det != 0:
+                add(b1 * a2[1] - b2 * a1[1], a1[0] * b2 - a2[0] * b1, scale * det)
+    return list(pts)
 
 
 def _segment_wall_crossings(wall: Wall, edge: Tuple[Point, Point]) -> List[Point]:
@@ -150,15 +174,14 @@ class PLMetric:
             # hull, which changes no value. The recession identity makes every
             # block's slope hull contain P, so the hulls are the conjugate on P.
             hulls = [_lower_hull(block) for block in clean]
-            self.blocks = tuple(
-                tuple(p for p in block if -p[1] == _eval_pieces(hull, p[0]))
-                for block, hull in zip(clean, hulls))
+            self.blocks = tuple(kept for _, kept in hulls)
             if not _recession_matches_support(self.blocks, polytope):
                 raise PreconditionError(
                     "metric is not within bounded distance of the canonical metric")
-            self._conjugate = RoofFunction(polytope, [p for h in hulls for p in h])
+            self._conjugate = RoofFunction(polytope, [p for h, _ in hulls for p in h])
         else:
             raise ValueError(f"unknown validation mode {validate!r}")
+        self._integer_roof: Optional[IntegerRoof] = None
         self._envelope: Optional["PLMetric"] = None
         self._semipositive: Optional[bool] = None
 
@@ -209,43 +232,46 @@ class PLMetric:
 def _recession_matches_support(blocks: Tuple[Block, ...], P: Polytope) -> bool:
     """Exact directional check that the recession function equals the support
     function of P, i.e. psi stays within bounded distance of the canonical
-    metric. A block's recession is the support function of its slope hull, so
-    only hull vertices enter. Directions: all wall directions of both
-    homogeneous fans plus a perpendicular/interior probe per sector."""
+    metric. A block's recession is the support function h_H of its slope hull
+    H, which is linear between the normals of H's edges. So on each sector
+    between angularly consecutive edge normals (both signs) of the blocks'
+    hulls, rec = min_b h_H_b is concave and h_P convex, so rec - h_P is
+    concave; it vanishes on the sector iff it vanishes on both rays and at
+    one interior probe, and P's own edge normals add nothing. Slopes and
+    vertices are scaled to integers by one common denominator."""
     n = P.ambient_dim
     hull = _hull_1d if n == 1 else _hull_2d
-    hulls = [hull([s for s, _ in b]) for b in blocks]
-    slopes = list(dict.fromkeys(s for h in hulls for s in h))
-    verts = list(P.vertices)
+    scale = math.lcm(*{c.denominator for b in blocks for s, _ in b for c in s},
+                     *{c.denominator for v in P.vertices for c in v})
+    verts = [_scaled(v, scale) for v in P.vertices]
+    hulls = [hull([_scaled(s, scale) for s, _ in b]) for b in blocks]
 
-    def rec(w: Point) -> Fraction:
-        return min(max(dot(s, w) for s in h) for h in hulls)
+    def rec(w: Tuple[int, ...]) -> int:
+        return min(max(sum(map(operator.mul, s, w)) for s in h) for h in hulls)
 
-    def sup(w: Point) -> Fraction:
-        return max(dot(v, w) for v in verts)
+    def sup(w: Tuple[int, ...]) -> int:
+        return max(sum(map(operator.mul, v, w)) for v in verts)
 
     if n == 1:
-        return all(rec(w) == sup(w) for w in [(frac(1),), (frac(-1),)])
+        return all(rec(w) == sup(w) for w in [(1,), (-1,)])
 
-    dirs: Dict[Point, None] = {}
-    for group in (slopes, verts):
-        for a, b in itertools.combinations(group, 2):
-            d = vsub(a, b)
-            for signed in (d, vscale(frac(-1), d)):
-                prim, _ = primitive_same_direction((-signed[1], signed[0]))
-                dirs.setdefault(tuple(frac(c) for c in prim), None)
-    axis = [point((1, 0)), point((0, 1)), point((-1, 0)), point((0, -1))]
-    test: List[Point] = list(dirs.keys()) + axis
-    ordered = _sort_by_angle(list(dirs.keys()) or axis)
+    dirs: Dict[Tuple[int, int], None] = {}
+    for h in hulls:
+        for a, b in zip(h, h[1:] + h[:1]):
+            if a != b:
+                nx, ny = a[1] - b[1], b[0] - a[0]
+                g = math.gcd(nx, ny)
+                dirs.setdefault((nx // g, ny // g), None)
+                dirs.setdefault((-nx // g, -ny // g), None)
+    ordered = _sort_by_angle(list(dirs) or [(1, 0), (0, 1), (-1, 0), (0, -1)])
+    test = list(ordered)
     for a, b in zip(ordered, ordered[1:] + ordered[:1]):
-        s = vadd(a, b)
-        if s == (ZERO, ZERO):
-            s = point((-a[1], a[0]))
-        test.append(s)
+        s = (a[0] + b[0], a[1] + b[1])
+        test.append(s if s != (0, 0) else (-a[1], a[0]))
     return all(rec(w) == sup(w) for w in test)
 
 
-def _sort_by_angle(dirs: List[Point]) -> List[Point]:
+def _sort_by_angle(dirs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     def quadrant(d: Point) -> int:
         x, y = d
         if y > 0 or (y == 0 and x > 0):
@@ -402,11 +428,10 @@ def clip_polygon(poly: List[Point], a: Sequence[Fraction], b: Fraction) -> List[
 # lifted lower hulls: exact conjugates of convex max-of-affines blocks
 
 
-def _lower_hull_chain(points: List[Tuple[Fraction, Fraction]]
-                      ) -> List[Tuple[Fraction, Fraction]]:
-    """Lower convex chain of planar points sorted by x (distinct x values)."""
+def _lower_hull_chain(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Lower convex chain of integer planar points (distinct x values)."""
     pts = sorted(points)
-    chain: List[Tuple[Fraction, Fraction]] = []
+    chain: List[Tuple[int, int]] = []
     for x, z in pts:
         while len(chain) >= 2:
             (x1, z1), (x2, z2) = chain[-2], chain[-1]
@@ -418,87 +443,62 @@ def _lower_hull_chain(points: List[Tuple[Fraction, Fraction]]
     return chain
 
 
-def _plane_through(p1: Tuple[Point, Fraction], p2: Tuple[Point, Fraction],
-                   p3: Tuple[Point, Fraction]) -> Optional[Piece]:
-    """Affine map u -> <a,u> + b through three lifted 2-d points, if the base
-    points are affinely independent."""
-    d1 = vsub(p2[0], p1[0])
-    d2 = vsub(p3[0], p1[0])
-    if d1[0] * d2[1] - d1[1] * d2[0] == 0:
-        return None
-    sol = solve2x2(d1[0], d1[1], d2[0], d2[1], p2[1] - p1[1], p3[1] - p1[1])
-    if sol is None:
-        return None
-    a = (sol[0], sol[1])
-    return (a, p1[1] - dot(a, p1[0]))
+def _lower_facet_planes(points: Sequence[Tuple[int, int, int]]) -> List[IntPlane]:
+    """Lower-hull facet planes of integer lifted points (x, y, z): primitive
+    (nx, ny, nz, d) with nz < 0, every point satisfying
+    nx*x + ny*y + nz*z <= d with equality on a full-dimensional contact set;
+    empty when the base points are all collinear.
 
-
-def _orient3d(a, b, c, d) -> Fraction:
-    """Signed volume determinant of rows b-a, c-a, d-a (points as xyz
-    triples); positive when d lies on the outward side of oriented (a,b,c)."""
-    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
-    wx, wy, wz = d[0] - a[0], d[1] - a[1], d[2] - a[2]
-    return (ux * (vy * wz - vz * wy) - uy * (vx * wz - vz * wx)
-            + uz * (vx * wy - vy * wx))
-
-
-def _lower_hull_facets_2d(points: List[Tuple[Point, Fraction]]) -> List[Piece]:
-    """Lower-hull facet affines of lifted points ((x, y), z): every returned
-    (a, b) satisfies z_k >= <a, s_k> + b with equality on a full-dimensional
-    contact set; empty when the base points are all collinear.
-
-    Incremental convex hull over the lifted point set; only downward-facing
-    facet planes are reported, deduplicated, with vertical facets skipped."""
-    best: Dict[Tuple[Fraction, Fraction], Fraction] = {}
-    for s, z in points:
-        key = (s[0], s[1])
-        if key not in best or z < best[key]:
-            best[key] = z
+    Incremental convex hull; each facet keeps its outward integer plane, so
+    the visibility scan is one dot product. Only downward-facing planes are
+    reported, deduplicated, with vertical facets skipped."""
+    best: Dict[Tuple[int, int], int] = {}
+    for x, y, z in points:
+        if (x, y) not in best or z < best[(x, y)]:
+            best[(x, y)] = z
     pts = [(x, y, z) for (x, y), z in best.items()]
     if len(pts) < 3:
         return []
 
-    def cross_nonzero(p, q, r):
-        ux, uy, uz = q[0] - p[0], q[1] - p[1], q[2] - p[2]
-        vx, vy, vz = r[0] - p[0], r[1] - p[1], r[2] - p[2]
-        return (uy * vz - uz * vy, uz * vx - ux * vz,
-                ux * vy - uy * vx) != (0, 0, 0)
+    def plane(i: int, j: int, k: int) -> IntPlane:
+        # outward normal (b - a) x (c - a) of the oriented facet (a, b, c);
+        # a point p lies on its outward side when <n, p> > d
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = pts[i], pts[j], pts[k]
+        ux, uy, uz = bx - ax, by - ay, bz - az
+        vx, vy, vz = cx - ax, cy - ay, cz - az
+        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        return nx, ny, nz, nx * ax + ny * ay + nz * az
 
-    def facet_plane(i, j, k) -> Optional[Piece]:
-        return _plane_through(((pts[i][0], pts[i][1]), pts[i][2]),
-                              ((pts[j][0], pts[j][1]), pts[j][2]),
-                              ((pts[k][0], pts[k][1]), pts[k][2]))
+    def above(pl: IntPlane, p: Tuple[int, int, int]) -> int:
+        return pl[0] * p[0] + pl[1] * p[1] + pl[2] * p[2] - pl[3]
 
-    i2 = next((k for k in range(2, len(pts))
-               if cross_nonzero(pts[0], pts[1], pts[k])), None)
+    i2 = next((k for k in range(2, len(pts)) if plane(0, 1, k)[:3] != (0, 0, 0)), None)
     if i2 is None:
         return []
-    i3 = next((k for k in range(2, len(pts))
-               if k != i2 and _orient3d(pts[0], pts[1], pts[i2], pts[k]) != 0),
+    base = plane(0, 1, i2)
+    i3 = next((k for k in range(2, len(pts)) if k != i2 and above(base, pts[k]) != 0),
               None)
     if i3 is None:
-        plane = facet_plane(0, 1, i2)
-        return [plane] if plane is not None else []
+        return [_primitive_plane(base)] if base[2] != 0 else []
 
     order = [0, 1, i2, i3]
     order += [k for k in range(2, len(pts)) if k not in (i2, i3)]
     a, b, c, d = order[:4]
-    if _orient3d(pts[a], pts[b], pts[c], pts[d]) > 0:
+    if above(plane(a, b, c), pts[d]) > 0:
         b, c = c, b
-    facets: Dict[int, Tuple[int, int, int]] = {}
+    facets: Dict[int, Tuple[int, int, int, IntPlane]] = {}
     edge_to_facet: Dict[Tuple[int, int], int] = {}
     next_id = 0
 
     def add_facet(i, j, k):
         nonlocal next_id
-        facets[next_id] = (i, j, k)
+        facets[next_id] = (i, j, k, plane(i, j, k))
         for u, v in ((i, j), (j, k), (k, i)):
             edge_to_facet[(u, v)] = next_id
         next_id += 1
 
     def drop_facet(fid):
-        i, j, k = facets.pop(fid)
+        i, j, k, _ = facets.pop(fid)
         for u, v in ((i, j), (j, k), (k, i)):
             if edge_to_facet.get((u, v)) == fid:
                 del edge_to_facet[(u, v)]
@@ -510,14 +510,13 @@ def _lower_hull_facets_2d(points: List[Tuple[Point, Fraction]]) -> List[Piece]:
     add_facet(b, a, d)
     for m in order[4:]:
         p = pts[m]
-        visible = [fid for fid, (i, j, k) in facets.items()
-                   if _orient3d(pts[i], pts[j], pts[k], p) > 0]
+        visible = [fid for fid, f in facets.items() if above(f[3], p) > 0]
         if not visible:
             continue
         horizon: List[Tuple[int, int]] = []
         visible_set = set(visible)
         for fid in visible:
-            i, j, k = facets[fid]
+            i, j, k, _ = facets[fid]
             for u, v in ((i, j), (j, k), (k, i)):
                 if edge_to_facet.get((v, u)) not in visible_set:
                     horizon.append((u, v))
@@ -525,43 +524,66 @@ def _lower_hull_facets_2d(points: List[Tuple[Point, Fraction]]) -> List[Piece]:
             drop_facet(fid)
         for u, v in horizon:
             add_facet(u, v, m)
-
-    planes: Dict[Piece, None] = {}
-    for i, j, k in facets.values():
-        ux, uy = pts[j][0] - pts[i][0], pts[j][1] - pts[i][1]
-        vx, vy = pts[k][0] - pts[i][0], pts[k][1] - pts[i][1]
-        if ux * vy - uy * vx >= 0:
-            continue  # vertical or upward-facing facet
-        plane = facet_plane(i, j, k)
-        if plane is not None:
-            planes[plane] = None
-    return list(planes.keys())
+    # nz >= 0: vertical or upward-facing facet
+    return list(dict.fromkeys(_primitive_plane(f[3]) for f in facets.values()
+                              if f[3][2] < 0))
 
 
-def _lower_hull(block: Block) -> List[Piece]:
-    """Lower-hull pieces of a convex block's lifted slopes (s, -c): affine
-    maps u -> <a, u> + b whose max is the block's conjugate on the affine
-    hull of its slopes. These are the facet planes when the slopes span the
-    plane, the lower chain along the line (with a along it) when they are
-    collinear, and the constant -c for a single slope."""
-    slopes = [s for s, _ in block]
-    lifted = [(s, -c) for s, c in block]
+def _primitive_plane(pl: IntPlane) -> IntPlane:
+    """The plane scaled to coprime integers with nz < 0 (nz must be nonzero)."""
+    g = math.gcd(*pl)
+    if pl[2] > 0:
+        g = -g
+    return tuple(x // g for x in pl)
+
+
+def _plane_piece(pl: IntPlane, scale: int) -> Piece:
+    """The affine map u -> <a, u> + b of a plane over points scaled by scale."""
+    nx, ny, nz, d = pl
+    return (Fraction(-nx, nz), Fraction(-ny, nz)), Fraction(d, nz * scale)
+
+
+def _lower_hull_facets_2d(points: List[Tuple[Point, Fraction]]) -> List[Piece]:
+    """Lower-hull facet affines of lifted points ((x, y), z): every returned
+    (a, b) satisfies z_k >= <a, s_k> + b with equality on a full-dimensional
+    contact set; empty when the base points are all collinear."""
+    scale, rows = _common_scale([s[0], s[1], z] for s, z in points)
+    return [_plane_piece(pl, scale) for pl in _lower_facet_planes(rows)]
+
+
+def _lower_hull(block: Block) -> Tuple[List[Piece], Block]:
+    """Lower hull of a convex block's lifted slopes (s, -c).
+
+    Returns its pieces, affine maps u -> <a, u> + b whose max is the block's
+    conjugate on the affine hull of its slopes, and the block's pieces whose
+    lifted point lies on it (the others change no value of the block). The
+    pieces are the facet planes when the slopes span the plane, the lower
+    chain along the line (with a along it) when they are collinear, and the
+    constant -c for a single slope. The lifted points are scaled to integers
+    once; every test on them is an integer equality or sign."""
     if len(block) == 1:
-        return [(vscale(ZERO, slopes[0]), lifted[0][1])]
-    if len(slopes[0]) == 2:
-        facets = _lower_hull_facets_2d(lifted)
-        if facets:
-            return facets
-        d = vsub(max(slopes), min(slopes))
-        chain = _lower_hull_chain([(dot(d, s), z) for s, z in lifted])
+        (s, c), = block
+        return [(vscale(ZERO, s), -c)], block
+    scale, rows = _common_scale(s + (-c,) for s, c in block)
+    if len(rows[0]) == 3:
+        planes = _lower_facet_planes(rows)
+        if planes:
+            kept = tuple(p for p, (x, y, z) in zip(block, rows)
+                         if any(nx * x + ny * y + nz * z == d for nx, ny, nz, d in planes))
+            return [_plane_piece(pl, scale) for pl in planes], kept
+        top, low = max(rows), min(rows)
+        e = (top[0] - low[0], top[1] - low[1])
+        tz = [(e[0] * x + e[1] * y, z) for x, y, z in rows]
     else:
-        d = (Fraction(1),)
-        chain = _lower_hull_chain([(s[0], z) for s, z in lifted])
-    pieces = []
-    for (t1, z1), (t2, z2) in zip(chain, chain[1:]):
-        lam = (z2 - z1) / (t2 - t1)
-        pieces.append((vscale(lam, d), z1 - lam * t1))
-    return pieces
+        e = (1,)
+        tz = rows
+    chain = _lower_hull_chain(tz)
+    lines = [(t1, z1, t2 - t1, z2 - z1) for (t1, z1), (t2, z2) in zip(chain, chain[1:])]
+    pieces = [(tuple(Fraction(dz * k, dt) for k in e), Fraction(z1 * dt - dz * t1, dt * scale))
+              for t1, z1, dt, dz in lines]
+    kept = tuple(p for p, (t, z) in zip(block, tz)
+                 if any(dz * (t - t1) == dt * (z - z1) for t1, z1, dt, dz in lines))
+    return pieces, kept
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +606,8 @@ def legendre(metric: PLMetric) -> RoofFunction:
     """
     if metric._conjugate is None:
         metric._conjugate = RoofFunction(
-            metric.polytope, [p for block in metric.blocks for p in _lower_hull(block)])
+            metric.polytope,
+            [p for block in metric.blocks for p in _lower_hull(block)[0]])
     return metric._conjugate
 
 
@@ -626,13 +649,25 @@ def distance(m1: PLMetric, m2: PLMetric) -> Fraction:
     # psi1 - psi2 is linear on every cell of the refinement of the two
     # arrangements; walls between a piece of m1 and a piece of m2 never break it
     walls = dict.fromkeys(_walls(m1.all_pieces()) + _walls(m2.all_pieces()))
-    cands = arrangement_points(list(walls), m1.dim)
-    best = ZERO
-    for v in cands:
-        d = abs(m1.evaluate(v) - m2.evaluate(v))
-        if d > best:
-            best = d
-    return best
+    # psi_i = I_i / (D_i * w) at a candidate x / w, with I_i the min-max of
+    # the integer rows (D_i * s, D_i * c) at (x, w)
+    (d1, rows1), (d2, rows2) = _integer_blocks(m1), _integer_blocks(m2)
+    best, best_w = 0, 1
+    for x in arrangement_points(list(walls), m1.dim):
+        gap = abs(_min_max(rows1, x) * d2 - _min_max(rows2, x) * d1)
+        if gap * best_w > best * x[-1]:
+            best, best_w = gap, x[-1]
+    return Fraction(best, best_w * d1 * d2)
+
+
+def _integer_blocks(metric: PLMetric) -> Tuple[int, List[List[Tuple[int, ...]]]]:
+    """The metric's blocks as integer rows (D * s, D * c) over their lcm D."""
+    scale = math.lcm(*{x.denominator for s, c in metric.all_pieces() for x in s + (c,)})
+    return scale, [[_scaled(s + (c,), scale) for s, c in block] for block in metric.blocks]
+
+
+def _min_max(rows: List[List[Tuple[int, ...]]], x: Tuple[int, ...]) -> int:
+    return min(max(sum(map(operator.mul, r, x)) for r in block) for block in rows)
 
 
 def is_semipositive(metric: PLMetric) -> bool:

@@ -22,7 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .measures import energy
-from .plmetric import PLMetric, distance, envelope, is_semipositive, legendre, metric_shift
+from .plmetric import (IntegerRoof, PLMetric, distance, envelope, is_semipositive,
+                       legendre, metric_shift)
 from .polytope import Polytope
 from .rational import ZERO, ceil_frac, frac, lcm_of
 
@@ -33,22 +34,18 @@ def default_schedule(dim: int) -> List[int]:
     return list(range(1, 11)) + [20, 40]
 
 
-IntegerRoof = Tuple[int, List[Tuple[Tuple[int, ...], int]]]
-
-
 def _integer_roof(metric: PLMetric) -> IntegerRoof:
     """Common-denominator form of the metric's roof: returns (L, pieces) with
     integer slope/constant data so that max_k(<A_k,u> + m*B_k) = L * m * roof(u/m)
-    for integer u."""
-    roof = legendre(metric)
-    denoms: List[int] = []
-    for slope, const in roof.pieces:
-        denoms.extend(c.denominator for c in slope)
-        denoms.append(const.denominator)
-    scale = lcm_of(denoms)
-    pieces = [(tuple(int(c * scale) for c in slope), int(const * scale))
-              for slope, const in roof.pieces]
-    return scale, pieces
+    for integer u. Cached on the metric, like its conjugate."""
+    if metric._integer_roof is None:
+        roof = legendre(metric)
+        scale = lcm_of(c.denominator for slope, const in roof.pieces
+                       for c in slope + (const,))
+        metric._integer_roof = scale, [
+            (tuple(int(c * scale) for c in slope), int(const * scale))
+            for slope, const in roof.pieces]
+    return metric._integer_roof
 
 
 def _floor_sum(n: int, mod: int, a: int, b: int) -> int:

@@ -34,6 +34,13 @@ STUCK_SEGMENT = Polytope.from_points([(0, 0), (0, 3)])
 STUCK_BLOCKS = [[((0, 0), F(-1, 3)), ((0, 3), F(0))],
                 [((0, 0), F(-7)), ((0, 3), F(7, 3)), ((0, F(9, 4)), F(-1)),
                  ((0, F(3, 4)), F(-1))]]
+# coprime denominators near 10^6: their lcms overflow any fixed-width integer
+PRIMES = (999983, 999979, 999961, 999959, 999953)
+
+
+def _large_fraction(rng, bound):
+    p = rng.choice(PRIMES)
+    return F(rng.randint(-bound * p, bound * p), p)
 
 
 def _grid(P, steps):
@@ -75,6 +82,31 @@ def test_lower_hull_facets_match_brute_force():
         got = set(_lower_hull_facets_2d(pts))
         want = brute_lower_hull_facets(pts)
         assert got == want, (trial, pts)
+
+
+def test_lower_hull_facets_with_large_denominators():
+    # the kernel scales to the lcm of every denominator: coprime primes near
+    # 10^6 and negative coordinates, with the same degenerate patterns; the
+    # pieces the recession constructor keeps are those where the block's
+    # exhaustive conjugate equals -c
+    rng = random.Random(124)
+    for trial in range(60):
+        pts = [((_large_fraction(rng, 3), _large_fraction(rng, 3)), _large_fraction(rng, 5))
+               for _ in range(rng.randint(3, 9))]
+        if trial % 5 == 0:
+            pts += pts[:2]  # duplicated lifted points
+        if trial % 7 == 0:
+            pts = [((x, y), x - 3 * y + F(2, 999983)) for (x, y), _ in pts]  # coplanar
+        if trial % 11 == 0:
+            pts = [((x, -2 * x + F(1, 999979)), z) for (x, _), z in pts]  # collinear plan view
+        got = set(_lower_hull_facets_2d(pts))
+        assert got == brute_lower_hull_facets(pts), (trial, pts)
+
+        block = _deduped([(s, -z) for s, z in pts])
+        P = Polytope.from_points([s for s, _ in block])
+        kept = PLMetric(P, [block], validate="recession").blocks[0]
+        assert kept == tuple((s, c) for s, c in block
+                             if block_conjugate_oracle(block, s) == -c), trial
 
 
 def test_lower_hull_vertical_stacks_keep_lowest_point():
@@ -144,6 +176,14 @@ def _random_blocks(P, rng, branches, extra, drop=0.0, spread=0):
     return blocks
 
 
+def _accepted(P, blocks):
+    try:
+        PLMetric(P, blocks, validate="recession")
+    except PreconditionError:
+        return False
+    return True
+
+
 def test_recession_check_matches_all_slopes_route():
     rng = random.Random(59)
     outcomes = {True: 0, False: 0}
@@ -152,14 +192,55 @@ def test_recession_check_matches_all_slopes_route():
             blocks = _random_blocks(P, rng, rng.randint(1, 3), extra=3,
                                     drop=0.1, spread=1)
             want = recession_by_all_slopes(blocks, P.vertices)
-            try:
-                PLMetric(P, blocks, validate="recession")
-                got = True
-            except PreconditionError:
-                got = False
-            assert got == want, (P, blocks)
+            assert _accepted(P, blocks) == want, (P, blocks)
             outcomes[want] += 1
     assert min(outcomes.values()) >= 40, outcomes
+
+
+def test_recession_check_on_degenerate_slope_hulls():
+    # collinear boundary slopes, duplicated slopes, single-slope blocks and
+    # vertices moved by 1/p (p near 10^6) along an axis or a diagonal
+    rng = random.Random(64)
+    POINT = Polytope.from_points([(F(1, 2), F(-3, 2))])
+    WIDE = Polytope.from_points([(F(-1, 999979), F(2, 999961)), (F(7, 3), F(-5, 999983)),
+                                 (F(1, 999953), F(11, 4))])
+    outcomes = {True: 0, False: 0}
+    for P in (SEG, BOX, simplex(2), HEXAGON, LINE, POINT, WIDE):
+        verts = list(P.vertices)
+        for _ in range(24):
+            blocks = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.15:
+                    slopes = [rng.choice(verts)]
+                else:
+                    slopes = [v for v in verts if rng.random() >= 0.1]
+                    for a, b in zip(verts, verts[1:] + verts[:1]):
+                        if a != b and rng.random() < 0.5:
+                            t = F(rng.randint(1, PRIMES[0] - 1), PRIMES[0])
+                            slopes.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+                    if rng.random() < 0.4:
+                        step = [F(rng.choice((-1, 0, 1)), rng.choice(PRIMES))
+                                for _ in range(P.ambient_dim)]
+                        slopes.append(tuple(x + d for x, d in zip(rng.choice(verts), step)))
+                    slopes = slopes or [rng.choice(verts)]
+                    slopes.append(rng.choice(slopes))  # a duplicated slope
+                blocks.append([(s, _large_fraction(rng, 4)) for s in slopes])
+            want = recession_by_all_slopes(blocks, verts)
+            assert _accepted(P, blocks) == want, (P, blocks)
+            outcomes[want] += 1
+    assert min(outcomes.values()) >= 40, outcomes
+    # each branch exceeds the support function of the square only inside the
+    # open quadrant between the axes, so only a probe inside that sector sees
+    # the min of the two exceed it as well
+    for t in (F(1), F(1, PRIMES[0])):
+        blocks = [[(v, F(0)) for v in BOX.vertices] + [((F(1), 1 + t), F(0))],
+                  [(v, F(0)) for v in BOX.vertices] + [((1 + t, F(1)), F(0))]]
+        assert not recession_by_all_slopes(blocks, BOX.vertices)
+        assert not _accepted(BOX, blocks)
+
+
+def _with_large_constants(blocks, rng):
+    return [[(s, c + _large_fraction(rng, 1)) for s, c in b] for b in blocks]
 
 
 def test_distance_matches_joint_arrangement():
@@ -171,6 +252,18 @@ def test_distance_matches_joint_arrangement():
             assert distance(a, b) == distance_by_joint_arrangement(a.blocks, b.blocks)
             assert distance(a, envelope(a)) == distance_by_joint_arrangement(
                 a.blocks, envelope(a).blocks)
+    # up to three branches and constants over primes near 10^6, so the
+    # candidates mix small and large denominators; the oracle crosses every
+    # two walls of all pieces, so the polygons get fewer slopes and cases
+    rng = random.Random(65)
+    for P, extra, trials in ((SEG, 2, 3), (LINE, 2, 3), (BOX, 0, 2), (simplex(2), 0, 2)):
+        for _ in range(trials):
+            a = PLMetric(P, _with_large_constants(
+                _random_blocks(P, rng, rng.randint(2, 3), extra), rng))
+            b = PLMetric(P, _with_large_constants(
+                _random_blocks(P, rng, rng.randint(1, 3), extra), rng))
+            for x, y in ((a, b), (a, envelope(a)), (envelope(b), b)):
+                assert distance(x, y) == distance_by_joint_arrangement(x.blocks, y.blocks)
 
 
 def test_empty_branch_rejected():
@@ -365,7 +458,8 @@ def test_envelope_properties_in_the_plane():
         # arrangement candidate lies under psi everywhere (the candidates
         # exhaust the linearity-cell vertices and the recession rates
         # dominate), hence under the envelope
-        candidates = arrangement_points(_walls(psi.all_pieces()), 2)
+        candidates = [(F(x, w), F(y, w))
+                      for x, y, w in arrangement_points(_walls(psi.all_pieces()), 2)]
         for _ in range(8):
             u = (F(rng.randint(0, 4), 4), F(rng.randint(0, 4), 4))
             c = min(psi.evaluate(x) - (u[0] * x[0] + u[1] * x[1]) for x in candidates)
