@@ -12,7 +12,6 @@ Exit codes: 0 all checks passed, 1 a verification criterion failed,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -391,12 +390,13 @@ def _instance_checks(inst: Instance) -> List[VerificationReport]:
             schedule = inst.schedule or list(COHOMOLOGY_SCHEDULE)
             start = time.monotonic()
             table = cohomology_table(inst.family, inst.divisors["D"], schedule)
-            ok = table.serre_consistent() and table.h1_all_nonnegative()
+            serre = table.serre_consistent()
+            h1_ok = table.h1_all_nonnegative()
             reports.append(VerificationReport(
                 theorem="cohomology-consistency", instance=inst.name,
-                passed=ok,
-                exact={"serre_consistent": str(table.serre_consistent()),
-                       "h1_all_nonnegative": str(table.h1_all_nonnegative())},
+                passed=serre and h1_ok,
+                exact={"serre_consistent": str(serre),
+                       "h1_all_nonnegative": str(h1_ok)},
                 series=[("m", "q", "h", "normalized")] + [
                     (str(m), str(q), str(h), frac_str(norm))
                     for m, q, h, norm in table.rows],
@@ -501,7 +501,7 @@ def _out_dir(args) -> str:
 
 def _emit(result: CommandResult, args) -> None:
     out_dir = _out_dir(args)
-    write_json(out_dir, f"{result.name}.json", result.summary)
+    summary_text = write_json(out_dir, f"{result.name}.json", result.summary)
     csv_payloads = {}
     for series_name, (header, rows) in result.series.items():
         text = csv_text(header, rows)
@@ -517,8 +517,7 @@ def _emit(result: CommandResult, args) -> None:
                                        result.summary.items()
                                        if not isinstance(v, (list, dict))]))
     else:
-        json.dump(result.summary, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(summary_text)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

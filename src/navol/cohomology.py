@@ -380,37 +380,32 @@ def perturbation_scan(family: ToricFamily, d_list: Sequence[RealDivisor],
     """Twist stability |h^q(mA + pB) - h^q(pB)| <= C m (m+p)^(n-1), probing
     the diagonal A = sum of d_list, B = sum of p_list over the full grid
     0 <= m <= grid_max, 1 <= p <= grid_max; C is fitted on the half of the
-    grid with m + p <= grid_max and verified on the rest."""
+    grid with m + p <= grid_max and verified on the rest. Round-up is per
+    term, so mA + pB rounds up to a.round_up(m) + b.round_up(p)."""
     if not d_list or not p_list:
         raise PreconditionError("perturbation scan needs nonempty divisor lists")
-    a = d_list[0]
-    for extra in d_list[1:]:
-        a = RealDivisor(family, a.terms + extra.terms)
-    b = p_list[0]
-    for extra in p_list[1:]:
-        b = RealDivisor(family, b.terms + extra.terms)
+    a = RealDivisor(family, tuple(t for d in d_list for t in d.terms))
+    b = RealDivisor(family, tuple(t for d in p_list for t in d.terms))
     n = family.dim
-
-    def left(m: int, p: int) -> int:
-        combo = RealDivisor(family,
-                            a.scaled(m).terms + b.scaled(p).terms)
-        twisted = _hq_integral(family, combo.round_up(1), q)
-        plain = _hq_integral(family, b.scaled(p).round_up(1), q)
-        return abs(twisted - plain)
-
-    cells = [(m, p) for p in range(1, grid_max + 1)
-             for m in range(0, grid_max + 1)]
+    a_up = [a.round_up(m) for m in range(grid_max + 1)]
+    cells = []  # (m, p, |h^q(mA + pB) - h^q(pB)|)
+    for p in range(1, grid_max + 1):
+        b_up = b.round_up(p)
+        plain = _hq_integral(family, b_up, q)
+        for m in range(grid_max + 1):
+            twisted = _hq_integral(
+                family, tuple(x + y for x, y in zip(a_up[m], b_up)), q)
+            cells.append((m, p, abs(twisted - plain)))
     fitted = ZERO
-    for m, p in cells:
+    for m, p, lhs in cells:
         if m == 0 or m + p > grid_max:
             continue
-        ratio = Fraction(left(m, p), m * (m + p) ** (n - 1))
+        ratio = Fraction(lhs, m * (m + p) ** (n - 1))
         if ratio > fitted:
             fitted = ratio
     rows = []
     passed = True
-    for m, p in cells:
-        lhs = left(m, p)
+    for m, p, lhs in cells:
         bound = fitted * m * (m + p) ** (n - 1)
         rows.append((m, p, lhs, bound))
         if lhs > bound:

@@ -580,4 +580,7 @@ def write_text(out_dir: str, filename: str, text: str) -> str:
 
 
 def write_json(out_dir: str, filename: str, payload: object) -> str:
-    return write_text(out_dir, filename, json.dumps(payload, indent=2) + "\n")
+    """Write the payload as indented JSON and return the text written."""
+    text = json.dumps(payload, indent=2) + "\n"
+    write_text(out_dir, filename, text)
+    return text

@@ -54,25 +54,32 @@ class MetricTree:
         self.root = root if root is not None else self.vertices[0]
         if self.root not in vertex_set:
             raise PreconditionError(f"root {self.root} is not a vertex")
-        self._order, self._parent = self._traverse()
+        self._order, self._parent, self._parent_length = self._traverse()
         if len(self._order) != len(self.vertices):
             raise PreconditionError("tree is not connected")
 
-    def _traverse(self) -> Tuple[List[str], Dict[str, Optional[str]]]:
+    def _traverse(self) -> Tuple[List[str], Dict[str, Optional[str]],
+                                 Dict[str, Fraction]]:
         order: List[str] = []
         parent: Dict[str, Optional[str]] = {self.root: None}
+        parent_length: Dict[str, Fraction] = {}
         stack = [self.root]
         while stack:
             v = stack.pop()
             order.append(v)
-            for w, _ in self.adjacency[v]:
+            for w, length in self.adjacency[v]:
                 if w not in parent:
                     parent[w] = v
+                    parent_length[w] = length
                     stack.append(w)
-        return order, parent
+        return order, parent, parent_length
 
     def parent_of(self, v: str) -> Optional[str]:
         return self._parent[v]
+
+    def parent_length(self, v: str) -> Fraction:
+        """Length of the edge from a non-root vertex to its parent."""
+        return self._parent_length[v]
 
     def preorder(self) -> List[str]:
         return list(self._order)
@@ -121,14 +128,14 @@ def _check_function(tree: MetricTree, f: TreeFunction) -> None:
 
 
 def tree_laplacian(tree: MetricTree, f: TreeFunction) -> DiscreteMeasure:
-    """Measure with atom at v equal to the sum of outgoing slopes of f."""
+    """Measure with atom at v equal to the sum of outgoing slopes of f; each
+    edge's slope is computed once and enters its two ends with opposite signs."""
     _check_function(tree, f)
-    atoms = []
-    for v in tree.vertices:
-        acc = ZERO
-        for w, length in tree.adjacency[v]:
-            acc += (f(w) - f(v)) / length
-        atoms.append((v, acc))
+    atoms = {v: ZERO for v in tree.vertices}
+    for u, v, length in tree.edges:
+        slope = (f(v) - f(u)) / length
+        atoms[u] += slope
+        atoms[v] -= slope
     return DiscreteMeasure(atoms)
 
 
@@ -171,7 +178,7 @@ def ma_solve(tree: MetricTree, target: DiscreteMeasure,
         if p is None:
             values[v] = ZERO
         else:
-            values[v] = values[p] - tree.edge_length(p, v) * subtree[v]
+            values[v] = values[p] - tree.parent_length(v) * subtree[v]
     return TreeFunction(values)
 
 

@@ -500,3 +500,38 @@ def ruled_surface_hq_any(a, p, f, q):
         return ruled_surface_hq(a, p, f, q)
     kp, kf = -2 - p, (a - 2) - f
     return ruled_surface_hq(a, kp, kf, 2 - q)
+
+
+# --------------------------------------------------------------------------
+# twist-perturbation scan, one cell at a time
+# --------------------------------------------------------------------------
+
+def _round_up_terms(terms):
+    """Integral class sum of ceil(c) * base over (coefficient, base) terms."""
+    acc = [0] * len(terms[0][1])
+    for coeff, base in terms:
+        up = math.ceil(Fraction(coeff))
+        for i, c in enumerate(base):
+            acc[i] += up * c
+    return tuple(acc)
+
+
+def perturbation_rows_by_cells(hq_of, a_terms, b_terms, q, grid_max, dim):
+    """Rows (m, p, |h^q(mA + pB) - h^q(pB)|, bound), the fitted constant and
+    the verdict of the twist-stability scan, with every cell's divisor built
+    from its scaled terms and rounded up on its own; hq_of(cls, q) is h^q of
+    an integral class."""
+    def left(m, p):
+        combo = ([(m * c, base) for c, base in a_terms]
+                 + [(p * c, base) for c, base in b_terms])
+        plain = [(p * c, base) for c, base in b_terms]
+        return abs(hq_of(_round_up_terms(combo), q)
+                   - hq_of(_round_up_terms(plain), q))
+
+    cells = [(m, p) for p in range(1, grid_max + 1)
+             for m in range(grid_max + 1)]
+    fitted = max([Fraction(left(m, p), m * (m + p) ** (dim - 1))
+                  for m, p in cells if m and m + p <= grid_max], default=ZERO)
+    rows = [(m, p, left(m, p), fitted * m * (m + p) ** (dim - 1))
+            for m, p in cells]
+    return rows, fitted, all(lhs <= bound for _, _, lhs, bound in rows)

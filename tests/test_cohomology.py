@@ -1,6 +1,7 @@
 """Sheaf cohomology on the model surfaces, checked against classical
 closed forms (product formula, plane sections, ruled-surface pushforward)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from navol.cohomology import (RealDivisor, asymptotic_hq, asymptotic_hq_exact,
                               toric_family)
 from navol.errors import PreconditionError
 
-from _oracles import (lattice_points_oracle, plane_hq, product_surface_hq,
-                      ruled_surface_hq_any)
+from _oracles import (lattice_points_oracle, perturbation_rows_by_cells,
+                      plane_hq, product_surface_hq, ruled_surface_hq_any)
 
 F = Fraction
 
@@ -217,6 +218,38 @@ def test_perturbation_scan_on_the_plane():
                             grid_max=20)
     assert rep.passed
     assert rep.fitted_constant == F(3, 2)
+
+
+def _random_divisor(fam, rng):
+    return RealDivisor.make(fam, [
+        (F(rng.randint(-12, 12), rng.randint(1, 12)),
+         tuple(rng.randint(-2, 2) for _ in range(fam.rank)))
+        for _ in range(rng.randint(1, 3))])
+
+
+def test_perturbation_scan_matches_per_cell_oracle():
+    oracles = (
+        (P2, lambda cls, q: plane_hq(cls[0], q)),
+        (P1XP1, lambda cls, q: product_surface_hq(cls[0], cls[1], q)),
+        (F1, lambda cls, q: ruled_surface_hq_any(1, cls[0], cls[1], q)),
+        (F2, lambda cls, q: ruled_surface_hq_any(2, cls[0], cls[1], q)),
+    )
+    rng = random.Random(720)
+    for fam, hq_of in oracles:
+        for _ in range(3):
+            d_list = [_random_divisor(fam, rng) for _ in range(rng.randint(1, 2))]
+            p_list = [_random_divisor(fam, rng) for _ in range(rng.randint(1, 2))]
+            a_terms = [t for d in d_list for t in d.terms]
+            b_terms = [t for d in p_list for t in d.terms]
+            for q in (0, 1, 2):
+                for grid_max in (1, 2, 7):
+                    rep = perturbation_scan(fam, d_list, p_list, q, grid_max)
+                    rows, fitted, passed = perturbation_rows_by_cells(
+                        hq_of, a_terms, b_terms, q, grid_max, fam.dim)
+                    case = (fam, a_terms, b_terms, q, grid_max)
+                    assert rep.rows == rows, case
+                    assert rep.fitted_constant == fitted, case
+                    assert rep.passed == passed, case
 
 
 def test_unknown_family_rejected():

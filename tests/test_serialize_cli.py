@@ -256,6 +256,15 @@ def test_ma_solve_and_surface_commands(tmp_path, capsys):
     assert rc == 0
 
 
+def test_json_stdout_is_the_written_summary(tmp_path, capsys):
+    tree = _write(tmp_path, "tree.json", _bundled()["tree_star.json"])
+    for args, name in ((["verify-all", "--seed", "3"], "verify_all.json"),
+                       (["ma-solve", tree], "ma-solve.json")):
+        rc, out = _run(args, tmp_path, capsys)
+        assert rc == 0
+        assert out == (tmp_path / "out" / name).read_text(encoding="utf-8")
+
+
 def test_exit_code_2_on_parse_problems(tmp_path, capsys):
     garbled = _write(tmp_path, "garbled.json", "{not json")
     assert _run(["energy", garbled], tmp_path, capsys)[0] == 2

@@ -42,10 +42,22 @@ def test_star_solve_frozen_solution():
     assert curvature(tree, base, phi) == target
 
 
+def _random_star(rng, leaves):
+    """Star with edges listed in random orientation, rooted at a random vertex."""
+    names = ["hub"] + [f"l{i}" for i in range(leaves)]
+    edges = []
+    for leaf in names[1:]:
+        length = F(rng.randint(1, 8), rng.randint(1, 4))
+        edges.append(("hub", leaf, length) if rng.random() < 0.5
+                     else (leaf, "hub", length))
+    return MetricTree(names, edges, root=rng.choice(names))
+
+
 def test_laplacian_matches_direct_formula():
     rng = random.Random(410)
-    for _ in range(15):
-        tree = random_tree(rng, max_vertices=14)
+    for i in range(25):
+        tree = (random_tree(rng, max_vertices=14) if i < 15
+                else _random_star(rng, rng.randint(1, 12)))
         f = TreeFunction({v: F(rng.randint(-9, 9), rng.randint(1, 4))
                           for v in tree.vertices})
         lap = tree_laplacian(tree, f)
@@ -75,6 +87,15 @@ def test_solve_roundtrip_on_seeded_trees():
         phi = ma_solve(tree, target, base)
         assert phi(tree.root) == 0
         assert curvature(tree, base, phi) == target
+
+
+def test_solve_roundtrip_on_a_large_star():
+    rng = random.Random(413)
+    tree = _random_star(rng, 5000)
+    target, base = random_tree_measures(tree, rng)
+    phi = ma_solve(tree, target, base)
+    assert phi(tree.root) == 0
+    assert curvature(tree, base, phi) == target
 
 
 def test_solve_rejects_mass_mismatch():
