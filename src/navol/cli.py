@@ -7,7 +7,8 @@ Standard output carries the summary in the format chosen by ``--format``;
 progress lines go to standard error.
 
 Exit codes: 0 all checks passed, 1 a verification criterion failed,
-2 malformed instance or arguments, 3 violated operation precondition.
+2 malformed instance or arguments (an output directory that cannot be
+written included), 3 violated operation precondition.
 """
 from __future__ import annotations
 
@@ -540,7 +541,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    _emit(result, args)
+    try:
+        _emit(result, args)
+    except OSError as exc:
+        print(f"error: cannot write artifacts to {_out_dir(args)!r}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_PARSE
     return EXIT_PASS if result.passed else EXIT_VERIFY_FAIL
 
 

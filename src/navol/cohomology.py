@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .polytope import Polytope
-from .rational import ZERO, ceil_frac, frac, point
+from .rational import ZERO, ceil_frac, frac
 
 # defaults for the CLI's cohomology and morse-check commands and verify-all
 COHOMOLOGY_SCHEDULE = tuple(range(1, 11))
@@ -211,34 +211,47 @@ class RealDivisor:
 
 def hq(family: ToricFamily, divisor: RealDivisor, m: int, q: int) -> int:
     """Exact h^q of the round-up of m times the divisor."""
-    if q not in (0, 1, 2):
+    _check_level(m, (q,))
+    return _hq_integral(family, divisor.round_up(m), q)
+
+
+def _check_level(m: int, qs: Sequence[int]) -> None:
+    if any(q not in (0, 1, 2) for q in qs):
         raise PreconditionError("q must be 0, 1 or 2")
     if m < 1:
         raise PreconditionError("level m must be >= 1")
-    cls = divisor.round_up(m)
-    return _hq_integral(family, cls, q)
 
 
 def _hq_integral(family: ToricFamily, cls: Sequence[int], q: int) -> int:
-    k = tuple(int(c) for c in family.canonical)
-    if family.name == "P1":
-        if q == 0:
-            return family.h0_integral(cls)
-        if q == 1:
-            dual = tuple(ki - c for ki, c in zip(k, cls))
-            return family.h0_integral(dual)
-        return 0
-    if q == 0:
-        return family.h0_integral(cls)
-    dual = tuple(ki - c for ki, c in zip(k, cls))
-    h2 = family.h0_integral(dual)
-    if q == 2:
-        return h2
-    chi = family.euler_characteristic(cls)
-    h1 = family.h0_integral(cls) + h2 - chi
-    if h1.denominator != 1:
-        raise PreconditionError(f"Riemann-Roch gave non-integral h1 for {cls}")
-    return int(h1)
+    return _cohomology(family, cls, (q,))[q]
+
+
+def _cohomology(family: ToricFamily, cls: Sequence[int], qs: Sequence[int]) -> Dict[int, int]:
+    """h^q of an integral class for each q in qs: h^0 is a section count,
+    h^top the section count of K minus the class (Serre duality), h^1 on a
+    surface follows by Riemann-Roch, and h^q vanishes above the dimension.
+    Each of the two section counts is computed at most once."""
+    n = family.dim
+    counts: Dict[int, int] = {}
+
+    def sections(q: int) -> int:  # of the class for q = 0, of its dual for q = n
+        if q not in counts:
+            counts[q] = family.h0_integral(
+                cls if q == 0 else tuple(int(k) - c for k, c in zip(family.canonical, cls)))
+        return counts[q]
+
+    out: Dict[int, int] = {}
+    for q in qs:
+        if q in (0, n):
+            out[q] = sections(q)
+        elif q > n:
+            out[q] = 0
+        else:
+            h1 = sections(0) + sections(n) - family.euler_characteristic(cls)
+            if h1.denominator != 1:
+                raise PreconditionError(f"Riemann-Roch gave non-integral h1 for {cls}")
+            out[q] = int(h1)
+    return out
 
 
 @dataclass
@@ -268,15 +281,18 @@ class CohomologyTable:
 def cohomology_table(family: ToricFamily, divisor: RealDivisor,
                      schedule: Sequence[int],
                      qs: Optional[Sequence[int]] = None) -> CohomologyTable:
+    """Rows (m, q, h^q(mD), n! h^q / m^n) for each level and each q (all q
+    by default). A level rounds the class up once, and its rows share one
+    section count of the class and one of its Serre dual."""
     if qs is None:
         qs = tuple(range(family.dim + 1))
     n = family.dim
     factorial = math.factorial(n)
     rows = []
     for m in schedule:
-        for q in qs:
-            h = hq(family, divisor, m, q)
-            rows.append((m, q, h, Fraction(factorial * h, m ** n)))
+        _check_level(m, qs)
+        hs = _cohomology(family, divisor.round_up(m), qs)
+        rows.extend((m, q, hs[q], Fraction(factorial * hs[q], m ** n)) for q in qs)
     return CohomologyTable(family, divisor, rows)
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Sequence, 
 
 from .errors import PreconditionError
 from .plmetric import PLMetric, is_semipositive, legendre, metric_sum
-from .rational import Point, ZERO, frac
+from .rational import ZERO, frac
 
 AtomKey = Hashable
 
@@ -65,16 +65,6 @@ def _atom_sort_key(key: AtomKey):
     return (1, str(key))
 
 
-def _cell_mass(region: List[Point], dim: int) -> Fraction:
-    """n! times the volume of a linearity cell (interval or CCW polygon)."""
-    if dim == 1:
-        return region[1][0] - region[0][0]
-    acc = ZERO
-    for a, b in zip(region, region[1:] + region[:1]):
-        acc += a[0] * b[1] - b[0] * a[1]
-    return abs(acc)  # 2 * area = n! * area for n = 2
-
-
 def monge_ampere(metric: PLMetric) -> DiscreteMeasure:
     """Discrete Monge-Ampere measure of a semipositive metric.
 
@@ -87,13 +77,7 @@ def monge_ampere(metric: PLMetric) -> DiscreteMeasure:
     if not is_semipositive(metric):
         raise PreconditionError("monge_ampere needs a semipositive metric")
     roof = legendre(metric)
-    dim = metric.dim
-    atoms: List[Tuple[Point, Fraction]] = []
-    for i, region in roof.cells():
-        mass = _cell_mass(region, dim)
-        if mass != 0:
-            atoms.append((roof.pieces[i][0], mass))
-    return DiscreteMeasure(atoms)
+    return DiscreteMeasure((roof.pieces[i][0], mass) for i, mass in roof.cell_masses())
 
 
 def mixed_monge_ampere(metrics: Sequence[PLMetric]) -> DiscreteMeasure:

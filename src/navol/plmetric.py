@@ -19,10 +19,13 @@ restricted to P) whose exact linearity cells inside P yield integrals, the
 double-conjugate envelope and Monge-Ampere measures.
 
 The exact kernels (the lifted lower hull and the pruning by it, the
-recession check, and the arrangement candidates and values behind the
-sup-distance) first scale their rational data by the lcm of its
-denominators, then compute with Python ints only; Fractions appear only in
-their inputs and outputs.
+recession check, the arrangement candidates and values behind the
+sup-distance, and the roof's linearity cells with the integrals, cell
+volumes and envelope corners read from them) first scale their rational
+data by the lcm of its denominators, then compute with Python ints only;
+Fractions appear only in their inputs and outputs. Points are homogeneous
+integer rows (x, w) standing for x / w, in lowest terms with w > 0, so
+equal points have equal rows.
 """
 from __future__ import annotations
 
@@ -42,7 +45,8 @@ Piece = Tuple[Point, Fraction]          # v -> <slope, v> + const
 Block = Tuple[Piece, ...]               # max over pieces
 Wall = Tuple[Tuple[int, ...], Fraction]  # <a, v> = b, canonical form
 IntPlane = Tuple[int, int, int, int]    # nx*x + ny*y + nz*z = d on scaled points
-IntegerRoof = Tuple[int, List[Tuple[Tuple[int, ...], int]]]  # (L, [(L*slope, L*const)])
+IntegerRows = Tuple[int, List[Tuple[int, ...]]]  # (D, [D * (slope, const)])
+IntegerCells = List[Tuple[int, List[Tuple[int, ...]]]]  # [(piece index, corner rows)]
 
 
 def _common_scale(rows: Iterable[Sequence[Fraction]]) -> Tuple[int, List[Tuple[int, ...]]]:
@@ -181,7 +185,6 @@ class PLMetric:
             self._conjugate = RoofFunction(polytope, [p for h, _ in hulls for p in h])
         else:
             raise ValueError(f"unknown validation mode {validate!r}")
-        self._integer_roof: Optional[IntegerRoof] = None
         self._envelope: Optional["PLMetric"] = None
         self._semipositive: Optional[bool] = None
 
@@ -300,8 +303,11 @@ class RoofFunction:
     """Convex PL function on the polytope, stored as a max of affine pieces.
 
     Evaluation outside the polytope is not meaningful. The linearity cells
-    (dominance region of each piece inside P) are computed exactly and feed
-    integrals, envelopes and Monge-Ampere measures.
+    (dominance region of each piece inside P) are computed exactly on
+    integers and feed integrals, envelopes and Monge-Ampere measures: the
+    pieces become rows (D*s, D*c) over the lcm D of their denominators, and
+    each cell corner u = x / w a homogeneous row (x, w) in lowest terms with
+    w > 0, as arrangement_points writes its candidates.
     """
 
     def __init__(self, polytope: Polytope, pieces: Sequence[Piece]):
@@ -310,6 +316,8 @@ class RoofFunction:
             (point(s), frac(c)) for s, c in pieces)
         if not self.pieces:
             raise PreconditionError("a roof function needs at least one piece")
+        self._integer_rows: Optional[IntegerRows] = None
+        self._integer_cells: Optional[IntegerCells] = None
         self._cells: Optional[List[Tuple[int, List[Point]]]] = None
 
     def evaluate(self, u: Sequence) -> Fraction:
@@ -317,111 +325,132 @@ class RoofFunction:
 
     __call__ = evaluate
 
-    def cells(self) -> List[Tuple[int, List[Point]]]:
-        """Full-dimensional linearity cells inside P as (piece index, vertex
-        list); 1-d cells are endpoint pairs, 2-d cells CCW polygons. Cached."""
-        if self._cells is not None:
-            return self._cells
-        P = self.polytope
-        out: List[Tuple[int, List[Point]]] = []
-        if not P.is_full_dimensional():
-            self._cells = out
-            return out
-        if P.ambient_dim == 1:
-            xs = [v[0] for v in P.vertices]
-            lo, hi = min(xs), max(xs)
-            for i, (si, ci) in enumerate(self.pieces):
-                a, b = lo, hi
-                ok = True
-                for j, (sj, cj) in enumerate(self.pieces):
-                    if i == j:
-                        continue
-                    dv = si[0] - sj[0]
-                    rhs = cj - ci
-                    if dv == 0:
-                        if rhs > 0:
-                            ok = False
-                            break
-                        continue
-                    bound = rhs / dv
-                    if dv > 0:
-                        a = max(a, bound)
+    def integer_rows(self) -> IntegerRows:
+        """(D, rows): the pieces as integer rows D * (slope, const) over the
+        lcm D of their denominators. Cached."""
+        if self._integer_rows is None:
+            self._integer_rows = _common_scale(s + (c,) for s, c in self.pieces)
+        return self._integer_rows
+
+    def integer_cells(self) -> IntegerCells:
+        """The full-dimensional linearity cells inside P as (piece index,
+        corner rows). A 1-d cell is a two-corner cycle (low end first), a 2-d
+        cell a CCW polygon; a lower-dimensional P has none. Cached.
+
+        Every cell starts as P and is clipped by the half-space where its
+        piece is at least each other piece, one integer dot product per
+        corner."""
+        if self._integer_cells is None:
+            rows = self.integer_rows()[1]
+            P = self.polytope
+            cells: IntegerCells = []
+            if P.is_full_dimensional():
+                n = P.ambient_dim
+                base = [_homogeneous(v) for v in P.vertices]
+                for i, own in enumerate(rows):
+                    region = base
+                    for j, other in enumerate(rows):
+                        if j != i:
+                            region = _clip_cycle(region, tuple(map(operator.sub, other, own)))
+                            if len(region) <= n:
+                                break
                     else:
-                        b = min(b, bound)
-                if ok and a < b:
-                    out.append((i, [(a,), (b,)]))
-        else:
-            base = list(P.vertices)
-            for i, (si, ci) in enumerate(self.pieces):
-                region = base
-                for j, (sj, cj) in enumerate(self.pieces):
-                    if i == j:
-                        continue
-                    normal = vsub(sj, si)
-                    if normal == (ZERO, ZERO):
-                        if cj - ci > 0:
-                            region = []
-                            break
-                        continue
-                    region = clip_polygon(region, normal, ci - cj)
-                    if len(region) < 3:
-                        region = []
-                        break
-                if len(region) >= 3:
-                    out.append((i, region))
-        self._cells = out
-        return out
+                        cells.append((i, region))
+            self._integer_cells = cells
+        return self._integer_cells
+
+    def cells(self) -> List[Tuple[int, List[Point]]]:
+        """The linearity cells of integer_cells with rational corners. Cached."""
+        if self._cells is None:
+            self._cells = [(i, [_affine(r) for r in region])
+                           for i, region in self.integer_cells()]
+        return self._cells
 
     def integral(self) -> Fraction:
-        """Exact integral over the polytope (0 for lower-dimensional P)."""
-        P = self.polytope
-        total = ZERO
-        if P.ambient_dim == 1:
-            for i, (a, b) in self.cells():
-                si, ci = self.pieces[i]
-                fa = si[0] * a[0] + ci
-                fb = si[0] * b[0] + ci
-                total += (b[0] - a[0]) * (fa + fb) / 2
-            return total
-        for i, region in self.cells():
-            si, ci = self.pieces[i]
-            p0 = region[0]
-            f0 = dot(si, p0) + ci
-            for p1, p2 in zip(region[1:], region[2:]):
-                area2 = (p1[0] - p0[0]) * (p2[1] - p0[1]) \
-                    - (p1[1] - p0[1]) * (p2[0] - p0[0])
-                f1 = dot(si, p1) + ci
-                f2 = dot(si, p2) + ci
-                total += abs(area2) * (f0 + f1 + f2) / 6
-        return total
+        """Exact integral over the polytope (0 for lower-dimensional P).
+
+        Over a cell's corners scaled to their lcm W, the piece takes
+        F_k / (D W) at corner k, and a fan simplex with n! W^n times its
+        volume A contributes A (sum of its F_k) / ((n+1)! D W^(n+1)). The
+        numerators are summed per W, one Fraction each."""
+        scale, rows = self.integer_rows()
+        n = self.polytope.ambient_dim
+        sums: Dict[int, int] = {}
+        for i, region in self.integer_cells():
+            w, corners = _over_lcm(region)
+            vals = [sum(map(operator.mul, rows[i], c)) for c in corners]
+            sums[w] = sums.get(w, 0) + sum(a * sum(vals[k] for k in simplex)
+                                           for a, simplex in _fan(corners, n))
+        return sum((Fraction(acc, math.factorial(n + 1) * scale * w ** (n + 1))
+                    for w, acc in sums.items()), ZERO)
+
+    def cell_masses(self) -> List[Tuple[int, Fraction]]:
+        """(piece index, n! times the cell volume) for every linearity cell."""
+        n = self.polytope.ambient_dim
+        out = []
+        for i, region in self.integer_cells():
+            w, corners = _over_lcm(region)
+            out.append((i, Fraction(sum(a for a, _ in _fan(corners, n)), w ** n)))
+        return out
 
     def __repr__(self) -> str:
         return f"RoofFunction({len(self.pieces)} pieces)"
 
 
-def clip_polygon(poly: List[Point], a: Sequence[Fraction], b: Fraction) -> List[Point]:
-    """Clip a convex polygon (vertex cycle) by the half-plane <a, u> <= b."""
-    if not poly:
-        return []
-    out: List[Point] = []
-    vals = [dot(a, p) for p in poly]
-    for i, p in enumerate(poly):
-        j = (i + 1) % len(poly)
-        q = poly[j]
-        inside_p = vals[i] <= b
-        inside_q = vals[j] <= b
-        if inside_p:
-            out.append(p)
-        if inside_p != inside_q:
-            t = (b - vals[i]) / (vals[j] - vals[i])
-            out.append(vadd(p, vscale(t, vsub(q, p))))
-    deduped: List[Point] = []
-    for p in out:
-        if not deduped or deduped[-1] != p:
-            deduped.append(p)
-    if deduped and len(deduped) > 1 and deduped[0] == deduped[-1]:
-        deduped.pop()
-    return deduped
+def _homogeneous(u: Point) -> Tuple[int, ...]:
+    """The rational point u as the integer row (x, w), u = x / w, in lowest
+    terms (w is the lcm of u's denominators)."""
+    w = math.lcm(*(c.denominator for c in u))
+    return _scaled(u, w) + (w,)
+
+
+def _affine(row: Sequence[int]) -> Point:
+    return tuple(Fraction(x, row[-1]) for x in row[:-1])
+
+
+def _clip_cycle(cycle: List[Tuple[int, ...]], h: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Clip a convex cycle of homogeneous corner rows by <h, row> <= 0.
+
+    The crossing on an edge p -> q is val_q * p - val_p * q, which has
+    value 0; its last entry is negated to be positive and the row reduced
+    by its gcd, so equal points have equal rows. Consecutive repeats are
+    dropped."""
+    vals = [sum(map(operator.mul, h, p)) for p in cycle]
+    if max(vals) <= 0:
+        return cycle
+    out: List[Tuple[int, ...]] = []
+    for p, q, vp, vq in zip(cycle, cycle[1:] + cycle[:1], vals, vals[1:] + vals[:1]):
+        if vp <= 0:
+            if not out or out[-1] != p:
+                out.append(p)
+            if vq <= 0:
+                continue
+        elif vq > 0:
+            continue
+        row = [vq * a - vp * b for a, b in zip(p, q)]
+        g = math.gcd(*row) if row[-1] > 0 else -math.gcd(*row)
+        x = tuple(c // g for c in row)
+        if not out or out[-1] != x:
+            out.append(x)
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    return out
+
+
+def _over_lcm(region: List[Tuple[int, ...]]) -> Tuple[int, List[Tuple[int, ...]]]:
+    """A cell's corner rows rescaled to the lcm W of their last entries."""
+    w = math.lcm(*(r[-1] for r in region))
+    return w, [tuple(x * (w // r[-1]) for x in r) for r in region]
+
+
+def _fan(corners: List[Tuple[int, ...]], n: int) -> Iterable[Tuple[int, Tuple[int, ...]]]:
+    """The simplices of a cell fanned from its first corner, for corners
+    over one common W: (n! W^n times the volume, corner indices)."""
+    if n == 1:
+        return [(abs(corners[1][0] - corners[0][0]), (0, 1))]
+    x0, y0, _ = corners[0]
+    return [(abs((p[0] - x0) * (q[1] - y0) - (p[1] - y0) * (q[0] - x0)), (0, k, k + 1))
+            for k, (p, q) in enumerate(zip(corners[1:], corners[2:]), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -617,23 +646,32 @@ def envelope(metric: PLMetric) -> PLMetric:
     The second conjugation runs over P only, and its sup is attained at a
     corner of a linearity cell of the roof (the contact set is a face of the
     roof's cell complex, and every face of a finite subdivision of P contains
-    a cell corner). On a point or a segment the corners are its ends and the
-    crossings of the roof's walls with it. The corner set also contains every
-    vertex of P, which keeps the recession identity intact; redundant corners
-    are pruned by the lower-hull test inside the constructor.
+    a cell corner). A cell is closed, so the piece that owns it attains the
+    roof's max at each of its corners: a corner's value is that one piece's
+    integer row at the corner's row. On a point or a segment the corners are
+    its ends and the crossings of the roof's walls with it, valued on every
+    piece. The corner set also contains every vertex of P, which keeps the
+    recession identity intact; redundant corners are pruned by the lower-hull
+    test inside the constructor.
     """
     if metric._envelope is not None:
         return metric._envelope
     P = metric.polytope
     roof = legendre(metric)
     if P.is_full_dimensional():
-        corners = dict.fromkeys(u for _, region in roof.cells() for u in region)
+        scale, rows = roof.integer_rows()
+        owner: Dict[Tuple[int, ...], int] = {}
+        for i, region in roof.integer_cells():
+            for r in region:
+                owner.setdefault(r, i)
+        pieces = [(_affine(r), Fraction(-sum(map(operator.mul, rows[i], r)), scale * r[-1]))
+                  for r, i in owner.items()]
     else:
         ends = (P.vertices[0], P.vertices[-1])
         corners = dict.fromkeys(P.vertices)
         for wall in _walls(roof.pieces):
             corners.update(dict.fromkeys(_segment_wall_crossings(wall, ends)))
-    pieces = [(u, -roof.evaluate(u)) for u in corners]
+        pieces = [(u, -roof.evaluate(u)) for u in corners]
     env = PLMetric(P, [pieces], validate="recession")
     metric._envelope = env
     if env._envelope is None:

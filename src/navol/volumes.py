@@ -22,30 +22,16 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .measures import energy
-from .plmetric import (IntegerRoof, PLMetric, distance, envelope, is_semipositive,
+from .plmetric import (IntegerRows, PLMetric, distance, envelope, is_semipositive,
                        legendre, metric_shift)
 from .polytope import Polytope
-from .rational import ZERO, ceil_frac, frac, lcm_of
+from .rational import ZERO, ceil_frac, frac
 
 
 def default_schedule(dim: int) -> List[int]:
     if dim <= 1:
         return list(range(1, 21)) + [50, 100, 200]
     return list(range(1, 11)) + [20, 40]
-
-
-def _integer_roof(metric: PLMetric) -> IntegerRoof:
-    """Common-denominator form of the metric's roof: returns (L, pieces) with
-    integer slope/constant data so that max_k(<A_k,u> + m*B_k) = L * m * roof(u/m)
-    for integer u. Cached on the metric, like its conjugate."""
-    if metric._integer_roof is None:
-        roof = legendre(metric)
-        scale = lcm_of(c.denominator for slope, const in roof.pieces
-                       for c in slope + (const,))
-        metric._integer_roof = scale, [
-            (tuple(int(c * scale) for c in slope), int(const * scale))
-            for slope, const in roof.pieces]
-    return metric._integer_roof
 
 
 def _floor_sum(n: int, mod: int, a: int, b: int) -> int:
@@ -65,8 +51,9 @@ def _floor_sum(n: int, mod: int, a: int, b: int) -> int:
     return total
 
 
-def _ceil_sum(roof: IntegerRoof, rows: Sequence[Tuple[int, int, int]], m: int) -> int:
-    """Sum of ceil(m * roof(u/m)) over the integer points u of the rows.
+def _ceil_sum(roof: IntegerRows, rows: Sequence[Tuple[int, int, int]], m: int) -> int:
+    """Sum of ceil(m * roof(u/m)) over the integer points u of the rows,
+    for the roof's integer rows L * (a, b) over their common denominator L.
 
     On a row the roof is the upper envelope of the integer lines
     a0*x + (a1*y + m*b), over L. The walk keeps the line that is maximal at
@@ -74,7 +61,7 @@ def _ceil_sum(roof: IntegerRoof, rows: Sequence[Tuple[int, int, int]], m: int) -
     overtakes it, and sums the ceilings along that piece with one floor sum.
     """
     scale, pieces = roof
-    lines = [(a[0], a[1] if len(a) > 1 else 0, m * b) for a, b in pieces]
+    lines = [(r[0], r[1] if len(r) > 2 else 0, m * r[-1]) for r in pieces]
     total = 0
     for y, lo, hi in rows:
         row = [(a0, a1 * y + mb) for a0, a1, mb in lines]
@@ -103,7 +90,8 @@ def lattice_length(m1: PLMetric, m2: PLMetric, m: int) -> int:
     """Total lattice length at level m of the norm quotient of the pair."""
     _check_pair(m1, m2)
     rows = _level_rows(m1.polytope, m)
-    return _ceil_sum(_integer_roof(m2), rows, m) - _ceil_sum(_integer_roof(m1), rows, m)
+    return (_ceil_sum(legendre(m2).integer_rows(), rows, m)
+            - _ceil_sum(legendre(m1).integer_rows(), rows, m))
 
 
 def _point_count(rows: Sequence[Tuple[int, int, int]]) -> int:
@@ -177,7 +165,7 @@ def lipschitz_check(m1: PLMetric, m1_alt: PLMetric, m2: PLMetric,
     _check_pair(m1, m2)
     if schedule is None:
         schedule = default_schedule(m1.dim)
-    roof1, roof_alt, roof2 = (_integer_roof(x) for x in (m1, m1_alt, m2))
+    roof1, roof_alt, roof2 = (legendre(x).integer_rows() for x in (m1, m1_alt, m2))
     rows: List[Tuple[int, int, int]] = []
     ok = True
     for m in schedule:
@@ -217,7 +205,7 @@ def proportionality_check(m1: PLMetric, m2: PLMetric, t: Fraction,
     shifted = metric_shift(m1, t)
     if schedule is None:
         schedule = default_schedule(m1.dim)
-    roof1, roof_shifted = _integer_roof(m1), _integer_roof(shifted)
+    roof1, roof_shifted = legendre(m1).integer_rows(), legendre(shifted).integer_rows()
     rows: List[Tuple[int, int, int, int]] = []
     exact_rows = 0
     ok = True

@@ -346,6 +346,100 @@ def curvature_atoms_2d_convex_oracle(block):
 
 
 # --------------------------------------------------------------------------
+# roof linearity cells in Fractions: clipping, integrals, masses, corners
+# --------------------------------------------------------------------------
+
+def clip_polygon(poly, a, b):
+    """Clip a convex polygon (vertex cycle) by the half-plane <a, u> <= b."""
+    if not poly:
+        return []
+    out = []
+    vals = [_dot(a, p) for p in poly]
+    for i, p in enumerate(poly):
+        j = (i + 1) % len(poly)
+        q = poly[j]
+        inside_p = vals[i] <= b
+        inside_q = vals[j] <= b
+        if inside_p:
+            out.append(p)
+        if inside_p != inside_q:
+            t = (b - vals[i]) / (vals[j] - vals[i])
+            out.append(tuple(x + t * (y - x) for x, y in zip(p, q)))
+    deduped = []
+    for p in out:
+        if not deduped or deduped[-1] != p:
+            deduped.append(p)
+    if len(deduped) > 1 and deduped[0] == deduped[-1]:
+        deduped.pop()
+    return deduped
+
+
+def roof_cells_oracle(pieces, vertices):
+    """Full-dimensional linearity cells of max_k (<s_k, u> + c_k) over the
+    polytope with the given vertices (ends in 1-d, a CCW cycle in 2-d), as
+    (piece index, corners): intervals cut by every piece's bound in 1-d,
+    polygons clipped piece by piece in 2-d. Pieces have distinct slopes."""
+    pieces = [(tuple(Fraction(x) for x in s), Fraction(c)) for s, c in pieces]
+    vertices = [tuple(Fraction(x) for x in v) for v in vertices]
+    out = []
+    if len(vertices[0]) == 1:
+        lo, hi = min(vertices)[0], max(vertices)[0]
+        for i, ((si,), ci) in enumerate(pieces):
+            a, b = lo, hi
+            for j, ((sj,), cj) in enumerate(pieces):
+                if j == i:
+                    continue
+                bound = (cj - ci) / (si - sj)
+                if si > sj:
+                    a = max(a, bound)
+                else:
+                    b = min(b, bound)
+            if a < b:
+                out.append((i, [(a,), (b,)]))
+        return out
+    for i, (si, ci) in enumerate(pieces):
+        region = vertices
+        for j, (sj, cj) in enumerate(pieces):
+            if j != i:
+                region = clip_polygon(region, tuple(y - x for x, y in zip(si, sj)), ci - cj)
+        if len(region) >= 3:
+            out.append((i, region))
+    return out
+
+
+def roof_integral_oracle(pieces, cells):
+    """Integral of the roof over its cells: trapezoids in 1-d, fan
+    triangles with the mean of the corner values in 2-d."""
+    total = ZERO
+    for i, region in cells:
+        s, c = pieces[i]
+        vals = [_dot(s, p) + c for p in region]
+        if len(region[0]) == 1:
+            total += (region[1][0] - region[0][0]) * (vals[0] + vals[1]) / 2
+            continue
+        p0 = region[0]
+        for k in range(1, len(region) - 1):
+            area2 = abs((region[k][0] - p0[0]) * (region[k + 1][1] - p0[1])
+                        - (region[k][1] - p0[1]) * (region[k + 1][0] - p0[0]))
+            total += area2 * (vals[0] + vals[k] + vals[k + 1]) / 6
+    return total
+
+
+def cell_mass_oracle(region):
+    """n! times the volume of a cell: its length, or twice its shoelace area."""
+    if len(region[0]) == 1:
+        return region[1][0] - region[0][0]
+    return abs(2 * polygon_area(region))
+
+
+def envelope_corners_oracle(pieces, cells):
+    """The envelope's raw pieces: every distinct cell corner u, in cell
+    order, with minus the max of all pieces at u."""
+    corners = dict.fromkeys(u for _, region in cells for u in region)
+    return [(u, -max(_dot(s, u) + c for s, c in pieces)) for u in corners]
+
+
+# --------------------------------------------------------------------------
 # energy, recession and sup-distance by the all-pairs routes
 # --------------------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Sheaf cohomology on the model surfaces, checked against classical
 closed forms (product formula, plane sections, ruled-surface pushforward)."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -180,6 +181,31 @@ def test_cohomology_table_consistency():
         table = cohomology_table(fam, _div(fam, cls), list(range(1, 16)))
         assert table.serre_consistent()
         assert table.h1_all_nonnegative()
+
+
+def test_cohomology_table_rows_equal_per_level_hq():
+    # each level computes its section counts once; every row must still be
+    # the h^q of that level, on seeded multi-term divisors
+    rng = random.Random(808)
+    schedule = [1, 2, 3, 5, 8, 13]
+    for fam in (P1, P2, P1XP1, F1, F2):
+        for _ in range(4):
+            terms = [(F(rng.randint(-7, 7), rng.randint(1, 5)),
+                      tuple(rng.randint(-2, 3) for _ in range(fam.rank)))
+                     for _ in range(rng.randint(2, 3))]
+            div = RealDivisor.make(fam, terms)
+            for qs in (None, (2, 0, 1), (1,)):
+                table = cohomology_table(fam, div, schedule, qs=qs)
+                want_qs = tuple(range(fam.dim + 1)) if qs is None else qs
+                assert [(m, q, h) for m, q, h, _ in table.rows] == \
+                    [(m, q, hq(fam, div, m, q)) for m in schedule for q in want_qs]
+                assert all(norm == F(math.factorial(fam.dim) * h, m ** fam.dim)
+                           for m, _, h, norm in table.rows)
+            assert cohomology_table(fam, div, schedule).serre_consistent()
+    with pytest.raises(PreconditionError):
+        cohomology_table(P2, _div(P2, (1,)), [1], qs=(3,))
+    with pytest.raises(PreconditionError):
+        cohomology_table(P2, _div(P2, (1,)), [0])
 
 
 def test_asymptotic_mixed_class_on_the_product_surface():

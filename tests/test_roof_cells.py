@@ -1,0 +1,131 @@
+"""Roof linearity cells on integer rows, checked against the Fraction
+clipping route in _oracles: the cells themselves, the roof integral, the
+Monge-Ampere cell masses and the envelope's corner pieces."""
+
+import random
+from fractions import Fraction
+
+from navol.harness import random_convex_metric, random_direction, random_nonconvex_metric
+from navol.measures import DiscreteMeasure, monge_ampere
+from navol.plmetric import PLMetric, RoofFunction, envelope, legendre, metric_deform
+from navol.polytope import Polytope, segment, simplex, unit_box
+
+from _oracles import (cell_mass_oracle, envelope_corners_oracle, roof_cells_oracle,
+                      roof_integral_oracle)
+
+F = Fraction
+SEG = segment(0, 1)
+BOX = unit_box(2)
+HEXAGON = Polytope.from_points([(1, 0), (2, 0), (2, 1), (1, 2), (0, 2), (0, 1)])
+BODIES = (SEG, segment(F(-3, 2), 2), BOX, simplex(2), HEXAGON)
+LINE = Polytope.from_points([(0, 0), (2, 1)])
+# coprime denominators near 10^6
+PRIMES = (999983, 999979, 999961, 999959, 999953)
+
+
+def _large_fraction(rng, bound):
+    p = rng.choice(PRIMES)
+    return F(rng.randint(-bound * p, bound * p), p)
+
+
+def _check_roof(roof):
+    """The integer cells, integral and cell masses equal the Fraction
+    route's; returns the oracle cells."""
+    P = roof.polytope
+    cells = roof_cells_oracle(roof.pieces, P.vertices) if P.is_full_dimensional() else []
+    assert roof.cells() == cells
+    assert roof.integral() == roof_integral_oracle(roof.pieces, cells)
+    assert roof.cell_masses() == [(i, cell_mass_oracle(region)) for i, region in cells]
+    return cells
+
+
+def _check_metric(psi):
+    """The roof checks on psi and on its envelope; the envelope's pieces are
+    the oracle corners valued on every roof piece, and its Monge-Ampere
+    measure is made of the oracle cell masses."""
+    roof = legendre(psi)
+    cells = _check_roof(roof)
+    env = envelope(psi)
+    raw = envelope_corners_oracle(roof.pieces, cells)
+    assert env.blocks == PLMetric(psi.polytope, [raw], validate="recession").blocks
+    env_roof = legendre(env)
+    env_cells = _check_roof(env_roof)
+    assert monge_ampere(env) == DiscreteMeasure(
+        (env_roof.pieces[i][0], cell_mass_oracle(region)) for i, region in env_cells)
+
+
+def test_seeded_metrics_match_the_fraction_cells():
+    rng = random.Random(801)
+    for P in BODIES:
+        _check_metric(random_convex_metric(P, rng))
+        for branches in (1, 2, 3):
+            _check_metric(random_nonconvex_metric(P, rng, branches=branches, denom_bound=7))
+
+
+def test_deformed_metrics_match_the_fraction_cells():
+    rng = random.Random(802)
+    for P in BODIES:
+        for eps in (F(1), F(1, 3), F(2, 999983)):
+            psi = random_nonconvex_metric(P, rng, branches=rng.randint(1, 2))
+            pos, neg = random_direction(P, rng)
+            _check_metric(metric_deform(psi, eps, pos, neg))
+
+
+def test_prime_denominators_near_a_million():
+    rng = random.Random(803)
+    for P in BODIES:
+        blocks = [[(v, _large_fraction(rng, 2)) for v in P.vertices]
+                  for _ in range(rng.randint(1, 3))]
+        _check_metric(PLMetric(P, blocks))
+        # free pieces: slopes and constants over the primes, most of them
+        # never reach the max
+        for _ in range(3):
+            pieces = [(tuple(_large_fraction(rng, 2) for _ in range(P.ambient_dim)),
+                       _large_fraction(rng, 3)) for _ in range(rng.randint(1, 9))]
+            _check_roof(RoofFunction(P, pieces))
+
+
+def test_duplicate_and_parallel_slopes():
+    # a repeated slope keeps its largest constant; slopes on one line give
+    # parallel walls at u1 + u2 = 1/2, 1 and 2, so every cell is a strip (on
+    # the hexagon the wall u1 + u2 = 1 runs along an edge, a zero-area clip)
+    for P in BODIES[2:]:
+        pieces = [((-1, -1), F(1, 2)), ((0, 0), F(0)), ((0, 0), F(-1, 3)),
+                  ((1, 1), F(-1)), ((1, 1), F(-2)), ((2, 2), F(-3))]
+        roof = RoofFunction(P, pieces)
+        assert len(roof.pieces) == 4
+        assert len(_check_roof(roof)) >= 2
+    for P in BODIES[:2]:
+        roof = RoofFunction(P, [((0,), F(1)), ((0,), F(0)), ((1,), F(-1, 2)),
+                                ((1,), F(1, 3)), ((2,), F(-1))])
+        assert len(roof.pieces) == 3
+        _check_roof(roof)
+
+
+def test_cells_touching_at_a_point_and_zero_area_clips():
+    # |u1 - 1/2| + |u2 - 1/2| on the square: four quadrant cells, opposite
+    # ones meeting only at the centre; the constant 0 touches the roof only
+    # there, u1 - 1/2 along a half line, so neither gets a cell
+    half = F(1, 2)
+    pieces = [((1, 1), -1), ((-1, -1), 1), ((1, -1), F(0)), ((-1, 1), F(0)),
+              ((0, 0), F(0)), ((1, 0), -half)]
+    roof = RoofFunction(BOX, pieces)
+    cells = _check_roof(roof)
+    assert sorted(i for i, _ in cells) == [0, 1, 2, 3]
+    corners = {i: set(region) for i, region in cells}
+    assert corners[0] & corners[1] == {(half, half)}
+    assert corners[2] & corners[3] == {(half, half)}
+    assert all(mass == half for _, mass in roof.cell_masses())
+    # in 1-d: a piece that touches the roof at one point only
+    roof = RoofFunction(SEG, [((-1,), F(0)), ((1,), F(-1)), ((0,), -half)])
+    assert [i for i, _ in _check_roof(roof)] == [0, 1]
+
+
+def test_segment_in_the_plane_has_no_cells():
+    rng = random.Random(804)
+    for _ in range(3):
+        blocks = [[(v, F(rng.randint(-5, 5), rng.randint(1, 4))) for v in LINE.vertices]
+                  for _ in range(rng.randint(1, 3))]
+        roof = legendre(PLMetric(LINE, blocks))
+        assert _check_roof(roof) == []
+        assert roof.integral() == 0 and roof.cell_masses() == []

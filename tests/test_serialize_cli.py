@@ -311,6 +311,23 @@ def test_exit_code_1_on_failed_verification(tmp_path, capsys, monkeypatch):
     assert rc == 1
 
 
+def test_exit_code_2_on_an_unwritable_out_dir(tmp_path, capsys):
+    # an existing file, and a directory below it: artifacts cannot be written
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x", encoding="utf-8")
+    tent = _write(tmp_path, "tent.json", TENT)
+    for args in (["verify-all", "--seed", "0"], ["energy", tent]):
+        for out_dir in (blocker, blocker / "sub"):
+            rc = cli.main([*args, "--out-dir", str(out_dir)])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.out == ""
+            errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+            assert len(errors) == 1 and str(out_dir) in errors[0]
+            assert "Traceback" not in captured.err
+    assert blocker.read_text(encoding="utf-8") == "x"
+
+
 def test_out_dir_environment_variable(tmp_path, capsys, monkeypatch):
     target = tmp_path / "env-out"
     monkeypatch.setenv("NAVOL_OUT_DIR", str(target))
