@@ -157,19 +157,18 @@ def _cmd_energy(inst: Instance, args) -> CommandResult:
     return CommandResult("energy", summary, {})
 
 
-def _resolve_m_schedule(args, inst_schedule: Optional[List[int]],
-                        fallback: Sequence[int]) -> List[int]:
+def _resolve_schedule(args, inst_schedule: Optional[Sequence], fallback: Sequence,
+                      parse: Callable[[str], List] = _parse_int_schedule) -> List:
+    """--schedule parsed by parse, else the instance's schedule, else fallback."""
     if getattr(args, "schedule", None):
-        return _parse_int_schedule(args.schedule)
-    if inst_schedule:
-        return list(inst_schedule)
-    return list(fallback)
+        return parse(args.schedule)
+    return list(inst_schedule or fallback)
 
 
 def _cmd_navol(inst: Instance, args) -> CommandResult:
     toric = _expect_kind(inst, "toric", "navol")
     m1, m2 = toric.metric_pair("navol")
-    schedule = _resolve_m_schedule(
+    schedule = _resolve_schedule(
         args, toric.schedule, default_schedule(toric.polytope.ambient_dim))
     result = navol_run(m1, m2, schedule)
     summary = {
@@ -219,12 +218,7 @@ def _cmd_diff(inst: Instance, args) -> CommandResult:
     base = toric.metric_or_canonical("psi")
     pos = toric.metric("pos", "diff-check")
     neg = toric.metric("neg", "diff-check")
-    if getattr(args, "schedule", None):
-        eps = _parse_eps_schedule(args.schedule)
-    elif toric.eps_schedule:
-        eps = list(toric.eps_schedule)
-    else:
-        eps = list(DIFF_EPS)
+    eps = _resolve_schedule(args, toric.eps_schedule, DIFF_EPS, _parse_eps_schedule)
     rep = verify_differentiability(base, pos, neg, eps, instance=toric.name)
     header, rows = _report_csv(rep)
     return CommandResult("diff-check", _report_payload(rep),
@@ -234,7 +228,7 @@ def _cmd_diff(inst: Instance, args) -> CommandResult:
 def _cmd_h0(inst: Instance, args) -> CommandResult:
     toric = _expect_kind(inst, "toric", "h0-check")
     psi = toric.single_metric("h0-check")
-    schedule = _resolve_m_schedule(args, toric.schedule, H0_SCHEDULE)
+    schedule = _resolve_schedule(args, toric.schedule, H0_SCHEDULE)
     rep = verify_h0_envelope_equality(psi, schedule, instance=toric.name)
     header, rows = _report_csv(rep)
     return CommandResult("h0-check", _report_payload(rep),
@@ -266,7 +260,7 @@ def _cmd_ma_solve(inst: Instance, args) -> CommandResult:
 def _cmd_cohomology(inst: Instance, args) -> CommandResult:
     surface = _expect_kind(inst, "surface", "cohomology")
     div = surface.divisor("D", "cohomology")
-    schedule = _resolve_m_schedule(args, surface.schedule, COHOMOLOGY_SCHEDULE)
+    schedule = _resolve_schedule(args, surface.schedule, COHOMOLOGY_SCHEDULE)
     qs = [surface.q] if surface.q is not None else None
     table = cohomology_table(surface.family, div, schedule, qs=qs)
     serre = table.serre_consistent()
@@ -293,7 +287,7 @@ def _cmd_morse(inst: Instance, args) -> CommandResult:
     d = surface.divisor("D", "morse-check")
     e = surface.divisor("E", "morse-check")
     q = surface.q if surface.q is not None else MORSE_Q
-    schedule = _resolve_m_schedule(args, surface.schedule, MORSE_SCHEDULE)
+    schedule = _resolve_schedule(args, surface.schedule, MORSE_SCHEDULE)
     rep = morse_check(surface.family, d, e, q, schedule)
     summary = {
         "command": "morse-check",

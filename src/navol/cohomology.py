@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .polytope import Polytope
-from .rational import ZERO, ceil_frac, frac
+from .rational import ZERO, frac
 
 # defaults for the CLI's cohomology and morse-check commands and verify-all
 COHOMOLOGY_SCHEDULE = tuple(range(1, 11))
@@ -192,7 +192,7 @@ class RealDivisor:
         """Integral class sum of ceil(m * a_i) * D_i over the decomposition."""
         acc = [0] * self.family.rank
         for coeff, base in self.terms:
-            scaled = int(ceil_frac(m * coeff))
+            scaled = math.ceil(m * coeff)
             for i, c in enumerate(base):
                 acc[i] += scaled * c
         return tuple(acc)

@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .polytope import Polytope, _hull_1d, _hull_2d
-from .rational import (Point, ZERO, dot, frac, point, primitive_same_direction,
+from .rational import (Point, ZERO, dot, frac, point, primitive_integer_vector,
                        vadd, vscale, vsub)
 
 Piece = Tuple[Point, Fraction]          # v -> <slope, v> + const
@@ -67,15 +67,8 @@ def _scaled(row: Sequence[Fraction], scale: int) -> Tuple[int, ...]:
 
 
 def _canonical_wall(normal: Sequence[Fraction], rhs: Fraction) -> Wall:
-    prim, s = primitive_same_direction(normal)
-    rhs = rhs * s
-    for c in prim:
-        if c != 0:
-            if c < 0:
-                prim = tuple(-x for x in prim)
-                rhs = -rhs
-            break
-    return prim, rhs
+    prim, s = primitive_integer_vector(normal)
+    return prim, rhs * s
 
 
 def _walls(pieces: Sequence[Piece]) -> List[Wall]:
@@ -118,21 +111,6 @@ def arrangement_points(walls: Sequence[Wall], dim: int) -> List[Tuple[int, ...]]
     return list(pts)
 
 
-def _segment_wall_crossings(wall: Wall, edge: Tuple[Point, Point]) -> List[Point]:
-    (a, b), (p, q) = wall, edge
-    d = vsub(q, p)
-    denom = dot(a, d)
-    lhs = b - dot(a, p)
-    if denom == 0:
-        if lhs == 0:
-            return [p, q]
-        return []
-    t = lhs / denom
-    if 0 <= t <= 1:
-        return [vadd(p, vscale(t, d))]
-    return []
-
-
 def _eval_pieces(pieces: Sequence[Piece], v: Sequence[Fraction]) -> Fraction:
     best = None
     for s, c in pieces:
@@ -160,47 +138,32 @@ def _dedupe_block(block: Iterable[Piece]) -> Block:
 
 
 class PLMetric:
-    """min-of-max piecewise-linear metric on a reference polytope."""
+    """min-of-max piecewise-linear metric on a reference polytope P.
 
-    def __init__(self, polytope: Polytope, blocks: Sequence[Sequence[Piece]],
-                 validate: str = "strict"):
+    Any rational branches are accepted exactly when psi stays within bounded
+    distance of the canonical metric, i.e. its recession function is the
+    support function of P; otherwise PreconditionError. Each branch keeps one
+    piece per slope (the largest constant) and only the pieces on its lower
+    hull, so pieces that never reach the branch's max are dropped. Those
+    hulls are the conjugate, which is stored on the metric.
+    """
+
+    def __init__(self, polytope: Polytope, blocks: Sequence[Sequence[Piece]]):
         if not blocks or any(not b for b in blocks):
             raise PreconditionError("a metric needs at least one piece per branch")
         self.polytope = polytope
-        clean = tuple(_dedupe_block(
-            ((point(s), frac(c)) for s, c in block)) for block in blocks)
-        self._conjugate: Optional["RoofFunction"] = None
-        if validate == "strict":
-            self._validate_strict(clean)
-            self.blocks: Tuple[Block, ...] = clean
-        elif validate == "recession":
-            # Each block keeps the pieces whose lifted point lies on its lower
-            # hull, which changes no value. The recession identity makes every
-            # block's slope hull contain P, so the hulls are the conjugate on P.
-            hulls = [_lower_hull(block) for block in clean]
-            self.blocks = tuple(kept for _, kept in hulls)
-            if not _recession_matches_support(self.blocks, polytope):
-                raise PreconditionError(
-                    "metric is not within bounded distance of the canonical metric")
-            self._conjugate = RoofFunction(polytope, [p for h, _ in hulls for p in h])
-        else:
-            raise ValueError(f"unknown validation mode {validate!r}")
+        # Each block keeps the pieces whose lifted point lies on its lower
+        # hull, which changes no value. The recession identity makes every
+        # block's slope hull contain P, so the hulls are the conjugate on P.
+        hulls = [_lower_hull(_dedupe_block((point(s), frac(c)) for s, c in block))
+                 for block in blocks]
+        self.blocks: Tuple[Block, ...] = tuple(kept for _, kept in hulls)
+        if not _recession_matches_support(self.blocks, polytope):
+            raise PreconditionError(
+                "metric is not within bounded distance of the canonical metric")
+        self._conjugate = RoofFunction(polytope, [p for h, _ in hulls for p in h])
         self._envelope: Optional["PLMetric"] = None
         self._semipositive: Optional[bool] = None
-
-    def _validate_strict(self, blocks: Tuple[Block, ...]) -> None:
-        P = self.polytope
-        for block in blocks:
-            slopes = {s for s, _ in block}
-            for s in slopes:
-                if not P.contains(s):
-                    raise PreconditionError(
-                        f"slope {tuple(map(str, s))} lies outside the polytope")
-            for v in P.vertices:
-                if v not in slopes:
-                    raise PreconditionError(
-                        "each branch needs every polytope vertex among its slopes "
-                        f"(missing {tuple(map(str, v))})")
 
     # -- basic queries ----------------------------------------------------
 
@@ -333,29 +296,27 @@ class RoofFunction:
         return self._integer_rows
 
     def integer_cells(self) -> IntegerCells:
-        """The full-dimensional linearity cells inside P as (piece index,
-        corner rows). A 1-d cell is a two-corner cycle (low end first), a 2-d
-        cell a CCW polygon; a lower-dimensional P has none. Cached.
+        """The linearity cells of P's own dimension as (piece index, corner
+        rows): a one-corner cell on a point, a two-corner cycle on a segment
+        (in the line or in the plane), a CCW polygon on a polygon. Cached.
 
         Every cell starts as P and is clipped by the half-space where its
         piece is at least each other piece, one integer dot product per
-        corner."""
+        corner; a cell that drops below P's dimension is skipped."""
         if self._integer_cells is None:
             rows = self.integer_rows()[1]
-            P = self.polytope
+            dim = self.polytope.affine_dim
+            base = [_homogeneous(v) for v in self.polytope.vertices]
             cells: IntegerCells = []
-            if P.is_full_dimensional():
-                n = P.ambient_dim
-                base = [_homogeneous(v) for v in P.vertices]
-                for i, own in enumerate(rows):
-                    region = base
-                    for j, other in enumerate(rows):
-                        if j != i:
-                            region = _clip_cycle(region, tuple(map(operator.sub, other, own)))
-                            if len(region) <= n:
-                                break
-                    else:
-                        cells.append((i, region))
+            for i, own in enumerate(rows):
+                region = base
+                for j, other in enumerate(rows):
+                    if j != i:
+                        region = _clip_cycle(region, tuple(map(operator.sub, other, own)))
+                        if len(region) <= dim:
+                            break
+                else:
+                    cells.append((i, region))
             self._integer_cells = cells
         return self._integer_cells
 
@@ -373,6 +334,8 @@ class RoofFunction:
         F_k / (D W) at corner k, and a fan simplex with n! W^n times its
         volume A contributes A (sum of its F_k) / ((n+1)! D W^(n+1)). The
         numerators are summed per W, one Fraction each."""
+        if not self.polytope.is_full_dimensional():
+            return ZERO
         scale, rows = self.integer_rows()
         n = self.polytope.ambient_dim
         sums: Dict[int, int] = {}
@@ -385,7 +348,10 @@ class RoofFunction:
                     for w, acc in sums.items()), ZERO)
 
     def cell_masses(self) -> List[Tuple[int, Fraction]]:
-        """(piece index, n! times the cell volume) for every linearity cell."""
+        """(piece index, n! times the cell volume) for every linearity cell
+        (none on a lower-dimensional P, whose volume is 0)."""
+        if not self.polytope.is_full_dimensional():
+            return []
         n = self.polytope.ambient_dim
         out = []
         for i, region in self.integer_cells():
@@ -629,14 +595,10 @@ def legendre(metric: PLMetric) -> RoofFunction:
 
     The conjugate of a min of convex blocks is the max of the block
     conjugates, and each block conjugate is the lower hull of its lifted
-    slopes (valid on all of P because every block's slope hull contains P
-    for a validated metric). The same route serves every supported P,
-    points and segments in the plane included.
+    slopes (valid on all of P because the recession identity makes every
+    block's slope hull contain P). The constructor builds those hulls while
+    pruning each block, so the conjugate is read from the metric.
     """
-    if metric._conjugate is None:
-        metric._conjugate = RoofFunction(
-            metric.polytope,
-            [p for block in metric.blocks for p in _lower_hull(block)[0]])
     return metric._conjugate
 
 
@@ -648,31 +610,22 @@ def envelope(metric: PLMetric) -> PLMetric:
     roof's cell complex, and every face of a finite subdivision of P contains
     a cell corner). A cell is closed, so the piece that owns it attains the
     roof's max at each of its corners: a corner's value is that one piece's
-    integer row at the corner's row. On a point or a segment the corners are
-    its ends and the crossings of the roof's walls with it, valued on every
-    piece. The corner set also contains every vertex of P, which keeps the
-    recession identity intact; redundant corners are pruned by the lower-hull
-    test inside the constructor.
+    integer row at the corner's row. The same holds on points and segments in
+    the plane, whose cells tile P with one or two corners each. The corner
+    set contains every vertex of P, which keeps the recession identity
+    intact; corners off the lower hull are pruned by the constructor.
     """
     if metric._envelope is not None:
         return metric._envelope
-    P = metric.polytope
     roof = legendre(metric)
-    if P.is_full_dimensional():
-        scale, rows = roof.integer_rows()
-        owner: Dict[Tuple[int, ...], int] = {}
-        for i, region in roof.integer_cells():
-            for r in region:
-                owner.setdefault(r, i)
-        pieces = [(_affine(r), Fraction(-sum(map(operator.mul, rows[i], r)), scale * r[-1]))
-                  for r, i in owner.items()]
-    else:
-        ends = (P.vertices[0], P.vertices[-1])
-        corners = dict.fromkeys(P.vertices)
-        for wall in _walls(roof.pieces):
-            corners.update(dict.fromkeys(_segment_wall_crossings(wall, ends)))
-        pieces = [(u, -roof.evaluate(u)) for u in corners]
-    env = PLMetric(P, [pieces], validate="recession")
+    scale, rows = roof.integer_rows()
+    owner: Dict[Tuple[int, ...], int] = {}
+    for i, region in roof.integer_cells():
+        for r in region:
+            owner.setdefault(r, i)
+    pieces = [(_affine(r), Fraction(-sum(map(operator.mul, rows[i], r)), scale * r[-1]))
+              for r, i in owner.items()]
+    env = PLMetric(metric.polytope, [pieces])
     metric._envelope = env
     if env._envelope is None:
         env._envelope = env
@@ -727,14 +680,14 @@ def metric_min(m1: PLMetric, m2: PLMetric) -> PLMetric:
     if m1.polytope != m2.polytope:
         raise PreconditionError("metric_min needs metrics on the same polytope")
     blocks = [tuple(b1) + tuple(b2) for b1 in m1.blocks for b2 in m2.blocks]
-    return PLMetric(m1.polytope, blocks, validate="strict")
+    return PLMetric(m1.polytope, blocks)
 
 
 def metric_shift(metric: PLMetric, t) -> PLMetric:
     """psi + t, i.e. the metric scaled by e^{-t}."""
     t = frac(t)
     blocks = [[(s, c + t) for s, c in b] for b in metric.blocks]
-    out = PLMetric(metric.polytope, blocks, validate="strict")
+    out = PLMetric(metric.polytope, blocks)
     out._semipositive = metric._semipositive
     return out
 
@@ -748,7 +701,7 @@ def metric_sum(m1: PLMetric, m2: PLMetric) -> PLMetric:
     for b1 in m1.blocks:
         for b2 in m2.blocks:
             blocks.append([(vadd(s1, s2), c1 + c2) for s1, c1 in b1 for s2, c2 in b2])
-    return PLMetric(P, blocks, validate="strict")
+    return PLMetric(P, blocks)
 
 
 def metric_scale(metric: PLMetric, t) -> PLMetric:
@@ -758,7 +711,7 @@ def metric_scale(metric: PLMetric, t) -> PLMetric:
         raise PreconditionError("scaling factor must be nonnegative")
     P = metric.polytope.dilate(t)
     blocks = [[(vscale(t, s), t * c) for s, c in b] for b in metric.blocks]
-    return PLMetric(P, blocks, validate="strict")
+    return PLMetric(P, blocks)
 
 
 def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
@@ -766,8 +719,8 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
 
     pos may be any metric; neg must be semipositive (its convex single-branch
     envelope is subtracted, which is what makes the min-of-max normal form
-    close under the difference). The result is validated by its recession
-    identity; transient pieces with slopes outside P are pruned exactly.
+    close under the difference). The constructor checks the result's
+    recession identity and drops the pieces above each branch's lower hull.
     """
     eps = frac(eps)
     if eps < 0:
@@ -788,4 +741,4 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
                      c1 + eps * c2 - eps * cl)
                     for s1, c1 in bp for s2, c2 in bq
                 ])
-    return PLMetric(P, blocks, validate="recession")
+    return PLMetric(P, blocks)

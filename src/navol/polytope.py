@@ -21,13 +21,17 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import PreconditionError
-from .linalg import cross2
 from .rational import (Point, ZERO, dot, frac, point, primitive_integer_vector,
                        primitive_same_direction, vadd, vscale, vsub)
 
 IntVector = Tuple[int, ...]
 HalfSpace = Tuple[IntVector, Fraction]   # <a, x> <= b
 Equation = Tuple[IntVector, Fraction]    # <a, x> = b
+
+
+def cross2(o: Sequence[Fraction], a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """Signed area of the triangle o,a,b times two (ints or Fractions)."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _hull_1d(points: Sequence[Point]) -> List[Point]:
@@ -99,7 +103,7 @@ class Polytope:
             a, b = hull
             u, _ = primitive_same_direction(vsub(b, a))
             minus_u = tuple(-c for c in u)
-            normal = primitive_integer_vector((a[1] - b[1], b[0] - a[0]))
+            normal, _ = primitive_integer_vector((a[1] - b[1], b[0] - a[0]))
             return cls(hull, 2, 1, [(u, dot(u, b)), (minus_u, dot(minus_u, a))],
                        [(normal, dot(normal, a))])
         ineqs = []

@@ -60,43 +60,22 @@ def vscale(t: Fraction, a: Sequence[Fraction]) -> Point:
     return tuple(t * x for x in a)
 
 
-def ceil_frac(x: Fraction) -> int:
-    return math.ceil(x)
-
-
-def lcm_of(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
-
-
 def primitive_same_direction(vec: Sequence[Fraction]) -> Tuple[Tuple[int, ...], Fraction]:
     """Scale a nonzero rational vector by a positive factor s to coprime
     integers; returns (integer vector, s)."""
-    denom = lcm_of(Fraction(c).denominator for c in vec)
+    denom = math.lcm(*(Fraction(c).denominator for c in vec))
     ints = [int(c * denom) for c in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
+    g = math.gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(v // g for v in ints), Fraction(denom, g)
 
 
-def primitive_integer_vector(vec: Sequence[Fraction]) -> Tuple[int, ...]:
-    """Scale a nonzero rational vector to coprime integers, first nonzero > 0."""
-    denom = lcm_of(Fraction(c).denominator for c in vec)
-    ints = [int(c * denom) for c in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
+def primitive_integer_vector(vec: Sequence[Fraction]) -> Tuple[Tuple[int, ...], Fraction]:
+    """Scale a nonzero rational vector by a factor s of either sign to
+    coprime integers whose first nonzero entry is positive; returns
+    (integer vector, s)."""
+    prim, s = primitive_same_direction(vec)
+    if next(c for c in prim if c != 0) < 0:
+        return tuple(-c for c in prim), -s
+    return prim, s

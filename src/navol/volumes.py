@@ -25,7 +25,7 @@ from .measures import energy
 from .plmetric import (IntegerRows, PLMetric, distance, envelope, is_semipositive,
                        legendre, metric_shift)
 from .polytope import Polytope
-from .rational import ZERO, ceil_frac, frac
+from .rational import ZERO, frac
 
 
 def default_schedule(dim: int) -> List[int]:
@@ -173,7 +173,7 @@ def lipschitz_check(m1: PLMetric, m1_alt: PLMetric, m2: PLMetric,
         top = _ceil_sum(roof2, level, m)
         base = top - _ceil_sum(roof1, level, m)
         alt = top - _ceil_sum(roof_alt, level, m)
-        bound = _point_count(level) * int(ceil_frac(m * d))
+        bound = _point_count(level) * math.ceil(m * d)
         delta = abs(alt - base)
         rows.append((m, delta, bound))
         ok = ok and delta <= bound
@@ -219,7 +219,7 @@ def proportionality_check(m1: PLMetric, m2: PLMetric, t: Fraction,
             exact_rows += 1
         else:
             lower = (tm.numerator // tm.denominator) * n_pts
-            upper = int(ceil_frac(tm)) * n_pts
+            upper = math.ceil(tm) * n_pts
         rows.append((m, delta, lower, upper))
         ok = ok and lower <= delta <= upper
     return ProportionalityReport(shift=t, rows=rows, exact_rows=exact_rows, passed=ok)

@@ -104,7 +104,7 @@ def test_lower_hull_facets_with_large_denominators():
 
         block = _deduped([(s, -z) for s, z in pts])
         P = Polytope.from_points([s for s, _ in block])
-        kept = PLMetric(P, [block], validate="recession").blocks[0]
+        kept = PLMetric(P, [block]).blocks[0]
         assert kept == tuple((s, c) for s, c in block
                              if block_conjugate_oracle(block, s) == -c), trial
 
@@ -139,6 +139,16 @@ def test_missing_vertex_slope_rejected():
         PLMetric(SEG, [[((F(0),), F(0)), ((F(1, 2),), F(0))]])
 
 
+def test_slopes_outside_the_polytope_with_the_right_recession_are_accepted():
+    # max(-v, 2v) exceeds the support function of [0, 1] only where
+    # max(0, v) is smaller, so the min of the two branches is canonical
+    psi = PLMetric(SEG, [[((0,), 0), ((1,), 0)], [((-1,), 0), ((2,), 0)]])
+    can = canonical_metric(SEG)
+    for v in _grid(SEG, 4) + [(F(-9),), (F(-1, 3),), (F(5, 2),), (F(40),)]:
+        assert psi.evaluate(v) == can.evaluate(v)
+    assert distance(psi, can) == 0
+
+
 def test_recession_check_rejects_a_branch_missing_a_vertex_direction():
     cases = [
         (SEG, [[((F(0),), F(0)), ((F(1),), F(0))],
@@ -148,7 +158,7 @@ def test_recession_check_rejects_a_branch_missing_a_vertex_direction():
     ]
     for P, blocks in cases:
         with pytest.raises(PreconditionError, match="bounded distance"):
-            PLMetric(P, blocks, validate="recession")
+            PLMetric(P, blocks)
 
 
 def _interior_slope(P, rng):
@@ -178,7 +188,7 @@ def _random_blocks(P, rng, branches, extra, drop=0.0, spread=0):
 
 def _accepted(P, blocks):
     try:
-        PLMetric(P, blocks, validate="recession")
+        PLMetric(P, blocks)
     except PreconditionError:
         return False
     return True
@@ -264,6 +274,16 @@ def test_distance_matches_joint_arrangement():
                 _random_blocks(P, rng, rng.randint(1, 3), extra), rng))
             for x, y in ((a, b), (a, envelope(a)), (envelope(b), b)):
                 assert distance(x, y) == distance_by_joint_arrangement(x.blocks, y.blocks)
+    # the sup is at v = 0, where psi1's two branches cross; the vertices of
+    # the overlay of each block's linearity cells, -1, 1/2 and 1, give at most
+    # 1/4, so the wall between branches must be a candidate
+    psi1 = PLMetric(SEG, [[((0,), 0), ((1,), 1)], [((0,), 1), ((1,), 0)]])
+    psi2 = PLMetric(SEG, [[((0,), 0), ((F(1, 2),), F(1, 2)), ((1,), F(1, 4))]])
+    assert distance(psi1, psi2) == distance_by_joint_arrangement(
+        psi1.blocks, psi2.blocks) == F(1, 2)
+    assert abs(psi1.evaluate((0,)) - psi2.evaluate((0,))) == F(1, 2)
+    assert max(abs(psi1.evaluate((v,)) - psi2.evaluate((v,)))
+               for v in (F(-1), F(1, 2), F(1))) == F(1, 4)
 
 
 def test_empty_branch_rejected():

@@ -31,8 +31,7 @@ def _large_fraction(rng, bound):
 def _check_roof(roof):
     """The integer cells, integral and cell masses equal the Fraction
     route's; returns the oracle cells."""
-    P = roof.polytope
-    cells = roof_cells_oracle(roof.pieces, P.vertices) if P.is_full_dimensional() else []
+    cells = roof_cells_oracle(roof.pieces, roof.polytope.vertices)
     assert roof.cells() == cells
     assert roof.integral() == roof_integral_oracle(roof.pieces, cells)
     assert roof.cell_masses() == [(i, cell_mass_oracle(region)) for i, region in cells]
@@ -47,7 +46,7 @@ def _check_metric(psi):
     cells = _check_roof(roof)
     env = envelope(psi)
     raw = envelope_corners_oracle(roof.pieces, cells)
-    assert env.blocks == PLMetric(psi.polytope, [raw], validate="recession").blocks
+    assert env.blocks == PLMetric(psi.polytope, [raw]).blocks
     env_roof = legendre(env)
     env_cells = _check_roof(env_roof)
     assert monge_ampere(env) == DiscreteMeasure(
@@ -121,11 +120,39 @@ def test_cells_touching_at_a_point_and_zero_area_clips():
     assert [i for i, _ in _check_roof(roof)] == [0, 1]
 
 
-def test_segment_in_the_plane_has_no_cells():
+def test_segment_in_the_plane_is_tiled_by_its_cells():
+    # each cell is a two-corner cycle along the segment, low end first, the
+    # cells meet end to end from one vertex to the other, and each corner is
+    # valued by the cell's own piece; the segment has no area, so there is
+    # no integral and no cell mass
     rng = random.Random(804)
     for _ in range(3):
         blocks = [[(v, F(rng.randint(-5, 5), rng.randint(1, 4))) for v in LINE.vertices]
                   for _ in range(rng.randint(1, 3))]
         roof = legendre(PLMetric(LINE, blocks))
-        assert _check_roof(roof) == []
+        cells = sorted(roof.cells(), key=lambda cell: cell[1])
+        ends = [u for _, (lo, hi) in cells for u in (lo, hi)]
+        assert ends[0] == LINE.vertices[0] and ends[-1] == LINE.vertices[-1]
+        assert all(lo < hi for lo, hi in zip(ends[::2], ends[1::2]))
+        assert ends[1:-1:2] == ends[2:-1:2]
+        for i, region in cells:
+            s, c = roof.pieces[i]
+            for u in region:
+                assert s[0] * u[0] + s[1] * u[1] + c == roof.evaluate(u)
+        assert roof.integral() == 0 and roof.cell_masses() == []
+
+
+def test_a_point_is_one_cell_with_no_volume():
+    # the point is a one-corner cell of a piece reaching the max there; the
+    # fan of a one-corner cell has no simplex, so integral and cell masses
+    # must not reach it
+    for P in (Polytope.from_points([(F(1, 3),)]), Polytope.from_points([(F(1, 2), F(-3, 2))])):
+        n = P.ambient_dim
+        roof = RoofFunction(P, [((F(0),) * n, F(1)), ((F(1),) * n, F(-1)),
+                                ((F(-2),) * n, F(5, 7))])
+        cells = roof.cells()
+        assert [region for _, region in cells] == [list(P.vertices)]
+        s, c = roof.pieces[cells[0][0]]
+        u = P.vertices[0]
+        assert sum(a * b for a, b in zip(s, u)) + c == roof.evaluate(u)
         assert roof.integral() == 0 and roof.cell_masses() == []

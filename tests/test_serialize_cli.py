@@ -361,16 +361,22 @@ def test_verify_all_deterministic_and_parallel_equal(tmp_path, capsys):
     assert outs[0], "verify-all must write at least one CSV"
 
 
+def _block(pieces):
+    return [{"slope": s, "constant": c} for s, c in pieces]
+
+
+# psi = min of two branches on a vertical segment in the plane
+SEGMENT_IN_PLANE = {
+    "kind": "toric", "polytope": [[0, 0], [0, 3]], "schedule": [1, 2, 3],
+    "metrics": {"psi": [
+        _block([([0, 0], "-1/3"), ([0, 3], 0)]),
+        _block([([0, 0], -7), ([0, 3], "7/3"), ([0, "9/4"], -1), ([0, "3/4"], -1)])]}}
+
+
 def test_checks_on_a_segment_in_the_plane_finish(tmp_path):
     # h0-check and ortho-check once ran for minutes on this instance; a child
     # process with a timeout turns a hang into a failure
-    block = lambda pieces: [{"slope": s, "constant": c} for s, c in pieces]
-    instance = {"kind": "toric", "polytope": [[0, 0], [0, 3]], "schedule": [1, 2, 3],
-                "metrics": {"psi": [
-                    block([([0, 0], "-1/3"), ([0, 3], 0)]),
-                    block([([0, 0], -7), ([0, 3], "7/3"), ([0, "9/4"], -1),
-                           ([0, "3/4"], -1)])]}}
-    path = _write(tmp_path, "segment.json", instance)
+    path = _write(tmp_path, "segment.json", SEGMENT_IN_PLANE)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -380,3 +386,26 @@ def test_checks_on_a_segment_in_the_plane_finish(tmp_path):
              "--out-dir", str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+
+def test_envelope_on_a_segment_in_the_plane_lists_only_hull_vertices(tmp_path, capsys):
+    # the corners are the ends of the roof's cells on the segment; the wall
+    # crossing u = (0, 60/71) lies inside the chain between (0, 3/4) and
+    # (0, 48/37), so it is no piece of the envelope
+    path = _write(tmp_path, "segment.json", SEGMENT_IN_PLANE)
+    rc, out = _run(["envelope", path], tmp_path, capsys)
+    assert rc == 0
+    pieces = {(tuple(p["slope"]), p["constant"]) for p in json.loads(out)["pieces"]}
+    assert pieces == {(("0", "0"), "-7"), (("0", "3/4"), "-1"),
+                      (("0", "48/37"), "-7/37"), (("0", "3"), "0")}
+
+
+def test_branches_with_slopes_outside_the_polytope_parse():
+    # min(max(0, v), max(-v, 2v)) on [0, 1] is the support function of the
+    # segment: its recession is the segment's, though slopes -1 and 2 lie
+    # outside it
+    instance = {"kind": "toric", "polytope": [[0], [1]], "metrics": {"psi": [
+        _block([([0], 0), ([1], 0)]), _block([([-1], 0), ([2], 0)])]}}
+    psi = parse_instance_text(json.dumps(instance)).single_metric("envelope")
+    values = [psi.evaluate((F(k, 2),)) for k in range(-4, 5)]
+    assert values == [0] * 5 + [F(k, 2) for k in range(1, 5)]
