@@ -31,7 +31,7 @@ class DiscreteMeasure:
         merged: Dict[AtomKey, Fraction] = {}
         for key, mass in items:
             mass = frac(mass)
-            merged[key] = merged.get(key, ZERO) + mass
+            merged[key] = merged[key] + mass if key in merged else mass
         self.atoms: Dict[AtomKey, Fraction] = {
             k: v for k, v in merged.items() if v != 0}
 

@@ -38,8 +38,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .polytope import Polytope, _hull_1d, _hull_2d
-from .rational import (Point, ZERO, dot, frac, point, primitive_integer_vector,
-                       vadd, vscale, vsub)
+from .rational import (Point, ZERO, dot, frac, frac_str, point, point_str,
+                       primitive_integer_vector, vadd, vscale, vsub)
 
 Piece = Tuple[Point, Fraction]          # v -> <slope, v> + const
 Block = Tuple[Piece, ...]               # max over pieces
@@ -158,9 +158,13 @@ class PLMetric:
         hulls = [_lower_hull(_dedupe_block((point(s), frac(c)) for s, c in block))
                  for block in blocks]
         self.blocks: Tuple[Block, ...] = tuple(kept for _, kept in hulls)
-        if not _recession_matches_support(self.blocks, polytope):
+        mismatch = _recession_mismatch(self.blocks, polytope)
+        if mismatch is not None:
+            w, rec, sup = mismatch
             raise PreconditionError(
-                "metric is not within bounded distance of the canonical metric")
+                "metric is not within bounded distance of the canonical metric: "
+                f"rec(w) = {frac_str(rec)} but h_P(w) = {frac_str(sup)} "
+                f"at w = {point_str(w)}")
         self._conjugate = RoofFunction(polytope, [p for h, _ in hulls for p in h])
         self._envelope: Optional["PLMetric"] = None
         self._semipositive: Optional[bool] = None
@@ -195,7 +199,8 @@ class PLMetric:
         return f"PLMetric({len(self.blocks)} branch(es), dim {self.dim})"
 
 
-def _recession_matches_support(blocks: Tuple[Block, ...], P: Polytope) -> bool:
+def _recession_mismatch(blocks: Tuple[Block, ...], P: Polytope
+                        ) -> Optional[Tuple[Tuple[int, ...], Fraction, Fraction]]:
     """Exact directional check that the recession function equals the support
     function of P, i.e. psi stays within bounded distance of the canonical
     metric. A block's recession is the support function h_H of its slope hull
@@ -204,7 +209,10 @@ def _recession_matches_support(blocks: Tuple[Block, ...], P: Polytope) -> bool:
     hulls, rec = min_b h_H_b is concave and h_P convex, so rec - h_P is
     concave; it vanishes on the sector iff it vanishes on both rays and at
     one interior probe, and P's own edge normals add nothing. Slopes and
-    vertices are scaled to integers by one common denominator."""
+    vertices are scaled to integers by one common denominator.
+
+    Returns None when the two agree, else the first integer direction w
+    probed where they differ, with rec(w) and h_P(w)."""
     n = P.ambient_dim
     hull = _hull_1d if n == 1 else _hull_2d
     scale = math.lcm(*{c.denominator for b in blocks for s, _ in b for c in s},
@@ -219,22 +227,26 @@ def _recession_matches_support(blocks: Tuple[Block, ...], P: Polytope) -> bool:
         return max(sum(map(operator.mul, v, w)) for v in verts)
 
     if n == 1:
-        return all(rec(w) == sup(w) for w in [(1,), (-1,)])
-
-    dirs: Dict[Tuple[int, int], None] = {}
-    for h in hulls:
-        for a, b in zip(h, h[1:] + h[:1]):
-            if a != b:
-                nx, ny = a[1] - b[1], b[0] - a[0]
-                g = math.gcd(nx, ny)
-                dirs.setdefault((nx // g, ny // g), None)
-                dirs.setdefault((-nx // g, -ny // g), None)
-    ordered = _sort_by_angle(list(dirs) or [(1, 0), (0, 1), (-1, 0), (0, -1)])
-    test = list(ordered)
-    for a, b in zip(ordered, ordered[1:] + ordered[:1]):
-        s = (a[0] + b[0], a[1] + b[1])
-        test.append(s if s != (0, 0) else (-a[1], a[0]))
-    return all(rec(w) == sup(w) for w in test)
+        test: List[Tuple[int, ...]] = [(1,), (-1,)]
+    else:
+        dirs: Dict[Tuple[int, int], None] = {}
+        for h in hulls:
+            for a, b in zip(h, h[1:] + h[:1]):
+                if a != b:
+                    nx, ny = a[1] - b[1], b[0] - a[0]
+                    g = math.gcd(nx, ny)
+                    dirs.setdefault((nx // g, ny // g), None)
+                    dirs.setdefault((-nx // g, -ny // g), None)
+        ordered = _sort_by_angle(list(dirs) or [(1, 0), (0, 1), (-1, 0), (0, -1)])
+        test = list(ordered)
+        for a, b in zip(ordered, ordered[1:] + ordered[:1]):
+            s = (a[0] + b[0], a[1] + b[1])
+            test.append(s if s != (0, 0) else (-a[1], a[0]))
+    for w in test:
+        rec_w, sup_w = rec(w), sup(w)
+        if rec_w != sup_w:
+            return w, Fraction(rec_w, scale), Fraction(sup_w, scale)
+    return None
 
 
 def _sort_by_angle(dirs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:

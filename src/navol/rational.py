@@ -8,24 +8,45 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 Point = Tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 
 
-def frac(value) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to Fraction. Floats are refused."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+def plain_fraction(text: str) -> Optional[Fraction]:
+    """The value of a plain literal (an optional sign and digits, optionally
+    followed by '/' and digits), read straight to ints; None for any other
+    string, and for digits int() will not convert or a zero denominator."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if digits.isdigit() and (not slash or den.isdigit()):
         try:
-            return Fraction(value.strip())
+            return Fraction(int(num), int(den) if slash else 1)
+        except (ValueError, ZeroDivisionError):
+            return None
+    return None
+
+
+def frac(value) -> Fraction:
+    """Coerce an int, Fraction or 'p/q' string to Fraction. Floats are refused.
+
+    A string that is not a plain literal is left to Fraction's own parser, so
+    the two accept, value and reject the same strings."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, str):
+        text = value.strip()
+        try:
+            plain = plain_fraction(text)
+            return plain if plain is not None else Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational literal {value!r}: {exc}") from None
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

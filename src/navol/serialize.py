@@ -36,7 +36,7 @@ from .errors import InstanceFormatError, PreconditionError
 from .measures import DiscreteMeasure
 from .plmetric import PLMetric, canonical_metric
 from .polytope import Polytope
-from .rational import frac, frac_str
+from .rational import frac, frac_str, plain_fraction
 from .trees import MetricTree, TreeFunction
 
 
@@ -306,26 +306,67 @@ def _parse_toric(obj: Dict[str, object], name: str) -> ToricInstance:
                          schedule=schedule, eps_schedule=eps, seed=seed)
 
 
+def _plain_rational(value) -> Optional[Fraction]:
+    """A JSON integer or plain 'p/q' string as a Fraction, else None."""
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is str:
+        return plain_fraction(value)
+    return None
+
+
+# The tree parser reads each edge and atom by a plain route that builds no
+# field path; an entry it does not recognise goes through the validators,
+# which accept it or name the field that is wrong.
+
+def _plain_edge(eraw) -> Optional[Tuple[str, str, Fraction]]:
+    if type(eraw) is dict and len(eraw) == 2:
+        ends, length = eraw.get("ends"), _plain_rational(eraw.get("length"))
+        if (type(ends) is list and len(ends) == 2 and length is not None
+                and type(ends[0]) is str and type(ends[1]) is str):
+            return ends[0], ends[1], length
+    return None
+
+
+def _edge(eraw, epath: str) -> Tuple[str, str, Fraction]:
+    eobj = _as_object(eraw, epath)
+    _check_keys(eobj, epath, required=("ends", "length"))
+    ends = _as_array(eobj["ends"], f"{epath}.ends")
+    if len(ends) != 2:
+        raise InstanceFormatError(f"{epath}.ends: exactly two endpoints")
+    u = _as_string(ends[0], f"{epath}.ends[0]")
+    v = _as_string(ends[1], f"{epath}.ends[1]")
+    return u, v, _as_rational(eobj["length"], f"{epath}.length")
+
+
+def _plain_atom(araw, tree: MetricTree) -> Optional[Tuple[str, Fraction]]:
+    if type(araw) is dict and len(araw) == 2:
+        vertex, mass = araw.get("vertex"), _plain_rational(araw.get("mass"))
+        if type(vertex) is str and vertex in tree.position and mass is not None:
+            return vertex, mass
+    return None
+
+
+def _atom(araw, apath: str, tree: MetricTree) -> Tuple[str, Fraction]:
+    aobj = _as_object(araw, apath)
+    _check_keys(aobj, apath, required=("vertex", "mass"))
+    vertex = _as_string(aobj["vertex"], f"{apath}.vertex")
+    if vertex not in tree.position:
+        raise InstanceFormatError(f"{apath}.vertex: unknown vertex")
+    return vertex, _as_rational(aobj["mass"], f"{apath}.mass")
+
+
 def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
     _check_keys(obj, name, required=("kind", "tree"),
                 optional=("functions", "measures", "seed"))
     tobj = _as_object(obj["tree"], f"{name}.tree")
     _check_keys(tobj, f"{name}.tree", required=("vertices", "edges"),
                 optional=("root",))
-    verts = [_as_string(v, f"{name}.tree.vertices[{i}]")
+    verts = [v if type(v) is str else _as_string(v, f"{name}.tree.vertices[{i}]")
              for i, v in enumerate(_as_array(tobj["vertices"],
                                              f"{name}.tree.vertices"))]
-    edges = []
-    for i, eraw in enumerate(_as_array(tobj["edges"], f"{name}.tree.edges")):
-        epath = f"{name}.tree.edges[{i}]"
-        eobj = _as_object(eraw, epath)
-        _check_keys(eobj, epath, required=("ends", "length"))
-        ends = _as_array(eobj["ends"], f"{epath}.ends")
-        if len(ends) != 2:
-            raise InstanceFormatError(f"{epath}.ends: exactly two endpoints")
-        u = _as_string(ends[0], f"{epath}.ends[0]")
-        v = _as_string(ends[1], f"{epath}.ends[1]")
-        edges.append((u, v, _as_rational(eobj["length"], f"{epath}.length")))
+    edges = [_plain_edge(e) or _edge(e, f"{name}.tree.edges[{i}]")
+             for i, e in enumerate(_as_array(tobj["edges"], f"{name}.tree.edges"))]
     root = (_as_string(tobj["root"], f"{name}.tree.root")
             if "root" in tobj else None)
     try:
@@ -353,17 +394,9 @@ def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
         mobj = _as_object(obj["measures"], f"{name}.measures")
         for mname, mval in mobj.items():
             mpath = f"{name}.measures.{mname}"
-            atoms = []
-            for i, araw in enumerate(_as_array(mval, mpath)):
-                apath = f"{mpath}[{i}]"
-                aobj = _as_object(araw, apath)
-                _check_keys(aobj, apath, required=("vertex", "mass"))
-                vertex = _as_string(aobj["vertex"], f"{apath}.vertex")
-                if vertex not in tree.adjacency:
-                    raise InstanceFormatError(f"{apath}.vertex: unknown vertex")
-                atoms.append((vertex, _as_rational(aobj["mass"],
-                                                   f"{apath}.mass")))
-            measures[mname] = DiscreteMeasure(atoms)
+            measures[mname] = DiscreteMeasure(
+                [_plain_atom(a, tree) or _atom(a, f"{mpath}[{i}]", tree)
+                 for i, a in enumerate(_as_array(mval, mpath))])
     seed = _as_int(obj["seed"], f"{name}.seed") if "seed" in obj else None
     return TreeInstance(name=name, tree=tree, functions=functions,
                         measures=measures, seed=seed)

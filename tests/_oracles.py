@@ -629,3 +629,75 @@ def perturbation_rows_by_cells(hq_of, a_terms, b_terms, q, grid_max, dim):
     rows = [(m, p, left(m, p), fitted * m * (m + p) ** (dim - 1))
             for m, p in cells]
     return rows, fitted, all(lhs <= bound for _, _, lhs, bound in rows)
+
+
+# --------------------------------------------------------------------------
+# trees and rational literals on Fractions
+# --------------------------------------------------------------------------
+
+def first_primes(count):
+    """The first count primes, by trial division."""
+    found = []
+    n = 2
+    while len(found) < count:
+        if all(n % p for p in found if p * p <= n):
+            found.append(n)
+        n += 1
+    return found
+
+
+def tree_laplacian_oracle(tree, f):
+    """Nonzero atoms of the Laplacian of f on a metric tree: at each vertex,
+    the sum over its edges of (f(w) - f(v)) / length."""
+    atoms = {}
+    for v in tree.vertices:
+        acc = ZERO
+        for w, length in tree.adjacency[v]:
+            acc += (f(w) - f(v)) / length
+        if acc != 0:
+            atoms[v] = acc
+    return atoms
+
+
+def ma_solve_oracle(tree, target, base):
+    """Vertex values of the f with base + Laplacian(f) = target and
+    f(root) = 0: summing the equation over the subtree below v fixes the
+    slope of f on the edge into v as minus the subtree's net mass."""
+    parent = {tree.root: None}
+    order = [tree.root]
+    for v in order:
+        for w, length in tree.adjacency[v]:
+            if w not in parent:
+                parent[w] = (v, length)
+                order.append(w)
+    subtree = {v: target.atoms.get(v, ZERO) - base.atoms.get(v, ZERO)
+               for v in tree.vertices}
+    for v in reversed(order[1:]):
+        subtree[parent[v][0]] += subtree[v]
+    values = {tree.root: ZERO}
+    for v in order[1:]:
+        p, length = parent[v]
+        values[v] = values[p] - length * subtree[v]
+    return values
+
+
+def as_rational_oracle(value, path):
+    """An instance file's rational field (a JSON integer or 'p/q' string) by
+    Fraction's own string parser, with the instance parser's error texts."""
+    from navol.errors import InstanceFormatError
+    if isinstance(value, bool):
+        raise InstanceFormatError(f"{path}: expected a rational")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        if "." in value or "e" in value or "E" in value:
+            raise InstanceFormatError(
+                f"{path}: decimal notation {value!r} is not accepted; "
+                "write rationals as 'p/q' strings")
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InstanceFormatError(
+                f"{path}: bad rational literal {value!r}: {exc}") from None
+    raise InstanceFormatError(
+        f"{path}: expected a rational as integer or 'p/q' string")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import navol.harness as harness
 from navol.errors import PreconditionError
 from navol.harness import (bump_metric, random_convex_metric,
                            random_direction, random_nonconvex_metric,
@@ -13,8 +14,10 @@ from navol.harness import (bump_metric, random_convex_metric,
                            verify_h0_envelope_equality, verify_length_cocycle,
                            verify_orthogonality, verify_tree_solvability,
                            verify_vol_is_energy)
+from navol.measures import DiscreteMeasure
 from navol.plmetric import canonical_metric
 from navol.polytope import segment, unit_box
+from navol.trees import MetricTree, potential_rows
 
 F = Fraction
 SEG = segment(0, 1)
@@ -98,6 +101,23 @@ def test_tree_solvability_report():
     rep = verify_tree_solvability(tree, target, base)
     assert rep.passed
     assert rep.exact["defect_atoms"] == "0"
+    assert rep.exact["laplacian_mass"] == "0"
+
+
+def test_tree_check_counts_the_defect_of_a_wrong_potential(monkeypatch):
+    # on the path r - m - a, moving the solved potential at m leaves the
+    # three slopes at r, m and a wrong, though m carries no net mass
+    def nudged(tree, scale, net):
+        phi_scale, phi = potential_rows(tree, scale, net)
+        phi[tree.position["m"]] += 1
+        return phi_scale, phi
+
+    monkeypatch.setattr(harness, "potential_rows", nudged)
+    tree = MetricTree(["r", "m", "a"], [("r", "m", F(1, 2)), ("m", "a", F(3))])
+    rep = verify_tree_solvability(tree, DiscreteMeasure([("a", F(2, 3))]),
+                                  DiscreteMeasure([("r", F(2, 3))]))
+    assert not rep.passed
+    assert rep.exact["defect_atoms"] == "3"
     assert rep.exact["laplacian_mass"] == "0"
 
 

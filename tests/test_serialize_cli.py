@@ -3,6 +3,7 @@ end with its exit-code contract (0 pass / 1 fail / 2 parse / 3 precondition)."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,8 +13,11 @@ import pytest
 import navol.cli as cli
 from navol.errors import InstanceFormatError, PreconditionError
 from navol.harness import VerificationReport
-from navol.serialize import (csv_text, decimal_str, instance_json,
-                             parse_instance_text, serialize_instance)
+from navol.serialize import (_as_rational, _plain_rational, csv_text,
+                             decimal_str, instance_json, parse_instance_text,
+                             serialize_instance)
+
+from _oracles import as_rational_oracle, first_primes, ma_solve_oracle
 
 F = Fraction
 
@@ -409,3 +413,119 @@ def test_branches_with_slopes_outside_the_polytope_parse():
     psi = parse_instance_text(json.dumps(instance)).single_metric("envelope")
     values = [psi.evaluate((F(k, 2),)) for k in range(-4, 5)]
     assert values == [0] * 5 + [F(k, 2) for k in range(1, 5)]
+
+
+# --------------------------------------------------------------------------
+# rational literals and tree files
+# --------------------------------------------------------------------------
+
+LITERALS = ["3/4", "-3/4", "+3/4", " 3/4 ", "3 / 4", "1/-2", "1/0", "0/7",
+            "1_000/3", "\u0661/\u0662", "\u00b2/3", "", "/", "3/", "1.5", "1e3",
+            "-0", "007/010", "1/\u0660", "\u2460", "12345678901234567890/3",
+            "9" * 5000,
+            0, 7, -12, 10 ** 30, True, False]
+
+
+def _outcome(thunk):
+    try:
+        value = thunk()
+    except InstanceFormatError as exc:
+        return "error", str(exc)
+    return "value", value, type(value)
+
+
+def test_plain_literals_parse_like_fraction_strings():
+    # the literal route reads plain 'p/q' strings and JSON ints straight to
+    # ints; on every literal it must agree with Fraction's own parser
+    for literal in LITERALS:
+        expected = _outcome(lambda: as_rational_oracle(literal, "f.length"))
+        assert _outcome(lambda: _as_rational(literal, "f.length")) == expected
+        plain = _plain_rational(literal)
+        assert plain is None or ("value", plain, Fraction) == expected
+        tree = {"kind": "tree",
+                "tree": {"vertices": ["a", "b"],
+                         "edges": [{"ends": ["a", "b"], "length": 1}]},
+                "measures": {"m": [{"vertex": "a", "mass": literal}]}}
+        parsed = _outcome(lambda: parse_instance_text(json.dumps(tree), "t")
+                          .measures["m"].total_mass)
+        assert parsed == _outcome(
+            lambda: as_rational_oracle(literal, "t.measures.m[0].mass"))
+
+
+def _tree_mutation(change):
+    instance = json.loads(_bundled()["tree_star.json"])
+    change(instance)
+    return instance
+
+
+TREE_MUTATIONS = {
+    "extra-edge-key": (
+        lambda t: t["tree"]["edges"][0].update(color="red"),
+        "error: tree.json.tree.edges[0].color: unknown field"),
+    "three-ends": (
+        lambda t: t["tree"]["edges"][1].update(ends=["center", "leaf2", "leaf3"]),
+        "error: tree.json.tree.edges[1].ends: exactly two endpoints"),
+    "non-string-end": (
+        lambda t: t["tree"]["edges"][2].update(ends=["center", 3]),
+        "error: tree.json.tree.edges[2].ends[1]: expected a string"),
+    "float-length": (
+        lambda t: t["tree"]["edges"][1].update(length=0.5),
+        "error: tree.json.tree.edges[1].length: decimal literal '0.5' is not "
+        "exact; write rationals as 'p/q' strings"),
+    "unknown-atom-vertex": (
+        lambda t: t["measures"]["target"][2].update(vertex="leaf9"),
+        "error: tree.json.measures.target[2].vertex: unknown vertex"),
+    "missing-mass": (
+        lambda t: t["measures"]["base"][0].pop("mass"),
+        "error: tree.json.measures.base[0]: missing required field 'mass'"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(TREE_MUTATIONS))
+def test_tree_file_errors_name_the_field(mutation, tmp_path, capsys):
+    change, line = TREE_MUTATIONS[mutation]
+    path = _write(tmp_path, "tree.json", _tree_mutation(change))
+    rc = cli.main(["ma-solve", path, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_a_thousand_distinct_prime_denominators(tmp_path, capsys):
+    # every edge length has its own prime denominator, so the common
+    # denominator of the tree's integer rows has about 11,000 bits
+    rng = random.Random(415)
+    names = [f"v{i}" for i in range(1001)]
+    edges = [{"ends": [names[rng.randrange(i)], names[i]],
+              "length": f"{rng.randint(1, 9)}/{p}"}
+             for i, p in enumerate(first_primes(1000), start=1)]
+    target = [{"vertex": v, "mass": f"{rng.randint(-6, 6)}/{rng.randint(1, 3)}"}
+              for v in names]
+    total = sum(F(atom["mass"]) for atom in target)
+    instance = {"kind": "tree",
+                "tree": {"vertices": names, "edges": edges, "root": "v0"},
+                "measures": {"target": target,
+                             "base": [{"vertex": "v0", "mass": str(total)}]}}
+    path = _write(tmp_path, "hard.json", instance)
+    rc, out = _run(["ma-solve", path], tmp_path, capsys)
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["curvature_matches_target"] is True
+    inst = parse_instance_text(json.dumps(instance))
+    expected = ma_solve_oracle(inst.tree, inst.measures["target"],
+                               inst.measures["base"])
+    assert {v: F(x) for v, x in payload["values"].items()} == expected
+    rc, _ = _run(["verify-all", path], tmp_path, capsys)
+    assert rc == 0
+
+
+def test_rejected_metric_names_the_direction():
+    # max(0, 2v) grows like 2v where the canonical metric of [0, 1] grows
+    # like v (and like v/2 on [0, 1/2])
+    for right, support in ((1, "1"), ("1/2", "1/2")):
+        instance = {"kind": "toric", "polytope": [[0], [right]],
+                    "metrics": {"psi": [_block([([0], 0), ([2], 0)])]}}
+        with pytest.raises(PreconditionError) as err:
+            parse_instance_text(json.dumps(instance))
+        assert str(err.value) == (
+            "metric 'psi': metric is not within bounded distance of the "
+            f"canonical metric: rec(w) = 2 but h_P(w) = {support} at w = (1)")

@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from navol.errors import PreconditionError
-from navol.harness import random_tree, random_tree_measures
+from navol.harness import (random_tree, random_tree_measures,
+                           verify_tree_solvability)
 from navol.measures import DiscreteMeasure
 from navol.trees import (MetricTree, TreeFunction, curvature,
                          extend_to_subdivision, ma_solve, tree_laplacian)
+
+from _oracles import first_primes, ma_solve_oracle, tree_laplacian_oracle
 
 F = Fraction
 
@@ -17,17 +20,6 @@ F = Fraction
 def _star():
     return MetricTree(["r", "a", "b", "c"],
                       [("r", "a", F(1)), ("r", "b", F(1, 2)), ("r", "c", F(2))])
-
-
-def _laplacian_oracle(tree, f):
-    atoms = {}
-    for v in tree.vertices:
-        acc = F(0)
-        for w, length in tree.adjacency[v]:
-            acc += (f(w) - f(v)) / length
-        if acc != 0:
-            atoms[v] = acc
-    return atoms
 
 
 def test_star_solve_frozen_solution():
@@ -61,8 +53,56 @@ def test_laplacian_matches_direct_formula():
         f = TreeFunction({v: F(rng.randint(-9, 9), rng.randint(1, 4))
                           for v in tree.vertices})
         lap = tree_laplacian(tree, f)
-        assert lap.atoms == _laplacian_oracle(tree, f)
+        assert lap.atoms == tree_laplacian_oracle(tree, f)
         assert lap.total_mass == 0
+
+
+def _prime_tree(rng, primes):
+    """Random recursive tree with one edge per prime, of length k/p, and a
+    random root."""
+    names = [f"v{i}" for i in range(len(primes) + 1)]
+    edges = [(names[rng.randrange(i)], names[i], F(rng.randint(1, 9), p))
+             for i, p in enumerate(primes, start=1)]
+    return MetricTree(names, edges, root=rng.choice(names))
+
+
+def _messy_measures(tree, rng):
+    """Target and base of equal mass, each with repeated atoms on one vertex
+    and an atom pair that sums to zero."""
+    def atoms(size):
+        out = [(rng.choice(tree.vertices), F(rng.randint(-6, 6), rng.randint(1, 5)))
+               for _ in range(size)]
+        v, m = rng.choice(tree.vertices), F(rng.randint(1, 6), rng.randint(1, 7))
+        return out + [(v, m), (v, -m)]
+    target = DiscreteMeasure(atoms(len(tree.vertices)))
+    base = atoms(len(tree.vertices) // 2)
+    base.append((rng.choice(tree.vertices),
+                 target.total_mass - DiscreteMeasure(base).total_mass))
+    return target, DiscreteMeasure(base)
+
+
+def test_integer_kernels_match_the_fraction_oracles():
+    rng = random.Random(414)
+    primes = first_primes(60)
+    trees = [_prime_tree(rng, primes) for _ in range(4)]
+    trees += [MetricTree(["only"], []), _star(),
+              MetricTree(["r", "a", "b", "c"],
+                         [("r", "a", F(1)), ("r", "b", F(1, 2)), ("r", "c", F(2))],
+                         root="b")]
+    for tree in trees:
+        target, base = _messy_measures(tree, rng)
+        phi = ma_solve(tree, target, base)
+        assert phi.values == ma_solve_oracle(tree, target, base)
+        assert tree_laplacian(tree, phi).atoms == tree_laplacian_oracle(tree, phi)
+        assert curvature(tree, base, phi) == target
+        assert verify_tree_solvability(tree, target, base).passed
+        g = TreeFunction({v: F(rng.randint(-9, 9), rng.choice(primes))
+                          for v in tree.vertices})
+        lap = tree_laplacian(tree, g)
+        assert lap.atoms == tree_laplacian_oracle(tree, g)
+        assert lap.total_mass == 0
+        solved = ma_solve(tree, curvature(tree, base, g), base)
+        assert solved.values == {v: g(v) - g(tree.root) for v in tree.vertices}
 
 
 def test_laplacian_is_linear_and_kills_constants():
