@@ -81,6 +81,8 @@ def _parse_eps_schedule(text: str) -> List[Fraction]:
             out.append(frac(chunk))
         except ValueError as exc:
             raise InstanceFormatError(f"bad eps entry {chunk!r}: {exc}")
+        if out[-1] < 0:
+            raise InstanceFormatError(f"eps entry {chunk!r} is negative")
     if not out:
         raise InstanceFormatError("empty eps schedule")
     return out

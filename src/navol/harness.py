@@ -92,14 +92,13 @@ def verify_differentiability(psi: PLMetric, pos: PLMetric, neg: PLMetric,
     start = time.monotonic()
     if not psi.polytope == pos.polytope == neg.polytope:
         raise PreconditionError("differentiability needs all three metrics on one polytope")
+    eps_values = sorted({frac(e) for e in eps_schedule} - {ZERO}, reverse=True)
+    if not eps_values or eps_values[-1] < 0:
+        raise PreconditionError("differentiability needs nonnegative eps values, not all 0")
     if not is_semipositive(psi):
         raise PreconditionError("differentiability base metric must be semipositive")
     mu = monge_ampere(psi)
     derivative = mu.integrate(lambda v: pos.evaluate(v) - neg.evaluate(v))
-    eps_values = sorted({frac(e) for e in eps_schedule if frac(e) != 0},
-                        reverse=True)
-    if not eps_values:
-        raise PreconditionError("differentiability needs a nonzero eps schedule")
     base_env = envelope(psi)
     residuals: List[Tuple[Fraction, Fraction, Fraction]] = []
     for eps in eps_values:

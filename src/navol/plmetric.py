@@ -151,12 +151,16 @@ class PLMetric:
     def __init__(self, polytope: Polytope, blocks: Sequence[Sequence[Piece]]):
         if not blocks or any(not b for b in blocks):
             raise PreconditionError("a metric needs at least one piece per branch")
+        self._build(polytope, [_lower_hull(_dedupe_block((point(s), frac(c)) for s, c in block))
+                               for block in blocks])
+
+    def _build(self, polytope: Polytope, hulls: Sequence[Tuple[List[Piece], Block]]) -> None:
+        """Set the metric from each block's (_lower_hull pieces, kept pieces),
+        check its recession identity and store its conjugate."""
         self.polytope = polytope
         # Each block keeps the pieces whose lifted point lies on its lower
         # hull, which changes no value. The recession identity makes every
         # block's slope hull contain P, so the hulls are the conjugate on P.
-        hulls = [_lower_hull(_dedupe_block((point(s), frac(c)) for s, c in block))
-                 for block in blocks]
         self.blocks: Tuple[Block, ...] = tuple(kept for _, kept in hulls)
         mismatch = _recession_mismatch(self.blocks, polytope)
         if mismatch is not None:
@@ -608,8 +612,9 @@ def legendre(metric: PLMetric) -> RoofFunction:
     The conjugate of a min of convex blocks is the max of the block
     conjugates, and each block conjugate is the lower hull of its lifted
     slopes (valid on all of P because the recession identity makes every
-    block's slope hull contain P). The constructor builds those hulls while
-    pruning each block, so the conjugate is read from the metric.
+    block's slope hull contain P). Every metric stores those hulls (the
+    constructor builds them while pruning each block, metric_deform
+    translates them), so the conjugate is read from the metric.
     """
     return metric._conjugate
 
@@ -731,8 +736,12 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
 
     pos may be any metric; neg must be semipositive (its convex single-branch
     envelope is subtracted, which is what makes the min-of-max normal form
-    close under the difference). The constructor checks the result's
-    recession identity and drops the pieces above each branch's lower hull.
+    close under the difference). Each branch pair of psi and pos gives one
+    Minkowski block B = {(s1 + eps*s2, c1 + eps*c2)}, deduped and hulled once;
+    the branch for the piece (s_l, c_l) of neg is B moved by t = eps*s_l and
+    t_c = eps*c_l, which translates B's lifted points (s, -c) and so their
+    lower hull: kept pieces (s, c) become (s - t, c - t_c) and hull pieces
+    (a, b) become (a, b + <a, t> + t_c). The recession identity is checked.
     """
     eps = frac(eps)
     if eps < 0:
@@ -744,13 +753,14 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
         raise PreconditionError("the subtracted part of a direction must be semipositive")
     neg_block = envelope(neg).blocks[0] if not neg.is_convex_representation() \
         else neg.blocks[0]
-    blocks = []
+    shifts = [(vscale(eps, sl), eps * cl) for sl, cl in neg_block]
+    hulls = []
     for bp in psi.blocks:
         for bq in pos.blocks:
-            for (sl, cl) in neg_block:
-                blocks.append([
-                    (vadd(vadd(s1, vscale(eps, s2)), vscale(-eps, sl)),
-                     c1 + eps * c2 - eps * cl)
-                    for s1, c1 in bp for s2, c2 in bq
-                ])
-    return PLMetric(P, blocks)
+            pieces, kept = _lower_hull(_dedupe_block(
+                (vadd(s1, vscale(eps, s2)), c1 + eps * c2) for s1, c1 in bp for s2, c2 in bq))
+            hulls.extend(([(a, b + dot(a, t) + tc) for a, b in pieces],
+                          tuple((vsub(s, t), c - tc) for s, c in kept)) for t, tc in shifts)
+    out = PLMetric.__new__(PLMetric)
+    out._build(P, hulls)
+    return out

@@ -300,6 +300,9 @@ def _parse_toric(obj: Dict[str, object], name: str) -> ToricInstance:
         arr = _as_array(obj["eps_schedule"], f"{name}.eps_schedule")
         eps = [_as_rational(e, f"{name}.eps_schedule[{i}]")
                for i, e in enumerate(arr)]
+        for i, e in enumerate(eps):
+            if e < 0:
+                raise InstanceFormatError(f"{name}.eps_schedule[{i}]: eps entry {e} is negative")
     seed = _as_int(obj["seed"], f"{name}.seed") if "seed" in obj else None
     return ToricInstance(name=name, polytope=P, metrics=metrics,
                          canonical_names=tuple(canonical_names),

@@ -3,9 +3,11 @@
 Everything here is deliberately written from scratch against the textbook
 definitions (exhaustive subset search, direct enumeration, closed forms for
 the classical surfaces) and never calls into the package internals, so the
-library is not used to test itself.  The one exception is
+library is not used to test itself.  The exceptions are
 `energy_by_mixed_measures`, which polarizes the package's public mixed
-Monge-Ampere measures, a route the package's own energy no longer takes.
+Monge-Ampere measures, a route the package's own energy no longer takes, and
+`metric_deform_by_branches`, which hands the package's metric constructor
+every raw branch of a deformation, a route `metric_deform` no longer takes.
 All arithmetic is exact.
 """
 
@@ -454,6 +456,26 @@ def energy_by_mixed_measures(m1, m2):
         mix = mixed_monge_ampere([m1] * j + [m2] * (n - j))
         total += mix.integrate(lambda v: m1.evaluate(v) - m2.evaluate(v))
     return total / (n + 1)
+
+
+def deform_branches(psi, eps, pos, neg):
+    """The raw branches of psi + eps*(pos - neg), before any pruning: one per
+    branch of psi, branch of pos and piece (s_l, c_l) of neg's single branch
+    (of its envelope when neg has several), holding every
+    (s1 + eps*s2 - eps*s_l, c1 + eps*c2 - eps*c_l)."""
+    from navol.plmetric import envelope
+    neg_block = neg.blocks[0] if len(neg.blocks) == 1 else envelope(neg).blocks[0]
+    return [[(tuple(a + eps * b - eps * x for a, b, x in zip(s1, s2, sl)),
+              c1 + eps * c2 - eps * cl)
+             for s1, c1 in bp for s2, c2 in bq]
+            for bp in psi.blocks for bq in pos.blocks for sl, cl in neg_block]
+
+
+def metric_deform_by_branches(psi, eps, pos, neg):
+    """psi + eps*(pos - neg) with every raw branch deduped and hulled from
+    scratch by the metric constructor."""
+    from navol.plmetric import PLMetric
+    return PLMetric(psi.polytope, deform_branches(psi, eps, pos, neg))
 
 
 def _dot(a, b):

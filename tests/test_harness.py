@@ -57,6 +57,16 @@ def test_differentiability_needs_semipositive_base():
         verify_differentiability(canonical_metric(SEG), pos, neg, [F(0)])
 
 
+def test_differentiability_refuses_a_negative_eps_before_any_deformation(monkeypatch):
+    def deform(*args):
+        raise AssertionError("deformed before the schedule was checked")
+
+    monkeypatch.setattr(harness, "metric_deform", deform)
+    pos, neg = tent_direction(SEG)
+    with pytest.raises(PreconditionError, match="nonnegative eps"):
+        verify_differentiability(canonical_metric(SEG), pos, neg, [F(1, 2), F(-1, 4)])
+
+
 def test_differentiability_survives_growing_residual_ratio():
     # residual/eps^2 may increase towards eps -> 0 within the last linearity
     # window; the affine extrapolation in the fit must absorb that

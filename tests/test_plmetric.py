@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from navol import plmetric
 from navol.errors import PreconditionError
 from navol.harness import (bump_metric, random_convex_metric,
                            random_nonconvex_metric, random_direction,
@@ -20,8 +21,9 @@ from navol.polytope import Polytope, segment, simplex, unit_box
 from navol.volumes import lattice_length
 
 from _oracles import (block_conjugate_oracle, brute_lower_hull_facets,
-                      distance_by_joint_arrangement, envelope_1d_oracle,
-                      eval_min_max, lattice_length_oracle, polygon_area,
+                      deform_branches, distance_by_joint_arrangement,
+                      envelope_1d_oracle, eval_min_max, lattice_length_oracle,
+                      metric_deform_by_branches, polygon_area,
                       recession_by_all_slopes, roof_oracle)
 
 F = Fraction
@@ -341,14 +343,6 @@ def _on_lower_hull(block):
     return [(s, c) for s, c in block if block_conjugate_oracle(block, s) == -c]
 
 
-def _deform_branches(psi, eps, pos, neg):
-    """The branches metric_deform builds before pruning (neg convex)."""
-    return [[(tuple(a + eps * b - eps * x for a, b, x in zip(s1, s2, sl)),
-              c1 + eps * c2 - eps * cl)
-             for s1, c1 in bp for s2, c2 in bq]
-            for bp in psi.blocks for bq in pos.blocks for sl, cl in neg.blocks[0]]
-
-
 def test_seeded_conjugate_matches_oracle_and_keeps_hull_pieces():
     # metric_deform and envelope outputs get their conjugate from the lower
     # hulls built while pruning; both the roof and the kept pieces are
@@ -365,7 +359,7 @@ def test_seeded_conjugate_matches_oracle_and_keeps_hull_pieces():
             pos = PLMetric(P, _random_blocks(P, rng, 1, extra))
             neg = random_convex_metric(P, rng)
             eps = F(1) if trial == 0 else F(1, 3)
-            raw = _deform_branches(psi, eps, pos, neg)
+            raw = deform_branches(psi, eps, pos, neg)
             moved = metric_deform(psi, eps, pos, neg)
             # the kept pieces span the same lower hulls as the raw branches
             assert moved.blocks == tuple(tuple(_on_lower_hull(_deduped(b))) for b in raw)
@@ -561,6 +555,60 @@ def test_metric_deform_evaluates_exactly():
                 for v in samples:
                     want = psi.evaluate(v) + eps * (pos.evaluate(v) - neg.evaluate(v))
                     assert moved.evaluate(v) == want, (P, trial, eps, v)
+
+
+def _deform_cases(rng):
+    """Seeded (psi, pos, neg) triples with 1-2-branch psi and pos and a neg
+    that is convex in one branch or in two (a block and its shift up), on
+    segments, the square, the triangle, the hexagon, segments in the plane and
+    a point in the plane."""
+    bodies = (SEG, segment(F(-1, 2), 2), BOX, simplex(2), HEXAGON, LINE,
+              Polytope.from_points([(F(1, 2), F(1, 3)), (F(5, 2), F(4, 3))]),
+              Polytope.from_points([(1, 2)]))
+    for P in bodies:
+        for trial in range(6):
+            psi = PLMetric(P, _random_blocks(P, rng, 1 + trial % 2, extra=1))
+            pos = PLMetric(P, _random_blocks(P, rng, 1 + trial // 2 % 2, extra=1))
+            neg = random_convex_metric(P, rng)
+            if trial % 3 == 2:
+                neg = PLMetric(P, [neg.blocks[0], [(s, c + 1) for s, c in neg.blocks[0]]])
+            yield psi, pos, neg
+
+
+def test_metric_deform_matches_hulling_every_branch():
+    # metric_deform hulls each psi + eps*pos block once and translates it to
+    # every piece of neg; hulling every raw branch must give the same pieces
+    # in the same order
+    for psi, pos, neg in _deform_cases(random.Random(64)):
+        for eps in (F(0), F(1, 3), F(1), F(7, 5)):
+            moved = metric_deform(psi, eps, pos, neg)
+            want = metric_deform_by_branches(psi, eps, pos, neg)
+            assert moved.blocks == want.blocks, (psi.polytope, eps)
+            assert legendre(moved).pieces == legendre(want).pieces, (psi.polytope, eps)
+
+
+def test_metric_deform_hulls_each_branch_pair_once(monkeypatch):
+    calls = {"hull": 0, "recession": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    rng = random.Random(65)
+    for P in (SEG, BOX):
+        psi = PLMetric(P, _random_blocks(P, rng, 2, extra=1))
+        pos = PLMetric(P, _random_blocks(P, rng, 2, extra=1))
+        neg = random_convex_metric(P, rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(plmetric, "_lower_hull", counted("hull", plmetric._lower_hull))
+            patch.setattr(plmetric, "_recession_mismatch",
+                          counted("recession", plmetric._recession_mismatch))
+            calls.update(hull=0, recession=0)
+            moved = metric_deform(psi, F(1, 3), pos, neg)
+        assert len(moved.blocks) == 4 * len(neg.blocks[0])
+        assert calls == {"hull": 4, "recession": 1}
 
 
 def test_pruning_never_changes_values_far_out():

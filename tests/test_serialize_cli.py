@@ -243,6 +243,19 @@ def test_diff_check_command_with_eps_flag(tmp_path, capsys):
         assert json.loads(out)["exact"]["derivative"] == "1/2"
 
 
+def test_negative_eps_is_refused_as_malformed(tmp_path, capsys):
+    # both entry points refuse the entry up front with one error line and
+    # exit 2, as a level schedule with m < 1 is refused
+    path = _write(tmp_path, "diff.json", DIFF)
+    listed = _write(tmp_path, "listed.json", dict(DIFF, eps_schedule=["1/2", "-1/4"]))
+    for args, entry in ((["diff-check", path, "--schedule", "1/2,-1/4"], "'-1/4'"),
+                        (["diff-check", listed], "eps_schedule[1]: eps entry -1/4")):
+        rc = cli.main([*args, "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and entry in err
+
+
 def test_ma_solve_and_surface_commands(tmp_path, capsys):
     bundle = _bundled()
     tree = _write(tmp_path, "tree.json", bundle["tree_star.json"])
