@@ -33,7 +33,7 @@ from .rational import frac, frac_str, point_str
 from .serialize import (Instance, SurfaceInstance, ToricInstance,
                         TreeInstance, csv_text, decimal_str, parse_instance,
                         parse_instance_text, write_json, write_text)
-from .trees import curvature, ma_solve
+from .trees import ma_solve
 from .volumes import default_schedule, navol as navol_run
 
 EXIT_PASS = 0
@@ -242,8 +242,7 @@ def _cmd_ma_solve(inst: Instance, args) -> CommandResult:
     target = tree_inst.measure("target", "ma-solve")
     base = tree_inst.measure("base", "ma-solve")
     phi = ma_solve(tree_inst.tree, target, base)
-    achieved = curvature(tree_inst.tree, base, phi)
-    verified = achieved == target
+    verified = verify_tree_solvability(tree_inst.tree, target, base).passed
     summary = {
         "command": "ma-solve",
         "instance": tree_inst.name,

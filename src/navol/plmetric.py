@@ -6,31 +6,28 @@ convention used throughout, a larger psi means a smaller metric, semipositive
 metrics are exactly the convex psi, and the canonical metric corresponds to
 the support function of P (slopes at the vertices of P, constants 0).
 
-Two exact finite reductions carry everything. For min-of-max functions,
-arrangement candidate points (pairwise wall crossings plus representatives)
-meet the closure of every linearity cell, so suprema and distances reduce to
-finitely many evaluations. For convex max-of-affines blocks, the lower hull
-of the lifted slopes gives minimal representations and conjugates directly:
-the conjugate of a min of blocks is the max of the block conjugates, each
-the block's lower-hull pieces (facets, a chain along a line, or a constant),
-on every supported P, points and segments in the plane included. The
-Legendre conjugate is stored as a RoofFunction (max of affine pieces
-restricted to P) whose exact linearity cells inside P yield integrals, the
-double-conjugate envelope and Monge-Ampere measures.
+Two exact finite reductions carry everything. For convex max-of-affines
+blocks, the lower hull of the lifted slopes gives minimal representations
+and conjugates directly: the conjugate of a min of blocks is the max of the
+block conjugates, each the block's lower-hull pieces (facets, a chain along
+a line, or a constant), on every supported P, points and segments in the
+plane included. And one cell engine, _dominance_cells, cuts a convex region
+into the sub-cells on which one affine row is the max (or the min). Inside P
+it gives the linearity cells of the conjugate, a RoofFunction, which yield
+integrals, the double-conjugate envelope and Monge-Ampere measures. In a box
+of v-space it refines two metrics until each is one row on every cell, so
+their sup-distance is a max over the cells' corners.
 
-The exact kernels (the lifted lower hull and the pruning by it, the
-recession check, the arrangement candidates and values behind the
-sup-distance, and the roof's linearity cells with the integrals, cell
-volumes and envelope corners read from them) first scale their rational
-data by the lcm of its denominators, then compute with Python ints only;
-Fractions appear only in their inputs and outputs. Points are homogeneous
-integer rows (x, w) standing for x / w, in lowest terms with w > 0, so
-equal points have equal rows.
+These kernels (the lifted lower hull and the pruning by it, the recession
+check and the cells) first scale their rational data by the lcm of its
+denominators, then compute with Python ints only; Fractions appear only in
+their inputs and outputs. Points are homogeneous integer rows (x, w)
+standing for x / w, in lowest terms with w > 0, so equal points have equal
+rows.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -39,11 +36,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import PreconditionError
 from .polytope import Polytope, _hull_1d, _hull_2d
 from .rational import (Point, ZERO, dot, frac, frac_str, point, point_str,
-                       primitive_integer_vector, vadd, vscale, vsub)
+                       vadd, vscale, vsub)
 
 Piece = Tuple[Point, Fraction]          # v -> <slope, v> + const
 Block = Tuple[Piece, ...]               # max over pieces
-Wall = Tuple[Tuple[int, ...], Fraction]  # <a, v> = b, canonical form
 IntPlane = Tuple[int, int, int, int]    # nx*x + ny*y + nz*z = d on scaled points
 IntegerRows = Tuple[int, List[Tuple[int, ...]]]  # (D, [D * (slope, const)])
 IntegerCells = List[Tuple[int, List[Tuple[int, ...]]]]  # [(piece index, corner rows)]
@@ -62,63 +58,8 @@ def _scaled(row: Sequence[Fraction], scale: int) -> Tuple[int, ...]:
     return tuple(c.numerator * (scale // c.denominator) for c in row)
 
 
-# ---------------------------------------------------------------------------
-# piece arrangements
-
-
-def _canonical_wall(normal: Sequence[Fraction], rhs: Fraction) -> Wall:
-    prim, s = primitive_integer_vector(normal)
-    return prim, rhs * s
-
-
-def _walls(pieces: Sequence[Piece]) -> List[Wall]:
-    seen: Dict[Wall, None] = {}
-    for (s1, c1), (s2, c2) in itertools.combinations(pieces, 2):
-        if s1 == s2:
-            continue
-        wall = _canonical_wall(vsub(s1, s2), c2 - c1)
-        seen.setdefault(wall, None)
-    return list(seen.keys())
-
-
-def arrangement_points(walls: Sequence[Wall], dim: int) -> List[Tuple[int, ...]]:
-    """Candidate points meeting the closure of every cell of the arrangement
-    of the given walls: for dim 2 all pairwise wall crossings, one
-    representative point per wall (covers all-parallel arrangements), and a
-    base point. A function linear on every cell attains a finite sup here.
-
-    The right-hand sides are scaled to one denominator L, so each point x/w
-    comes as the integer row (x_1, .., x_dim, w) in lowest terms, w > 0."""
-    scale = math.lcm(*{b.denominator for _, b in walls})
-    rows = [(a, b.numerator * (scale // b.denominator)) for a, b in walls]
-    pts: Dict[Tuple[int, ...], None] = {}
-
-    def add(*row: int) -> None:
-        g = math.gcd(*row) if row[-1] > 0 else -math.gcd(*row)
-        pts.setdefault(tuple(x // g for x in row), None)
-
-    add(*(0,) * dim, 1)
-    for a, b in rows:
-        if a[0] != 0:
-            add(b, *(0,) * (dim - 1), scale * a[0])
-        else:
-            add(0, b, scale * a[1])
-    if dim == 2:
-        for (a1, b1), (a2, b2) in itertools.combinations(rows, 2):
-            det = a1[0] * a2[1] - a1[1] * a2[0]
-            if det != 0:
-                add(b1 * a2[1] - b2 * a1[1], a1[0] * b2 - a2[0] * b1, scale * det)
-    return list(pts)
-
-
 def _eval_pieces(pieces: Sequence[Piece], v: Sequence[Fraction]) -> Fraction:
-    best = None
-    for s, c in pieces:
-        val = dot(s, v) + c
-        if best is None or val > best:
-            best = val
-    assert best is not None
-    return best
+    return max(dot(s, v) + c for s, c in pieces)
 
 
 def _dedupe_block(block: Iterable[Piece]) -> Block:
@@ -286,7 +227,7 @@ class RoofFunction:
     integers and feed integrals, envelopes and Monge-Ampere measures: the
     pieces become rows (D*s, D*c) over the lcm D of their denominators, and
     each cell corner u = x / w a homogeneous row (x, w) in lowest terms with
-    w > 0, as arrangement_points writes its candidates.
+    w > 0.
     """
 
     def __init__(self, polytope: Polytope, pieces: Sequence[Piece]):
@@ -316,24 +257,12 @@ class RoofFunction:
         rows): a one-corner cell on a point, a two-corner cycle on a segment
         (in the line or in the plane), a CCW polygon on a polygon. Cached.
 
-        Every cell starts as P and is clipped by the half-space where its
-        piece is at least each other piece, one integer dot product per
-        corner; a cell that drops below P's dimension is skipped."""
+        They are P's sub-cells on which each piece is the max
+        (_dominance_cells)."""
         if self._integer_cells is None:
-            rows = self.integer_rows()[1]
-            dim = self.polytope.affine_dim
-            base = [_homogeneous(v) for v in self.polytope.vertices]
-            cells: IntegerCells = []
-            for i, own in enumerate(rows):
-                region = base
-                for j, other in enumerate(rows):
-                    if j != i:
-                        region = _clip_cycle(region, tuple(map(operator.sub, other, own)))
-                        if len(region) <= dim:
-                            break
-                else:
-                    cells.append((i, region))
-            self._integer_cells = cells
+            self._integer_cells = _dominance_cells(
+                [_homogeneous(v) for v in self.polytope.vertices],
+                self.integer_rows()[1], self.polytope.affine_dim, 1)
         return self._integer_cells
 
     def cells(self) -> List[Tuple[int, List[Point]]]:
@@ -417,6 +346,26 @@ def _clip_cycle(cycle: List[Tuple[int, ...]], h: Sequence[int]) -> List[Tuple[in
     if len(out) > 1 and out[0] == out[-1]:
         out.pop()
     return out
+
+
+def _dominance_cells(region: List[Tuple[int, ...]], rows: Sequence[Sequence[int]],
+                     dim: int, sign: int) -> IntegerCells:
+    """(row index, corner rows) for each sub-cell of dimension dim of the
+    convex homogeneous cycle region on which that row is the max (sign 1) or
+    the min (sign -1) of all rows: region clipped by the half-space where the
+    row beats each other row, one integer dot product per corner."""
+    cells: IntegerCells = []
+    for i, own in enumerate(rows):
+        cell = region
+        for j, other in enumerate(rows):
+            if j != i:
+                pair = (other, own) if sign > 0 else (own, other)
+                cell = _clip_cycle(cell, tuple(map(operator.sub, *pair)))
+                if len(cell) <= dim:
+                    break
+        else:
+            cells.append((i, cell))
+    return cells
 
 
 def _over_lcm(region: List[Tuple[int, ...]]) -> Tuple[int, List[Tuple[int, ...]]]:
@@ -651,20 +600,35 @@ def envelope(metric: PLMetric) -> PLMetric:
 
 
 def distance(m1: PLMetric, m2: PLMetric) -> Fraction:
-    """Exact sup-norm distance sup_v |psi1 - psi2| (finite: equal recessions)."""
+    """Exact sup-norm distance sup_v |psi1 - psi2| (finite: equal recessions).
+
+    With each metric as integer rows (D_i * s, D_i * c), a box of v-space is
+    split for m1 and then for m2 (_branch_cells) until psi1 and psi2 are one
+    row each, a1 and a2, on every cell. There |psi1 - psi2| at a corner (x, w)
+    is |a1.x D2 - a2.x D1| / (D1 D2 w), and an affine function peaks at a
+    corner. The box |v_i| <= R, R = 8M^2 + 1 in the plane and 2M + 1 on the
+    line for the largest entry M of either metric's rows, loses nothing.
+    Every vertex of the refinement of all of v-space crosses two walls
+    (r - r').(v, 1) = 0 between rows of one metric, with entries at most 2M
+    and a nonzero integer determinant, so it lies strictly inside the box. A
+    bounded affine function on a cell peaks at a vertex of the cell; on a
+    cell with no vertex it is constant along the cell's lines and peaks on a
+    wall, and every wall has a point with one coordinate at most 2M and the
+    other 0."""
     if m1.polytope != m2.polytope:
         raise PreconditionError("distance needs metrics on the same polytope")
-    # psi1 - psi2 is linear on every cell of the refinement of the two
-    # arrangements; walls between a piece of m1 and a piece of m2 never break it
-    walls = dict.fromkeys(_walls(m1.all_pieces()) + _walls(m2.all_pieces()))
-    # psi_i = I_i / (D_i * w) at a candidate x / w, with I_i the min-max of
-    # the integer rows (D_i * s, D_i * c) at (x, w)
-    (d1, rows1), (d2, rows2) = _integer_blocks(m1), _integer_blocks(m2)
+    (d1, blocks1), (d2, blocks2) = _integer_blocks(m1), _integer_blocks(m2)
+    dim = m1.dim
+    m = max(abs(c) for blocks in (blocks1, blocks2) for b in blocks for r in b for c in r)
+    r = 8 * m * m + 1 if dim == 2 else 2 * m + 1
+    box = [(-r, 1), (r, 1)] if dim == 1 else [(-r, -r, 1), (r, -r, 1), (r, r, 1), (-r, r, 1)]
     best, best_w = 0, 1
-    for x in arrangement_points(list(walls), m1.dim):
-        gap = abs(_min_max(rows1, x) * d2 - _min_max(rows2, x) * d1)
-        if gap * best_w > best * x[-1]:
-            best, best_w = gap, x[-1]
+    for a1, cell1 in _branch_cells(box, blocks1, dim):
+        for a2, cell in _branch_cells(cell1, blocks2, dim):
+            for x in cell:
+                gap = abs(sum(map(operator.mul, a1, x)) * d2 - sum(map(operator.mul, a2, x)) * d1)
+                if gap * best_w > best * x[-1]:
+                    best, best_w = gap, x[-1]
     return Fraction(best, best_w * d1 * d2)
 
 
@@ -674,8 +638,17 @@ def _integer_blocks(metric: PLMetric) -> Tuple[int, List[List[Tuple[int, ...]]]]
     return scale, [[_scaled(s + (c,), scale) for s, c in block] for block in metric.blocks]
 
 
-def _min_max(rows: List[List[Tuple[int, ...]]], x: Tuple[int, ...]) -> int:
-    return min(max(sum(map(operator.mul, r, x)) for r in block) for block in rows)
+def _branch_cells(region: List[Tuple[int, ...]], blocks: List[List[Tuple[int, ...]]],
+                  dim: int) -> List[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]]:
+    """The sub-cells of region on which the min over blocks of the max over
+    each block's rows is one row, as (that row, corner rows): region split
+    by each block's max, then by the min of the blocks' active rows."""
+    parts: List[Tuple[Tuple[Tuple[int, ...], ...], List[Tuple[int, ...]]]] = [((), region)]
+    for block in blocks:
+        parts = [(active + (block[i],), cell) for active, part in parts
+                 for i, cell in _dominance_cells(part, block, dim, 1)]
+    return [(active[i], cell) for active, part in parts
+            for i, cell in _dominance_cells(part, active, dim, -1)]
 
 
 def is_semipositive(metric: PLMetric) -> bool:

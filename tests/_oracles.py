@@ -529,12 +529,13 @@ def recession_by_all_slopes(blocks, vertices):
     return all(rec(w) == sup(w) for w in probes)
 
 
-def distance_by_joint_arrangement(blocks1, blocks2):
-    """sup |psi1 - psi2| over the candidate points of the arrangement of the
-    walls between every two pieces of either metric (1-d: the wall points;
-    2-d: every crossing of two walls, one point per wall and the origin)."""
+def arrangement_candidates(*blocks_lists):
+    """Rational points meeting the closure of every cell of the arrangement
+    of the walls between every two pieces of the given metrics (1-d: the
+    wall points; 2-d: every crossing of two walls, one point per wall and
+    the origin). A function linear on every cell attains a finite sup here."""
     pieces = [(tuple(Fraction(c) for c in s), Fraction(c0))
-              for b in list(blocks1) + list(blocks2) for s, c0 in b]
+              for blocks in blocks_lists for b in blocks for s, c0 in b]
     dim = len(pieces[0][0])
     walls = set()
     for (s1, c1), (s2, c2) in itertools.combinations(pieces, 2):
@@ -554,8 +555,14 @@ def distance_by_joint_arrangement(blocks1, blocks2):
             if det != 0:
                 points.add(((r1 * n2[1] - n1[1] * r2) / det,
                             (n1[0] * r2 - r1 * n2[0]) / det))
+    return points
+
+
+def distance_by_joint_arrangement(blocks1, blocks2):
+    """sup |psi1 - psi2| over the arrangement candidates of both metrics'
+    pieces together."""
     return max(abs(eval_min_max(blocks1, v) - eval_min_max(blocks2, v))
-               for v in points)
+               for v in arrangement_candidates(blocks1, blocks2))
 
 
 # --------------------------------------------------------------------------

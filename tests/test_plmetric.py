@@ -6,23 +6,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from navol import plmetric
 from navol.errors import PreconditionError
 from navol.harness import (bump_metric, random_convex_metric,
                            random_nonconvex_metric, random_direction,
                            tent_metric)
-from navol.plmetric import (PLMetric, arrangement_points, canonical_metric,
+from navol.plmetric import (PLMetric, canonical_metric,
                             distance, envelope, is_semipositive, legendre,
                             metric_deform, metric_min, metric_scale, metric_shift,
-                            metric_sum, _lower_hull_facets_2d, _walls)
+                            metric_sum, _lower_hull_facets_2d)
 from navol.polytope import Polytope, segment, simplex, unit_box
+from navol.rational import vadd, vsub
 
 from navol.volumes import lattice_length
 
-from _oracles import (block_conjugate_oracle, brute_lower_hull_facets,
-                      deform_branches, distance_by_joint_arrangement,
-                      envelope_1d_oracle, eval_min_max, lattice_length_oracle,
+from _oracles import (arrangement_candidates, block_conjugate_oracle,
+                      brute_lower_hull_facets, deform_branches,
+                      distance_by_joint_arrangement, envelope_1d_oracle,
+                      eval_min_max, lattice_length_oracle,
                       metric_deform_by_branches, polygon_area,
                       recession_by_all_slopes, roof_oracle)
 
@@ -255,6 +258,14 @@ def _with_large_constants(blocks, rng):
     return [[(s, c + _large_fraction(rng, 1)) for s, c in b] for b in blocks]
 
 
+def _point_blocks(p, e, rng):
+    """Two branches on the point p of the plane, one with an extra slope at
+    p + e and one at p - e: psi is <p, v> plus a bounded function of <e, v>,
+    so every wall is parallel to e's normal and no two walls cross."""
+    return [[(p, F(rng.randint(-6, 6), 2)), (vadd(p, e), F(rng.randint(-6, 6), 3))],
+            [(p, F(rng.randint(-6, 6), 2)), (vsub(p, e), F(rng.randint(-6, 6), 3))]]
+
+
 def test_distance_matches_joint_arrangement():
     rng = random.Random(60)
     for P in (SEG, BOX, simplex(2)):
@@ -278,7 +289,7 @@ def test_distance_matches_joint_arrangement():
                 assert distance(x, y) == distance_by_joint_arrangement(x.blocks, y.blocks)
     # the sup is at v = 0, where psi1's two branches cross; the vertices of
     # the overlay of each block's linearity cells, -1, 1/2 and 1, give at most
-    # 1/4, so the wall between branches must be a candidate
+    # 1/4, so the overlay must be cut by the wall between the branches
     psi1 = PLMetric(SEG, [[((0,), 0), ((1,), 1)], [((0,), 1), ((1,), 0)]])
     psi2 = PLMetric(SEG, [[((0,), 0), ((F(1, 2),), F(1, 2)), ((1,), F(1, 4))]])
     assert distance(psi1, psi2) == distance_by_joint_arrangement(
@@ -286,6 +297,48 @@ def test_distance_matches_joint_arrangement():
     assert abs(psi1.evaluate((0,)) - psi2.evaluate((0,))) == F(1, 2)
     assert max(abs(psi1.evaluate((v,)) - psi2.evaluate((v,)))
                for v in (F(-1), F(1, 2), F(1))) == F(1, 4)
+    rng = random.Random(66)
+    # the hexagon with three branches, each the canonical pieces with two
+    # constants raised, so the oracle's walls stay few
+    def hexagon_metric():
+        return PLMetric(HEXAGON, [[(v, F(rng.randint(0, 6), 4) if k in raised else F(0))
+                                   for k, v in enumerate(HEXAGON.vertices)]
+                                  for raised in (rng.sample(range(6), 2) for _ in range(3))])
+    for _ in range(2):
+        a = hexagon_metric()
+        for b in (canonical_metric(HEXAGON), hexagon_metric()):
+            assert distance(a, b) == distance_by_joint_arrangement(a.blocks, b.blocks)
+    # a segment in the plane with rational ends: its cells are strips
+    tilted = Polytope.from_points([(F(1, 2), F(1, 3)), (F(5, 2), F(4, 3))])
+    for _ in range(4):
+        a, b = (PLMetric(tilted, _random_blocks(tilted, rng, rng.randint(1, 3), extra=2))
+                for _ in range(2))
+        for x, y in ((a, b), (a, envelope(a))):
+            assert distance(x, y) == distance_by_joint_arrangement(x.blocks, y.blocks)
+    # a point in the plane: with parallel extra slopes no two walls cross,
+    # so the sup lies on a wall and not at a vertex; then two that cross
+    p = (F(1, 2), F(-3, 2))
+    for e1, e2 in (((F(1), F(2)), (F(2), F(4))), ((F(1), F(2)), (F(-1, 3), F(1)))):
+        a = PLMetric(Polytope.from_points([p]), _point_blocks(p, e1, rng))
+        b = PLMetric(Polytope.from_points([p]), _point_blocks(p, e2, rng))
+        assert distance(a, b) == distance_by_joint_arrangement(a.blocks, b.blocks)
+    # three branches of four pieces on the line
+    for _ in range(4):
+        a, b = (PLMetric(SEG, [[((F(k, 6),), F(rng.randint(-9, 9), rng.randint(1, 4)))
+                                for k in (0, rng.randint(1, 2), rng.randint(3, 5), 6)]
+                               for _ in range(3)]) for _ in range(2))
+        assert distance(a, b) == distance_by_joint_arrangement(a.blocks, b.blocks)
+    # far2's second branch kinks at v = -12, the only point where
+    # |far1 - far2| reaches 7/2. The largest entry of the metrics' integer
+    # rows is M = 8 (far1 over D = 2), so the box |v| <= 2M + 1 = 17 holds
+    # the kink and a box of half that size does not
+    far1 = PLMetric(SEG, [[((0,), -4), ((F(1, 2),), F(7, 2)), ((1,), 0)]])
+    far2 = PLMetric(SEG, [[((0,), 5), ((1,), -3)], [((0,), -6), ((1,), 6)]])
+    assert distance(far1, far2) == distance_by_joint_arrangement(
+        far1.blocks, far2.blocks) == F(7, 2)
+    assert far1.evaluate((-12,)) - far2.evaluate((-12,)) == F(7, 2)
+    assert all(abs(far1.evaluate((v,)) - far2.evaluate((v,))) < F(7, 2)
+               for v in (F(-13), F(-25, 2), F(-23, 2), F(-11), F(-8), F(8)))
 
 
 def test_empty_branch_rejected():
@@ -472,8 +525,7 @@ def test_envelope_properties_in_the_plane():
         # arrangement candidate lies under psi everywhere (the candidates
         # exhaust the linearity-cell vertices and the recession rates
         # dominate), hence under the envelope
-        candidates = [(F(x, w), F(y, w))
-                      for x, y, w in arrangement_points(_walls(psi.all_pieces()), 2)]
+        candidates = arrangement_candidates(psi.blocks)
         for _ in range(8):
             u = (F(rng.randint(0, 4), 4), F(rng.randint(0, 4), 4))
             c = min(psi.evaluate(x) - (u[0] * x[0] + u[1] * x[1]) for x in candidates)
@@ -539,6 +591,41 @@ def test_distance_triangle_inequality():
         c = random_nonconvex_metric(P, rng)
         assert distance(a, c) <= distance(a, b) + distance(b, c)
         assert distance(a, b) == distance(b, a)
+
+
+@st.composite
+def _small_metrics(draw, count):
+    """count metrics on one of a segment, the square and a triangle: one or
+    two branches, each P's vertices and at most one slope inside P, with
+    small rational constants."""
+    P = draw(st.sampled_from((SEG, BOX, simplex(2))))
+    const = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+
+    def metric():
+        blocks = []
+        for _ in range(draw(st.integers(1, 2))):
+            block = [(v, draw(const)) for v in P.vertices]
+            if draw(st.booleans()):
+                weights = [draw(st.integers(0, 2)) for _ in P.vertices]
+                weights[0] += 1
+                block.append((tuple(F(sum(w * v[k] for w, v in zip(weights, P.vertices)),
+                                      sum(weights)) for k in range(P.ambient_dim)),
+                              draw(const)))
+            blocks.append(block)
+        return PLMetric(P, blocks)
+
+    return [metric() for _ in range(count)]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(_small_metrics(3), st.builds(F, st.integers(-9, 9), st.integers(1, 4)))
+def test_distance_is_a_metric_and_matches_the_oracle(metrics, t):
+    a, b, c = metrics
+    assert distance(a, b) == distance(b, a) == distance_by_joint_arrangement(
+        a.blocks, b.blocks)
+    assert distance(a, a) == 0
+    assert distance(a, metric_shift(a, t)) == abs(t)
+    assert distance(a, c) <= distance(a, b) + distance(b, c)
 
 
 def test_metric_deform_evaluates_exactly():

@@ -11,11 +11,13 @@ from fractions import Fraction
 import pytest
 
 import navol.cli as cli
+import navol.harness as harness
 from navol.errors import InstanceFormatError, PreconditionError
 from navol.harness import VerificationReport
 from navol.serialize import (_as_rational, _plain_rational, csv_text,
                              decimal_str, instance_json, parse_instance_text,
                              serialize_instance)
+from navol.trees import potential_rows
 
 from _oracles import as_rational_oracle, first_primes, ma_solve_oracle
 
@@ -326,6 +328,21 @@ def test_exit_code_1_on_failed_verification(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "bump.json", _bundled()["bump_segment.json"])
     rc, _ = _run(["ortho-check", path], tmp_path, capsys)
     assert rc == 1
+
+
+def test_ma_solve_fails_on_a_wrong_potential(tmp_path, capsys, monkeypatch):
+    # the check re-solves on integer rows; moving leaf2's potential by one
+    # unit leaves the slope on its edge wrong at both of its ends
+    def nudged(tree, scale, net):
+        phi_scale, phi = potential_rows(tree, scale, net)
+        phi[tree.position["leaf2"]] += 1
+        return phi_scale, phi
+
+    monkeypatch.setattr(harness, "potential_rows", nudged)
+    tree = _write(tmp_path, "tree.json", _bundled()["tree_star.json"])
+    rc, out = _run(["ma-solve", tree], tmp_path, capsys)
+    assert rc == 1
+    assert json.loads(out)["curvature_matches_target"] is False
 
 
 def test_exit_code_2_on_an_unwritable_out_dir(tmp_path, capsys):
