@@ -14,16 +14,17 @@ a line, or a constant), on every supported P, points and segments in the
 plane included. And one cell engine, _dominance_cells, cuts a convex region
 into the sub-cells on which one affine row is the max (or the min). Inside P
 it gives the linearity cells of the conjugate, a RoofFunction, which yield
-integrals, the double-conjugate envelope and Monge-Ampere measures. In a box
+integrals, Monge-Ampere measures and the double-conjugate envelope, whose own
+conjugate is that roof cut down to the pieces owning a cell. In a box
 of v-space it refines two metrics until each is one row on every cell, so
 their sup-distance is a max over the cells' corners.
 
 These kernels (the lifted lower hull and the pruning by it, the recession
-check and the cells) first scale their rational data by the lcm of its
-denominators, then compute with Python ints only; Fractions appear only in
-their inputs and outputs. Points are homogeneous integer rows (x, w)
-standing for x / w, in lowest terms with w > 0, so equal points have equal
-rows.
+check, the cells and metric_deform's Minkowski blocks and translations)
+first scale their rational data by a common denominator, then compute with
+Python ints only; Fractions appear only in their inputs and outputs. Points
+are homogeneous integer rows (x, w) standing for x / w, in lowest terms with
+w > 0, so equal points have equal rows.
 """
 from __future__ import annotations
 
@@ -36,11 +37,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import PreconditionError
 from .polytope import Polytope, _hull_1d, _hull_2d
 from .rational import (Point, ZERO, dot, frac, frac_str, point, point_str,
-                       vadd, vscale, vsub)
+                       vadd, vscale)
 
 Piece = Tuple[Point, Fraction]          # v -> <slope, v> + const
 Block = Tuple[Piece, ...]               # max over pieces
-IntPlane = Tuple[int, int, int, int]    # nx*x + ny*y + nz*z = d on scaled points
+IntPlane = Tuple[int, ...]              # n.x + nz*z = d on scaled lifted points (x, z)
 IntegerRows = Tuple[int, List[Tuple[int, ...]]]  # (D, [D * (slope, const)])
 IntegerCells = List[Tuple[int, List[Tuple[int, ...]]]]  # [(piece index, corner rows)]
 
@@ -63,15 +64,15 @@ def _eval_pieces(pieces: Sequence[Piece], v: Sequence[Fraction]) -> Fraction:
 
 
 def _dedupe_block(block: Iterable[Piece]) -> Block:
-    by_slope: Dict[Point, Fraction] = {}
-    order: List[Point] = []
+    """One piece per slope, the one with the largest constant, in order of
+    first occurrence. Slopes are keyed by their (numerator, denominator)
+    pairs: hashing ints is cheap, hashing a Fraction takes a modular inverse."""
+    by_slope: Dict[Tuple[int, ...], Piece] = {}
     for s, c in block:
-        if s not in by_slope:
-            by_slope[s] = c
-            order.append(s)
-        elif c > by_slope[s]:
-            by_slope[s] = c
-    return tuple((s, by_slope[s]) for s in order)
+        key = tuple(x for v in s for x in (v.numerator, v.denominator))
+        if key not in by_slope or c > by_slope[key][1]:
+            by_slope[key] = (s, c)
+    return tuple(by_slope.values())
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +93,24 @@ class PLMetric:
     def __init__(self, polytope: Polytope, blocks: Sequence[Sequence[Piece]]):
         if not blocks or any(not b for b in blocks):
             raise PreconditionError("a metric needs at least one piece per branch")
-        self._build(polytope, [_lower_hull(_dedupe_block((point(s), frac(c)) for s, c in block))
-                               for block in blocks])
-
-    def _build(self, polytope: Polytope, hulls: Sequence[Tuple[List[Piece], Block]]) -> None:
-        """Set the metric from each block's (_lower_hull pieces, kept pieces),
-        check its recession identity and store its conjugate."""
-        self.polytope = polytope
         # Each block keeps the pieces whose lifted point lies on its lower
         # hull, which changes no value. The recession identity makes every
         # block's slope hull contain P, so the hulls are the conjugate on P.
-        self.blocks: Tuple[Block, ...] = tuple(kept for _, kept in hulls)
+        kept, pieces = [], []
+        for block in blocks:
+            block = _dedupe_block((point(s), frac(c)) for s, c in block)
+            scale, rows = _common_scale(s + (c,) for s, c in block)
+            planes, on_hull = _lower_hull(rows)
+            kept.append(tuple(block[i] for i in on_hull))
+            pieces += [_plane_piece(pl, scale) for pl in planes]
+        self._build(polytope, kept, RoofFunction(polytope, pieces))
+
+    def _build(self, polytope: Polytope, blocks: Sequence[Block],
+               conjugate: "RoofFunction") -> None:
+        """Set the metric from its pruned blocks and their conjugate, after
+        checking its recession identity."""
+        self.polytope = polytope
+        self.blocks: Tuple[Block, ...] = tuple(blocks)
         mismatch = _recession_mismatch(self.blocks, polytope)
         if mismatch is not None:
             w, rec, sup = mismatch
@@ -110,7 +118,7 @@ class PLMetric:
                 "metric is not within bounded distance of the canonical metric: "
                 f"rec(w) = {frac_str(rec)} but h_P(w) = {frac_str(sup)} "
                 f"at w = {point_str(w)}")
-        self._conjugate = RoofFunction(polytope, [p for h, _ in hulls for p in h])
+        self._conjugate = conjugate
         self._envelope: Optional["PLMetric"] = None
         self._semipositive: Optional[bool] = None
 
@@ -498,52 +506,36 @@ def _primitive_plane(pl: IntPlane) -> IntPlane:
 
 
 def _plane_piece(pl: IntPlane, scale: int) -> Piece:
-    """The affine map u -> <a, u> + b of a plane over points scaled by scale."""
-    nx, ny, nz, d = pl
-    return (Fraction(-nx, nz), Fraction(-ny, nz)), Fraction(d, nz * scale)
+    """The affine map u -> <a, u> + b of a plane n.x + nz*z = d over lifted
+    points scaled by scale."""
+    *n, nz, d = pl
+    return tuple(Fraction(-k, nz) for k in n), Fraction(d, nz * scale)
 
 
-def _lower_hull_facets_2d(points: List[Tuple[Point, Fraction]]) -> List[Piece]:
-    """Lower-hull facet affines of lifted points ((x, y), z): every returned
-    (a, b) satisfies z_k >= <a, s_k> + b with equality on a full-dimensional
-    contact set; empty when the base points are all collinear."""
-    scale, rows = _common_scale([s[0], s[1], z] for s, z in points)
-    return [_plane_piece(pl, scale) for pl in _lower_facet_planes(rows)]
+def _lower_hull(rows: Sequence[Tuple[int, ...]]) -> Tuple[List[IntPlane], List[int]]:
+    """Lower hull of a convex block's lifted slopes (s, -c), for the block
+    given as integer rows (L*s, L*c) with distinct slopes.
 
-
-def _lower_hull(block: Block) -> Tuple[List[Piece], Block]:
-    """Lower hull of a convex block's lifted slopes (s, -c).
-
-    Returns its pieces, affine maps u -> <a, u> + b whose max is the block's
-    conjugate on the affine hull of its slopes, and the block's pieces whose
-    lifted point lies on it (the others change no value of the block). The
-    pieces are the facet planes when the slopes span the plane, the lower
-    chain along the line (with a along it) when they are collinear, and the
-    constant -c for a single slope. The lifted points are scaled to integers
-    once; every test on them is an integer equality or sign."""
-    if len(block) == 1:
-        (s, c), = block
-        return [(vscale(ZERO, s), -c)], block
-    scale, rows = _common_scale(s + (-c,) for s, c in block)
-    if len(rows[0]) == 3:
-        planes = _lower_facet_planes(rows)
-        if planes:
-            kept = tuple(p for p, (x, y, z) in zip(block, rows)
-                         if any(nx * x + ny * y + nz * z == d for nx, ny, nz, d in planes))
-            return [_plane_piece(pl, scale) for pl in planes], kept
-        top, low = max(rows), min(rows)
-        e = (top[0] - low[0], top[1] - low[1])
-        tz = [(e[0] * x + e[1] * y, z) for x, y, z in rows]
-    else:
-        e = (1,)
-        tz = rows
-    chain = _lower_hull_chain(tz)
-    lines = [(t1, z1, t2 - t1, z2 - z1) for (t1, z1), (t2, z2) in zip(chain, chain[1:])]
-    pieces = [(tuple(Fraction(dz * k, dt) for k in e), Fraction(z1 * dt - dz * t1, dt * scale))
-              for t1, z1, dt, dz in lines]
-    kept = tuple(p for p, (t, z) in zip(block, tz)
-                 if any(dz * (t - t1) == dt * (z - z1) for t1, z1, dt, dz in lines))
-    return pieces, kept
+    Returns its planes (n, nz, d), n.x + nz*z = d on the lifted points
+    (x, z) = (L*s, -L*c), whose pieces (_plane_piece) have as max the block's
+    conjugate on the affine hull of its slopes, and the indices of the rows
+    whose lifted point lies on one of them (the others change no value of
+    the block). The planes are the facet planes when the slopes span the
+    plane, the lines of the lower chain along the line (with n along it)
+    when they are collinear, and the constant -c for a single slope. Every
+    test is an integer equality or sign."""
+    dim = len(rows[0]) - 1
+    lifted = [r[:-1] + (-r[-1],) for r in rows]
+    planes = _lower_facet_planes(lifted) if dim == 2 else []
+    if not planes:
+        e = (1,) if dim == 1 else tuple(a - b for a, b in zip(max(lifted), min(lifted)[:2]))
+        chain = _lower_hull_chain([(sum(map(operator.mul, e, p)), p[-1]) for p in lifted])
+        planes = [tuple((z1 - z2) * k for k in e) + (t2 - t1, z1 * t2 - z2 * t1)
+                  for (t1, z1), (t2, z2) in zip(chain, chain[1:])] \
+            or [(0,) * dim + (1, chain[0][1])]
+    kept = [i for i, p in enumerate(lifted)
+            if any(sum(map(operator.mul, pl, p)) == pl[-1] for pl in planes)]
+    return planes, kept
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +553,11 @@ def legendre(metric: PLMetric) -> RoofFunction:
     The conjugate of a min of convex blocks is the max of the block
     conjugates, and each block conjugate is the lower hull of its lifted
     slopes (valid on all of P because the recession identity makes every
-    block's slope hull contain P). Every metric stores those hulls (the
-    constructor builds them while pruning each block, metric_deform
-    translates them), so the conjugate is read from the metric.
+    block's slope hull contain P). Every metric stores its conjugate, so it
+    is read from the metric: the constructor keeps the hulls it builds while
+    pruning each block, metric_deform translates them on integer rows, and
+    an envelope takes its metric's roof cut down to the pieces that own a
+    cell (see envelope).
     """
     return metric._conjugate
 
@@ -579,19 +573,29 @@ def envelope(metric: PLMetric) -> PLMetric:
     integer row at the corner's row. The same holds on points and segments in
     the plane, whose cells tile P with one or two corners each. The corner
     set contains every vertex of P, which keeps the recession identity
-    intact; corners off the lower hull are pruned by the constructor.
+    intact.
+
+    Nothing is hulled: by Jensen every lifted corner (u, roof(u)) lies on
+    the graph of the convex roof, so their lower hull is the roof on P. Every
+    corner is kept, the envelope's conjugate is the roof cut down to the
+    pieces that own a cell, in cell order, and its cells are the roof's,
+    re-indexed. The recession identity is still checked.
     """
     if metric._envelope is not None:
         return metric._envelope
-    roof = legendre(metric)
+    P, roof = metric.polytope, legendre(metric)
     scale, rows = roof.integer_rows()
+    cells = roof.integer_cells()
     owner: Dict[Tuple[int, ...], int] = {}
-    for i, region in roof.integer_cells():
+    for i, region in cells:
         for r in region:
             owner.setdefault(r, i)
-    pieces = [(_affine(r), Fraction(-sum(map(operator.mul, rows[i], r)), scale * r[-1]))
-              for r, i in owner.items()]
-    env = PLMetric(metric.polytope, [pieces])
+    corners = tuple((_affine(r), Fraction(-sum(map(operator.mul, rows[i], r)), scale * r[-1]))
+                    for r, i in owner.items())
+    conjugate = RoofFunction(P, [roof.pieces[i] for i, _ in cells])
+    conjugate._integer_cells = [(k, region) for k, (_, region) in enumerate(cells)]
+    env = PLMetric.__new__(PLMetric)
+    env._build(P, [corners], conjugate)
     metric._envelope = env
     if env._envelope is None:
         env._envelope = env
@@ -709,12 +713,17 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
 
     pos may be any metric; neg must be semipositive (its convex single-branch
     envelope is subtracted, which is what makes the min-of-max normal form
-    close under the difference). Each branch pair of psi and pos gives one
-    Minkowski block B = {(s1 + eps*s2, c1 + eps*c2)}, deduped and hulled once;
-    the branch for the piece (s_l, c_l) of neg is B moved by t = eps*s_l and
-    t_c = eps*c_l, which translates B's lifted points (s, -c) and so their
-    lower hull: kept pieces (s, c) become (s - t, c - t_c) and hull pieces
-    (a, b) become (a, b + <a, t> + t_c). The recession identity is checked.
+    close under the difference). All three are taken as integer rows, and
+    with eps = p/q everything below is over the one denominator
+    L = lcm(D_psi, q D_pos, q D_neg). Each branch pair of psi and pos gives
+    one Minkowski block B = {L (s1 + eps*s2, c1 + eps*c2)}, deduped by
+    integer slope (largest constant) and hulled once; the branch for the
+    piece (s_l, c_l) of neg is B moved by (T, T_c) = L eps (s_l, c_l), which
+    translates B's lifted points (x, z) = (L s, -L c) by (-T, T_c) and so
+    their lower hull: kept rows move by -(T, T_c), and a hull plane
+    n.x + nz*z = d (a facet, or a line of a chain) moves to
+    d - n.T + nz*T_c. Fractions are built for the output pieces only. The
+    recession identity is checked.
     """
     eps = frac(eps)
     if eps < 0:
@@ -726,14 +735,29 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
         raise PreconditionError("the subtracted part of a direction must be semipositive")
     neg_block = envelope(neg).blocks[0] if not neg.is_convex_representation() \
         else neg.blocks[0]
-    shifts = [(vscale(eps, sl), eps * cl) for sl, cl in neg_block]
-    hulls = []
-    for bp in psi.blocks:
-        for bq in pos.blocks:
-            pieces, kept = _lower_hull(_dedupe_block(
-                (vadd(s1, vscale(eps, s2)), c1 + eps * c2) for s1, c1 in bp for s2, c2 in bq))
-            hulls.extend(([(a, b + dot(a, t) + tc) for a, b in pieces],
-                          tuple((vsub(s, t), c - tc) for s, c in kept)) for t, tc in shifts)
+    (d1, rows1), (d2, rows2) = _integer_blocks(psi), _integer_blocks(pos)
+    d3, rows3 = _common_scale(s + (c,) for s, c in neg_block)
+    p, q = eps.numerator, eps.denominator
+    scale = math.lcm(d1, q * d2, q * d3)
+    f1, f2, f3 = scale // d1, p * (scale // (q * d2)), p * (scale // (q * d3))
+    shifts = [([f3 * x for x in row[:-1]], f3 * row[-1]) for row in rows3]
+    blocks, pieces = [], []
+    for b1 in rows1:
+        for b2 in rows2:
+            best: Dict[Tuple[int, ...], int] = {}
+            for r1 in b1:
+                for r2 in b2:
+                    row = tuple(f1 * x + f2 * y for x, y in zip(r1, r2))
+                    s, c = row[:-1], row[-1]
+                    if s not in best or c > best[s]:
+                        best[s] = c
+            rows = [s + (c,) for s, c in best.items()]
+            planes, on_hull = _lower_hull(rows)
+            for t, tc in shifts:
+                pieces += [_plane_piece(pl[:-1] + (pl[-1] - sum(map(operator.mul, pl, t))
+                                                   + pl[-2] * tc,), scale) for pl in planes]
+                blocks.append(tuple((tuple(Fraction(x - y, scale) for x, y in zip(rows[i], t)),
+                                     Fraction(rows[i][-1] - tc, scale)) for i in on_hull))
     out = PLMetric.__new__(PLMetric)
-    out._build(P, hulls)
+    out._build(P, blocks, RoofFunction(P, pieces))
     return out

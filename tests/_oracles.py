@@ -7,7 +7,9 @@ library is not used to test itself.  The exceptions are
 `energy_by_mixed_measures`, which polarizes the package's public mixed
 Monge-Ampere measures, a route the package's own energy no longer takes, and
 `metric_deform_by_branches`, which hands the package's metric constructor
-every raw branch of a deformation, a route `metric_deform` no longer takes.
+every raw branch of a deformation, a route `metric_deform` no longer takes,
+and `lower_hull_facets_2d`, which reads the package's integer facet kernel
+back as Fraction pieces so the brute-force hull can be compared with it.
 All arithmetic is exact.
 """
 
@@ -23,6 +25,16 @@ ONE = Fraction(1)
 # --------------------------------------------------------------------------
 # planes through lifted points and brute-force lower hulls
 # --------------------------------------------------------------------------
+
+def lower_hull_facets_2d(points):
+    """Lower-hull facet affines of lifted points ((x, y), z) by the package's
+    integer kernel: every returned (a, b) satisfies z_k >= <a, s_k> + b with
+    equality on a full-dimensional contact set; empty when the base points
+    are all collinear."""
+    from navol.plmetric import _common_scale, _lower_facet_planes, _plane_piece
+    scale, rows = _common_scale([s[0], s[1], z] for s, z in points)
+    return [_plane_piece(pl, scale) for pl in _lower_facet_planes(rows)]
+
 
 def plane_through(p1, p2, p3):
     """Affine map (a, b) with z = a.s + b through three lifted points
@@ -377,10 +389,11 @@ def clip_polygon(poly, a, b):
 
 
 def roof_cells_oracle(pieces, vertices):
-    """Full-dimensional linearity cells of max_k (<s_k, u> + c_k) over the
-    polytope with the given vertices (ends in 1-d, a CCW cycle in 2-d), as
-    (piece index, corners): intervals cut by every piece's bound in 1-d,
-    polygons clipped piece by piece in 2-d. Pieces have distinct slopes."""
+    """Linearity cells of max_k (<s_k, u> + c_k) of the polytope's own
+    dimension over the polytope with the given vertices (ends in 1-d, a CCW
+    cycle in 2-d, two ends or one point in the plane), as (piece index,
+    corners): intervals cut by every piece's bound in 1-d, cycles clipped
+    piece by piece in 2-d. Pieces have distinct slopes."""
     pieces = [(tuple(Fraction(x) for x in s), Fraction(c)) for s, c in pieces]
     vertices = [tuple(Fraction(x) for x in v) for v in vertices]
     out = []
@@ -404,7 +417,7 @@ def roof_cells_oracle(pieces, vertices):
         for j, (sj, cj) in enumerate(pieces):
             if j != i:
                 region = clip_polygon(region, tuple(y - x for x, y in zip(si, sj)), ci - cj)
-        if len(region) >= 3:
+        if len(region) > min(len(vertices) - 1, 2):
             out.append((i, region))
     return out
 

@@ -13,10 +13,11 @@ from navol.errors import PreconditionError
 from navol.harness import (bump_metric, random_convex_metric,
                            random_nonconvex_metric, random_direction,
                            tent_metric)
+from navol.measures import energy, monge_ampere
 from navol.plmetric import (PLMetric, canonical_metric,
                             distance, envelope, is_semipositive, legendre,
                             metric_deform, metric_min, metric_scale, metric_shift,
-                            metric_sum, _lower_hull_facets_2d)
+                            metric_sum)
 from navol.polytope import Polytope, segment, simplex, unit_box
 from navol.rational import vadd, vsub
 
@@ -25,9 +26,9 @@ from navol.volumes import lattice_length
 from _oracles import (arrangement_candidates, block_conjugate_oracle,
                       brute_lower_hull_facets, deform_branches,
                       distance_by_joint_arrangement, envelope_1d_oracle,
-                      eval_min_max, lattice_length_oracle,
-                      metric_deform_by_branches, polygon_area,
-                      recession_by_all_slopes, roof_oracle)
+                      envelope_corners_oracle, eval_min_max, lattice_length_oracle,
+                      lower_hull_facets_2d, metric_deform_by_branches, polygon_area,
+                      recession_by_all_slopes, roof_cells_oracle, roof_oracle)
 
 F = Fraction
 SEG = segment(0, 1)
@@ -84,7 +85,7 @@ def test_lower_hull_facets_match_brute_force():
             pts = [((x, y), x + 2 * y + 1) for (x, y), _ in pts]  # coplanar
         if trial % 11 == 0:
             pts = [((x, x + 1), z) for (x, _), z in pts]  # collinear plan view
-        got = set(_lower_hull_facets_2d(pts))
+        got = set(lower_hull_facets_2d(pts))
         want = brute_lower_hull_facets(pts)
         assert got == want, (trial, pts)
 
@@ -104,7 +105,7 @@ def test_lower_hull_facets_with_large_denominators():
             pts = [((x, y), x - 3 * y + F(2, 999983)) for (x, y), _ in pts]  # coplanar
         if trial % 11 == 0:
             pts = [((x, -2 * x + F(1, 999979)), z) for (x, _), z in pts]  # collinear plan view
-        got = set(_lower_hull_facets_2d(pts))
+        got = set(lower_hull_facets_2d(pts))
         assert got == brute_lower_hull_facets(pts), (trial, pts)
 
         block = _deduped([(s, -z) for s, z in pts])
@@ -117,7 +118,7 @@ def test_lower_hull_facets_with_large_denominators():
 def test_lower_hull_vertical_stacks_keep_lowest_point():
     pts = [((F(0), F(0)), F(3)), ((F(0), F(0)), F(0)),
            ((F(1), F(0)), F(0)), ((F(0), F(1)), F(0))]
-    facets = set(_lower_hull_facets_2d(pts))
+    facets = set(lower_hull_facets_2d(pts))
     assert facets == {((F(0), F(0)), F(0))}
 
 
@@ -672,6 +673,62 @@ def test_metric_deform_matches_hulling_every_branch():
             want = metric_deform_by_branches(psi, eps, pos, neg)
             assert moved.blocks == want.blocks, (psi.polytope, eps)
             assert legendre(moved).pieces == legendre(want).pieces, (psi.polytope, eps)
+
+
+def test_metric_deform_with_prime_denominators_matches_the_oracles():
+    # constants over primes near 10^6 and eps over others make the common
+    # denominator of the integer rows a product of several of them; the
+    # deformation must equal hulling every raw branch, and its envelope the
+    # oracle corners of its roof, on segments, polygons and segments in the
+    # plane
+    rng = random.Random(67)
+
+    def metric(P, branches):
+        return PLMetric(P, [[(s, _large_fraction(rng, 3)) for s, _ in block]
+                            for block in _random_blocks(P, rng, branches, extra=1)])
+
+    for P in (SEG, BOX, simplex(2), LINE, STUCK_SEGMENT):
+        for trial in range(3):
+            psi, pos = metric(P, 1 + trial % 2), metric(P, 2 - trial % 2)
+            neg = [(v, _large_fraction(rng, 2)) for v in P.vertices]
+            neg = PLMetric(P, [neg] if trial < 2 else [neg, [(s, c + 1) for s, c in neg]])
+            for eps in (F(0), F(1, 999983), F(999979, 999961), F(7, 5)):
+                moved = metric_deform(psi, eps, pos, neg)
+                want = metric_deform_by_branches(psi, eps, pos, neg)
+                assert moved.blocks == want.blocks, (P, trial, eps)
+                roof = legendre(moved)
+                assert roof.pieces == legendre(want).pieces, (P, trial, eps)
+                cells = roof_cells_oracle(roof.pieces, P.vertices)
+                assert envelope(moved) == PLMetric(
+                    P, [envelope_corners_oracle(roof.pieces, cells)]), (P, trial, eps)
+
+
+def test_envelope_reads_its_conjugate_off_the_roof_cells(monkeypatch):
+    # every cell corner lies on the graph of the convex roof, so the
+    # envelope hulls nothing; its conjugate and cells are the roof's, so
+    # integrals, Monge-Ampere measures and energies of envelopes cut no cell
+    calls = {"cells": 0, "hull": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    rng = random.Random(68)
+    a, b = (PLMetric(BOX, _random_blocks(BOX, rng, 2, extra=2)) for _ in range(2))
+    with monkeypatch.context() as patch:
+        patch.setattr(plmetric, "_dominance_cells",
+                      counted("cells", plmetric._dominance_cells))
+        patch.setattr(plmetric, "_lower_hull", counted("hull", plmetric._lower_hull))
+        env = envelope(a)
+        assert calls == {"cells": 1, "hull": 0}
+        envelope(b)
+        assert calls == {"cells": 2, "hull": 0}
+        legendre(env).integral()
+        monge_ampere(env)
+        energy(envelope(a), envelope(b))
+        assert calls == {"cells": 2, "hull": 0}
 
 
 def test_metric_deform_hulls_each_branch_pair_once(monkeypatch):

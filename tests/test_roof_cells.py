@@ -38,17 +38,33 @@ def _check_roof(roof):
     return cells
 
 
+def _rotations(region):
+    return [region[k:] + region[:k] for k in range(len(region))]
+
+
 def _check_metric(psi):
     """The roof checks on psi and on its envelope; the envelope's pieces are
     the oracle corners valued on every roof piece, and its Monge-Ampere
-    measure is made of the oracle cell masses."""
+    measure is made of the oracle cell masses.
+
+    The envelope's conjugate is psi's roof restricted to the pieces that own
+    a cell, with psi's cells re-indexed to them; they are the oracle's cells
+    of those pieces up to the starting corner of each cycle."""
     roof = legendre(psi)
     cells = _check_roof(roof)
     env = envelope(psi)
     raw = envelope_corners_oracle(roof.pieces, cells)
     assert env.blocks == PLMetric(psi.polytope, [raw]).blocks
     env_roof = legendre(env)
-    env_cells = _check_roof(env_roof)
+    assert env_roof.pieces == tuple(roof.pieces[i] for i, _ in cells)
+    assert env_roof.integer_cells() == [(k, region)
+                                        for k, (_, region) in enumerate(roof.integer_cells())]
+    env_cells = roof_cells_oracle(env_roof.pieces, psi.polytope.vertices)
+    assert [i for i, _ in env_roof.cells()] == [i for i, _ in env_cells]
+    for (_, got), (_, want) in zip(env_roof.cells(), env_cells):
+        assert got in _rotations(want)
+    assert env_roof.integral() == roof_integral_oracle(env_roof.pieces, env_cells)
+    assert env_roof.cell_masses() == [(i, cell_mass_oracle(region)) for i, region in env_cells]
     assert monge_ampere(env) == DiscreteMeasure(
         (env_roof.pieces[i][0], cell_mass_oracle(region)) for i, region in env_cells)
 
