@@ -294,11 +294,7 @@ def bump_metric(P: Polytope) -> PLMetric:
 
 
 def tent_direction(P: Polytope) -> Tuple[PLMetric, PLMetric]:
-    pos = PLMetric(P, [[((ZERO,), ZERO),
-                        ((Fraction(1, 2),), Fraction(1, 2)),
-                        ((Fraction(1),), ZERO)]])
-    neg = canonical_metric(P)
-    return pos, neg
+    return tent_metric(P), canonical_metric(P)
 
 
 def run_bundled_suite(seed: int = 0) -> List[VerificationReport]:

@@ -108,11 +108,6 @@ def mixed_monge_ampere(metrics: Sequence[PLMetric]) -> DiscreteMeasure:
     return DiscreteMeasure({k: v / factorial for k, v in combo.items()})
 
 
-def integrate(f: Callable, measure: DiscreteMeasure) -> Fraction:
-    """Integral of a pointwise-evaluable function against a discrete measure."""
-    return measure.integrate(f)
-
-
 def energy(m1: PLMetric, m2: PLMetric) -> Fraction:
     """Energy pairing of two semipositive metrics on the same polytope, as
     n!(integral of psi2* - integral of psi1*) over P (0 if P is not

@@ -25,6 +25,10 @@ first scale their rational data by a common denominator, then compute with
 Python ints only; Fractions appear only in their inputs and outputs. Points
 are homogeneous integer rows (x, w) standing for x / w, in lowest terms with
 w > 0, so equal points have equal rows.
+
+The recession check runs in the PLMetric constructor only, where rational
+data enters; envelope and metric_deform keep the identity by theorem (see
+each), so every PLMetric satisfies it.
 """
 from __future__ import annotations
 
@@ -84,10 +88,12 @@ class PLMetric:
 
     Any rational branches are accepted exactly when psi stays within bounded
     distance of the canonical metric, i.e. its recession function is the
-    support function of P; otherwise PreconditionError. Each branch keeps one
-    piece per slope (the largest constant) and only the pieces on its lower
-    hull, so pieces that never reach the branch's max are dropped. Those
-    hulls are the conjugate, which is stored on the metric.
+    support function of P; otherwise PreconditionError. This constructor is
+    the only place that checks it: envelope and metric_deform, which build
+    their outputs without it, preserve the identity by theorem. Each branch
+    keeps one piece per slope (the largest constant) and only the pieces on
+    its lower hull, so pieces that never reach the branch's max are dropped.
+    Those hulls are the conjugate, which is stored on the metric.
     """
 
     def __init__(self, polytope: Polytope, blocks: Sequence[Sequence[Piece]]):
@@ -103,21 +109,21 @@ class PLMetric:
             planes, on_hull = _lower_hull(rows)
             kept.append(tuple(block[i] for i in on_hull))
             pieces += [_plane_piece(pl, scale) for pl in planes]
-        self._build(polytope, kept, RoofFunction(polytope, pieces))
-
-    def _build(self, polytope: Polytope, blocks: Sequence[Block],
-               conjugate: "RoofFunction") -> None:
-        """Set the metric from its pruned blocks and their conjugate, after
-        checking its recession identity."""
-        self.polytope = polytope
-        self.blocks: Tuple[Block, ...] = tuple(blocks)
-        mismatch = _recession_mismatch(self.blocks, polytope)
+        mismatch = _recession_mismatch(kept, polytope)
         if mismatch is not None:
             w, rec, sup = mismatch
             raise PreconditionError(
                 "metric is not within bounded distance of the canonical metric: "
                 f"rec(w) = {frac_str(rec)} but h_P(w) = {frac_str(sup)} "
                 f"at w = {point_str(w)}")
+        self._build(polytope, kept, RoofFunction(polytope, pieces))
+
+    def _build(self, polytope: Polytope, blocks: Sequence[Block],
+               conjugate: "RoofFunction") -> None:
+        """Set the metric from its pruned blocks and their conjugate, which
+        the caller guarantees satisfy the recession identity."""
+        self.polytope = polytope
+        self.blocks: Tuple[Block, ...] = tuple(blocks)
         self._conjugate = conjugate
         self._envelope: Optional["PLMetric"] = None
         self._semipositive: Optional[bool] = None
@@ -152,7 +158,7 @@ class PLMetric:
         return f"PLMetric({len(self.blocks)} branch(es), dim {self.dim})"
 
 
-def _recession_mismatch(blocks: Tuple[Block, ...], P: Polytope
+def _recession_mismatch(blocks: Sequence[Block], P: Polytope
                         ) -> Optional[Tuple[Tuple[int, ...], Fraction, Fraction]]:
     """Exact directional check that the recession function equals the support
     function of P, i.e. psi stays within bounded distance of the canonical
@@ -571,15 +577,14 @@ def envelope(metric: PLMetric) -> PLMetric:
     a cell corner). A cell is closed, so the piece that owns it attains the
     roof's max at each of its corners: a corner's value is that one piece's
     integer row at the corner's row. The same holds on points and segments in
-    the plane, whose cells tile P with one or two corners each. The corner
-    set contains every vertex of P, which keeps the recession identity
-    intact.
+    the plane, whose cells tile P with one or two corners each.
 
     Nothing is hulled: by Jensen every lifted corner (u, roof(u)) lies on
     the graph of the convex roof, so their lower hull is the roof on P. Every
     corner is kept, the envelope's conjugate is the roof cut down to the
     pieces that own a cell, in cell order, and its cells are the roof's,
-    re-indexed. The recession identity is still checked.
+    re-indexed. The recession identity needs no check: the single block
+    holds every vertex of P, so its slope hull is P.
     """
     if metric._envelope is not None:
         return metric._envelope
@@ -723,7 +728,9 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
     their lower hull: kept rows move by -(T, T_c), and a hull plane
     n.x + nz*z = d (a facet, or a line of a chain) moves to
     d - n.T + nz*T_c. Fractions are built for the output pieces only. The
-    recession identity is checked.
+    recession identity needs no check: recession is additive on PL
+    functions, so rec = h_P + eps*h_P - eps*h_P, all three inputs being
+    PLMetrics that passed the constructor.
     """
     eps = frac(eps)
     if eps < 0:

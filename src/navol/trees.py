@@ -96,34 +96,6 @@ class MetricTree:
                     stack.append(j)
         return order, parent, parent_length
 
-    def edge_length(self, u: str, v: str) -> Fraction:
-        for w, length in self.adjacency[u]:
-            if w == v:
-                return length
-        raise PreconditionError(f"no edge between {u} and {v}")
-
-    def with_subdivided_edge(self, u: str, v: str, new_id: str,
-                             at: Fraction) -> "MetricTree":
-        """Insert a vertex on edge (u, v) at parameter at in (0, 1) from u."""
-        at = frac(at)
-        if not (0 < at < 1):
-            raise PreconditionError("subdivision parameter must lie strictly inside (0, 1)")
-        if new_id in self.vertices:
-            raise PreconditionError(f"vertex id {new_id} already exists")
-        length = self.edge_length(u, v)
-        new_edges: List[Tuple[str, str, Fraction]] = []
-        replaced = False
-        for a, b, ell in self.edges:
-            if frozenset((a, b)) == frozenset((u, v)):
-                new_edges.append((u, new_id, length * at))
-                new_edges.append((new_id, v, length * (1 - at)))
-                replaced = True
-            else:
-                new_edges.append((a, b, ell))
-        if not replaced:
-            raise PreconditionError(f"no edge between {u} and {v}")
-        return MetricTree(self.vertices + [new_id], new_edges, root=self.root)
-
 
 @dataclass(frozen=True)
 class TreeFunction:
@@ -218,13 +190,3 @@ def ma_solve(tree: MetricTree, target: DiscreteMeasure,
     solution is unique (see `potential_rows`)."""
     scale, phi = potential_rows(tree, *net_mass_rows(tree, target, base))
     return TreeFunction({v: Fraction(x, scale) for v, x in zip(tree.vertices, phi)})
-
-
-def extend_to_subdivision(tree: MetricTree, fine: MetricTree, f: TreeFunction,
-                          new_id: str, u: str, v: str, at: Fraction) -> TreeFunction:
-    """Affine extension of f to the subdivision of edge (u, v) at parameter at."""
-    _check_function(tree, f)
-    at = frac(at)
-    values = dict(f.values)
-    values[new_id] = f(u) + (f(v) - f(u)) * at
-    return TreeFunction(values)

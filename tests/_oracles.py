@@ -5,11 +5,13 @@ definitions (exhaustive subset search, direct enumeration, closed forms for
 the classical surfaces) and never calls into the package internals, so the
 library is not used to test itself.  The exceptions are
 `energy_by_mixed_measures`, which polarizes the package's public mixed
-Monge-Ampere measures, a route the package's own energy no longer takes, and
+Monge-Ampere measures, a route the package's own energy no longer takes,
 `metric_deform_by_branches`, which hands the package's metric constructor
 every raw branch of a deformation, a route `metric_deform` no longer takes,
-and `lower_hull_facets_2d`, which reads the package's integer facet kernel
-back as Fraction pieces so the brute-force hull can be compared with it.
+`lower_hull_facets_2d`, which reads the package's integer facet kernel
+back as Fraction pieces so the brute-force hull can be compared with it,
+and `with_subdivided_edge` and `extend_to_subdivision`, which build the
+package's tree and tree-function types for a subdivided edge.
 All arithmetic is exact.
 """
 
@@ -507,39 +509,50 @@ def _angle_order(dirs):
     return sorted(dirs, key=functools.cmp_to_key(cmp))
 
 
+def recession_at(blocks, w):
+    """rec(w): min over blocks of max over every slope s of <s, w>."""
+    return min(max(_dot(s, w) for s, _ in b) for b in blocks)
+
+
+def support_at(vertices, w):
+    """h_P(w): max over the vertices v of <v, w>."""
+    return max(_dot(v, w) for v in vertices)
+
+
 def recession_by_all_slopes(blocks, vertices):
-    """Whether min over blocks of max over every slope s of <s, w> equals
-    max over the vertices v of <v, w> for all directions w.  Both sides are
-    linear between the normals of all slope pairs and all vertex pairs, so
-    they are compared on those normals (both signs), the axes and one probe
-    inside each sector between angularly consecutive normals."""
-    slopes = [tuple(Fraction(c) for c in s) for b in blocks for s, _ in b]
-    verts = [tuple(Fraction(c) for c in v) for v in vertices]
+    """Whether recession_at(blocks, w) equals support_at(vertices, w) for all
+    directions w.  Both sides are linear between the normals of all slope
+    pairs and all vertex pairs, so they are compared on those normals (both
+    signs), the axes and one probe inside each sector between angularly
+    consecutive normals.  Slopes and vertices are first scaled by the lcm of
+    their denominators, which scales both sides alike, so every probe is
+    computed on integers."""
+    scale = math.lcm(*(Fraction(c).denominator for b in blocks for s, _ in b for c in s),
+                     *(Fraction(c).denominator for v in vertices for c in v))
 
-    def rec(w):
-        return min(max(_dot(s, w) for s, _ in b) for b in blocks)
+    def scaled(p):
+        return tuple(int(Fraction(c) * scale) for c in p)
 
-    def sup(w):
-        return max(_dot(v, w) for v in verts)
-
+    blocks = [[(scaled(s), c) for s, c in b] for b in blocks]
+    verts = [scaled(v) for v in vertices]
     if len(verts[0]) == 1:
-        return all(rec(w) == sup(w) for w in ((ONE,), (-ONE,)))
+        return all(recession_at(blocks, w) == support_at(verts, w) for w in ((1,), (-1,)))
     dirs = set()
-    for group in (slopes, verts):
+    for group in ({s for b in blocks for s, _ in b}, verts):
         for a, b in itertools.combinations(group, 2):
-            d = (a[0] - b[0], a[1] - b[1])
-            if d == (0, 0):
+            dx, dy = a[0] - b[0], a[1] - b[1]
+            if (dx, dy) == (0, 0):
                 continue
-            scale = max(abs(d[0]), abs(d[1]))
-            dirs.add((-d[1] / scale, d[0] / scale))
-            dirs.add((d[1] / scale, -d[0] / scale))
-    axes = [(ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE)]
+            g = math.gcd(dx, dy)
+            dirs.add((-dy // g, dx // g))
+            dirs.add((dy // g, -dx // g))
+    axes = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     probes = list(dirs) + axes
     ordered = _angle_order(dirs or axes)
     for a, b in zip(ordered, ordered[1:] + ordered[:1]):
         mid = (a[0] + b[0], a[1] + b[1])
         probes.append(mid if mid != (0, 0) else (-a[1], a[0]))
-    return all(rec(w) == sup(w) for w in probes)
+    return all(recession_at(blocks, w) == support_at(verts, w) for w in probes)
 
 
 def arrangement_candidates(*blocks_lists):
@@ -721,6 +734,29 @@ def ma_solve_oracle(tree, target, base):
         p, length = parent[v]
         values[v] = values[p] - length * subtree[v]
     return values
+
+
+def with_subdivided_edge(tree, u, v, new_id, at):
+    """The tree with a vertex new_id inserted on its edge (u, v) at
+    parameter at in (0, 1) from u."""
+    from navol.trees import MetricTree
+    assert 0 < at < 1 and new_id not in tree.vertices
+    edges = []
+    for a, b, length in tree.edges:
+        if {a, b} == {u, v}:
+            edges += [(u, new_id, length * at), (new_id, v, length * (1 - at))]
+        else:
+            edges.append((a, b, length))
+    assert len(edges) == len(tree.edges) + 1, f"no edge between {u} and {v}"
+    return MetricTree(tree.vertices + [new_id], edges, root=tree.root)
+
+
+def extend_to_subdivision(tree, f, new_id, u, v, at):
+    """The function f on tree, extended affinely to the vertex new_id that
+    subdivides its edge (u, v) at parameter at from u."""
+    from navol.trees import TreeFunction
+    assert set(f.values) == set(tree.vertices)
+    return TreeFunction({**f.values, new_id: f(u) + (f(v) - f(u)) * at})
 
 
 def as_rational_oracle(value, path):

@@ -595,11 +595,11 @@ def test_distance_triangle_inequality():
 
 
 @st.composite
-def _small_metrics(draw, count):
-    """count metrics on one of a segment, the square and a triangle: one or
-    two branches, each P's vertices and at most one slope inside P, with
-    small rational constants."""
-    P = draw(st.sampled_from((SEG, BOX, simplex(2))))
+def _small_metrics(draw, count, bodies=(SEG, BOX, simplex(2))):
+    """count metrics on one of bodies (by default a segment, the square and
+    a triangle): one or two branches, each P's vertices and at most one slope
+    inside P, with small rational constants."""
+    P = draw(st.sampled_from(bodies))
     const = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
 
     def metric():
@@ -706,8 +706,9 @@ def test_metric_deform_with_prime_denominators_matches_the_oracles():
 def test_envelope_reads_its_conjugate_off_the_roof_cells(monkeypatch):
     # every cell corner lies on the graph of the convex roof, so the
     # envelope hulls nothing; its conjugate and cells are the roof's, so
-    # integrals, Monge-Ampere measures and energies of envelopes cut no cell
-    calls = {"cells": 0, "hull": 0}
+    # integrals, Monge-Ampere measures and energies of envelopes cut no cell;
+    # its block holds every vertex of P, so its recession is not re-checked
+    calls = {"cells": 0, "hull": 0, "recession": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -721,17 +722,21 @@ def test_envelope_reads_its_conjugate_off_the_roof_cells(monkeypatch):
         patch.setattr(plmetric, "_dominance_cells",
                       counted("cells", plmetric._dominance_cells))
         patch.setattr(plmetric, "_lower_hull", counted("hull", plmetric._lower_hull))
+        patch.setattr(plmetric, "_recession_mismatch",
+                      counted("recession", plmetric._recession_mismatch))
         env = envelope(a)
-        assert calls == {"cells": 1, "hull": 0}
+        assert calls == {"cells": 1, "hull": 0, "recession": 0}
         envelope(b)
-        assert calls == {"cells": 2, "hull": 0}
+        assert calls == {"cells": 2, "hull": 0, "recession": 0}
         legendre(env).integral()
         monge_ampere(env)
         energy(envelope(a), envelope(b))
-        assert calls == {"cells": 2, "hull": 0}
+        assert calls == {"cells": 2, "hull": 0, "recession": 0}
 
 
 def test_metric_deform_hulls_each_branch_pair_once(monkeypatch):
+    # the recession of psi + eps*(pos - neg) is h_P + eps*h_P - eps*h_P, so
+    # the output is not re-checked
     calls = {"hull": 0, "recession": 0}
 
     def counted(name, fn):
@@ -752,7 +757,47 @@ def test_metric_deform_hulls_each_branch_pair_once(monkeypatch):
             calls.update(hull=0, recession=0)
             moved = metric_deform(psi, F(1, 3), pos, neg)
         assert len(moved.blocks) == 4 * len(neg.blocks[0])
-        assert calls == {"hull": 4, "recession": 1}
+        assert calls == {"hull": 4, "recession": 0}
+
+
+def test_public_constructors_check_the_recession_once(monkeypatch):
+    check, calls = plmetric._recession_mismatch, []
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    rng = random.Random(69)
+    a, b = (PLMetric(BOX, _random_blocks(BOX, rng, 2, extra=1)) for _ in range(2))
+    builds = {
+        "PLMetric": lambda: PLMetric(BOX, a.blocks),
+        "canonical_metric": lambda: canonical_metric(BOX),
+        "metric_min": lambda: metric_min(a, b),
+        "metric_sum": lambda: metric_sum(a, b),
+        "metric_scale": lambda: metric_scale(a, F(3, 2)),
+        "metric_shift": lambda: metric_shift(a, F(-1, 3)),
+    }
+    monkeypatch.setattr(plmetric, "_recession_mismatch", counted)
+    for name, build in builds.items():
+        calls.clear()
+        build()
+        assert len(calls) == 1, name
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(_small_metrics(3, bodies=(SEG, BOX, simplex(2), LINE)),
+       st.builds(F, st.integers(0, 9), st.integers(1, 4)))
+def test_envelopes_and_deformations_keep_the_recession_identity(metrics, eps):
+    # the two builders that skip the constructor's check must still give
+    # metrics it accepts, with the recession function of P's support
+    psi, pos, neg = metrics
+    if not is_semipositive(neg):
+        neg = envelope(neg)
+    moved = metric_deform(psi, eps, pos, neg)
+    P = psi.polytope
+    for out in (envelope(psi), envelope(pos), moved, envelope(moved)):
+        assert recession_by_all_slopes(out.blocks, P.vertices)
+        PLMetric(P, out.blocks)
 
 
 def test_pruning_never_changes_values_far_out():

@@ -4,6 +4,7 @@ end with its exit-code contract (0 pass / 1 fail / 2 parse / 3 precondition)."""
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,7 +20,8 @@ from navol.serialize import (_as_rational, _plain_rational, csv_text,
                              serialize_instance)
 from navol.trees import potential_rows
 
-from _oracles import as_rational_oracle, first_primes, ma_solve_oracle
+from _oracles import (as_rational_oracle, first_primes, ma_solve_oracle,
+                      recession_at, support_at)
 
 F = Fraction
 
@@ -559,3 +561,23 @@ def test_rejected_metric_names_the_direction():
         assert str(err.value) == (
             "metric 'psi': metric is not within bounded distance of the "
             f"canonical metric: rec(w) = 2 but h_P(w) = {support} at w = (1)")
+
+
+def test_rejected_metric_in_the_plane_names_a_direction_that_differs(tmp_path, capsys):
+    # on the square, the second branch has no slope at the vertex (1, 1), so
+    # its slope hull is a triangle and rec(w) < h_P(w) for w near (1, 1)
+    square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    blocks = [[(v, 0) for v in square], [([0, 0], 0), ([1, 0], 0), ([0, 1], "1/2")]]
+    instance = {"kind": "toric", "polytope": square,
+                "metrics": {"psi": [_block(b) for b in blocks]}}
+    with pytest.raises(PreconditionError) as err:
+        parse_instance_text(json.dumps(instance))
+    match = re.fullmatch(
+        r"metric 'psi': metric is not within bounded distance of the canonical "
+        r"metric: rec\(w\) = (\S+) but h_P\(w\) = (\S+) at w = \((\S+), (\S+)\)",
+        str(err.value))
+    assert match is not None, str(err.value)
+    rec, sup, *w = (F(x) for x in match.groups())
+    assert rec == recession_at(blocks, w) != sup == support_at(square, w)
+    path = _write(tmp_path, "square.json", instance)
+    assert _run(["energy", path], tmp_path, capsys)[0] == 3

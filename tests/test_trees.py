@@ -9,10 +9,10 @@ from navol.errors import PreconditionError
 from navol.harness import (random_tree, random_tree_measures,
                            verify_tree_solvability)
 from navol.measures import DiscreteMeasure
-from navol.trees import (MetricTree, TreeFunction, curvature,
-                         extend_to_subdivision, ma_solve, tree_laplacian)
+from navol.trees import MetricTree, TreeFunction, curvature, ma_solve, tree_laplacian
 
-from _oracles import first_primes, ma_solve_oracle, tree_laplacian_oracle
+from _oracles import (extend_to_subdivision, first_primes, ma_solve_oracle,
+                      tree_laplacian_oracle, with_subdivided_edge)
 
 F = Fraction
 
@@ -159,8 +159,8 @@ def test_subdivision_preserves_curvature():
     target = DiscreteMeasure([("a", F(1)), ("b", F(1)), ("c", F(1))])
     base = DiscreteMeasure([("r", F(3))])
     phi = ma_solve(tree, target, base)
-    fine = tree.with_subdivided_edge("r", "c", "mid", F(1, 4))
-    phi_fine = extend_to_subdivision(tree, fine, phi, "mid", "r", "c", F(1, 4))
+    fine = with_subdivided_edge(tree, "r", "c", "mid", F(1, 4))
+    phi_fine = extend_to_subdivision(tree, phi, "mid", "r", "c", F(1, 4))
     assert phi_fine("mid") == phi("r") + (phi("c") - phi("r")) * F(1, 4)
     assert curvature(fine, base, phi_fine) == target
     assert tree_laplacian(fine, phi_fine).atoms.get("mid") is None
