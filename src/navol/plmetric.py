@@ -17,13 +17,16 @@ it gives the linearity cells of the conjugate, a RoofFunction, which yield
 integrals, Monge-Ampere measures and the double-conjugate envelope, whose own
 conjugate is that roof cut down to the pieces owning a cell. In a box
 of v-space it refines two metrics until each is one row on every cell, so
-their sup-distance is a max over the cells' corners.
+their sup-distance is a max over the cells' corners. A region that one row
+owns at every corner is that row's one cell, with nothing clipped.
 
 These kernels (the lifted lower hull and the pruning by it, the recession
 check, the cells and metric_deform's Minkowski blocks and translations)
 first scale their rational data by a common denominator, then compute with
-Python ints only; Fractions appear only in their inputs and outputs. Points
-are homogeneous integer rows (x, w) standing for x / w, in lowest terms with
+Python ints only. Evaluation, distances and deformations read a metric as
+integer rows over its lowest common denominator; envelopes and deformations
+store only those, and build Fraction blocks on first access. Points are
+homogeneous integer rows (x, w) standing for x / w, in lowest terms with
 w > 0, so equal points have equal rows.
 
 The recession check runs in the PLMetric constructor only, where rational
@@ -47,6 +50,7 @@ Piece = Tuple[Point, Fraction]          # v -> <slope, v> + const
 Block = Tuple[Piece, ...]               # max over pieces
 IntPlane = Tuple[int, ...]              # n.x + nz*z = d on scaled lifted points (x, z)
 IntegerRows = Tuple[int, List[Tuple[int, ...]]]  # (D, [D * (slope, const)])
+IntegerBlocks = Tuple[int, Tuple[Tuple[Tuple[int, ...], ...], ...]]  # (D, blocks of rows)
 IntegerCells = List[Tuple[int, List[Tuple[int, ...]]]]  # [(piece index, corner rows)]
 
 
@@ -61,10 +65,6 @@ def _common_scale(rows: Iterable[Sequence[Fraction]]) -> Tuple[int, List[Tuple[i
 def _scaled(row: Sequence[Fraction], scale: int) -> Tuple[int, ...]:
     """scale * row as integers (scale a multiple of every denominator)."""
     return tuple(c.numerator * (scale // c.denominator) for c in row)
-
-
-def _eval_pieces(pieces: Sequence[Piece], v: Sequence[Fraction]) -> Fraction:
-    return max(dot(s, v) + c for s, c in pieces)
 
 
 def _dedupe_block(block: Iterable[Piece]) -> Block:
@@ -94,6 +94,9 @@ class PLMetric:
     keeps one piece per slope (the largest constant) and only the pieces on
     its lower hull, so pieces that never reach the branch's max are dropped.
     Those hulls are the conjugate, which is stored on the metric.
+    It keeps its pruned Fraction blocks and computes their integer rows on
+    first use (integer_rows); envelope and metric_deform store only integer
+    rows and build the Fraction blocks on first access.
     """
 
     def __init__(self, polytope: Polytope, blocks: Sequence[Sequence[Piece]]):
@@ -116,17 +119,26 @@ class PLMetric:
                 "metric is not within bounded distance of the canonical metric: "
                 f"rec(w) = {frac_str(rec)} but h_P(w) = {frac_str(sup)} "
                 f"at w = {point_str(w)}")
-        self._build(polytope, kept, RoofFunction(polytope, pieces))
+        conjugate = RoofFunction.__new__(RoofFunction)._build(polytope, _dedupe_block(pieces))
+        self._build(polytope, None, conjugate)
+        self.blocks = tuple(kept)
 
-    def _build(self, polytope: Polytope, blocks: Sequence[Block],
+    def _build(self, polytope: Polytope, rows: Optional[IntegerBlocks],
                conjugate: "RoofFunction") -> None:
-        """Set the metric from its pruned blocks and their conjugate, which
-        the caller guarantees satisfy the recession identity."""
+        """Set the metric from its blocks' integer rows in lowest terms (None when
+        the caller sets blocks) and conjugate, all keeping the recession identity."""
         self.polytope = polytope
-        self.blocks: Tuple[Block, ...] = tuple(blocks)
+        self._rows = rows
         self._conjugate = conjugate
         self._envelope: Optional["PLMetric"] = None
         self._semipositive: Optional[bool] = None
+
+    @functools.cached_property
+    def blocks(self) -> Tuple[Block, ...]:
+        """The pruned blocks as Fraction pieces, built on first access."""
+        scale, rows = self._rows
+        return tuple(tuple((tuple(Fraction(x, scale) for x in r[:-1]), Fraction(r[-1], scale))
+                           for r in b) for b in rows)
 
     # -- basic queries ----------------------------------------------------
 
@@ -134,28 +146,36 @@ class PLMetric:
     def dim(self) -> int:
         return self.polytope.ambient_dim
 
-    def all_pieces(self) -> List[Piece]:
-        return [p for block in self.blocks for p in block]
+    def integer_rows(self) -> IntegerBlocks:
+        """(D, blocks of rows D * (slope, const)) over the lcm D; cached."""
+        if self._rows is None:
+            scale = math.lcm(*{x.denominator for b in self.blocks for s, c in b for x in s + (c,)})
+            self._rows = scale, tuple(tuple(_scaled(s + (c,), scale) for s, c in b)
+                                      for b in self.blocks)
+        return self._rows
 
     def evaluate(self, v: Sequence) -> Fraction:
-        x = point(v)
-        return min(_eval_pieces(block, x) for block in self.blocks)
+        """min over blocks of max over rows of <row, (x, w)> / (D w) at v = x / w."""
+        x = _homogeneous(point(v))
+        scale, rows = self.integer_rows()
+        return Fraction(min(max(sum(map(operator.mul, r, x)) for r in b) for b in rows),
+                        scale * x[-1])
 
     __call__ = evaluate
 
     def is_convex_representation(self) -> bool:
-        return len(self.blocks) == 1
+        return len(self.blocks if self._rows is None else self._rows[1]) == 1
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PLMetric)
                 and self.polytope == other.polytope
-                and self.blocks == other.blocks)
+                and self.integer_rows() == other.integer_rows())
 
     def __hash__(self) -> int:
-        return hash((self.polytope, self.blocks))
+        return hash((self.polytope, self.integer_rows()))
 
     def __repr__(self) -> str:
-        return f"PLMetric({len(self.blocks)} branch(es), dim {self.dim})"
+        return f"PLMetric({len(self.integer_rows()[1])} branch(es), dim {self.dim})"
 
 
 def _recession_mismatch(blocks: Sequence[Block], P: Polytope
@@ -245,17 +265,24 @@ class RoofFunction:
     """
 
     def __init__(self, polytope: Polytope, pieces: Sequence[Piece]):
-        self.polytope = polytope
-        self.pieces: Block = _dedupe_block(
-            (point(s), frac(c)) for s, c in pieces)
-        if not self.pieces:
+        pieces = _dedupe_block((point(s), frac(c)) for s, c in pieces)
+        if not pieces:
             raise PreconditionError("a roof function needs at least one piece")
+        self._build(polytope, pieces)
+
+    def _build(self, polytope: Polytope, pieces: Block) -> "RoofFunction":
+        """Set the roof from Fraction pieces with distinct slopes, as they are."""
+        self.polytope = polytope
+        self.pieces = pieces
         self._integer_rows: Optional[IntegerRows] = None
         self._integer_cells: Optional[IntegerCells] = None
         self._cells: Optional[List[Tuple[int, List[Point]]]] = None
+        self._integral: Optional[Fraction] = None
+        return self
 
     def evaluate(self, u: Sequence) -> Fraction:
-        return _eval_pieces(self.pieces, point(u))
+        u = point(u)
+        return max(dot(s, u) + c for s, c in self.pieces)
 
     __call__ = evaluate
 
@@ -287,24 +314,24 @@ class RoofFunction:
         return self._cells
 
     def integral(self) -> Fraction:
-        """Exact integral over the polytope (0 for lower-dimensional P).
+        """Exact integral over the polytope (0 for lower-dimensional P), cached.
 
         Over a cell's corners scaled to their lcm W, the piece takes
         F_k / (D W) at corner k, and a fan simplex with n! W^n times its
         volume A contributes A (sum of its F_k) / ((n+1)! D W^(n+1)). The
         numerators are summed per W, one Fraction each."""
-        if not self.polytope.is_full_dimensional():
-            return ZERO
-        scale, rows = self.integer_rows()
-        n = self.polytope.ambient_dim
-        sums: Dict[int, int] = {}
-        for i, region in self.integer_cells():
-            w, corners = _over_lcm(region)
-            vals = [sum(map(operator.mul, rows[i], c)) for c in corners]
-            sums[w] = sums.get(w, 0) + sum(a * sum(vals[k] for k in simplex)
-                                           for a, simplex in _fan(corners, n))
-        return sum((Fraction(acc, math.factorial(n + 1) * scale * w ** (n + 1))
-                    for w, acc in sums.items()), ZERO)
+        if self._integral is None and self.polytope.is_full_dimensional():
+            scale, rows = self.integer_rows()
+            n = self.polytope.ambient_dim
+            sums: Dict[int, int] = {}
+            for i, region in self.integer_cells():
+                w, corners = _over_lcm(region)
+                vals = [sum(map(operator.mul, rows[i], c)) for c in corners]
+                sums[w] = sums.get(w, 0) + sum(a * sum(vals[k] for k in simplex)
+                                               for a, simplex in _fan(corners, n))
+            self._integral = sum((Fraction(acc, math.factorial(n + 1) * scale * w ** (n + 1))
+                                  for w, acc in sums.items()), ZERO)
+        return self._integral or ZERO
 
     def cell_masses(self) -> List[Tuple[int, Fraction]]:
         """(piece index, n! times the cell volume) for every linearity cell
@@ -367,7 +394,17 @@ def _dominance_cells(region: List[Tuple[int, ...]], rows: Sequence[Sequence[int]
     """(row index, corner rows) for each sub-cell of dimension dim of the
     convex homogeneous cycle region on which that row is the max (sign 1) or
     the min (sign -1) of all rows: region clipped by the half-space where the
-    row beats each other row, one integer dot product per corner."""
+    row beats each other row, one integer dot product per corner.
+
+    A row alone at the (signed) max on every corner owns all of region: the
+    max of affine rows is convex, and every other row is strictly below it
+    at some corner, so has no interior. Ties at every corner are clipped."""
+    if len(rows) > 1:
+        vals = [[sign * sum(map(operator.mul, r, p)) for p in region] for r in rows]
+        top = list(map(max, *vals))
+        owners = [i for i, v in enumerate(vals) if v == top]
+        if len(owners) == 1:
+            return [(owners[0], region)]
     cells: IntegerCells = []
     for i, own in enumerate(rows):
         cell = region
@@ -583,8 +620,9 @@ def envelope(metric: PLMetric) -> PLMetric:
     the graph of the convex roof, so their lower hull is the roof on P. Every
     corner is kept, the envelope's conjugate is the roof cut down to the
     pieces that own a cell, in cell order, and its cells are the roof's,
-    re-indexed. The recession identity needs no check: the single block
-    holds every vertex of P, so its slope hull is P.
+    re-indexed. The corners are stored as integer rows over their lowest
+    common denominator. The recession identity needs no check: the single
+    block holds every vertex of P, so its slope hull is P.
     """
     if metric._envelope is not None:
         return metric._envelope
@@ -595,12 +633,14 @@ def envelope(metric: PLMetric) -> PLMetric:
     for i, region in cells:
         for r in region:
             owner.setdefault(r, i)
-    corners = tuple((_affine(r), Fraction(-sum(map(operator.mul, rows[i], r)), scale * r[-1]))
-                    for r, i in owner.items())
-    conjugate = RoofFunction(P, [roof.pieces[i] for i, _ in cells])
+    w, points = _over_lcm(list(owner))
+    corners = [tuple(scale * x for x in r[:-1]) + (-sum(map(operator.mul, rows[i], r)),)
+               for r, i in zip(points, owner.values())]
+    conjugate = RoofFunction.__new__(RoofFunction)._build(
+        P, tuple(roof.pieces[i] for i, _ in cells))
     conjugate._integer_cells = [(k, region) for k, (_, region) in enumerate(cells)]
     env = PLMetric.__new__(PLMetric)
-    env._build(P, [corners], conjugate)
+    env._build(P, _lowest(scale * w, [corners]), conjugate)
     metric._envelope = env
     if env._envelope is None:
         env._envelope = env
@@ -626,7 +666,7 @@ def distance(m1: PLMetric, m2: PLMetric) -> Fraction:
     other 0."""
     if m1.polytope != m2.polytope:
         raise PreconditionError("distance needs metrics on the same polytope")
-    (d1, blocks1), (d2, blocks2) = _integer_blocks(m1), _integer_blocks(m2)
+    (d1, blocks1), (d2, blocks2) = m1.integer_rows(), m2.integer_rows()
     dim = m1.dim
     m = max(abs(c) for blocks in (blocks1, blocks2) for b in blocks for r in b for c in r)
     r = 8 * m * m + 1 if dim == 2 else 2 * m + 1
@@ -641,13 +681,13 @@ def distance(m1: PLMetric, m2: PLMetric) -> Fraction:
     return Fraction(best, best_w * d1 * d2)
 
 
-def _integer_blocks(metric: PLMetric) -> Tuple[int, List[List[Tuple[int, ...]]]]:
-    """The metric's blocks as integer rows (D * s, D * c) over their lcm D."""
-    scale = math.lcm(*{x.denominator for s, c in metric.all_pieces() for x in s + (c,)})
-    return scale, [[_scaled(s + (c,), scale) for s, c in block] for block in metric.blocks]
+def _lowest(scale: int, blocks: Sequence[Sequence[Tuple[int, ...]]]) -> IntegerBlocks:
+    """Integer blocks over scale, both divided by their gcd: lowest terms."""
+    g = math.gcd(scale, *(x for b in blocks for r in b for x in r))
+    return scale // g, tuple(tuple(tuple(x // g for x in r) for r in b) for b in blocks)
 
 
-def _branch_cells(region: List[Tuple[int, ...]], blocks: List[List[Tuple[int, ...]]],
+def _branch_cells(region: List[Tuple[int, ...]], blocks: Sequence[Sequence[Tuple[int, ...]]],
                   dim: int) -> List[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]]:
     """The sub-cells of region on which the min over blocks of the max over
     each block's rows is one row, as (that row, corner rows): region split
@@ -727,7 +767,8 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
     translates B's lifted points (x, z) = (L s, -L c) by (-T, T_c) and so
     their lower hull: kept rows move by -(T, T_c), and a hull plane
     n.x + nz*z = d (a facet, or a line of a chain) moves to
-    d - n.T + nz*T_c. Fractions are built for the output pieces only. The
+    d - n.T + nz*T_c. The kept rows are stored over L divided by their
+    common gcd, and Fractions are built for the conjugate's pieces only. The
     recession identity needs no check: recession is additive on PL
     functions, so rec = h_P + eps*h_P - eps*h_P, all three inputs being
     PLMetrics that passed the constructor.
@@ -740,10 +781,8 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
         raise PreconditionError("direction metrics must live on the same polytope")
     if not is_semipositive(neg):
         raise PreconditionError("the subtracted part of a direction must be semipositive")
-    neg_block = envelope(neg).blocks[0] if not neg.is_convex_representation() \
-        else neg.blocks[0]
-    (d1, rows1), (d2, rows2) = _integer_blocks(psi), _integer_blocks(pos)
-    d3, rows3 = _common_scale(s + (c,) for s, c in neg_block)
+    d3, (rows3,) = (neg if neg.is_convex_representation() else envelope(neg)).integer_rows()
+    (d1, rows1), (d2, rows2) = psi.integer_rows(), pos.integer_rows()
     p, q = eps.numerator, eps.denominator
     scale = math.lcm(d1, q * d2, q * d3)
     f1, f2, f3 = scale // d1, p * (scale // (q * d2)), p * (scale // (q * d3))
@@ -763,8 +802,9 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
             for t, tc in shifts:
                 pieces += [_plane_piece(pl[:-1] + (pl[-1] - sum(map(operator.mul, pl, t))
                                                    + pl[-2] * tc,), scale) for pl in planes]
-                blocks.append(tuple((tuple(Fraction(x - y, scale) for x, y in zip(rows[i], t)),
-                                     Fraction(rows[i][-1] - tc, scale)) for i in on_hull))
+                blocks.append([tuple(map(operator.sub, rows[i], t)) + (rows[i][-1] - tc,)
+                               for i in on_hull])
+    conjugate = RoofFunction.__new__(RoofFunction)._build(P, _dedupe_block(pieces))
     out = PLMetric.__new__(PLMetric)
-    out._build(P, blocks, RoofFunction(P, pieces))
+    out._build(P, _lowest(scale, blocks), conjugate)
     return out

@@ -10,8 +10,11 @@ Monge-Ampere measures, a route the package's own energy no longer takes,
 every raw branch of a deformation, a route `metric_deform` no longer takes,
 `lower_hull_facets_2d`, which reads the package's integer facet kernel
 back as Fraction pieces so the brute-force hull can be compared with it,
-and `with_subdivided_edge` and `extend_to_subdivision`, which build the
-package's tree and tree-function types for a subdivided edge.
+`dominance_cells_by_clipping`, which runs the package's half-plane clip on
+every pair of rows, a route the package's cell engine skips when one row
+owns the whole region, and `with_subdivided_edge` and
+`extend_to_subdivision`, which build the package's tree and tree-function
+types for a subdivided edge.
 All arithmetic is exact.
 """
 
@@ -447,6 +450,27 @@ def cell_mass_oracle(region):
     if len(region[0]) == 1:
         return region[1][0] - region[0][0]
     return abs(2 * polygon_area(region))
+
+
+def dominance_cells_by_clipping(region, rows, dim, sign):
+    """(row index, corner rows) for each sub-cell of dimension dim of a
+    convex homogeneous cycle on which that row is the max (sign 1) or the
+    min (sign -1) of all rows: the region clipped, with the package's
+    _clip_cycle, by the half-plane where the row beats each other row, and
+    dropped once it has at most dim corners."""
+    from navol.plmetric import _clip_cycle
+    cells = []
+    for i, own in enumerate(rows):
+        cell = region
+        for j, other in enumerate(rows):
+            if j != i:
+                pair = (other, own) if sign > 0 else (own, other)
+                cell = _clip_cycle(cell, tuple(a - b for a, b in zip(*pair)))
+                if len(cell) <= dim:
+                    break
+        else:
+            cells.append((i, cell))
+    return cells
 
 
 def envelope_corners_oracle(pieces, cells):

@@ -814,3 +814,55 @@ def test_pruning_never_changes_values_far_out():
         for v in [(F(200), F(1)), (F(-200), F(3)), (F(7), F(-300)),
                   (F(151), F(149)), (F(-80), F(-80))]:
             assert moved.evaluate(v) == raw(v)
+
+
+def _built_metrics(rng):
+    """(builder, metric) for every builder on a segment, the square, a
+    triangle and a segment in the plane."""
+    for P in (SEG, BOX, simplex(2), LINE):
+        a, b = (PLMetric(P, _random_blocks(P, rng, 2, extra=1)) for _ in range(2))
+        neg = random_convex_metric(P, rng)
+        moved = metric_deform(a, F(2, 3), b, neg)
+        yield from (("PLMetric", a), ("envelope", envelope(a)), ("metric_deform", moved),
+                    ("envelope of a deformation", envelope(moved)),
+                    ("metric_deform by a two-branch neg", metric_deform(
+                        b, F(5, 4), a, PLMetric(P, [neg.blocks[0], neg.blocks[0]]))),
+                    ("metric_min", metric_min(a, b)), ("metric_sum", metric_sum(a, b)),
+                    ("metric_shift", metric_shift(a, F(-7, 6))),
+                    ("metric_scale", metric_scale(a, F(3, 2))))
+
+
+def test_metrics_store_integer_rows_over_the_lowest_denominator():
+    # integer_rows() is the stored form; the Fraction blocks built from it
+    # scale back to it, and evaluation on the rows agrees with the blocks at
+    # int, string and Fraction points
+    rng = random.Random(71)
+    for name, m in _built_metrics(rng):
+        scale, rows = m.integer_rows()
+        want = plmetric._common_scale(s + (c,) for b in m.blocks for s, c in b)
+        assert (scale, [r for b in rows for r in b]) == want, name
+        assert [len(b) for b in rows] == [len(b) for b in m.blocks], name
+        for _ in range(6):
+            v = [rng.randint(-9, 9) for _ in range(m.dim)]
+            for given_v in (v, [f"{x}/{rng.randint(1, 7)}" for x in v],
+                            [F(x, rng.randint(1, 7)) for x in v]):
+                assert m.evaluate(given_v) == eval_min_max(m.blocks, [F(x) for x in given_v]), \
+                    (name, given_v)
+
+
+def test_envelopes_of_deformations_build_no_fraction_blocks():
+    # the differentiability and orthogonality checks read a deformation and
+    # its envelope through integer rows and the conjugate only
+    rng = random.Random(72)
+    for P in (SEG, BOX, simplex(2), LINE):
+        psi = PLMetric(P, _random_blocks(P, rng, 2, extra=1))
+        pos, neg = random_direction(P, rng)
+        moved = metric_deform(psi, F(1, 3), pos, neg)
+        env, base = envelope(moved), envelope(psi)
+        energy(env, base)
+        distance(moved, env)
+        distance(psi, base)
+        is_semipositive(moved)
+        monge_ampere(env)
+        for m in (moved, env, base):
+            assert "blocks" not in vars(m), P

@@ -1,17 +1,20 @@
 """Roof linearity cells on integer rows, checked against the Fraction
 clipping route in _oracles: the cells themselves, the roof integral, the
-Monge-Ampere cell masses and the envelope's corner pieces."""
+Monge-Ampere cell masses and the envelope's corner pieces; and the cell
+engine's one-owner shortcut against clipping every pair of rows."""
 
 import random
 from fractions import Fraction
 
+from navol import plmetric
 from navol.harness import random_convex_metric, random_direction, random_nonconvex_metric
 from navol.measures import DiscreteMeasure, monge_ampere
-from navol.plmetric import PLMetric, RoofFunction, envelope, legendre, metric_deform
+from navol.plmetric import (PLMetric, RoofFunction, distance, envelope, legendre,
+                            metric_deform)
 from navol.polytope import Polytope, segment, simplex, unit_box
 
-from _oracles import (cell_mass_oracle, envelope_corners_oracle, roof_cells_oracle,
-                      roof_integral_oracle)
+from _oracles import (cell_mass_oracle, dominance_cells_by_clipping, envelope_corners_oracle,
+                      roof_cells_oracle, roof_integral_oracle)
 
 F = Fraction
 SEG = segment(0, 1)
@@ -19,6 +22,7 @@ BOX = unit_box(2)
 HEXAGON = Polytope.from_points([(1, 0), (2, 0), (2, 1), (1, 2), (0, 2), (0, 1)])
 BODIES = (SEG, segment(F(-3, 2), 2), BOX, simplex(2), HEXAGON)
 LINE = Polytope.from_points([(0, 0), (2, 1)])
+DOT = Polytope.from_points([(1, 2)])
 # coprime denominators near 10^6
 PRIMES = (999983, 999979, 999961, 999959, 999953)
 
@@ -172,3 +176,51 @@ def test_a_point_is_one_cell_with_no_volume():
         u = P.vertices[0]
         assert sum(a * b for a, b in zip(s, u)) + c == roof.evaluate(u)
         assert roof.integral() == 0 and roof.cell_masses() == []
+
+
+def _blocks(P, rng, branches):
+    """Blocks of P's vertices and up to two convex combinations of them, with
+    small rational constants; every such metric is accepted."""
+    blocks = []
+    for _ in range(branches):
+        slopes = list(P.vertices)
+        for _ in range(rng.randint(0, 2)):
+            w = [rng.randint(0, 2) for _ in P.vertices]
+            w[0] += 1
+            slopes.append(tuple(F(sum(a * v[k] for a, v in zip(w, P.vertices)), sum(w))
+                                for k in range(P.ambient_dim)))
+        blocks.append([(s, F(rng.randint(-6, 6), rng.randint(1, 3))) for s in slopes])
+    return blocks
+
+
+def test_one_owner_cells_equal_clipping_every_pair(monkeypatch):
+    # every call the roof cells and distance's box refinements make returns
+    # the list of the full clip loop (indices, order and corner cycles), on
+    # seeded metrics and on ties: repeated blocks put one row twice in the
+    # min stage, two distinct rows agree on a segment in the plane, and rows
+    # tie on a point P
+    engine, calls = plmetric._dominance_cells, []
+
+    def recorded(region, rows, dim, sign):
+        out = engine(region, rows, dim, sign)
+        calls.append((region, rows, dim, sign, out))
+        return out
+
+    monkeypatch.setattr(plmetric, "_dominance_cells", recorded)
+    rng = random.Random(805)
+    for P in BODIES + (LINE, DOT):
+        for branches in (1, 2, 3):
+            a, b = (PLMetric(P, _blocks(P, rng, branches)) for _ in range(2))
+            twice = PLMetric(P, a.blocks[:1] * 2)
+            for m1, m2 in ((a, b), (a, envelope(a)), (twice, b), (b, twice)):
+                distance(m1, m2)
+    for P, pieces in ((LINE, [((0, 0), F(0)), ((1, -2), F(0)), ((-1, 0), F(-3))]),
+                      (DOT, [((0, 0), F(0)), ((1, 0), F(-1)), ((0, 1), F(-3))])):
+        assert [i for i, _ in RoofFunction(P, pieces).integer_cells()] == [0, 1]
+    owned = tied = repeated = 0
+    for region, rows, dim, sign, out in calls:
+        assert out == dominance_cells_by_clipping(region, rows, dim, sign), (region, rows)
+        owned += len(rows) > 1 and len(out) == 1 and out[0][1] is region
+        tied += sum(cell == region for _, cell in out) > 1
+        repeated += sign < 0 and len(set(rows)) < len(rows)
+    assert owned > 1000 and tied > 100 and repeated > 100, (owned, tied, repeated)
