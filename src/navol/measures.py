@@ -77,7 +77,9 @@ def monge_ampere(metric: PLMetric) -> DiscreteMeasure:
     if not is_semipositive(metric):
         raise PreconditionError("monge_ampere needs a semipositive metric")
     roof = legendre(metric)
-    return DiscreteMeasure((roof.pieces[i][0], mass) for i, mass in roof.cell_masses())
+    scale, rows = roof.integer_rows()
+    return DiscreteMeasure((tuple(Fraction(x, scale) for x in rows[i][:-1]), mass)
+                           for i, mass in roof.cell_masses())
 
 
 def mixed_monge_ampere(metrics: Sequence[PLMetric]) -> DiscreteMeasure:

@@ -20,13 +20,14 @@ of v-space it refines two metrics until each is one row on every cell, so
 their sup-distance is a max over the cells' corners. A region that one row
 owns at every corner is that row's one cell, with nothing clipped.
 
-These kernels (the lifted lower hull and the pruning by it, the recession
-check, the cells and metric_deform's Minkowski blocks and translations)
-first scale their rational data by a common denominator, then compute with
-Python ints only. Evaluation, distances and deformations read a metric as
-integer rows over its lowest common denominator; envelopes and deformations
-store only those, and build Fraction blocks on first access. Points are
-homogeneous integer rows (x, w) standing for x / w, in lowest terms with
+Metrics and roofs store only integer rows D * (slope, const) over their
+lowest common denominator D, and build their Fraction blocks or pieces on
+first access. Rational data is scaled once, by one common denominator, in
+the public constructors; every kernel after that (the lifted lower hull and
+the pruning by it, the conjugate's rows written from the hull planes, the
+recession check, evaluation, the cells, distances and metric_deform's
+Minkowski blocks and translations) computes with Python ints only. Points
+are homogeneous integer rows (x, w) standing for x / w, in lowest terms with
 w > 0, so equal points have equal rows.
 
 The recession check runs in the PLMetric constructor only, where rational
@@ -43,8 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .polytope import Polytope, _hull_1d, _hull_2d
-from .rational import (Point, ZERO, dot, frac, frac_str, point, point_str,
-                       vadd, vscale)
+from .rational import Point, ZERO, frac, frac_str, point, point_str, vadd
 
 Piece = Tuple[Point, Fraction]          # v -> <slope, v> + const
 Block = Tuple[Piece, ...]               # max over pieces
@@ -54,29 +54,31 @@ IntegerBlocks = Tuple[int, Tuple[Tuple[Tuple[int, ...], ...], ...]]  # (D, block
 IntegerCells = List[Tuple[int, List[Tuple[int, ...]]]]  # [(piece index, corner rows)]
 
 
-def _common_scale(rows: Iterable[Sequence[Fraction]]) -> Tuple[int, List[Tuple[int, ...]]]:
-    """Scale rational rows by the lcm D of all their denominators: returns D
-    and the integer rows."""
-    rows = list(rows)
-    scale = math.lcm(*{c.denominator for row in rows for c in row})
-    return scale, [_scaled(row, scale) for row in rows]
-
-
 def _scaled(row: Sequence[Fraction], scale: int) -> Tuple[int, ...]:
     """scale * row as integers (scale a multiple of every denominator)."""
     return tuple(c.numerator * (scale // c.denominator) for c in row)
 
 
-def _dedupe_block(block: Iterable[Piece]) -> Block:
-    """One piece per slope, the one with the largest constant, in order of
-    first occurrence. Slopes are keyed by their (numerator, denominator)
-    pairs: hashing ints is cheap, hashing a Fraction takes a modular inverse."""
-    by_slope: Dict[Tuple[int, ...], Piece] = {}
-    for s, c in block:
-        key = tuple(x for v in s for x in (v.numerator, v.denominator))
-        if key not in by_slope or c > by_slope[key][1]:
-            by_slope[key] = (s, c)
-    return tuple(by_slope.values())
+def _dedupe_rows(rows: Iterable[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+    """One row per slope, the one with the largest constant, in order of
+    first occurrence; the rows are (slope, const) over one denominator."""
+    best: Dict[Tuple[int, ...], int] = {}
+    for r in rows:
+        s, c = r[:-1], r[-1]
+        if s not in best or c > best[s]:
+            best[s] = c
+    return [s + (c,) for s, c in best.items()]
+
+
+def _lowest(scale: int, blocks: Sequence[Sequence[Tuple[int, ...]]]) -> IntegerBlocks:
+    """Integer blocks over scale, both divided by their gcd: lowest terms."""
+    g = math.gcd(scale, *(x for b in blocks for r in b for x in r))
+    return scale // g, tuple(tuple(tuple(x // g for x in r) for r in b) for b in blocks)
+
+
+def _piece(row: Sequence[int], scale: int) -> Piece:
+    """The integer row over scale as a Fraction piece (slope, const)."""
+    return tuple(Fraction(x, scale) for x in row[:-1]), Fraction(row[-1], scale)
 
 
 # ---------------------------------------------------------------------------
@@ -90,43 +92,44 @@ class PLMetric:
     distance of the canonical metric, i.e. its recession function is the
     support function of P; otherwise PreconditionError. This constructor is
     the only place that checks it: envelope and metric_deform, which build
-    their outputs without it, preserve the identity by theorem. Each branch
-    keeps one piece per slope (the largest constant) and only the pieces on
-    its lower hull, so pieces that never reach the branch's max are dropped.
-    Those hulls are the conjugate, which is stored on the metric.
-    It keeps its pruned Fraction blocks and computes their integer rows on
-    first use (integer_rows); envelope and metric_deform store only integer
-    rows and build the Fraction blocks on first access.
+    their outputs without it, preserve the identity by theorem. The input is
+    scaled once, to integer rows over one common denominator. Each branch
+    keeps one row per slope (the largest constant) and only the rows on its
+    lower hull, so pieces that never reach the branch's max are dropped.
+    Those hulls are the conjugate, whose rows come straight from the hull
+    planes and are stored on the metric. Every metric stores only its kept
+    rows in lowest terms (integer_rows) and builds the Fraction blocks on
+    first access.
     """
 
     def __init__(self, polytope: Polytope, blocks: Sequence[Sequence[Piece]]):
         if not blocks or any(not b for b in blocks):
             raise PreconditionError("a metric needs at least one piece per branch")
-        # Each block keeps the pieces whose lifted point lies on its lower
+        # Each block keeps the rows whose lifted point lies on its lower
         # hull, which changes no value. The recession identity makes every
         # block's slope hull contain P, so the hulls are the conjugate on P.
-        kept, pieces = [], []
+        blocks = [[point(s) + (frac(c),) for s, c in b] for b in blocks]
+        scale = math.lcm(*{x.denominator for b in blocks for r in b for x in r})
+        kept, planes = [], []
         for block in blocks:
-            block = _dedupe_block((point(s), frac(c)) for s, c in block)
-            scale, rows = _common_scale(s + (c,) for s, c in block)
-            planes, on_hull = _lower_hull(rows)
-            kept.append(tuple(block[i] for i in on_hull))
-            pieces += [_plane_piece(pl, scale) for pl in planes]
-        mismatch = _recession_mismatch(kept, polytope)
+            rows = _dedupe_rows(_scaled(r, scale) for r in block)
+            hull_planes, on_hull = _lower_hull(rows)
+            kept.append([rows[i] for i in on_hull])
+            planes += hull_planes
+        rows = _lowest(scale, kept)
+        mismatch = _recession_mismatch(rows, polytope)
         if mismatch is not None:
             w, rec, sup = mismatch
             raise PreconditionError(
                 "metric is not within bounded distance of the canonical metric: "
                 f"rec(w) = {frac_str(rec)} but h_P(w) = {frac_str(sup)} "
                 f"at w = {point_str(w)}")
-        conjugate = RoofFunction.__new__(RoofFunction)._build(polytope, _dedupe_block(pieces))
-        self._build(polytope, None, conjugate)
-        self.blocks = tuple(kept)
+        self._build(polytope, rows, _plane_roof(polytope, planes, scale))
 
-    def _build(self, polytope: Polytope, rows: Optional[IntegerBlocks],
+    def _build(self, polytope: Polytope, rows: IntegerBlocks,
                conjugate: "RoofFunction") -> None:
-        """Set the metric from its blocks' integer rows in lowest terms (None when
-        the caller sets blocks) and conjugate, all keeping the recession identity."""
+        """Set the metric from its blocks' integer rows in lowest terms and its
+        conjugate, all keeping the recession identity."""
         self.polytope = polytope
         self._rows = rows
         self._conjugate = conjugate
@@ -137,8 +140,7 @@ class PLMetric:
     def blocks(self) -> Tuple[Block, ...]:
         """The pruned blocks as Fraction pieces, built on first access."""
         scale, rows = self._rows
-        return tuple(tuple((tuple(Fraction(x, scale) for x in r[:-1]), Fraction(r[-1], scale))
-                           for r in b) for b in rows)
+        return tuple(tuple(_piece(r, scale) for r in b) for b in rows)
 
     # -- basic queries ----------------------------------------------------
 
@@ -147,38 +149,34 @@ class PLMetric:
         return self.polytope.ambient_dim
 
     def integer_rows(self) -> IntegerBlocks:
-        """(D, blocks of rows D * (slope, const)) over the lcm D; cached."""
-        if self._rows is None:
-            scale = math.lcm(*{x.denominator for b in self.blocks for s, c in b for x in s + (c,)})
-            self._rows = scale, tuple(tuple(_scaled(s + (c,), scale) for s, c in b)
-                                      for b in self.blocks)
+        """(D, blocks of rows D * (slope, const)) over the lowest common D."""
         return self._rows
 
     def evaluate(self, v: Sequence) -> Fraction:
         """min over blocks of max over rows of <row, (x, w)> / (D w) at v = x / w."""
         x = _homogeneous(point(v))
-        scale, rows = self.integer_rows()
+        scale, rows = self._rows
         return Fraction(min(max(sum(map(operator.mul, r, x)) for r in b) for b in rows),
                         scale * x[-1])
 
     __call__ = evaluate
 
     def is_convex_representation(self) -> bool:
-        return len(self.blocks if self._rows is None else self._rows[1]) == 1
+        return len(self._rows[1]) == 1
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PLMetric)
                 and self.polytope == other.polytope
-                and self.integer_rows() == other.integer_rows())
+                and self._rows == other._rows)
 
     def __hash__(self) -> int:
-        return hash((self.polytope, self.integer_rows()))
+        return hash((self.polytope, self._rows))
 
     def __repr__(self) -> str:
-        return f"PLMetric({len(self.integer_rows()[1])} branch(es), dim {self.dim})"
+        return f"PLMetric({len(self._rows[1])} branch(es), dim {self.dim})"
 
 
-def _recession_mismatch(blocks: Sequence[Block], P: Polytope
+def _recession_mismatch(rows: IntegerBlocks, P: Polytope
                         ) -> Optional[Tuple[Tuple[int, ...], Fraction, Fraction]]:
     """Exact directional check that the recession function equals the support
     function of P, i.e. psi stays within bounded distance of the canonical
@@ -187,17 +185,18 @@ def _recession_mismatch(blocks: Sequence[Block], P: Polytope
     between angularly consecutive edge normals (both signs) of the blocks'
     hulls, rec = min_b h_H_b is concave and h_P convex, so rec - h_P is
     concave; it vanishes on the sector iff it vanishes on both rays and at
-    one interior probe, and P's own edge normals add nothing. Slopes and
-    vertices are scaled to integers by one common denominator.
+    one interior probe, and P's own edge normals add nothing. The slopes are
+    the rows' over their D, and P's vertices are scaled to integers over the
+    lcm V of their denominators, so rec(w) V is compared with h_P(w) D.
 
     Returns None when the two agree, else the first integer direction w
     probed where they differ, with rec(w) and h_P(w)."""
     n = P.ambient_dim
     hull = _hull_1d if n == 1 else _hull_2d
-    scale = math.lcm(*{c.denominator for b in blocks for s, _ in b for c in s},
-                     *{c.denominator for v in P.vertices for c in v})
-    verts = [_scaled(v, scale) for v in P.vertices]
-    hulls = [hull([_scaled(s, scale) for s, _ in b]) for b in blocks]
+    scale, blocks = rows
+    v_scale = math.lcm(*{c.denominator for v in P.vertices for c in v})
+    verts = [_scaled(v, v_scale) for v in P.vertices]
+    hulls = [hull([r[:-1] for r in b]) for b in blocks]
 
     def rec(w: Tuple[int, ...]) -> int:
         return min(max(sum(map(operator.mul, s, w)) for s in h) for h in hulls)
@@ -223,8 +222,8 @@ def _recession_mismatch(blocks: Sequence[Block], P: Polytope
             test.append(s if s != (0, 0) else (-a[1], a[0]))
     for w in test:
         rec_w, sup_w = rec(w), sup(w)
-        if rec_w != sup_w:
-            return w, Fraction(rec_w, scale), Fraction(sup_w, scale)
+        if rec_w * v_scale != sup_w * scale:
+            return w, Fraction(rec_w, scale), Fraction(sup_w, v_scale)
     return None
 
 
@@ -256,42 +255,51 @@ def _sort_by_angle(dirs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
 class RoofFunction:
     """Convex PL function on the polytope, stored as a max of affine pieces.
 
-    Evaluation outside the polytope is not meaningful. The linearity cells
-    (dominance region of each piece inside P) are computed exactly on
-    integers and feed integrals, envelopes and Monge-Ampere measures: the
-    pieces become rows (D*s, D*c) over the lcm D of their denominators, and
-    each cell corner u = x / w a homogeneous row (x, w) in lowest terms with
-    w > 0.
+    Evaluation outside the polytope is not meaningful. The pieces are stored
+    only as integer rows (D*s, D*c), one per slope, over their lowest common
+    denominator D (integer_rows); the Fraction pieces are built on first
+    access. The linearity cells (dominance region of each piece inside P)
+    are computed exactly on integers and feed integrals, envelopes and
+    Monge-Ampere measures, each cell corner u = x / w a homogeneous row
+    (x, w) in lowest terms with w > 0.
     """
 
     def __init__(self, polytope: Polytope, pieces: Sequence[Piece]):
-        pieces = _dedupe_block((point(s), frac(c)) for s, c in pieces)
+        pieces = [point(s) + (frac(c),) for s, c in pieces]
         if not pieces:
             raise PreconditionError("a roof function needs at least one piece")
-        self._build(polytope, pieces)
+        scale = math.lcm(*{x.denominator for r in pieces for x in r})
+        self._build(polytope, scale, _dedupe_rows(_scaled(r, scale) for r in pieces))
 
-    def _build(self, polytope: Polytope, pieces: Block) -> "RoofFunction":
-        """Set the roof from Fraction pieces with distinct slopes, as they are."""
+    def _build(self, polytope: Polytope, scale: int,
+               rows: Sequence[Tuple[int, ...]]) -> "RoofFunction":
+        """Set the roof from rows over scale with distinct slopes, stored in
+        lowest terms."""
         self.polytope = polytope
-        self.pieces = pieces
-        self._integer_rows: Optional[IntegerRows] = None
+        scale, (rows,) = _lowest(scale, [rows])
+        self._rows = scale, list(rows)
         self._integer_cells: Optional[IntegerCells] = None
-        self._cells: Optional[List[Tuple[int, List[Point]]]] = None
         self._integral: Optional[Fraction] = None
         return self
 
+    @functools.cached_property
+    def pieces(self) -> Block:
+        """The pieces as Fractions (slope, const), built on first access."""
+        scale, rows = self._rows
+        return tuple(_piece(r, scale) for r in rows)
+
     def evaluate(self, u: Sequence) -> Fraction:
-        u = point(u)
-        return max(dot(s, u) + c for s, c in self.pieces)
+        """max over rows of <row, (x, w)> / (D w) at u = x / w."""
+        x = _homogeneous(point(u))
+        scale, rows = self._rows
+        return Fraction(max(sum(map(operator.mul, r, x)) for r in rows), scale * x[-1])
 
     __call__ = evaluate
 
     def integer_rows(self) -> IntegerRows:
-        """(D, rows): the pieces as integer rows D * (slope, const) over the
-        lcm D of their denominators. Cached."""
-        if self._integer_rows is None:
-            self._integer_rows = _common_scale(s + (c,) for s, c in self.pieces)
-        return self._integer_rows
+        """(D, rows): the pieces as integer rows D * (slope, const) over their
+        lowest common denominator D."""
+        return self._rows
 
     def integer_cells(self) -> IntegerCells:
         """The linearity cells of P's own dimension as (piece index, corner
@@ -305,13 +313,6 @@ class RoofFunction:
                 [_homogeneous(v) for v in self.polytope.vertices],
                 self.integer_rows()[1], self.polytope.affine_dim, 1)
         return self._integer_cells
-
-    def cells(self) -> List[Tuple[int, List[Point]]]:
-        """The linearity cells of integer_cells with rational corners. Cached."""
-        if self._cells is None:
-            self._cells = [(i, [_affine(r) for r in region])
-                           for i, region in self.integer_cells()]
-        return self._cells
 
     def integral(self) -> Fraction:
         """Exact integral over the polytope (0 for lower-dimensional P), cached.
@@ -346,7 +347,7 @@ class RoofFunction:
         return out
 
     def __repr__(self) -> str:
-        return f"RoofFunction({len(self.pieces)} pieces)"
+        return f"RoofFunction({len(self._rows[1])} pieces)"
 
 
 def _homogeneous(u: Point) -> Tuple[int, ...]:
@@ -354,10 +355,6 @@ def _homogeneous(u: Point) -> Tuple[int, ...]:
     terms (w is the lcm of u's denominators)."""
     w = math.lcm(*(c.denominator for c in u))
     return _scaled(u, w) + (w,)
-
-
-def _affine(row: Sequence[int]) -> Point:
-    return tuple(Fraction(x, row[-1]) for x in row[:-1])
 
 
 def _clip_cycle(cycle: List[Tuple[int, ...]], h: Sequence[int]) -> List[Tuple[int, ...]]:
@@ -548,25 +545,19 @@ def _primitive_plane(pl: IntPlane) -> IntPlane:
     return tuple(x // g for x in pl)
 
 
-def _plane_piece(pl: IntPlane, scale: int) -> Piece:
-    """The affine map u -> <a, u> + b of a plane n.x + nz*z = d over lifted
-    points scaled by scale."""
-    *n, nz, d = pl
-    return tuple(Fraction(-k, nz) for k in n), Fraction(d, nz * scale)
-
-
 def _lower_hull(rows: Sequence[Tuple[int, ...]]) -> Tuple[List[IntPlane], List[int]]:
     """Lower hull of a convex block's lifted slopes (s, -c), for the block
     given as integer rows (L*s, L*c) with distinct slopes.
 
     Returns its planes (n, nz, d), n.x + nz*z = d on the lifted points
-    (x, z) = (L*s, -L*c), whose pieces (_plane_piece) have as max the block's
-    conjugate on the affine hull of its slopes, and the indices of the rows
-    whose lifted point lies on one of them (the others change no value of
-    the block). The planes are the facet planes when the slopes span the
-    plane, the lines of the lower chain along the line (with n along it)
-    when they are collinear, and the constant -c for a single slope. Every
-    test is an integer equality or sign."""
+    (x, z) = (L*s, -L*c), whose pieces u -> <-n, u>/nz + d/(nz L)
+    (_plane_roof) have as max the block's conjugate on the affine hull of its
+    slopes, and the indices of the rows whose lifted point lies on one of
+    them (the others change no value of the block). The planes are the
+    facet planes when the slopes span the plane, the lines of the lower chain
+    along the line (with n along it) when they are collinear, and the
+    constant -c for a single slope. Every test is an integer equality or
+    sign."""
     dim = len(rows[0]) - 1
     lifted = [r[:-1] + (-r[-1],) for r in rows]
     planes = _lower_facet_planes(lifted) if dim == 2 else []
@@ -579,6 +570,19 @@ def _lower_hull(rows: Sequence[Tuple[int, ...]]) -> Tuple[List[IntPlane], List[i
     kept = [i for i, p in enumerate(lifted)
             if any(sum(map(operator.mul, pl, p)) == pl[-1] for pl in planes)]
     return planes, kept
+
+
+def _plane_roof(P: Polytope, planes: Sequence[IntPlane], scale: int) -> RoofFunction:
+    """The roof on P that is the max of the hull planes' pieces. The piece
+    of a plane n.x + nz*z = d over lifted points scaled by scale is the row
+    (-k*scale*n, k*d) over N*scale, for N the lcm of the planes' nz and
+    k = N/nz."""
+    lcm = math.lcm(*{pl[-2] for pl in planes})
+    rows = []
+    for pl in planes:
+        k = lcm // pl[-2]
+        rows.append(tuple(-k * scale * x for x in pl[:-2]) + (k * pl[-1],))
+    return RoofFunction.__new__(RoofFunction)._build(P, lcm * scale, _dedupe_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +600,11 @@ def legendre(metric: PLMetric) -> RoofFunction:
     The conjugate of a min of convex blocks is the max of the block
     conjugates, and each block conjugate is the lower hull of its lifted
     slopes (valid on all of P because the recession identity makes every
-    block's slope hull contain P). Every metric stores its conjugate, so it
-    is read from the metric: the constructor keeps the hulls it builds while
-    pruning each block, metric_deform translates them on integer rows, and
-    an envelope takes its metric's roof cut down to the pieces that own a
-    cell (see envelope).
+    block's slope hull contain P). Every metric stores its conjugate as
+    integer rows, so it is read from the metric: the constructor writes the
+    rows of the hull planes it builds while pruning each block,
+    metric_deform those of the translated planes, and an envelope takes its
+    metric's roof rows cut down to the pieces that own a cell (see envelope).
     """
     return metric._conjugate
 
@@ -619,10 +623,11 @@ def envelope(metric: PLMetric) -> PLMetric:
     Nothing is hulled: by Jensen every lifted corner (u, roof(u)) lies on
     the graph of the convex roof, so their lower hull is the roof on P. Every
     corner is kept, the envelope's conjugate is the roof cut down to the
-    pieces that own a cell, in cell order, and its cells are the roof's,
-    re-indexed. The corners are stored as integer rows over their lowest
-    common denominator. The recession identity needs no check: the single
-    block holds every vertex of P, so its slope hull is P.
+    pieces that own a cell, in cell order, as their rows in lowest terms, and
+    its cells are the roof's, re-indexed. The corners are stored as integer
+    rows over their lowest common denominator. The recession identity needs
+    no check: the single block holds every vertex of P, so its slope hull is
+    P.
     """
     if metric._envelope is not None:
         return metric._envelope
@@ -636,8 +641,7 @@ def envelope(metric: PLMetric) -> PLMetric:
     w, points = _over_lcm(list(owner))
     corners = [tuple(scale * x for x in r[:-1]) + (-sum(map(operator.mul, rows[i], r)),)
                for r, i in zip(points, owner.values())]
-    conjugate = RoofFunction.__new__(RoofFunction)._build(
-        P, tuple(roof.pieces[i] for i, _ in cells))
+    conjugate = RoofFunction.__new__(RoofFunction)._build(P, scale, [rows[i] for i, _ in cells])
     conjugate._integer_cells = [(k, region) for k, (_, region) in enumerate(cells)]
     env = PLMetric.__new__(PLMetric)
     env._build(P, _lowest(scale * w, [corners]), conjugate)
@@ -679,12 +683,6 @@ def distance(m1: PLMetric, m2: PLMetric) -> Fraction:
                 if gap * best_w > best * x[-1]:
                     best, best_w = gap, x[-1]
     return Fraction(best, best_w * d1 * d2)
-
-
-def _lowest(scale: int, blocks: Sequence[Sequence[Tuple[int, ...]]]) -> IntegerBlocks:
-    """Integer blocks over scale, both divided by their gcd: lowest terms."""
-    g = math.gcd(scale, *(x for b in blocks for r in b for x in r))
-    return scale // g, tuple(tuple(tuple(x // g for x in r) for r in b) for b in blocks)
 
 
 def _branch_cells(region: List[Tuple[int, ...]], blocks: Sequence[Sequence[Tuple[int, ...]]],
@@ -743,16 +741,6 @@ def metric_sum(m1: PLMetric, m2: PLMetric) -> PLMetric:
     return PLMetric(P, blocks)
 
 
-def metric_scale(metric: PLMetric, t) -> PLMetric:
-    """Scale the underlying line bundle: psi_t(v) = t*psi(v), polytope t*P."""
-    t = frac(t)
-    if t < 0:
-        raise PreconditionError("scaling factor must be nonnegative")
-    P = metric.polytope.dilate(t)
-    blocks = [[(vscale(t, s), t * c) for s, c in b] for b in metric.blocks]
-    return PLMetric(P, blocks)
-
-
 def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
     """psi + eps*(pos - neg) on the same polytope, exact min-of-max form.
 
@@ -768,10 +756,11 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
     their lower hull: kept rows move by -(T, T_c), and a hull plane
     n.x + nz*z = d (a facet, or a line of a chain) moves to
     d - n.T + nz*T_c. The kept rows are stored over L divided by their
-    common gcd, and Fractions are built for the conjugate's pieces only. The
-    recession identity needs no check: recession is additive on PL
-    functions, so rec = h_P + eps*h_P - eps*h_P, all three inputs being
-    PLMetrics that passed the constructor.
+    common gcd, and the conjugate's rows are written from the moved planes
+    (_plane_roof), with no Fraction built. The recession identity needs no
+    check: recession is additive on PL functions, so
+    rec = h_P + eps*h_P - eps*h_P, all three inputs being PLMetrics that
+    passed the constructor.
     """
     eps = frac(eps)
     if eps < 0:
@@ -787,24 +776,17 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
     scale = math.lcm(d1, q * d2, q * d3)
     f1, f2, f3 = scale // d1, p * (scale // (q * d2)), p * (scale // (q * d3))
     shifts = [([f3 * x for x in row[:-1]], f3 * row[-1]) for row in rows3]
-    blocks, pieces = [], []
+    blocks, planes = [], []
     for b1 in rows1:
         for b2 in rows2:
-            best: Dict[Tuple[int, ...], int] = {}
-            for r1 in b1:
-                for r2 in b2:
-                    row = tuple(f1 * x + f2 * y for x, y in zip(r1, r2))
-                    s, c = row[:-1], row[-1]
-                    if s not in best or c > best[s]:
-                        best[s] = c
-            rows = [s + (c,) for s, c in best.items()]
-            planes, on_hull = _lower_hull(rows)
+            rows = _dedupe_rows(tuple(f1 * x + f2 * y for x, y in zip(r1, r2))
+                                for r1 in b1 for r2 in b2)
+            hull_planes, on_hull = _lower_hull(rows)
             for t, tc in shifts:
-                pieces += [_plane_piece(pl[:-1] + (pl[-1] - sum(map(operator.mul, pl, t))
-                                                   + pl[-2] * tc,), scale) for pl in planes]
+                planes += [pl[:-1] + (pl[-1] - sum(map(operator.mul, pl, t)) + pl[-2] * tc,)
+                           for pl in hull_planes]
                 blocks.append([tuple(map(operator.sub, rows[i], t)) + (rows[i][-1] - tc,)
                                for i in on_hull])
-    conjugate = RoofFunction.__new__(RoofFunction)._build(P, _dedupe_block(pieces))
     out = PLMetric.__new__(PLMetric)
-    out._build(P, _lowest(scale, blocks), conjugate)
+    out._build(P, _lowest(scale, blocks), _plane_roof(P, planes, scale))
     return out

@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import PreconditionError
 from .rational import (Point, ZERO, dot, frac, point, primitive_integer_vector,
-                       primitive_same_direction, vadd, vscale, vsub)
+                       primitive_same_direction, vadd, vsub)
 
 IntVector = Tuple[int, ...]
 HalfSpace = Tuple[IntVector, Fraction]   # <a, x> <= b
@@ -183,12 +183,6 @@ class Polytope:
             raise PreconditionError("Minkowski sum needs equal ambient dimension")
         sums = [vadd(a, b) for a in self.vertices for b in other.vertices]
         return Polytope.from_points(sums)
-
-    def dilate(self, t: Fraction) -> "Polytope":
-        t = frac(t)
-        if t < 0:
-            raise PreconditionError("dilation factor must be nonnegative")
-        return Polytope.from_points([vscale(t, v) for v in self.vertices])
 
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.ambient_dim

@@ -10,6 +10,9 @@ Monge-Ampere measures, a route the package's own energy no longer takes,
 every raw branch of a deformation, a route `metric_deform` no longer takes,
 `lower_hull_facets_2d`, which reads the package's integer facet kernel
 back as Fraction pieces so the brute-force hull can be compared with it,
+`roof_cells`, which reads a roof's integer cells with rational corners,
+`dilate` and `metric_scale`, which build the package's polytope and metric
+types for t*P,
 `dominance_cells_by_clipping`, which runs the package's half-plane clip on
 every pair of rows, a route the package's cell engine skips when one row
 owns the whole region, and `with_subdivided_edge` and
@@ -31,14 +34,25 @@ ONE = Fraction(1)
 # planes through lifted points and brute-force lower hulls
 # --------------------------------------------------------------------------
 
+def common_scale(rows):
+    """Scale rational rows by the lcm D of all their denominators: returns D
+    and the integer rows. Over reduced Fractions, D and the rows have no
+    common factor."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    scale = math.lcm(*(c.denominator for row in rows for c in row))
+    return scale, [tuple(int(c * scale) for c in row) for row in rows]
+
+
 def lower_hull_facets_2d(points):
     """Lower-hull facet affines of lifted points ((x, y), z) by the package's
     integer kernel: every returned (a, b) satisfies z_k >= <a, s_k> + b with
     equality on a full-dimensional contact set; empty when the base points
-    are all collinear."""
-    from navol.plmetric import _common_scale, _lower_facet_planes, _plane_piece
-    scale, rows = _common_scale([s[0], s[1], z] for s, z in points)
-    return [_plane_piece(pl, scale) for pl in _lower_facet_planes(rows)]
+    are all collinear. A plane n.x + nz*z = d over the points scaled by D is
+    the affine map a = -n/nz, b = d/(nz*D)."""
+    from navol.plmetric import _lower_facet_planes
+    scale, rows = common_scale([s[0], s[1], z] for s, z in points)
+    return [((Fraction(-nx, nz), Fraction(-ny, nz)), Fraction(d, nz * scale))
+            for nx, ny, nz, d in _lower_facet_planes(rows)]
 
 
 def plane_through(p1, p2, p3):
@@ -427,6 +441,13 @@ def roof_cells_oracle(pieces, vertices):
     return out
 
 
+def roof_cells(roof):
+    """The package's integer linearity cells of a roof with rational
+    corners: (piece index, corners), each corner row (x, w) read as x / w."""
+    return [(i, [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in region])
+            for i, region in roof.integer_cells()]
+
+
 def roof_integral_oracle(pieces, cells):
     """Integral of the roof over its cells: trapezoids in 1-d, fan
     triangles with the mean of the corner values in 2-d."""
@@ -478,6 +499,32 @@ def envelope_corners_oracle(pieces, cells):
     order, with minus the max of all pieces at u."""
     corners = dict.fromkeys(u for _, region in cells for u in region)
     return [(u, -max(_dot(s, u) + c for s, c in pieces)) for u in corners]
+
+
+# --------------------------------------------------------------------------
+# scaling a polytope and a metric
+# --------------------------------------------------------------------------
+
+def dilate(P, t):
+    """The polytope t*P for a rational t >= 0."""
+    from navol.errors import PreconditionError
+    from navol.polytope import Polytope
+    t = Fraction(t)
+    if t < 0:
+        raise PreconditionError("dilation factor must be nonnegative")
+    return Polytope.from_points([tuple(t * x for x in v) for v in P.vertices])
+
+
+def metric_scale(metric, t):
+    """The metric of the scaled line bundle: psi_t(v) = t*psi(v) on t*P,
+    for a rational t >= 0."""
+    from navol.errors import PreconditionError
+    from navol.plmetric import PLMetric
+    t = Fraction(t)
+    if t < 0:
+        raise PreconditionError("scaling factor must be nonnegative")
+    return PLMetric(dilate(metric.polytope, t),
+                    [[(tuple(t * x for x in s), t * c) for s, c in b] for b in metric.blocks])
 
 
 # --------------------------------------------------------------------------

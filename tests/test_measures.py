@@ -14,7 +14,7 @@ from navol.plmetric import canonical_metric, envelope, metric_shift
 from navol.polytope import Polytope, segment, simplex, unit_box
 
 from _oracles import (curvature_atoms_1d_oracle,
-                      curvature_atoms_2d_convex_oracle, energy_by_mixed_measures)
+                      curvature_atoms_2d_convex_oracle, dilate, energy_by_mixed_measures)
 
 F = Fraction
 SEG = segment(0, 1)
@@ -68,7 +68,7 @@ def test_curvature_matches_slope_jump_oracle_on_the_line():
 
 def test_curvature_matches_subdifferential_oracle_in_the_plane():
     rng = random.Random(211)
-    bodies = [BOX, simplex(2), unit_box(2).dilate(2)]
+    bodies = [BOX, simplex(2), dilate(unit_box(2), 2)]
     for P in bodies:
         for _ in range(6):
             psi = random_convex_metric(P, rng, denom_bound=4, size=2)

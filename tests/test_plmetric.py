@@ -16,19 +16,19 @@ from navol.harness import (bump_metric, random_convex_metric,
 from navol.measures import energy, monge_ampere
 from navol.plmetric import (PLMetric, canonical_metric,
                             distance, envelope, is_semipositive, legendre,
-                            metric_deform, metric_min, metric_scale, metric_shift,
-                            metric_sum)
+                            metric_deform, metric_min, metric_shift, metric_sum)
 from navol.polytope import Polytope, segment, simplex, unit_box
 from navol.rational import vadd, vsub
 
 from navol.volumes import lattice_length
 
 from _oracles import (arrangement_candidates, block_conjugate_oracle,
-                      brute_lower_hull_facets, deform_branches,
+                      brute_lower_hull_facets, common_scale, deform_branches, dilate,
                       distance_by_joint_arrangement, envelope_1d_oracle,
                       envelope_corners_oracle, eval_min_max, lattice_length_oracle,
-                      lower_hull_facets_2d, metric_deform_by_branches, polygon_area,
-                      recession_by_all_slopes, roof_cells_oracle, roof_oracle)
+                      lower_hull_facets_2d, metric_deform_by_branches, metric_scale,
+                      polygon_area, recession_by_all_slopes, roof_cells, roof_cells_oracle,
+                      roof_oracle)
 
 F = Fraction
 SEG = segment(0, 1)
@@ -211,6 +211,17 @@ def test_recession_check_matches_all_slopes_route():
             assert _accepted(P, blocks) == want, (P, blocks)
             outcomes[want] += 1
     assert min(outcomes.values()) >= 40, outcomes
+    # constants over 3 and 7, which P's vertices (over 2 or 3) lack, so the
+    # rows' denominator differs from the vertices'
+    outcomes = {True: 0, False: 0}
+    for P in (segment(0, F(1, 2)), Polytope.from_points([(F(1, 3), 0), (1, 1), (0, 1)])):
+        for _ in range(30):
+            blocks = [[(s, c + F(rng.randint(-6, 6), rng.choice((3, 7)))) for s, c in b]
+                      for b in _random_blocks(P, rng, rng.randint(1, 3), extra=2, drop=0.1)]
+            want = recession_by_all_slopes(blocks, P.vertices)
+            assert _accepted(P, blocks) == want, (P, blocks)
+            outcomes[want] += 1
+    assert min(outcomes.values()) >= 15, outcomes
 
 
 def test_recession_check_on_degenerate_slope_hulls():
@@ -426,7 +437,7 @@ def test_seeded_conjugate_matches_oracle_and_keeps_hull_pieces():
                 assert legendre(env).evaluate(u) == roof_oracle(bumpy.blocks, u), (P, u)
             if P.is_full_dimensional():
                 roof = legendre(bumpy)
-                corners = dict.fromkeys(u for _, region in roof.cells() for u in region)
+                corners = dict.fromkeys(u for _, region in roof_cells(roof) for u in region)
                 raw_env = [(u, -roof.evaluate(u)) for u in corners]
                 assert env.blocks == (tuple(_on_lower_hull(_deduped(raw_env))),)
 
@@ -475,7 +486,7 @@ def test_roof_cells_partition_the_polytope():
                random_nonconvex_metric(SEG, rng)]
     for psi in metrics:
         roof = legendre(psi)
-        cells = roof.cells()
+        cells = roof_cells(roof)
         total = F(0)
         for piece_idx, region in cells:
             if psi.dim == 1:
@@ -572,7 +583,7 @@ def test_metric_operations_pointwise():
             assert lo.evaluate(v) == max(a.evaluate(v), b.evaluate(v))
             assert sh.evaluate(v) == a.evaluate(v) + F(5, 3)
             assert sc.evaluate(v) == F(3, 2) * b.evaluate(v)
-        assert sc.polytope == P.dilate(F(3, 2))
+        assert sc.polytope == dilate(P, F(3, 2))
         su = metric_sum(b, b)
         for v in samples:
             assert su.evaluate(v) == 2 * b.evaluate(v)
@@ -833,15 +844,21 @@ def _built_metrics(rng):
 
 
 def test_metrics_store_integer_rows_over_the_lowest_denominator():
-    # integer_rows() is the stored form; the Fraction blocks built from it
-    # scale back to it, and evaluation on the rows agrees with the blocks at
-    # int, string and Fraction points
+    # integer_rows() is the stored form of a metric and of its roof; the
+    # Fraction blocks and pieces built from it scale back to it, evaluation
+    # on the rows agrees with the blocks at int, string and Fraction points,
+    # and the roof's with the exhaustive conjugate of the blocks on P
     rng = random.Random(71)
     for name, m in _built_metrics(rng):
         scale, rows = m.integer_rows()
-        want = plmetric._common_scale(s + (c,) for b in m.blocks for s, c in b)
+        want = common_scale(s + (c,) for b in m.blocks for s, c in b)
         assert (scale, [r for b in rows for r in b]) == want, name
         assert [len(b) for b in rows] == [len(b) for b in m.blocks], name
+        roof = legendre(m)
+        assert roof.integer_rows() == common_scale(s + (c,) for s, c in roof.pieces), name
+        verts = m.polytope.vertices
+        for u in (verts[0], tuple(sum(x) / len(verts) for x in zip(*verts))):
+            assert roof.evaluate(u) == roof_oracle(m.blocks, u), (name, u)
         for _ in range(6):
             v = [rng.randint(-9, 9) for _ in range(m.dim)]
             for given_v in (v, [f"{x}/{rng.randint(1, 7)}" for x in v],
@@ -851,8 +868,9 @@ def test_metrics_store_integer_rows_over_the_lowest_denominator():
 
 
 def test_envelopes_of_deformations_build_no_fraction_blocks():
-    # the differentiability and orthogonality checks read a deformation and
-    # its envelope through integer rows and the conjugate only
+    # the differentiability and orthogonality checks read a metric, a
+    # deformation and their envelopes, and the roofs of all four, through
+    # integer rows only
     rng = random.Random(72)
     for P in (SEG, BOX, simplex(2), LINE):
         psi = PLMetric(P, _random_blocks(P, rng, 2, extra=1))
@@ -864,5 +882,6 @@ def test_envelopes_of_deformations_build_no_fraction_blocks():
         distance(psi, base)
         is_semipositive(moved)
         monge_ampere(env)
-        for m in (moved, env, base):
+        for m in (psi, moved, env, base):
             assert "blocks" not in vars(m), P
+            assert "pieces" not in vars(legendre(m)), P

@@ -8,7 +8,7 @@ import pytest
 from navol.errors import PreconditionError
 from navol.polytope import Polytope, segment, simplex, unit_box
 
-from _oracles import (convex_hull_2d, hull_contains, lattice_points_oracle,
+from _oracles import (convex_hull_2d, dilate, hull_contains, lattice_points_oracle,
                       polygon_area)
 
 F = Fraction
@@ -110,10 +110,10 @@ def test_contains_agrees_with_oracle():
 
 def test_dilate_and_minkowski_sum():
     box = unit_box(2)
-    big = box.dilate(F(3, 2))
+    big = dilate(box, F(3, 2))
     assert big.volume() == F(9, 4)
     double = box.minkowski_sum(box)
-    assert double == box.dilate(2)
+    assert double == dilate(box, 2)
     mixed = box.minkowski_sum(simplex(2))
     assert mixed.volume() == F(7, 2)
     assert set(mixed.vertices) == {(F(0), F(0)), (F(2), F(0)), (F(2), F(1)),

@@ -552,10 +552,12 @@ def test_a_thousand_distinct_prime_denominators(tmp_path, capsys):
 
 def test_rejected_metric_names_the_direction():
     # max(0, 2v) grows like 2v where the canonical metric of [0, 1] grows
-    # like v (and like v/2 on [0, 1/2])
-    for right, support in ((1, "1"), ("1/2", "1/2")):
+    # like v (and like v/2 on [0, 1/2]); constants over 3 and 7 change no
+    # recession
+    for right, support, consts in ((1, "1", (0, 0)), ("1/2", "1/2", (0, 0)),
+                                   ("1/2", "1/2", ("1/3", "-2/7"))):
         instance = {"kind": "toric", "polytope": [[0], [right]],
-                    "metrics": {"psi": [_block([([0], 0), ([2], 0)])]}}
+                    "metrics": {"psi": [_block([([0], consts[0]), ([2], consts[1])])]}}
         with pytest.raises(PreconditionError) as err:
             parse_instance_text(json.dumps(instance))
         assert str(err.value) == (
