@@ -39,9 +39,6 @@ class DiscreteMeasure:
     def total_mass(self) -> Fraction:
         return sum(self.atoms.values(), ZERO)
 
-    def is_nonnegative(self) -> bool:
-        return all(m > 0 for m in self.atoms.values())
-
     def integrate(self, f: Callable[[AtomKey], Fraction]) -> Fraction:
         acc = ZERO
         for key, mass in self.atoms.items():

@@ -23,7 +23,7 @@ owns at every corner is that row's one cell, with nothing clipped.
 Metrics and roofs store only integer rows D * (slope, const) over their
 lowest common denominator D, and build their Fraction blocks or pieces on
 first access. Rational data is scaled once, by one common denominator, in
-the public constructors; every kernel after that (the lifted lower hull and
+the PLMetric constructor; every kernel after that (the lifted lower hull and
 the pruning by it, the conjugate's rows written from the hull planes, the
 recession check, evaluation, the cells, distances and metric_deform's
 Minkowski blocks and translations) computes with Python ints only. Points
@@ -186,16 +186,15 @@ def _recession_mismatch(rows: IntegerBlocks, P: Polytope
     hulls, rec = min_b h_H_b is concave and h_P convex, so rec - h_P is
     concave; it vanishes on the sector iff it vanishes on both rays and at
     one interior probe, and P's own edge normals add nothing. The slopes are
-    the rows' over their D, and P's vertices are scaled to integers over the
-    lcm V of their denominators, so rec(w) V is compared with h_P(w) D.
+    the rows' over their D, and P's vertices its integer rows over their lcm
+    V (integer_vertices), so rec(w) V is compared with h_P(w) D.
 
     Returns None when the two agree, else the first integer direction w
     probed where they differ, with rec(w) and h_P(w)."""
     n = P.ambient_dim
     hull = _hull_1d if n == 1 else _hull_2d
     scale, blocks = rows
-    v_scale = math.lcm(*{c.denominator for v in P.vertices for c in v})
-    verts = [_scaled(v, v_scale) for v in P.vertices]
+    v_scale, verts = P.integer_vertices()
     hulls = [hull([r[:-1] for r in b]) for b in blocks]
 
     def rec(w: Tuple[int, ...]) -> int:
@@ -264,23 +263,14 @@ class RoofFunction:
     (x, w) in lowest terms with w > 0.
     """
 
-    def __init__(self, polytope: Polytope, pieces: Sequence[Piece]):
-        pieces = [point(s) + (frac(c),) for s, c in pieces]
-        if not pieces:
-            raise PreconditionError("a roof function needs at least one piece")
-        scale = math.lcm(*{x.denominator for r in pieces for x in r})
-        self._build(polytope, scale, _dedupe_rows(_scaled(r, scale) for r in pieces))
-
-    def _build(self, polytope: Polytope, scale: int,
-               rows: Sequence[Tuple[int, ...]]) -> "RoofFunction":
-        """Set the roof from rows over scale with distinct slopes, stored in
-        lowest terms."""
+    def __init__(self, polytope: Polytope, scale: int, rows: Sequence[Tuple[int, ...]]):
+        """The roof of integer rows (slope, const) over scale with distinct
+        slopes, stored in lowest terms."""
         self.polytope = polytope
         scale, (rows,) = _lowest(scale, [rows])
         self._rows = scale, list(rows)
         self._integer_cells: Optional[IntegerCells] = None
         self._integral: Optional[Fraction] = None
-        return self
 
     @functools.cached_property
     def pieces(self) -> Block:
@@ -582,7 +572,7 @@ def _plane_roof(P: Polytope, planes: Sequence[IntPlane], scale: int) -> RoofFunc
     for pl in planes:
         k = lcm // pl[-2]
         rows.append(tuple(-k * scale * x for x in pl[:-2]) + (k * pl[-1],))
-    return RoofFunction.__new__(RoofFunction)._build(P, lcm * scale, _dedupe_rows(rows))
+    return RoofFunction(P, lcm * scale, _dedupe_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +631,7 @@ def envelope(metric: PLMetric) -> PLMetric:
     w, points = _over_lcm(list(owner))
     corners = [tuple(scale * x for x in r[:-1]) + (-sum(map(operator.mul, rows[i], r)),)
                for r, i in zip(points, owner.values())]
-    conjugate = RoofFunction.__new__(RoofFunction)._build(P, scale, [rows[i] for i, _ in cells])
+    conjugate = RoofFunction(P, scale, [rows[i] for i, _ in cells])
     conjugate._integer_cells = [(k, region) for k, (_, region) in enumerate(cells)]
     env = PLMetric.__new__(PLMetric)
     env._build(P, _lowest(scale * w, [corners]), conjugate)

@@ -5,13 +5,14 @@ or a polygon. There are no tolerances anywhere: hulls, membership, lattice
 rows and points, and volumes are computed with exact arithmetic only.
 Other ambient dimensions are refused with PreconditionError. The
 lower-dimensional bodies, a point or a segment in the plane, are supported
-(their volume is 0) with their constraints in closed form.
+(their volume is 0).
 
-Vertices are stored in canonical order: counterclockwise starting from the
-lexicographic minimum for full-dimensional planar polytopes, lexicographically
-sorted otherwise. Facets are half-spaces <a, x> <= b with primitive integer
-normal a; lower-dimensional polytopes additionally carry affine-hull equations
-<c, x> = d.
+A polytope is its hull's vertex cycle, stored in canonical order:
+counterclockwise starting from the lexicographic minimum for
+full-dimensional planar polytopes, lexicographically sorted otherwise.
+Membership and lattice rows are read from the bounding box and the integer
+half-planes to the left of the cycle's edges; no facet or equation list is
+stored.
 """
 from __future__ import annotations
 
@@ -21,12 +22,9 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import PreconditionError
-from .rational import (Point, ZERO, dot, frac, point, primitive_integer_vector,
-                       primitive_same_direction, vadd, vsub)
+from .rational import Point, ZERO, frac, point, vadd
 
 IntVector = Tuple[int, ...]
-HalfSpace = Tuple[IntVector, Fraction]   # <a, x> <= b
-Equation = Tuple[IntVector, Fraction]    # <a, x> = b
 
 
 def cross2(o: Sequence[Fraction], a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -63,17 +61,32 @@ def _hull_2d(points: Sequence[Point]) -> List[Point]:
 
 
 class Polytope:
-    """Convex hull of rational points; construct with Polytope.from_points."""
+    """Convex hull of rational points; construct with Polytope.from_points.
 
-    def __init__(self, vertices: Sequence[Point], ambient_dim: int,
-                 affine_dim: int, inequalities: Sequence[HalfSpace],
-                 equalities: Sequence[Equation]):
+    The hull's vertex cycle is the whole description. The vertices are also
+    kept as integer rows over the lcm V of their denominators
+    (integer_vertices), and every edge a -> b of the cycle gives the integer
+    half-plane to its left, c0*x + c1*y + k >= 0 on V-scaled points, with
+    (c0, c1) = (a_y - b_y, b_x - a_x) and k = -(c0*a_x + c1*a_y). A
+    polygon's edges bound x on every row; a segment's two opposite edges pin
+    it to its line. A point, a horizontal segment and an interval have no
+    edge that bounds x, and are just their bounding box.
+    """
+
+    def __init__(self, vertices: Sequence[Point], ambient_dim: int, affine_dim: int):
         self.vertices: Tuple[Point, ...] = tuple(vertices)
         self.ambient_dim = ambient_dim
         self.affine_dim = affine_dim
-        self.inequalities: Tuple[HalfSpace, ...] = tuple(inequalities)
-        self.equalities: Tuple[Equation, ...] = tuple(equalities)
         self._vertex_set = frozenset(self.vertices)
+        scale = math.lcm(*(c.denominator for v in self.vertices for c in v))
+        rows = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in self.vertices]
+        self._integer = scale, rows
+        self._extent = [(min(c), max(c)) for c in zip(*rows)]   # V-scaled box
+        self._edges: List[IntVector] = []
+        if ambient_dim == 2 and len(rows) > 1:
+            for (ax, ay), (bx, by) in zip(rows, rows[1:] + rows[:1]):
+                c0, c1 = ay - by, bx - ax
+                self._edges.append((c0, c1, -(c0 * ax + c1 * ay)))
 
     # -- construction -----------------------------------------------------
 
@@ -88,43 +101,22 @@ class Polytope:
         if any(len(p) != n for p in pts):
             raise PreconditionError("points of mixed dimension")
         hull = _hull_1d(pts) if n == 1 else _hull_2d(pts)
-
-        if len(hull) == 1:
-            base = hull[0]
-            equalities = [(tuple(1 if j == i else 0 for j in range(n)), base[i])
-                          for i in range(n)]
-            return cls(hull, n, 0, [], equalities)
-        if n == 1:
-            lo, hi = hull[0][0], hull[1][0]
-            return cls(hull, 1, 1, [((1,), hi), ((-1,), -lo)], [])
-        if len(hull) == 2:
-            # segment in the plane: bounded along its direction u, pinned
-            # to its line by the primitive normal
-            a, b = hull
-            u, _ = primitive_same_direction(vsub(b, a))
-            minus_u = tuple(-c for c in u)
-            normal, _ = primitive_integer_vector((a[1] - b[1], b[0] - a[0]))
-            return cls(hull, 2, 1, [(u, dot(u, b)), (minus_u, dot(minus_u, a))],
-                       [(normal, dot(normal, a))])
-        ineqs = []
-        for a, b in zip(hull, hull[1:] + hull[:1]):
-            d = vsub(b, a)
-            normal, _ = primitive_same_direction((d[1], -d[0]))
-            ineqs.append((normal, dot(normal, a)))
-        return cls(hull, 2, 2, ineqs, [])
+        return cls(hull, n, min(len(hull) - 1, n))
 
     # -- queries ----------------------------------------------------------
 
+    def integer_vertices(self) -> Tuple[int, List[IntVector]]:
+        """(V, rows): the vertices as integer rows V * v over the lcm V of
+        their denominators, in vertex order."""
+        return self._integer
+
     def contains(self, pt: Sequence) -> bool:
-        """Exact membership of pt in P."""
-        x = point(pt)
-        for a, b in self.equalities:
-            if dot(a, x) != b:
-                return False
-        for a, b in self.inequalities:
-            if dot(a, x) > b:
-                return False
-        return True
+        """Exact membership of pt in P: in the box and left of every edge."""
+        p = [self._integer[0] * c for c in point(pt)]
+        if len(p) != self.ambient_dim:
+            raise PreconditionError("point and polytope differ in dimension")
+        return (all(lo <= c <= hi for c, (lo, hi) in zip(p, self._extent))
+                and all(c0 * p[0] + c1 * p[1] + k >= 0 for c0, c1, k in self._edges))
 
     def lattice_rows(self, m: int = 1) -> List[Tuple[int, int, int]]:
         """Integer points of m*P as rows (y, x_lo, x_hi), by increasing y:
@@ -132,32 +124,23 @@ class Polytope:
         there is at most one row, with y = 0, standing for the points (x,)."""
         if m < 0:
             raise PreconditionError("dilation factor must be nonnegative")
-        if self.ambient_dim == 1:
-            y_lo = y_hi = 0
-        else:
-            ys = [m * v[1] for v in self.vertices]
-            y_lo, y_hi = math.ceil(min(ys)), math.floor(max(ys))
-        # Scaled by the denominator of b, each constraint reads
-        # a0*x + a1*y <= rhs in integers; an equation is two opposite ones.
-        # Those with a0 == 0 bound y only, so they hold on every row of the
-        # y-span; the rest bound x from above (a0 > 0) or below (a0 < 0).
-        halves = list(self.inequalities)
-        for a, b in self.equalities:
-            halves += [(a, b), (tuple(-c for c in a), -b)]
-        upper, lower = [], []
-        for a, b in halves:
-            a0, a1 = a[0] * b.denominator, (a[1] if len(a) > 1 else 0) * b.denominator
-            if a0 > 0:
-                upper.append((a0, a1, m * b.numerator))
-            elif a0 < 0:
-                lower.append((-a0, a1, m * b.numerator))
-        rows = []
+        scale = self._integer[0]
+        # m*P's box: ceil(m*min/V) .. floor(m*max/V) per coordinate
+        box = [(-(-m * lo // scale), m * hi // scale) for lo, hi in self._extent]
+        (x_lo, x_hi), (y_lo, y_hi), *_ = box + [(0, 0)]
+        # An integer point (x, y) of m*P has V*(c0*x + c1*y) + m*k >= 0 for
+        # every edge: a lower bound on x if c0 > 0, an upper one if c0 < 0.
+        lower = [(scale * c0, scale * c1, m * k) for c0, c1, k in self._edges if c0 > 0]
+        upper = [(-scale * c0, scale * c1, m * k) for c0, c1, k in self._edges if c0 < 0]
+        if not lower:  # a point, an interval or a horizontal segment: its box
+            return [(y, x_lo, x_hi) for y in range(y_lo, y_hi + 1)] if x_lo <= x_hi else []
+        out = []
         for y in range(y_lo, y_hi + 1):
-            lo = max(-((rhs - a1 * y) // d) for d, a1, rhs in lower)
-            hi = min((rhs - a1 * y) // d for d, a1, rhs in upper)
+            lo = max(-((e * y + f) // d) for d, e, f in lower)
+            hi = min((e * y + f) // d for d, e, f in upper)
             if lo <= hi:
-                rows.append((y, lo, hi))
-        return rows
+                out.append((y, lo, hi))
+        return out
 
     def lattice_points(self, m: int = 1) -> List[IntVector]:
         """Integer points of m*P in lexicographic order (m >= 0)."""

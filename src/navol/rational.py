@@ -6,7 +6,6 @@ strings ('p' when the denominator is 1).
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -62,41 +61,9 @@ def point_str(pt: Sequence[Fraction]) -> str:
     return "(" + ", ".join(frac_str(c) for c in pt) + ")"
 
 
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    acc = ZERO
-    for x, y in zip(a, b):
-        acc += x * y
-    return acc
-
-
 def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Point:
     return tuple(x + y for x, y in zip(a, b))
 
 
 def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Point:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(t: Fraction, a: Sequence[Fraction]) -> Point:
-    return tuple(t * x for x in a)
-
-
-def primitive_same_direction(vec: Sequence[Fraction]) -> Tuple[Tuple[int, ...], Fraction]:
-    """Scale a nonzero rational vector by a positive factor s to coprime
-    integers; returns (integer vector, s)."""
-    denom = math.lcm(*(Fraction(c).denominator for c in vec))
-    ints = [int(c * denom) for c in vec]
-    g = math.gcd(*ints)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(v // g for v in ints), Fraction(denom, g)
-
-
-def primitive_integer_vector(vec: Sequence[Fraction]) -> Tuple[Tuple[int, ...], Fraction]:
-    """Scale a nonzero rational vector by a factor s of either sign to
-    coprime integers whose first nonzero entry is positive; returns
-    (integer vector, s)."""
-    prim, s = primitive_same_direction(vec)
-    if next(c for c in prim if c != 0) < 0:
-        return tuple(-c for c in prim), -s
-    return prim, s

@@ -568,10 +568,6 @@ def serialize_instance(inst: Instance) -> Dict[str, object]:
     raise TypeError(f"not an instance: {inst!r}")
 
 
-def instance_json(inst: Instance) -> str:
-    return json.dumps(serialize_instance(inst), indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # artifact writers
 

@@ -11,6 +11,8 @@ every raw branch of a deformation, a route `metric_deform` no longer takes,
 `lower_hull_facets_2d`, which reads the package's integer facet kernel
 back as Fraction pieces so the brute-force hull can be compared with it,
 `roof_cells`, which reads a roof's integer cells with rational corners,
+`roof_function`, which builds the package's roof type from rational pieces,
+`instance_json`, which renders the package's serialized instance,
 `dilate` and `metric_scale`, which build the package's polytope and metric
 types for t*P,
 `dominance_cells_by_clipping`, which runs the package's half-plane clip on
@@ -448,6 +450,18 @@ def roof_cells(roof):
             for i, region in roof.integer_cells()]
 
 
+def roof_function(P, pieces):
+    """The package's roof on P that is the max of the rational pieces
+    (slope, const): scaled by common_scale, one row per slope with the
+    largest constant, in order of first occurrence."""
+    from navol.plmetric import RoofFunction
+    scale, rows = common_scale([tuple(s) + (c,) for s, c in pieces])
+    best = {}
+    for r in rows:
+        best[r[:-1]] = max(best.get(r[:-1], r[-1]), r[-1])
+    return RoofFunction(P, scale, [s + (c,) for s, c in best.items()])
+
+
 def roof_integral_oracle(pieces, cells):
     """Integral of the roof over its cells: trapezoids in 1-d, fan
     triangles with the mean of the corner values in 2-d."""
@@ -850,3 +864,19 @@ def as_rational_oracle(value, path):
                 f"{path}: bad rational literal {value!r}: {exc}") from None
     raise InstanceFormatError(
         f"{path}: expected a rational as integer or 'p/q' string")
+
+
+# --------------------------------------------------------------------------
+# measures and instance files
+# --------------------------------------------------------------------------
+
+def is_nonnegative(mu):
+    """Every atom of the discrete measure has positive mass."""
+    return all(m > 0 for m in mu.atoms.values())
+
+
+def instance_json(inst):
+    """The instance as the package serializes it, in indented JSON text."""
+    import json
+    from navol.serialize import serialize_instance
+    return json.dumps(serialize_instance(inst), indent=2) + "\n"

@@ -14,7 +14,8 @@ from navol.plmetric import canonical_metric, envelope, metric_shift
 from navol.polytope import Polytope, segment, simplex, unit_box
 
 from _oracles import (curvature_atoms_1d_oracle,
-                      curvature_atoms_2d_convex_oracle, dilate, energy_by_mixed_measures)
+                      curvature_atoms_2d_convex_oracle, dilate, energy_by_mixed_measures,
+                      is_nonnegative)
 
 F = Fraction
 SEG = segment(0, 1)
@@ -31,7 +32,7 @@ def test_measure_merges_and_drops_zeros():
                           ((F(1),), F(3)), ((F(2),), F(0))])
     assert mu.atoms == {(F(0),): F(1), (F(1),): F(3)}
     assert mu.total_mass == 4
-    assert mu.is_nonnegative()
+    assert is_nonnegative(mu)
     assert mu.items_sorted() == [((F(0),), F(1)), ((F(1),), F(3))]
     assert mu.integrate(lambda v: v[0]) == 3
 

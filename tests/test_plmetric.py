@@ -629,7 +629,7 @@ def _small_metrics(draw, count, bodies=(SEG, BOX, simplex(2))):
     return [metric() for _ in range(count)]
 
 
-@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@settings(max_examples=20)
 @given(_small_metrics(3), st.builds(F, st.integers(-9, 9), st.integers(1, 4)))
 def test_distance_is_a_metric_and_matches_the_oracle(metrics, t):
     a, b, c = metrics
@@ -795,7 +795,7 @@ def test_public_constructors_check_the_recession_once(monkeypatch):
         assert len(calls) == 1, name
 
 
-@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@settings(max_examples=20)
 @given(_small_metrics(3, bodies=(SEG, BOX, simplex(2), LINE)),
        st.builds(F, st.integers(0, 9), st.integers(1, 4)))
 def test_envelopes_and_deformations_keep_the_recession_identity(metrics, eps):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from navol.errors import PreconditionError
 from navol.polytope import Polytope, segment, simplex, unit_box
@@ -80,6 +81,71 @@ def test_lattice_points_match_enumeration_oracle():
             got = sorted(P.lattice_points(m))
             want = sorted(lattice_points_oracle(P.vertices, m))
             assert got == want, (P, m)
+
+
+# integers too, so whole lattice polygons, whose edges pass through lattice
+# points, are drawn as often as rational ones
+_RATIONALS = st.one_of(st.integers(-4, 4).map(F), st.builds(F, st.integers(-6, 6),
+                                                            st.integers(1, 3)))
+
+
+@st.composite
+def _bodies_and_probes(draw):
+    """1-6 rational points in dimension 1 or 2 (so points, segments and
+    polygons), a level m in 0..6 and a few rational probe points."""
+    n = draw(st.sampled_from((2, 1, 2)))
+    count = draw(st.integers(1, 6))
+    pts = draw(st.lists(st.tuples(*[_RATIONALS] * n), min_size=count, max_size=count))
+    probes = draw(st.lists(st.tuples(*[_RATIONALS] * n), max_size=6))
+    return pts, draw(st.integers(0, 6)), probes
+
+
+@settings(max_examples=80)
+@given(_bodies_and_probes())
+def test_edge_rows_and_membership_match_oracles(case):
+    pts, m, probes = case
+    P = Polytope.from_points(pts)
+    assert P.lattice_points(m) == sorted(lattice_points_oracle(pts, m))
+    verts = P.vertices
+    mids = [tuple((a + b) / 2 for a, b in zip(u, v)) for u, v in zip(verts, verts[1:] + verts[:1])]
+    for p in list(pts) + mids + probes:
+        assert P.contains(p) == hull_contains(pts, p), (pts, p)
+
+
+def test_rows_bounded_by_the_box_only():
+    # bodies with no edge that bounds x: their rows are read from the box
+    cases = [
+        # horizontal segment at integer height, then at height 1/2
+        ([(F(-1, 2), 1), (F(5, 2), 1)], {1: [(1, 0, 2)], 2: [(2, -1, 5)]}),
+        ([(F(-1, 2), F(1, 2)), (F(5, 2), F(1, 2))], {1: [], 2: [(1, -1, 5)], 3: []}),
+        # a lattice point and a non-lattice point, in the plane and the line
+        ([(1, 2)], {1: [(2, 1, 1)], 3: [(6, 3, 3)]}),
+        ([(F(1, 2), F(2, 3))], {1: [], 2: [], 3: [], 6: [(4, 3, 3)]}),
+        ([(F(3, 2),)], {1: [], 2: [(0, 3, 3)]}),
+        ([(F(-1, 3),), (F(4, 3),)], {1: [(0, 0, 1)], 3: [(0, -1, 4)]}),
+    ]
+    # a vertical segment, pinned to x = 1/3 by its two edges
+    cases.append(([(F(1, 3), 0), (F(1, 3), 2)],
+                  {1: [], 2: [], 3: [(y, 1, 1) for y in range(7)]}))
+    for pts, want in cases:
+        P = Polytope.from_points(pts)
+        origin = (0,) * P.ambient_dim
+        assert P.lattice_points(0) == [origin]
+        assert P.lattice_rows(0) == [(0, 0, 0)]
+        for m, rows in want.items():
+            assert P.lattice_rows(m) == rows, (pts, m)
+            assert P.lattice_points(m) == sorted(lattice_points_oracle(pts, m)), (pts, m)
+    flat = Polytope.from_points([(F(-1, 2), 1), (F(5, 2), 1)])
+    assert flat.contains((0, 1)) and flat.contains((F(5, 2), 1))
+    assert not flat.contains((3, 1)) and not flat.contains((0, F(11, 10)))
+    upright = Polytope.from_points([(F(1, 3), 0), (F(1, 3), 2)])
+    assert upright.contains((F(1, 3), 1)) and upright.contains((F(1, 3), 2))
+    assert not upright.contains((F(1, 3), 3)) and not upright.contains((F(1, 2), 1))
+    dot = Polytope.from_points([(F(1, 2), F(2, 3))])
+    assert dot.contains((F(1, 2), F(2, 3))) and not dot.contains((F(1, 2), 0))
+    for P, p in ((dot, (F(1, 2),)), (segment(0, 1), (0, 5))):
+        with pytest.raises(PreconditionError):
+            P.contains(p)
 
 
 def test_lattice_counts_closed_forms():

@@ -9,12 +9,11 @@ from fractions import Fraction
 from navol import plmetric
 from navol.harness import random_convex_metric, random_direction, random_nonconvex_metric
 from navol.measures import DiscreteMeasure, monge_ampere
-from navol.plmetric import (PLMetric, RoofFunction, distance, envelope, legendre,
-                            metric_deform)
+from navol.plmetric import PLMetric, distance, envelope, legendre, metric_deform
 from navol.polytope import Polytope, segment, simplex, unit_box
 
 from _oracles import (cell_mass_oracle, dominance_cells_by_clipping, envelope_corners_oracle,
-                      roof_cells, roof_cells_oracle, roof_integral_oracle)
+                      roof_cells, roof_cells_oracle, roof_function, roof_integral_oracle)
 
 F = Fraction
 SEG = segment(0, 1)
@@ -101,7 +100,7 @@ def test_prime_denominators_near_a_million():
         for _ in range(3):
             pieces = [(tuple(_large_fraction(rng, 2) for _ in range(P.ambient_dim)),
                        _large_fraction(rng, 3)) for _ in range(rng.randint(1, 9))]
-            _check_roof(RoofFunction(P, pieces))
+            _check_roof(roof_function(P, pieces))
 
 
 def test_duplicate_and_parallel_slopes():
@@ -111,12 +110,12 @@ def test_duplicate_and_parallel_slopes():
     for P in BODIES[2:]:
         pieces = [((-1, -1), F(1, 2)), ((0, 0), F(0)), ((0, 0), F(-1, 3)),
                   ((1, 1), F(-1)), ((1, 1), F(-2)), ((2, 2), F(-3))]
-        roof = RoofFunction(P, pieces)
+        roof = roof_function(P, pieces)
         assert len(roof.pieces) == 4
         assert len(_check_roof(roof)) >= 2
     for P in BODIES[:2]:
-        roof = RoofFunction(P, [((0,), F(1)), ((0,), F(0)), ((1,), F(-1, 2)),
-                                ((1,), F(1, 3)), ((2,), F(-1))])
+        roof = roof_function(P, [((0,), F(1)), ((0,), F(0)), ((1,), F(-1, 2)),
+                                 ((1,), F(1, 3)), ((2,), F(-1))])
         assert len(roof.pieces) == 3
         _check_roof(roof)
 
@@ -128,7 +127,7 @@ def test_cells_touching_at_a_point_and_zero_area_clips():
     half = F(1, 2)
     pieces = [((1, 1), -1), ((-1, -1), 1), ((1, -1), F(0)), ((-1, 1), F(0)),
               ((0, 0), F(0)), ((1, 0), -half)]
-    roof = RoofFunction(BOX, pieces)
+    roof = roof_function(BOX, pieces)
     cells = _check_roof(roof)
     assert sorted(i for i, _ in cells) == [0, 1, 2, 3]
     corners = {i: set(region) for i, region in cells}
@@ -136,7 +135,7 @@ def test_cells_touching_at_a_point_and_zero_area_clips():
     assert corners[2] & corners[3] == {(half, half)}
     assert all(mass == half for _, mass in roof.cell_masses())
     # in 1-d: a piece that touches the roof at one point only
-    roof = RoofFunction(SEG, [((-1,), F(0)), ((1,), F(-1)), ((0,), -half)])
+    roof = roof_function(SEG, [((-1,), F(0)), ((1,), F(-1)), ((0,), -half)])
     assert [i for i, _ in _check_roof(roof)] == [0, 1]
 
 
@@ -168,8 +167,8 @@ def test_a_point_is_one_cell_with_no_volume():
     # must not reach it
     for P in (Polytope.from_points([(F(1, 3),)]), Polytope.from_points([(F(1, 2), F(-3, 2))])):
         n = P.ambient_dim
-        roof = RoofFunction(P, [((F(0),) * n, F(1)), ((F(1),) * n, F(-1)),
-                                ((F(-2),) * n, F(5, 7))])
+        roof = roof_function(P, [((F(0),) * n, F(1)), ((F(1),) * n, F(-1)),
+                                 ((F(-2),) * n, F(5, 7))])
         cells = roof_cells(roof)
         assert [region for _, region in cells] == [list(P.vertices)]
         s, c = roof.pieces[cells[0][0]]
@@ -216,7 +215,7 @@ def test_one_owner_cells_equal_clipping_every_pair(monkeypatch):
                 distance(m1, m2)
     for P, pieces in ((LINE, [((0, 0), F(0)), ((1, -2), F(0)), ((-1, 0), F(-3))]),
                       (DOT, [((0, 0), F(0)), ((1, 0), F(-1)), ((0, 1), F(-3))])):
-        assert [i for i, _ in RoofFunction(P, pieces).integer_cells()] == [0, 1]
+        assert [i for i, _ in roof_function(P, pieces).integer_cells()] == [0, 1]
     owned = tied = repeated = 0
     for region, rows, dim, sign, out in calls:
         assert out == dominance_cells_by_clipping(region, rows, dim, sign), (region, rows)

@@ -16,11 +16,10 @@ import navol.harness as harness
 from navol.errors import InstanceFormatError, PreconditionError
 from navol.harness import VerificationReport
 from navol.serialize import (_as_rational, _plain_rational, csv_text,
-                             decimal_str, instance_json, parse_instance_text,
-                             serialize_instance)
+                             decimal_str, parse_instance_text, serialize_instance)
 from navol.trees import potential_rows
 
-from _oracles import (as_rational_oracle, first_primes, ma_solve_oracle,
+from _oracles import (as_rational_oracle, first_primes, instance_json, ma_solve_oracle,
                       recession_at, support_at)
 
 F = Fraction
