@@ -42,17 +42,17 @@ class ToricFamily:
         name = name.strip()
         if name == "P1":
             self.dim, self.rank = 1, 1
-            self.canonical = (Fraction(-2),)
+            self.canonical = (-2,)
         elif name == "P2":
             self.dim, self.rank = 2, 1
-            self.canonical = (Fraction(-3),)
+            self.canonical = (-3,)
         elif name == "P1xP1":
             self.dim, self.rank = 2, 2
-            self.canonical = (Fraction(-2), Fraction(-2))
+            self.canonical = (-2, -2)
         elif name.startswith("F") and name[1:].isdigit():
             self.dim, self.rank = 2, 2
             self.hirzebruch_a = int(name[1:])
-            self.canonical = (Fraction(-2), Fraction(self.hirzebruch_a - 2))
+            self.canonical = (-2, self.hirzebruch_a - 2)
         else:
             raise PreconditionError(
                 f"unsupported family {name!r}; use P1, P2, P1xP1 or Fa (a >= 0)")
@@ -74,12 +74,15 @@ class ToricFamily:
         b = _as_class(d2, self.rank)
         if self.name == "P1":
             raise PreconditionError("P1 is a curve: use degree, not intersection")
+        return self._pairing(a, b)
+
+    def _pairing(self, a: Sequence, b: Sequence):
+        """The intersection form of a surface on coordinates; ints give ints."""
         if self.name == "P2":
             return a[0] * b[0]
         if self.name == "P1xP1":
             return a[0] * b[1] + a[1] * b[0]
-        h = self.hirzebruch_a
-        return h * a[0] * b[0] + a[0] * b[1] + a[1] * b[0]
+        return self.hirzebruch_a * a[0] * b[0] + a[0] * b[1] + a[1] * b[0]
 
     def degree(self, d: Sequence) -> Fraction:
         if self.name != "P1":
@@ -143,14 +146,13 @@ class ToricFamily:
         return Polytope.from_points(
             [(zero, zero), (q, zero), (q + h * p, p), (zero, p)])
 
-    def euler_characteristic(self, d: Sequence[int]) -> Fraction:
-        """chi of the line bundle of an integral class, by Riemann-Roch."""
-        cls = _as_class(d, self.rank)
+    def euler_characteristic(self, d: Sequence[int]) -> int:
+        """chi of the line bundle of an integral class, by Riemann-Roch:
+        1 + D.(D - K)/2 on a surface, where D.(D - K) is even."""
+        cls = tuple(int(c) for c in d)
         if self.name == "P1":
             return cls[0] + 1
-        self_int = self.intersection(cls, cls)
-        against_k = self.intersection(cls, self.canonical)
-        return 1 + (self_int - against_k) / 2
+        return 1 + self._pairing(cls, [c - k for c, k in zip(cls, self.canonical)]) // 2
 
 
 def toric_family(name: str) -> ToricFamily:
@@ -237,7 +239,7 @@ def _cohomology(family: ToricFamily, cls: Sequence[int], qs: Sequence[int]) -> D
     def sections(q: int) -> int:  # of the class for q = 0, of its dual for q = n
         if q not in counts:
             counts[q] = family.h0_integral(
-                cls if q == 0 else tuple(int(k) - c for k, c in zip(family.canonical, cls)))
+                cls if q == 0 else tuple(k - c for k, c in zip(family.canonical, cls)))
         return counts[q]
 
     out: Dict[int, int] = {}
@@ -247,10 +249,7 @@ def _cohomology(family: ToricFamily, cls: Sequence[int], qs: Sequence[int]) -> D
         elif q > n:
             out[q] = 0
         else:
-            h1 = sections(0) + sections(n) - family.euler_characteristic(cls)
-            if h1.denominator != 1:
-                raise PreconditionError(f"Riemann-Roch gave non-integral h1 for {cls}")
-            out[q] = int(h1)
+            out[q] = sections(0) + sections(n) - family.euler_characteristic(cls)
     return out
 
 
@@ -267,12 +266,11 @@ class CohomologyTable:
         """h^n(mD) recomputed independently as h^0 of K minus the round-up."""
         fam = self.family
         top = fam.dim
-        k = tuple(int(c) for c in fam.canonical)
         for m, q, h, _ in self.rows:
             if q != top:
                 continue
             cls = self.divisor.round_up(m)
-            dual = tuple(ki - c for ki, c in zip(k, cls))
+            dual = tuple(k - c for k, c in zip(fam.canonical, cls))
             if h != fam.h0_integral(dual):
                 return False
         return True

@@ -64,6 +64,3 @@ def point_str(pt: Sequence[Fraction]) -> str:
 def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Point:
     return tuple(x + y for x, y in zip(a, b))
 
-
-def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Point:
-    return tuple(x - y for x, y in zip(a, b))

@@ -4,14 +4,14 @@ The volume of a metric pair is the large-m limit of n!/m^(n+1) times the
 lattice length at level m: the sum over the integer points u of mP of
 ceil(m g2(u/m)) - ceil(m g1(u/m)), where g_i is the Legendre transform
 (roof) of metric i. The points come as rows of consecutive integers from
-Polytope.lattice_rows. On a row, m*g_i is the upper envelope of a few integer
-lines over a common denominator L; each piece of that envelope is one
-arithmetic progression, whose ceilings over L one Euclid-like floor_sum adds
-in O(log m) steps. A level costs O(m*K*log m) in the plane and O(K*log m) on
-the line for K roof pieces, and every length is an exact integer. The exact
-limit equals the energy of the pair of convex envelopes; the series rows
-exist to demonstrate this and to power the finite-level Lipschitz and
-proportionality checks.
+Polytope.lattice_rows. On a row, m*g_i is the upper envelope of the K integer
+roof lines over a common denominator L, one stack pass over the lines sorted by
+slope; each of its k pieces is one arithmetic progression, whose ceilings over
+L one Euclid-like floor_sum adds in O(log m) steps. A level costs
+O(m*(K + k*log m)) in the plane and O(K + k*log m) on the line, and every
+length is an exact integer. The exact limit equals the energy of the pair of
+convex envelopes; the series rows exist to demonstrate this and to power the
+finite-level Lipschitz and proportionality checks.
 """
 from __future__ import annotations
 
@@ -55,23 +55,37 @@ def _ceil_sum(roof: IntegerRows, rows: Sequence[Tuple[int, int, int]], m: int) -
     """Sum of ceil(m * roof(u/m)) over the integer points u of the rows,
     for the roof's integer rows L * (a, b) over their common denominator L.
 
-    On a row the roof is the upper envelope of the integer lines
-    a0*x + (a1*y + m*b), over L. The walk keeps the line that is maximal at
-    x (the steepest on ties) up to the last x before a steeper line strictly
-    overtakes it, and sums the ceilings along that piece with one floor sum.
+    On a row the roof is the upper envelope of the lines a*x + c, c = a1*y + m*b,
+    over L. Each row pushes the lines, sorted by x-slope once, onto a stack of
+    (a, c, start) whose entries are maximal on the nonempty integer runs
+    [start, next start - 1], the last one up to hi. A line starts at the first
+    x where it is strictly above the top, (pc - c) // (a - pa) + 1, and at lo
+    or never for an equal slope with a larger or no larger c; a top whose run
+    that empties is popped, a line starting after hi is dropped, and each run
+    is then one floor sum.
     """
     scale, pieces = roof
-    lines = [(r[0], r[1] if len(r) > 2 else 0, m * r[-1]) for r in pieces]
+    lines = sorted((r[0], r[1] if len(r) > 2 else 0, m * r[-1]) for r in pieces)
     total = 0
     for y, lo, hi in rows:
-        row = [(a0, a1 * y + mb) for a0, a1, mb in lines]
-        x = lo
-        while x <= hi:
-            a, c = max(row, key=lambda line: (line[0] * x + line[1], line[0]))
-            end = min([hi] + [(c - c2) // (a2 - a) for a2, c2 in row if a2 > a])
+        hull = []  # (a, c, start)
+        for a, a1, mb in lines:
+            c = a1 * y + mb
+            start = lo
+            while hull:
+                pa, pc, ps = hull[-1]
+                start = (pc - c) // (a - pa) + 1 if a > pa else (lo if c > pc else hi + 1)
+                if start > ps:
+                    break
+                hull.pop()
+                start = lo
+            if start <= hi:
+                hull.append((a, c, start))
+        end = hi
+        for a, c, start in reversed(hull):
             # ceil(v / L) == floor((v + L - 1) / L)
-            total += _floor_sum(end - x + 1, scale, a, a * x + c + scale - 1)
-            x = end + 1
+            total += _floor_sum(end - start + 1, scale, a, a * start + c + scale - 1)
+            end = start - 1
     return total
 
 

@@ -285,6 +285,20 @@ def lattice_length_by_points(pieces1, pieces2, m, points):
     return sum(ceil_roof(lines2, pt) - ceil_roof(lines1, pt) for pt in points)
 
 
+def ceil_sum_by_points(roof, rows, m):
+    """Sum of ceil(max over the lines / L) at every integer point of the rows
+    (y, lo, hi), for an integer roof (L, lines) whose line (a0, a1, b) is
+    a0*x + a1*y + m*b at (x, y), and (a0, b) is a0*x + m*b."""
+    scale, lines = roof
+    total = 0
+    for y, lo, hi in rows:
+        for x in range(lo, hi + 1):
+            top = max(l[0] * x + (l[1] * y if len(l) > 2 else 0) + m * l[-1]
+                      for l in lines)
+            total += -(-top // scale)
+    return total
+
+
 def breakpoints_1d(blocks, extra=()):
     """All pairwise crossing abscissae of the pieces plus any extras: a
     superset of the true kinks of the min-max function."""
@@ -580,6 +594,11 @@ def metric_deform_by_branches(psi, eps, pos, neg):
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def vsub(a, b):
+    """The difference a - b of two points, coordinate by coordinate."""
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def _angle_order(dirs):

@@ -18,7 +18,7 @@ from navol.plmetric import (PLMetric, canonical_metric,
                             distance, envelope, is_semipositive, legendre,
                             metric_deform, metric_min, metric_shift, metric_sum)
 from navol.polytope import Polytope, segment, simplex, unit_box
-from navol.rational import vadd, vsub
+from navol.rational import vadd
 
 from navol.volumes import lattice_length
 
@@ -28,7 +28,7 @@ from _oracles import (arrangement_candidates, block_conjugate_oracle,
                       envelope_corners_oracle, eval_min_max, lattice_length_oracle,
                       lower_hull_facets_2d, metric_deform_by_branches, metric_scale,
                       polygon_area, recession_by_all_slopes, roof_cells, roof_cells_oracle,
-                      roof_oracle)
+                      roof_oracle, vsub)
 
 F = Fraction
 SEG = segment(0, 1)

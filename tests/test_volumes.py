@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from navol.errors import PreconditionError
 from navol.harness import (bump_metric, random_convex_metric,
@@ -12,12 +13,12 @@ from navol.harness import (bump_metric, random_convex_metric,
 from navol.measures import energy
 from navol.plmetric import canonical_metric, envelope, legendre, metric_shift
 from navol.polytope import Polytope, segment, unit_box
-from navol.volumes import (_floor_sum, default_schedule, lattice_length,
+from navol.volumes import (_ceil_sum, _floor_sum, default_schedule, lattice_length,
                            lipschitz_check, navol, navol_series,
                            proportionality_check)
 
-from _oracles import (lattice_length_by_points, lattice_length_oracle,
-                      lattice_points_oracle)
+from _oracles import (ceil_sum_by_points, lattice_length_by_points,
+                      lattice_length_oracle, lattice_points_oracle)
 
 F = Fraction
 SEG = segment(0, 1)
@@ -84,6 +85,38 @@ def test_lattice_length_matches_per_point_route():
         for m in list(range(1, 13)) + [37, 64]:
             want = lattice_length_by_points(g1, g2, m, P.lattice_points(m))
             assert lattice_length(m1, m2, m) == want, (P, m)
+
+
+@st.composite
+def _raw_roofs(draw):
+    """An integer roof (L, lines) of 1-8 lines of 2 or 3 ints with L in 1-12,
+    a level m and rows for it. Two lines may share an x-slope with different
+    y-slopes (or intercepts), three may pass through one lattice point of a
+    row, and rows reach negative x and hold one point or none (lo > hi)."""
+    width = draw(st.sampled_from((2, 3)))
+    small = st.integers(-6, 6)
+    m = draw(st.integers(1, 4))
+    lines = draw(st.lists(st.tuples(*[small] * width), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        lines.append((lines[0][0],) + draw(st.tuples(*[small] * (width - 1))))
+    rows = draw(st.lists(st.builds(lambda y, lo, d: (y, lo, lo + d), small,
+                                   st.integers(-12, 12), st.integers(-3, 12)),
+                         min_size=1, max_size=4))
+    if draw(st.booleans()):
+        # three lines through the point m*(p, q), where they all equal m*v
+        p, q, v = draw(small), draw(small), draw(small)
+        for _ in range(3):
+            a = draw(st.tuples(*[small] * (width - 1)))
+            lines.append(a + (v - a[0] * p - (a[1] * q if width == 3 else 0),))
+        rows.append((m * q, m * p - 2, m * p + 2))
+    return (draw(st.integers(1, 12)), lines), rows, m
+
+
+@settings(max_examples=60)
+@given(_raw_roofs())
+def test_ceil_sum_matches_a_per_point_max(case):
+    roof, rows, m = case
+    assert _ceil_sum(roof, rows, m) == ceil_sum_by_points(roof, rows, m)
 
 
 def test_default_schedules_are_increasing():
