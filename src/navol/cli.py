@@ -25,8 +25,8 @@ from .cohomology import (COHOMOLOGY_SCHEDULE, MORSE_Q, MORSE_SCHEDULE,
 from .errors import InstanceFormatError, PreconditionError
 from .harness import (DIFF_EPS, H0_SCHEDULE, VerificationReport, run_bundled_suite,
                       verify_differentiability, verify_h0_envelope_equality,
-                      verify_orthogonality, verify_tree_solvability,
-                      verify_vol_is_energy)
+                      verify_orthogonality, verify_tree_net_rows,
+                      verify_tree_solvability, verify_vol_is_energy)
 from .measures import energy, monge_ampere
 from .plmetric import envelope, is_semipositive
 from .rational import frac, frac_str, point_str
@@ -362,10 +362,8 @@ def _instance_checks(inst: Instance) -> List[VerificationReport]:
             reports.append(verify_h0_envelope_equality(psi, schedule,
                                                        instance=inst.name))
     elif isinstance(inst, TreeInstance):
-        target = inst.measure("target", "verify-all")
-        base = inst.measure("base", "verify-all")
-        reports.append(verify_tree_solvability(inst.tree, target, base,
-                                               instance=inst.name))
+        reports.append(verify_tree_net_rows(
+            inst.tree, *inst.net_mass_rows("verify-all"), instance=inst.name))
     elif isinstance(inst, SurfaceInstance):
         if "D" in inst.divisors and "E" in inst.divisors:
             q = inst.q if inst.q is not None else MORSE_Q

@@ -7,13 +7,21 @@ surfaces F_a for a >= 0 (basis: a section S with S^2 = a and a fibre F).
 h^0 is a lattice-point / section count in closed form, h^top comes from Serre
 duality, and the middle h^1 on surfaces is determined by Riemann-Roch; all
 values are exact integers.
+
+Everything runs on integers up to the reported values: a divisor rounds up
+its (p, q) coefficients as -(-m p // q), h^q of an integral class is a few
+closed-form counts, and the Morse and twist checks take their fitted
+constants and verdicts by cross-multiplying integer numerators and positive
+denominators. Each returned rational is built as one Fraction.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .polytope import Polytope
@@ -106,7 +114,7 @@ class ToricFamily:
     # -- section counts ------------------------------------------------------
     def h0_integral(self, d: Sequence[int]) -> int:
         """Number of global sections of the line bundle of an integral class."""
-        cls = tuple(int(c) for c in d)
+        cls = tuple(map(int, d))
         if self.name == "P1":
             (deg,) = cls
             return deg + 1 if deg >= 0 else 0
@@ -146,10 +154,14 @@ class ToricFamily:
         return Polytope.from_points(
             [(zero, zero), (q, zero), (q + h * p, p), (zero, p)])
 
+    def serre_dual(self, cls: Sequence[int]) -> Tuple[int, ...]:
+        """K minus an integral class: h^top of a class is h^0 of this."""
+        return tuple(k - c for k, c in zip(self.canonical, cls))
+
     def euler_characteristic(self, d: Sequence[int]) -> int:
         """chi of the line bundle of an integral class, by Riemann-Roch:
         1 + D.(D - K)/2 on a surface, where D.(D - K) is even."""
-        cls = tuple(int(c) for c in d)
+        cls = tuple(map(int, d))
         if self.name == "P1":
             return cls[0] + 1
         return 1 + self._pairing(cls, [c - k for c, k in zip(cls, self.canonical)]) // 2
@@ -190,11 +202,17 @@ class RealDivisor:
                 acc[i] += coeff * c
         return tuple(acc)
 
+    @functools.cached_property
+    def _integer_terms(self) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
+        """The terms as (p, q, basis class) for a coefficient p/q, q > 0."""
+        return tuple((c.numerator, c.denominator, base) for c, base in self.terms)
+
     def round_up(self, m: int = 1) -> Tuple[int, ...]:
-        """Integral class sum of ceil(m * a_i) * D_i over the decomposition."""
+        """Integral class sum of ceil(m * a_i) * D_i over the decomposition,
+        with ceil(m * p/q) = -(-m * p // q)."""
         acc = [0] * self.family.rank
-        for coeff, base in self.terms:
-            scaled = math.ceil(m * coeff)
+        for p, q, base in self._integer_terms:
+            scaled = -(-m * p // q)
             for i, c in enumerate(base):
                 acc[i] += scaled * c
         return tuple(acc)
@@ -224,33 +242,28 @@ def _check_level(m: int, qs: Sequence[int]) -> None:
         raise PreconditionError("level m must be >= 1")
 
 
-def _hq_integral(family: ToricFamily, cls: Sequence[int], q: int) -> int:
-    return _cohomology(family, cls, (q,))[q]
-
-
-def _cohomology(family: ToricFamily, cls: Sequence[int], qs: Sequence[int]) -> Dict[int, int]:
-    """h^q of an integral class for each q in qs: h^0 is a section count,
-    h^top the section count of K minus the class (Serre duality), h^1 on a
-    surface follows by Riemann-Roch, and h^q vanishes above the dimension.
-    Each of the two section counts is computed at most once."""
+def _hq_of_counts(family: ToricFamily, cls: Sequence[int], q: int,
+                  low: int, top: int) -> int:
+    """h^q of an integral class from low = h^0 of the class (read for
+    q < n) and top = h^0 of its Serre dual (read for 0 < q <= n): h^0 is
+    low, h^top is top by Serre duality, h^1 on a surface follows by
+    Riemann-Roch, and h^q vanishes above the dimension n."""
     n = family.dim
-    counts: Dict[int, int] = {}
+    if q == 0:
+        return low
+    if q > n:
+        return 0
+    if q == n:
+        return top
+    return low + top - family.euler_characteristic(cls)
 
-    def sections(q: int) -> int:  # of the class for q = 0, of its dual for q = n
-        if q not in counts:
-            counts[q] = family.h0_integral(
-                cls if q == 0 else tuple(k - c for k, c in zip(family.canonical, cls)))
-        return counts[q]
 
-    out: Dict[int, int] = {}
-    for q in qs:
-        if q in (0, n):
-            out[q] = sections(q)
-        elif q > n:
-            out[q] = 0
-        else:
-            out[q] = sections(0) + sections(n) - family.euler_characteristic(cls)
-    return out
+def _hq_integral(family: ToricFamily, cls: Sequence[int], q: int) -> int:
+    """h^q of an integral class, computing only the counts it reads."""
+    n = family.dim
+    low = family.h0_integral(cls) if q < n else 0
+    top = family.h0_integral(family.serre_dual(cls)) if 0 < q <= n else 0
+    return _hq_of_counts(family, cls, q, low, top)
 
 
 @dataclass
@@ -269,9 +282,7 @@ class CohomologyTable:
         for m, q, h, _ in self.rows:
             if q != top:
                 continue
-            cls = self.divisor.round_up(m)
-            dual = tuple(k - c for k, c in zip(fam.canonical, cls))
-            if h != fam.h0_integral(dual):
+            if h != fam.h0_integral(fam.serre_dual(self.divisor.round_up(m))):
                 return False
         return True
 
@@ -281,16 +292,23 @@ def cohomology_table(family: ToricFamily, divisor: RealDivisor,
                      qs: Optional[Sequence[int]] = None) -> CohomologyTable:
     """Rows (m, q, h^q(mD), n! h^q / m^n) for each level and each q (all q
     by default). A level rounds the class up once, and its rows share one
-    section count of the class and one of its Serre dual."""
+    section count of the class and one of its Serre dual, each computed only
+    if some q reads it (see `_hq_of_counts`)."""
     if qs is None:
         qs = tuple(range(family.dim + 1))
     n = family.dim
     factorial = math.factorial(n)
+    low_read = any(q < n for q in qs)
+    top_read = any(0 < q <= n for q in qs)
     rows = []
     for m in schedule:
         _check_level(m, qs)
-        hs = _cohomology(family, divisor.round_up(m), qs)
-        rows.extend((m, q, hs[q], Fraction(factorial * hs[q], m ** n)) for q in qs)
+        cls = divisor.round_up(m)
+        low = family.h0_integral(cls) if low_read else 0
+        top = family.h0_integral(family.serre_dual(cls)) if top_read else 0
+        for q in qs:
+            h = _hq_of_counts(family, cls, q, low, top)
+            rows.append((m, q, h, Fraction(factorial * h, m ** n)))
     return CohomologyTable(family, divisor, rows)
 
 
@@ -351,32 +369,37 @@ def morse_check(family: ToricFamily, d: RealDivisor, e: RealDivisor, q: int,
                 schedule: Sequence[int]) -> MorseReport:
     """Upper bound h^q(m(D-E)) <= binom(n,q) D^(n-q).E^q m^n/n! + C m^(n-1)
     for nef D, E; C is fitted on the first half of the schedule and the bound
-    is verified with that C on the second half."""
+    is verified with that C on the second half.
+
+    With leading = a/b, the main term is a m^n / (b n!) and every quantity
+    is an integer numerator over a positive integer denominator, compared
+    by cross-multiplication; each returned value is one Fraction."""
     for div, label in ((d, "D"), (e, "E")):
         if not family.is_nef(div.total()):
             raise PreconditionError(f"{label} = {div.total()} is not nef on {family.name}")
     n = family.dim
-    factorial = math.factorial(n)
     leading = math.comb(n, q) * family.top_power(d.total(), e.total(), q)
+    a, b = leading.numerator, leading.denominator * math.factorial(n)
     diff = d.minus(e)
     schedule = list(schedule)
     half = max(1, len(schedule) // 2)
     values = [(m, hq(family, diff, m, q)) for m in schedule]
-    fitted = ZERO
+    # fitted = c / f: the largest (h - main) / m^(n-1) on the first half, or 0
+    c, f = 0, 1
     for m, h in values[:half]:
-        main = leading * m ** n / factorial
-        excess = (h - main) / m ** (n - 1)
-        if excess > fitted:
-            fitted = excess
+        excess, over = h * b - a * m ** n, b * m ** (n - 1)
+        if excess * f > c * over:
+            c, f = excess, over
     rows = []
     passed = True
     for idx, (m, h) in enumerate(values):
-        bound = leading * m ** n / factorial + fitted * m ** (n - 1)
-        margin = bound - h
-        rows.append((m, h, bound, margin))
+        # bound = upper / (b f), margin = bound - h
+        upper = a * m ** n * f + c * m ** (n - 1) * b
+        margin = upper - h * b * f
+        rows.append((m, h, Fraction(upper, b * f), Fraction(margin, b * f)))
         if idx >= half and margin < 0:
             passed = False
-    return MorseReport(q=q, leading=leading, fitted_constant=fitted,
+    return MorseReport(q=q, leading=leading, fitted_constant=Fraction(c, f),
                        rows=rows, passed=passed)
 
 
@@ -402,29 +425,26 @@ def perturbation_scan(family: ToricFamily, d_list: Sequence[RealDivisor],
     b = RealDivisor(family, tuple(t for d in p_list for t in d.terms))
     n = family.dim
     a_up = [a.round_up(m) for m in range(grid_max + 1)]
-    cells = []  # (m, p, |h^q(mA + pB) - h^q(pB)|)
+    cells = []  # (m, p, |h^q(mA + pB) - h^q(pB)|, m (m+p)^(n-1))
     for p in range(1, grid_max + 1):
         b_up = b.round_up(p)
         plain = _hq_integral(family, b_up, q)
         for m in range(grid_max + 1):
-            twisted = _hq_integral(
-                family, tuple(x + y for x, y in zip(a_up[m], b_up)), q)
-            cells.append((m, p, abs(twisted - plain)))
-    fitted = ZERO
-    for m, p, lhs in cells:
-        if m == 0 or m + p > grid_max:
-            continue
-        ratio = Fraction(lhs, m * (m + p) ** (n - 1))
-        if ratio > fitted:
-            fitted = ratio
+            twisted = _hq_integral(family, tuple(map(operator.add, a_up[m], b_up)), q)
+            cells.append((m, p, abs(twisted - plain), m * (m + p) ** (n - 1)))
+    # fitted = c / f, compared with each cell's ratio by cross-multiplication
+    c, f = 0, 1
+    for m, p, lhs, weight in cells:
+        if m and m + p <= grid_max and lhs * f > c * weight:
+            c, f = lhs, weight
     rows = []
     passed = True
-    for m, p, lhs in cells:
-        bound = fitted * m * (m + p) ** (n - 1)
-        rows.append((m, p, lhs, bound))
-        if lhs > bound:
+    for m, p, lhs, weight in cells:
+        rows.append((m, p, lhs, Fraction(c * weight, f)))
+        if lhs * f > c * weight:
             passed = False
-    return PerturbationReport(q=q, fitted_constant=fitted, rows=rows, passed=passed)
+    return PerturbationReport(q=q, fitted_constant=Fraction(c, f), rows=rows,
+                              passed=passed)
 
 
 @dataclass

@@ -260,11 +260,19 @@ def random_tree_measures(tree: MetricTree, rng: random.Random
 def verify_tree_solvability(tree: MetricTree, target: DiscreteMeasure,
                             base: DiscreteMeasure,
                             instance: str = "tree") -> VerificationReport:
-    """Curvature of the solved potential reproduces the target measure: the
-    defect base + laplacian(phi) - target, which is laplacian(phi) - (target -
-    base), is counted on the solver's integer rows."""
+    """Curvature of the solved potential reproduces the target measure (see
+    `verify_tree_net_rows`)."""
+    return verify_tree_net_rows(tree, *net_mass_rows(tree, target, base),
+                                instance=instance)
+
+
+def verify_tree_net_rows(tree: MetricTree, net_scale: int, net: Sequence[int],
+                         instance: str = "tree") -> VerificationReport:
+    """The solvability check on the net mass rows of a target and a base
+    (`trees.net_rows`): the defect base + laplacian(phi) - target, which is
+    laplacian(phi) - (target - base), is counted on the solver's integer
+    rows."""
     start = time.monotonic()
-    net_scale, net = net_mass_rows(tree, target, base)
     lap_scale, lap = laplacian_rows(tree, *potential_rows(tree, net_scale, net))
     defect_atoms = sum(1 for a, b in zip(lap, net)
                        if a * net_scale != b * lap_scale)

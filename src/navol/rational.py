@@ -6,6 +6,7 @@ strings ('p' when the denominator is 1).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -14,17 +15,21 @@ Point = Tuple[Fraction, ...]
 ZERO = Fraction(0)
 
 
-def plain_fraction(text: str) -> Optional[Fraction]:
+def plain_pair(text: str) -> Optional[Tuple[int, int]]:
     """The value of a plain literal (an optional sign and digits, optionally
-    followed by '/' and digits), read straight to ints; None for any other
-    string, and for digits int() will not convert or a zero denominator."""
+    followed by '/' and digits) as a reduced (numerator, denominator > 0)
+    pair, read straight to ints; None for any other string, and for digits
+    int() will not convert or a zero denominator."""
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
     if digits.isdigit() and (not slash or den.isdigit()):
         try:
-            return Fraction(int(num), int(den) if slash else 1)
-        except (ValueError, ZeroDivisionError):
+            p, q = int(num), int(den) if slash else 1
+        except ValueError:
             return None
+        if q:
+            g = math.gcd(p, q)
+            return p // g, q // g
     return None
 
 
@@ -38,8 +43,8 @@ def frac(value) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         try:
-            plain = plain_fraction(text)
-            return plain if plain is not None else Fraction(text)
+            pair = plain_pair(text)
+            return Fraction(*pair) if pair is not None else Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational literal {value!r}: {exc}") from None
     if isinstance(value, int):
@@ -50,6 +55,9 @@ def frac(value) -> Fraction:
 
 
 def frac_str(value: Fraction) -> str:
+    """'p/q', or 'p' for an integral value; a Fraction or int prints as is."""
+    if type(value) is Fraction or type(value) is int:
+        return str(value)
     return str(Fraction(value))
 
 

@@ -7,7 +7,10 @@ Instances are JSON objects with a required ``kind`` tag:
   block a list of ``{"slope": [...], "constant": ...}`` pieces (the metric is
   the minimum over blocks of the maximum over pieces).
 * ``tree``: a metric tree (vertices, edges with positive rational lengths,
-  optional root) plus named vertex functions and named measures.
+  optional root) plus named vertex functions and named measures. Lengths
+  and masses are read to integer (numerator, denominator) pairs; the
+  measures are kept as atom rows and become DiscreteMeasures on first
+  access (`TreeInstance.measures`).
 * ``surface``: a toric surface family name, named rational divisors (lists of
   ``{"coeff": ..., "class": [...]}`` decomposition terms), and optional scan
   parameters.
@@ -24,6 +27,7 @@ run-dependent line is a leading ``#`` comment carrying the timestamp.
 from __future__ import annotations
 
 import datetime
+import functools
 import io
 import json
 import os
@@ -36,8 +40,8 @@ from .errors import InstanceFormatError, PreconditionError
 from .measures import DiscreteMeasure
 from .plmetric import PLMetric, canonical_metric
 from .polytope import Polytope
-from .rational import frac, frac_str, plain_fraction
-from .trees import MetricTree, TreeFunction
+from .rational import frac, frac_str, plain_pair
+from .trees import AtomRow, MetricTree, TreeFunction, net_rows
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +179,39 @@ class ToricInstance:
 
 @dataclass
 class TreeInstance:
+    """A tree with named functions and named measures; each measure is kept
+    as the atom rows (vertex position, p, q) of its file, and `measures`
+    builds the DiscreteMeasures on first access."""
     name: str
     tree: MetricTree
     functions: Dict[str, TreeFunction]
-    measures: Dict[str, DiscreteMeasure]
+    measure_atoms: Dict[str, List[AtomRow]]
     seed: Optional[int] = None
     kind: str = field(default="tree", init=False)
 
-    def measure(self, name: str, command: str) -> DiscreteMeasure:
-        if name not in self.measures:
-            have = ", ".join(sorted(self.measures)) or "none"
+    @functools.cached_property
+    def measures(self) -> Dict[str, DiscreteMeasure]:
+        """The measures by name, built on first access."""
+        names = self.tree.vertices
+        return {name: DiscreteMeasure([(names[i], Fraction(p, q)) for i, p, q in atoms])
+                for name, atoms in self.measure_atoms.items()}
+
+    def _atoms(self, name: str, command: str) -> List[AtomRow]:
+        if name not in self.measure_atoms:
+            have = ", ".join(sorted(self.measure_atoms)) or "none"
             raise PreconditionError(
                 f"command {command!r} needs a measure named {name!r} "
                 f"(instance has: {have})")
+        return self.measure_atoms[name]
+
+    def measure(self, name: str, command: str) -> DiscreteMeasure:
+        self._atoms(name, command)
         return self.measures[name]
+
+    def net_mass_rows(self, command: str) -> Tuple[int, List[int]]:
+        """`trees.net_rows` of the measures named target and base."""
+        return net_rows(len(self.tree.vertices), self._atoms("target", command),
+                        self._atoms("base", command))
 
 
 @dataclass
@@ -309,29 +332,30 @@ def _parse_toric(obj: Dict[str, object], name: str) -> ToricInstance:
                          schedule=schedule, eps_schedule=eps, seed=seed)
 
 
-def _plain_rational(value) -> Optional[Fraction]:
-    """A JSON integer or plain 'p/q' string as a Fraction, else None."""
-    if type(value) is int:
-        return Fraction(value)
+def _plain_pair(value) -> Optional[Tuple[int, int]]:
+    """A JSON integer or plain 'p/q' string as a reduced (p, q > 0) pair,
+    else None."""
     if type(value) is str:
-        return plain_fraction(value)
+        return plain_pair(value)
+    if type(value) is int:
+        return value, 1
     return None
 
 
 # The tree parser reads each edge and atom by a plain route that builds no
-# field path; an entry it does not recognise goes through the validators,
-# which accept it or name the field that is wrong.
+# field path and no Fraction; an entry it does not recognise goes through
+# the validators, which accept it or name the field that is wrong.
 
-def _plain_edge(eraw) -> Optional[Tuple[str, str, Fraction]]:
+def _plain_edge(eraw) -> Optional[Tuple[str, str, int, int]]:
     if type(eraw) is dict and len(eraw) == 2:
-        ends, length = eraw.get("ends"), _plain_rational(eraw.get("length"))
+        ends, length = eraw.get("ends"), _plain_pair(eraw.get("length"))
         if (type(ends) is list and len(ends) == 2 and length is not None
                 and type(ends[0]) is str and type(ends[1]) is str):
-            return ends[0], ends[1], length
+            return ends[0], ends[1], *length
     return None
 
 
-def _edge(eraw, epath: str) -> Tuple[str, str, Fraction]:
+def _edge(eraw, epath: str) -> Tuple[str, str, int, int]:
     eobj = _as_object(eraw, epath)
     _check_keys(eobj, epath, required=("ends", "length"))
     ends = _as_array(eobj["ends"], f"{epath}.ends")
@@ -339,24 +363,26 @@ def _edge(eraw, epath: str) -> Tuple[str, str, Fraction]:
         raise InstanceFormatError(f"{epath}.ends: exactly two endpoints")
     u = _as_string(ends[0], f"{epath}.ends[0]")
     v = _as_string(ends[1], f"{epath}.ends[1]")
-    return u, v, _as_rational(eobj["length"], f"{epath}.length")
+    length = _as_rational(eobj["length"], f"{epath}.length")
+    return u, v, length.numerator, length.denominator
 
 
-def _plain_atom(araw, tree: MetricTree) -> Optional[Tuple[str, Fraction]]:
+def _plain_atom(araw, position: Dict[str, int]) -> Optional[AtomRow]:
     if type(araw) is dict and len(araw) == 2:
-        vertex, mass = araw.get("vertex"), _plain_rational(araw.get("mass"))
-        if type(vertex) is str and vertex in tree.position and mass is not None:
-            return vertex, mass
+        vertex, mass = araw.get("vertex"), _plain_pair(araw.get("mass"))
+        if type(vertex) is str and vertex in position and mass is not None:
+            return position[vertex], *mass
     return None
 
 
-def _atom(araw, apath: str, tree: MetricTree) -> Tuple[str, Fraction]:
+def _atom(araw, apath: str, position: Dict[str, int]) -> AtomRow:
     aobj = _as_object(araw, apath)
     _check_keys(aobj, apath, required=("vertex", "mass"))
     vertex = _as_string(aobj["vertex"], f"{apath}.vertex")
-    if vertex not in tree.position:
+    if vertex not in position:
         raise InstanceFormatError(f"{apath}.vertex: unknown vertex")
-    return vertex, _as_rational(aobj["mass"], f"{apath}.mass")
+    mass = _as_rational(aobj["mass"], f"{apath}.mass")
+    return position[vertex], mass.numerator, mass.denominator
 
 
 def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
@@ -373,9 +399,10 @@ def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
     root = (_as_string(tobj["root"], f"{name}.tree.root")
             if "root" in tobj else None)
     try:
-        tree = MetricTree(verts, edges, root=root)
+        tree = MetricTree.from_pairs(verts, edges, root=root)
     except PreconditionError as exc:
         raise InstanceFormatError(f"{name}.tree: {exc}") from None
+    position = tree.position
     functions: Dict[str, TreeFunction] = {}
     if "functions" in obj:
         fobj = _as_object(obj["functions"], f"{name}.functions")
@@ -383,7 +410,7 @@ def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
             fpath = f"{name}.functions.{fname}"
             values = {}
             for vertex, val in _as_object(fval, fpath).items():
-                if vertex not in tree.adjacency:
+                if vertex not in position:
                     raise InstanceFormatError(
                         f"{fpath}.{vertex}: unknown vertex")
                 values[vertex] = _as_rational(val, f"{fpath}.{vertex}")
@@ -392,17 +419,17 @@ def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
                 raise InstanceFormatError(
                     f"{fpath}: missing value for vertex {missing[0]!r}")
             functions[fname] = TreeFunction(values)
-    measures: Dict[str, DiscreteMeasure] = {}
+    measure_atoms: Dict[str, List[AtomRow]] = {}
     if "measures" in obj:
         mobj = _as_object(obj["measures"], f"{name}.measures")
         for mname, mval in mobj.items():
             mpath = f"{name}.measures.{mname}"
-            measures[mname] = DiscreteMeasure(
-                [_plain_atom(a, tree) or _atom(a, f"{mpath}[{i}]", tree)
-                 for i, a in enumerate(_as_array(mval, mpath))])
+            measure_atoms[mname] = [
+                _plain_atom(a, position) or _atom(a, f"{mpath}[{i}]", position)
+                for i, a in enumerate(_as_array(mval, mpath))]
     seed = _as_int(obj["seed"], f"{name}.seed") if "seed" in obj else None
     return TreeInstance(name=name, tree=tree, functions=functions,
-                        measures=measures, seed=seed)
+                        measure_atoms=measure_atoms, seed=seed)
 
 
 def _parse_surface(obj: Dict[str, object], name: str) -> SurfaceInstance:

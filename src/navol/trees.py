@@ -11,9 +11,16 @@ The solver and the Laplacian run on integer rows: a tree keeps its edge
 lengths and their reciprocals as numerators over one common denominator
 each, masses, slopes and potentials are scaled the same way, and Fractions
 are built only for the functions and measures the public functions return.
+A tree is built from (numerator, denominator) length pairs
+(`MetricTree.from_pairs`, the instance parser's route) or from Fraction
+lengths; its `edges` and `adjacency` are Fraction views built on first
+access, which the solver never reads. Masses enter as atom rows (vertex
+position, numerator, denominator), so a parsed measure reaches the solver
+without a DiscreteMeasure (`net_rows`).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +28,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .measures import DiscreteMeasure
-from .rational import ZERO, frac
+from .rational import frac
 
 
 class MetricTree:
@@ -30,71 +37,109 @@ class MetricTree:
     def __init__(self, vertices: Sequence[str],
                  edges: Iterable[Tuple[str, str, Fraction]],
                  root: Optional[str] = None):
+        self._build(vertices, ((u, v, *_pair(length)) for u, v, length in edges), root)
+
+    @classmethod
+    def from_pairs(cls, vertices: Sequence[str],
+                   edges: Iterable[Tuple[str, str, int, int]],
+                   root: Optional[str] = None) -> "MetricTree":
+        """The tree whose edges (u, v, p, q) have length p/q; validated like
+        the constructor's Fraction edges, and q must be positive."""
+        tree = cls.__new__(cls)
+        tree._build(vertices, edges, root)
+        return tree
+
+    def _build(self, vertices: Sequence[str],
+               edges: Iterable[Tuple[str, str, int, int]],
+               root: Optional[str]) -> None:
         self.vertices: List[str] = list(vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise PreconditionError("tree has repeated vertex ids")
         if not self.vertices:
             raise PreconditionError("tree needs at least one vertex")
         self.position: Dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
-        self.edges: List[Tuple[str, str, Fraction]] = []
-        self.adjacency: Dict[str, List[Tuple[str, Fraction]]] = {
-            v: [] for v in self.vertices}
+        position = self.position
+        self._edge_rows: List[Tuple[str, str, int, int]] = []
+        # by vertex position, the (position, (p, q)) of each neighbour
+        neighbours: List[List[Tuple[int, Tuple[int, int]]]] = [[] for _ in self.vertices]
         seen_pairs = set()
-        for u, v, length in edges:
-            length = frac(length)
-            if u not in self.position or v not in self.position:
+        for u, v, p, q in edges:
+            i, j = position.get(u), position.get(v)
+            if i is None or j is None:
                 raise PreconditionError(f"edge ({u}, {v}) uses an unknown vertex")
-            if u == v:
+            if i == j:
                 raise PreconditionError(f"edge ({u}, {v}) is a loop")
-            if length <= 0:
+            if q <= 0:
+                raise PreconditionError(f"edge ({u}, {v}) needs a positive denominator")
+            if p <= 0:
                 raise PreconditionError(f"edge ({u}, {v}) needs a positive length")
-            pair = frozenset((u, v))
+            pair = (i, j) if i < j else (j, i)
             if pair in seen_pairs:
                 raise PreconditionError(f"edge ({u}, {v}) appears twice")
             seen_pairs.add(pair)
-            self.edges.append((u, v, length))
-            self.adjacency[u].append((v, length))
-            self.adjacency[v].append((u, length))
-        if len(self.edges) != len(self.vertices) - 1:
+            self._edge_rows.append((u, v, p, q))
+            length = (p, q)
+            neighbours[i].append((j, length))
+            neighbours[j].append((i, length))
+        if len(self._edge_rows) != len(self.vertices) - 1:
             raise PreconditionError("edge count must be vertex count minus one")
         self.root = root if root is not None else self.vertices[0]
-        if self.root not in self.position:
+        if self.root not in position:
             raise PreconditionError(f"root {self.root} is not a vertex")
-        self.order, self.parent, parent_length = self._traverse()
+        self.order, self.parent, parent_length = self._traverse(neighbours)
         if len(self.order) != len(self.vertices):
             raise PreconditionError("tree is not connected")
         # Integer rows by vertex position: the edge from a non-root vertex i
         # to its parent has length lengths[i] / length_scale and reciprocal
         # conductances[i] / conductance_scale, each scale the lcm of the
         # denominators it clears; both rows hold 0 at the root.
-        self.length_scale = math.lcm(*{x.denominator for x in parent_length})
-        self.lengths = [x.numerator * (self.length_scale // x.denominator)
-                        for x in parent_length]
-        self.conductance_scale = math.lcm(*{x.numerator for x in parent_length if x})
-        self.conductances = [
-            x.denominator * (self.conductance_scale // x.numerator) if x else 0
-            for x in parent_length]
+        self.length_scale = math.lcm(*{q for _, q in parent_length})
+        self.lengths = [p * (self.length_scale // q) for p, q in parent_length]
+        self.conductance_scale = math.lcm(*{p for p, _ in parent_length if p})
+        self.conductances = [q * (self.conductance_scale // p) if p else 0
+                             for p, q in parent_length]
 
-    def _traverse(self) -> Tuple[List[int], List[int], List[Fraction]]:
+    def _traverse(self, neighbours: Sequence[Sequence[Tuple[int, Tuple[int, int]]]]
+                  ) -> Tuple[List[int], List[int], List[Tuple[int, int]]]:
         """Vertex positions in preorder from the root, each position's parent
-        position (-1 at the root) and parent-edge length (0 at the root)."""
+        position (-1 at the root) and parent-edge length pair ((0, 1) at the
+        root)."""
         root = self.position[self.root]
         order: List[int] = []
         parent = [-1] * len(self.vertices)
-        parent_length = [ZERO] * len(self.vertices)
-        seen = {root}
+        parent_length = [(0, 1)] * len(self.vertices)
+        seen = [False] * len(self.vertices)
+        seen[root] = True
         stack = [root]
         while stack:
             i = stack.pop()
             order.append(i)
-            for w, length in self.adjacency[self.vertices[i]]:
-                j = self.position[w]
-                if j not in seen:
-                    seen.add(j)
+            for j, length in neighbours[i]:
+                if not seen[j]:
+                    seen[j] = True
                     parent[j] = i
                     parent_length[j] = length
                     stack.append(j)
         return order, parent, parent_length
+
+    @functools.cached_property
+    def edges(self) -> List[Tuple[str, str, Fraction]]:
+        """The edges (u, v, length) in input order, built on first access."""
+        return [(u, v, Fraction(p, q)) for u, v, p, q in self._edge_rows]
+
+    @functools.cached_property
+    def adjacency(self) -> Dict[str, List[Tuple[str, Fraction]]]:
+        """Each vertex's (neighbour, edge length) list, built on first access."""
+        adjacency: Dict[str, List[Tuple[str, Fraction]]] = {v: [] for v in self.vertices}
+        for u, v, length in self.edges:
+            adjacency[u].append((v, length))
+            adjacency[v].append((u, length))
+        return adjacency
+
+
+def _pair(length) -> Tuple[int, int]:
+    x = frac(length)
+    return x.numerator, x.denominator
 
 
 @dataclass(frozen=True)
@@ -111,27 +156,40 @@ def _check_function(tree: MetricTree, f: TreeFunction) -> None:
         raise PreconditionError("function values must cover exactly the tree vertices")
 
 
+# An atom row is (vertex position, p, q) for an atom of mass p/q, q > 0.
+AtomRow = Tuple[int, int, int]
+
+
+def net_rows(size: int, target: Sequence[AtomRow],
+             base: Sequence[AtomRow]) -> Tuple[int, List[int]]:
+    """(D, net): D * (target - base) at each of size vertex positions, over
+    the lcm D of the atoms' denominators. Needs equal total masses."""
+    scale = math.lcm(*{q for _, _, q in target}, *{q for _, _, q in base})
+    net = [0] * size
+    for i, p, q in target:
+        net[i] += p * (scale // q)
+    target_mass = sum(net)
+    for i, p, q in base:
+        net[i] -= p * (scale // q)
+    if sum(net):
+        raise PreconditionError(
+            f"cannot solve: target mass {Fraction(target_mass, scale)} "
+            f"differs from base mass {Fraction(target_mass - sum(net), scale)}")
+    return scale, net
+
+
 def net_mass_rows(tree: MetricTree, target: DiscreteMeasure,
                   base: DiscreteMeasure) -> Tuple[int, List[int]]:
-    """(D, net): D * (target - base) at each vertex position, over the lcm D
-    of the masses' denominators. Needs both measures on the tree's vertices
-    and of equal total mass."""
+    """`net_rows` of two measures, which need to sit on the tree's vertices."""
     for measure, name in ((target, "target"), (base, "base")):
         stray = [k for k in measure.atoms if k not in tree.position]
         if stray:
             raise PreconditionError(
                 f"{name} measure has atoms off the tree vertices: {stray}")
-    scale = math.lcm(*{m.denominator for m in target.atoms.values()},
-                     *{m.denominator for m in base.atoms.values()})
-    net = [0] * len(tree.vertices)
-    for measure, sign in ((target, 1), (base, -1)):
-        for v, m in measure.atoms.items():
-            net[tree.position[v]] += sign * m.numerator * (scale // m.denominator)
-    if sum(net):
-        raise PreconditionError(
-            "cannot solve: target mass "
-            f"{target.total_mass} differs from base mass {base.total_mass}")
-    return scale, net
+    position = tree.position
+    return net_rows(len(tree.vertices), *(
+        [(position[v], m.numerator, m.denominator) for v, m in measure.atoms.items()]
+        for measure in (target, base)))
 
 
 def potential_rows(tree: MetricTree, scale: int,

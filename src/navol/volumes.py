@@ -40,13 +40,13 @@ def _floor_sum(n: int, mod: int, a: int, b: int) -> int:
     Library; Python's floor division reduces negative a and b as well)."""
     total = 0
     while n:
-        qa, a = divmod(a, mod)
-        qb, b = divmod(b, mod)
-        total += qa * (n * (n - 1) // 2) + qb * n
+        total += a // mod * (n * (n - 1) // 2) + b // mod * n
+        a %= mod
+        b %= mod
         top = a * n + b
         if top < mod:
             break
-        n, b = divmod(top, mod)
+        n, b = top // mod, top % mod
         mod, a = a, mod
     return total
 

@@ -769,6 +769,57 @@ def _round_up_terms(terms):
     return tuple(acc)
 
 
+def round_up_by_fractions(divisor, m):
+    """The divisor's round-up at level m: ceil(m * a) * base summed over its
+    (Fraction coefficient a, base) terms."""
+    return _round_up_terms([(m * c, base) for c, base in divisor.terms])
+
+
+def hq_by_closed_forms(family, cls, q):
+    """h^q of an integral class on a supported family, by the classical
+    formulas above."""
+    if q > family.dim:
+        return 0
+    if family.name == "P1":
+        return line_h0(cls[0]) if q == 0 else line_h1(cls[0])
+    if family.name == "P2":
+        return plane_hq(cls[0], q)
+    if family.name == "P1xP1":
+        return product_surface_hq(cls[0], cls[1], q)
+    return ruled_surface_hq_any(family.hirzebruch_a, cls[0], cls[1], q)
+
+
+def cohomology_rows_by_fractions(family, divisor, schedule, qs):
+    """Rows (m, q, h^q(mD), n! h^q / m^n) of the cohomology table, one
+    closed-form h^q per row."""
+    n = family.dim
+    return [(m, q, h, Fraction(math.factorial(n) * h, m ** n))
+            for m in schedule for q in qs
+            for h in [hq_by_closed_forms(family, round_up_by_fractions(divisor, m), q)]]
+
+
+def morse_check_by_fractions(family, d, e, q, schedule):
+    """(leading, fitted constant, rows, passed) of the Morse-type bound,
+    computed on Fractions: the constant C of h^q(m(D-E)) <= leading m^n/n!
+    + C m^(n-1) is the largest excess on the first half of the schedule,
+    and the bound must hold on the second half."""
+    n = family.dim
+    factorial = math.factorial(n)
+    leading = math.comb(n, q) * family.top_power(d.total(), e.total(), q)
+    diff = type(d)(family, d.terms + tuple((-c, base) for c, base in e.terms))
+    half = max(1, len(schedule) // 2)
+    values = [(m, hq_by_closed_forms(family, round_up_by_fractions(diff, m), q))
+              for m in schedule]
+    fitted = max([(h - leading * m ** n / factorial) / m ** (n - 1)
+                  for m, h in values[:half]] + [ZERO])
+    rows = []
+    for m, h in values:
+        bound = leading * m ** n / factorial + fitted * m ** (n - 1)
+        rows.append((m, h, bound, bound - h))
+    passed = all(margin >= 0 for _, _, _, margin in rows[half:])
+    return leading, fitted, rows, passed
+
+
 def perturbation_rows_by_cells(hq_of, a_terms, b_terms, q, grid_max, dim):
     """Rows (m, p, |h^q(mA + pB) - h^q(pB)|, bound), the fitted constant and
     the verdict of the twist-stability scan, with every cell's divisor built

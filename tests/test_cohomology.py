@@ -13,8 +13,10 @@ from navol.cohomology import (RealDivisor, asymptotic_hq, asymptotic_hq_exact,
                               toric_family)
 from navol.errors import PreconditionError
 
-from _oracles import (lattice_points_oracle, perturbation_rows_by_cells,
-                      plane_hq, product_surface_hq, ruled_surface_hq_any)
+from _oracles import (cohomology_rows_by_fractions, lattice_points_oracle,
+                      morse_check_by_fractions, perturbation_rows_by_cells,
+                      plane_hq, product_surface_hq, round_up_by_fractions,
+                      ruled_surface_hq_any)
 
 F = Fraction
 
@@ -276,6 +278,65 @@ def test_perturbation_scan_matches_per_cell_oracle():
                     assert rep.rows == rows, case
                     assert rep.fitted_constant == fitted, case
                     assert rep.passed == passed, case
+
+
+# --------------------------------------------------------------------------
+# integer routes against the Fraction routes
+# --------------------------------------------------------------------------
+
+ALL_FAMILIES = (P1, P2, P1XP1) + tuple(toric_family(f"F{a}") for a in range(4))
+
+
+def _seeded_divisor(fam, rng, nef=False):
+    """Terms with negative and non-integral coefficients over denominators
+    up to 48; with nef=True, drawn until the total class is nef."""
+    while True:
+        div = RealDivisor.make(fam, [
+            (F(rng.randint(-9, 9), rng.randint(1, 48)) + rng.randint(-1, 3),
+             tuple(rng.randint(-2, 2) for _ in range(fam.rank)))
+            for _ in range(rng.randint(1, 3))])
+        if not nef or fam.is_nef(div.total()):
+            return div
+
+
+def test_round_up_matches_the_fraction_ceiling():
+    rng = random.Random(1101)
+    for fam in ALL_FAMILIES:
+        for _ in range(6):
+            div = _seeded_divisor(fam, rng)
+            for m in list(range(1, 50)) + [97, 10 ** 12 + 1]:
+                assert div.round_up(m) == round_up_by_fractions(div, m), (fam, div, m)
+
+
+def test_cohomology_table_matches_the_fraction_route():
+    rng = random.Random(1102)
+    schedule = [1, 2, 3, 5, 8, 13, 21, 48]
+    for fam in ALL_FAMILIES:
+        for _ in range(3):
+            div = _seeded_divisor(fam, rng)
+            for qs in ((0, 1, 2), (0,), (1,), (2,), (2, 0)):
+                table = cohomology_table(fam, div, schedule, qs=qs)
+                assert table.rows == cohomology_rows_by_fractions(
+                    fam, div, schedule, qs), (fam, div, qs)
+                assert all(type(norm) is F for *_, norm in table.rows)
+
+
+def test_morse_check_matches_the_fraction_route():
+    rng = random.Random(1103)
+    for fam in ALL_FAMILIES:
+        for _ in range(2):
+            d, e = _seeded_divisor(fam, rng, nef=True), _seeded_divisor(fam, rng, nef=True)
+            for q in (0, 1, 2):
+                for schedule in ([1], list(range(1, 17)), [2, 3, 7, 11, 30]):
+                    rep = morse_check(fam, d, e, q, schedule)
+                    leading, fitted, rows, passed = morse_check_by_fractions(
+                        fam, d, e, q, schedule)
+                    case = (fam, d, e, q, schedule)
+                    assert (rep.leading, rep.fitted_constant) == (leading, fitted), case
+                    assert rep.rows == rows, case
+                    assert rep.passed == passed, case
+                    assert type(rep.fitted_constant) is F
+                    assert all(type(b) is F and type(g) is F for _, _, b, g in rep.rows)
 
 
 def test_unknown_family_rejected():

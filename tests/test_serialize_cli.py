@@ -15,9 +15,10 @@ import navol.cli as cli
 import navol.harness as harness
 from navol.errors import InstanceFormatError, PreconditionError
 from navol.harness import VerificationReport
-from navol.serialize import (_as_rational, _plain_rational, csv_text,
+from navol.serialize import (_as_rational, _plain_pair, csv_text,
                              decimal_str, parse_instance_text, serialize_instance)
-from navol.trees import potential_rows
+from navol.measures import DiscreteMeasure
+from navol.trees import MetricTree, net_mass_rows, potential_rows
 
 from _oracles import (as_rational_oracle, first_primes, instance_json, ma_solve_oracle,
                       recession_at, support_at)
@@ -471,8 +472,10 @@ def test_plain_literals_parse_like_fraction_strings():
     for literal in LITERALS:
         expected = _outcome(lambda: as_rational_oracle(literal, "f.length"))
         assert _outcome(lambda: _as_rational(literal, "f.length")) == expected
-        plain = _plain_rational(literal)
-        assert plain is None or ("value", plain, Fraction) == expected
+        pair = _plain_pair(literal)
+        assert pair is None or (
+            ("value", Fraction(*pair), Fraction) == expected
+            and pair == (expected[1].numerator, expected[1].denominator))
         tree = {"kind": "tree",
                 "tree": {"vertices": ["a", "b"],
                          "edges": [{"ends": ["a", "b"], "length": 1}]},
@@ -521,6 +524,115 @@ def test_tree_file_errors_name_the_field(mutation, tmp_path, capsys):
     assert capsys.readouterr().err == line + "\n"
 
 
+# (change, exit code, error line) of tree files the edge checks, the plain
+# literal route or the mass balance refuse
+TREE_REFUSALS = {
+    "zero-length": (
+        lambda t: t["tree"]["edges"][0].update(length=0), 2,
+        "error: tree.json.tree: edge (center, leaf1) needs a positive length"),
+    "negative-length": (
+        lambda t: t["tree"]["edges"][2].update(length="-4/2"), 2,
+        "error: tree.json.tree: edge (center, leaf3) needs a positive length"),
+    "zero-denominator": (
+        lambda t: t["tree"]["edges"][1].update(length="1/0"), 2,
+        "error: tree.json.tree.edges[1].length: bad rational literal '1/0': "
+        "Fraction(1, 0)"),
+    "repeated-edge": (
+        lambda t: t["tree"]["edges"][2].update(ends=["leaf1", "center"]), 2,
+        "error: tree.json.tree: edge (leaf1, center) appears twice"),
+    "loop-edge": (
+        lambda t: t["tree"]["edges"][0].update(ends=["leaf1", "leaf1"]), 2,
+        "error: tree.json.tree: edge (leaf1, leaf1) is a loop"),
+    "unknown-edge-end": (
+        lambda t: t["tree"]["edges"][1].update(ends=["center", "leaf7"]), 2,
+        "error: tree.json.tree: edge (center, leaf7) uses an unknown vertex"),
+    "boolean-mass": (
+        lambda t: t["measures"]["target"][0].update(mass=True), 2,
+        "error: tree.json.measures.target[0].mass: expected a rational"),
+    "mass-mismatch": (
+        lambda t: t["measures"]["target"][1].update(mass="4/3"), 3,
+        "error: cannot solve: target mass 10/3 differs from base mass 3"),
+    "missing-base": (
+        lambda t: t["measures"].pop("base"), 3,
+        "error: command '{command}' needs a measure named 'base' "
+        "(instance has: target)"),
+}
+
+
+@pytest.mark.parametrize("command", ["ma-solve", "verify-all"])
+@pytest.mark.parametrize("mutation", sorted(TREE_MUTATIONS) + sorted(TREE_REFUSALS))
+def test_tree_refusals_read_the_same_on_both_commands(mutation, command,
+                                                      tmp_path, capsys):
+    # ma-solve reads the measures as Fractions, verify-all as atom rows
+    if mutation in TREE_MUTATIONS:
+        (change, line), rc = TREE_MUTATIONS[mutation], 2
+    else:
+        change, rc, line = TREE_REFUSALS[mutation]
+    path = _write(tmp_path, "tree.json", _tree_mutation(change))
+    assert cli.main([command, path, "--out-dir", str(tmp_path / "out")]) == rc
+    assert capsys.readouterr().err == line.format(command=command) + "\n"
+
+
+def _assert_rows_match_the_fraction_route(instance):
+    """The parsed tree's integer rows, its lazy edges and adjacency, and the
+    measures' net rows equal those of the tree and measures built from
+    Fractions."""
+    inst = parse_instance_text(json.dumps(instance), "t.json")
+    raw = instance["tree"]
+    tree = MetricTree(raw["vertices"],
+                      [(*e["ends"], F(e["length"])) for e in raw["edges"]],
+                      root=raw.get("root"))
+    for attr in ("order", "parent", "length_scale", "lengths",
+                 "conductance_scale", "conductances"):
+        assert getattr(inst.tree, attr) == getattr(tree, attr), attr
+    target, base = (DiscreteMeasure([(a["vertex"], F(a["mass"]))
+                                     for a in instance["measures"][name]])
+                    for name in ("target", "base"))
+    scale, net = inst.net_mass_rows("test")
+    want_scale, want = net_mass_rows(tree, target, base)
+    assert [F(x, scale) for x in net] == [F(x, want_scale) for x in want]
+    assert inst.measures == {"target": target, "base": base}
+    assert inst.tree.edges == tree.edges
+    assert inst.tree.adjacency == tree.adjacency
+
+
+def _prime_tree_instance(rng, primes, mass_primes):
+    """Edge lengths over primes, masses over mass_primes, written as
+    reduced, unreduced, signed or integer literals; repeated and cancelling
+    atoms."""
+    names = [f"v{i}" for i in range(len(primes) + 1)]
+
+    def literal(k, p):
+        return rng.choice([f"{k}/{p}", f"{2 * k}/{2 * p}", f"{k:+d}/{p}",
+                           k if p == 1 else f"{k * p}/{p * p}"])
+
+    edges = [{"ends": [names[rng.randrange(i)], names[i]][::rng.choice((1, -1))],
+              "length": literal(rng.randint(1, 9), p)}
+             for i, p in enumerate(primes, start=1)]
+    target = [{"vertex": rng.choice(names),
+               "mass": literal(rng.randint(-6, 6), rng.choice(mass_primes))}
+              for _ in range(len(names))]
+    v = rng.choice(names)
+    target += [{"vertex": v, "mass": "5/7"}, {"vertex": v, "mass": "-10/14"}]
+    total = sum(F(a["mass"]) for a in target)
+    base = [{"vertex": rng.choice(names), "mass": "-0"},
+            {"vertex": names[0], "mass": str(total - 2)},
+            {"vertex": rng.choice(names), "mass": 2}]
+    return {"kind": "tree",
+            "tree": {"vertices": names, "edges": edges, "root": rng.choice(names)},
+            "measures": {"target": target, "base": base}}
+
+
+def test_parsed_rows_match_the_fraction_route_on_prime_trees():
+    rng = random.Random(416)
+    primes = first_primes(80)
+    for count in (0, 1, 2, 9, 40, 80):
+        for _ in range(3):
+            chosen = [rng.choice(primes + [1]) for _ in range(count)]
+            _assert_rows_match_the_fraction_route(
+                _prime_tree_instance(rng, chosen, primes))
+
+
 def test_a_thousand_distinct_prime_denominators(tmp_path, capsys):
     # every edge length has its own prime denominator, so the common
     # denominator of the tree's integer rows has about 11,000 bits
@@ -536,6 +648,7 @@ def test_a_thousand_distinct_prime_denominators(tmp_path, capsys):
                 "tree": {"vertices": names, "edges": edges, "root": "v0"},
                 "measures": {"target": target,
                              "base": [{"vertex": "v0", "mass": str(total)}]}}
+    _assert_rows_match_the_fraction_route(instance)
     path = _write(tmp_path, "hard.json", instance)
     rc, out = _run(["ma-solve", path], tmp_path, capsys)
     assert rc == 0

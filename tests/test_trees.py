@@ -174,3 +174,12 @@ def test_tree_requires_connected_acyclic_input():
                    [("a", "b", F(1)), ("b", "c", F(1)), ("c", "a", F(1))])
     with pytest.raises(PreconditionError):
         MetricTree(["a", "b"], [("a", "b", F(0))])  # zero-length edge
+
+
+def test_from_pairs_needs_a_positive_denominator():
+    tree = MetricTree.from_pairs(["a", "b"], [("a", "b", 2, 4)])
+    assert tree.edges == [("a", "b", F(1, 2))]
+    assert tree.lengths[1] * 2 == tree.length_scale
+    for p, q in ((1, -2), (-1, -2), (1, 0), (0, 0)):
+        with pytest.raises(PreconditionError):
+            MetricTree.from_pairs(["a", "b"], [("a", "b", p, q)])

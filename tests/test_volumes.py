@@ -61,6 +61,17 @@ def test_floor_sum_matches_brute_force():
         assert _floor_sum(n, mod, a, b) == want, (n, mod, a, b)
 
 
+def test_floor_sum_with_negative_terms_and_unit_modulus():
+    # every n <= 50, with a and b of both signs and mod = 1 among the moduli
+    rng = random.Random(318)
+    for n in range(51):
+        for mod in (1, 1, 2, 3, 7, 48, 97):
+            a, b = rng.randint(-200, 200), rng.randint(-200, 200)
+            for a, b in ((a, b), (-abs(a), -abs(b)), (-abs(a), abs(b)), (abs(a), -abs(b))):
+                want = sum((a * i + b) // mod for i in range(n))
+                assert _floor_sum(n, mod, a, b) == want, (n, mod, a, b)
+
+
 def test_lattice_rows_count_the_enumeration_oracle():
     bodies = _seeded_bodies(random.Random(313), 8)
     assert ({(P.ambient_dim, P.affine_dim) for P in bodies}
