@@ -8,9 +8,9 @@ Instances are JSON objects with a required ``kind`` tag:
   the minimum over blocks of the maximum over pieces).
 * ``tree``: a metric tree (vertices, edges with positive rational lengths,
   optional root) plus named vertex functions and named measures. Lengths
-  and masses are read to integer (numerator, denominator) pairs; the
-  measures are kept as atom rows and become DiscreteMeasures on first
-  access (`TreeInstance.measures`).
+  and masses are read to integer (numerator, denominator) pairs, each
+  distinct literal once; the measures are kept as atom rows and become
+  DiscreteMeasures on first access (`TreeInstance.measures`).
 * ``surface``: a toric surface family name, named rational divisors (lists of
   ``{"coeff": ..., "class": [...]}`` decomposition terms), and optional scan
   parameters.
@@ -31,6 +31,7 @@ import functools
 import io
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -59,10 +60,19 @@ def _loads(text: str, origin: str) -> object:
     try:
         return json.loads(text, parse_float=_FloatLiteral,
                           parse_constant=bad_constant)
+    except InstanceFormatError:
+        raise
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"{origin}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise InstanceFormatError(
+            f"{origin}: arrays or objects nested too deeply") from None
+    except ValueError:  # int() refuses a literal this long
+        raise InstanceFormatError(
+            f"{origin}: an integer literal has more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +342,32 @@ def _parse_toric(obj: Dict[str, object], name: str) -> ToricInstance:
                          schedule=schedule, eps_schedule=eps, seed=seed)
 
 
-def _plain_pair(value) -> Optional[Tuple[int, int]]:
+# each distinct literal string of one tree parse -> its plain_pair (or None)
+_Pairs = Dict[str, Optional[Tuple[int, int]]]
+
+
+def _plain_pair(value, pairs: _Pairs) -> Optional[Tuple[int, int]]:
     """A JSON integer or plain 'p/q' string as a reduced (p, q > 0) pair,
-    else None."""
+    else None. pairs maps each string already read to its pair (or None),
+    so a parse that shares one dict reads each distinct literal once."""
     if type(value) is str:
-        return plain_pair(value)
+        pair = pairs.get(value, False)
+        if pair is False:
+            pair = pairs[value] = plain_pair(value)
+        return pair
     if type(value) is int:
         return value, 1
     return None
 
 
 # The tree parser reads each edge and atom by a plain route that builds no
-# field path and no Fraction; an entry it does not recognise goes through
-# the validators, which accept it or name the field that is wrong.
+# field path and no Fraction, and reads each distinct literal once; an entry
+# it does not recognise goes through the validators, which accept it or name
+# the field that is wrong.
 
-def _plain_edge(eraw) -> Optional[Tuple[str, str, int, int]]:
+def _plain_edge(eraw, pairs: _Pairs) -> Optional[Tuple[str, str, int, int]]:
     if type(eraw) is dict and len(eraw) == 2:
-        ends, length = eraw.get("ends"), _plain_pair(eraw.get("length"))
+        ends, length = eraw.get("ends"), _plain_pair(eraw.get("length"), pairs)
         if (type(ends) is list and len(ends) == 2 and length is not None
                 and type(ends[0]) is str and type(ends[1]) is str):
             return ends[0], ends[1], *length
@@ -367,9 +386,9 @@ def _edge(eraw, epath: str) -> Tuple[str, str, int, int]:
     return u, v, length.numerator, length.denominator
 
 
-def _plain_atom(araw, position: Dict[str, int]) -> Optional[AtomRow]:
+def _plain_atom(araw, position: Dict[str, int], pairs: _Pairs) -> Optional[AtomRow]:
     if type(araw) is dict and len(araw) == 2:
-        vertex, mass = araw.get("vertex"), _plain_pair(araw.get("mass"))
+        vertex, mass = araw.get("vertex"), _plain_pair(araw.get("mass"), pairs)
         if type(vertex) is str and vertex in position and mass is not None:
             return position[vertex], *mass
     return None
@@ -394,7 +413,8 @@ def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
     verts = [v if type(v) is str else _as_string(v, f"{name}.tree.vertices[{i}]")
              for i, v in enumerate(_as_array(tobj["vertices"],
                                              f"{name}.tree.vertices"))]
-    edges = [_plain_edge(e) or _edge(e, f"{name}.tree.edges[{i}]")
+    pairs: _Pairs = {}  # lives for this parse only
+    edges = [_plain_edge(e, pairs) or _edge(e, f"{name}.tree.edges[{i}]")
              for i, e in enumerate(_as_array(tobj["edges"], f"{name}.tree.edges"))]
     root = (_as_string(tobj["root"], f"{name}.tree.root")
             if "root" in tobj else None)
@@ -425,7 +445,7 @@ def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
         for mname, mval in mobj.items():
             mpath = f"{name}.measures.{mname}"
             measure_atoms[mname] = [
-                _plain_atom(a, position) or _atom(a, f"{mpath}[{i}]", position)
+                _plain_atom(a, position, pairs) or _atom(a, f"{mpath}[{i}]", position)
                 for i, a in enumerate(_as_array(mval, mpath))]
     seed = _as_int(obj["seed"], f"{name}.seed") if "seed" in obj else None
     return TreeInstance(name=name, tree=tree, functions=functions,
@@ -513,6 +533,10 @@ def parse_instance(path: str) -> Instance:
             text = handle.read()
     except OSError as exc:
         raise InstanceFormatError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(
+            f"{os.path.basename(path)}: not UTF-8 text: {exc.reason} "
+            f"at byte {exc.start}") from None
     return parse_instance_text(text, origin=os.path.basename(path))
 
 
@@ -638,8 +662,48 @@ def write_text(out_dir: str, filename: str, text: str) -> str:
     return path
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_parts(value, indent: str, parts: List[str]) -> None:
+    """Append to parts the text `json.dumps(value, indent=2)` writes for
+    value when its first line sits at indent; dict keys must be strings."""
+    if isinstance(value, str):
+        parts.append(_escape(value))
+    elif not isinstance(value, (dict, list, tuple)):
+        parts.append(json.dumps(value))
+    elif not value:
+        parts.append("{}" if isinstance(value, dict) else "[]")
+    else:
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if isinstance(value, dict):
+            head = "{\n" + inner
+            for key, item in value.items():
+                parts += (head, _escape(key), ": ")
+                _json_parts(item, inner, parts)
+                head = sep
+            parts.append("\n" + indent + "}")
+            return
+        try:  # a row of strings, in one join
+            parts += ("[\n" + inner, sep.join(map(_escape, value)), "\n" + indent + "]")
+            return
+        except TypeError:
+            pass
+        head = "[\n" + inner
+        for item in value:
+            parts.append(head)
+            _json_parts(item, inner, parts)
+            head = sep
+        parts.append("\n" + indent + "]")
+
+
 def write_json(out_dir: str, filename: str, payload: object) -> str:
-    """Write the payload as indented JSON and return the text written."""
-    text = json.dumps(payload, indent=2) + "\n"
+    """Write the payload as `json.dumps(payload, indent=2)` does, plus a
+    final newline, and return the text written."""
+    parts: List[str] = []
+    _json_parts(payload, "", parts)
+    parts.append("\n")
+    text = "".join(parts)
     write_text(out_dir, filename, text)
     return text

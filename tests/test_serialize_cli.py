@@ -13,11 +13,13 @@ import pytest
 
 import navol.cli as cli
 import navol.harness as harness
+import navol.serialize as serialize
 from navol.errors import InstanceFormatError, PreconditionError
 from navol.harness import VerificationReport
 from navol.serialize import (_as_rational, _plain_pair, csv_text,
                              decimal_str, parse_instance_text, serialize_instance)
 from navol.measures import DiscreteMeasure
+from navol.rational import plain_pair
 from navol.trees import MetricTree, net_mass_rows, potential_rows
 
 from _oracles import (as_rational_oracle, first_primes, instance_json, ma_solve_oracle,
@@ -305,6 +307,32 @@ def test_exit_code_2_on_parse_problems(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# (file bytes, error line) of files the JSON reader cannot take in: nesting
+# past the recursion limit, bytes that are not UTF-8, and an integer longer
+# than int() converts
+UNREADABLE = {
+    "deep": (b"[" * 200_000 + b"]" * 200_000,
+             "error: deep.json: arrays or objects nested too deeply"),
+    "not-utf8": (b'\xff\xfe{"kind": "tree"}',
+                 "error: not-utf8.json: not UTF-8 text: invalid start byte at byte 0"),
+    "long-int": (b'{"kind": "tree", "seed": ' + b"7" * 5000 + b"}",
+                 "error: long-int.json: an integer literal has more than "
+                 f"{sys.get_int_max_str_digits()} digits"),
+}
+
+
+@pytest.mark.parametrize("command", ["energy", "verify-all"])
+@pytest.mark.parametrize("fault", sorted(UNREADABLE))
+def test_unreadable_files_exit_2_with_one_line(fault, command, tmp_path, capsys):
+    data, line = UNREADABLE[fault]
+    path = tmp_path / f"{fault}.json"
+    path.write_bytes(data)
+    rc = cli.main([command, str(path), "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == line + "\n"
+
+
 def test_exit_code_3_on_precondition_problems(tmp_path, capsys):
     bad = json.loads(json.dumps(TENT))
     bad["metrics"]["psi1"][0][1]["slope"] = ["2"]
@@ -472,7 +500,7 @@ def test_plain_literals_parse_like_fraction_strings():
     for literal in LITERALS:
         expected = _outcome(lambda: as_rational_oracle(literal, "f.length"))
         assert _outcome(lambda: _as_rational(literal, "f.length")) == expected
-        pair = _plain_pair(literal)
+        pair = _plain_pair(literal, {})
         assert pair is None or (
             ("value", Fraction(*pair), Fraction) == expected
             and pair == (expected[1].numerator, expected[1].denominator))
@@ -631,6 +659,57 @@ def test_parsed_rows_match_the_fraction_route_on_prime_trees():
             chosen = [rng.choice(primes + [1]) for _ in range(count)]
             _assert_rows_match_the_fraction_route(
                 _prime_tree_instance(rng, chosen, primes))
+
+
+# a tree whose lengths and masses repeat the strings "1/2", "0" and "1"
+REPEATED_LITERALS = {
+    "kind": "tree",
+    "tree": {"vertices": ["a", "b", "c", "d"],
+             "edges": [{"ends": ["a", "b"], "length": "1/2"},
+                       {"ends": ["b", "c"], "length": "1/2"},
+                       {"ends": ["c", "d"], "length": 3}],
+             "root": "a"},
+    "measures": {"target": [{"vertex": "a", "mass": "1/2"},
+                            {"vertex": "b", "mass": "0"},
+                            {"vertex": "c", "mass": "1/2"}],
+                 "base": [{"vertex": "d", "mass": "1"},
+                          {"vertex": "a", "mass": "0"}]},
+}
+
+
+def test_a_tree_parse_reads_each_distinct_literal_once(monkeypatch):
+    read = []
+
+    def counting(text):
+        read.append(text)
+        return plain_pair(text)
+
+    monkeypatch.setattr(serialize, "plain_pair", counting)
+    module_state = dict(vars(serialize))
+    text = json.dumps(REPEATED_LITERALS)
+    inst = parse_instance_text(text, "tree.json")
+    assert sorted(read) == ["0", "1", "1/2"]
+    assert inst.tree.edges == [("a", "b", F(1, 2)), ("b", "c", F(1, 2)),
+                               ("c", "d", F(3))]
+    assert inst.measure_atoms == {"target": [(0, 1, 2), (1, 0, 1), (2, 1, 2)],
+                                  "base": [(3, 1, 1), (0, 0, 1)]}
+    # the memo lives for one parse: a second parse reads every literal again
+    parse_instance_text(text, "tree.json")
+    assert sorted(read) == ["0", "0", "1", "1", "1/2", "1/2"]
+    assert vars(serialize) == module_state
+
+
+def test_zero_string_is_a_mass_but_not_a_length(tmp_path, capsys):
+    path = _write(tmp_path, "tree.json", REPEATED_LITERALS)
+    assert cli.main(["ma-solve", path, "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    zero = json.loads(json.dumps(REPEATED_LITERALS))
+    zero["tree"]["edges"][0]["length"] = "0"
+    path = _write(tmp_path, "tree.json", zero)
+    for command in ("ma-solve", "verify-all"):
+        assert cli.main([command, path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: tree.json.tree: edge (a, b) needs a positive length\n")
 
 
 def test_a_thousand_distinct_prime_denominators(tmp_path, capsys):
