@@ -9,7 +9,6 @@ rationals needed to re-derive its pass/fail bit.
 """
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -17,9 +16,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .measures import DiscreteMeasure, energy, monge_ampere
+from .measures import DiscreteMeasure, envelope_energy, monge_ampere
 from .plmetric import (PLMetric, canonical_metric, distance, envelope,
-                       is_semipositive, legendre, metric_deform, metric_shift)
+                       is_semipositive, metric_deform, metric_shift)
 from .polytope import Polytope, segment, unit_box
 from .rational import ZERO, frac, frac_str
 from .trees import MetricTree, laplacian_rows, net_mass_rows, potential_rows
@@ -63,7 +62,7 @@ def verify_vol_is_energy(m1: PLMetric, m2: PLMetric,
     if schedule is None:
         schedule = default_schedule(m1.dim)
     schedule = list(schedule)
-    target = energy(envelope(m1), envelope(m2))
+    target = envelope_energy(m1, m2)
     rows = navol_series(m1, m2, schedule)
     window = _fit_window(len(rows), fit_count, 3)
     constant = ZERO
@@ -99,11 +98,9 @@ def verify_differentiability(psi: PLMetric, pos: PLMetric, neg: PLMetric,
         raise PreconditionError("differentiability base metric must be semipositive")
     mu = monge_ampere(psi)
     derivative = mu.integrate(lambda v: pos.evaluate(v) - neg.evaluate(v))
-    base_env = envelope(psi)
     residuals: List[Tuple[Fraction, Fraction, Fraction]] = []
     for eps in eps_values:
-        deformed = metric_deform(psi, eps, pos, neg)
-        vol = energy(envelope(deformed), base_env)
+        vol = envelope_energy(metric_deform(psi, eps, pos, neg), psi)
         residuals.append((eps, vol, abs(vol - eps * derivative)))
     window = _fit_window(len(residuals), fit_count, 2)
     constant = ZERO
@@ -161,8 +158,7 @@ def verify_h0_envelope_equality(psi: PLMetric,
     lengths = [(m, lattice_length(psi, env, m)) for m in schedule]
     passed = all(length == 0 for _, length in lengths)
     series = [("m", "length")] + [(str(m), str(v)) for m, v in lengths]
-    volume_gap = math.factorial(psi.dim) * (
-        legendre(env).integral() - legendre(psi).integral())
+    volume_gap = envelope_energy(psi, env)
     passed = passed and volume_gap == 0
     return VerificationReport(
         theorem="h0-envelope-equality", instance=instance, passed=passed,

@@ -6,7 +6,8 @@ there (the cell of the dual subdivision of P), so the total mass is n!vol(P)
 exactly. Mixed measures come from polarization over sums of subsets; signed
 intermediate combinations are plain dictionaries, never exposed.
 The energy is the roof-integral gap n!(integral of psi2* - integral of psi1*)
-over P (Burgos-Philippon-Sombra's height formula), not a polarization.
+over P (Burgos-Philippon-Sombra's height formula), not a polarization; on
+any two metrics it is the energy of their envelopes (envelope_energy).
 """
 from __future__ import annotations
 
@@ -107,12 +108,20 @@ def mixed_monge_ampere(metrics: Sequence[PLMetric]) -> DiscreteMeasure:
     return DiscreteMeasure({k: v / factorial for k, v in combo.items()})
 
 
+def envelope_energy(m1: PLMetric, m2: PLMetric) -> Fraction:
+    """E(P(m1), P(m2)) = n!(integral of psi2* - integral of psi1*) over P (0
+    if P is not full-dimensional) for any two metrics on one polytope. No
+    envelope is needed: an envelope's conjugate is its metric's roof cut down
+    to the pieces that own a cell, the same function on P."""
+    if m1.polytope != m2.polytope:
+        raise PreconditionError("energy needs metrics on the same polytope")
+    return math.factorial(m1.dim) * (legendre(m2).integral() - legendre(m1).integral())
+
+
 def energy(m1: PLMetric, m2: PLMetric) -> Fraction:
     """Energy pairing of two semipositive metrics on the same polytope, as
     n!(integral of psi2* - integral of psi1*) over P (0 if P is not
     full-dimensional); equal to the polarized mixed-measure pairing."""
-    if m1.polytope != m2.polytope:
-        raise PreconditionError("energy needs metrics on the same polytope")
     if not (is_semipositive(m1) and is_semipositive(m2)):
         raise PreconditionError("energy needs semipositive metrics")
-    return math.factorial(m1.dim) * (legendre(m2).integral() - legendre(m1).integral())
+    return envelope_energy(m1, m2)

@@ -1,18 +1,18 @@
 """Exact rational polytopes in ambient dimension 1 or 2.
 
 A Polytope is the convex hull of finitely many rational points: an interval
-or a polygon. There are no tolerances anywhere: hulls, membership, lattice
-rows and points, and volumes are computed with exact arithmetic only.
+or a polygon. There are no tolerances anywhere: hulls, lattice rows and
+points, and volumes are computed with exact arithmetic only.
 Other ambient dimensions are refused with PreconditionError. The
 lower-dimensional bodies, a point or a segment in the plane, are supported
 (their volume is 0).
 
 A polytope is its hull's vertex cycle, stored in canonical order:
 counterclockwise starting from the lexicographic minimum for
-full-dimensional planar polytopes, lexicographically sorted otherwise.
-Membership and lattice rows are read from the bounding box and the integer
-half-planes to the left of the cycle's edges; no facet or equation list is
-stored.
+full-dimensional planar polytopes, lexicographically sorted otherwise. The
+hull is taken on the input points as integer rows over their lcm. Lattice
+rows are read from the bounding box and the integer half-planes to the left
+of the cycle's edges; no facet or equation list is stored.
 """
 from __future__ import annotations
 
@@ -30,6 +30,12 @@ IntVector = Tuple[int, ...]
 def cross2(o: Sequence[Fraction], a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     """Signed area of the triangle o,a,b times two (ints or Fractions)."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _integer_rows(points: Sequence[Point]) -> Tuple[int, List[IntVector]]:
+    """(V, rows): the points as integer rows V * p over the lcm V of their denominators."""
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
 
 
 def _hull_1d(points: Sequence[Point]) -> List[Point]:
@@ -78,9 +84,8 @@ class Polytope:
         self.ambient_dim = ambient_dim
         self.affine_dim = affine_dim
         self._vertex_set = frozenset(self.vertices)
-        scale = math.lcm(*(c.denominator for v in self.vertices for c in v))
-        rows = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in self.vertices]
-        self._integer = scale, rows
+        self._integer = _integer_rows(self.vertices)
+        rows = self._integer[1]
         self._extent = [(min(c), max(c)) for c in zip(*rows)]   # V-scaled box
         self._edges: List[IntVector] = []
         if ambient_dim == 2 and len(rows) > 1:
@@ -100,8 +105,11 @@ class Polytope:
             raise PreconditionError(f"ambient dimension {n} unsupported (need 1 or 2)")
         if any(len(p) != n for p in pts):
             raise PreconditionError("points of mixed dimension")
-        hull = _hull_1d(pts) if n == 1 else _hull_2d(pts)
-        return cls(hull, n, min(len(hull) - 1, n))
+        # Hull integer rows over the points' lcm: a positive scaling keeps the
+        # order and the orientation, so the vertex cycle is the Fraction one.
+        by_row = dict(zip(_integer_rows(pts)[1], pts))
+        hull = (_hull_1d if n == 1 else _hull_2d)(list(by_row))
+        return cls([by_row[r] for r in hull], n, min(len(hull) - 1, n))
 
     # -- queries ----------------------------------------------------------
 
@@ -109,14 +117,6 @@ class Polytope:
         """(V, rows): the vertices as integer rows V * v over the lcm V of
         their denominators, in vertex order."""
         return self._integer
-
-    def contains(self, pt: Sequence) -> bool:
-        """Exact membership of pt in P: in the box and left of every edge."""
-        p = [self._integer[0] * c for c in point(pt)]
-        if len(p) != self.ambient_dim:
-            raise PreconditionError("point and polytope differ in dimension")
-        return (all(lo <= c <= hi for c, (lo, hi) in zip(p, self._extent))
-                and all(c0 * p[0] + c1 * p[1] + k >= 0 for c0, c1, k in self._edges))
 
     def lattice_rows(self, m: int = 1) -> List[Tuple[int, int, int]]:
         """Integer points of m*P as rows (y, x_lo, x_hi), by increasing y:

@@ -9,9 +9,9 @@ roof lines over a common denominator L, one stack pass over the lines sorted by
 slope; each of its k pieces is one arithmetic progression, whose ceilings over
 L one Euclid-like floor_sum adds in O(log m) steps. A level costs
 O(m*(K + k*log m)) in the plane and O(K + k*log m) on the line, and every
-length is an exact integer. The exact limit equals the energy of the pair of
-convex envelopes; the series rows exist to demonstrate this and to power the
-finite-level Lipschitz and proportionality checks.
+length is an exact integer. The exact limit, the energy of the pair of convex
+envelopes, is read from the two conjugates (measures.envelope_energy); the
+series rows show it and power the Lipschitz and proportionality checks.
 """
 from __future__ import annotations
 
@@ -21,9 +21,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .measures import energy
-from .plmetric import (IntegerRows, PLMetric, distance, envelope, is_semipositive,
-                       legendre, metric_shift)
+from .measures import envelope_energy
+from .plmetric import IntegerRows, PLMetric, distance, is_semipositive, legendre
 from .polytope import Polytope
 from .rational import ZERO, frac
 
@@ -148,9 +147,9 @@ def navol_series(m1: PLMetric, m2: PLMetric,
 def navol(m1: PLMetric, m2: PLMetric,
           schedule: Optional[Sequence[int]] = None) -> VolumeResult:
     """Non-archimedean volume of a metric pair: lattice-length series plus the
-    exact limit, which is the energy of the pair of convex envelopes."""
+    exact limit, the envelopes' energy read from the two conjugates."""
     rows = navol_series(m1, m2, schedule)
-    exact = energy(envelope(m1), envelope(m2))
+    exact = envelope_energy(m1, m2)
     semi = is_semipositive(m1) and is_semipositive(m2)
     tail = rows[len(rows) // 2:] if rows else []
     gap = max((abs(r.normalized - exact) for r in tail), default=ZERO)
@@ -189,8 +188,8 @@ def lipschitz_check(m1: PLMetric, m1_alt: PLMetric, m2: PLMetric,
         delta = abs(_ceil_sum(roof1, level, m) - _ceil_sum(roof_alt, level, m))
         rows.append((m, delta, bound))
         ok = ok and delta <= bound
-    vol_base = energy(envelope(m1), envelope(m2))
-    vol_alt = energy(envelope(m1_alt), envelope(m2))
+    vol_base = envelope_energy(m1, m2)
+    vol_alt = envelope_energy(m1_alt, m2)
     limit_lhs = abs(vol_alt - vol_base)
     limit_rhs = math.factorial(m1.dim) * m1.polytope.volume() * d
     ok = ok and limit_lhs <= limit_rhs
@@ -211,13 +210,17 @@ def proportionality_check(m1: PLMetric, m2: PLMetric, t: Fraction,
     """Shifting a metric by the constant t shifts each lattice length by
     exactly t*m when t*m is an integer, and by a value in
     [floor(t*m), ceil(t*m)] otherwise; summed over the N_m lattice points.
-    The ceiling sums of m2 cancel in the difference of the two lengths."""
+    The ceiling sums of m2 cancel in the difference of the two lengths. The
+    roof of psi + t is psi* - t: for t = p/q, the rows q*(a, b) - (0, p*D)
+    over D*q from psi*'s rows (a, b) over D."""
     t = frac(t)
     _check_pair(m1, m2)
-    shifted = metric_shift(m1, t)
     if schedule is None:
         schedule = default_schedule(m1.dim)
-    roof1, roof_shifted = legendre(m1).integer_rows(), legendre(shifted).integer_rows()
+    roof1 = legendre(m1).integer_rows()
+    scale, pieces = roof1
+    p, q = t.numerator, t.denominator
+    roof_shifted = scale * q, [(*(q * x for x in r[:-1]), q * r[-1] - p * scale) for r in pieces]
     rows: List[Tuple[int, int, int, int]] = []
     exact_rows = 0
     ok = True

@@ -14,7 +14,8 @@ back as Fraction pieces so the brute-force hull can be compared with it,
 `roof_function`, which builds the package's roof type from rational pieces,
 `instance_json`, which renders the package's serialized instance,
 `dilate` and `metric_scale`, which build the package's polytope and metric
-types for t*P,
+types for t*P, `polytope_contains`, which reads membership from the box and
+edge half-planes a package polytope stores for its lattice rows,
 `dominance_cells_by_clipping`, which runs the package's half-plane clip on
 every pair of rows, a route the package's cell engine skips when one row
 owns the whole region, and `with_subdivided_edge` and
@@ -153,6 +154,18 @@ def hull_contains(vertices, p):
         xs = [v[0] for v in vertices]
         return min(xs) <= p[0] <= max(xs)
     return hull_contains_2d(vertices, p)
+
+
+def polytope_contains(P, pt):
+    """Exact membership of pt in the package's polytope P, read from the
+    box and the integer edge half-planes it stores for its lattice rows:
+    in the box and left of every edge, on P's V-scaled points."""
+    from navol.errors import PreconditionError
+    p = [P.integer_vertices()[0] * Fraction(c) for c in pt]
+    if len(p) != P.ambient_dim:
+        raise PreconditionError("point and polytope differ in dimension")
+    return (all(lo <= c <= hi for c, (lo, hi) in zip(p, P._extent))
+            and all(c0 * p[0] + c1 * p[1] + k >= 0 for c0, c1, k in P._edges))
 
 
 def lattice_points_oracle(vertices, m=1):

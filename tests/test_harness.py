@@ -14,9 +14,9 @@ from navol.harness import (bump_metric, random_convex_metric,
                            verify_h0_envelope_equality, verify_length_cocycle,
                            verify_orthogonality, verify_tree_solvability,
                            verify_vol_is_energy)
-from navol.measures import DiscreteMeasure
-from navol.plmetric import canonical_metric
-from navol.polytope import segment, unit_box
+from navol.measures import DiscreteMeasure, energy
+from navol.plmetric import canonical_metric, envelope, metric_deform
+from navol.polytope import Polytope, segment, simplex, unit_box
 from navol.trees import MetricTree, potential_rows
 
 F = Fraction
@@ -76,6 +76,22 @@ def test_differentiability_survives_growing_residual_ratio():
     pos, neg = random_direction(P, rng)
     rep = verify_differentiability(psi, pos, neg, EPS, fit_count=2)
     assert rep.passed
+
+
+def test_differentiability_series_is_the_energy_of_envelopes():
+    # each eps volume is read from the deformed metric's and psi's conjugates;
+    # it must be the energy of the envelope of the deformation against psi's
+    rng = random.Random(2001)
+    hexagon = Polytope.from_points([(1, 0), (2, 0), (2, 1), (1, 2), (0, 2), (0, 1)])
+    for P in (SEG, BOX, simplex(2), hexagon):
+        for _ in range(3):
+            psi = random_convex_metric(P, rng)
+            pos, neg = random_direction(P, rng)
+            rep = verify_differentiability(psi, pos, neg, EPS)
+            assert [F(e) for e, _, _ in rep.series[1:]] == sorted(EPS, reverse=True)
+            for e, vol, _ in rep.series[1:]:
+                deformed = metric_deform(psi, F(e), pos, neg)
+                assert F(vol) == energy(envelope(deformed), envelope(psi)), (P, e)
 
 
 def test_orthogonality_on_the_bump():

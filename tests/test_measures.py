@@ -8,7 +8,7 @@ import pytest
 from navol.errors import PreconditionError
 from navol.harness import (bump_metric, random_convex_metric,
                            random_nonconvex_metric, tent_metric)
-from navol.measures import (DiscreteMeasure, energy, monge_ampere,
+from navol.measures import (DiscreteMeasure, energy, envelope_energy, monge_ampere,
                             mixed_monge_ampere)
 from navol.plmetric import canonical_metric, envelope, metric_shift
 from navol.polytope import Polytope, segment, simplex, unit_box
@@ -182,6 +182,24 @@ def test_energy_agrees_with_roof_integral_gap():
         a = random_convex_metric(LINE_IN_PLANE, rng)
         b = random_convex_metric(LINE_IN_PLANE, rng)
         assert energy(a, b) == energy_by_mixed_measures(a, b) == 0
+
+
+def test_envelope_energy_is_the_energy_of_the_envelopes():
+    # read from the two conjugates, with no envelope built, the helper must
+    # give the energy of the envelope pair on nonconvex multi-branch pairs
+    rng = random.Random(219)
+    hexagon = Polytope.from_points([(1, 0), (2, 0), (2, 1), (1, 2), (0, 2), (0, 1)])
+    for P in (SEG, BOX, simplex(2), hexagon, LINE_IN_PLANE):
+        for branches in (2, 3, 4):
+            for _ in range(3):
+                a = random_nonconvex_metric(P, rng, branches=branches)
+                b = random_nonconvex_metric(P, rng, branches=branches)
+                want = energy(envelope(a), envelope(b))
+                assert envelope_energy(a, b) == want, (P, a, b)
+                if P is LINE_IN_PLANE:
+                    assert want == 0
+    with pytest.raises(PreconditionError):
+        envelope_energy(canonical_metric(SEG), canonical_metric(segment(0, 2)))
 
 
 def test_integrate_helper():

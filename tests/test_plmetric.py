@@ -27,8 +27,8 @@ from _oracles import (arrangement_candidates, block_conjugate_oracle,
                       distance_by_joint_arrangement, envelope_1d_oracle,
                       envelope_corners_oracle, eval_min_max, lattice_length_oracle,
                       lower_hull_facets_2d, metric_deform_by_branches, metric_scale,
-                      polygon_area, recession_by_all_slopes, roof_cells, roof_cells_oracle,
-                      roof_oracle, vsub)
+                      polygon_area, polytope_contains, recession_by_all_slopes, roof_cells,
+                      roof_cells_oracle, roof_oracle, vsub)
 
 F = Fraction
 SEG = segment(0, 1)
@@ -61,7 +61,7 @@ def _grid(P, steps):
         for j in range(steps + 1):
             p = (min(xs) + (max(xs) - min(xs)) * F(i, steps),
                  min(ys) + (max(ys) - min(ys)) * F(j, steps))
-            if P.contains(p):
+            if polytope_contains(P, p):
                 pts.append(p)
     return pts
 

@@ -9,7 +9,10 @@ imported afresh, so two checkouts are timed by one script in one process,
 in alternating order over ROUNDS rounds. The instance files are the ones
 the benchmark's `verify-all` workload generates for SEED, plus the bundled
 instances. Stages, each timed REPEATS times per round, reported per
-checkout as the median over rounds of the per-round medians, in ms:
+checkout as the median over rounds of the per-round medians, in ms. Every
+sample is normalized to the benchmark's nominal machine speed by
+perfbench/run.py's `speed_factor` and `normalized`, as the benchmark's own
+op times are:
 
   parse/<kind>/<instance>  parse_instance_text on the file's text
   check/<kind>/<instance>  the instance's own verify-all checks
@@ -17,8 +20,8 @@ checkout as the median over rounds of the per-round medians, in ms:
   emit                     writing the summary JSON and the CSV
   op                       one whole `navol verify-all` call, median over the deck
 
-Wall clock, no machine tuning: read the numbers beside the machine and
-Python version the file records.
+Normalized wall clock, no machine tuning: read the numbers beside the machine
+and Python version the file records.
 """
 from __future__ import annotations
 
@@ -41,6 +44,9 @@ SEED = 811  # the benchmark's default seed
 REPEATS = 15
 ROUNDS = 7
 
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+from run import normalized, speed_factor   # noqa: E402
+
 
 def _load(root: str) -> SimpleNamespace:
     """The checkout's cli, harness, serialize and perfbench workloads,
@@ -60,9 +66,10 @@ def _load(root: str) -> SimpleNamespace:
 def _median_ms(fn, repeats: int) -> float:
     times = []
     for _ in range(repeats):
+        speed = speed_factor()
         start = time.perf_counter()
         fn()
-        times.append(time.perf_counter() - start)
+        times.append(normalized(start, speed))
     return statistics.median(times) * 1000
 
 
@@ -89,9 +96,8 @@ def measure(root: str, seed: int, repeats: int) -> dict:
         stages[f"check/{inst.kind}/{name}"] = _median_ms(
             lambda: N.cli._instance_checks(inst), repeats)
     deck = N.workloads.VERIFY_DECK_SIZE
-    few = max(1, repeats // 5)
     stages["bundled_suite"] = statistics.median(
-        _median_ms(lambda: N.harness.run_bundled_suite(seed=i), few)
+        _median_ms(lambda: N.harness.run_bundled_suite(seed=i), repeats)
         for i in range(deck))
     with tempfile.TemporaryDirectory() as work:
         paths = N.workloads.write_instances(groups, os.path.join(work, "instances"))
@@ -104,7 +110,7 @@ def measure(root: str, seed: int, repeats: int) -> dict:
         for i in range(deck):
             extra = [paths[g][i % len(paths[g])] for g in ("toric", "tree", "surface")]
             argv = ["verify-all", *extra, "--seed", str(i), "--out-dir", out]
-            ops.append(_median_ms(_quiet(lambda: N.cli.main(argv)), few))
+            ops.append(_median_ms(_quiet(lambda: N.cli.main(argv)), repeats))
     stages["op"] = statistics.median(ops)
     return stages
 
@@ -134,7 +140,7 @@ def main(argv=None) -> int:
         "seed": SEED,
         "repeats": REPEATS,
         "rounds": ROUNDS,
-        "unit": "ms, median wall time",
+        "unit": "ms, median wall time at the benchmark's nominal speed",
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "stages": medians,
