@@ -15,13 +15,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from fractions import Fraction
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cohomology import (COHOMOLOGY_SCHEDULE, MORSE_Q, MORSE_SCHEDULE,
-                         cohomology_table, morse_check, perturbation_scan)
+                         cohomology_consistency, cohomology_table, morse_check,
+                         perturbation_scan)
 from .errors import InstanceFormatError, PreconditionError
 from .harness import (DIFF_EPS, H0_SCHEDULE, VerificationReport, run_bundled_suite,
                       verify_differentiability, verify_h0_envelope_equality,
@@ -289,22 +289,18 @@ def _cmd_morse(inst: Instance, args) -> CommandResult:
     e = surface.divisor("E", "morse-check")
     q = surface.q if surface.q is not None else MORSE_Q
     schedule = _resolve_schedule(args, surface.schedule, MORSE_SCHEDULE)
-    rep = morse_check(surface.family, d, e, q, schedule)
+    rep = morse_check(surface.family, d, e, q, schedule, instance=surface.name)
     summary = {
         "command": "morse-check",
         "instance": surface.name,
         "family": surface.family.name,
-        "q": rep.q,
-        "leading": frac_str(rep.leading),
-        "fitted_constant": frac_str(rep.fitted_constant),
+        "q": q,
+        "leading": rep.exact["leading"],
+        "fitted_constant": rep.exact["fitted_constant"],
         "passed": rep.passed,
     }
-    rows = [[str(m), str(h), frac_str(bound), frac_str(margin)]
-            for m, h, bound, margin in rep.rows]
-    return CommandResult(
-        "morse-check", summary,
-        {"morse_check": (["m", "h", "bound", "margin"], rows)},
-        passed=rep.passed)
+    return CommandResult("morse-check", summary,
+                         {"morse_check": _report_csv(rep)}, passed=rep.passed)
 
 
 def _cmd_perturb(inst: Instance, args) -> CommandResult:
@@ -316,21 +312,17 @@ def _cmd_perturb(inst: Instance, args) -> CommandResult:
     d_list = [surface.divisor(n, "perturb-scan") for n in scan.d_names]
     p_list = [surface.divisor(n, "perturb-scan") for n in scan.p_names]
     rep = perturbation_scan(surface.family, d_list, p_list, scan.q,
-                            scan.grid_max)
+                            scan.grid_max, instance=surface.name)
     summary = {
         "command": "perturb-scan",
         "instance": surface.name,
         "family": surface.family.name,
-        "q": rep.q,
-        "fitted_constant": frac_str(rep.fitted_constant),
+        "q": scan.q,
+        "fitted_constant": rep.exact["fitted_constant"],
         "passed": rep.passed,
     }
-    rows = [[str(m), str(p), str(left), frac_str(bound)]
-            for m, p, left, bound in rep.rows]
-    return CommandResult(
-        "perturb-scan", summary,
-        {"perturb_scan": (["m", "p", "difference", "bound"], rows)},
-        passed=rep.passed)
+    return CommandResult("perturb-scan", summary,
+                         {"perturb_scan": _report_csv(rep)}, passed=rep.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -366,51 +358,19 @@ def _instance_checks(inst: Instance) -> List[VerificationReport]:
             inst.tree, *inst.net_mass_rows("verify-all"), instance=inst.name))
     elif isinstance(inst, SurfaceInstance):
         if "D" in inst.divisors and "E" in inst.divisors:
-            q = inst.q if inst.q is not None else MORSE_Q
-            schedule = inst.schedule or list(MORSE_SCHEDULE)
-            start = time.monotonic()
-            rep = morse_check(inst.family, inst.divisors["D"],
-                              inst.divisors["E"], q, schedule)
-            reports.append(VerificationReport(
-                theorem="cohomology-morse-bound", instance=inst.name,
-                passed=rep.passed,
-                exact={"q": str(rep.q), "leading": frac_str(rep.leading),
-                       "fitted_constant": frac_str(rep.fitted_constant)},
-                series=[("m", "h", "bound", "margin")] + [
-                    (str(m), str(h), frac_str(b), frac_str(g))
-                    for m, h, b, g in rep.rows],
-                runtime=time.monotonic() - start))
+            reports.append(morse_check(
+                inst.family, inst.divisors["D"], inst.divisors["E"],
+                inst.q if inst.q is not None else MORSE_Q,
+                inst.schedule or MORSE_SCHEDULE, instance=inst.name))
         if "D" in inst.divisors:
-            schedule = inst.schedule or list(COHOMOLOGY_SCHEDULE)
-            start = time.monotonic()
-            table = cohomology_table(inst.family, inst.divisors["D"], schedule)
-            serre = table.serre_consistent()
-            h1_ok = table.h1_all_nonnegative()
-            reports.append(VerificationReport(
-                theorem="cohomology-consistency", instance=inst.name,
-                passed=serre and h1_ok,
-                exact={"serre_consistent": str(serre),
-                       "h1_all_nonnegative": str(h1_ok)},
-                series=[("m", "q", "h", "normalized")] + [
-                    (str(m), str(q), str(h), frac_str(norm))
-                    for m, q, h, norm in table.rows],
-                runtime=time.monotonic() - start))
+            reports.append(cohomology_consistency(
+                inst.family, inst.divisors["D"],
+                inst.schedule or COHOMOLOGY_SCHEDULE, instance=inst.name))
         if inst.scan is not None:
-            start = time.monotonic()
-            rep = perturbation_scan(
-                inst.family,
-                [inst.divisors[n] for n in inst.scan.d_names],
+            reports.append(perturbation_scan(
+                inst.family, [inst.divisors[n] for n in inst.scan.d_names],
                 [inst.divisors[n] for n in inst.scan.p_names],
-                inst.scan.q, inst.scan.grid_max)
-            reports.append(VerificationReport(
-                theorem="cohomology-twist-stability", instance=inst.name,
-                passed=rep.passed,
-                exact={"q": str(rep.q),
-                       "fitted_constant": frac_str(rep.fitted_constant)},
-                series=[("m", "p", "difference", "bound")] + [
-                    (str(m), str(p), str(left), frac_str(b))
-                    for m, p, left, b in rep.rows],
-                runtime=time.monotonic() - start))
+                inst.scan.q, inst.scan.grid_max, instance=inst.name))
     return reports
 
 
@@ -477,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma list with ranges, e.g. 1-10,50,100 "
                              "(rationals like 1/2,1/4 for diff-check)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="seed for generated instances (default: "
-                             "instance file value, else 0)")
+                        help="seed for verify-all's generated instances "
+                             "(default 0)")
     parser.add_argument("--out-dir", default=None,
                         help="artifact directory (default: $NAVOL_OUT_DIR "
                              "or ./navol-out)")
@@ -525,8 +485,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 parser.error(
                     f"command {args.command!r} takes exactly one instance file")
             inst = parse_instance(args.instance[0])
-            if args.seed is None and getattr(inst, "seed", None) is not None:
-                args.seed = inst.seed
             result = _COMMAND_FNS[args.command](inst, args)
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 and on three smooth toric surface families, with asymptotic growth, Morse-type
 upper bounds and twist-perturbation stability checks.
 
-Supported families: P1 (Picard rank 1, curve), P2, P1xP1, and the Hirzebruch
-surfaces F_a for a >= 0 (basis: a section S with S^2 = a and a fibre F).
+Supported families: P1 (Picard rank 1, curve), P2, and the Hirzebruch
+surfaces F_a for a >= 0 (basis: a section S with S^2 = a and a fibre F);
+P1xP1 is F_0 under its own name.
 h^0 is a lattice-point / section count in closed form, h^top comes from Serre
 duality, and the middle h^1 on surfaces is determined by Riemann-Roch; all
 values are exact integers.
@@ -12,20 +13,23 @@ Everything runs on integers up to the reported values: a divisor rounds up
 its (p, q) coefficients as -(-m p // q), h^q of an integral class is a few
 closed-form counts, and the Morse and twist checks take their fitted
 constants and verdicts by cross-multiplying integer numerators and positive
-denominators. Each returned rational is built as one Fraction.
+denominators. Each reported rational is built as one Fraction. The surface
+checks return `harness.VerificationReport`s, as the toric checks do.
 """
 from __future__ import annotations
 
 import functools
 import math
 import operator
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
+from .harness import VerificationReport
 from .polytope import Polytope
-from .rational import ZERO, frac
+from .rational import ZERO, frac, frac_str
 
 # defaults for the CLI's cohomology and morse-check commands and verify-all
 COHOMOLOGY_SCHEDULE = tuple(range(1, 11))
@@ -54,12 +58,10 @@ class ToricFamily:
         elif name == "P2":
             self.dim, self.rank = 2, 1
             self.canonical = (-3,)
-        elif name == "P1xP1":
+        elif name == "P1xP1" or (name.startswith("F") and name[1:].isdigit()):
+            # P1xP1 is F_0: the same form, canonical class and section counts
             self.dim, self.rank = 2, 2
-            self.canonical = (-2, -2)
-        elif name.startswith("F") and name[1:].isdigit():
-            self.dim, self.rank = 2, 2
-            self.hirzebruch_a = int(name[1:])
+            self.hirzebruch_a = 0 if name == "P1xP1" else int(name[1:])
             self.canonical = (-2, self.hirzebruch_a - 2)
         else:
             raise PreconditionError(
@@ -88,8 +90,6 @@ class ToricFamily:
         """The intersection form of a surface on coordinates; ints give ints."""
         if self.name == "P2":
             return a[0] * b[0]
-        if self.name == "P1xP1":
-            return a[0] * b[1] + a[1] * b[0]
         return self.hirzebruch_a * a[0] * b[0] + a[0] * b[1] + a[1] * b[0]
 
     def degree(self, d: Sequence) -> Fraction:
@@ -121,9 +121,6 @@ class ToricFamily:
         if self.name == "P2":
             (deg,) = cls
             return (deg + 1) * (deg + 2) // 2 if deg >= 0 else 0
-        if self.name == "P1xP1":
-            a, b = cls
-            return (a + 1) * (b + 1) if a >= 0 and b >= 0 else 0
         # sum of max(0, h*y + q + 1) over 0 <= y <= p: h >= 0, so the terms
         # never decrease, and the sum is an arithmetic series from the first
         # positive term (h > 0 whenever that term is not the one at y = 0)
@@ -146,9 +143,6 @@ class ToricFamily:
         if self.name == "P2":
             deg = cls[0]
             return Polytope.from_points([(zero, zero), (deg, zero), (zero, deg)])
-        if self.name == "P1xP1":
-            a, b = cls
-            return Polytope.from_points([(zero, zero), (a, zero), (zero, b), (a, b)])
         p, q = cls
         h = Fraction(self.hirzebruch_a)
         return Polytope.from_points(
@@ -216,11 +210,6 @@ class RealDivisor:
             for i, c in enumerate(base):
                 acc[i] += scaled * c
         return tuple(acc)
-
-    def scaled(self, t) -> "RealDivisor":
-        t = frac(t)
-        return RealDivisor(self.family,
-                           tuple((t * c, b) for c, b in self.terms))
 
     def minus(self, other: "RealDivisor") -> "RealDivisor":
         if other.family != self.family:
@@ -312,6 +301,24 @@ def cohomology_table(family: ToricFamily, divisor: RealDivisor,
     return CohomologyTable(family, divisor, rows)
 
 
+def cohomology_consistency(family: ToricFamily, divisor: RealDivisor,
+                           schedule: Sequence[int],
+                           instance: str = "surface") -> VerificationReport:
+    """The cohomology table of every q, checked for Serre consistency and
+    nonnegative h^1."""
+    start = time.monotonic()
+    table = cohomology_table(family, divisor, schedule)
+    serre = table.serre_consistent()
+    h1_ok = table.h1_all_nonnegative()
+    return VerificationReport(
+        theorem="cohomology-consistency", instance=instance,
+        passed=serre and h1_ok,
+        exact={"serre_consistent": str(serre), "h1_all_nonnegative": str(h1_ok)},
+        series=[("m", "q", "h", "normalized")] + [
+            (str(m), str(q), str(h), frac_str(norm)) for m, q, h, norm in table.rows],
+        runtime=time.monotonic() - start)
+
+
 @dataclass
 class AsymptoticReport:
     q: int
@@ -356,24 +363,18 @@ def asymptotic_hq_exact(family: ToricFamily, divisor: RealDivisor,
     return None
 
 
-@dataclass
-class MorseReport:
-    q: int
-    leading: Fraction          # binom(n,q) * D^(n-q).E^q
-    fitted_constant: Fraction  # C in the m^(n-1) remainder
-    rows: List[Tuple[int, int, Fraction, Fraction]]  # (m, h^q, bound, margin)
-    passed: bool
-
-
 def morse_check(family: ToricFamily, d: RealDivisor, e: RealDivisor, q: int,
-                schedule: Sequence[int]) -> MorseReport:
+                schedule: Sequence[int],
+                instance: str = "surface") -> VerificationReport:
     """Upper bound h^q(m(D-E)) <= binom(n,q) D^(n-q).E^q m^n/n! + C m^(n-1)
     for nef D, E; C is fitted on the first half of the schedule and the bound
-    is verified with that C on the second half.
+    is verified with that C on the second half. The series rows are
+    (m, h^q, bound, margin = bound - h^q).
 
     With leading = a/b, the main term is a m^n / (b n!) and every quantity
     is an integer numerator over a positive integer denominator, compared
-    by cross-multiplication; each returned value is one Fraction."""
+    by cross-multiplication; each reported value is one Fraction."""
+    start = time.monotonic()
     for div, label in ((d, "D"), (e, "E")):
         if not family.is_nef(div.total()):
             raise PreconditionError(f"{label} = {div.total()} is not nef on {family.name}")
@@ -390,35 +391,33 @@ def morse_check(family: ToricFamily, d: RealDivisor, e: RealDivisor, q: int,
         excess, over = h * b - a * m ** n, b * m ** (n - 1)
         if excess * f > c * over:
             c, f = excess, over
-    rows = []
+    series = [("m", "h", "bound", "margin")]
     passed = True
     for idx, (m, h) in enumerate(values):
         # bound = upper / (b f), margin = bound - h
         upper = a * m ** n * f + c * m ** (n - 1) * b
         margin = upper - h * b * f
-        rows.append((m, h, Fraction(upper, b * f), Fraction(margin, b * f)))
+        series.append((str(m), str(h), frac_str(Fraction(upper, b * f)),
+                       frac_str(Fraction(margin, b * f))))
         if idx >= half and margin < 0:
             passed = False
-    return MorseReport(q=q, leading=leading, fitted_constant=Fraction(c, f),
-                       rows=rows, passed=passed)
-
-
-@dataclass
-class PerturbationReport:
-    q: int
-    fitted_constant: Fraction
-    rows: List[Tuple[int, int, int, Fraction]]  # (m, p, left, bound)
-    passed: bool
+    return VerificationReport(
+        theorem="cohomology-morse-bound", instance=instance, passed=passed,
+        exact={"q": str(q), "leading": frac_str(leading),
+               "fitted_constant": frac_str(Fraction(c, f))},
+        series=series, runtime=time.monotonic() - start)
 
 
 def perturbation_scan(family: ToricFamily, d_list: Sequence[RealDivisor],
                       p_list: Sequence[RealDivisor], q: int,
-                      grid_max: int) -> PerturbationReport:
+                      grid_max: int, instance: str = "surface") -> VerificationReport:
     """Twist stability |h^q(mA + pB) - h^q(pB)| <= C m (m+p)^(n-1), probing
     the diagonal A = sum of d_list, B = sum of p_list over the full grid
     0 <= m <= grid_max, 1 <= p <= grid_max; C is fitted on the half of the
     grid with m + p <= grid_max and verified on the rest. Round-up is per
-    term, so mA + pB rounds up to a.round_up(m) + b.round_up(p)."""
+    term, so mA + pB rounds up to a.round_up(m) + b.round_up(p). The series
+    rows are (m, p, difference, bound)."""
+    start = time.monotonic()
     if not d_list or not p_list:
         raise PreconditionError("perturbation scan needs nonempty divisor lists")
     a = RealDivisor(family, tuple(t for d in d_list for t in d.terms))
@@ -437,47 +436,13 @@ def perturbation_scan(family: ToricFamily, d_list: Sequence[RealDivisor],
     for m, p, lhs, weight in cells:
         if m and m + p <= grid_max and lhs * f > c * weight:
             c, f = lhs, weight
-    rows = []
+    series = [("m", "p", "difference", "bound")]
     passed = True
     for m, p, lhs, weight in cells:
-        rows.append((m, p, lhs, Fraction(c * weight, f)))
+        series.append((str(m), str(p), str(lhs), frac_str(Fraction(c * weight, f))))
         if lhs * f > c * weight:
             passed = False
-    return PerturbationReport(q=q, fitted_constant=Fraction(c, f), rows=rows,
-                              passed=passed)
-
-
-@dataclass
-class RoundUpReport:
-    q: int
-    fitted_constant: Fraction
-    rows: List[Tuple[int, int, int, Fraction]]  # (m, h_first, h_second, bound)
-    passed: bool
-
-
-def round_up_independence(family: ToricFamily, first: RealDivisor,
-                          second: RealDivisor, q: int,
-                          fit_schedule: Sequence[int],
-                          extension: Sequence[int]) -> RoundUpReport:
-    """Two decompositions of one rational class differ in h^q by at most
-    C m^(n-1); C is fitted on fit_schedule and must keep working on the
-    extension grid unchanged."""
-    if first.total() != second.total():
-        raise PreconditionError("round-up comparison needs equal total classes")
-    n = family.dim
-    fitted = ZERO
-    for m in fit_schedule:
-        gap = abs(hq(family, first, m, q) - hq(family, second, m, q))
-        ratio = Fraction(gap, m ** (n - 1)) if n > 1 else Fraction(gap)
-        if ratio > fitted:
-            fitted = ratio
-    rows = []
-    passed = True
-    for m in list(fit_schedule) + list(extension):
-        h1 = hq(family, first, m, q)
-        h2 = hq(family, second, m, q)
-        bound = fitted * m ** (n - 1)
-        rows.append((m, h1, h2, bound))
-        if abs(h1 - h2) > bound:
-            passed = False
-    return RoundUpReport(q=q, fitted_constant=fitted, rows=rows, passed=passed)
+    return VerificationReport(
+        theorem="cohomology-twist-stability", instance=instance, passed=passed,
+        exact={"q": str(q), "fitted_constant": frac_str(Fraction(c, f))},
+        series=series, runtime=time.monotonic() - start)

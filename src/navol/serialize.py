@@ -17,9 +17,7 @@ Instances are JSON objects with a required ``kind`` tag:
 
 All rationals are written as ``"p/q"`` strings (or plain JSON integers);
 decimal literals are refused so floats can never contaminate exact data.
-Unknown fields are rejected with their full path.  Serialization emits a
-normalized form — explicit blocks, reduced fractions, canonical vertex order —
-and is idempotent after that one normalization pass.
+Unknown fields are rejected with their full path.
 
 Artifact writers keep CSV bodies byte-deterministic: the only
 run-dependent line is a leading ``#`` comment carrying the timestamp.
@@ -538,85 +536,6 @@ def parse_instance(path: str) -> Instance:
             f"{os.path.basename(path)}: not UTF-8 text: {exc.reason} "
             f"at byte {exc.start}") from None
     return parse_instance_text(text, origin=os.path.basename(path))
-
-
-# ---------------------------------------------------------------------------
-# serialization (normalized form)
-
-
-def _rat_out(x: Fraction) -> Union[int, str]:
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else frac_str(x)
-
-
-def _metric_out(metric: PLMetric) -> List[List[Dict[str, object]]]:
-    return [[{"slope": [_rat_out(c) for c in slope],
-              "constant": _rat_out(const)}
-             for slope, const in block]
-            for block in metric.blocks]
-
-
-def serialize_instance(inst: Instance) -> Dict[str, object]:
-    """Normalized JSON form; parse -> serialize is idempotent afterwards."""
-    if isinstance(inst, ToricInstance):
-        out: Dict[str, object] = {
-            "kind": "toric",
-            "polytope": [[_rat_out(c) for c in v]
-                         for v in inst.polytope.vertices],
-            "metrics": {name: _metric_out(metric)
-                        for name, metric in inst.metrics.items()},
-        }
-        if inst.schedule is not None:
-            out["schedule"] = list(inst.schedule)
-        if inst.eps_schedule is not None:
-            out["eps_schedule"] = [_rat_out(e) for e in inst.eps_schedule]
-        if inst.seed is not None:
-            out["seed"] = inst.seed
-        return out
-    if isinstance(inst, TreeInstance):
-        out = {
-            "kind": "tree",
-            "tree": {
-                "vertices": list(inst.tree.vertices),
-                "edges": [{"ends": [u, v], "length": _rat_out(length)}
-                          for u, v, length in inst.tree.edges],
-                "root": inst.tree.root,
-            },
-        }
-        if inst.functions:
-            out["functions"] = {
-                name: {v: _rat_out(fn.values[v]) for v in inst.tree.vertices}
-                for name, fn in inst.functions.items()}
-        if inst.measures:
-            out["measures"] = {
-                name: [{"vertex": k, "mass": _rat_out(mass)}
-                       for k, mass in measure.items_sorted()]
-                for name, measure in inst.measures.items()}
-        if inst.seed is not None:
-            out["seed"] = inst.seed
-        return out
-    if isinstance(inst, SurfaceInstance):
-        out = {
-            "kind": "surface",
-            "family": inst.family.name,
-            "divisors": {
-                name: [{"coeff": _rat_out(coeff), "class": list(cls)}
-                       for coeff, cls in div.terms]
-                for name, div in inst.divisors.items()},
-        }
-        if inst.schedule is not None:
-            out["schedule"] = list(inst.schedule)
-        if inst.q is not None:
-            out["q"] = inst.q
-        if inst.scan is not None:
-            out["scan"] = {"d": list(inst.scan.d_names),
-                           "p": list(inst.scan.p_names),
-                           "q": inst.scan.q,
-                           "grid_max": inst.scan.grid_max}
-        if inst.seed is not None:
-            out["seed"] = inst.seed
-        return out
-    raise TypeError(f"not an instance: {inst!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ every raw branch of a deformation, a route `metric_deform` no longer takes,
 back as Fraction pieces so the brute-force hull can be compared with it,
 `roof_cells`, which reads a roof's integer cells with rational corners,
 `roof_function`, which builds the package's roof type from rational pieces,
-`instance_json`, which renders the package's serialized instance,
+`serialize_instance` and `instance_json`, which write the package's parsed
+instance types back in the instance-file schema,
 `dilate` and `metric_scale`, which build the package's polytope and metric
 types for t*P, `polytope_contains`, which reads membership from the box and
 edge half-planes a package polytope stores for its lattice rows,
@@ -958,8 +959,79 @@ def is_nonnegative(mu):
     return all(m > 0 for m in mu.atoms.values())
 
 
+def _rat_out(x):
+    """A rational as a JSON integer when integral, else a 'p/q' string."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _metric_out(metric):
+    return [[{"slope": [_rat_out(c) for c in slope], "constant": _rat_out(const)}
+             for slope, const in block]
+            for block in metric.blocks]
+
+
+def serialize_instance(inst):
+    """A parsed instance back in the instance-file schema, normalized:
+    explicit blocks, reduced fractions, the polytope's vertex order. Parsing
+    and serializing again gives the same object."""
+    from navol.serialize import SurfaceInstance, ToricInstance, TreeInstance
+    if isinstance(inst, ToricInstance):
+        out = {
+            "kind": "toric",
+            "polytope": [[_rat_out(c) for c in v] for v in inst.polytope.vertices],
+            "metrics": {name: _metric_out(metric)
+                        for name, metric in inst.metrics.items()},
+        }
+        if inst.schedule is not None:
+            out["schedule"] = list(inst.schedule)
+        if inst.eps_schedule is not None:
+            out["eps_schedule"] = [_rat_out(e) for e in inst.eps_schedule]
+    elif isinstance(inst, TreeInstance):
+        out = {
+            "kind": "tree",
+            "tree": {
+                "vertices": list(inst.tree.vertices),
+                "edges": [{"ends": [u, v], "length": _rat_out(length)}
+                          for u, v, length in inst.tree.edges],
+                "root": inst.tree.root,
+            },
+        }
+        if inst.functions:
+            out["functions"] = {
+                name: {v: _rat_out(fn.values[v]) for v in inst.tree.vertices}
+                for name, fn in inst.functions.items()}
+        if inst.measures:
+            out["measures"] = {
+                name: [{"vertex": k, "mass": _rat_out(mass)}
+                       for k, mass in measure.items_sorted()]
+                for name, measure in inst.measures.items()}
+    elif isinstance(inst, SurfaceInstance):
+        out = {
+            "kind": "surface",
+            "family": inst.family.name,
+            "divisors": {
+                name: [{"coeff": _rat_out(coeff), "class": list(cls)}
+                       for coeff, cls in div.terms]
+                for name, div in inst.divisors.items()},
+        }
+        if inst.schedule is not None:
+            out["schedule"] = list(inst.schedule)
+        if inst.q is not None:
+            out["q"] = inst.q
+        if inst.scan is not None:
+            out["scan"] = {"d": list(inst.scan.d_names),
+                           "p": list(inst.scan.p_names),
+                           "q": inst.scan.q,
+                           "grid_max": inst.scan.grid_max}
+    else:
+        raise TypeError(f"not an instance: {inst!r}")
+    if inst.seed is not None:
+        out["seed"] = inst.seed
+    return out
+
+
 def instance_json(inst):
-    """The instance as the package serializes it, in indented JSON text."""
+    """The instance as `serialize_instance` gives it, in indented JSON text."""
     import json
-    from navol.serialize import serialize_instance
     return json.dumps(serialize_instance(inst), indent=2) + "\n"

@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from navol.cohomology import (RealDivisor, asymptotic_hq, asymptotic_hq_exact,
-                              cohomology_table, hq, morse_check,
-                              perturbation_scan, round_up_independence,
-                              toric_family)
+                              cohomology_consistency, cohomology_table, hq,
+                              morse_check, perturbation_scan, toric_family)
 from navol.errors import PreconditionError
+from navol.rational import frac_str
 
 from _oracles import (cohomology_rows_by_fractions, lattice_points_oracle,
                       morse_check_by_fractions, perturbation_rows_by_cells,
@@ -155,21 +155,8 @@ def test_round_up_is_per_term():
     assert one_term.round_up(1) == (1,)
 
 
-def test_round_up_independence_report():
-    two_terms = RealDivisor.make(P2, [(F(1, 2), (1,)), (F(1, 2), (1,))])
-    one_term = RealDivisor.make(P2, [(1, (1,))])
-    rep = round_up_independence(P2, two_terms, one_term, 0,
-                                fit_schedule=list(range(1, 11)),
-                                extension=list(range(11, 31)))
-    assert rep.passed
-    with pytest.raises(PreconditionError):
-        round_up_independence(P2, one_term, RealDivisor.make(P2, [(2, (1,))]),
-                              0, [1], [2])
-
-
 def test_scaled_and_minus():
     d = RealDivisor.make(F1, [(F(2, 3), (1, 0)), (1, (0, 1))])
-    assert d.scaled(3).total() == (F(2), F(3))
     e = _div(F1, (0, 1))
     assert d.minus(e).total() == (F(2, 3), F(0))
 
@@ -183,6 +170,11 @@ def test_cohomology_table_consistency():
         table = cohomology_table(fam, _div(fam, cls), list(range(1, 16)))
         assert table.serre_consistent()
         assert table.h1_all_nonnegative()
+        rep = cohomology_consistency(fam, _div(fam, cls), list(range(1, 16)), "c")
+        assert (rep.theorem, rep.instance, rep.passed) == ("cohomology-consistency", "c", True)
+        assert rep.exact == {"serre_consistent": "True", "h1_all_nonnegative": "True"}
+        assert rep.series == [("m", "q", "h", "normalized")] + [
+            (str(m), str(q), str(h), frac_str(norm)) for m, q, h, norm in table.rows]
 
 
 def test_cohomology_table_rows_equal_per_level_hq():
@@ -230,10 +222,11 @@ def test_morse_bound_on_the_product_surface():
     e = _div(P1XP1, (1, 2))
     rep = morse_check(P1XP1, d, e, 1, list(range(1, 41)))
     assert rep.passed
-    assert rep.leading == 10  # 2 * D.E = 2 * (2*2 + 1*1)
-    for m, h, bound, margin in rep.rows:
-        assert h == m * m - 1
-        assert margin >= 0
+    assert rep.exact["leading"] == "10"  # 2 * D.E = 2 * (2*2 + 1*1)
+    assert rep.series[0] == ("m", "h", "bound", "margin")
+    for m, h, bound, margin in rep.series[1:]:
+        assert int(h) == int(m) ** 2 - 1
+        assert F(margin) >= 0
 
 
 def test_morse_rejects_non_nef_input():
@@ -245,7 +238,7 @@ def test_perturbation_scan_on_the_plane():
     rep = perturbation_scan(P2, [_div(P2, (1,))], [_div(P2, (1,))], 0,
                             grid_max=20)
     assert rep.passed
-    assert rep.fitted_constant == F(3, 2)
+    assert rep.exact["fitted_constant"] == "3/2"
 
 
 def _random_divisor(fam, rng):
@@ -275,8 +268,11 @@ def test_perturbation_scan_matches_per_cell_oracle():
                     rows, fitted, passed = perturbation_rows_by_cells(
                         hq_of, a_terms, b_terms, q, grid_max, fam.dim)
                     case = (fam, a_terms, b_terms, q, grid_max)
-                    assert rep.rows == rows, case
-                    assert rep.fitted_constant == fitted, case
+                    assert rep.series == [("m", "p", "difference", "bound")] + [
+                        (str(m), str(p), str(lhs), frac_str(bound))
+                        for m, p, lhs, bound in rows], case
+                    assert rep.exact == {"q": str(q),
+                                         "fitted_constant": frac_str(fitted)}, case
                     assert rep.passed == passed, case
 
 
@@ -332,11 +328,12 @@ def test_morse_check_matches_the_fraction_route():
                     leading, fitted, rows, passed = morse_check_by_fractions(
                         fam, d, e, q, schedule)
                     case = (fam, d, e, q, schedule)
-                    assert (rep.leading, rep.fitted_constant) == (leading, fitted), case
-                    assert rep.rows == rows, case
+                    assert rep.exact == {"q": str(q), "leading": frac_str(leading),
+                                         "fitted_constant": frac_str(fitted)}, case
+                    assert rep.series == [("m", "h", "bound", "margin")] + [
+                        (str(m), str(h), frac_str(b), frac_str(g))
+                        for m, h, b, g in rows], case
                     assert rep.passed == passed, case
-                    assert type(rep.fitted_constant) is F
-                    assert all(type(b) is F and type(g) is F for _, _, b, g in rep.rows)
 
 
 def test_unknown_family_rejected():

@@ -17,13 +17,13 @@ import navol.serialize as serialize
 from navol.errors import InstanceFormatError, PreconditionError
 from navol.harness import VerificationReport
 from navol.serialize import (_as_rational, _plain_pair, csv_text,
-                             decimal_str, parse_instance_text, serialize_instance)
+                             decimal_str, parse_instance_text)
 from navol.measures import DiscreteMeasure
 from navol.rational import plain_pair
 from navol.trees import MetricTree, net_mass_rows, potential_rows
 
 from _oracles import (as_rational_oracle, first_primes, instance_json, ma_solve_oracle,
-                      recession_at, support_at)
+                      recession_at, serialize_instance, support_at)
 
 F = Fraction
 
