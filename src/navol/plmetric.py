@@ -698,18 +698,6 @@ def is_semipositive(metric: PLMetric) -> bool:
     return metric._semipositive
 
 
-def metric_min(m1: PLMetric, m2: PLMetric) -> PLMetric:
-    """Pointwise minimum of the metrics = pointwise max of psi's.
-
-    max distributes over the min-of-max form: branches are pairwise unions of
-    piece lists, so semipositivity is preserved when both inputs are convex.
-    """
-    if m1.polytope != m2.polytope:
-        raise PreconditionError("metric_min needs metrics on the same polytope")
-    blocks = [tuple(b1) + tuple(b2) for b1 in m1.blocks for b2 in m2.blocks]
-    return PLMetric(m1.polytope, blocks)
-
-
 def metric_shift(metric: PLMetric, t) -> PLMetric:
     """psi + t, i.e. the metric scaled by e^{-t}."""
     t = frac(t)

@@ -11,8 +11,9 @@ A polytope is its hull's vertex cycle, stored in canonical order:
 counterclockwise starting from the lexicographic minimum for
 full-dimensional planar polytopes, lexicographically sorted otherwise. The
 hull is taken on the input points as integer rows over their lcm. Lattice
-rows are read from the bounding box and the integer half-planes to the left
-of the cycle's edges; no facet or equation list is stored.
+rows come as row bands, read from the bounding box and the integer
+half-planes to the left of the cycle's edges; no facet or equation list is
+stored.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .errors import PreconditionError
 from .rational import Point, ZERO, frac, point, vadd
 
 IntVector = Tuple[int, ...]
+Band = Tuple[int, int, Tuple[int, int, int], Tuple[int, int, int]]   # see row_bands
 
 
 def cross2(o: Sequence[Fraction], a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -74,9 +76,10 @@ class Polytope:
     (integer_vertices), and every edge a -> b of the cycle gives the integer
     half-plane to its left, c0*x + c1*y + k >= 0 on V-scaled points, with
     (c0, c1) = (a_y - b_y, b_x - a_x) and k = -(c0*a_x + c1*a_y). A
-    polygon's edges bound x on every row; a segment's two opposite edges pin
-    it to its line. A point, a horizontal segment and an interval have no
-    edge that bounds x, and are just their bounding box.
+    polygon's edges bound x, one edge of each chain on a band of rows
+    (row_bands, which lattice_rows expands); a segment's two opposite edges
+    pin it to its line. A point, a horizontal segment and an interval have
+    no edge that bounds x, and are one band, their bounding box.
     """
 
     def __init__(self, vertices: Sequence[Point], ambient_dim: int, affine_dim: int):
@@ -118,28 +121,57 @@ class Polytope:
         their denominators, in vertex order."""
         return self._integer
 
-    def lattice_rows(self, m: int = 1) -> List[Tuple[int, int, int]]:
-        """Integer points of m*P as rows (y, x_lo, x_hi), by increasing y:
-        the points (x, y) with x_lo <= x <= x_hi. In ambient dimension 1
-        there is at most one row, with y = 0, standing for the points (x,)."""
+    def row_bands(self, m: int = 1) -> List[Band]:
+        """Rows of m*P as bands (y0, y1, lower, upper), by increasing y: on
+        rows y0..y1 the points are x_lo <= x <= x_hi, x_lo = -((e*y + f) // d)
+        for lower = (d, e, f) and x_hi = (e'*y + f') // d' for upper, d and
+        d' > 0, and x_hi >= x_lo - 1. On a row, x is bounded by the edge of
+        each chain whose rows [r0, r1] cover it; taken in (r0, r1) order,
+        each edge covers the rows from the first untaken one to r1."""
         if m < 0:
             raise PreconditionError("dilation factor must be nonnegative")
-        scale = self._integer[0]
+        scale, rows = self._integer
         # m*P's box: ceil(m*min/V) .. floor(m*max/V) per coordinate
         box = [(-(-m * lo // scale), m * hi // scale) for lo, hi in self._extent]
         (x_lo, x_hi), (y_lo, y_hi), *_ = box + [(0, 0)]
+        if y_lo > y_hi:
+            return []
         # An integer point (x, y) of m*P has V*(c0*x + c1*y) + m*k >= 0 for
         # every edge: a lower bound on x if c0 > 0, an upper one if c0 < 0.
-        lower = [(scale * c0, scale * c1, m * k) for c0, c1, k in self._edges if c0 > 0]
-        upper = [(-scale * c0, scale * c1, m * k) for c0, c1, k in self._edges if c0 < 0]
-        if not lower:  # a point, an interval or a horizontal segment: its box
-            return [(y, x_lo, x_hi) for y in range(y_lo, y_hi + 1)] if x_lo <= x_hi else []
+        chains: Tuple[list, list] = ([], [])
+        for (c0, c1, k), (_, ay), (_, by) in zip(self._edges, rows, rows[1:] + rows[:1]):
+            if c0:
+                r0, r1 = -(-m * min(ay, by) // scale), m * max(ay, by) // scale
+                chains[c0 < 0].append((r0, r1, (scale * abs(c0), scale * c1, m * k)))
+        if not chains[0]:
+            return [(y_lo, y_hi, (1, 0, -x_lo), (1, 0, x_hi))]
+        runs = []
+        for chain in chains:
+            taken, run = y_lo - 1, []
+            for r0, r1, bound in sorted(chain):
+                if r1 > taken:
+                    taken = r1
+                    run.append((r1, bound))
+            runs.append(run)
+        bands, y = [], y_lo
+        (lows, highs), i, j = runs, 0, 0
+        while y <= y_hi:
+            end = min(lows[i][0], highs[j][0])
+            bands.append((y, end, lows[i][1], highs[j][1]))
+            i, j = i + (lows[i][0] == end), j + (highs[j][0] == end)
+            y = end + 1
+        return bands
+
+    def lattice_rows(self, m: int = 1) -> List[Tuple[int, int, int]]:
+        """Integer points of m*P as the nonempty rows (y, x_lo, x_hi) of
+        row_bands(m): the points (x, y) with x_lo <= x <= x_hi. In ambient
+        dimension 1 there is at most one row, y = 0, for the points (x,)."""
         out = []
-        for y in range(y_lo, y_hi + 1):
-            lo = max(-((e * y + f) // d) for d, e, f in lower)
-            hi = min((e * y + f) // d for d, e, f in upper)
-            if lo <= hi:
-                out.append((y, lo, hi))
+        for y0, y1, (d, e, f), (d2, e2, f2) in self.row_bands(m):
+            for y in range(y0, y1 + 1):
+                lo, hi = -((e * y + f) // d), (e2 * y + f2) // d2
+                if lo <= hi:
+                    out.append((y, lo, hi))
         return out
 
     def lattice_points(self, m: int = 1) -> List[IntVector]:

@@ -3,15 +3,28 @@
 The volume of a metric pair is the large-m limit of n!/m^(n+1) times the
 lattice length at level m: the sum over the integer points u of mP of
 ceil(m g2(u/m)) - ceil(m g1(u/m)), where g_i is the Legendre transform
-(roof) of metric i. The points come as rows of consecutive integers from
-Polytope.lattice_rows. On a row, m*g_i is the upper envelope of the K integer
-roof lines over a common denominator L, one stack pass over the lines sorted by
-slope; each of its k pieces is one arithmetic progression, whose ceilings over
-L one Euclid-like floor_sum adds in O(log m) steps. A level costs
-O(m*(K + k*log m)) in the plane and O(K + k*log m) on the line, and every
-length is an exact integer. The exact limit, the energy of the pair of convex
-envelopes, is read from the two conjugates (measures.envelope_energy); the
-series rows show it and power the Lipschitz and proportionality checks.
+(roof) of metric i. The points come as Polytope.row_bands: on rows y0..y1,
+x_lo and x_hi are floors of fixed linear functions of y. On a row, m*g_i
+is the upper envelope of the K integer roof lines a*x + c, c = a1*y + m*b,
+over a common denominator L; each of its pieces on [x_lo, x_hi] is an
+arithmetic progression, whose ceilings over L one Euclid-like floor_sum adds
+in O(log m) steps. The envelope is built over the whole x-line once per
+stretch of a band on which it holds. With its lines l_j by increasing
+x-slope a_j, crossing at x_j = (c_j - c_(j+1)) / (a_(j+1) - a_j), it holds
+on a row iff
+  (i)   x_j <= x_(j+1) for each j: l_j is the max exactly on [x_(j-1), x_j];
+  (ii)  every line a*x + c off it with a_j < a < a_(j+1) is at most l_j at
+        x_j, the kink where the envelope minus that line is least;
+  (iii) every line off it with slope a_j has c <= c_j.
+(The extreme slopes are always on it.) Cleared of the positive denominators,
+each condition is an integer inequality alpha*y + beta >= 0 that holds on the
+row the envelope is built on, so the stretch ends at the band's last row or
+the least floor(beta / -alpha) with alpha < 0. A level with R rows (about m
+in the plane, 1 on the line), S stretches (the bands plus the rows where the
+roof's cells change) and k runs a row costs O(K log K + S*K + R*k*log m).
+Every length is an exact integer. The exact limit, the energy of the pair of
+convex envelopes, is read from the two conjugates (measures.envelope_energy);
+the series rows show it and power the Lipschitz and proportionality checks.
 """
 from __future__ import annotations
 
@@ -23,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import PreconditionError
 from .measures import envelope_energy
 from .plmetric import IntegerRows, PLMetric, distance, is_semipositive, legendre
-from .polytope import Polytope
+from .polytope import Band, Polytope
 from .rational import ZERO, frac
 
 
@@ -50,41 +63,74 @@ def _floor_sum(n: int, mod: int, a: int, b: int) -> int:
     return total
 
 
-def _ceil_sum(roof: IntegerRows, rows: Sequence[Tuple[int, int, int]], m: int) -> int:
-    """Sum of ceil(m * roof(u/m)) over the integer points u of the rows,
-    for the roof's integer rows L * (a, b) over their common denominator L.
-
-    On a row the roof is the upper envelope of the lines a*x + c, c = a1*y + m*b,
-    over L. Each row pushes the lines, sorted by x-slope once, onto a stack of
-    (a, c, start) whose entries are maximal on the nonempty integer runs
-    [start, next start - 1], the last one up to hi. A line starts at the first
-    x where it is strictly above the top, (pc - c) // (a - pa) + 1, and at lo
-    or never for an equal slope with a larger or no larger c; a top whose run
-    that empties is popped, a line starting after hi is dropped, and each run
-    is then one floor sum.
-    """
-    scale, pieces = roof
-    lines = sorted((r[0], r[1] if len(r) > 2 else 0, m * r[-1]) for r in pieces)
-    total = 0
-    for y, lo, hi in rows:
-        hull = []  # (a, c, start)
+def _envelope(lines: Sequence[Tuple[int, ...]], y: int, last: int) -> Tuple[list, tuple, int]:
+    """The upper envelope over the whole x-line, on row y, of the sorted
+    lines (a, a1, mb), that is a*x + a1*y + mb, and the last row up to
+    `last` on which it stays the envelope ((i)-(iii) of the module
+    docstring). Each envelope line (a, a1, mb, na, nb, den) but the last,
+    (a, a1, mb), is the max up to x = (na*y + nb) // den."""
+    hull: List[Tuple[int, int, int, int]] = []   # (a, a1, mb, c)
+    for a, a1, mb in lines:
+        c = a1 * y + mb
+        if hull and hull[-1][0] == a:
+            if c <= hull[-1][3]:
+                continue
+            hull.pop()
+        while len(hull) > 1:
+            (pa, _, _, pc), (qa, _, _, qc) = hull[-2], hull[-1]
+            if (pc - qc) * (a - qa) < (qc - c) * (qa - pa):
+                break
+            hull.pop()
+        hull.append((a, a1, mb, c))
+    end = last
+    if y < last:   # conditions (alpha, beta): alpha*row + beta >= 0 on row y
+        conditions = [((q1 - r1) * (qa - pa) - (p1 - q1) * (ra - qa),
+                       (qb - rb) * (qa - pa) - (pb - qb) * (ra - qa))
+                      for (pa, p1, pb, _), (qa, q1, qb, _), (ra, r1, rb, _)
+                      in zip(hull, hull[1:], hull[2:])]
+        j = 0
         for a, a1, mb in lines:
-            c = a1 * y + mb
-            start = lo
-            while hull:
-                pa, pc, ps = hull[-1]
-                start = (pc - c) // (a - pa) + 1 if a > pa else (lo if c > pc else hi + 1)
-                if start > ps:
-                    break
-                hull.pop()
-                start = lo
-            if start <= hi:
-                hull.append((a, c, start))
-        end = hi
-        for a, c, start in reversed(hull):
-            # ceil(v / L) == floor((v + L - 1) / L)
-            total += _floor_sum(end - start + 1, scale, a, a * start + c + scale - 1)
-            end = start - 1
+            while hull[j][0] < a and hull[j + 1][0] <= a:
+                j += 1
+            ha, h1, hb, _ = hull[j]
+            if a == ha:
+                conditions.append((h1 - a1, hb - mb))
+            else:
+                na, n1, nb, _ = hull[j + 1]
+                conditions.append(((ha - a) * (h1 - n1) + (h1 - a1) * (na - ha),
+                                   (ha - a) * (hb - nb) + (hb - mb) * (na - ha)))
+        end = min([last] + [beta // -alpha for alpha, beta in conditions if alpha < 0])
+    env = [(a, a1, mb, a1 - n1, mb - nb, na - a)
+           for (a, a1, mb, _), (na, n1, nb, _) in zip(hull, hull[1:])]
+    return env, hull[-1][:3], end
+
+
+def _ceil_sum(roof: IntegerRows, bands: Sequence[Band], m: int) -> int:
+    """Sum of ceil(m * roof(u/m)) over the integer points u of the row bands,
+    for the roof's integer rows L * (a, b) over their common denominator L:
+    one envelope per stretch (_envelope), and one floor sum per run of an
+    envelope line clamped to [x_lo, x_hi] on each row."""
+    scale, pieces = roof
+    # ceil(v / L) == floor((v + L - 1) / L): each line carries the L - 1
+    lines = sorted((r[0], r[1] if len(r) > 2 else 0, m * r[-1] + scale - 1) for r in pieces)
+    total = 0
+    for y, y1, (d, e, f), (d2, e2, f2) in bands:
+        while y <= y1:
+            env, last, end = _envelope(lines, y, y1)
+            for y in range(y, end + 1):
+                start, hi = -((e * y + f) // d), (e2 * y + f2) // d2
+                for a, a1, mb, na, nb, den in env:
+                    stop = (na * y + nb) // den
+                    if stop >= start:
+                        if stop >= hi:
+                            break
+                        total += _floor_sum(stop - start + 1, scale, a, a * start + a1 * y + mb)
+                        start = stop + 1
+                else:
+                    a, a1, mb = last
+                if start <= hi:
+                    total += _floor_sum(hi - start + 1, scale, a, a * start + a1 * y + mb)
+            y = end + 1
     return total
 
 
@@ -93,22 +139,25 @@ def _check_pair(m1: PLMetric, m2: PLMetric) -> None:
         raise PreconditionError("lattice_length needs metrics on the same polytope")
 
 
-def _level_rows(P: Polytope, m: int) -> List[Tuple[int, int, int]]:
+def _level_bands(P: Polytope, m: int) -> List[Band]:
     if m < 1:
         raise PreconditionError("lattice_length needs a positive level m")
-    return P.lattice_rows(m)
+    return P.row_bands(m)
 
 
 def lattice_length(m1: PLMetric, m2: PLMetric, m: int) -> int:
     """Total lattice length at level m of the norm quotient of the pair."""
     _check_pair(m1, m2)
-    rows = _level_rows(m1.polytope, m)
-    return (_ceil_sum(legendre(m2).integer_rows(), rows, m)
-            - _ceil_sum(legendre(m1).integer_rows(), rows, m))
+    bands = _level_bands(m1.polytope, m)
+    return (_ceil_sum(legendre(m2).integer_rows(), bands, m)
+            - _ceil_sum(legendre(m1).integer_rows(), bands, m))
 
 
-def _point_count(rows: Sequence[Tuple[int, int, int]]) -> int:
-    return sum(hi - lo + 1 for _, lo, hi in rows)
+def _point_count(bands: Sequence[Band]) -> int:
+    """Lattice points of the bands: two floor sums a band, as x_hi >= x_lo - 1."""
+    return sum(y1 - y0 + 1 + _floor_sum(y1 - y0 + 1, d2, e2, e2 * y0 + f2)
+               + _floor_sum(y1 - y0 + 1, d, e, e * y0 + f)
+               for y0, y1, (d, e, f), (d2, e2, f2) in bands)
 
 
 @dataclass
@@ -183,7 +232,7 @@ def lipschitz_check(m1: PLMetric, m1_alt: PLMetric, m2: PLMetric,
     rows: List[Tuple[int, int, int]] = []
     ok = True
     for m in schedule:
-        level = _level_rows(m1.polytope, m)
+        level = _level_bands(m1.polytope, m)
         bound = _point_count(level) * math.ceil(m * d)
         delta = abs(_ceil_sum(roof1, level, m) - _ceil_sum(roof_alt, level, m))
         rows.append((m, delta, bound))
@@ -225,7 +274,7 @@ def proportionality_check(m1: PLMetric, m2: PLMetric, t: Fraction,
     exact_rows = 0
     ok = True
     for m in schedule:
-        level = _level_rows(m1.polytope, m)
+        level = _level_bands(m1.polytope, m)
         n_pts = _point_count(level)
         delta = _ceil_sum(roof1, level, m) - _ceil_sum(roof_shifted, level, m)
         tm = t * m

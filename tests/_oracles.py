@@ -15,8 +15,10 @@ back as Fraction pieces so the brute-force hull can be compared with it,
 `serialize_instance` and `instance_json`, which write the package's parsed
 instance types back in the instance-file schema,
 `dilate` and `metric_scale`, which build the package's polytope and metric
-types for t*P, `polytope_contains`, which reads membership from the box and
-edge half-planes a package polytope stores for its lattice rows,
+types for t*P, `metric_min`, which builds the package's metric type from the
+pairwise unions of two metrics' branches, `polytope_contains`, which reads
+membership from the box and edge half-planes a package polytope stores for
+its lattice rows,
 `dominance_cells_by_clipping`, which runs the package's half-plane clip on
 every pair of rows, a route the package's cell engine skips when one row
 owns the whole region, and `with_subdivided_edge` and
@@ -567,6 +569,19 @@ def metric_scale(metric, t):
         raise PreconditionError("scaling factor must be nonnegative")
     return PLMetric(dilate(metric.polytope, t),
                     [[(tuple(t * x for x in s), t * c) for s, c in b] for b in metric.blocks])
+
+
+def metric_min(m1, m2):
+    """Pointwise minimum of the metrics = pointwise max of psi's.
+
+    max distributes over the min-of-max form: branches are pairwise unions of
+    piece lists, so semipositivity is preserved when both inputs are convex.
+    """
+    from navol.errors import PreconditionError
+    from navol.plmetric import PLMetric
+    if m1.polytope != m2.polytope:
+        raise PreconditionError("metric_min needs metrics on the same polytope")
+    return PLMetric(m1.polytope, [tuple(b1) + tuple(b2) for b1 in m1.blocks for b2 in m2.blocks])
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,70 @@
+"""Falsifiability gate: each in-process mutant of a `navol.harness` name must
+make the named theorems of `run_bundled_suite(0)` report FAIL, and make
+`navol verify-all --seed 0` exit 1. A check that no mutant can fail verifies
+nothing."""
+
+import collections
+from fractions import Fraction
+
+import pytest
+
+import navol.cli as cli
+import navol.harness as harness
+from navol.measures import DiscreteMeasure
+
+F = Fraction
+
+
+def _energy_off(energy):
+    return lambda m1, m2: energy(m1, m2) + F(1, 1000)
+
+
+def _length_off(length):
+    return lambda m1, m2, m: length(m1, m2, m) + 1
+
+
+def _masses_doubled(monge_ampere):
+    return lambda metric: DiscreteMeasure(
+        {key: 2 * mass for key, mass in monge_ampere(metric).atoms.items()})
+
+
+def _extra_atom(monge_ampere):
+    def mutant(metric):
+        atoms = list(monge_ampere(metric).atoms.items())
+        return DiscreteMeasure(atoms + [((F(1, 3),) * metric.dim, F(1))])
+    return mutant
+
+
+# label: (harness name, mutant of it, {theorem: rows of it that must FAIL});
+# the energy mutant adds 1/1000, the length one 1, the masses-doubled one
+# doubles every Monge-Ampere mass, and the extra atom has mass 1 at
+# (1/3, ..., 1/3)
+MUTANTS = {
+    "energy-plus-1/1000": ("envelope_energy", _energy_off, {
+        "volume-differentiability": 1, "h0-envelope-equality": 3, "vol-is-energy": 1}),
+    "length-plus-1": ("lattice_length", _length_off, {
+        "h0-envelope-equality": 3, "length-cocycle": 1}),
+    "masses-doubled": ("monge_ampere", _masses_doubled, {
+        "volume-differentiability": 1}),
+    "extra-atom": ("monge_ampere", _extra_atom, {
+        "envelope-orthogonality": 3, "volume-differentiability": 1}),
+}
+
+
+def _failures(reports):
+    return collections.Counter(r.theorem for r in reports if not r.passed)
+
+
+def test_the_unmutated_suite_passes():
+    assert _failures(harness.run_bundled_suite(0)) == {}
+
+
+@pytest.mark.parametrize("label", sorted(MUTANTS))
+def test_mutant_is_caught(label, monkeypatch, tmp_path, capsys):
+    name, mutate, must_fail = MUTANTS[label]
+    monkeypatch.setattr(harness, name, mutate(getattr(harness, name)))
+    failed = _failures(harness.run_bundled_suite(0))
+    for theorem, rows in must_fail.items():
+        assert failed[theorem] >= rows, (label, theorem, dict(failed))
+    assert cli.main(["verify-all", "--seed", "0", "--out-dir", str(tmp_path)]) == 1
+    capsys.readouterr()

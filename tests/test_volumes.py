@@ -13,8 +13,8 @@ from navol.harness import (bump_metric, random_convex_metric,
 from navol.measures import energy
 from navol.plmetric import canonical_metric, envelope, legendre, metric_shift
 from navol.polytope import Polytope, segment, unit_box
-from navol.volumes import (_ceil_sum, _floor_sum, default_schedule, lattice_length,
-                           lipschitz_check, navol, navol_series,
+from navol.volumes import (_ceil_sum, _floor_sum, _point_count, default_schedule,
+                           lattice_length, lipschitz_check, navol, navol_series,
                            proportionality_check)
 
 from _oracles import (ceil_sum_by_points, lattice_length_by_points,
@@ -85,6 +85,30 @@ def test_lattice_rows_count_the_enumeration_oracle():
             assert width == len(lattice_points_oracle(P.vertices, m)), (P, m)
 
 
+def _expand(bands):
+    """Every row (y, x_lo, x_hi) of the bands, empty ones included."""
+    return [(y, -((e * y + f) // d), (e2 * y + f2) // d2)
+            for y0, y1, (d, e, f), (d2, e2, f2) in bands for y in range(y0, y1 + 1)]
+
+
+def test_row_bands_expand_to_the_lattice_rows():
+    # the triangle's right chain has an edge whose only row, 0, is also the
+    # last row of the edge below it: that edge must not take row -1
+    bodies = _seeded_bodies(random.Random(319), 8) + [
+        Polytope.from_points([(0, -1), (F(1, 3), 0), (0, F(1, 3))])]
+    for P in bodies:
+        for m in (0, 1, 2, 3, 5, 8, 13):
+            bands = P.row_bands(m)
+            rows = _expand(bands)
+            assert all(b[0] == a[1] + 1 for a, b in zip(bands, bands[1:])), (P, m)
+            assert all(hi - lo + 1 >= 0 for _, lo, hi in rows), (P, m)
+            assert [r for r in rows if r[1] <= r[2]] == P.lattice_rows(m), (P, m)
+            points = sorted((x, y) for y, lo, hi in rows for x in range(lo, hi + 1))
+            want = lattice_points_oracle(P.vertices, m)
+            assert points == sorted((p[0], p[1] if len(p) > 1 else 0) for p in want), (P, m)
+            assert _point_count(bands) == len(want), (P, m)
+
+
 def test_lattice_length_matches_per_point_route():
     """Row sums by floor_sum against one max over the roof pieces at every
     lattice point, on 1-3-branch metrics."""
@@ -126,8 +150,47 @@ def _raw_roofs(draw):
 @settings(max_examples=60)
 @given(_raw_roofs())
 def test_ceil_sum_matches_a_per_point_max(case):
+    # each drawn row is a one-row band
     roof, rows, m = case
-    assert _ceil_sum(roof, rows, m) == ceil_sum_by_points(roof, rows, m)
+    bands = [(y, y, (1, 0, -lo), (1, 0, hi)) for y, lo, hi in rows]
+    assert _ceil_sum(roof, bands, m) == ceil_sum_by_points(roof, rows, m)
+
+
+@st.composite
+def _banded_roofs(draw):
+    """An integer roof (L, lines) of 2-d lines (a0, a1, b) and 1-4 bands of
+    up to 25 rows each, with random integer bounds, at a level m. The lines'
+    y-slopes a1 move their crossings partway through a band; one line may
+    share another's x-slope, and three may pass through one lattice point
+    m*(p, q) on a band's row m*q."""
+    small = st.integers(-6, 6)
+    m = draw(st.integers(1, 4))
+    lines = draw(st.lists(st.tuples(small, small, small), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        lines.append((lines[0][0],) + draw(st.tuples(small, small)))
+    slope = st.tuples(st.integers(1, 3), st.integers(-4, 4))
+    bands = []
+    for _ in range(draw(st.integers(1, 4))):
+        y0 = draw(st.integers(-15, 15))
+        (d, e), (d2, e2), f = draw(slope), draw(slope), draw(st.integers(-30, 30))
+        # x_hi - x_lo is -2..14 on the band's first row, then drifts a row
+        f2 = d2 * (draw(st.integers(-2, 14)) - (e * y0 + f) // d) - e2 * y0
+        bands.append((y0, y0 + draw(st.integers(0, 24)), (d, e, f), (d2, e2, f2)))
+    if draw(st.booleans()):
+        p, q, v = draw(small), draw(st.integers(-3, 3)), draw(small)
+        for _ in range(3):
+            a0, a1 = draw(small), draw(small)
+            lines.append((a0, a1, v - a0 * p - a1 * q))
+        y0 = m * q - draw(st.integers(0, 12))
+        bands.append((y0, y0 + draw(st.integers(12, 24)), (1, 0, 4 - m * p), (1, 0, m * p + 4)))
+    return (draw(st.integers(1, 12)), lines), bands, m
+
+
+@settings(max_examples=150)
+@given(_banded_roofs())
+def test_ceil_sum_on_bands_matches_a_per_point_max(case):
+    roof, bands, m = case
+    assert _ceil_sum(roof, bands, m) == ceil_sum_by_points(roof, _expand(bands), m)
 
 
 def test_default_schedules_are_increasing():
