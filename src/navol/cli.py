@@ -6,6 +6,16 @@ directory (flag ``--out-dir``, else ``NAVOL_OUT_DIR``, else ``./navol-out``).
 Standard output carries the summary in the format chosen by ``--format``;
 progress lines go to standard error.
 
+Every command but verify-all is one entry of `CHECKS`: the instance kind it
+reads and its check. A check takes the instance, the command's name and the
+``--schedule`` text (None when absent), resolves its levels once
+(``--schedule``, else the instance's schedule, else its default) and returns
+a VerificationReport, or its own summary fields with its series and verdict.
+One driver, `_run`, refuses a wrong kind, prints a report whole and other
+fields after ``command`` and ``instance``, and writes ``<command>.json`` and
+the series as ``<command>.csv`` with ``-`` as ``_``. verify-all runs the
+same checks on each instance file with no ``--schedule``.
+
 Exit codes: 0 all checks passed, 1 a verification criterion failed,
 2 malformed instance or arguments (an output directory that cannot be
 written included), 3 violated operation precondition.
@@ -15,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -41,17 +52,10 @@ EXIT_VERIFY_FAIL = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
-COMMANDS = ("measure", "energy", "navol", "envelope", "ortho-check",
-            "diff-check", "h0-check", "ma-solve", "cohomology", "morse-check",
-            "perturb-scan", "verify-all")
-
 
 def _parse_int_schedule(text: str) -> List[int]:
     out: List[int] = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(","))):
         if "-" in chunk:
             lo_text, _, hi_text = chunk.partition("-")
             try:
@@ -73,10 +77,7 @@ def _parse_int_schedule(text: str) -> List[int]:
 
 def _parse_eps_schedule(text: str) -> List[Fraction]:
     out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(","))):
         try:
             out.append(frac(chunk))
         except ValueError as exc:
@@ -86,13 +87,6 @@ def _parse_eps_schedule(text: str) -> List[Fraction]:
     if not out:
         raise InstanceFormatError("empty eps schedule")
     return out
-
-
-def _expect_kind(inst: Instance, kind: str, command: str):
-    if inst.kind != kind:
-        raise PreconditionError(
-            f"command {command!r} needs a {kind} instance, got {inst.kind!r}")
-    return inst
 
 
 def _report_payload(rep: VerificationReport) -> Dict[str, object]:
@@ -114,215 +108,194 @@ def _report_csv(rep: VerificationReport) -> Tuple[List[str], List[List[str]]]:
     return ["key", "value"], [[k, v] for k, v in sorted(rep.exact.items())]
 
 
+@dataclass
 class CommandResult:
-    def __init__(self, name: str, summary: Dict[str, object],
-                 series: Dict[str, Tuple[List[str], List[List[str]]]],
-                 passed: bool = True):
-        self.name = name
-        self.summary = summary
-        self.series = series
-        self.passed = passed
+    name: str
+    summary: Dict[str, object]
+    series: Dict[str, Tuple[List[str], List[List[str]]]]
+    passed: bool = True
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# checks: (instance, command, --schedule text or None) -> a VerificationReport,
+# or (summary fields, (header, rows) of the series or None, passed)
 
 
-def _cmd_measure(inst: Instance, args) -> CommandResult:
-    toric = _expect_kind(inst, "toric", "measure")
-    psi = toric.single_metric("measure")
-    mu = monge_ampere(psi)
+def _levels(text: Optional[str], inst_schedule: Optional[Sequence], default: Sequence,
+            parse: Callable[[str], List] = _parse_int_schedule) -> List:
+    """--schedule parsed by parse, else the instance's schedule, else default."""
+    return parse(text) if text else list(inst_schedule or default)
+
+
+def _pair(toric: ToricInstance, command: str, schedule: Optional[str]):
+    """The metrics psi1 and psi2 with their levels (default: default_schedule)."""
+    m1, m2 = toric.metric_pair(command)
+    return m1, m2, _levels(schedule, toric.schedule,
+                           default_schedule(toric.polytope.ambient_dim))
+
+
+def _measure(toric, command, schedule):
+    mu = monge_ampere(toric.single_metric(command))
     atoms = mu.items_sorted()
-    summary = {
-        "command": "measure",
-        "instance": toric.name,
-        "atoms": [{"point": [frac_str(c) for c in key], "mass": frac_str(mass)}
-                  for key, mass in atoms],
-        "total_mass": frac_str(mu.total_mass),
-    }
-    rows = [[point_str(key), frac_str(mass), decimal_str(mass)]
-            for key, mass in atoms]
-    return CommandResult("measure", summary,
-                         {"measure": (["atom", "mass", "mass_decimal"], rows)})
+    fields = {"atoms": [{"point": [frac_str(c) for c in key], "mass": frac_str(mass)}
+                        for key, mass in atoms],
+              "total_mass": frac_str(mu.total_mass)}
+    rows = [[point_str(key), frac_str(mass), decimal_str(mass)] for key, mass in atoms]
+    return fields, (["atom", "mass", "mass_decimal"], rows), True
 
 
-def _cmd_energy(inst: Instance, args) -> CommandResult:
-    toric = _expect_kind(inst, "toric", "energy")
-    m1, m2 = toric.metric_pair("energy")
-    value = energy(m1, m2)
-    summary = {
-        "command": "energy",
-        "instance": toric.name,
-        "energy": frac_str(value),
-        "energy_decimal": decimal_str(value),
-    }
-    return CommandResult("energy", summary, {})
+def _energy(toric, command, schedule):
+    value = energy(*toric.metric_pair(command))
+    return {"energy": frac_str(value), "energy_decimal": decimal_str(value)}, None, True
 
 
-def _resolve_schedule(args, inst_schedule: Optional[Sequence], fallback: Sequence,
-                      parse: Callable[[str], List] = _parse_int_schedule) -> List:
-    """--schedule parsed by parse, else the instance's schedule, else fallback."""
-    if getattr(args, "schedule", None):
-        return parse(args.schedule)
-    return list(inst_schedule or fallback)
+def _navol(toric, command, schedule):
+    result = navol_run(*_pair(toric, command, schedule))
+    fields = {"exact": frac_str(result.exact),
+              "exact_decimal": decimal_str(result.exact),
+              "estimate": frac_str(result.estimate),
+              "semipositive_pair": result.semipositive_pair,
+              "max_tail_gap": frac_str(result.max_gap)}
+    rows = [[str(r.m), str(r.length), frac_str(r.normalized), decimal_str(r.normalized)]
+            for r in result.rows]
+    return fields, (["m", "length", "normalized", "normalized_decimal"], rows), True
 
 
-def _cmd_navol(inst: Instance, args) -> CommandResult:
-    toric = _expect_kind(inst, "toric", "navol")
-    m1, m2 = toric.metric_pair("navol")
-    schedule = _resolve_schedule(
-        args, toric.schedule, default_schedule(toric.polytope.ambient_dim))
-    result = navol_run(m1, m2, schedule)
-    summary = {
-        "command": "navol",
-        "instance": toric.name,
-        "exact": frac_str(result.exact),
-        "exact_decimal": decimal_str(result.exact),
-        "estimate": frac_str(result.estimate),
-        "semipositive_pair": result.semipositive_pair,
-        "max_tail_gap": frac_str(result.max_gap),
-    }
-    rows = [[str(r.m), str(r.length), frac_str(r.normalized),
-             decimal_str(r.normalized)] for r in result.rows]
-    return CommandResult(
-        "navol", summary,
-        {"navol": (["m", "length", "normalized", "normalized_decimal"], rows)})
+def _vol_is_energy(toric, command, schedule) -> VerificationReport:
+    m1, m2, levels = _pair(toric, command, schedule)
+    return verify_vol_is_energy(m1, m2, levels, instance=toric.name)
 
 
-def _cmd_envelope(inst: Instance, args) -> CommandResult:
-    toric = _expect_kind(inst, "toric", "envelope")
-    psi = toric.single_metric("envelope")
-    env = envelope(psi)
-    pieces = list(env.blocks[0])
-    summary = {
-        "command": "envelope",
-        "instance": toric.name,
-        "input_semipositive": is_semipositive(psi),
-        "pieces": [{"slope": [frac_str(c) for c in s],
-                    "constant": frac_str(c0)} for s, c0 in pieces],
-    }
+def _envelope(toric, command, schedule):
+    psi = toric.single_metric(command)
+    pieces = list(envelope(psi).blocks[0])
+    fields = {"input_semipositive": is_semipositive(psi),
+              "pieces": [{"slope": [frac_str(c) for c in s], "constant": frac_str(c0)}
+                         for s, c0 in pieces]}
     rows = [[point_str(s), frac_str(c0)] for s, c0 in pieces]
-    return CommandResult("envelope", summary,
-                         {"envelope": (["slope", "constant"], rows)})
+    return fields, (["slope", "constant"], rows), True
 
 
-def _cmd_ortho(inst: Instance, args) -> CommandResult:
-    toric = _expect_kind(inst, "toric", "ortho-check")
-    psi = toric.single_metric("ortho-check")
-    rep = verify_orthogonality(psi, instance=toric.name)
-    header, rows = _report_csv(rep)
-    return CommandResult("ortho-check", _report_payload(rep),
-                         {"ortho_check": (header, rows)}, passed=rep.passed)
+def _ortho(toric, command, schedule) -> VerificationReport:
+    return verify_orthogonality(toric.single_metric(command), instance=toric.name)
 
 
-def _cmd_diff(inst: Instance, args) -> CommandResult:
-    toric = _expect_kind(inst, "toric", "diff-check")
+def _diff(toric, command, schedule) -> VerificationReport:
     base = toric.metric_or_canonical("psi")
-    pos = toric.metric("pos", "diff-check")
-    neg = toric.metric("neg", "diff-check")
-    eps = _resolve_schedule(args, toric.eps_schedule, DIFF_EPS, _parse_eps_schedule)
-    rep = verify_differentiability(base, pos, neg, eps, instance=toric.name)
-    header, rows = _report_csv(rep)
-    return CommandResult("diff-check", _report_payload(rep),
-                         {"diff_check": (header, rows)}, passed=rep.passed)
+    pos, neg = toric.metric("pos", command), toric.metric("neg", command)
+    eps = _levels(schedule, toric.eps_schedule, DIFF_EPS, _parse_eps_schedule)
+    return verify_differentiability(base, pos, neg, eps, instance=toric.name)
 
 
-def _cmd_h0(inst: Instance, args) -> CommandResult:
-    toric = _expect_kind(inst, "toric", "h0-check")
-    psi = toric.single_metric("h0-check")
-    schedule = _resolve_schedule(args, toric.schedule, H0_SCHEDULE)
-    rep = verify_h0_envelope_equality(psi, schedule, instance=toric.name)
-    header, rows = _report_csv(rep)
-    return CommandResult("h0-check", _report_payload(rep),
-                         {"h0_check": (header, rows)}, passed=rep.passed)
+def _h0(toric, command, schedule) -> VerificationReport:
+    psi = toric.single_metric(command)
+    levels = _levels(schedule, toric.schedule, H0_SCHEDULE)
+    return verify_h0_envelope_equality(psi, levels, instance=toric.name)
 
 
-def _cmd_ma_solve(inst: Instance, args) -> CommandResult:
-    tree_inst = _expect_kind(inst, "tree", "ma-solve")
-    target = tree_inst.measure("target", "ma-solve")
-    base = tree_inst.measure("base", "ma-solve")
-    phi = ma_solve(tree_inst.tree, target, base)
-    verified = verify_tree_solvability(tree_inst.tree, target, base).passed
-    summary = {
-        "command": "ma-solve",
-        "instance": tree_inst.name,
-        "values": {v: frac_str(phi.values[v]) for v in tree_inst.tree.vertices},
-        "root": tree_inst.tree.root,
-        "curvature_matches_target": verified,
-    }
-    rows = [[v, frac_str(phi.values[v]), decimal_str(phi.values[v])]
-            for v in tree_inst.tree.vertices]
-    return CommandResult("ma-solve", summary,
-                         {"ma_solve": (["vertex", "value", "value_decimal"],
-                                       rows)},
-                         passed=verified)
+def _ma_solve(tree_inst, command, schedule):
+    tree = tree_inst.tree
+    target, base = tree_inst.measure("target", command), tree_inst.measure("base", command)
+    phi = ma_solve(tree, target, base)
+    verified = verify_tree_solvability(tree, target, base).passed
+    values = [(v, phi.values[v]) for v in tree.vertices]
+    fields = {"values": {v: frac_str(x) for v, x in values}, "root": tree.root,
+              "curvature_matches_target": verified}
+    rows = [[v, frac_str(x), decimal_str(x)] for v, x in values]
+    return fields, (["vertex", "value", "value_decimal"], rows), verified
 
 
-def _cmd_cohomology(inst: Instance, args) -> CommandResult:
-    surface = _expect_kind(inst, "surface", "cohomology")
-    div = surface.divisor("D", "cohomology")
-    schedule = _resolve_schedule(args, surface.schedule, COHOMOLOGY_SCHEDULE)
-    qs = [surface.q] if surface.q is not None else None
-    table = cohomology_table(surface.family, div, schedule, qs=qs)
-    serre = table.serre_consistent()
-    h1_ok = table.h1_all_nonnegative()
-    summary = {
-        "command": "cohomology",
-        "instance": surface.name,
-        "family": surface.family.name,
-        "divisor_class": [frac_str(c) for c in div.total()],
-        "serre_consistent": serre,
-        "h1_all_nonnegative": h1_ok,
-    }
+def _tree_rows(tree_inst, command, schedule) -> VerificationReport:
+    return verify_tree_net_rows(tree_inst.tree, *tree_inst.net_mass_rows(command),
+                                instance=tree_inst.name)
+
+
+def _divisor_levels(surface: SurfaceInstance, command: str, schedule: Optional[str]):
+    """The divisor D with its levels (default: COHOMOLOGY_SCHEDULE)."""
+    return (surface.divisor("D", command),
+            _levels(schedule, surface.schedule, COHOMOLOGY_SCHEDULE))
+
+
+def _cohomology(surface, command, schedule):
+    div, levels = _divisor_levels(surface, command, schedule)
+    qs = None if surface.q is None else [surface.q]
+    table = cohomology_table(surface.family, div, levels, qs=qs)
+    serre, h1_ok = table.serre_consistent(), table.h1_all_nonnegative()
+    fields = {"family": surface.family.name,
+              "divisor_class": [frac_str(c) for c in div.total()],
+              "serre_consistent": serre, "h1_all_nonnegative": h1_ok}
     rows = [[str(m), str(q), str(h), frac_str(norm), decimal_str(norm)]
             for m, q, h, norm in table.rows]
-    return CommandResult(
-        "cohomology", summary,
-        {"cohomology": (["m", "q", "h", "normalized", "normalized_decimal"],
-                        rows)},
-        passed=serre and h1_ok)
+    header = ["m", "q", "h", "normalized", "normalized_decimal"]
+    return fields, (header, rows), serre and h1_ok
 
 
-def _cmd_morse(inst: Instance, args) -> CommandResult:
-    surface = _expect_kind(inst, "surface", "morse-check")
-    d = surface.divisor("D", "morse-check")
-    e = surface.divisor("E", "morse-check")
+def _consistency(surface, command, schedule) -> VerificationReport:
+    div, levels = _divisor_levels(surface, command, schedule)
+    return cohomology_consistency(surface.family, div, levels, instance=surface.name)
+
+
+def _morse(surface, command, schedule) -> VerificationReport:
+    d, e = surface.divisor("D", command), surface.divisor("E", command)
     q = surface.q if surface.q is not None else MORSE_Q
-    schedule = _resolve_schedule(args, surface.schedule, MORSE_SCHEDULE)
-    rep = morse_check(surface.family, d, e, q, schedule, instance=surface.name)
-    summary = {
-        "command": "morse-check",
-        "instance": surface.name,
-        "family": surface.family.name,
-        "q": q,
-        "leading": rep.exact["leading"],
-        "fitted_constant": rep.exact["fitted_constant"],
-        "passed": rep.passed,
-    }
-    return CommandResult("morse-check", summary,
-                         {"morse_check": _report_csv(rep)}, passed=rep.passed)
+    levels = _levels(schedule, surface.schedule, MORSE_SCHEDULE)
+    return morse_check(surface.family, d, e, q, levels, instance=surface.name)
 
 
-def _cmd_perturb(inst: Instance, args) -> CommandResult:
-    surface = _expect_kind(inst, "surface", "perturb-scan")
-    if surface.scan is None:
-        raise PreconditionError(
-            "command 'perturb-scan' needs a 'scan' section in the instance")
+def _perturb(surface, command, schedule) -> VerificationReport:
     scan = surface.scan
-    d_list = [surface.divisor(n, "perturb-scan") for n in scan.d_names]
-    p_list = [surface.divisor(n, "perturb-scan") for n in scan.p_names]
-    rep = perturbation_scan(surface.family, d_list, p_list, scan.q,
-                            scan.grid_max, instance=surface.name)
-    summary = {
-        "command": "perturb-scan",
-        "instance": surface.name,
-        "family": surface.family.name,
-        "q": scan.q,
-        "fitted_constant": rep.exact["fitted_constant"],
-        "passed": rep.passed,
-    }
-    return CommandResult("perturb-scan", summary,
-                         {"perturb_scan": _report_csv(rep)}, passed=rep.passed)
+    if scan is None:
+        raise PreconditionError(
+            f"command {command!r} needs a 'scan' section in the instance")
+    d_list = [surface.divisor(n, command) for n in scan.d_names]
+    p_list = [surface.divisor(n, command) for n in scan.p_names]
+    return perturbation_scan(surface.family, d_list, p_list, scan.q, scan.grid_max,
+                             instance=surface.name)
+
+
+def _digest(check: Callable, *keys: str) -> Callable:
+    """A surface report's check as a command printing the family, q, the
+    report's exact values under keys and its verdict."""
+    def run(surface, command, schedule):
+        rep = check(surface, command, schedule)
+        fields = {"family": surface.family.name, "q": int(rep.exact["q"]),
+                  **{k: rep.exact[k] for k in keys}, "passed": rep.passed}
+        return fields, _report_csv(rep), rep.passed
+    return run
+
+
+# command -> (instance kind, check)
+CHECKS: Dict[str, Tuple[str, Callable]] = {
+    "measure": ("toric", _measure),
+    "energy": ("toric", _energy),
+    "navol": ("toric", _navol),
+    "envelope": ("toric", _envelope),
+    "ortho-check": ("toric", _ortho),
+    "diff-check": ("toric", _diff),
+    "h0-check": ("toric", _h0),
+    "ma-solve": ("tree", _ma_solve),
+    "cohomology": ("surface", _cohomology),
+    "morse-check": ("surface", _digest(_morse, "leading", "fitted_constant")),
+    "perturb-scan": ("surface", _digest(_perturb, "fitted_constant")),
+}
+COMMANDS = (*CHECKS, "verify-all")
+
+
+def _run(command: str, inst: Instance, schedule: Optional[str]) -> CommandResult:
+    """The command's check on inst: a report is printed whole, other fields
+    follow command and instance; the series is named after the command."""
+    kind, check = CHECKS[command]
+    if inst.kind != kind:
+        raise PreconditionError(
+            f"command {command!r} needs a {kind} instance, got {inst.kind!r}")
+    out = check(inst, command, schedule)
+    if isinstance(out, VerificationReport):
+        summary, series, passed = _report_payload(out), _report_csv(out), out.passed
+    else:
+        fields, series, passed = out
+        summary = {"command": command, "instance": inst.name, **fields}
+    return CommandResult(command, summary,
+                         {command.replace("-", "_"): series} if series else {}, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -330,57 +303,32 @@ def _cmd_perturb(inst: Instance, args) -> CommandResult:
 
 
 def bundled_instance_texts() -> List[Tuple[str, str]]:
-    pkg_files = resources.files("navol").joinpath("instances")
-    out = []
-    for entry in sorted(pkg_files.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            out.append((entry.name, entry.read_text(encoding="utf-8")))
-    return out
+    entries = resources.files("navol").joinpath("instances").iterdir()
+    return [(entry.name, entry.read_text(encoding="utf-8"))
+            for entry in sorted(entries, key=lambda e: e.name)
+            if entry.name.endswith(".json")]
 
 
 def _instance_checks(inst: Instance) -> List[VerificationReport]:
-    reports: List[VerificationReport] = []
+    """verify-all's checks of one instance file, at the instance's levels
+    or the checks' defaults."""
     if isinstance(inst, ToricInstance):
-        if "psi1" in inst.metrics:
-            m1, m2 = inst.metric_pair("verify-all")
-            schedule = inst.schedule or default_schedule(
-                inst.polytope.ambient_dim)
-            reports.append(verify_vol_is_energy(m1, m2, schedule,
-                                                instance=inst.name))
-        else:
-            psi = inst.single_metric("verify-all")
-            reports.append(verify_orthogonality(psi, instance=inst.name))
-            schedule = inst.schedule or list(H0_SCHEDULE)
-            reports.append(verify_h0_envelope_equality(psi, schedule,
-                                                       instance=inst.name))
+        checks = [_vol_is_energy] if "psi1" in inst.metrics else [_ortho, _h0]
     elif isinstance(inst, TreeInstance):
-        reports.append(verify_tree_net_rows(
-            inst.tree, *inst.net_mass_rows("verify-all"), instance=inst.name))
-    elif isinstance(inst, SurfaceInstance):
-        if "D" in inst.divisors and "E" in inst.divisors:
-            reports.append(morse_check(
-                inst.family, inst.divisors["D"], inst.divisors["E"],
-                inst.q if inst.q is not None else MORSE_Q,
-                inst.schedule or MORSE_SCHEDULE, instance=inst.name))
-        if "D" in inst.divisors:
-            reports.append(cohomology_consistency(
-                inst.family, inst.divisors["D"],
-                inst.schedule or COHOMOLOGY_SCHEDULE, instance=inst.name))
-        if inst.scan is not None:
-            reports.append(perturbation_scan(
-                inst.family, [inst.divisors[n] for n in inst.scan.d_names],
-                [inst.divisors[n] for n in inst.scan.p_names],
-                inst.scan.q, inst.scan.grid_max, instance=inst.name))
-    return reports
+        checks = [_tree_rows]
+    else:
+        has = inst.divisors
+        checks = [check for check, runs in ((_morse, "D" in has and "E" in has),
+                                            (_consistency, "D" in has),
+                                            (_perturb, inst.scan is not None)) if runs]
+    return [check(inst, "verify-all", None) for check in checks]
 
 
 def _cmd_verify_all(args, extra_paths: Sequence[str]) -> CommandResult:
     seed = args.seed if args.seed is not None else 0
-    instances: List[Instance] = []
-    for name, text in bundled_instance_texts():
-        instances.append(parse_instance_text(text, origin=name))
-    for path in extra_paths:
-        instances.append(parse_instance(path))
+    instances = ([parse_instance_text(text, origin=name)
+                  for name, text in bundled_instance_texts()]
+                 + [parse_instance(path) for path in extra_paths])
 
     reports: List[VerificationReport] = [
         r for inst in instances for r in _instance_checks(inst)]
@@ -407,21 +355,6 @@ def _cmd_verify_all(args, extra_paths: Sequence[str]) -> CommandResult:
 
 # ---------------------------------------------------------------------------
 # driver
-
-
-_COMMAND_FNS: Dict[str, Callable] = {
-    "measure": _cmd_measure,
-    "energy": _cmd_energy,
-    "navol": _cmd_navol,
-    "envelope": _cmd_envelope,
-    "ortho-check": _cmd_ortho,
-    "diff-check": _cmd_diff,
-    "h0-check": _cmd_h0,
-    "ma-solve": _cmd_ma_solve,
-    "cohomology": _cmd_cohomology,
-    "morse-check": _cmd_morse,
-    "perturb-scan": _cmd_perturb,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,22 +389,18 @@ def _out_dir(args) -> str:
 def _emit(result: CommandResult, args) -> None:
     out_dir = _out_dir(args)
     summary_text = write_json(out_dir, f"{result.name}.json", result.summary)
-    csv_payloads = {}
+    csv_texts = []
     for series_name, (header, rows) in result.series.items():
-        text = csv_text(header, rows)
-        write_text(out_dir, f"{series_name}.csv", text)
-        csv_payloads[series_name] = text
-    if args.format == "csv":
-        if csv_payloads:
-            for text in csv_payloads.values():
-                sys.stdout.write(text)
-        else:
-            sys.stdout.write(csv_text(["key", "value"],
-                                      [[k, str(v)] for k, v in
-                                       result.summary.items()
-                                       if not isinstance(v, (list, dict))]))
-    else:
+        csv_texts.append(csv_text(header, rows))
+        write_text(out_dir, f"{series_name}.csv", csv_texts[-1])
+    if args.format == "json":
         sys.stdout.write(summary_text)
+    elif csv_texts:
+        sys.stdout.write("".join(csv_texts))
+    else:
+        sys.stdout.write(csv_text(["key", "value"],
+                                  [[k, str(v)] for k, v in result.summary.items()
+                                   if not isinstance(v, (list, dict))]))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -485,7 +414,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 parser.error(
                     f"command {args.command!r} takes exactly one instance file")
             inst = parse_instance(args.instance[0])
-            result = _COMMAND_FNS[args.command](inst, args)
+            result = _run(args.command, inst, args.schedule)
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

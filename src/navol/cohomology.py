@@ -354,7 +354,7 @@ def asymptotic_hq_exact(family: ToricFamily, divisor: RealDivisor,
     neg = tuple(-c for c in total)
     if q == n and family.is_nef(neg):
         return factorial * family.polytope(neg).volume()
-    if family.name == "P1xP1" and q == 1:
+    if family.rank == 2 and family.hirzebruch_a == 0 and q == 1:
         a, b = total
         if a > 0 and b < 0:
             return 2 * a * (-b)

@@ -202,19 +202,15 @@ def _random_constant(rng: random.Random, denom_bound: int, size: int) -> Fractio
 def random_convex_metric(P: Polytope, rng: random.Random,
                          denom_bound: int = 4, size: int = 2) -> PLMetric:
     """Single-branch metric whose slopes are exactly the vertices of P."""
-    block = [(v, _random_constant(rng, denom_bound, size)) for v in P.vertices]
-    return PLMetric(P, [block])
+    return random_nonconvex_metric(P, rng, 1, denom_bound, size)
 
 
 def random_nonconvex_metric(P: Polytope, rng: random.Random,
                             branches: int = 2, denom_bound: int = 4,
                             size: int = 2) -> PLMetric:
     """Minimum of several random convex branches; usually non-convex."""
-    blocks = []
-    for _ in range(branches):
-        blocks.append([(v, _random_constant(rng, denom_bound, size))
-                       for v in P.vertices])
-    return PLMetric(P, blocks)
+    return PLMetric(P, [[(v, _random_constant(rng, denom_bound, size)) for v in P.vertices]
+                        for _ in range(branches)])
 
 
 def random_direction(P: Polytope, rng: random.Random,

@@ -32,7 +32,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .cohomology import RealDivisor, ToricFamily, toric_family
 from .errors import InstanceFormatError, PreconditionError
@@ -133,6 +133,13 @@ def _check_keys(obj: Dict[str, object], path: str,
             raise InstanceFormatError(f"{path}: missing required field {key!r}")
 
 
+def _as_degree(value, path: str, dim: int) -> int:
+    q = _as_int(value, path)
+    if not 0 <= q <= dim:
+        raise InstanceFormatError(f"{path}: must be between 0 and {dim}")
+    return q
+
+
 def _as_point(value, path: str) -> Tuple[Fraction, ...]:
     arr = _as_array(value, path)
     if not arr:
@@ -142,6 +149,19 @@ def _as_point(value, path: str) -> Tuple[Fraction, ...]:
 
 # ---------------------------------------------------------------------------
 # instance containers
+
+T = TypeVar("T")
+
+
+def _named(table: Dict[str, T], what: str, name: str, command: str) -> T:
+    """table[name], else the error saying which command needs a `what` of
+    that name and which names the instance has."""
+    if name not in table:
+        have = ", ".join(sorted(table)) or "none"
+        raise PreconditionError(
+            f"command {command!r} needs a {what} named {name!r} "
+            f"(instance has: {have})")
+    return table[name]
 
 
 @dataclass
@@ -156,12 +176,7 @@ class ToricInstance:
     kind: str = field(default="toric", init=False)
 
     def metric(self, name: str, command: str) -> PLMetric:
-        if name not in self.metrics:
-            have = ", ".join(sorted(self.metrics)) or "none"
-            raise PreconditionError(
-                f"command {command!r} needs a metric named {name!r} "
-                f"(instance has: {have})")
-        return self.metrics[name]
+        return _named(self.metrics, "metric", name, command)
 
     def single_metric(self, command: str) -> PLMetric:
         if "psi" in self.metrics:
@@ -204,22 +219,15 @@ class TreeInstance:
         return {name: DiscreteMeasure([(names[i], Fraction(p, q)) for i, p, q in atoms])
                 for name, atoms in self.measure_atoms.items()}
 
-    def _atoms(self, name: str, command: str) -> List[AtomRow]:
-        if name not in self.measure_atoms:
-            have = ", ".join(sorted(self.measure_atoms)) or "none"
-            raise PreconditionError(
-                f"command {command!r} needs a measure named {name!r} "
-                f"(instance has: {have})")
-        return self.measure_atoms[name]
-
     def measure(self, name: str, command: str) -> DiscreteMeasure:
-        self._atoms(name, command)
+        _named(self.measure_atoms, "measure", name, command)
         return self.measures[name]
 
     def net_mass_rows(self, command: str) -> Tuple[int, List[int]]:
         """`trees.net_rows` of the measures named target and base."""
-        return net_rows(len(self.tree.vertices), self._atoms("target", command),
-                        self._atoms("base", command))
+        target = _named(self.measure_atoms, "measure", "target", command)
+        base = _named(self.measure_atoms, "measure", "base", command)
+        return net_rows(len(self.tree.vertices), target, base)
 
 
 @dataclass
@@ -242,12 +250,7 @@ class SurfaceInstance:
     kind: str = field(default="surface", init=False)
 
     def divisor(self, name: str, command: str) -> RealDivisor:
-        if name not in self.divisors:
-            have = ", ".join(sorted(self.divisors)) or "none"
-            raise PreconditionError(
-                f"command {command!r} needs a divisor named {name!r} "
-                f"(instance has: {have})")
-        return self.divisors[name]
+        return _named(self.divisors, "divisor", name, command)
 
 
 Instance = Union[ToricInstance, TreeInstance, SurfaceInstance]
@@ -477,12 +480,7 @@ def _parse_surface(obj: Dict[str, object], name: str) -> SurfaceInstance:
             raise InstanceFormatError(f"{dpath}: {exc}") from None
     schedule = (_parse_schedule(obj["schedule"], f"{name}.schedule")
                 if "schedule" in obj else None)
-    q = None
-    if "q" in obj:
-        q = _as_int(obj["q"], f"{name}.q")
-        if not 0 <= q <= family.dim:
-            raise InstanceFormatError(
-                f"{name}.q: must be between 0 and {family.dim}")
+    q = _as_degree(obj["q"], f"{name}.q", family.dim) if "q" in obj else None
     scan = None
     if "scan" in obj:
         spath = f"{name}.scan"
@@ -496,10 +494,7 @@ def _parse_surface(obj: Dict[str, object], name: str) -> SurfaceInstance:
             if ref not in divisors:
                 raise InstanceFormatError(
                     f"{spath}: references unknown divisor {ref!r}")
-        sq = _as_int(sobj["q"], f"{spath}.q")
-        if not 0 <= sq <= family.dim:
-            raise InstanceFormatError(
-                f"{spath}.q: must be between 0 and {family.dim}")
+        sq = _as_degree(sobj["q"], f"{spath}.q", family.dim)
         grid_max = _as_int(sobj["grid_max"], f"{spath}.grid_max")
         if grid_max < 2:
             raise InstanceFormatError(f"{spath}.grid_max: must be >= 2")

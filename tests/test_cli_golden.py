@@ -1,0 +1,131 @@
+"""Golden outputs of every `navol` command: the exit code, stdout, stderr and
+each artifact, hashed per command.
+
+Each command but verify-all runs on the bundled instances plus a diff-check
+file and a surface file with neither `q` nor a schedule, in both formats,
+with no `--schedule`, with `1-4` and with `1/2,1/4` (660 runs); verify-all
+runs at seeds 0 and 3. Wrong instance kinds, missing metrics and refused
+schedules are part of the record: their exit codes and error lines are
+pinned too. The `# generated` timestamp line and every `runtime_seconds`
+value are masked before hashing.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import shutil
+
+import navol.cli as cli
+
+DIFF = {
+    "kind": "toric",
+    "polytope": [["0"], ["1"]],
+    "metrics": {
+        "pos": [[{"slope": ["0"], "constant": "0"},
+                 {"slope": ["1/2"], "constant": "1/2"},
+                 {"slope": ["1"], "constant": "0"}]],
+        "neg": "canonical",
+        "canonical": "canonical",
+    },
+}
+
+SURFACE = {
+    "kind": "surface",
+    "family": "F2",
+    "divisors": {"D": [{"coeff": "3/2", "class": [1, 3]}],
+                 "E": [{"coeff": 1, "class": [1, 2]}]},
+    "scan": {"d": ["D"], "p": ["E"], "q": 1, "grid_max": 5},
+}
+
+SCHEDULES = (None, "1-4", "1/2,1/4")
+
+# SHA-256 per command over its runs, recorded before the command table
+# replaced the per-command wrappers
+GOLDEN = {
+    "measure":
+        "4756d642599081583585e750b5bb646f4b3e1de20f92e1617086cc5ca18a2083",
+    "energy":
+        "47e9a60bc262936d2559129ec6062b06ada1b9c4212512cca21afe760a54985c",
+    "navol":
+        "dc599379023ba363e96f53e046ebe11dbef6852b799641f73bac24b13fc7d0af",
+    "envelope":
+        "0c318eb34e96358509bc941d609a848d1d1cf57b8f73fd81e7da8bda93ebdb12",
+    "ortho-check":
+        "591c2251a6b42e5af52b3ea3862a63d82153ab13ca0412d6428afebd6f041a6e",
+    "diff-check":
+        "2d25f2f61c3bdeea7e860845ae831cd5f0c971002159e12b1bf7dec86221e30f",
+    "h0-check":
+        "ae63ea7e250e24eb8c9123e80bfd6d783fd3f82935f8b0e70c9ea301b11b85c1",
+    "ma-solve":
+        "23677eaee306ad82b0585f0ec80cd226d6299cd055598a76541ddc0c589e959e",
+    "cohomology":
+        "7ad44fcdfd3dc4c0e575102a06861aed3a857b3d2cd3784bc41735f95bc78e76",
+    "morse-check":
+        "f03dc4e4f718a14739cb8ccaf4e478db84a686603c479ae025fa8c5053337497",
+    "perturb-scan":
+        "284639ec2617eb749079effbf1e462bbbc4d70f720377405b506fa4c276ca51b",
+    "verify-all":
+        "a44b24f1c32908cee5cb285303f8c71af9d85061ee59d9d39c37c67dcd317071",
+}
+
+_STAMP = re.compile(r"# generated [^\n]*")
+_RUNTIME = re.compile(r'"runtime_seconds": [^,\n}]+')
+
+
+def _masked(text, root):
+    text = _STAMP.sub("# generated -", text.replace(root, "<tmp>"))
+    return _RUNTIME.sub('"runtime_seconds": -', text)
+
+
+def _record(argv, out_dir, root):
+    """The masked exit code, stdout, stderr and artifacts of one run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = cli.main([*argv, "--out-dir", out_dir])
+        except SystemExit as exc:
+            rc = exc.code
+    parts = [" ".join(argv), str(rc), stdout.getvalue(), stderr.getvalue()]
+    if os.path.isdir(out_dir):
+        for name in sorted(os.listdir(out_dir)):
+            with open(os.path.join(out_dir, name), encoding="utf-8") as handle:
+                parts += [name, handle.read()]
+        shutil.rmtree(out_dir)
+    return _masked("\0".join(parts), root) + "\0\0"
+
+
+def golden_digests(root):
+    """Command -> SHA-256 of its runs, with instance files written under root."""
+    files = dict(cli.bundled_instance_texts())
+    files["diff.json"] = json.dumps(DIFF)
+    files["surface_noq.json"] = json.dumps(SURFACE)
+    paths = []
+    for name, text in sorted(files.items()):
+        paths.append(os.path.join(root, name))
+        with open(paths[-1], "w", encoding="utf-8") as handle:
+            handle.write(text)
+    out_dir = os.path.join(root, "out")
+    digests = {}
+    for command in cli.COMMANDS[:-1]:
+        sha = hashlib.sha256()
+        for path in paths:
+            for fmt in ("json", "csv"):
+                for schedule in SCHEDULES:
+                    argv = [command, path, "--format", fmt]
+                    if schedule is not None:
+                        argv += ["--schedule", schedule]
+                    sha.update(_record(argv, out_dir, root).encode())
+        digests[command] = sha.hexdigest()
+    sha = hashlib.sha256()
+    for seed, fmt in (("0", "json"), ("3", "csv")):
+        sha.update(_record(["verify-all", "--seed", seed, "--format", fmt],
+                           out_dir, root).encode())
+    digests["verify-all"] = sha.hexdigest()
+    return digests
+
+
+def test_every_command_writes_its_golden_bytes(tmp_path):
+    assert golden_digests(str(tmp_path)) == GOLDEN

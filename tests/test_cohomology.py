@@ -217,6 +217,25 @@ def test_asymptotic_homogeneity_is_exact():
         assert scaled == lam ** 2 * base
 
 
+def test_f0_and_the_product_surface_have_equal_limits():
+    # F0 is P1xP1 under another name: equal exact limits on seeded classes,
+    # the q = 1 product formula included
+    f0 = toric_family("F0")
+    rng = random.Random(2424)
+    mixed = 0
+    for _ in range(60):
+        terms = [(F(rng.randint(-12, 12), rng.randint(1, 6)),
+                  (rng.randint(-3, 3), rng.randint(-3, 3)))
+                 for _ in range(rng.randint(1, 3))]
+        for q in range(3):
+            limit = asymptotic_hq_exact(P1XP1, RealDivisor.make(P1XP1, terms), q)
+            assert asymptotic_hq_exact(f0, RealDivisor.make(f0, terms), q) == limit
+            mixed += q == 1 and limit is not None
+    assert mixed >= 10
+    assert asymptotic_hq_exact(f0, _div(f0, (1, -1)), 1) == 2
+    assert [hq(f0, _div(f0, (1, -1)), m, 1) for m in (1, 2, 3, 10)] == [0, 3, 8, 99]
+
+
 def test_morse_bound_on_the_product_surface():
     d = _div(P1XP1, (2, 1))
     e = _div(P1XP1, (1, 2))
