@@ -36,15 +36,14 @@ from .cohomology import (COHOMOLOGY_SCHEDULE, MORSE_Q, MORSE_SCHEDULE,
 from .errors import InstanceFormatError, PreconditionError
 from .harness import (DIFF_EPS, H0_SCHEDULE, VerificationReport, run_bundled_suite,
                       verify_differentiability, verify_h0_envelope_equality,
-                      verify_orthogonality, verify_tree_net_rows,
-                      verify_tree_solvability, verify_vol_is_energy)
+                      verify_orthogonality, verify_tree_net_rows, verify_vol_is_energy)
 from .measures import energy, monge_ampere
 from .plmetric import envelope, is_semipositive
 from .rational import frac, frac_str, point_str
 from .serialize import (Instance, SurfaceInstance, ToricInstance,
                         TreeInstance, csv_text, decimal_str, parse_instance,
                         parse_instance_text, write_json, write_text)
-from .trees import ma_solve
+from .trees import potential_rows
 from .volumes import default_schedule, navol as navol_run
 
 EXIT_PASS = 0
@@ -156,7 +155,7 @@ def _navol(toric, command, schedule):
               "estimate": frac_str(result.estimate),
               "semipositive_pair": result.semipositive_pair,
               "max_tail_gap": frac_str(result.max_gap)}
-    rows = [[str(r.m), str(r.length), frac_str(r.normalized), decimal_str(r.normalized)]
+    rows = [[str(r.m), frac_str(r.length), frac_str(r.normalized), decimal_str(r.normalized)]
             for r in result.rows]
     return fields, (["m", "length", "normalized", "normalized_decimal"], rows), True
 
@@ -194,11 +193,10 @@ def _h0(toric, command, schedule) -> VerificationReport:
 
 
 def _ma_solve(tree_inst, command, schedule):
-    tree = tree_inst.tree
-    target, base = tree_inst.measure("target", command), tree_inst.measure("base", command)
-    phi = ma_solve(tree, target, base)
-    verified = verify_tree_solvability(tree, target, base).passed
-    values = [(v, phi.values[v]) for v in tree.vertices]
+    tree, net = tree_inst.tree, tree_inst.net_mass_rows(command)
+    scale, phi = potential_rows(tree, *net)
+    verified = verify_tree_net_rows(tree, *net).passed
+    values = [(v, Fraction(x, scale)) for v, x in zip(tree.vertices, phi)]
     fields = {"values": {v: frac_str(x) for v, x in values}, "root": tree.root,
               "curvature_matches_target": verified}
     rows = [[v, frac_str(x), decimal_str(x)] for v, x in values]

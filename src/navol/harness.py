@@ -73,7 +73,7 @@ def verify_vol_is_energy(m1: PLMetric, m2: PLMetric,
     semi = is_semipositive(m1) and is_semipositive(m2)
     theorem = "vol-is-energy" if semi else "vol-is-energy-envelope"
     series = [("m", "length", "normalized")] + [
-        (str(r.m), str(r.length), frac_str(r.normalized)) for r in rows]
+        (str(r.m), frac_str(r.length), frac_str(r.normalized)) for r in rows]
     return VerificationReport(
         theorem=theorem, instance=instance, passed=passed,
         exact={"energy": frac_str(target), "fitted_constant": frac_str(constant),
@@ -157,12 +157,12 @@ def verify_h0_envelope_equality(psi: PLMetric,
     env = envelope(psi)
     lengths = [(m, lattice_length(psi, env, m)) for m in schedule]
     passed = all(length == 0 for _, length in lengths)
-    series = [("m", "length")] + [(str(m), str(v)) for m, v in lengths]
+    series = [("m", "length")] + [(str(m), frac_str(v)) for m, v in lengths]
     volume_gap = envelope_energy(psi, env)
     passed = passed and volume_gap == 0
     return VerificationReport(
         theorem="h0-envelope-equality", instance=instance, passed=passed,
-        exact={"max_abs_length": str(max((abs(v) for _, v in lengths), default=0)),
+        exact={"max_abs_length": frac_str(max((abs(v) for _, v in lengths), default=0)),
                "volume_gap": frac_str(volume_gap)},
         series=series, runtime=time.monotonic() - start)
 

@@ -10,15 +10,16 @@ Two exact finite reductions carry everything. For convex max-of-affines
 blocks, the lower hull of the lifted slopes gives minimal representations
 and conjugates directly: the conjugate of a min of blocks is the max of the
 block conjugates, each the block's lower-hull pieces (facets, a chain along
-a line, or a constant), on every supported P, points and segments in the
-plane included. And one cell engine, _dominance_cells, cuts a convex region
-into the sub-cells on which one affine row is the max (or the min). Inside P
-it gives the linearity cells of the conjugate, a RoofFunction, which yield
-integrals, Monge-Ampere measures and the double-conjugate envelope, whose own
-conjugate is that roof cut down to the pieces owning a cell. In a box
-of v-space it refines two metrics until each is one row on every cell, so
-their sup-distance is a max over the cells' corners. A region that one row
-owns at every corner is that row's one cell, with nothing clipped.
+a line from polytope's one monotone chain, or a constant), on every
+supported P, points and segments in the plane included. And one cell engine,
+_dominance_cells, cuts a convex region into the sub-cells on which one
+affine row is the max (or the min). Inside P it gives the linearity cells of
+the conjugate, a RoofFunction, which yield integrals, Monge-Ampere measures
+and the double-conjugate envelope, whose own conjugate is that roof cut down
+to the pieces owning a cell. In a box of v-space it refines two metrics
+until each is one row on every cell, so their sup-distance is a max over the
+cells' corners. A region that one row owns at every corner is that row's one
+cell, with nothing clipped.
 
 Metrics and roofs store only integer rows D * (slope, const) over their
 lowest common denominator D, and build their Fraction blocks or pieces on
@@ -31,8 +32,8 @@ are homogeneous integer rows (x, w) standing for x / w, in lowest terms with
 w > 0, so equal points have equal rows.
 
 The recession check runs in the PLMetric constructor only, where rational
-data enters; envelope and metric_deform keep the identity by theorem (see
-each), so every PLMetric satisfies it.
+data enters; envelope, metric_deform and metric_shift keep the identity by
+theorem (see each), so every PLMetric satisfies it.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .polytope import Polytope, _hull_1d, _hull_2d
+from .polytope import Polytope, _hull_1d, _hull_2d, _monotone_chain
 from .rational import Point, ZERO, frac, frac_str, point, point_str, vadd
 
 Piece = Tuple[Point, Fraction]          # v -> <slope, v> + const
@@ -91,11 +92,11 @@ class PLMetric:
     Any rational branches are accepted exactly when psi stays within bounded
     distance of the canonical metric, i.e. its recession function is the
     support function of P; otherwise PreconditionError. This constructor is
-    the only place that checks it: envelope and metric_deform, which build
-    their outputs without it, preserve the identity by theorem. The input is
-    scaled once, to integer rows over one common denominator. Each branch
-    keeps one row per slope (the largest constant) and only the rows on its
-    lower hull, so pieces that never reach the branch's max are dropped.
+    the only place that checks it: envelope, metric_deform and metric_shift,
+    which build their outputs without it, keep the identity by theorem. The
+    input is scaled once, to integer rows over one common denominator. Each
+    branch keeps one row per slope (the largest constant) and only the rows on
+    its lower hull, so pieces that never reach the branch's max are dropped.
     Those hulls are the conjugate, whose rows come straight from the hull
     planes and are stored on the metric. Every metric stores only its kept
     rows in lowest terms (integer_rows) and builds the Fraction blocks on
@@ -426,21 +427,6 @@ def _fan(corners: List[Tuple[int, ...]], n: int) -> Iterable[Tuple[int, Tuple[in
 # lifted lower hulls: exact conjugates of convex max-of-affines blocks
 
 
-def _lower_hull_chain(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Lower convex chain of integer planar points (distinct x values)."""
-    pts = sorted(points)
-    chain: List[Tuple[int, int]] = []
-    for x, z in pts:
-        while len(chain) >= 2:
-            (x1, z1), (x2, z2) = chain[-2], chain[-1]
-            if (z2 - z1) * (x - x1) >= (z - z1) * (x2 - x1):
-                chain.pop()
-            else:
-                break
-        chain.append((x, z))
-    return chain
-
-
 def _lower_facet_planes(points: Sequence[Tuple[int, int, int]]) -> List[IntPlane]:
     """Lower-hull facet planes of integer lifted points (x, y, z): primitive
     (nx, ny, nz, d) with nz < 0, every point satisfying
@@ -553,7 +539,7 @@ def _lower_hull(rows: Sequence[Tuple[int, ...]]) -> Tuple[List[IntPlane], List[i
     planes = _lower_facet_planes(lifted) if dim == 2 else []
     if not planes:
         e = (1,) if dim == 1 else tuple(a - b for a, b in zip(max(lifted), min(lifted)[:2]))
-        chain = _lower_hull_chain([(sum(map(operator.mul, e, p)), p[-1]) for p in lifted])
+        chain = _monotone_chain(sorted((sum(map(operator.mul, e, p)), p[-1]) for p in lifted))
         planes = [tuple((z1 - z2) * k for k in e) + (t2 - t1, z1 * t2 - z2 * t1)
                   for (t1, z1), (t2, z2) in zip(chain, chain[1:])] \
             or [(0,) * dim + (1, chain[0][1])]
@@ -699,10 +685,19 @@ def is_semipositive(metric: PLMetric) -> bool:
 
 
 def metric_shift(metric: PLMetric, t) -> PLMetric:
-    """psi + t, i.e. the metric scaled by e^{-t}."""
+    """psi + t, i.e. the metric scaled by e^{-t}. Every hull and its order
+    stay: for t = p/q, a kept row r over D becomes q*r + (0, ..., p*D) over
+    q*D and a roof row r over E becomes q*r - (0, ..., p*E) over q*E. Nothing
+    is hulled, and semipositivity and the recession identity carry over."""
     t = frac(t)
-    blocks = [[(s, c + t) for s, c in b] for b in metric.blocks]
-    out = PLMetric(metric.polytope, blocks)
+    p, q = t.numerator, t.denominator
+    (d, blocks), (e, roof) = metric.integer_rows(), legendre(metric).integer_rows()
+    out = PLMetric.__new__(PLMetric)
+    out._build(metric.polytope,
+               _lowest(q * d, [[(*(q * x for x in r[:-1]), q * r[-1] + p * d) for r in b]
+                               for b in blocks]),
+               RoofFunction(metric.polytope, q * e,
+                            [(*(q * x for x in r[:-1]), q * r[-1] - p * e) for r in roof]))
     out._semipositive = metric._semipositive
     return out
 

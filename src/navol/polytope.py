@@ -10,7 +10,8 @@ lower-dimensional bodies, a point or a segment in the plane, are supported
 A polytope is its hull's vertex cycle, stored in canonical order:
 counterclockwise starting from the lexicographic minimum for
 full-dimensional planar polytopes, lexicographically sorted otherwise. The
-hull is taken on the input points as integer rows over their lcm. Lattice
+hull is taken on the input points as integer rows over their lcm, by the
+one monotone chain (plmetric's lower chains along a line use it too). Lattice
 rows come as row bands, read from the bounding box and the integer
 half-planes to the left of the cycle's edges; no facet or equation list is
 stored.
@@ -46,23 +47,24 @@ def _hull_1d(points: Sequence[Point]) -> List[Point]:
     return [lo] if lo == hi else [lo, hi]
 
 
+def _monotone_chain(points: Sequence[Sequence]) -> list:
+    """Andrew's monotone chain of sorted points: pop while cross2 <= 0. The
+    lower chain on increasing points, the upper one on their reverse."""
+    chain: list = []
+    for p in points:
+        while len(chain) >= 2 and cross2(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def _hull_2d(points: Sequence[Point]) -> List[Point]:
-    """Andrew's monotone chain; returns the hull counterclockwise, collinear
-    boundary points dropped, starting at the lexicographic minimum."""
+    """The hull counterclockwise, collinear boundary points dropped, starting
+    at the lexicographic minimum: the lower and then the upper chain."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-    lower: List[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: List[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
+    hull = _monotone_chain(pts)[:-1] + _monotone_chain(pts[::-1])[:-1]
     if len(hull) < 3:  # all points collinear
         return [min(pts), max(pts)]
     return hull

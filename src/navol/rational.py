@@ -7,8 +7,11 @@ strings ('p' when the denominator is 1).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
+
+from .errors import PreconditionError
 
 Point = Tuple[Fraction, ...]
 
@@ -56,9 +59,13 @@ def frac(value) -> Fraction:
 
 def frac_str(value: Fraction) -> str:
     """'p/q', or 'p' for an integral value; a Fraction or int prints as is."""
-    if type(value) is Fraction or type(value) is int:
+    if type(value) is not Fraction and type(value) is not int:
+        value = Fraction(value)
+    try:
         return str(value)
-    return str(Fraction(value))
+    except ValueError:   # an integer past sys.get_int_max_str_digits() digits
+        raise PreconditionError(f"an exact result has an integer of more than "
+                                f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def point(coords: Iterable) -> Point:

@@ -24,6 +24,7 @@ run-dependent line is a leading ``#`` comment carrying the timestamp.
 """
 from __future__ import annotations
 
+import csv
 import datetime
 import functools
 import io
@@ -537,31 +538,26 @@ def parse_instance(path: str) -> Instance:
 # artifact writers
 
 
-def decimal_str(x: Fraction, places: int = 12) -> str:
-    """Fixed-point decimal rendering of an exact rational (reports only)."""
+def decimal_str(x: Fraction) -> str:
+    """Exact rational as a 12-place fixed-point decimal (reports only)."""
     x = Fraction(x)
     sign = "-" if x < 0 else ""
     x = abs(x)
-    scaled = x * 10 ** places
+    scaled = x * 10 ** 12
     units = scaled.numerator // scaled.denominator
     if 2 * (scaled - units) >= 1:
         units += 1
-    whole, fracpart = divmod(units, 10 ** places)
-    digits = f"{fracpart:0{places}d}".rstrip("0") or "0"
+    whole, fracpart = divmod(units, 10 ** 12)
+    digits = f"{fracpart:012d}".rstrip("0") or "0"
     return f"{sign}{whole}.{digits}"
 
 
-def csv_text(header: Sequence[str], rows: Sequence[Sequence[object]],
-             timestamp: Optional[str] = None) -> str:
-    """CSV with a single leading comment line; the body below it is
-    deterministic for identical inputs."""
-    import csv as _csv
-
+def csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """CSV with a single leading comment line, the time it was generated;
+    the body below it is deterministic for identical inputs."""
     buf = io.StringIO()
-    stamp = timestamp if timestamp is not None else (
-        datetime.datetime.now(datetime.timezone.utc).isoformat())
-    buf.write(f"# generated {stamp}\n")
-    writer = _csv.writer(buf, lineterminator="\n")
+    buf.write(f"# generated {datetime.datetime.now(datetime.timezone.utc).isoformat()}\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(header))
     for row in rows:
         writer.writerow([str(cell) for cell in row])

@@ -35,7 +35,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .measures import envelope_energy
-from .plmetric import IntegerRows, PLMetric, distance, is_semipositive, legendre
+from .plmetric import (IntegerRows, PLMetric, distance, is_semipositive, legendre,
+                       metric_shift)
 from .polytope import Band, Polytope
 from .rational import ZERO, frac
 
@@ -259,17 +260,14 @@ def proportionality_check(m1: PLMetric, m2: PLMetric, t: Fraction,
     """Shifting a metric by the constant t shifts each lattice length by
     exactly t*m when t*m is an integer, and by a value in
     [floor(t*m), ceil(t*m)] otherwise; summed over the N_m lattice points.
-    The ceiling sums of m2 cancel in the difference of the two lengths. The
-    roof of psi + t is psi* - t: for t = p/q, the rows q*(a, b) - (0, p*D)
-    over D*q from psi*'s rows (a, b) over D."""
+    The ceiling sums of m2 cancel in the difference of the two lengths, and
+    the roof of psi + t is read from metric_shift."""
     t = frac(t)
     _check_pair(m1, m2)
     if schedule is None:
         schedule = default_schedule(m1.dim)
     roof1 = legendre(m1).integer_rows()
-    scale, pieces = roof1
-    p, q = t.numerator, t.denominator
-    roof_shifted = scale * q, [(*(q * x for x in r[:-1]), q * r[-1] - p * scale) for r in pieces]
+    roof_shifted = legendre(metric_shift(m1, t)).integer_rows()
     rows: List[Tuple[int, int, int, int]] = []
     exact_rows = 0
     ok = True

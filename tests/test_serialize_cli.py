@@ -540,6 +540,13 @@ TREE_MUTATIONS = {
     "missing-mass": (
         lambda t: t["measures"]["base"][0].pop("mass"),
         "error: tree.json.measures.base[0]: missing required field 'mass'"),
+    "unknown-function-vertex": (
+        lambda t: t.update(functions={"f": {"center": 0, "leaf1": 1, "leaf2": 2,
+                                            "leaf3": 3, "leaf9": 4}}),
+        "error: tree.json.functions.f.leaf9: unknown vertex"),
+    "missing-function-value": (
+        lambda t: t.update(functions={"f": {"center": 0, "leaf1": 1, "leaf3": 3}}),
+        "error: tree.json.functions.f: missing value for vertex 'leaf2'"),
 }
 
 
@@ -591,7 +598,7 @@ TREE_REFUSALS = {
 @pytest.mark.parametrize("mutation", sorted(TREE_MUTATIONS) + sorted(TREE_REFUSALS))
 def test_tree_refusals_read_the_same_on_both_commands(mutation, command,
                                                       tmp_path, capsys):
-    # ma-solve reads the measures as Fractions, verify-all as atom rows
+    # ma-solve and verify-all both read the measures as atom rows
     if mutation in TREE_MUTATIONS:
         (change, line), rc = TREE_MUTATIONS[mutation], 2
     else:
@@ -774,3 +781,87 @@ def test_rejected_metric_in_the_plane_names_a_direction_that_differs(tmp_path, c
     assert rec == recession_at(blocks, w) != sup == support_at(square, w)
     path = _write(tmp_path, "square.json", instance)
     assert _run(["energy", path], tmp_path, capsys)[0] == 3
+
+
+# --------------------------------------------------------------------------
+# malformed arguments, tree functions and exact results too long to print
+# --------------------------------------------------------------------------
+
+# (command, instance, --schedule text, error line) of schedules refused as
+# malformed (exit 2)
+BAD_SCHEDULES = {
+    "bad-range": ("navol", TENT, "1-x", "error: bad schedule range '1-x'"),
+    "empty-range": ("navol", TENT, "5-3", "error: empty schedule range '5-3'"),
+    "zero-level": ("h0-check", TENT, "0,2", "error: schedule '0,2' needs entries >= 1"),
+    "no-levels": ("navol", TENT, ",", "error: schedule ',' needs entries >= 1"),
+    "no-eps": ("diff-check", DIFF, ",", "error: empty eps schedule"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCHEDULES))
+def test_malformed_schedules_exit_2_with_one_line(case, tmp_path, capsys):
+    command, instance, schedule, line = BAD_SCHEDULES[case]
+    path = _write(tmp_path, "inst.json", instance)
+    rc = cli.main([command, path, "--schedule", schedule, "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == line + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_a_command_takes_exactly_one_instance_file(count, tmp_path, capsys):
+    paths = [_write(tmp_path, f"tent{i}.json", TENT) for i in range(count)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["energy", *paths, "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        "navol: error: command 'energy' takes exactly one instance file")
+
+
+def test_tree_functions_are_read_exactly():
+    values = {"center": 0, "leaf1": "1/2", "leaf2": "-6/4", "leaf3": "+7"}
+    instance = _tree_mutation(lambda t: t.update(functions={"f": values}))
+    inst = parse_instance_text(json.dumps(instance), "tree.json")
+    assert inst.functions["f"].values == {
+        "center": 0, "leaf1": F(1, 2), "leaf2": F(-3, 2), "leaf3": 7}
+    assert inst.functions["f"]("leaf2") == F(-3, 2)
+
+
+# two 4,001-digit denominators: the reader takes them, but an exact result
+# over their product has about 8,000 digits, past what str() converts; and
+# 4,300-digit constants, whose lattice lengths at m = 1000 are longer
+LENGTH = f"1/{10 ** 4000 + 1}"
+MASS = f"1/{10 ** 4000 + 3}"
+LONG_PAIR = {"kind": "toric", "polytope": [[0], [1]],
+             "metrics": {"psi1": [[{"slope": [0], "constant": LENGTH},
+                                   {"slope": [1], "constant": 0}]],
+                         "psi2": [[{"slope": [0], "constant": MASS},
+                                   {"slope": [1], "constant": 0}]]}}
+LONG_TREE = {"kind": "tree",
+             "tree": {"vertices": ["a", "b"],
+                      "edges": [{"ends": ["a", "b"], "length": LENGTH}]},
+             "measures": {"target": [{"vertex": "b", "mass": MASS}],
+                          "base": [{"vertex": "a", "mass": MASS}]}}
+BIG = str(10 ** 4299)
+BIG_CONSTANTS = {"kind": "toric", "polytope": [[0], [1]],
+                 "metrics": {"psi1": [[{"slope": [0], "constant": BIG},
+                                       {"slope": [1], "constant": BIG}]]}}
+# name -> (command line before the file, instance, command line after it)
+TOO_LONG = {
+    "ma-solve": ("ma-solve", LONG_TREE, []),
+    "energy": ("energy", LONG_PAIR, []),
+    "navol": ("navol", LONG_PAIR, ["--schedule", "1-3"]),
+    "navol-length": ("navol", BIG_CONSTANTS, ["--schedule", "1000"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_LONG))
+def test_results_too_long_to_print_exit_3_with_one_line(case, tmp_path, capsys):
+    command, instance, extra = TOO_LONG[case]
+    path = _write(tmp_path, "long.json", instance)
+    rc = cli.main([command, path, *extra, "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err == ("error: an exact result has an integer of more than "
+                   f"{sys.get_int_max_str_digits()} digits\n")
