@@ -8,13 +8,15 @@ progress lines go to standard error.
 
 Every command but verify-all is one entry of `CHECKS`: the instance kind it
 reads and its check. A check takes the instance, the command's name and the
-``--schedule`` text (None when absent), resolves its levels once
-(``--schedule``, else the instance's schedule, else its default) and returns
-a VerificationReport, or its own summary fields with its series and verdict.
-One driver, `_run`, refuses a wrong kind, prints a report whole and other
-fields after ``command`` and ``instance``, and writes ``<command>.json`` and
-the series as ``<command>.csv`` with ``-`` as ``_``. verify-all runs the
-same checks on each instance file with no ``--schedule``.
+``--schedule`` text (None when absent; only `SCHEDULED` commands take one, and
+resolve their levels once: ``--schedule``, else the instance's schedule, else
+the default) and returns a VerificationReport, or its own summary fields with
+its series and verdict. One driver, `_run`, refuses a wrong kind, prints a
+report whole and other fields after ``command`` and ``instance``, and writes
+``<command>.json`` and the series as ``<command>.csv`` with ``-`` as ``_``.
+verify-all, the one command that takes ``--seed``, runs the same checks on
+each instance file with no ``--schedule``. A flag the command does not take
+is refused before any file is opened.
 
 Exit codes: 0 all checks passed, 1 a verification criterion failed,
 2 malformed instance or arguments (an output directory that cannot be
@@ -123,7 +125,7 @@ class CommandResult:
 def _levels(text: Optional[str], inst_schedule: Optional[Sequence], default: Sequence,
             parse: Callable[[str], List] = _parse_int_schedule) -> List:
     """--schedule parsed by parse, else the instance's schedule, else default."""
-    return parse(text) if text else list(inst_schedule or default)
+    return parse(text) if text is not None else list(inst_schedule or default)
 
 
 def _pair(toric: ToricInstance, command: str, schedule: Optional[str]):
@@ -277,6 +279,8 @@ CHECKS: Dict[str, Tuple[str, Callable]] = {
     "perturb-scan": ("surface", _digest(_perturb, "fitted_constant")),
 }
 COMMANDS = (*CHECKS, "verify-all")
+# the commands whose check reads --schedule
+SCHEDULED = ("navol", "diff-check", "h0-check", "cohomology", "morse-check")
 
 
 def _run(command: str, inst: Instance, schedule: Optional[str]) -> CommandResult:
@@ -365,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="instance file(s); verify-all adds them to the "
                              "bundled suite, other commands take exactly one")
     parser.add_argument("--schedule",
-                        help="comma list with ranges, e.g. 1-10,50,100 "
+                        help=f"levels of {', '.join(SCHEDULED)}: e.g. 1-10,50,100 "
                              "(rationals like 1/2,1/4 for diff-check)")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for verify-all's generated instances "
@@ -404,6 +408,11 @@ def _emit(result: CommandResult, args) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_intermixed_args(argv)
+    for flag, value, reads in (("--schedule", args.schedule, args.command in SCHEDULED),
+                               ("--seed", args.seed, args.command == "verify-all")):
+        if value is not None and not reads:
+            print(f"error: command {args.command!r} takes no {flag}", file=sys.stderr)
+            return EXIT_PARSE
     try:
         if args.command == "verify-all":
             result = _cmd_verify_all(args, args.instance)

@@ -228,24 +228,10 @@ def _recession_mismatch(rows: IntegerBlocks, P: Polytope
 
 
 def _sort_by_angle(dirs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    def quadrant(d: Point) -> int:
-        x, y = d
-        if y > 0 or (y == 0 and x > 0):
-            return 0
-        return 1
-
-    def cmp(a: Point, b: Point) -> int:
-        qa, qb = quadrant(a), quadrant(b)
-        if qa != qb:
-            return -1 if qa < qb else 1
-        cr = a[0] * b[1] - a[1] * b[0]
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
-
-    return sorted(dirs, key=functools.cmp_to_key(cmp))
+    """Distinct directions by angle from (1, 0): the upper half-plane first,
+    each half from its ray on the x axis by decreasing cotangent x / y."""
+    return sorted(dirs, key=lambda d: (d[1] < 0 or (d[1] == 0 and d[0] < 0),
+                                       d[1] != 0, Fraction(-d[0], d[1]) if d[1] else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +368,8 @@ def _dominance_cells(region: List[Tuple[int, ...]], rows: Sequence[Sequence[int]
     """(row index, corner rows) for each sub-cell of dimension dim of the
     convex homogeneous cycle region on which that row is the max (sign 1) or
     the min (sign -1) of all rows: region clipped by the half-space where the
-    row beats each other row, one integer dot product per corner.
+    row beats each other row, one integer dot product per corner (an interval
+    of the line goes by the rows' crossings instead, _interval_cells).
 
     A row alone at the (signed) max on every corner owns all of region: the
     max of affine rows is convex, and every other row is strictly below it
@@ -393,6 +380,8 @@ def _dominance_cells(region: List[Tuple[int, ...]], rows: Sequence[Sequence[int]
         owners = [i for i, v in enumerate(vals) if v == top]
         if len(owners) == 1:
             return [(owners[0], region)]
+    if len(region) == 2 and len(region[0]) == 2:
+        return _interval_cells(region, rows, sign)
     cells: IntegerCells = []
     for i, own in enumerate(rows):
         cell = region
@@ -404,6 +393,33 @@ def _dominance_cells(region: List[Tuple[int, ...]], rows: Sequence[Sequence[int]
                     break
         else:
             cells.append((i, cell))
+    return cells
+
+
+def _interval_cells(region: List[Tuple[int, ...]], rows: Sequence[Sequence[int]],
+                    sign: int) -> IntegerCells:
+    """_dominance_cells on an interval p -> q of the line, cut as its clips
+    cut it: a row's cell runs from its last crossing with a row of smaller
+    signed slope along p -> q to its first crossing with one of larger."""
+    (px, pw), (qx, qw) = region
+    o = 1 if px * qw < qx * pw else -1
+    cells: IntegerCells = []
+    for i, (s, c) in enumerate(rows):
+        lo, hi = region
+        for ds, dc in ((sign * (s - s2) * o, sign * (c - c2)) for s2, c2 in rows):
+            if ds == 0:   # the row itself, or one parallel to it
+                if dc < 0:
+                    break
+                continue
+            g = math.gcd(dc, ds) if ds > 0 else -math.gcd(dc, ds)
+            t = (-dc * o // g, ds // g)   # the crossing, with w > 0
+            if ds > 0 and (t[0] * lo[1] - lo[0] * t[1]) * o > 0:
+                lo = t
+            elif ds < 0 and (t[0] * hi[1] - hi[0] * t[1]) * o < 0:
+                hi = t
+        else:
+            if (hi[0] * lo[1] - lo[0] * hi[1]) * o > 0:
+                cells.append((i, [lo, hi]))
     return cells
 
 

@@ -7,10 +7,9 @@ Instances are JSON objects with a required ``kind`` tag:
   block a list of ``{"slope": [...], "constant": ...}`` pieces (the metric is
   the minimum over blocks of the maximum over pieces).
 * ``tree``: a metric tree (vertices, edges with positive rational lengths,
-  optional root) plus named vertex functions and named measures. Lengths
-  and masses are read to integer (numerator, denominator) pairs, each
-  distinct literal once; the measures are kept as atom rows and become
-  DiscreteMeasures on first access (`TreeInstance.measures`).
+  optional root) plus named measures. Lengths and masses are read to integer
+  (numerator, denominator) pairs, each distinct literal once; each measure is
+  kept as the atom rows of its file.
 * ``surface``: a toric surface family name, named rational divisors (lists of
   ``{"coeff": ..., "class": [...]}`` decomposition terms), and optional scan
   parameters.
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-import functools
 import io
 import json
 import os
@@ -37,11 +35,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .cohomology import RealDivisor, ToricFamily, toric_family
 from .errors import InstanceFormatError, PreconditionError
-from .measures import DiscreteMeasure
 from .plmetric import PLMetric, canonical_metric
 from .polytope import Polytope
 from .rational import frac, frac_str, plain_pair
-from .trees import AtomRow, MetricTree, TreeFunction, net_rows
+from .trees import AtomRow, MetricTree, net_rows
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +170,6 @@ class ToricInstance:
     canonical_names: Tuple[str, ...]
     schedule: Optional[List[int]] = None
     eps_schedule: Optional[List[Fraction]] = None
-    seed: Optional[int] = None
     kind: str = field(default="toric", init=False)
 
     def metric(self, name: str, command: str) -> PLMetric:
@@ -203,26 +199,12 @@ class ToricInstance:
 
 @dataclass
 class TreeInstance:
-    """A tree with named functions and named measures; each measure is kept
-    as the atom rows (vertex position, p, q) of its file, and `measures`
-    builds the DiscreteMeasures on first access."""
+    """A tree with named measures, each kept as the atom rows (vertex
+    position, p, q) of its file."""
     name: str
     tree: MetricTree
-    functions: Dict[str, TreeFunction]
     measure_atoms: Dict[str, List[AtomRow]]
-    seed: Optional[int] = None
     kind: str = field(default="tree", init=False)
-
-    @functools.cached_property
-    def measures(self) -> Dict[str, DiscreteMeasure]:
-        """The measures by name, built on first access."""
-        names = self.tree.vertices
-        return {name: DiscreteMeasure([(names[i], Fraction(p, q)) for i, p, q in atoms])
-                for name, atoms in self.measure_atoms.items()}
-
-    def measure(self, name: str, command: str) -> DiscreteMeasure:
-        _named(self.measure_atoms, "measure", name, command)
-        return self.measures[name]
 
     def net_mass_rows(self, command: str) -> Tuple[int, List[int]]:
         """`trees.net_rows` of the measures named target and base."""
@@ -247,7 +229,6 @@ class SurfaceInstance:
     schedule: Optional[List[int]] = None
     q: Optional[int] = None
     scan: Optional[ScanParams] = None
-    seed: Optional[int] = None
     kind: str = field(default="surface", init=False)
 
     def divisor(self, name: str, command: str) -> RealDivisor:
@@ -309,7 +290,7 @@ def _parse_metric(value, path: str, P: Polytope, name: str) -> PLMetric:
 
 def _parse_toric(obj: Dict[str, object], name: str) -> ToricInstance:
     _check_keys(obj, name, required=("kind", "polytope", "metrics"),
-                optional=("schedule", "eps_schedule", "seed"))
+                optional=("schedule", "eps_schedule"))
     verts_raw = _as_array(obj["polytope"], f"{name}.polytope")
     if not verts_raw:
         raise InstanceFormatError(f"{name}.polytope: needs at least one vertex")
@@ -338,10 +319,9 @@ def _parse_toric(obj: Dict[str, object], name: str) -> ToricInstance:
         for i, e in enumerate(eps):
             if e < 0:
                 raise InstanceFormatError(f"{name}.eps_schedule[{i}]: eps entry {e} is negative")
-    seed = _as_int(obj["seed"], f"{name}.seed") if "seed" in obj else None
     return ToricInstance(name=name, polytope=P, metrics=metrics,
                          canonical_names=tuple(canonical_names),
-                         schedule=schedule, eps_schedule=eps, seed=seed)
+                         schedule=schedule, eps_schedule=eps)
 
 
 # each distinct literal string of one tree parse -> its plain_pair (or None)
@@ -408,7 +388,7 @@ def _atom(araw, apath: str, position: Dict[str, int]) -> AtomRow:
 
 def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
     _check_keys(obj, name, required=("kind", "tree"),
-                optional=("functions", "measures", "seed"))
+                optional=("measures",))
     tobj = _as_object(obj["tree"], f"{name}.tree")
     _check_keys(tobj, f"{name}.tree", required=("vertices", "edges"),
                 optional=("root",))
@@ -425,22 +405,6 @@ def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
     except PreconditionError as exc:
         raise InstanceFormatError(f"{name}.tree: {exc}") from None
     position = tree.position
-    functions: Dict[str, TreeFunction] = {}
-    if "functions" in obj:
-        fobj = _as_object(obj["functions"], f"{name}.functions")
-        for fname, fval in fobj.items():
-            fpath = f"{name}.functions.{fname}"
-            values = {}
-            for vertex, val in _as_object(fval, fpath).items():
-                if vertex not in position:
-                    raise InstanceFormatError(
-                        f"{fpath}.{vertex}: unknown vertex")
-                values[vertex] = _as_rational(val, f"{fpath}.{vertex}")
-            missing = [v for v in tree.vertices if v not in values]
-            if missing:
-                raise InstanceFormatError(
-                    f"{fpath}: missing value for vertex {missing[0]!r}")
-            functions[fname] = TreeFunction(values)
     measure_atoms: Dict[str, List[AtomRow]] = {}
     if "measures" in obj:
         mobj = _as_object(obj["measures"], f"{name}.measures")
@@ -449,14 +413,12 @@ def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
             measure_atoms[mname] = [
                 _plain_atom(a, position, pairs) or _atom(a, f"{mpath}[{i}]", position)
                 for i, a in enumerate(_as_array(mval, mpath))]
-    seed = _as_int(obj["seed"], f"{name}.seed") if "seed" in obj else None
-    return TreeInstance(name=name, tree=tree, functions=functions,
-                        measure_atoms=measure_atoms, seed=seed)
+    return TreeInstance(name=name, tree=tree, measure_atoms=measure_atoms)
 
 
 def _parse_surface(obj: Dict[str, object], name: str) -> SurfaceInstance:
     _check_keys(obj, name, required=("kind", "family", "divisors"),
-                optional=("schedule", "q", "scan", "seed"))
+                optional=("schedule", "q", "scan"))
     fam_name = _as_string(obj["family"], f"{name}.family")
     try:
         family = toric_family(fam_name)
@@ -500,9 +462,8 @@ def _parse_surface(obj: Dict[str, object], name: str) -> SurfaceInstance:
         if grid_max < 2:
             raise InstanceFormatError(f"{spath}.grid_max: must be >= 2")
         scan = ScanParams(d_names, p_names, sq, grid_max)
-    seed = _as_int(obj["seed"], f"{name}.seed") if "seed" in obj else None
     return SurfaceInstance(name=name, family=family, divisors=divisors,
-                           schedule=schedule, q=q, scan=scan, seed=seed)
+                           schedule=schedule, q=q, scan=scan)
 
 
 def parse_instance_text(text: str, origin: str = "<instance>") -> Instance:

@@ -986,6 +986,15 @@ def _metric_out(metric):
             for block in metric.blocks]
 
 
+def tree_measures(inst):
+    """A parsed tree instance's measures by name, as DiscreteMeasures of
+    Fraction masses built from its atom rows."""
+    from navol.measures import DiscreteMeasure
+    names = inst.tree.vertices
+    return {name: DiscreteMeasure([(names[i], Fraction(p, q)) for i, p, q in atoms])
+            for name, atoms in inst.measure_atoms.items()}
+
+
 def serialize_instance(inst):
     """A parsed instance back in the instance-file schema, normalized:
     explicit blocks, reduced fractions, the polytope's vertex order. Parsing
@@ -1012,15 +1021,11 @@ def serialize_instance(inst):
                 "root": inst.tree.root,
             },
         }
-        if inst.functions:
-            out["functions"] = {
-                name: {v: _rat_out(fn.values[v]) for v in inst.tree.vertices}
-                for name, fn in inst.functions.items()}
-        if inst.measures:
+        if inst.measure_atoms:
             out["measures"] = {
                 name: [{"vertex": k, "mass": _rat_out(mass)}
                        for k, mass in measure.items_sorted()]
-                for name, measure in inst.measures.items()}
+                for name, measure in tree_measures(inst).items()}
     elif isinstance(inst, SurfaceInstance):
         out = {
             "kind": "surface",
@@ -1041,8 +1046,6 @@ def serialize_instance(inst):
                            "grid_max": inst.scan.grid_max}
     else:
         raise TypeError(f"not an instance: {inst!r}")
-    if inst.seed is not None:
-        out["seed"] = inst.seed
     return out
 
 

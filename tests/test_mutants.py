@@ -11,6 +11,7 @@ import pytest
 import navol.cli as cli
 import navol.harness as harness
 from navol.measures import DiscreteMeasure
+from navol.plmetric import PLMetric
 
 F = Fraction
 
@@ -35,10 +36,27 @@ def _extra_atom(monge_ampere):
     return mutant
 
 
+def _first_corner_moved(delta):
+    """The envelope with its first piece's constant moved by delta, built as
+    `envelope` builds its result: the roof stays the copy of the metric's."""
+    def mutate(envelope):
+        def mutant(metric):
+            env = envelope(metric)
+            scale, (rows,) = env.integer_rows()
+            first = (*rows[0][:-1], rows[0][-1] + delta * scale)
+            moved = PLMetric.__new__(PLMetric)
+            moved._build(env.polytope, (scale, ((first, *rows[1:]),)), env._conjugate)
+            moved._envelope, moved._semipositive = moved, True
+            return moved
+        return mutant
+    return mutate
+
+
 # label: (harness name, mutant of it, {theorem: rows of it that must FAIL});
 # the energy mutant adds 1/1000, the length one 1, the masses-doubled one
-# doubles every Monge-Ampere mass, and the extra atom has mass 1 at
-# (1/3, ..., 1/3)
+# doubles every Monge-Ampere mass, the extra atom has mass 1 at
+# (1/3, ..., 1/3), and the corner mutants lower or raise the envelope's
+# first corner by 1
 MUTANTS = {
     "energy-plus-1/1000": ("envelope_energy", _energy_off, {
         "volume-differentiability": 1, "h0-envelope-equality": 3, "vol-is-energy": 1}),
@@ -48,6 +66,10 @@ MUTANTS = {
         "volume-differentiability": 1}),
     "extra-atom": ("monge_ampere", _extra_atom, {
         "envelope-orthogonality": 3, "volume-differentiability": 1}),
+    "corner-lowered": ("envelope", _first_corner_moved(-1), {
+        "h0-envelope-equality": 3}),
+    "corner-raised": ("envelope", _first_corner_moved(1), {
+        "h0-envelope-equality": 3, "envelope-orthogonality": 6}),
 }
 
 

@@ -3,6 +3,7 @@ clipping route in _oracles: the cells themselves, the roof integral, the
 Monge-Ampere cell masses and the envelope's corner pieces; and the cell
 engine's one-owner shortcut against clipping every pair of rows."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -223,3 +224,26 @@ def test_one_owner_cells_equal_clipping_every_pair(monkeypatch):
         tied += sum(cell == region for _, cell in out) > 1
         repeated += sign < 0 and len(set(rows)) < len(rows)
     assert owned > 1000 and tied > 100 and repeated > 100, (owned, tied, repeated)
+
+
+def test_interval_cells_equal_clipping_every_pair():
+    # intervals of the line, either way round, with rows that tie at a
+    # corner, cross at one, repeat or run parallel: the crossing route gives
+    # the clip loop's list
+    rng = random.Random(806)
+    crossed = 0
+    for _ in range(3000):
+        ends = []
+        while len(ends) < 2:
+            x, w = rng.randint(-12, 12), rng.randint(1, 4)
+            g = math.gcd(x, w)
+            if (x // g, w // g) not in ends and all(x * e[1] != e[0] * w for e in ends):
+                ends.append((x // g, w // g))
+        rows = [(rng.randint(-5, 5), rng.randint(-15, 15)) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.2:
+            rows.append(rng.choice(rows))
+        for sign in (1, -1):
+            out = plmetric._interval_cells(ends, rows, sign)
+            assert out == dominance_cells_by_clipping(ends, rows, 1, sign), (ends, rows, sign)
+            crossed += len(out) > 1
+    assert crossed > 2000, crossed

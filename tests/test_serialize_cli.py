@@ -23,7 +23,7 @@ from navol.rational import plain_pair
 from navol.trees import MetricTree, net_mass_rows, potential_rows
 
 from _oracles import (as_rational_oracle, first_primes, instance_json, ma_solve_oracle,
-                      recession_at, serialize_instance, support_at)
+                      recession_at, serialize_instance, support_at, tree_measures)
 
 F = Fraction
 
@@ -138,12 +138,13 @@ def test_invalid_metric_reported_as_precondition_with_name():
 def test_tree_instance_accessors():
     inst = parse_instance_text(_bundled()["tree_star.json"], "tree_star")
     assert inst.kind == "tree"
-    target = inst.measure("target", "ma-solve")
-    base = inst.measure("base", "ma-solve")
-    assert target.total_mass == base.total_mass
+    measures = tree_measures(inst)
+    assert measures["target"].total_mass == measures["base"].total_mass
+    del inst.measure_atoms["base"]
     with pytest.raises(PreconditionError) as err:
-        inst.measure("missing", "ma-solve")
-    assert "target" in str(err.value) and "base" in str(err.value)
+        inst.net_mass_rows("ma-solve")
+    assert str(err.value) == ("command 'ma-solve' needs a measure named 'base' "
+                              "(instance has: target)")
 
 
 def test_surface_instance_accessors():
@@ -508,8 +509,8 @@ def test_plain_literals_parse_like_fraction_strings():
                 "tree": {"vertices": ["a", "b"],
                          "edges": [{"ends": ["a", "b"], "length": 1}]},
                 "measures": {"m": [{"vertex": "a", "mass": literal}]}}
-        parsed = _outcome(lambda: parse_instance_text(json.dumps(tree), "t")
-                          .measures["m"].total_mass)
+        parsed = _outcome(lambda: tree_measures(parse_instance_text(json.dumps(tree), "t"))
+                          ["m"].total_mass)
         assert parsed == _outcome(
             lambda: as_rational_oracle(literal, "t.measures.m[0].mass"))
 
@@ -540,13 +541,15 @@ TREE_MUTATIONS = {
     "missing-mass": (
         lambda t: t["measures"]["base"][0].pop("mass"),
         "error: tree.json.measures.base[0]: missing required field 'mass'"),
+    # vertex functions are no instance field: a file carrying them is
+    # refused whole, whatever they hold
     "unknown-function-vertex": (
         lambda t: t.update(functions={"f": {"center": 0, "leaf1": 1, "leaf2": 2,
                                             "leaf3": 3, "leaf9": 4}}),
-        "error: tree.json.functions.f.leaf9: unknown vertex"),
+        "error: tree.json.functions: unknown field"),
     "missing-function-value": (
         lambda t: t.update(functions={"f": {"center": 0, "leaf1": 1, "leaf3": 3}}),
-        "error: tree.json.functions.f: missing value for vertex 'leaf2'"),
+        "error: tree.json.functions: unknown field"),
 }
 
 
@@ -626,7 +629,7 @@ def _assert_rows_match_the_fraction_route(instance):
     scale, net = inst.net_mass_rows("test")
     want_scale, want = net_mass_rows(tree, target, base)
     assert [F(x, scale) for x in net] == [F(x, want_scale) for x in want]
-    assert inst.measures == {"target": target, "base": base}
+    assert tree_measures(inst) == {"target": target, "base": base}
     assert inst.tree.edges == tree.edges
     assert inst.tree.adjacency == tree.adjacency
 
@@ -741,8 +744,8 @@ def test_a_thousand_distinct_prime_denominators(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["curvature_matches_target"] is True
     inst = parse_instance_text(json.dumps(instance))
-    expected = ma_solve_oracle(inst.tree, inst.measures["target"],
-                               inst.measures["base"])
+    measures = tree_measures(inst)
+    expected = ma_solve_oracle(inst.tree, measures["target"], measures["base"])
     assert {v: F(x) for v, x in payload["values"].items()} == expected
     rc, _ = _run(["verify-all", path], tmp_path, capsys)
     assert rc == 0
@@ -784,7 +787,8 @@ def test_rejected_metric_in_the_plane_names_a_direction_that_differs(tmp_path, c
 
 
 # --------------------------------------------------------------------------
-# malformed arguments, tree functions and exact results too long to print
+# malformed and refused arguments, seed fields and exact results too long to
+# print
 # --------------------------------------------------------------------------
 
 # (command, instance, --schedule text, error line) of schedules refused as
@@ -794,6 +798,7 @@ BAD_SCHEDULES = {
     "empty-range": ("navol", TENT, "5-3", "error: empty schedule range '5-3'"),
     "zero-level": ("h0-check", TENT, "0,2", "error: schedule '0,2' needs entries >= 1"),
     "no-levels": ("navol", TENT, ",", "error: schedule ',' needs entries >= 1"),
+    "empty-text": ("h0-check", TENT, "", "error: schedule '' needs entries >= 1"),
     "no-eps": ("diff-check", DIFF, ",", "error: empty eps schedule"),
 }
 
@@ -819,13 +824,56 @@ def test_a_command_takes_exactly_one_instance_file(count, tmp_path, capsys):
         "navol: error: command 'energy' takes exactly one instance file")
 
 
-def test_tree_functions_are_read_exactly():
-    values = {"center": 0, "leaf1": "1/2", "leaf2": "-6/4", "leaf3": "+7"}
-    instance = _tree_mutation(lambda t: t.update(functions={"f": values}))
-    inst = parse_instance_text(json.dumps(instance), "tree.json")
-    assert inst.functions["f"].values == {
-        "center": 0, "leaf1": F(1, 2), "leaf2": F(-3, 2), "leaf3": 7}
-    assert inst.functions["f"]("leaf2") == F(-3, 2)
+# (command, flag) of every flag a command does not read
+REFUSED_FLAGS = [(command, flag) for command in cli.COMMANDS
+                 for flag, reads in (("--schedule", command in cli.SCHEDULED),
+                                     ("--seed", command == "verify-all"))
+                 if not reads]
+
+
+@pytest.mark.parametrize("command, flag", REFUSED_FLAGS)
+def test_a_flag_the_command_does_not_read_exits_2_with_one_line(command, flag,
+                                                                tmp_path, capsys):
+    # the file does not exist: the refusal comes before any file is opened
+    missing = str(tmp_path / "missing.json")
+    out_dir = tmp_path / "out"
+    rc = cli.main([command, missing, flag, "2", "--out-dir", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"error: command {command!r} takes no {flag}\n"
+    assert not out_dir.exists()
+
+
+# command -> (instance file, a --schedule that must change its output); no
+# bundled file carries the pos and neg metrics diff-check reads
+SCHEDULE_CHANGES = {
+    "navol": ("tent_segment.json", "1-3"),
+    "diff-check": ("diff.json", "1/2,1/3"),
+    "h0-check": ("bump_segment.json", "1-3"),
+    "cohomology": ("surface_p2.json", "1-3"),
+    "morse-check": ("surface_f1.json", "1-3"),
+}
+
+
+@pytest.mark.parametrize("command", cli.SCHEDULED)
+def test_every_scheduled_command_reads_its_schedule(command, tmp_path, capsys):
+    name, schedule = SCHEDULE_CHANGES[command]
+    path = _write(tmp_path, name, _bundled().get(name, DIFF))
+    bodies = []
+    for extra in ([], ["--schedule", schedule]):
+        rc, out = _run([command, path, "--format", "csv", *extra], tmp_path, capsys)
+        assert rc == 0
+        bodies.append(out.split("\n", 1)[1])  # the series, below its timestamp
+    assert bodies[0] != bodies[1]
+
+
+@pytest.mark.parametrize("name", ["tent_segment.json", "tree_star.json",
+                                  "surface_p2.json"])
+def test_a_seed_field_is_refused_with_its_path(name, tmp_path, capsys):
+    # no instance kind has a seed: only verify-all's --seed draws instances
+    path = _write(tmp_path, name, dict(json.loads(_bundled()[name]), seed=7))
+    assert cli.main(["verify-all", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {name}.seed: unknown field\n"
 
 
 # two 4,001-digit denominators: the reader takes them, but an exact result
