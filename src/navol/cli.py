@@ -413,13 +413,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if value is not None and not reads:
             print(f"error: command {args.command!r} takes no {flag}", file=sys.stderr)
             return EXIT_PARSE
+    if args.command != "verify-all" and len(args.instance) != 1:
+        print(f"error: command {args.command!r} takes exactly one instance file",
+              file=sys.stderr)
+        return EXIT_PARSE
     try:
         if args.command == "verify-all":
             result = _cmd_verify_all(args, args.instance)
         else:
-            if len(args.instance) != 1:
-                parser.error(
-                    f"command {args.command!r} takes exactly one instance file")
             inst = parse_instance(args.instance[0])
             result = _run(args.command, inst, args.schedule)
     except InstanceFormatError as exc:

@@ -7,7 +7,8 @@ surfaces F_a for a >= 0 (basis: a section S with S^2 = a and a fibre F);
 P1xP1 is F_0 under its own name.
 h^0 is a lattice-point / section count in closed form, h^top comes from Serre
 duality, and the middle h^1 on surfaces is determined by Riemann-Roch; all
-values are exact integers.
+values are exact integers. One evaluator gives every h^q from h^0 of the class
+and of its Serre dual, each computed only if some requested q reads it.
 
 Everything runs on integers up to the reported values: a divisor rounds up
 its (p, q) coefficients as -(-m p // q), h^q of an integral class is a few
@@ -221,7 +222,7 @@ class RealDivisor:
 def hq(family: ToricFamily, divisor: RealDivisor, m: int, q: int) -> int:
     """Exact h^q of the round-up of m times the divisor."""
     _check_level(m, (q,))
-    return _hq_integral(family, divisor.round_up(m), q)
+    return _hq_values(family, divisor.round_up(m), (q,))[0]
 
 
 def _check_level(m: int, qs: Sequence[int]) -> None:
@@ -231,28 +232,20 @@ def _check_level(m: int, qs: Sequence[int]) -> None:
         raise PreconditionError("level m must be >= 1")
 
 
-def _hq_of_counts(family: ToricFamily, cls: Sequence[int], q: int,
-                  low: int, top: int) -> int:
-    """h^q of an integral class from low = h^0 of the class (read for
-    q < n) and top = h^0 of its Serre dual (read for 0 < q <= n): h^0 is
-    low, h^top is top by Serre duality, h^1 on a surface follows by
-    Riemann-Roch, and h^q vanishes above the dimension n."""
+def _hq_values(family: ToricFamily, cls: Sequence[int], qs: Sequence[int]) -> List[int]:
+    """h^q of an integral class for each q in qs, from low = h^0 of the class
+    and top = h^0 of its Serre dual, each computed only if read: h^0 is low,
+    h^top is top by Serre duality, h^1 on a surface is low + top - chi by
+    Riemann-Roch, and h^q vanishes above the dimension n. On a curve q = 0
+    reads low and q = 1 reads top; on a surface q = 1 reads both."""
     n = family.dim
-    if q == 0:
-        return low
-    if q > n:
-        return 0
-    if q == n:
-        return top
-    return low + top - family.euler_characteristic(cls)
-
-
-def _hq_integral(family: ToricFamily, cls: Sequence[int], q: int) -> int:
-    """h^q of an integral class, computing only the counts it reads."""
-    n = family.dim
-    low = family.h0_integral(cls) if q < n else 0
-    top = family.h0_integral(family.serre_dual(cls)) if 0 < q <= n else 0
-    return _hq_of_counts(family, cls, q, low, top)
+    low = family.h0_integral(cls) if 0 in qs or (n == 2 and 1 in qs) else 0
+    top = family.h0_integral(family.serre_dual(cls)) if 1 in qs or n in qs else 0
+    return [low if q == 0 else
+            0 if q > n else
+            top if q == n else
+            low + top - family.euler_characteristic(cls)
+            for q in qs]
 
 
 @dataclass
@@ -280,23 +273,16 @@ def cohomology_table(family: ToricFamily, divisor: RealDivisor,
                      schedule: Sequence[int],
                      qs: Optional[Sequence[int]] = None) -> CohomologyTable:
     """Rows (m, q, h^q(mD), n! h^q / m^n) for each level and each q (all q
-    by default). A level rounds the class up once, and its rows share one
-    section count of the class and one of its Serre dual, each computed only
-    if some q reads it (see `_hq_of_counts`)."""
+    by default). A level rounds the class up once, and its rows share the
+    section counts of `_hq_values`."""
     if qs is None:
         qs = tuple(range(family.dim + 1))
     n = family.dim
     factorial = math.factorial(n)
-    low_read = any(q < n for q in qs)
-    top_read = any(0 < q <= n for q in qs)
     rows = []
     for m in schedule:
         _check_level(m, qs)
-        cls = divisor.round_up(m)
-        low = family.h0_integral(cls) if low_read else 0
-        top = family.h0_integral(family.serre_dual(cls)) if top_read else 0
-        for q in qs:
-            h = _hq_of_counts(family, cls, q, low, top)
+        for q, h in zip(qs, _hq_values(family, divisor.round_up(m), qs)):
             rows.append((m, q, h, Fraction(factorial * h, m ** n)))
     return CohomologyTable(family, divisor, rows)
 
@@ -334,12 +320,8 @@ def asymptotic_hq(family: ToricFamily, divisor: RealDivisor, q: int,
     cases reachable by duality / the product formula."""
     if list(schedule) != sorted(set(schedule)) or not schedule:
         raise PreconditionError("schedule must be strictly increasing and nonempty")
-    n = family.dim
-    factorial = math.factorial(n)
-    rows = []
-    for m in schedule:
-        h = hq(family, divisor, m, q)
-        rows.append((m, h, Fraction(factorial * h, m ** n)))
+    rows = [(m, h, norm) for m, _, h, norm
+            in cohomology_table(family, divisor, schedule, (q,)).rows]
     return AsymptoticReport(q=q, rows=rows, estimate=rows[-1][2],
                             exact=asymptotic_hq_exact(family, divisor, q))
 
@@ -427,9 +409,9 @@ def perturbation_scan(family: ToricFamily, d_list: Sequence[RealDivisor],
     cells = []  # (m, p, |h^q(mA + pB) - h^q(pB)|, m (m+p)^(n-1))
     for p in range(1, grid_max + 1):
         b_up = b.round_up(p)
-        plain = _hq_integral(family, b_up, q)
+        plain = _hq_values(family, b_up, (q,))[0]
         for m in range(grid_max + 1):
-            twisted = _hq_integral(family, tuple(map(operator.add, a_up[m], b_up)), q)
+            twisted = _hq_values(family, tuple(map(operator.add, a_up[m], b_up)), (q,))[0]
             cells.append((m, p, abs(twisted - plain), m * (m + p) ** (n - 1)))
     # fitted = c / f, compared with each cell's ratio by cross-multiplication
     c, f = 0, 1

@@ -638,8 +638,7 @@ def envelope(metric: PLMetric) -> PLMetric:
     env = PLMetric.__new__(PLMetric)
     env._build(P, _lowest(scale * w, [corners]), conjugate)
     metric._envelope = env
-    if env._envelope is None:
-        env._envelope = env
+    env._envelope = env
     env._semipositive = True
     return env
 

@@ -37,7 +37,7 @@ from .errors import PreconditionError
 from .measures import envelope_energy
 from .plmetric import (IntegerRows, PLMetric, distance, is_semipositive, legendre,
                        metric_shift)
-from .polytope import Band, Polytope
+from .polytope import Band
 from .rational import ZERO, frac
 
 
@@ -140,16 +140,12 @@ def _check_pair(m1: PLMetric, m2: PLMetric) -> None:
         raise PreconditionError("lattice_length needs metrics on the same polytope")
 
 
-def _level_bands(P: Polytope, m: int) -> List[Band]:
-    if m < 1:
-        raise PreconditionError("lattice_length needs a positive level m")
-    return P.row_bands(m)
-
-
 def lattice_length(m1: PLMetric, m2: PLMetric, m: int) -> int:
     """Total lattice length at level m of the norm quotient of the pair."""
     _check_pair(m1, m2)
-    bands = _level_bands(m1.polytope, m)
+    if m < 1:
+        raise PreconditionError("lattice_length needs a positive level m")
+    bands = m1.polytope.row_bands(m)
     return (_ceil_sum(legendre(m2).integer_rows(), bands, m)
             - _ceil_sum(legendre(m1).integer_rows(), bands, m))
 
@@ -223,19 +219,17 @@ def lipschitz_check(m1: PLMetric, m1_alt: PLMetric, m2: PLMetric,
     Finite level: replacing m1 by m1_alt moves each lattice length by at most
     ceil(m*d) with d the sup distance, so the total moves by at most
     N_m * ceil(m*d). In the limit: |vol' - vol| <= n!vol(P) * d.
-    The ceiling sums of m2 cancel in the difference of the two lengths.
+    Each row is one lattice_length, of m1_alt against m1.
     """
     d = distance(m1, m1_alt)
     _check_pair(m1, m2)
     if schedule is None:
         schedule = default_schedule(m1.dim)
-    roof1, roof_alt = legendre(m1).integer_rows(), legendre(m1_alt).integer_rows()
     rows: List[Tuple[int, int, int]] = []
     ok = True
     for m in schedule:
-        level = _level_bands(m1.polytope, m)
-        bound = _point_count(level) * math.ceil(m * d)
-        delta = abs(_ceil_sum(roof1, level, m) - _ceil_sum(roof_alt, level, m))
+        delta = abs(lattice_length(m1_alt, m1, m))
+        bound = _point_count(m1.polytope.row_bands(m)) * math.ceil(m * d)
         rows.append((m, delta, bound))
         ok = ok and delta <= bound
     vol_base = envelope_energy(m1, m2)
@@ -260,21 +254,18 @@ def proportionality_check(m1: PLMetric, m2: PLMetric, t: Fraction,
     """Shifting a metric by the constant t shifts each lattice length by
     exactly t*m when t*m is an integer, and by a value in
     [floor(t*m), ceil(t*m)] otherwise; summed over the N_m lattice points.
-    The ceiling sums of m2 cancel in the difference of the two lengths, and
-    the roof of psi + t is read from metric_shift."""
+    Each row is one lattice_length, of psi + t (metric_shift) against m1."""
     t = frac(t)
     _check_pair(m1, m2)
     if schedule is None:
         schedule = default_schedule(m1.dim)
-    roof1 = legendre(m1).integer_rows()
-    roof_shifted = legendre(metric_shift(m1, t)).integer_rows()
+    shifted = metric_shift(m1, t)
     rows: List[Tuple[int, int, int, int]] = []
     exact_rows = 0
     ok = True
     for m in schedule:
-        level = _level_bands(m1.polytope, m)
-        n_pts = _point_count(level)
-        delta = _ceil_sum(roof1, level, m) - _ceil_sum(roof_shifted, level, m)
+        delta = lattice_length(shifted, m1, m)
+        n_pts = _point_count(m1.polytope.row_bands(m))
         tm = t * m
         if tm.denominator == 1:
             lower = upper = int(tm) * n_pts

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from navol.cohomology import (RealDivisor, asymptotic_hq, asymptotic_hq_exact,
-                              cohomology_consistency, cohomology_table, hq,
-                              morse_check, perturbation_scan, toric_family)
+from navol.cohomology import (RealDivisor, ToricFamily, asymptotic_hq,
+                              asymptotic_hq_exact, cohomology_consistency,
+                              cohomology_table, hq, morse_check, perturbation_scan,
+                              toric_family)
 from navol.errors import PreconditionError
 from navol.rational import frac_str
 
@@ -200,6 +201,36 @@ def test_cohomology_table_rows_equal_per_level_hq():
         cohomology_table(P2, _div(P2, (1,)), [1], qs=(3,))
     with pytest.raises(PreconditionError):
         cohomology_table(P2, _div(P2, (1,)), [0])
+
+
+def test_each_h_q_computes_only_the_section_counts_it_reads(monkeypatch):
+    # h^q reads h^0 of the class for q < n and h^0 of its Serre dual for
+    # 0 < q <= n: a class gets each count at most once, and only if read
+    calls = []
+    h0_integral = ToricFamily.h0_integral
+    monkeypatch.setattr(ToricFamily, "h0_integral",
+                        lambda fam, d: calls.append(d) or h0_integral(fam, d))
+
+    def counts(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    schedule = [1, 2, 5, 8]
+    div = RealDivisor.make(F1, [(F(2, 3), (1, 0)), (F(-5, 2), (0, 1))])
+    for qs, per_class in (((0,), 1), ((1,), 2), ((2,), 1), ((2, 0, 1), 2), (None, 2)):
+        assert counts(lambda: cohomology_table(F1, div, schedule, qs)) == \
+            per_class * len(schedule), qs
+    for q, per_class in ((0, 1), (1, 2), (2, 1)):
+        assert counts(lambda: hq(F1, div, 3, q)) == per_class, q
+    grid_max = 4
+    classes = grid_max * (grid_max + 2)   # per p: h^q(pB), then m = 0..grid_max
+    assert counts(lambda: perturbation_scan(
+        P2, [_div(P2, (1,))], [_div(P2, (-1,))], 1, grid_max)) == 2 * classes
+    line = _div(P1, (-3,))
+    for q in (0, 1):
+        assert counts(lambda: hq(P1, line, 2, q)) == 1, q
+        assert counts(lambda: cohomology_table(P1, line, schedule, (q,))) == len(schedule), q
 
 
 def test_asymptotic_mixed_class_on_the_product_surface():

@@ -816,12 +816,11 @@ def test_malformed_schedules_exit_2_with_one_line(case, tmp_path, capsys):
 @pytest.mark.parametrize("count", [0, 2])
 def test_a_command_takes_exactly_one_instance_file(count, tmp_path, capsys):
     paths = [_write(tmp_path, f"tent{i}.json", TENT) for i in range(count)]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["energy", *paths, "--out-dir", str(tmp_path / "out")])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1] == (
-        "navol: error: command 'energy' takes exactly one instance file")
+    rc = cli.main(["energy", *paths, "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: command 'energy' takes exactly one instance file\n"
+    assert not (tmp_path / "out").exists()
 
 
 # (command, flag) of every flag a command does not read

@@ -304,8 +304,8 @@ def test_lipschitz_stability_report():
 
 
 def test_check_rows_are_lattice_length_differences():
-    # the checks share rows and integer roofs per level; each row must still
-    # be the difference of two plain lattice_length calls
+    # each check row is one lattice_length against a itself; it must equal
+    # the difference of two plain lattice_length calls against b
     rng = random.Random(312)
     for P, schedule in ((SEG, [1, 2, 5, 13]), (BOX, [1, 3, 4, 9])):
         for _ in range(3):
