@@ -16,7 +16,7 @@ report whole and other fields after ``command`` and ``instance``, and writes
 ``<command>.json`` and the series as ``<command>.csv`` with ``-`` as ``_``.
 verify-all, the one command that takes ``--seed``, runs the same checks on
 each instance file with no ``--schedule``. A flag the command does not take
-is refused before any file is opened.
+is refused before any file is opened; each argument error prints one line.
 
 Exit codes: 0 all checks passed, 1 a verification criterion failed,
 2 malformed instance or arguments (an output directory that cannot be
@@ -359,8 +359,15 @@ def _cmd_verify_all(args, extra_paths: Sequence[str]) -> CommandResult:
 # driver
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its argument errors raise, so main prints each as one line."""
+
+    def error(self, message):
+        raise InstanceFormatError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="navol",
         description="Exact toolkit for discrete pluripotential theory on "
                     "polytopes, metric trees and toric surfaces.")
@@ -406,18 +413,15 @@ def _emit(result: CommandResult, args) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_intermixed_args(argv)
-    for flag, value, reads in (("--schedule", args.schedule, args.command in SCHEDULED),
-                               ("--seed", args.seed, args.command == "verify-all")):
-        if value is not None and not reads:
-            print(f"error: command {args.command!r} takes no {flag}", file=sys.stderr)
-            return EXIT_PARSE
-    if args.command != "verify-all" and len(args.instance) != 1:
-        print(f"error: command {args.command!r} takes exactly one instance file",
-              file=sys.stderr)
-        return EXIT_PARSE
     try:
+        args = build_parser().parse_intermixed_args(argv)
+        for flag, value, reads in (("--schedule", args.schedule, args.command in SCHEDULED),
+                                   ("--seed", args.seed, args.command == "verify-all")):
+            if value is not None and not reads:
+                raise InstanceFormatError(f"command {args.command!r} takes no {flag}")
+        if args.command != "verify-all" and len(args.instance) != 1:
+            raise InstanceFormatError(
+                f"command {args.command!r} takes exactly one instance file")
         if args.command == "verify-all":
             result = _cmd_verify_all(args, args.instance)
         else:

@@ -22,7 +22,7 @@ from .plmetric import (PLMetric, canonical_metric, distance, envelope,
 from .polytope import Polytope, segment, unit_box
 from .rational import ZERO, frac, frac_str
 from .trees import MetricTree, laplacian_rows, net_mass_rows, potential_rows
-from .volumes import default_schedule, lattice_length, navol_series
+from .volumes import default_schedule, lattice_length, navol
 
 
 # defaults for h0-check and diff-check, shared by verify-all
@@ -50,28 +50,23 @@ def _fit_window(count: int, requested: Optional[int], default_fraction: int) -> 
     return max(1, count // default_fraction)
 
 
-def verify_vol_is_energy(m1: PLMetric, m2: PLMetric,
-                         schedule: Optional[Sequence[int]] = None,
+def verify_vol_is_energy(m1: PLMetric, m2: PLMetric, schedule: Sequence[int],
                          fit_count: Optional[int] = None,
                          instance: str = "pair") -> VerificationReport:
-    """Normalized lattice-length series converges to the energy of the pair of
-    envelopes, with a C/m envelope fitted on the leading third of the schedule
-    and enforced on the rest. For semipositive pairs this is the volume=energy
-    identity; in general it is its envelope corollary."""
+    """The normalized series of volumes.navol converges to its limit, the
+    energy of the pair of envelopes, with a C/m envelope fitted on the leading
+    third of the schedule and enforced on the rest. For semipositive pairs this
+    is the volume=energy identity; in general it is its envelope corollary."""
     start = time.monotonic()
-    if schedule is None:
-        schedule = default_schedule(m1.dim)
-    schedule = list(schedule)
-    target = envelope_energy(m1, m2)
-    rows = navol_series(m1, m2, schedule)
+    result = navol(m1, m2, schedule)
+    target, rows = result.exact, result.rows
     window = _fit_window(len(rows), fit_count, 3)
     constant = ZERO
     for row in rows[:window]:
         constant = max(constant, abs(row.normalized - target) * row.m)
     passed = all(abs(row.normalized - target) * row.m <= constant
                  for row in rows[window:])
-    semi = is_semipositive(m1) and is_semipositive(m2)
-    theorem = "vol-is-energy" if semi else "vol-is-energy-envelope"
+    theorem = "vol-is-energy" if result.semipositive_pair else "vol-is-energy-envelope"
     series = [("m", "length", "normalized")] + [
         (str(r.m), frac_str(r.length), frac_str(r.normalized)) for r in rows]
     return VerificationReport(
@@ -146,15 +141,12 @@ def verify_orthogonality(psi: PLMetric,
         runtime=time.monotonic() - start)
 
 
-def verify_h0_envelope_equality(psi: PLMetric,
-                                schedule: Optional[Sequence[int]] = None,
+def verify_h0_envelope_equality(psi: PLMetric, schedule: Sequence[int],
                                 instance: str = "metric") -> VerificationReport:
     """Lattice lengths between a metric and its envelope vanish at every
     level: the section lattices agree, hence so does the volume. The envelope
     is rebuilt from its blocks, so its roof is derived anew, not copied."""
     start = time.monotonic()
-    if schedule is None:
-        schedule = default_schedule(psi.dim)
     env = PLMetric(psi.polytope, envelope(psi).blocks)
     lengths = [(m, lattice_length(psi, env, m)) for m in schedule]
     passed = all(length == 0 for _, length in lengths)
@@ -169,12 +161,10 @@ def verify_h0_envelope_equality(psi: PLMetric,
 
 
 def verify_length_cocycle(a: PLMetric, b: PLMetric, c: PLMetric,
-                          schedule: Optional[Sequence[int]] = None,
+                          schedule: Sequence[int],
                           instance: str = "triple") -> VerificationReport:
     """Lengths are antisymmetric and additive along triples at every level."""
     start = time.monotonic()
-    if schedule is None:
-        schedule = default_schedule(a.dim)
     passed = True
     worst = 0
     for m in schedule:
@@ -308,16 +298,17 @@ def run_bundled_suite(seed: int = 0) -> List[VerificationReport]:
 
     tent = tent_metric(seg)
     can1 = canonical_metric(seg)
-    reports.append(verify_vol_is_energy(tent, can1, instance="tent"))
+    levels1, levels2 = default_schedule(1), default_schedule(2)
+    reports.append(verify_vol_is_energy(tent, can1, levels1, instance="tent"))
     can2 = canonical_metric(box)
-    reports.append(verify_vol_is_energy(metric_shift(can2, 1), can2,
+    reports.append(verify_vol_is_energy(metric_shift(can2, 1), can2, levels2,
                                         instance="square-shift"))
     for i in range(3):
         pair = (random_convex_metric(seg, rng), random_convex_metric(seg, rng))
-        reports.append(verify_vol_is_energy(*pair, instance=f"seg-convex-{i}"))
+        reports.append(verify_vol_is_energy(*pair, levels1, instance=f"seg-convex-{i}"))
     for i in range(2):
         pair = (random_convex_metric(box, rng), random_convex_metric(box, rng))
-        reports.append(verify_vol_is_energy(*pair, instance=f"box-convex-{i}"))
+        reports.append(verify_vol_is_energy(*pair, levels2, instance=f"box-convex-{i}"))
 
     pos, neg = tent_direction(seg)
     reports.append(verify_differentiability(can1, pos, neg, DIFF_EPS,
@@ -342,7 +333,7 @@ def run_bundled_suite(seed: int = 0) -> List[VerificationReport]:
 
     triple = [random_convex_metric(seg, rng) for _ in range(2)]
     triple.append(random_nonconvex_metric(seg, rng))
-    reports.append(verify_length_cocycle(*triple, instance="seeded-triple"))
+    reports.append(verify_length_cocycle(*triple, levels1, instance="seeded-triple"))
 
     for i in range(3):
         tree = random_tree(rng, max_vertices=12)

@@ -242,14 +242,16 @@ Instance = Union[ToricInstance, TreeInstance, SurfaceInstance]
 # parsing
 
 
-def _parse_schedule(value, path: str) -> List[int]:
-    arr = _as_array(value, path)
+def _parse_schedule(value, path: str, read=_as_int,
+                    refuse=lambda m: m < 1 and "schedule entries are >= 1") -> List:
+    """A nonempty array of entries read by read (levels by default); refuse
+    gives the reason an entry is refused, or a false value."""
     out = []
-    for i, entry in enumerate(arr):
-        m = _as_int(entry, f"{path}[{i}]")
-        if m < 1:
-            raise InstanceFormatError(f"{path}[{i}]: schedule entries are >= 1")
-        out.append(m)
+    for i, entry in enumerate(_as_array(value, path)):
+        out.append(read(entry, f"{path}[{i}]"))
+        why = refuse(out[-1])
+        if why:
+            raise InstanceFormatError(f"{path}[{i}]: {why}")
     if not out:
         raise InstanceFormatError(f"{path}: schedule must be nonempty")
     return out
@@ -311,14 +313,9 @@ def _parse_toric(obj: Dict[str, object], name: str) -> ToricInstance:
             canonical_names.append(mname)
     schedule = (_parse_schedule(obj["schedule"], f"{name}.schedule")
                 if "schedule" in obj else None)
-    eps = None
-    if "eps_schedule" in obj:
-        arr = _as_array(obj["eps_schedule"], f"{name}.eps_schedule")
-        eps = [_as_rational(e, f"{name}.eps_schedule[{i}]")
-               for i, e in enumerate(arr)]
-        for i, e in enumerate(eps):
-            if e < 0:
-                raise InstanceFormatError(f"{name}.eps_schedule[{i}]: eps entry {e} is negative")
+    eps = (_parse_schedule(obj["eps_schedule"], f"{name}.eps_schedule", _as_rational,
+                           lambda e: e < 0 and f"eps entry {e} is negative")
+           if "eps_schedule" in obj else None)
     return ToricInstance(name=name, polytope=P, metrics=metrics,
                          canonical_names=tuple(canonical_names),
                          schedule=schedule, eps_schedule=eps)

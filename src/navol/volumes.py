@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import PreconditionError
 from .measures import envelope_energy
@@ -177,27 +177,18 @@ class VolumeResult:
         return self.rows[-1].normalized if self.rows else ZERO
 
 
-def navol_series(m1: PLMetric, m2: PLMetric,
-                 schedule: Optional[Sequence[int]] = None) -> List[SeriesRow]:
+def navol(m1: PLMetric, m2: PLMetric, schedule: Sequence[int]) -> VolumeResult:
+    """Non-archimedean volume of a metric pair: lattice-length series plus the
+    exact limit, the envelopes' energy read from the two conjugates."""
     n = m1.dim
     factorial = math.factorial(n)
-    if schedule is None:
-        schedule = default_schedule(n)
     rows = []
     for m in schedule:
         length = lattice_length(m1, m2, m)
         rows.append(SeriesRow(m, length, Fraction(factorial * length, m ** (n + 1))))
-    return rows
-
-
-def navol(m1: PLMetric, m2: PLMetric,
-          schedule: Optional[Sequence[int]] = None) -> VolumeResult:
-    """Non-archimedean volume of a metric pair: lattice-length series plus the
-    exact limit, the envelopes' energy read from the two conjugates."""
-    rows = navol_series(m1, m2, schedule)
     exact = envelope_energy(m1, m2)
     semi = is_semipositive(m1) and is_semipositive(m2)
-    tail = rows[len(rows) // 2:] if rows else []
+    tail = rows[len(rows) // 2:]
     gap = max((abs(r.normalized - exact) for r in tail), default=ZERO)
     return VolumeResult(rows=rows, exact=exact, dim=m1.dim,
                         semipositive_pair=semi, max_gap=gap)
@@ -213,7 +204,7 @@ class LipschitzReport:
 
 
 def lipschitz_check(m1: PLMetric, m1_alt: PLMetric, m2: PLMetric,
-                    schedule: Optional[Sequence[int]] = None) -> LipschitzReport:
+                    schedule: Sequence[int]) -> LipschitzReport:
     """Stability of volumes under sup-distance perturbation of one argument.
 
     Finite level: replacing m1 by m1_alt moves each lattice length by at most
@@ -223,8 +214,6 @@ def lipschitz_check(m1: PLMetric, m1_alt: PLMetric, m2: PLMetric,
     """
     d = distance(m1, m1_alt)
     _check_pair(m1, m2)
-    if schedule is None:
-        schedule = default_schedule(m1.dim)
     rows: List[Tuple[int, int, int]] = []
     ok = True
     for m in schedule:
@@ -250,15 +239,14 @@ class ProportionalityReport:
 
 
 def proportionality_check(m1: PLMetric, m2: PLMetric, t: Fraction,
-                          schedule: Optional[Sequence[int]] = None) -> ProportionalityReport:
+                          schedule: Sequence[int]) -> ProportionalityReport:
     """Shifting a metric by the constant t shifts each lattice length by
     exactly t*m when t*m is an integer, and by a value in
     [floor(t*m), ceil(t*m)] otherwise; summed over the N_m lattice points.
-    Each row is one lattice_length, of psi + t (metric_shift) against m1."""
+    Each row is one lattice_length, of m1 + t (metric_shift) against m1; m2
+    only pins the polytope, which it must share with m1."""
     t = frac(t)
     _check_pair(m1, m2)
-    if schedule is None:
-        schedule = default_schedule(m1.dim)
     shifted = metric_shift(m1, t)
     rows: List[Tuple[int, int, int, int]] = []
     exact_rows = 0

@@ -18,6 +18,7 @@ from navol.measures import DiscreteMeasure, energy
 from navol.plmetric import canonical_metric, envelope, metric_deform
 from navol.polytope import Polytope, segment, simplex, unit_box
 from navol.trees import MetricTree, potential_rows
+from navol.volumes import default_schedule
 
 F = Fraction
 SEG = segment(0, 1)
@@ -26,7 +27,7 @@ EPS = [F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 32)]
 
 
 def test_vol_is_energy_on_the_tent():
-    rep = verify_vol_is_energy(tent_metric(SEG), canonical_metric(SEG))
+    rep = verify_vol_is_energy(tent_metric(SEG), canonical_metric(SEG), default_schedule(1))
     assert rep.passed
     assert rep.theorem == "vol-is-energy"
     assert rep.exact["energy"] == "1/4"

@@ -1,5 +1,6 @@
-"""Falsifiability gate: each in-process mutant of a `navol.harness` name must
-make the named theorems of `run_bundled_suite(0)` report FAIL, and make
+"""Falsifiability gate: each in-process mutant of a `navol.harness` name,
+patched also where `navol.volumes` binds the same function, must make the
+named theorems of `run_bundled_suite(0)` report FAIL, and make
 `navol verify-all --seed 0` exit 1. A check that no mutant can fail verifies
 nothing."""
 
@@ -10,6 +11,7 @@ import pytest
 
 import navol.cli as cli
 import navol.harness as harness
+import navol.volumes as volumes
 from navol.measures import DiscreteMeasure
 from navol.plmetric import PLMetric
 
@@ -84,7 +86,11 @@ def test_the_unmutated_suite_passes():
 @pytest.mark.parametrize("label", sorted(MUTANTS))
 def test_mutant_is_caught(label, monkeypatch, tmp_path, capsys):
     name, mutate, must_fail = MUTANTS[label]
-    monkeypatch.setattr(harness, name, mutate(getattr(harness, name)))
+    original = getattr(harness, name)
+    mutant = mutate(original)
+    for module in (harness, volumes):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, mutant)
     failed = _failures(harness.run_bundled_suite(0))
     for theorem, rows in must_fail.items():
         assert failed[theorem] >= rows, (label, theorem, dict(failed))

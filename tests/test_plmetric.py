@@ -18,7 +18,7 @@ from navol.plmetric import (PLMetric, canonical_metric,
                             distance, envelope, is_semipositive, legendre,
                             metric_deform, metric_shift, metric_sum)
 from navol.polytope import Polytope, segment, simplex, unit_box
-from navol.rational import vadd
+from navol.rational import frac, vadd
 
 from navol.volumes import lattice_length
 
@@ -138,6 +138,17 @@ def test_evaluation_is_min_of_max():
 def test_slope_outside_polytope_rejected():
     with pytest.raises(PreconditionError):
         PLMetric(SEG, [[((F(0),), F(0)), ((F(2),), F(0)), ((F(1),), F(0))]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: frac(0.5),
+    lambda: segment(0, 0.5),
+    lambda: PLMetric(SEG, [[((F(0),), F(0)), ((0.5,), F(0)), ((F(1),), F(0))]]),
+], ids=["frac", "segment", "slope"])
+def test_a_float_is_refused_as_inexact(build):
+    with pytest.raises(TypeError) as err:
+        build()
+    assert str(err.value) == "cannot interpret 0.5 as an exact rational"
 
 
 def test_missing_vertex_slope_rejected():

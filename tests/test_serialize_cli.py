@@ -912,3 +912,138 @@ def test_results_too_long_to_print_exit_3_with_one_line(case, tmp_path, capsys):
     assert rc == 3 and out == ""
     assert err == ("error: an exact result has an integer of more than "
                    f"{sys.get_int_max_str_digits()} digits\n")
+
+
+# (command, file name, instance, error line) of the argparse errors: each is
+# one line, as every other refusal with exit 2
+BAD_ARGUMENTS = {
+    "unknown-command": (
+        ["bogus", "x.json"],
+        "error: argument command: invalid choice: 'bogus' (choose from "
+        + ", ".join(repr(c) for c in cli.COMMANDS) + ")"),
+    "bad-seed": (["verify-all", "--seed", "abc"],
+                 "error: argument --seed: invalid int value: 'abc'"),
+    "unknown-flag": (["energy", "x.json", "--bogus"],
+                     "error: unrecognized arguments: --bogus"),
+    "no-command": ([], "error: the following arguments are required: command, instance"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_argument_errors_exit_2_with_one_line(case, tmp_path, capsys):
+    args, line = BAD_ARGUMENTS[case]
+    out_dir = tmp_path / "out"
+    rc = cli.main([*args, "--out-dir", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == line + "\n"
+    assert not out_dir.exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: navol")
+
+
+SURFACE = json.loads(_bundled()["surface_p2.json"])
+TREE = json.loads(_bundled()["tree_star.json"])
+
+
+DROP = object()
+
+
+def _with(instance, path, value):
+    """A deep copy of instance with the field at path (keys and indices) set
+    to value, or removed when value is DROP."""
+    copy = json.loads(json.dumps(instance))
+    *head, last = path
+    parent = copy
+    for key in head:
+        parent = parent[key]
+    if value is DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    return copy
+
+
+PIECE = ("metrics", "psi1", 0, 0)
+# name -> (instance, field path, new value, error line after "error: f.json")
+MALFORMED_FILES = {
+    "not-an-object": (TENT, ("metrics",), [], ".metrics: expected an object"),
+    "not-an-array": (TENT, ("polytope",), "box", ".polytope: expected an array"),
+    "not-an-integer": (TENT, ("schedule",), ["1"], ".schedule[0]: expected an integer"),
+    "list-as-rational": (TENT, (*PIECE, "constant"), [1],
+                         ".metrics.psi1[0][0].constant: expected a rational as "
+                         "integer or 'p/q' string"),
+    "q-out-of-range": (SURFACE, ("q",), 3, ".q: must be between 0 and 2"),
+    "empty-point": (TENT, ("polytope", 0), [], ".polytope[0]: a point needs coordinates"),
+    "level-below-1": (TENT, ("schedule",), [2, 0],
+                      ".schedule[1]: schedule entries are >= 1"),
+    "empty-schedule": (TENT, ("schedule",), [], ".schedule: schedule must be nonempty"),
+    "empty-eps-schedule": (DIFF, ("eps_schedule",), [],
+                           ".eps_schedule: schedule must be nonempty"),
+    "bad-shorthand": (TENT, ("metrics", "psi2"), "flat",
+                      ".metrics.psi2: metric shorthand must be 'canonical'"),
+    "empty-metric": (TENT, ("metrics", "psi1"), [],
+                     ".metrics.psi1: a metric needs at least one block"),
+    "empty-block": (TENT, ("metrics", "psi1", 0), [],
+                    ".metrics.psi1[0]: a block needs at least one piece"),
+    "slope-arity": (TENT, (*PIECE, "slope"), ["0", "1"],
+                    ".metrics.psi1[0][0].slope: needs 1 coordinates"),
+    "empty-polytope": (TENT, ("polytope",), [], ".polytope: needs at least one vertex"),
+    "mixed-dimension": (TENT, ("polytope",), [["0"], ["1", "0"]],
+                        ".polytope: points of mixed dimension"),
+    "unknown-family": (SURFACE, ("family",), "P3",
+                       ".family: unsupported family 'P3'; use P1, P2, P1xP1 or Fa (a >= 0)"),
+    "divisor-basis": (SURFACE, ("divisors", "D", 0, "class"), [1, 0],
+                      ".divisors.D: basis divisor (1, 0) needs 1 coordinates"),
+    "scan-unknown-divisor": (SURFACE, ("scan", "p", 0), "Z",
+                             ".scan: references unknown divisor 'Z'"),
+    "grid-max-below-2": (SURFACE, ("scan", "grid_max"), 1, ".scan.grid_max: must be >= 2"),
+    "no-kind": (TREE, ("kind",), DROP, ": missing required field 'kind'"),
+    "repeated-vertex": (TREE, ("tree", "vertices", 1), "center",
+                        ".tree: tree has repeated vertex ids"),
+    "no-vertices": (_with(TREE, ("measures",), DROP), ("tree",),
+                    {"vertices": [], "edges": []}, ".tree: tree needs at least one vertex"),
+    "unknown-root": (TREE, ("tree", "root"), "leaf9", ".tree: root leaf9 is not a vertex"),
+    "disconnected": (TREE, ("tree", "edges", 2, "ends"), ["leaf1", "leaf2"],
+                     ".tree: tree is not connected"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_files_exit_2_with_one_line_naming_the_field(case, tmp_path, capsys):
+    instance, field_path, value, line = MALFORMED_FILES[case]
+    command = {"toric": "energy", "surface": "cohomology"}.get(instance["kind"], "ma-solve")
+    path = _write(tmp_path, "f.json", _with(instance, field_path, value))
+    rc = cli.main([command, path, "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: f.json" + line + "\n"
+
+
+def test_spaced_and_underscored_edge_lengths_parse_like_plain_ones():
+    # " 1/2 " and "1_0/3" are no plain literals: the field validator reads them
+    plain = _with(_with(TREE, ("tree", "edges", 1, "length"), "1/2"),
+                  ("tree", "edges", 2, "length"), "10/3")
+    spaced = _with(_with(TREE, ("tree", "edges", 1, "length"), " 1/2 "),
+                   ("tree", "edges", 2, "length"), "1_0/3")
+    want, got = (parse_instance_text(json.dumps(t), "t.json").tree for t in (plain, spaced))
+    assert got.edges == want.edges
+    assert (got.length_scale, got.lengths) == (want.length_scale, want.lengths)
+
+
+def test_a_lone_canonical_metric_is_the_single_metric(tmp_path, capsys):
+    lone = dict(TENT, metrics={"flat": "canonical"})
+    inst = parse_instance_text(json.dumps(lone), "lone.json")
+    assert inst.single_metric("measure") is inst.metrics["flat"]
+    two = dict(TENT, metrics={"a": "canonical", "b": "canonical"})
+    path = _write(tmp_path, "two.json", two)
+    rc = cli.main(["measure", path, "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err == ("error: command 'measure' needs a metric named 'psi' "
+                   "(instance has: a, b)\n")

@@ -14,8 +14,7 @@ from navol.measures import energy
 from navol.plmetric import canonical_metric, envelope, legendre, metric_shift
 from navol.polytope import Polytope, segment, unit_box
 from navol.volumes import (_ceil_sum, _floor_sum, _point_count, default_schedule,
-                           lattice_length, lipschitz_check, navol, navol_series,
-                           proportionality_check)
+                           lattice_length, lipschitz_check, navol, proportionality_check)
 
 from _oracles import (ceil_sum_by_points, lattice_length_by_points,
                       lattice_length_oracle, lattice_points_oracle)
@@ -219,7 +218,7 @@ def test_lattice_length_matches_enumeration_oracle():
 
 
 def test_tent_series_frozen_values():
-    rows = navol_series(tent_metric(SEG), canonical_metric(SEG), [2, 3, 4])
+    rows = navol(tent_metric(SEG), canonical_metric(SEG), [2, 3, 4]).rows
     assert [(r.m, r.length, r.normalized) for r in rows] == [
         (2, 1, F(1, 4)), (3, 2, F(2, 9)), (4, 4, F(1, 4))]
 
