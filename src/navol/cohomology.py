@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .harness import VerificationReport
+from .harness import VerificationReport, _fit_window
 from .polytope import Polytope
 from .rational import ZERO, frac, frac_str
 
@@ -365,7 +365,7 @@ def morse_check(family: ToricFamily, d: RealDivisor, e: RealDivisor, q: int,
     a, b = leading.numerator, leading.denominator * math.factorial(n)
     diff = d.minus(e)
     schedule = list(schedule)
-    half = max(1, len(schedule) // 2)
+    half = _fit_window(len(schedule), None, 2)
     values = [(m, hq(family, diff, m, q)) for m in schedule]
     # fitted = c / f: the largest (h - main) / m^(n-1) on the first half, or 0
     c, f = 0, 1

@@ -45,8 +45,11 @@ class VerificationReport:
 
 
 def _fit_window(count: int, requested: Optional[int], default_fraction: int) -> int:
+    """How many of count levels fit the constant; the rest (one at least) verify it."""
+    if count < 2:
+        raise PreconditionError(f"a fitted check needs at least two levels, got {count}")
     if requested is not None:
-        return max(1, min(requested, count - 1)) if count > 1 else count
+        return max(1, min(requested, count - 1))
     return max(1, count // default_fraction)
 
 
@@ -58,9 +61,9 @@ def verify_vol_is_energy(m1: PLMetric, m2: PLMetric, schedule: Sequence[int],
     third of the schedule and enforced on the rest. For semipositive pairs this
     is the volume=energy identity; in general it is its envelope corollary."""
     start = time.monotonic()
+    window = _fit_window(len(schedule), fit_count, 3)
     result = navol(m1, m2, schedule)
     target, rows = result.exact, result.rows
-    window = _fit_window(len(rows), fit_count, 3)
     constant = ZERO
     for row in rows[:window]:
         constant = max(constant, abs(row.normalized - target) * row.m)
@@ -89,6 +92,7 @@ def verify_differentiability(psi: PLMetric, pos: PLMetric, neg: PLMetric,
     eps_values = sorted({frac(e) for e in eps_schedule} - {ZERO}, reverse=True)
     if not eps_values or eps_values[-1] < 0:
         raise PreconditionError("differentiability needs nonnegative eps values, not all 0")
+    window = _fit_window(len(eps_values), fit_count, 2)
     if not is_semipositive(psi):
         raise PreconditionError("differentiability base metric must be semipositive")
     mu = monge_ampere(psi)
@@ -97,7 +101,6 @@ def verify_differentiability(psi: PLMetric, pos: PLMetric, neg: PLMetric,
     for eps in eps_values:
         vol = envelope_energy(metric_deform(psi, eps, pos, neg), psi)
         residuals.append((eps, vol, abs(vol - eps * derivative)))
-    window = _fit_window(len(residuals), fit_count, 2)
     constant = ZERO
     ratios = [(eps, res / (eps * eps)) for eps, _, res in residuals[:window]]
     for _, ratio in ratios:
@@ -165,6 +168,8 @@ def verify_length_cocycle(a: PLMetric, b: PLMetric, c: PLMetric,
                           instance: str = "triple") -> VerificationReport:
     """Lengths are antisymmetric and additive along triples at every level."""
     start = time.monotonic()
+    if not schedule:
+        raise PreconditionError("length-cocycle needs at least one level")
     passed = True
     worst = 0
     for m in schedule:

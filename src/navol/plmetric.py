@@ -14,12 +14,12 @@ a line from polytope's one monotone chain, or a constant), on every
 supported P, points and segments in the plane included. And one cell engine,
 _dominance_cells, cuts a convex region into the sub-cells on which one
 affine row is the max (or the min). Inside P it gives the linearity cells of
-the conjugate, a RoofFunction, which yield integrals, Monge-Ampere measures
-and the double-conjugate envelope, whose own conjugate is that roof cut down
-to the pieces owning a cell. In a box of v-space it refines two metrics
-until each is one row on every cell, so their sup-distance is a max over the
-cells' corners. A region that one row owns at every corner is that row's one
-cell, with nothing clipped.
+the conjugate, a RoofFunction, which yield integrals, Monge-Ampere measures,
+lattice lengths (volumes) and the double-conjugate envelope, whose own
+conjugate is that roof cut down to the pieces owning a cell. In a box of
+v-space it refines two metrics until each is one row on every cell, so their
+sup-distance is a max over the cells' corners. A region that one row owns at
+every corner is that row's one cell, with nothing clipped.
 
 Metrics and roofs store only integer rows D * (slope, const) over their
 lowest common denominator D, and build their Fraction blocks or pieces on
@@ -245,9 +245,9 @@ class RoofFunction:
     only as integer rows (D*s, D*c), one per slope, over their lowest common
     denominator D (integer_rows); the Fraction pieces are built on first
     access. The linearity cells (dominance region of each piece inside P)
-    are computed exactly on integers and feed integrals, envelopes and
-    Monge-Ampere measures, each cell corner u = x / w a homogeneous row
-    (x, w) in lowest terms with w > 0.
+    are computed exactly on integers and feed integrals, envelopes, lattice
+    lengths and Monge-Ampere measures, each cell corner u = x / w a
+    homogeneous row (x, w) in lowest terms with w > 0.
     """
 
     def __init__(self, polytope: Polytope, scale: int, rows: Sequence[Tuple[int, ...]]):
@@ -703,16 +703,18 @@ def metric_shift(metric: PLMetric, t) -> PLMetric:
     """psi + t, i.e. the metric scaled by e^{-t}. Every hull and its order
     stay: for t = p/q, a kept row r over D becomes q*r + (0, ..., p*D) over
     q*D and a roof row r over E becomes q*r - (0, ..., p*E) over q*E. Nothing
-    is hulled, and semipositivity and the recession identity carry over."""
+    is hulled, and semipositivity and the recession identity carry over. The
+    roof keeps its cells: a constant shift moves no cell."""
     t = frac(t)
     p, q = t.numerator, t.denominator
     (d, blocks), (e, roof) = metric.integer_rows(), legendre(metric).integer_rows()
+    moved = RoofFunction(metric.polytope, q * e,
+                         [(*(q * x for x in r[:-1]), q * r[-1] - p * e) for r in roof])
+    moved._integer_cells = metric._conjugate.integer_cells()
     out = PLMetric.__new__(PLMetric)
     out._build(metric.polytope,
                _lowest(q * d, [[(*(q * x for x in r[:-1]), q * r[-1] + p * d) for r in b]
-                               for b in blocks]),
-               RoofFunction(metric.polytope, q * e,
-                            [(*(q * x for x in r[:-1]), q * r[-1] - p * e) for r in roof]))
+                               for b in blocks]), moved)
     out._semipositive = metric._semipositive
     return out
 

@@ -13,14 +13,12 @@ each, masses, slopes and potentials are scaled the same way, and Fractions
 are built only for the functions and measures the public functions return.
 A tree is built from (numerator, denominator) length pairs
 (`MetricTree.from_pairs`, the instance parser's route) or from Fraction
-lengths; its `edges` and `adjacency` are Fraction views built on first
-access, which the solver never reads. Masses enter as atom rows (vertex
-position, numerator, denominator), so a parsed measure reaches the solver
-without a DiscreteMeasure (`net_rows`).
+lengths, and keeps its edges as those integer rows only. Masses enter as
+atom rows (vertex position, numerator, denominator), so a parsed measure
+reaches the solver without a DiscreteMeasure (`net_rows`).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,20 +119,6 @@ class MetricTree:
                     parent_length[j] = length
                     stack.append(j)
         return order, parent, parent_length
-
-    @functools.cached_property
-    def edges(self) -> List[Tuple[str, str, Fraction]]:
-        """The edges (u, v, length) in input order, built on first access."""
-        return [(u, v, Fraction(p, q)) for u, v, p, q in self._edge_rows]
-
-    @functools.cached_property
-    def adjacency(self) -> Dict[str, List[Tuple[str, Fraction]]]:
-        """Each vertex's (neighbour, edge length) list, built on first access."""
-        adjacency: Dict[str, List[Tuple[str, Fraction]]] = {v: [] for v in self.vertices}
-        for u, v, length in self.edges:
-            adjacency[u].append((v, length))
-            adjacency[v].append((u, length))
-        return adjacency
 
 
 def _pair(length) -> Tuple[int, int]:

@@ -4,30 +4,32 @@ The volume of a metric pair is the large-m limit of n!/m^(n+1) times the
 lattice length at level m: the sum over the integer points u of mP of
 ceil(m g2(u/m)) - ceil(m g1(u/m)), where g_i is the Legendre transform
 (roof) of metric i. The points come as Polytope.row_bands: on rows y0..y1,
-x_lo and x_hi are floors of fixed linear functions of y. On a row, m*g_i
-is the upper envelope of the K integer roof lines a*x + c, c = a1*y + m*b,
-over a common denominator L; each of its pieces on [x_lo, x_hi] is an
-arithmetic progression, whose ceilings over L one Euclid-like floor_sum adds
-in O(log m) steps. The envelope is built over the whole x-line once per
-stretch of a band on which it holds. With its lines l_j by increasing
-x-slope a_j, crossing at x_j = (c_j - c_(j+1)) / (a_(j+1) - a_j), it holds
-on a row iff
-  (i)   x_j <= x_(j+1) for each j: l_j is the max exactly on [x_(j-1), x_j];
-  (ii)  every line a*x + c off it with a_j < a < a_(j+1) is at most l_j at
-        x_j, the kink where the envelope minus that line is least;
-  (iii) every line off it with slope a_j has c <= c_j.
-(The extreme slopes are always on it.) Cleared of the positive denominators,
-each condition is an integer inequality alpha*y + beta >= 0 that holds on the
-row the envelope is built on, so the stretch ends at the band's last row or
-the least floor(beta / -alpha) with alpha < 0. A level with R rows (about m
-in the plane, 1 on the line), S stretches (the bands plus the rows where the
-roof's cells change) and k runs a row costs O(K log K + S*K + R*k*log m).
-Every length is an exact integer. The exact limit, the energy of the pair of
-convex envelopes, is read from the two conjugates (measures.envelope_energy);
-the series rows show it and power the Lipschitz and proportionality checks.
+x_lo and x_hi are floors of fixed linear functions of y. On a row, m*g_i is
+the max of the integer lines a*x + c, c = a1*y + m*b, over a common
+denominator L, of the pieces whose linearity cells
+(RoofFunction.integer_cells) meet the row; each piece's run on [x_lo, x_hi]
+is an arithmetic progression, whose ceilings over L one Euclid-like
+floor_sum adds in O(log m) steps. A cell with corners (x, y, w) meets the
+rows from ceil(m*y/w) at its lowest corner to floor(m*y/w) at its highest
+(every cell meets the one row of a body on the line), so the pieces change
+only at corner rows, and the rows between two are a stretch.
+
+Why that is exact. The cells are closed, convex and tile P, so every row of
+mP meets at least one of them. Every piece whose cell meets a row is the max
+somewhere on that row, so along the row these pieces follow increasing
+x-slope, each the max up to its crossing with the next. Two with equal
+x-slope would, on a multi-row stretch, agree on two parallel lines and be
+one piece; so they meet only on a one-row stretch, a horizontal wall where
+they agree, and either one is kept (their crossing would divide by 0). A
+level with R rows (about m in the plane, 1 on the line), S stretches, K
+cells and k runs a row costs O(K log K + S*K + R*k*log m). Every length is
+an exact integer. The exact limit, the energy of the pair of convex
+envelopes, is read from the two conjugates (measures.envelope_energy); the
+series rows show it and power the Lipschitz and proportionality checks.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +37,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import PreconditionError
 from .measures import envelope_energy
-from .plmetric import (IntegerRows, PLMetric, distance, is_semipositive, legendre,
+from .plmetric import (PLMetric, RoofFunction, distance, is_semipositive, legendre,
                        metric_shift)
 from .polytope import Band
 from .rational import ZERO, frac
@@ -64,60 +66,36 @@ def _floor_sum(n: int, mod: int, a: int, b: int) -> int:
     return total
 
 
-def _envelope(lines: Sequence[Tuple[int, ...]], y: int, last: int) -> Tuple[list, tuple, int]:
-    """The upper envelope over the whole x-line, on row y, of the sorted
-    lines (a, a1, mb), that is a*x + a1*y + mb, and the last row up to
-    `last` on which it stays the envelope ((i)-(iii) of the module
-    docstring). Each envelope line (a, a1, mb, na, nb, den) but the last,
-    (a, a1, mb), is the max up to x = (na*y + nb) // den."""
-    hull: List[Tuple[int, int, int, int]] = []   # (a, a1, mb, c)
-    for a, a1, mb in lines:
-        c = a1 * y + mb
-        if hull and hull[-1][0] == a:
-            if c <= hull[-1][3]:
-                continue
-            hull.pop()
-        while len(hull) > 1:
-            (pa, _, _, pc), (qa, _, _, qc) = hull[-2], hull[-1]
-            if (pc - qc) * (a - qa) < (qc - c) * (qa - pa):
-                break
-            hull.pop()
-        hull.append((a, a1, mb, c))
-    end = last
-    if y < last:   # conditions (alpha, beta): alpha*row + beta >= 0 on row y
-        conditions = [((q1 - r1) * (qa - pa) - (p1 - q1) * (ra - qa),
-                       (qb - rb) * (qa - pa) - (pb - qb) * (ra - qa))
-                      for (pa, p1, pb, _), (qa, q1, qb, _), (ra, r1, rb, _)
-                      in zip(hull, hull[1:], hull[2:])]
-        j = 0
-        for a, a1, mb in lines:
-            while hull[j][0] < a and hull[j + 1][0] <= a:
-                j += 1
-            ha, h1, hb, _ = hull[j]
-            if a == ha:
-                conditions.append((h1 - a1, hb - mb))
-            else:
-                na, n1, nb, _ = hull[j + 1]
-                conditions.append(((ha - a) * (h1 - n1) + (h1 - a1) * (na - ha),
-                                   (ha - a) * (hb - nb) + (hb - mb) * (na - ha)))
-        end = min([last] + [beta // -alpha for alpha, beta in conditions if alpha < 0])
-    env = [(a, a1, mb, a1 - n1, mb - nb, na - a)
-           for (a, a1, mb, _), (na, n1, nb, _) in zip(hull, hull[1:])]
-    return env, hull[-1][:3], end
-
-
-def _ceil_sum(roof: IntegerRows, bands: Sequence[Band], m: int) -> int:
+def _ceil_sum(roof: RoofFunction, bands: Sequence[Band], m: int) -> int:
     """Sum of ceil(m * roof(u/m)) over the integer points u of the row bands,
     for the roof's integer rows L * (a, b) over their common denominator L:
-    one envelope per stretch (_envelope), and one floor sum per run of an
-    envelope line clamped to [x_lo, x_hi] on each row."""
-    scale, pieces = roof
-    # ceil(v / L) == floor((v + L - 1) / L): each line carries the L - 1
-    lines = sorted((r[0], r[1] if len(r) > 2 else 0, m * r[-1] + scale - 1) for r in pieces)
+    a stretch's cell pieces by x-slope, one floor sum per run on each row."""
+    scale, rows = roof.integer_rows()
+    spans = []   # (line, r0, r1): the line a*x + a1*y + mb of a cell's rows r0..r1
+    for i, corners in roof.integer_cells():
+        r = rows[i]
+        # ceil(v / L) == floor((v + L - 1) / L): each line carries the L - 1
+        if len(r) == 2:   # a body on the line: every cell is on its one row, y = 0
+            spans.append(((r[0], 0, m * r[1] + scale - 1), 0, 0))
+        else:
+            spans.append(((r[0], r[1], m * r[2] + scale - 1),
+                          min([-(-m * y // w) for _, y, w in corners]),
+                          max([m * y // w for _, y, w in corners])))
+    spans.sort()
+    cuts = sorted({s[1] for s in spans} | {s[2] + 1 for s in spans}) if len(rows[0]) > 2 else []
     total = 0
     for y, y1, (d, e, f), (d2, e2, f2) in bands:
         while y <= y1:
-            env, last, end = _envelope(lines, y, y1)
+            i = bisect.bisect_right(cuts, y)
+            end = min(y1, cuts[i] - 1) if i < len(cuts) else y1
+            active: list = []
+            for line, r0, r1 in spans:
+                if r0 <= y <= r1:
+                    if active and active[-1][0] == line[0]:
+                        continue   # equal x-slopes: a one-row wall where they agree
+                    active.append(line)
+            env = [(a, a1, mb, a1 - n1, mb - nb, na - a)
+                   for (a, a1, mb), (na, n1, nb) in zip(active, active[1:])]
             for y in range(y, end + 1):
                 start, hi = -((e * y + f) // d), (e2 * y + f2) // d2
                 for a, a1, mb, na, nb, den in env:
@@ -128,7 +106,7 @@ def _ceil_sum(roof: IntegerRows, bands: Sequence[Band], m: int) -> int:
                         total += _floor_sum(stop - start + 1, scale, a, a * start + a1 * y + mb)
                         start = stop + 1
                 else:
-                    a, a1, mb = last
+                    a, a1, mb = active[-1]
                 if start <= hi:
                     total += _floor_sum(hi - start + 1, scale, a, a * start + a1 * y + mb)
             y = end + 1
@@ -146,8 +124,7 @@ def lattice_length(m1: PLMetric, m2: PLMetric, m: int) -> int:
     if m < 1:
         raise PreconditionError("lattice_length needs a positive level m")
     bands = m1.polytope.row_bands(m)
-    return (_ceil_sum(legendre(m2).integer_rows(), bands, m)
-            - _ceil_sum(legendre(m1).integer_rows(), bands, m))
+    return _ceil_sum(legendre(m2), bands, m) - _ceil_sum(legendre(m1), bands, m)
 
 
 def _point_count(bands: Sequence[Band]) -> int:
@@ -247,6 +224,8 @@ def proportionality_check(m1: PLMetric, m2: PLMetric, t: Fraction,
     only pins the polytope, which it must share with m1."""
     t = frac(t)
     _check_pair(m1, m2)
+    if not schedule:
+        raise PreconditionError("proportionality_check needs at least one level")
     shifted = metric_shift(m1, t)
     rows: List[Tuple[int, int, int, int]] = []
     exact_rows = 0

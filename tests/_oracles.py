@@ -18,7 +18,8 @@ instance types back in the instance-file schema,
 types for t*P, `metric_min`, which builds the package's metric type from the
 pairwise unions of two metrics' branches, `polytope_contains`, which reads
 membership from the box and edge half-planes a package polytope stores for
-its lattice rows,
+its lattice rows, `tree_edges` and `tree_adjacency`, which read the integer
+edge rows a package tree stores as Fraction lengths,
 `dominance_cells_by_clipping`, which runs the package's half-plane clip on
 every pair of rows, a route the package's cell engine skips when one row
 owns the whole region, and `with_subdivided_edge` and
@@ -885,13 +886,29 @@ def first_primes(count):
     return found
 
 
+def tree_edges(tree):
+    """The tree's edges (u, v, length) in input order, the lengths as
+    Fractions of its integer edge rows."""
+    return [(u, v, Fraction(p, q)) for u, v, p, q in tree._edge_rows]
+
+
+def tree_adjacency(tree):
+    """Each vertex's (neighbour, edge length) list, lengths as Fractions."""
+    adjacency = {v: [] for v in tree.vertices}
+    for u, v, length in tree_edges(tree):
+        adjacency[u].append((v, length))
+        adjacency[v].append((u, length))
+    return adjacency
+
+
 def tree_laplacian_oracle(tree, f):
     """Nonzero atoms of the Laplacian of f on a metric tree: at each vertex,
     the sum over its edges of (f(w) - f(v)) / length."""
     atoms = {}
+    adjacency = tree_adjacency(tree)
     for v in tree.vertices:
         acc = ZERO
-        for w, length in tree.adjacency[v]:
+        for w, length in adjacency[v]:
             acc += (f(w) - f(v)) / length
         if acc != 0:
             atoms[v] = acc
@@ -904,8 +921,9 @@ def ma_solve_oracle(tree, target, base):
     slope of f on the edge into v as minus the subtree's net mass."""
     parent = {tree.root: None}
     order = [tree.root]
+    adjacency = tree_adjacency(tree)
     for v in order:
-        for w, length in tree.adjacency[v]:
+        for w, length in adjacency[v]:
             if w not in parent:
                 parent[w] = (v, length)
                 order.append(w)
@@ -926,12 +944,12 @@ def with_subdivided_edge(tree, u, v, new_id, at):
     from navol.trees import MetricTree
     assert 0 < at < 1 and new_id not in tree.vertices
     edges = []
-    for a, b, length in tree.edges:
+    for a, b, length in tree_edges(tree):
         if {a, b} == {u, v}:
             edges += [(u, new_id, length * at), (new_id, v, length * (1 - at))]
         else:
             edges.append((a, b, length))
-    assert len(edges) == len(tree.edges) + 1, f"no edge between {u} and {v}"
+    assert len(edges) == len(tree.vertices), f"no edge between {u} and {v}"
     return MetricTree(tree.vertices + [new_id], edges, root=tree.root)
 
 
@@ -1017,7 +1035,7 @@ def serialize_instance(inst):
             "tree": {
                 "vertices": list(inst.tree.vertices),
                 "edges": [{"ends": [u, v], "length": _rat_out(length)}
-                          for u, v, length in inst.tree.edges],
+                          for u, v, length in tree_edges(inst.tree)],
                 "root": inst.tree.root,
             },
         }

@@ -373,7 +373,9 @@ def test_morse_check_matches_the_fraction_route():
         for _ in range(2):
             d, e = _seeded_divisor(fam, rng, nef=True), _seeded_divisor(fam, rng, nef=True)
             for q in (0, 1, 2):
-                for schedule in ([1], list(range(1, 17)), [2, 3, 7, 11, 30]):
+                with pytest.raises(PreconditionError, match="at least two levels"):
+                    morse_check(fam, d, e, q, [1])
+                for schedule in (list(range(1, 17)), [2, 3, 7, 11, 30]):
                     rep = morse_check(fam, d, e, q, schedule)
                     leading, fitted, rows, passed = morse_check_by_fractions(
                         fam, d, e, q, schedule)

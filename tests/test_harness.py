@@ -18,7 +18,9 @@ from navol.measures import DiscreteMeasure, energy
 from navol.plmetric import canonical_metric, envelope, metric_deform
 from navol.polytope import Polytope, segment, simplex, unit_box
 from navol.trees import MetricTree, potential_rows
-from navol.volumes import default_schedule
+from navol.volumes import default_schedule, proportionality_check
+
+from _oracles import tree_edges
 
 F = Fraction
 SEG = segment(0, 1)
@@ -121,6 +123,25 @@ def test_length_cocycle_on_seeded_triples():
         assert rep.exact["max_defect"] == "0"
 
 
+def test_checks_refuse_levels_that_leave_nothing_to_verify():
+    # a fitted check needs one level past its fit window, whatever fit_count
+    # asks, and a check of every level needs one level
+    tent, can = tent_metric(SEG), canonical_metric(SEG)
+    pos, neg = tent_direction(SEG)
+    refusals = {
+        "at least two levels": (lambda: verify_vol_is_energy(tent, can, [3]),
+                                lambda: verify_vol_is_energy(tent, can, [], fit_count=1),
+                                lambda: verify_differentiability(can, pos, neg,
+                                                                 [F(1, 2), F(1, 2)])),
+        "at least one level": (lambda: verify_length_cocycle(tent, can, tent, []),
+                               lambda: proportionality_check(tent, can, F(1), [])),
+    }
+    for message, checks in refusals.items():
+        for check in checks:
+            with pytest.raises(PreconditionError, match=message):
+                check()
+
+
 def test_tree_solvability_report():
     rng = random.Random(2002)
     tree = random_tree(rng)
@@ -162,7 +183,7 @@ def test_generators_are_deterministic_per_seed():
     assert a == b
     t1 = random_tree(random.Random(8))
     t2 = random_tree(random.Random(8))
-    assert t1.vertices == t2.vertices and t1.edges == t2.edges
+    assert t1.vertices == t2.vertices and tree_edges(t1) == tree_edges(t2)
 
 
 def test_bundled_suite_all_pass():

@@ -23,7 +23,8 @@ from navol.rational import plain_pair
 from navol.trees import MetricTree, net_mass_rows, potential_rows
 
 from _oracles import (as_rational_oracle, first_primes, instance_json, ma_solve_oracle,
-                      recession_at, serialize_instance, support_at, tree_measures)
+                      recession_at, serialize_instance, support_at, tree_adjacency,
+                      tree_edges, tree_measures)
 
 F = Fraction
 
@@ -630,8 +631,8 @@ def _assert_rows_match_the_fraction_route(instance):
     want_scale, want = net_mass_rows(tree, target, base)
     assert [F(x, scale) for x in net] == [F(x, want_scale) for x in want]
     assert tree_measures(inst) == {"target": target, "base": base}
-    assert inst.tree.edges == tree.edges
-    assert inst.tree.adjacency == tree.adjacency
+    assert tree_edges(inst.tree) == tree_edges(tree)
+    assert tree_adjacency(inst.tree) == tree_adjacency(tree)
 
 
 def _prime_tree_instance(rng, primes, mass_primes):
@@ -699,8 +700,8 @@ def test_a_tree_parse_reads_each_distinct_literal_once(monkeypatch):
     text = json.dumps(REPEATED_LITERALS)
     inst = parse_instance_text(text, "tree.json")
     assert sorted(read) == ["0", "1", "1/2"]
-    assert inst.tree.edges == [("a", "b", F(1, 2)), ("b", "c", F(1, 2)),
-                               ("c", "d", F(3))]
+    assert tree_edges(inst.tree) == [("a", "b", F(1, 2)), ("b", "c", F(1, 2)),
+                                     ("c", "d", F(3))]
     assert inst.measure_atoms == {"target": [(0, 1, 2), (1, 0, 1), (2, 1, 2)],
                                   "base": [(3, 1, 1), (0, 0, 1)]}
     # the memo lives for one parse: a second parse reads every literal again
@@ -914,6 +915,26 @@ def test_results_too_long_to_print_exit_3_with_one_line(case, tmp_path, capsys):
                    f"{sys.get_int_max_str_digits()} digits\n")
 
 
+# name -> (command, file name, command line after the file) of the fitted
+# checks given one level: none would be left to verify the fitted constant
+ONE_LEVEL = {
+    "verify-all": ("verify-all", "one_level.json", []),
+    "diff-check": ("diff-check", "diff.json", ["--schedule", "1/2"]),
+    "morse-check": ("morse-check", "surface_f1.json", ["--schedule", "5"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_LEVEL))
+def test_a_fitted_check_on_one_level_exits_3_with_one_line(case, tmp_path, capsys):
+    command, name, extra = ONE_LEVEL[case]
+    files = {**_bundled(), "diff.json": DIFF, "one_level.json": dict(TENT, schedule=[3])}
+    path = _write(tmp_path, name, files[name])
+    rc = cli.main([command, path, *extra, "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err == "error: a fitted check needs at least two levels, got 1\n"
+
+
 # (command, file name, instance, error line) of the argparse errors: each is
 # one line, as every other refusal with exit 2
 BAD_ARGUMENTS = {
@@ -1032,7 +1053,7 @@ def test_spaced_and_underscored_edge_lengths_parse_like_plain_ones():
     spaced = _with(_with(TREE, ("tree", "edges", 1, "length"), " 1/2 "),
                    ("tree", "edges", 2, "length"), "1_0/3")
     want, got = (parse_instance_text(json.dumps(t), "t.json").tree for t in (plain, spaced))
-    assert got.edges == want.edges
+    assert tree_edges(got) == tree_edges(want)
     assert (got.length_scale, got.lengths) == (want.length_scale, want.lengths)
 
 

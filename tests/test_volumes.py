@@ -1,6 +1,7 @@
 """Lattice-length series: exact counts, limits, stability, proportionality."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ from navol.errors import PreconditionError
 from navol.harness import (bump_metric, random_convex_metric,
                            random_nonconvex_metric, tent_metric)
 from navol.measures import energy
-from navol.plmetric import canonical_metric, envelope, legendre, metric_shift
-from navol.polytope import Polytope, segment, unit_box
+from navol.plmetric import (RoofFunction, _dedupe_rows, canonical_metric, envelope, legendre,
+                            metric_shift)
+from navol.polytope import Polytope, segment, simplex, unit_box
 from navol.volumes import (_ceil_sum, _floor_sum, _point_count, default_schedule,
                            lattice_length, lipschitz_check, navol, proportionality_check)
 
@@ -121,75 +123,70 @@ def test_lattice_length_matches_per_point_route():
             assert lattice_length(m1, m2, m) == want, (P, m)
 
 
+# Bodies for the roof draws: every one holds an integer point of P
+CATALOGUE = (BOX, simplex(2),
+             Polytope.from_points([(1, 0), (2, 0), (2, 1), (1, 2), (0, 2), (0, 1)]),
+             Polytope.from_points([(0, 0), (F(5, 2), F(1, 3)), (F(1, 2), F(7, 4))]),
+             Polytope.from_points([(0, -1), (0, 2)]), Polytope.from_points([(-1, 1), (2, 1)]),
+             Polytope.from_points([(-1, -1), (2, 1)]), Polytope.from_points([(1, 2)]),
+             SEG, segment(F(-1, 3), F(7, 2)))
+
+
 @st.composite
-def _raw_roofs(draw):
-    """An integer roof (L, lines) of 1-8 lines of 2 or 3 ints with L in 1-12,
-    a level m and rows for it. Two lines may share an x-slope with different
-    y-slopes (or intercepts), three may pass through one lattice point of a
-    row, and rows reach negative x and hold one point or none (lo > hi)."""
-    width = draw(st.sampled_from((2, 3)))
+def _cell_roofs(draw, bodies=CATALOGUE, levels=st.integers(1, 6)):
+    """A body of bodies, a roof of 1-8 integer rows (slope, const) over L
+    in 1-12, deduped by slope, and a level m from levels. Two rows may share
+    an x-slope with different y-slopes, and three may pass through one
+    lattice point m*(p, q) of a row, (p, q) an integer point of P, where
+    they all equal m*v."""
+    P = draw(st.sampled_from(bodies))
+    width = P.ambient_dim + 1
     small = st.integers(-6, 6)
-    m = draw(st.integers(1, 4))
-    lines = draw(st.lists(st.tuples(*[small] * width), min_size=1, max_size=4))
+    m = draw(levels)
+    rows = draw(st.lists(st.tuples(*[small] * width), min_size=1, max_size=4))
+    if width == 3 and draw(st.booleans()):
+        rows.append((rows[0][0],) + draw(st.tuples(small, small)))
     if draw(st.booleans()):
-        lines.append((lines[0][0],) + draw(st.tuples(*[small] * (width - 1))))
-    rows = draw(st.lists(st.builds(lambda y, lo, d: (y, lo, lo + d), small,
-                                   st.integers(-12, 12), st.integers(-3, 12)),
-                         min_size=1, max_size=4))
-    if draw(st.booleans()):
-        # three lines through the point m*(p, q), where they all equal m*v
-        p, q, v = draw(small), draw(small), draw(small)
+        p = draw(st.sampled_from(P.lattice_points(1)))
+        v = draw(small)
         for _ in range(3):
             a = draw(st.tuples(*[small] * (width - 1)))
-            lines.append(a + (v - a[0] * p - (a[1] * q if width == 3 else 0),))
-        rows.append((m * q, m * p - 2, m * p + 2))
-    return (draw(st.integers(1, 12)), lines), rows, m
+            rows.append(a + (v - sum(map(operator.mul, a, p)),))
+    return RoofFunction(P, draw(st.integers(1, 12)), _dedupe_rows(rows)), m
+
+
+@settings(max_examples=200)
+@given(_cell_roofs())
+def test_ceil_sum_matches_a_per_point_max(case):
+    # the roof's own cells give the pieces of each stretch
+    roof, m = case
+    bands = roof.polytope.row_bands(m)
+    assert _ceil_sum(roof, bands, m) == ceil_sum_by_points(roof.integer_rows(), _expand(bands), m)
 
 
 @settings(max_examples=60)
-@given(_raw_roofs())
-def test_ceil_sum_matches_a_per_point_max(case):
-    # each drawn row is a one-row band
-    roof, rows, m = case
-    bands = [(y, y, (1, 0, -lo), (1, 0, hi)) for y, lo, hi in rows]
-    assert _ceil_sum(roof, bands, m) == ceil_sum_by_points(roof, rows, m)
-
-
-@st.composite
-def _banded_roofs(draw):
-    """An integer roof (L, lines) of 2-d lines (a0, a1, b) and 1-4 bands of
-    up to 25 rows each, with random integer bounds, at a level m. The lines'
-    y-slopes a1 move their crossings partway through a band; one line may
-    share another's x-slope, and three may pass through one lattice point
-    m*(p, q) on a band's row m*q."""
-    small = st.integers(-6, 6)
-    m = draw(st.integers(1, 4))
-    lines = draw(st.lists(st.tuples(small, small, small), min_size=1, max_size=6))
-    if draw(st.booleans()):
-        lines.append((lines[0][0],) + draw(st.tuples(small, small)))
-    slope = st.tuples(st.integers(1, 3), st.integers(-4, 4))
-    bands = []
-    for _ in range(draw(st.integers(1, 4))):
-        y0 = draw(st.integers(-15, 15))
-        (d, e), (d2, e2), f = draw(slope), draw(slope), draw(st.integers(-30, 30))
-        # x_hi - x_lo is -2..14 on the band's first row, then drifts a row
-        f2 = d2 * (draw(st.integers(-2, 14)) - (e * y0 + f) // d) - e2 * y0
-        bands.append((y0, y0 + draw(st.integers(0, 24)), (d, e, f), (d2, e2, f2)))
-    if draw(st.booleans()):
-        p, q, v = draw(small), draw(st.integers(-3, 3)), draw(small)
-        for _ in range(3):
-            a0, a1 = draw(small), draw(small)
-            lines.append((a0, a1, v - a0 * p - a1 * q))
-        y0 = m * q - draw(st.integers(0, 12))
-        bands.append((y0, y0 + draw(st.integers(12, 24)), (1, 0, 4 - m * p), (1, 0, m * p + 4)))
-    return (draw(st.integers(1, 12)), lines), bands, m
-
-
-@settings(max_examples=150)
-@given(_banded_roofs())
+@given(_cell_roofs(bodies=[P for P in CATALOGUE if P.affine_dim == 2],
+                   levels=st.integers(8, 24)))
 def test_ceil_sum_on_bands_matches_a_per_point_max(case):
-    roof, bands, m = case
-    assert _ceil_sum(roof, bands, m) == ceil_sum_by_points(roof, _expand(bands), m)
+    # at high levels a band spans many rows, and the cells' crossings move
+    # partway through it: each stretch must cut where a cell starts or ends
+    roof, m = case
+    bands = roof.polytope.row_bands(m)
+    assert any(y1 > y0 + 4 for y0, y1, _, _ in bands)
+    assert _ceil_sum(roof, bands, m) == ceil_sum_by_points(roof.integer_rows(), _expand(bands), m)
+
+
+def test_a_shifted_roof_keeps_its_cells():
+    # metric_shift hands the roof's cells on; cutting the shifted rows anew
+    # must give the same cells, in order
+    rng = random.Random(315)
+    for P in CATALOGUE:
+        for _ in range(6):
+            psi = random_nonconvex_metric(P, rng, branches=rng.randint(1, 3))
+            for t in (F(1), F(1, 2), F(-2), F(7, 3)):
+                roof = legendre(metric_shift(psi, t))
+                fresh = RoofFunction(P, *roof.integer_rows())
+                assert roof.integer_cells() == fresh.integer_cells(), (P, t)
 
 
 def test_default_schedules_are_increasing():
