@@ -8,7 +8,8 @@ P1xP1 is F_0 under its own name.
 h^0 is a lattice-point / section count in closed form, h^top comes from Serre
 duality, and the middle h^1 on surfaces is determined by Riemann-Roch; all
 values are exact integers. One evaluator gives every h^q from h^0 of the class
-and of its Serre dual, each computed only if some requested q reads it.
+and of its Serre dual, each computed only if some requested q reads it; the
+limit of n! h^q(mD)/m^n, from those closed forms' leading terms, likewise.
 
 Everything runs on integers up to the reported values: a divisor rounds up
 its (p, q) coefficients as -(-m p // q), h^q of an integral class is a few
@@ -29,7 +30,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .harness import VerificationReport, _fit_window
-from .polytope import Polytope
 from .rational import ZERO, frac, frac_str
 
 # defaults for the CLI's cohomology and morse-check commands and verify-all
@@ -84,7 +84,7 @@ class ToricFamily:
         a = _as_class(d1, self.rank)
         b = _as_class(d2, self.rank)
         if self.name == "P1":
-            raise PreconditionError("P1 is a curve: use degree, not intersection")
+            raise PreconditionError("P1 is a curve: it has no intersection form")
         return self._pairing(a, b)
 
     def _pairing(self, a: Sequence, b: Sequence):
@@ -93,15 +93,10 @@ class ToricFamily:
             return a[0] * b[0]
         return self.hirzebruch_a * a[0] * b[0] + a[0] * b[1] + a[1] * b[0]
 
-    def degree(self, d: Sequence) -> Fraction:
-        if self.name != "P1":
-            raise PreconditionError("degree is the curve-side notion; use intersection")
-        return _as_class(d, 1)[0]
-
     def top_power(self, d: Sequence, e: Sequence, q: int) -> Fraction:
-        """D^(n-q) . E^q as a rational number."""
+        """D^(n-q) . E^q as a rational number; on P1 the degree of D or E."""
         if self.name == "P1":
-            return self.degree(d) if q == 0 else self.degree(e)
+            return _as_class(d if q == 0 else e, 1)[0]
         if q == 0:
             return self.intersection(d, d)
         if q == 1:
@@ -133,21 +128,19 @@ class ToricFamily:
         count = p - first + 1
         return count * (q + 1) + h * (first + p) * count // 2
 
-    def polytope(self, d: Sequence) -> Polytope:
-        """Divisor polytope of a nef rational class."""
-        cls = _as_class(d, self.rank)
-        if not self.is_nef(cls):
-            raise PreconditionError(f"class {cls} is not nef on {self.name}")
-        zero = Fraction(0)
+    def _h0_lead(self, d: Sequence[Fraction]) -> Fraction:
+        """n! times the m^n coefficient of h^0(mD) for a rational class, read
+        off the closed forms of h0_integral (on F_h, n! times the integral
+        of max(0, h*y + q) over 0 <= y <= p)."""
         if self.name == "P1":
-            return Polytope.from_points([(zero,), (cls[0],)])
+            return max(d[0], ZERO)
         if self.name == "P2":
-            deg = cls[0]
-            return Polytope.from_points([(zero, zero), (deg, zero), (zero, deg)])
-        p, q = cls
-        h = Fraction(self.hirzebruch_a)
-        return Polytope.from_points(
-            [(zero, zero), (q, zero), (q + h * p, p), (zero, p)])
+            return d[0] ** 2 if d[0] >= 0 else ZERO
+        p, q = d
+        h = self.hirzebruch_a
+        if p < 0 or (q < 0 and h * p + q <= 0):
+            return ZERO
+        return 2 * p * q + h * p ** 2 if q >= 0 else (h * p + q) ** 2 / h
 
     def serre_dual(self, cls: Sequence[int]) -> Tuple[int, ...]:
         """K minus an integral class: h^top of a class is h^0 of this."""
@@ -310,14 +303,13 @@ class AsymptoticReport:
     q: int
     rows: List[Tuple[int, int, Fraction]]  # (m, h^q, normalized)
     estimate: Fraction
-    exact: Optional[Fraction]
+    exact: Fraction
 
 
 def asymptotic_hq(family: ToricFamily, divisor: RealDivisor, q: int,
                   schedule: Sequence[int]) -> AsymptoticReport:
-    """Normalized series h^q(mD) n!/m^n with the exact limit when known:
-    q=0 for nef classes (n! times the polytope volume) and the two mirror
-    cases reachable by duality / the product formula."""
+    """Normalized series h^q(mD) n!/m^n, with its exact limit as m grows
+    (`asymptotic_hq_exact`) and the last row's value as the estimate."""
     if list(schedule) != sorted(set(schedule)) or not schedule:
         raise PreconditionError("schedule must be strictly increasing and nonempty")
     rows = [(m, h, norm) for m, _, h, norm
@@ -327,22 +319,20 @@ def asymptotic_hq(family: ToricFamily, divisor: RealDivisor, q: int,
 
 
 def asymptotic_hq_exact(family: ToricFamily, divisor: RealDivisor,
-                        q: int) -> Optional[Fraction]:
+                        q: int) -> Fraction:
+    """The limit of n! h^q(mD)/m^n for every rational class D, composed as
+    `_hq_values` composes h^q from low = lim n! h^0(mD)/m^n and top = that of
+    -D: low for q = 0, top for q = n by Serre duality (K is of lower order),
+    low + top - D^2 for h^1 on a surface by Riemann-Roch, 0 above n."""
+    _check_level(1, (q,))
     total = divisor.total()
     n = family.dim
-    factorial = math.factorial(n)
-    if q == 0 and family.is_nef(total):
-        return factorial * family.polytope(total).volume()
-    neg = tuple(-c for c in total)
-    if q == n and family.is_nef(neg):
-        return factorial * family.polytope(neg).volume()
-    if family.rank == 2 and family.hirzebruch_a == 0 and q == 1:
-        a, b = total
-        if a > 0 and b < 0:
-            return 2 * a * (-b)
-        if a < 0 and b > 0:
-            return 2 * (-a) * b
-    return None
+    low = family._h0_lead(total)
+    top = family._h0_lead(tuple(-c for c in total))
+    return (low if q == 0 else
+            ZERO if q > n else
+            top if q == n else
+            low + top - family._pairing(total, total))
 
 
 def morse_check(family: ToricFamily, d: RealDivisor, e: RealDivisor, q: int,

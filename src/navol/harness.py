@@ -150,6 +150,8 @@ def verify_h0_envelope_equality(psi: PLMetric, schedule: Sequence[int],
     level: the section lattices agree, hence so does the volume. The envelope
     is rebuilt from its blocks, so its roof is derived anew, not copied."""
     start = time.monotonic()
+    if not schedule:
+        raise PreconditionError("h0-envelope-equality needs at least one level")
     env = PLMetric(psi.polytope, envelope(psi).blocks)
     lengths = [(m, lattice_length(psi, env, m)) for m in schedule]
     passed = all(length == 0 for _, length in lengths)
@@ -158,7 +160,7 @@ def verify_h0_envelope_equality(psi: PLMetric, schedule: Sequence[int],
     passed = passed and volume_gap == 0
     return VerificationReport(
         theorem="h0-envelope-equality", instance=instance, passed=passed,
-        exact={"max_abs_length": frac_str(max((abs(v) for _, v in lengths), default=0)),
+        exact={"max_abs_length": frac_str(max(abs(v) for _, v in lengths)),
                "volume_gap": frac_str(volume_gap)},
         series=series, runtime=time.monotonic() - start)
 

@@ -12,7 +12,7 @@ Instances are JSON objects with a required ``kind`` tag:
   kept as the atom rows of its file.
 * ``surface``: a toric surface family name, named rational divisors (lists of
   ``{"coeff": ..., "class": [...]}`` decomposition terms), and optional scan
-  parameters.
+  parameters, with 2 <= ``grid_max`` <= 256 bounding the scan's work.
 
 All rationals are written as ``"p/q"`` strings (or plain JSON integers);
 decimal literals are refused so floats can never contaminate exact data.
@@ -458,6 +458,9 @@ def _parse_surface(obj: Dict[str, object], name: str) -> SurfaceInstance:
         grid_max = _as_int(sobj["grid_max"], f"{spath}.grid_max")
         if grid_max < 2:
             raise InstanceFormatError(f"{spath}.grid_max: must be >= 2")
+        if grid_max > 256:
+            raise InstanceFormatError(f"{spath}.grid_max: must be <= 256, as the scan "
+                                      "evaluates grid_max*(grid_max+1) cells")
         scan = ScanParams(d_names, p_names, sq, grid_max)
     return SurfaceInstance(name=name, family=family, divisors=divisors,
                            schedule=schedule, q=q, scan=scan)

@@ -776,6 +776,23 @@ def ruled_surface_hq(a, p, f, q):
     return 0
 
 
+def divisor_polytope(family, cls):
+    """Vertices of the section polytope of a nef rational class: [0, d] on
+    the line, the triangle with legs d on the plane, and on the ruled
+    surface with S.S = a the quadrilateral (0, 0), (f, 0), (f + a p, p),
+    (0, p) of the class p*S + f*F, whose row y holds the degree a*y + f
+    bundle's sections."""
+    cls = tuple(Fraction(c) for c in cls)
+    if any(c < 0 for c in cls):
+        raise ValueError(f"class {cls} is not nef on {family.name}")
+    if family.name == "P1":
+        return [(ZERO,), cls]
+    if family.name == "P2":
+        return [(ZERO, ZERO), (cls[0], ZERO), (ZERO, cls[0])]
+    p, f = cls
+    return [(ZERO, ZERO), (f, ZERO), (f + family.hirzebruch_a * p, p), (ZERO, p)]
+
+
 def ruled_surface_hq_any(a, p, f, q):
     """Extend the ruled-surface count to all integral classes with Serre
     duality against the canonical class -2S + (a-2)F."""

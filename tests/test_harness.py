@@ -134,6 +134,7 @@ def test_checks_refuse_levels_that_leave_nothing_to_verify():
                                 lambda: verify_differentiability(can, pos, neg,
                                                                  [F(1, 2), F(1, 2)])),
         "at least one level": (lambda: verify_length_cocycle(tent, can, tent, []),
+                               lambda: verify_h0_envelope_equality(tent, []),
                                lambda: proportionality_check(tent, can, F(1), [])),
     }
     for message, checks in refusals.items():

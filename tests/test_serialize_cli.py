@@ -1024,6 +1024,9 @@ MALFORMED_FILES = {
     "scan-unknown-divisor": (SURFACE, ("scan", "p", 0), "Z",
                              ".scan: references unknown divisor 'Z'"),
     "grid-max-below-2": (SURFACE, ("scan", "grid_max"), 1, ".scan.grid_max: must be >= 2"),
+    "grid-max-above-256": (SURFACE, ("scan", "grid_max"), 257,
+                           ".scan.grid_max: must be <= 256, as the scan evaluates "
+                           "grid_max*(grid_max+1) cells"),
     "no-kind": (TREE, ("kind",), DROP, ": missing required field 'kind'"),
     "repeated-vertex": (TREE, ("tree", "vertices", 1), "center",
                         ".tree: tree has repeated vertex ids"),
@@ -1033,6 +1036,11 @@ MALFORMED_FILES = {
     "disconnected": (TREE, ("tree", "edges", 2, "ends"), ["leaf1", "leaf2"],
                      ".tree: tree is not connected"),
 }
+
+
+def test_the_largest_scan_grid_is_accepted():
+    inst = parse_instance_text(json.dumps(_with(SURFACE, ("scan", "grid_max"), 256)), "s")
+    assert inst.scan.grid_max == 256
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
