@@ -18,7 +18,11 @@ the conjugate, a RoofFunction, which yield integrals, Monge-Ampere measures,
 lattice lengths (volumes) and the double-conjugate envelope, whose own
 conjugate is that roof cut down to the pieces owning a cell. In a box of
 v-space it refines two metrics until each is one row on every cell, so their
-sup-distance is a max over the cells' corners. A region that one row owns at
+sup-distance is a max over the cells' corners. And the same box refinement,
+walked depth-first for one metric and its envelope, drops every part on
+which a row of psi and one of the envelope already bound psi - P(psi) by the
+running maximum: that gives the gap to the envelope and the semipositivity
+check, which stops at the first positive gap. A region that one row owns at
 every corner is that row's one cell, with nothing clipped.
 
 Metrics and roofs store only integer rows D * (slope, const) over their
@@ -26,10 +30,10 @@ lowest common denominator D, and build their Fraction blocks or pieces on
 first access. Rational data is scaled once, by one common denominator, in
 the PLMetric constructor; every kernel after that (the lifted lower hull and
 the pruning by it, the conjugate's rows written from the hull planes, the
-recession check, evaluation, the cells, distances and metric_deform's
-Minkowski blocks and translations) computes with Python ints only. Points
-are homogeneous integer rows (x, w) standing for x / w, in lowest terms with
-w > 0, so equal points have equal rows.
+recession check, evaluation, the cells, distances, the envelope gap and
+metric_deform's Minkowski blocks and translations) computes with Python ints
+only. Points are homogeneous integer rows (x, w) standing for x / w, in
+lowest terms with w > 0, so equal points have equal rows.
 
 The recession check runs in the PLMetric constructor only, where rational
 data enters; envelope, metric_deform and metric_shift keep the identity by
@@ -41,7 +45,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .polytope import Polytope, _hull_1d, _hull_2d, _monotone_chain
@@ -644,7 +648,10 @@ def envelope(metric: PLMetric) -> PLMetric:
 
 
 def distance(m1: PLMetric, m2: PLMetric) -> Fraction:
-    """Exact sup-norm distance sup_v |psi1 - psi2| (finite: equal recessions).
+    """Exact sup-norm distance sup_v |psi1 - psi2| (finite: equal recessions)
+    between two arbitrary metrics. Its one library caller is
+    volumes.lipschitz_check; the distance from a metric to its envelope is
+    envelope_gap's, which refines fewer cells.
 
     With each metric as integer rows (D_i * s, D_i * c), a box of v-space is
     split for m1 and then for m2 (_branch_cells) until psi1 and psi2 are one
@@ -663,9 +670,7 @@ def distance(m1: PLMetric, m2: PLMetric) -> Fraction:
         raise PreconditionError("distance needs metrics on the same polytope")
     (d1, blocks1), (d2, blocks2) = m1.integer_rows(), m2.integer_rows()
     dim = m1.dim
-    m = max(abs(c) for blocks in (blocks1, blocks2) for b in blocks for r in b for c in r)
-    r = 8 * m * m + 1 if dim == 2 else 2 * m + 1
-    box = [(-r, 1), (r, 1)] if dim == 1 else [(-r, -r, 1), (r, -r, 1), (r, r, 1), (-r, r, 1)]
+    box = _box(dim, blocks1, blocks2)
     best, best_w = 0, 1
     for a1, cell1 in _branch_cells(box, blocks1, dim):
         for a2, cell in _branch_cells(cell1, blocks2, dim):
@@ -676,26 +681,110 @@ def distance(m1: PLMetric, m2: PLMetric) -> Fraction:
     return Fraction(best, best_w * d1 * d2)
 
 
+def _box(dim: int, *metrics: Sequence[Sequence[Tuple[int, ...]]]) -> List[Tuple[int, ...]]:
+    """The box |v_i| <= R of distance for metrics given as blocks of integer
+    rows, as a cycle of homogeneous corner rows."""
+    m = max(abs(c) for blocks in metrics for b in blocks for r in b for c in r)
+    r = 8 * m * m + 1 if dim == 2 else 2 * m + 1
+    return [(-r, 1), (r, 1)] if dim == 1 else [(-r, -r, 1), (r, -r, 1), (r, r, 1), (-r, r, 1)]
+
+
 def _branch_cells(region: List[Tuple[int, ...]], blocks: Sequence[Sequence[Tuple[int, ...]]],
-                  dim: int) -> List[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]]:
+                  dim: int, cut: Optional[Callable[..., bool]] = None
+                  ) -> Iterator[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]]:
     """The sub-cells of region on which the min over blocks of the max over
     each block's rows is one row, as (that row, corner rows): region split
-    by each block's max, then by the min of the blocks' active rows."""
-    parts: List[Tuple[Tuple[Tuple[int, ...], ...], List[Tuple[int, ...]]]] = [((), region)]
-    for block in blocks:
-        parts = [(active + (block[i],), cell) for active, part in parts
-                 for i, cell in _dominance_cells(part, block, dim, 1)]
-    return [(active[i], cell) for active, part in parts
-            for i, cell in _dominance_cells(part, active, dim, -1)]
+    by each block's max, then by the min of the blocks' active rows.
+
+    The parts are walked depth-first, one block deeper at a time, and each
+    cell is yielded as soon as it is cut. With a cut, a part on which
+    cut(row, part) holds for the row of the block last refined on it is
+    dropped with all its cells, and so is a cell on which cut(row, cell)
+    holds for its own row. cut is read as each part is reached, so it may
+    depend on the cells yielded before."""
+    stack: List[Tuple[Tuple[Tuple[int, ...], ...], List[Tuple[int, ...]]]] = [((), region)]
+    while stack:
+        active, part = stack.pop()
+        if cut is not None and active and cut(active[-1], part):
+            continue
+        if len(active) < len(blocks):
+            block = blocks[len(active)]
+            stack += [(active + (block[i],), cell)
+                      for i, cell in _dominance_cells(part, block, dim, 1)]
+            continue
+        for i, cell in _dominance_cells(part, active, dim, -1):
+            if cut is None or not cut(active[i], cell):
+                yield active[i], cell
+
+
+def envelope_gap(metric: PLMetric) -> Fraction:
+    """Exact sup_v (psi - P(psi))(v) for the envelope P(psi): the value of
+    distance(metric, envelope(metric)) with fewer cells refined. It is >= 0,
+    and 0 exactly when psi is semipositive.
+
+    psi's blocks are walked by _branch_cells in distance's box for psi and
+    P(psi); each cell left, on which psi is one row a, is split by the
+    envelope's rows, and a - e on each sub-cell is read at its corners
+    (_gap_maxima).
+
+    The bound. A part, or a cell of the min stage, is dropped when for its
+    row r (the row of the block last refined on the part, or the cell's row)
+    some envelope row e has (r - e)(x) <= best at every corner x, best the
+    running maximum. There psi <= r, since psi is the min of the blocks and r
+    is one block's max on the part; P(psi) >= e everywhere, since the
+    envelope is the max of its rows; and r - e is affine, so on the convex
+    part it peaks at a corner. So no point of the part has a gap above best,
+    and neither has any corner of the cells that distance would cut from it.
+
+    The box. The cells left are distance's own cells of psi and P(psi) (the
+    envelope's one block makes its min stage a no-op) less the dropped ones,
+    so distance's argument for its box holds unchanged: every vertex of the
+    refinement of v-space lies strictly inside the box, and the max over the
+    corners of all the cells is the sup over v-space."""
+    gap = ZERO
+    for gap in _gap_maxima(metric):
+        pass
+    return gap
+
+
+def _gap_maxima(metric: PLMetric) -> Iterator[Fraction]:
+    """Each new running maximum of psi - P(psi) over the corners of
+    envelope_gap's cells, increasing, the last one the sup; nothing when psi
+    equals its envelope. With the rows of psi over D and the envelope's over
+    E, the gap at a corner (x, w) is (a.x E - e.x D) / (D E w)."""
+    (d, blocks), (e, (env,)) = metric.integer_rows(), envelope(metric).integer_rows()
+    dim = metric.dim
+    best, best_w = 0, 1
+
+    def cut(row: Tuple[int, ...], part: List[Tuple[int, ...]]) -> bool:
+        """Some envelope row e has (row - e)(x) <= best at every corner x."""
+        tops = [sum(map(operator.mul, row, x)) * e for x in part]
+        for low in env:
+            for top, x in zip(tops, part):
+                if (top - sum(map(operator.mul, low, x)) * d) * best_w > best * x[-1]:
+                    break
+            else:
+                return True
+        return False
+
+    for a, cell in _branch_cells(_box(dim, blocks, [env]), blocks, dim, cut):
+        for i, piece in _dominance_cells(cell, env, dim, 1):
+            for x in piece:
+                gap = sum(map(operator.mul, a, x)) * e - sum(map(operator.mul, env[i], x)) * d
+                if gap * best_w > best * x[-1]:
+                    best, best_w = gap, x[-1]
+                    yield Fraction(best, best_w * d * e)
 
 
 def is_semipositive(metric: PLMetric) -> bool:
-    """Exact convexity check (single-branch metrics are convex by shape)."""
+    """Exact convexity check, cached on the metric: psi equals its envelope,
+    i.e. psi - P(psi) is positive at no corner of envelope_gap's cells. It
+    reads the walk's first running maximum only, so it stops at the first
+    positive gap; a single-branch metric is convex by shape and walks
+    nothing."""
     if metric._semipositive is None:
-        if metric.is_convex_representation():
-            metric._semipositive = True
-        else:
-            metric._semipositive = distance(metric, envelope(metric)) == 0
+        metric._semipositive = (metric.is_convex_representation()
+                                or next(_gap_maxima(metric), None) is None)
     return metric._semipositive
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import navol
 from navol.cohomology import (RealDivisor, asymptotic_hq, asymptotic_hq_exact,
                               hq, morse_check, toric_family)
 from navol.errors import PreconditionError
@@ -248,13 +249,18 @@ def test_criterion_10_measure_masses(nonconvex_instances, convex_pairs):
 
 
 def test_criterion_11_cli_determinism(tmp_path):
+    # the child process finds the package the way this one does, with or
+    # without PYTHONPATH set
+    src = os.path.dirname(os.path.dirname(os.path.abspath(navol.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     bodies = []
     for sub in ("first", "second"):
         out_dir = tmp_path / sub
         proc = subprocess.run(
             [sys.executable, "-m", "navol.cli", "verify-all",
              "--seed", "0", "--out-dir", str(out_dir)],
-            capture_output=True, text=True, timeout=300)
+            env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         run = {}
         for name in sorted(os.listdir(out_dir)):

@@ -15,7 +15,7 @@ from navol.harness import (bump_metric, random_convex_metric,
                            tent_metric)
 from navol.measures import energy, monge_ampere
 from navol.plmetric import (PLMetric, canonical_metric,
-                            distance, envelope, is_semipositive, legendre,
+                            distance, envelope, envelope_gap, is_semipositive, legendre,
                             metric_deform, metric_shift, metric_sum)
 from navol.polytope import Polytope, segment, simplex, unit_box
 from navol.rational import frac, vadd
@@ -572,7 +572,89 @@ def test_bump_is_not_semipositive_but_its_envelope_is():
     assert not is_semipositive(psi)
     env = envelope(psi)
     assert is_semipositive(env)
-    assert distance(psi, env) > 0
+    assert envelope_gap(psi) == distance(psi, env) > 0
+
+
+TRIANGLE = Polytope.from_points([(0, 0), (F(5, 2), F(1, 3)), (F(1, 2), F(7, 4))])
+LATTICE_HEXAGON = Polytope.from_points([(1, 0), (2, 0), (2, 1), (1, 2), (0, 2), (0, 1)])
+TILTED = Polytope.from_points([(F(1, 2), F(1, 3)), (F(5, 2), F(4, 3))])
+POINT = (F(1, 2), F(-3, 2))
+# (body, metrics per branch count 1-4): the oracle crosses every two walls of
+# both metrics' pieces, so the polygons get fewer cases
+GAP_BODIES = ((segment(F(-1, 2), 2), 12), (BOX, 8), (TRIANGLE, 8), (LATTICE_HEXAGON, 3),
+              (TILTED, 12), (Polytope.from_points([POINT]), 12))
+
+
+def _raised(block, rng):
+    """The block with each constant raised by 0, 1/2 or 1: a second branch
+    above the first, so their min is the first, convex one."""
+    return [(s, c + F(rng.randint(0, 2), 2)) for s, c in block]
+
+
+def _gap_blocks(P, rng, branches):
+    """branches blocks on P. Each after the first is the first raised, or a
+    fresh block: random pieces on the line and on a segment in the plane,
+    P's vertices with two constants in 0..2 on a polygon, and on the point
+    a pair of _point_blocks (a lone piece for one branch), raised copies of
+    that pair giving the third and fourth."""
+    if P.vertices == (POINT,):
+        if branches == 1:
+            return [[(POINT, F(rng.randint(-6, 6), 2))]]
+        pair = _point_blocks(POINT, (F(rng.randint(-2, 2)), F(rng.randint(1, 3))), rng)
+        return pair + [_raised(b, rng) for b in pair[:branches - 2]]
+
+    def fresh():
+        if not P.is_full_dimensional() or P.ambient_dim == 1:
+            return _random_blocks(P, rng, 1, extra=2)[0]
+        high = rng.sample(range(len(P.vertices)), 2)
+        return [(v, F(rng.randint(0, 4), 2) if k in high else F(0))
+                for k, v in enumerate(P.vertices)]
+
+    blocks = [fresh()]
+    while len(blocks) < branches:
+        blocks.append(_raised(blocks[0], rng) if rng.random() < 0.5 else fresh())
+    return blocks
+
+
+def _check_gap(P, blocks):
+    """envelope_gap equals distance to the envelope and the joint
+    arrangement's sup, and a fresh metric is semipositive exactly when it is
+    0; returns the gap."""
+    psi = PLMetric(P, blocks)
+    env = envelope(psi)
+    gap = envelope_gap(psi)
+    assert gap == distance(psi, env) == distance_by_joint_arrangement(
+        psi.blocks, env.blocks), blocks
+    assert is_semipositive(PLMetric(P, blocks)) == (gap == 0), blocks
+    return gap
+
+
+def test_envelope_gap_matches_distance_and_the_joint_arrangement():
+    # the pruned walk drops only parts that cannot beat the running maximum,
+    # and stops at the first positive gap when asked for semipositivity
+    rng = random.Random(311)
+    convex = bumpy = 0
+    for P, count in GAP_BODIES:
+        for branches in (1, 2, 3, 4):
+            for _ in range(count):
+                gap = _check_gap(P, _gap_blocks(P, rng, branches))
+                convex += branches > 1 and gap == 0
+                bumpy += gap > 0
+    assert convex > 50 and bumpy > 70, (convex, bumpy)
+
+
+def test_envelope_gap_on_pinned_metrics():
+    # the segment in the plane whose h0 and orthogonality checks once hung
+    assert _check_gap(STUCK_SEGMENT, STUCK_BLOCKS) > 0
+    # min(max(-v, v, 2v - 1), max(-v, v, 3 - 2v)) is |v| on [-1, 1], which is
+    # convex, though neither block is: the first is 2v - 1 beyond v = 1 and
+    # the second 3 - 2v before it
+    blocks = [[((-1,), 0), ((1,), 0), ((2,), -1)], [((-1,), 0), ((1,), 0), ((-2,), 3)]]
+    P = segment(-1, 1)
+    assert _check_gap(P, blocks) == 0
+    psi = PLMetric(P, blocks)
+    assert [eval_min_max([b], (v,)) - psi.evaluate((v,)) for b, v in zip(blocks, (2, 0))] \
+        == [1, 3]
 
 
 # --------------------------------------------------------------------------
@@ -918,6 +1000,7 @@ def test_envelopes_of_deformations_build_no_fraction_blocks():
         energy(env, base)
         distance(moved, env)
         distance(psi, base)
+        envelope_gap(moved)
         is_semipositive(moved)
         monge_ampere(env)
         for m in (psi, moved, env, base):

@@ -1,7 +1,8 @@
 """Roof linearity cells on integer rows, checked against the Fraction
 clipping route in _oracles: the cells themselves, the roof integral, the
 Monge-Ampere cell masses and the envelope's corner pieces; and the cell
-engine's one-owner shortcut against clipping every pair of rows."""
+engine's one-owner shortcut against clipping every pair of rows, on every
+call the roofs, distance and the envelope-gap walk make."""
 
 import math
 import random
@@ -10,7 +11,8 @@ from fractions import Fraction
 from navol import plmetric
 from navol.harness import random_convex_metric, random_direction, random_nonconvex_metric
 from navol.measures import DiscreteMeasure, monge_ampere
-from navol.plmetric import PLMetric, distance, envelope, legendre, metric_deform
+from navol.plmetric import (PLMetric, distance, envelope, envelope_gap, is_semipositive,
+                            legendre, metric_deform)
 from navol.polytope import Polytope, segment, simplex, unit_box
 
 from _oracles import (cell_mass_oracle, dominance_cells_by_clipping, envelope_corners_oracle,
@@ -194,11 +196,11 @@ def _blocks(P, rng, branches):
 
 
 def test_one_owner_cells_equal_clipping_every_pair(monkeypatch):
-    # every call the roof cells and distance's box refinements make returns
-    # the list of the full clip loop (indices, order and corner cycles), on
-    # seeded metrics and on ties: repeated blocks put one row twice in the
-    # min stage, two distinct rows agree on a segment in the plane, and rows
-    # tie on a point P
+    # every call the roof cells, distance's box refinements and the pruned
+    # walks of envelope_gap and is_semipositive make returns the list of the
+    # full clip loop (indices, order and corner cycles), on seeded metrics
+    # and on ties: repeated blocks put one row twice in the min stage, two
+    # distinct rows agree on a segment in the plane, and rows tie on a point P
     engine, calls = plmetric._dominance_cells, []
 
     def recorded(region, rows, dim, sign):
@@ -214,6 +216,9 @@ def test_one_owner_cells_equal_clipping_every_pair(monkeypatch):
             twice = PLMetric(P, a.blocks[:1] * 2)
             for m1, m2 in ((a, b), (a, envelope(a)), (twice, b), (b, twice)):
                 distance(m1, m2)
+            for blocks in (a.blocks, b.blocks, twice.blocks):
+                envelope_gap(PLMetric(P, blocks))
+                is_semipositive(PLMetric(P, blocks))
     for P, pieces in ((LINE, [((0, 0), F(0)), ((1, -2), F(0)), ((-1, 0), F(-3))]),
                       (DOT, [((0, 0), F(0)), ((1, 0), F(-1)), ((0, 1), F(-3))])):
         assert [i for i, _ in roof_function(P, pieces).integer_cells()] == [0, 1]
