@@ -37,7 +37,9 @@ lowest terms with w > 0, so equal points have equal rows.
 
 The recession check runs in the PLMetric constructor only, where rational
 data enters; envelope, metric_deform and metric_shift keep the identity by
-theorem (see each), so every PLMetric satisfies it.
+theorem (see each), so every PLMetric satisfies it. When every branch has
+the same slope hull, the check is one comparison of that hull with P; only
+distinct hulls, or one hull that is not P, are probed direction by direction.
 """
 from __future__ import annotations
 
@@ -95,12 +97,15 @@ class PLMetric:
 
     Any rational branches are accepted exactly when psi stays within bounded
     distance of the canonical metric, i.e. its recession function is the
-    support function of P; otherwise PreconditionError. This constructor is
-    the only place that checks it: envelope, metric_deform and metric_shift,
-    which build their outputs without it, keep the identity by theorem. The
-    input is scaled once, to integer rows over one common denominator. Each
-    branch keeps one row per slope (the largest constant) and only the rows on
-    its lower hull, so pieces that never reach the branch's max are dropped.
+    support function of P; otherwise PreconditionError, as for a slope with
+    other than P's ambient number of coordinates. This constructor is the
+    only place that checks the identity (against P's vertex cycle when every
+    branch shares one slope hull, since then the recession is that hull's
+    support function): envelope, metric_deform and metric_shift, which build
+    their outputs without it, keep the identity by theorem. The input is
+    scaled once, to integer rows over one common denominator. Each branch
+    keeps one row per slope (the largest constant) and only the rows on its
+    lower hull, so pieces that never reach the branch's max are dropped.
     Those hulls are the conjugate, whose rows come straight from the hull
     planes and are stored on the metric. Every metric stores only its kept
     rows in lowest terms (integer_rows) and builds the Fraction blocks on
@@ -114,6 +119,12 @@ class PLMetric:
         # hull, which changes no value. The recession identity makes every
         # block's slope hull contain P, so the hulls are the conjugate on P.
         blocks = [[point(s) + (frac(c),) for s, c in b] for b in blocks]
+        n = polytope.ambient_dim
+        for bi, b in enumerate(blocks):
+            for pi, r in enumerate(b):
+                if len(r) != n + 1:
+                    raise PreconditionError(f"branch {bi}, piece {pi}: slope "
+                                            f"{point_str(r[:-1])} needs {n} coordinates")
         scale = math.lcm(*{x.denominator for b in blocks for r in b for x in r})
         kept, planes = [], []
         for block in blocks:
@@ -194,13 +205,23 @@ def _recession_mismatch(rows: IntegerBlocks, P: Polytope
     the rows' over their D, and P's vertices its integer rows over their lcm
     V (integer_vertices), so rec(w) V is compared with h_P(w) D.
 
+    The sectors come from the distinct hulls only, and when every block has
+    the same hull H the answer is read off H: then rec = h_H, and two compact
+    convex sets with equal support functions are equal, so the identity holds
+    exactly when H is P (vertex cycles compared as D-scaled against
+    V-scaled; the hulls list them in one canonical order, which a positive
+    scaling keeps).
+
     Returns None when the two agree, else the first integer direction w
     probed where they differ, with rec(w) and h_P(w)."""
     n = P.ambient_dim
     hull = _hull_1d if n == 1 else _hull_2d
     scale, blocks = rows
     v_scale, verts = P.integer_vertices()
-    hulls = [hull([r[:-1] for r in b]) for b in blocks]
+    hulls = list(dict.fromkeys(tuple(hull([r[:-1] for r in b])) for b in blocks))
+    if len(hulls) == 1 and [tuple(x * v_scale for x in s) for s in hulls[0]] \
+            == [tuple(x * scale for x in v) for v in verts]:
+        return None
 
     def rec(w: Tuple[int, ...]) -> int:
         return min(max(sum(map(operator.mul, s, w)) for s in h) for h in hulls)
@@ -453,9 +474,10 @@ def _lower_facet_planes(points: Sequence[Tuple[int, int, int]]) -> List[IntPlane
     nx*x + ny*y + nz*z <= d with equality on a full-dimensional contact set;
     empty when the base points are all collinear.
 
-    Incremental convex hull; each facet keeps its outward integer plane, so
-    the visibility scan is one dot product. Only downward-facing planes are
-    reported, deduplicated, with vertical facets skipped."""
+    Incremental convex hull; each facet, keyed by its oriented vertex triple,
+    keeps its outward integer plane, so the visibility test is one integer
+    dot product. Only downward-facing planes are reported, deduplicated, with
+    vertical facets skipped, in the order their facets were made."""
     best: Dict[Tuple[int, int], int] = {}
     for x, y, z in points:
         if (x, y) not in best or z < best[(x, y)]:
@@ -490,47 +512,29 @@ def _lower_facet_planes(points: Sequence[Tuple[int, int, int]]) -> List[IntPlane
     a, b, c, d = order[:4]
     if above(plane(a, b, c), pts[d]) > 0:
         b, c = c, b
-    facets: Dict[int, Tuple[int, int, int, IntPlane]] = {}
-    edge_to_facet: Dict[Tuple[int, int], int] = {}
-    next_id = 0
-
-    def add_facet(i, j, k):
-        nonlocal next_id
-        facets[next_id] = (i, j, k, plane(i, j, k))
-        for u, v in ((i, j), (j, k), (k, i)):
-            edge_to_facet[(u, v)] = next_id
-        next_id += 1
-
-    def drop_facet(fid):
-        i, j, k, _ = facets.pop(fid)
-        for u, v in ((i, j), (j, k), (k, i)):
-            if edge_to_facet.get((u, v)) == fid:
-                del edge_to_facet[(u, v)]
-
+    # Facets are oriented vertex triples mapped to their planes, in creation
+    # order; each oriented edge maps to the last facet made with it, which
+    # for an edge of the current hull is the facet that has it.
+    facets: Dict[Tuple[int, int, int], IntPlane] = {}
+    edges: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
     # initial tetrahedron, all facets oriented outward
-    add_facet(a, b, c)
-    add_facet(a, c, d)
-    add_facet(c, b, d)
-    add_facet(b, a, d)
+    for f in ((a, b, c), (a, c, d), (c, b, d), (b, a, d)):
+        facets[f] = plane(*f)
+        edges[f[0], f[1]] = edges[f[1], f[2]] = edges[f[2], f[0]] = f
     for m in order[4:]:
-        p = pts[m]
-        visible = [fid for fid, f in facets.items() if above(f[3], p) > 0]
-        if not visible:
-            continue
-        horizon: List[Tuple[int, int]] = []
-        visible_set = set(visible)
-        for fid in visible:
-            i, j, k, _ = facets[fid]
-            for u, v in ((i, j), (j, k), (k, i)):
-                if edge_to_facet.get((v, u)) not in visible_set:
-                    horizon.append((u, v))
-        for fid in visible:
-            drop_facet(fid)
+        x, y, z = pts[m]
+        visible = {f: None for f, (nx, ny, nz, dd) in facets.items()
+                   if nx * x + ny * y + nz * z > dd}
+        horizon = [(u, v) for i, j, k in visible for u, v in ((i, j), (j, k), (k, i))
+                   if edges[v, u] not in visible]
+        for f in visible:
+            del facets[f]
         for u, v in horizon:
-            add_facet(u, v, m)
+            f = (u, v, m)
+            facets[f] = plane(u, v, m)
+            edges[u, v] = edges[v, m] = edges[m, u] = f
     # nz >= 0: vertical or upward-facing facet
-    return list(dict.fromkeys(_primitive_plane(f[3]) for f in facets.values()
-                              if f[3][2] < 0))
+    return list(dict.fromkeys(_primitive_plane(pl) for pl in facets.values() if pl[2] < 0))
 
 
 def _primitive_plane(pl: IntPlane) -> IntPlane:

@@ -156,6 +156,19 @@ def test_missing_vertex_slope_rejected():
         PLMetric(SEG, [[((F(0),), F(0)), ((F(1, 2),), F(0))]])
 
 
+@pytest.mark.parametrize("P, blocks, message", [
+    (SEG, [[((0, 0), 0), ((1, 0), 0)]], "branch 0, piece 0: slope (0, 0) needs 1 coordinates"),
+    (BOX, [[((0,), 0), ((1,), 0)]], "branch 0, piece 0: slope (0) needs 2 coordinates"),
+    (BOX, [[(v, 0) for v in BOX.vertices], [((0, 0), 0), ((1,), 0), ((1, 1), 0)]],
+     "branch 1, piece 1: slope (1) needs 2 coordinates"),
+], ids=["plane-slopes-on-a-segment", "line-slopes-on-the-box", "mixed-block"])
+def test_slopes_of_the_wrong_dimension_are_refused(P, blocks, message):
+    # once silently accepted, an IndexError and a ValueError
+    with pytest.raises(PreconditionError) as err:
+        PLMetric(P, blocks)
+    assert str(err.value) == message
+
+
 def test_slopes_outside_the_polytope_with_the_right_recession_are_accepted():
     # max(-v, 2v) exceeds the support function of [0, 1] only where
     # max(0, v) is smaller, so the min of the two branches is canonical
@@ -275,6 +288,78 @@ def test_recession_check_on_degenerate_slope_hulls():
                   [(v, F(0)) for v in BOX.vertices] + [((1 + t, F(1)), F(0))]]
         assert not recession_by_all_slopes(blocks, BOX.vertices)
         assert not _accepted(BOX, blocks)
+
+
+def _outside_slope(P, rng):
+    """A slope outside P: a vertex maximizing <v, w> moved by w / k."""
+    w = (0,) * P.ambient_dim
+    while not any(w):
+        w = tuple(rng.randint(-2, 2) for _ in range(P.ambient_dim))
+    v = max(P.vertices, key=lambda v: sum(a * b for a, b in zip(v, w)))
+    k = rng.randint(1, 3)
+    return tuple(a + F(b, k) for a, b in zip(v, w))
+
+
+def _shared_hull_blocks(hull, rng):
+    """1-3 branches whose slope sets all have the hull of the points hull:
+    those points plus convex combinations of them, shuffled, with random
+    constants."""
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        slopes = list(hull)
+        for _ in range(rng.randint(0, 2)):
+            weights = [rng.randint(0, 3) for _ in hull]
+            weights[rng.randrange(len(weights))] += 1
+            slopes.append(tuple(sum(w * F(s[k]) for w, s in zip(weights, hull)) / sum(weights)
+                                for k in range(len(hull[0]))))
+        rng.shuffle(slopes)
+        blocks.append([(s, F(rng.randint(-6, 6), rng.randint(1, 3))) for s in slopes])
+    return blocks
+
+
+def test_recession_check_on_one_shared_slope_hull(monkeypatch):
+    # every branch shares one slope hull: P itself, P less a vertex, or P
+    # with an outside slope; the constructor reads the first off the hull
+    # with no probe (no sector is sorted), and its verdict on all three
+    # matches the all-slopes route
+    sorts = []
+    sort = plmetric._sort_by_angle
+    monkeypatch.setattr(plmetric, "_sort_by_angle", lambda dirs: sorts.append(1) or sort(dirs))
+    rng = random.Random(71)
+    bodies = (SEG, BOX, simplex(2), HEXAGON, LINE, Polytope.from_points([(F(1, 2), F(-3, 2))]))
+    outcomes = {True: 0, False: 0}
+    for P in bodies:
+        verts = list(P.vertices)
+        for trial in range(30):
+            hull = verts[:]
+            if trial % 3 == 1 and len(verts) > 1:
+                hull.pop(rng.randrange(len(hull)))
+            elif trial % 3 == 2:
+                hull.append(_outside_slope(P, rng))
+            blocks = _shared_hull_blocks(hull, rng)
+            want = recession_by_all_slopes(blocks, verts)
+            assert want == (hull == verts), (P, blocks)
+            sorts.clear()
+            assert _accepted(P, blocks) == want, (P, blocks)
+            assert not (want and sorts), (P, blocks)
+            outcomes[want] += 1
+    assert min(outcomes.values()) >= 60, outcomes
+    # the messages and witnesses of the direction probe
+    pinned = [
+        (SEG, [[((0,), 0), ((F(1, 2),), 0)], [((0,), 1), ((F(1, 2),), F(-1, 3))]],
+         "rec(w) = 1/2 but h_P(w) = 1 at w = (1)"),
+        (BOX, [[((0, 0), 0), ((1, 0), 0), ((1, 1), 0)],
+               [((1, 1), F(1, 2)), ((0, 0), -1), ((1, 0), 2), ((F(1, 2), F(1, 3)), 0)]],
+         "rec(w) = 0 but h_P(w) = 1 at w = (-1, 1)"),
+        (BOX, [[(v, 0) for v in BOX.vertices] + [((2, 2), 0)],
+               [(v, 1) for v in BOX.vertices] + [((2, 2), -3)]],
+         "rec(w) = 2 but h_P(w) = 1 at w = (1, 0)"),
+    ]
+    for P, blocks, message in pinned:
+        with pytest.raises(PreconditionError) as err:
+            PLMetric(P, blocks)
+        assert str(err.value) == ("metric is not within bounded distance of the canonical "
+                                  "metric: " + message)
 
 
 def _with_large_constants(blocks, rng):

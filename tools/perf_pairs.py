@@ -6,9 +6,16 @@
 
 For each workload, `perfbench/run.py` runs SECONDS long in each checkout
 PAIRS times, the two checkouts alternating which goes first. Per checkout
-the file records the median of every end-to-end metric, each run's
-ops_per_s and digest, and how many pairs the second checkout won on
-ops_per_s. One traced run per checkout then gives the per-layer counts per
+the file records every end-to-end metric's value in each run, its median
+and quartiles, each run's ops_per_s and digest, and how many pairs the
+second checkout won on ops_per_s. Per metric, `verdicts` reads the pairs
+against BENCHMARK.json's `better` and `bound`: the pairs the second
+checkout won, its median's relative change, whether that median beats the
+baseline's by more than the baseline's interquartile range, whether it is
+worse than the baseline's by more than the bound, and whether it is
+unresolved: either side's interquartile range is wider than the bound and
+not every run of the second checkout reads better than every run of the
+baseline. One traced run per checkout then gives the per-layer counts per
 pass (calls and counted work, no timings or bytes), which repeat exactly
 from run to run; the bytes written are left out, as the summaries they count
 hold the run's timings.
@@ -28,10 +35,11 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
 PAIRS = 10
 SECONDS = 40   # the length of one benchmark run, in s
 
-sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from run import WORKLOADS   # noqa: E402
 
 
@@ -44,6 +52,57 @@ def bench(root: str, workload: str, seed: int, trace: int) -> dict:
     result = json.loads(out[-1])
     result["digest"] = next(line.split()[-1] for line in out if line.startswith("digest"))
     return result
+
+
+def end_to_end_specs() -> dict:
+    """BENCHMARK.json's end-to-end metrics by name: unit, better, bound."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        return {spec["name"]: spec for spec in json.load(handle)["end_to_end"]}
+
+
+def quartiles(values: list) -> list:
+    """[Q1, median, Q3] of two or more values (inclusive method)."""
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def verdict(base: list, change: list, spec: dict) -> dict:
+    """One metric's runs, paired in order, read in its `better` direction."""
+    sign = 1 if spec["better"] == "higher" else -1
+    (b_lo, b_med, b_hi), (c_lo, c_med, c_hi) = quartiles(base), quartiles(change)
+    gain = sign * (c_med - b_med)
+    all_better = min(sign * c for c in change) > max(sign * b for b in base)
+    return {
+        "pairs_won": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+        "median_change": (c_med - b_med) / b_med,
+        "beats_base_iqr": gain > b_hi - b_lo,
+        "worse_beyond_bound": -gain > spec["bound"] * b_med,
+        "unresolved": max(b_hi - b_lo, c_hi - c_lo) > spec["bound"] * b_med and not all_better,
+    }
+
+
+def summarize(runs: dict, counts: dict, specs: dict) -> dict:
+    """A workload's entry from the untraced results of the two checkouts
+    (baseline first, each a list of run.py result objects with their
+    digests, in pair order) and each checkout's traced counts per pass."""
+    base, change = runs
+    entry = {}
+    for name, results in runs.items():
+        values = {m: [r["metrics"][m]["value"] for r in results] for m in results[0]["metrics"]}
+        entry[name] = {
+            "median": {m: statistics.median(v) for m, v in values.items()},
+            "ops_per_s": [round(v, 2) for v in values["ops_per_s"]],
+            "digests": sorted({r["digest"] for r in results}),
+            "failed": sum(r["failed"] for r in results),
+            "counts_per_pass": counts[name],
+            "runs": values,
+            "quartiles": {m: quartiles(v) for m, v in values.items()},
+        }
+    entry["pairs_won_by_" + change] = sum(
+        b["metrics"]["ops_per_s"]["value"] < c["metrics"]["ops_per_s"]["value"]
+        for b, c in zip(runs[base], runs[change]))
+    entry["verdicts"] = {m: verdict(entry[base]["runs"][m], entry[change]["runs"][m], spec)
+                         for m, spec in specs.items() if m in entry[base]["runs"]}
+    return entry
 
 
 def main(argv=None) -> int:
@@ -63,6 +122,7 @@ def main(argv=None) -> int:
     if len(roots) != 2:
         parser.error("give exactly two --root checkouts")
     base, change = roots
+    specs = end_to_end_specs()
     workloads = {}
     for workload in args.workload or WORKLOADS:
         runs = {name: [] for name in roots}
@@ -71,23 +131,10 @@ def main(argv=None) -> int:
                 runs[name].append(bench(roots[name], workload, args.seed, 0))
                 print(workload, name, i, runs[name][-1]["metrics"]["ops_per_s"]["value"],
                       file=sys.stderr)
-        entry = {}
-        for name, results in runs.items():
-            metrics = results[0]["metrics"]
-            traced = bench(roots[name], workload, args.seed, 1)["metrics"]
-            entry[name] = {
-                "median": {m: statistics.median(r["metrics"][m]["value"] for r in results)
-                           for m in metrics},
-                "ops_per_s": [round(r["metrics"]["ops_per_s"]["value"], 2) for r in results],
-                "digests": sorted({r["digest"] for r in results}),
-                "failed": sum(r["failed"] for r in results),
-                "counts_per_pass": {m: v["value"] for m, v in traced.items()
-                                    if v["unit"] == "count"},
-            }
-        entry["pairs_won_by_" + change] = sum(
-            b["metrics"]["ops_per_s"]["value"] < c["metrics"]["ops_per_s"]["value"]
-            for b, c in zip(runs[base], runs[change]))
-        workloads[workload] = entry
+        counts = {name: {m: v["value"] for m, v in
+                         bench(roots[name], workload, args.seed, 1)["metrics"].items()
+                         if v["unit"] == "count"} for name in roots}
+        workloads[workload] = summarize(runs, counts, specs)
     payload = {
         "command": "perfbench/run.py pairs (tools/perf_pairs.py)",
         "seed": args.seed,
