@@ -3,21 +3,21 @@
 The measure of a semipositive metric places an atom at each vertex of the
 linearity complex; the mass is n! times the volume of the subdifferential
 there (the cell of the dual subdivision of P), so the total mass is n!vol(P)
-exactly. Mixed measures come from polarization over sums of subsets; signed
-intermediate combinations are plain dictionaries, never exposed.
+exactly. MA is multilinear on the semipositive metrics of one polytope, so a
+mixed measure is polarized through the midpoint metric on that same
+polytope, never through a Minkowski sum.
 The energy is the roof-integral gap n!(integral of psi2* - integral of psi1*)
 over P (Burgos-Philippon-Sombra's height formula), not a polarization; on
 any two metrics it is the energy of their envelopes (envelope_energy).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import PreconditionError
-from .plmetric import PLMetric, is_semipositive, legendre, metric_sum
+from .plmetric import PLMetric, envelope, is_semipositive, legendre
 from .rational import ZERO, frac
 
 AtomKey = Hashable
@@ -81,31 +81,38 @@ def monge_ampere(metric: PLMetric) -> DiscreteMeasure:
 
 
 def mixed_monge_ampere(metrics: Sequence[PLMetric]) -> DiscreteMeasure:
-    """Polarized mixed measure of n semipositive metrics (n = dimension):
-    (1/n!) sum over nonempty subsets S of (-1)^(n-|S|) MA(sum over S)."""
+    """Mixed measure MA(phi_1, ..., phi_n) of n semipositive metrics on one
+    polytope (n = dimension).
+
+    On the line it is MA(phi_1). On a surface, MA is a symmetric bilinear
+    form in (phi0, phi1) with MA(phi, phi) = MA(phi), so the midpoint metric
+    mid = (phi0 + phi1)/2 has
+        MA(mid) = (MA(phi0) + 2 MA(phi0, phi1) + MA(phi1)) / 4,
+    that is MA(phi0, phi1) = 2 MA(mid) - (MA(phi0) + MA(phi1)) / 2. A
+    semipositive metric is its envelope, one convex block, and the sum of two
+    convex max-of-affines blocks is the max of the pairwise sums of their
+    pieces; so mid is one block of the averages ((s0 + s1)/2, (c0 + c1)/2),
+    on P again, since its slopes hull to (P + P)/2 = P.
+    """
     if not metrics:
         raise PreconditionError("mixed measure needs n metrics")
-    n = metrics[0].dim
+    P, n = metrics[0].polytope, metrics[0].dim
     if len(metrics) != n:
         raise PreconditionError(f"mixed measure needs exactly {n} metrics in dimension {n}")
     for m in metrics:
-        if m.dim != n:
-            raise PreconditionError("mixed measure needs equal ambient dimension")
+        if m.polytope != P:
+            raise PreconditionError("mixed measure needs metrics on the same polytope")
         if not is_semipositive(m):
             raise PreconditionError("mixed measure needs semipositive metrics")
     if n == 1:
         return monge_ampere(metrics[0])
-    factorial = math.factorial(n)
-    combo: Dict[AtomKey, Fraction] = {}
-    for size in range(1, n + 1):
-        sign = (-1) ** (n - size)
-        for subset in itertools.combinations(range(n), size):
-            total = metrics[subset[0]]
-            for idx in subset[1:]:
-                total = metric_sum(total, metrics[idx])
-            for key, mass in monge_ampere(total).atoms.items():
-                combo[key] = combo.get(key, ZERO) + sign * mass
-    return DiscreteMeasure({k: v / factorial for k, v in combo.items()})
+    (b0,), (b1,) = (envelope(m).blocks for m in metrics)
+    half = Fraction(1, 2)
+    mid = PLMetric(P, [[(tuple((x + y) * half for x, y in zip(s0, s1)), (c0 + c1) * half)
+                        for s0, c0 in b0 for s1, c1 in b1]])
+    atoms = [(key, 2 * mass) for key, mass in monge_ampere(mid).atoms.items()]
+    atoms += [(key, -mass * half) for m in metrics for key, mass in monge_ampere(m).atoms.items()]
+    return DiscreteMeasure(atoms)
 
 
 def envelope_energy(m1: PLMetric, m2: PLMetric) -> Fraction:

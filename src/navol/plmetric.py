@@ -51,7 +51,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from .errors import PreconditionError
 from .polytope import Polytope, _hull_1d, _hull_2d, _monotone_chain
-from .rational import Point, ZERO, frac, frac_str, point, point_str, vadd
+from .rational import Point, ZERO, frac, frac_str, point, point_str
 
 Piece = Tuple[Point, Fraction]          # v -> <slope, v> + const
 Block = Tuple[Piece, ...]               # max over pieces
@@ -810,18 +810,6 @@ def metric_shift(metric: PLMetric, t) -> PLMetric:
                                for b in blocks]), moved)
     out._semipositive = metric._semipositive
     return out
-
-
-def metric_sum(m1: PLMetric, m2: PLMetric) -> PLMetric:
-    """Pointwise sum; the reference polytope is the Minkowski sum."""
-    if m1.dim != m2.dim:
-        raise PreconditionError("metric_sum needs equal ambient dimension")
-    P = m1.polytope.minkowski_sum(m2.polytope)
-    blocks = []
-    for b1 in m1.blocks:
-        for b2 in m2.blocks:
-            blocks.append([(vadd(s1, s2), c1 + c2) for s1, c1 in b1 for s2, c2 in b2])
-    return PLMetric(P, blocks)
 
 
 def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import PreconditionError
-from .rational import Point, ZERO, frac, point, vadd
+from .rational import Point, ZERO, frac, point
 
 IntVector = Tuple[int, ...]
 Band = Tuple[int, int, Tuple[int, int, int], Tuple[int, int, int]]   # see row_bands
@@ -194,12 +194,6 @@ class Polytope:
         for a, b in zip(v, v[1:] + v[:1]):
             acc += a[0] * b[1] - b[0] * a[1]
         return abs(acc) / 2
-
-    def minkowski_sum(self, other: "Polytope") -> "Polytope":
-        if self.ambient_dim != other.ambient_dim:
-            raise PreconditionError("Minkowski sum needs equal ambient dimension")
-        sums = [vadd(a, b) for a in self.vertices for b in other.vertices]
-        return Polytope.from_points(sums)
 
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.ambient_dim

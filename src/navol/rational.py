@@ -75,7 +75,3 @@ def point(coords: Iterable) -> Point:
 def point_str(pt: Sequence[Fraction]) -> str:
     return "(" + ", ".join(frac_str(c) for c in pt) + ")"
 
-
-def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Point:
-    return tuple(x + y for x, y in zip(a, b))
-

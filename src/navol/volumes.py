@@ -40,7 +40,7 @@ from .measures import envelope_energy
 from .plmetric import (PLMetric, RoofFunction, distance, is_semipositive, legendre,
                        metric_shift)
 from .polytope import Band
-from .rational import ZERO, frac
+from .rational import frac
 
 
 def default_schedule(dim: int) -> List[int]:
@@ -147,16 +147,18 @@ class VolumeResult:
     exact: Fraction
     dim: int
     semipositive_pair: bool
-    max_gap: Fraction = ZERO  # max |normalized - exact| over the schedule tail
+    max_gap: Fraction  # max |normalized - exact| over the schedule tail
 
     @property
     def estimate(self) -> Fraction:
-        return self.rows[-1].normalized if self.rows else ZERO
+        return self.rows[-1].normalized
 
 
 def navol(m1: PLMetric, m2: PLMetric, schedule: Sequence[int]) -> VolumeResult:
     """Non-archimedean volume of a metric pair: lattice-length series plus the
     exact limit, the envelopes' energy read from the two conjugates."""
+    if not schedule:
+        raise PreconditionError("navol needs at least one level")
     n = m1.dim
     factorial = math.factorial(n)
     rows = []
@@ -166,7 +168,7 @@ def navol(m1: PLMetric, m2: PLMetric, schedule: Sequence[int]) -> VolumeResult:
     exact = envelope_energy(m1, m2)
     semi = is_semipositive(m1) and is_semipositive(m2)
     tail = rows[len(rows) // 2:]
-    gap = max((abs(r.normalized - exact) for r in tail), default=ZERO)
+    gap = max(abs(r.normalized - exact) for r in tail)
     return VolumeResult(rows=rows, exact=exact, dim=m1.dim,
                         semipositive_pair=semi, max_gap=gap)
 
@@ -189,6 +191,8 @@ def lipschitz_check(m1: PLMetric, m1_alt: PLMetric, m2: PLMetric,
     N_m * ceil(m*d). In the limit: |vol' - vol| <= n!vol(P) * d.
     Each row is one lattice_length, of m1_alt against m1.
     """
+    if not schedule:
+        raise PreconditionError("lipschitz_check needs at least one level")
     d = distance(m1, m1_alt)
     _check_pair(m1, m2)
     rows: List[Tuple[int, int, int]] = []

@@ -15,11 +15,14 @@ back as Fraction pieces so the brute-force hull can be compared with it,
 `serialize_instance` and `instance_json`, which write the package's parsed
 instance types back in the instance-file schema,
 `dilate` and `metric_scale`, which build the package's polytope and metric
-types for t*P, `metric_min`, which builds the package's metric type from the
-pairwise unions of two metrics' branches, `polytope_contains`, which reads
-membership from the box and edge half-planes a package polytope stores for
-its lattice rows, `tree_edges` and `tree_adjacency`, which read the integer
-edge rows a package tree stores as Fraction lengths,
+types for t*P, `minkowski_sum` and `metric_sum`, which build them for P + Q
+and psi1 + psi2 (mixed measures polarized over such sums are the tests'
+reference, a route the package no longer takes), `metric_min`, which builds
+the package's metric type from the pairwise unions of two metrics' branches,
+`polytope_contains`, which reads membership from the box and edge
+half-planes a package polytope stores for its lattice rows, `tree_edges`
+and `tree_adjacency`, which read the integer edge rows a package tree
+stores as Fraction lengths,
 `dominance_cells_by_clipping`, which runs the package's half-plane clip on
 every pair of rows, a route the package's cell engine skips when one row
 owns the whole region, and `with_subdivided_edge` and
@@ -560,6 +563,15 @@ def dilate(P, t):
     return Polytope.from_points([tuple(t * x for x in v) for v in P.vertices])
 
 
+def minkowski_sum(P, Q):
+    """The polytope P + Q, the hull of the sums of their vertices."""
+    from navol.errors import PreconditionError
+    from navol.polytope import Polytope
+    if P.ambient_dim != Q.ambient_dim:
+        raise PreconditionError("Minkowski sum needs equal ambient dimension")
+    return Polytope.from_points([vadd(a, b) for a in P.vertices for b in Q.vertices])
+
+
 def metric_scale(metric, t):
     """The metric of the scaled line bundle: psi_t(v) = t*psi(v) on t*P,
     for a rational t >= 0."""
@@ -583,6 +595,19 @@ def metric_min(m1, m2):
     if m1.polytope != m2.polytope:
         raise PreconditionError("metric_min needs metrics on the same polytope")
     return PLMetric(m1.polytope, [tuple(b1) + tuple(b2) for b1 in m1.blocks for b2 in m2.blocks])
+
+
+def metric_sum(m1, m2):
+    """Pointwise sum psi1 + psi2 on the Minkowski sum of the polytopes: min
+    distributes over the sum, and the sum of two max-of-affines blocks is
+    the max of the pairwise sums of their pieces."""
+    from navol.errors import PreconditionError
+    from navol.plmetric import PLMetric
+    if m1.dim != m2.dim:
+        raise PreconditionError("metric_sum needs equal ambient dimension")
+    return PLMetric(minkowski_sum(m1.polytope, m2.polytope),
+                    [[(vadd(s1, s2), c1 + c2) for s1, c1 in b1 for s2, c2 in b2]
+                     for b1 in m1.blocks for b2 in m2.blocks])
 
 
 # --------------------------------------------------------------------------
@@ -624,6 +649,11 @@ def metric_deform_by_branches(psi, eps, pos, neg):
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def vadd(a, b):
+    """The sum a + b of two points, coordinate by coordinate."""
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def vsub(a, b):

@@ -18,7 +18,7 @@ from navol.measures import DiscreteMeasure, energy
 from navol.plmetric import canonical_metric, envelope, metric_deform
 from navol.polytope import Polytope, segment, simplex, unit_box
 from navol.trees import MetricTree, potential_rows
-from navol.volumes import default_schedule, proportionality_check
+from navol.volumes import default_schedule, lipschitz_check, navol, proportionality_check
 
 from _oracles import tree_edges
 
@@ -135,7 +135,9 @@ def test_checks_refuse_levels_that_leave_nothing_to_verify():
                                                                  [F(1, 2), F(1, 2)])),
         "at least one level": (lambda: verify_length_cocycle(tent, can, tent, []),
                                lambda: verify_h0_envelope_equality(tent, []),
-                               lambda: proportionality_check(tent, can, F(1), [])),
+                               lambda: proportionality_check(tent, can, F(1), []),
+                               lambda: navol(tent, can, []),
+                               lambda: lipschitz_check(tent, can, can, [])),
     }
     for message, checks in refusals.items():
         for check in checks:

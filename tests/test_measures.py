@@ -10,17 +10,23 @@ from navol.harness import (bump_metric, random_convex_metric,
                            random_nonconvex_metric, tent_metric)
 from navol.measures import (DiscreteMeasure, energy, envelope_energy, monge_ampere,
                             mixed_monge_ampere)
-from navol.plmetric import canonical_metric, envelope, metric_shift
+from navol.plmetric import PLMetric, canonical_metric, envelope, is_semipositive, metric_shift
 from navol.polytope import Polytope, segment, simplex, unit_box
 
 from _oracles import (curvature_atoms_1d_oracle,
                       curvature_atoms_2d_convex_oracle, dilate, energy_by_mixed_measures,
-                      is_nonnegative)
+                      is_nonnegative, metric_sum)
 
 F = Fraction
 SEG = segment(0, 1)
 BOX = unit_box(2)
 LINE_IN_PLANE = Polytope.from_points([(0, 0), (2, 1)])
+# the box, a triangle, the lattice hexagon, a rational triangle, a segment
+# and a point in the plane
+PLANAR_BODIES = (BOX, simplex(2),
+                 Polytope.from_points([(1, 0), (2, 0), (2, 1), (1, 2), (0, 2), (0, 1)]),
+                 Polytope.from_points([(0, 0), (F(5, 2), F(1, 3)), (F(1, 2), F(7, 4))]),
+                 LINE_IN_PLANE, Polytope.from_points([(F(1, 2), F(-3, 2))]))
 
 
 # --------------------------------------------------------------------------
@@ -132,6 +138,49 @@ def test_mixed_measure_mass_and_argument_count():
         mixed_monge_ampere([a])
     with pytest.raises(PreconditionError):
         mixed_monge_ampere([])
+
+
+def _semipositive_metric(P, rng):
+    """P's vertices and up to two slopes between two of them, with random
+    constants, as one convex block. Half the time the block is the second of
+    two branches, the first being the block with each constant raised by 0,
+    1/2 or 1: the metric is then the second branch, not the first."""
+    slopes = list(P.vertices)
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(P.vertices), rng.choice(P.vertices)
+        t = F(rng.randint(1, 3), 4)
+        slopes.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+    block = [(s, F(rng.randint(-6, 6), rng.randint(1, 3))) for s in slopes]
+    if rng.random() < 0.5:
+        return PLMetric(P, [block])
+    return PLMetric(P, [[(s, c + F(rng.randint(0, 2), 2)) for s, c in block], block])
+
+
+def test_mixed_measure_matches_polarization_over_minkowski_sums():
+    # the midpoint metric on P against (MA(a + b) - MA(a) - MA(b))/2, with
+    # a + b on P + P from the oracle's Minkowski algebra; the two-branch
+    # metrics catch a midpoint built from a first branch that is not the
+    # function
+    rng = random.Random(222)
+    for P in PLANAR_BODIES:
+        for _ in range(12):
+            a, b = _semipositive_metric(P, rng), _semipositive_metric(P, rng)
+            assert is_semipositive(a) and is_semipositive(b)
+            want = DiscreteMeasure(
+                [(k, v / 2) for k, v in monge_ampere(metric_sum(a, b)).atoms.items()]
+                + [(k, -v / 2) for m in (a, b) for k, v in monge_ampere(m).atoms.items()])
+            got = mixed_monge_ampere([a, b])
+            assert got == want, (P, a.blocks, b.blocks)
+            assert got.total_mass == 2 * P.volume()
+            assert mixed_monge_ampere([a, a]) == monge_ampere(a)
+
+
+def test_mixed_measure_refuses_two_polytopes():
+    rng = random.Random(223)
+    a = random_convex_metric(BOX, rng)
+    for P in (dilate(BOX, 2), simplex(2), LINE_IN_PLANE, SEG):
+        with pytest.raises(PreconditionError, match="same polytope"):
+            mixed_monge_ampere([a, random_convex_metric(P, rng)])
 
 
 # --------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from navol.harness import (bump_metric, random_convex_metric,
 from navol.measures import energy, monge_ampere
 from navol.plmetric import (PLMetric, canonical_metric,
                             distance, envelope, envelope_gap, is_semipositive, legendre,
-                            metric_deform, metric_shift, metric_sum)
+                            metric_deform, metric_shift)
 from navol.polytope import Polytope, segment, simplex, unit_box
-from navol.rational import frac, vadd
+from navol.rational import frac
 
 from navol.volumes import lattice_length
 
@@ -27,8 +27,8 @@ from _oracles import (arrangement_candidates, block_conjugate_oracle,
                       distance_by_joint_arrangement, envelope_1d_oracle,
                       envelope_corners_oracle, eval_min_max, lattice_length_oracle,
                       lower_hull_facets_2d, metric_deform_by_branches, metric_min, metric_scale,
-                      polygon_area, polytope_contains, recession_by_all_slopes, roof_cells,
-                      roof_cells_oracle, roof_oracle, vsub)
+                      metric_sum, polygon_area, polytope_contains, recession_by_all_slopes,
+                      roof_cells, roof_cells_oracle, roof_oracle, vadd, vsub)
 
 F = Fraction
 SEG = segment(0, 1)
