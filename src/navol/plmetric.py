@@ -33,7 +33,11 @@ the pruning by it, the conjugate's rows written from the hull planes, the
 recession check, evaluation, the cells, distances, the envelope gap and
 metric_deform's Minkowski blocks and translations) computes with Python ints
 only. Points are homogeneous integer rows (x, w) standing for x / w, in
-lowest terms with w > 0, so equal points have equal rows.
+lowest terms with w > 0, so equal points have equal rows. Rows have 2
+entries on the line and 3 in the plane, and the cells, walks and integrals
+read them by unpacking (_values). A block keeps its lifted hull's vertices
+untested and plane-tests only its other rows; stored rows are divided by
+their gcd, which is read row by row, only when it is above 1 (_lowest).
 
 The recession check runs in the PLMetric constructor only, where rational
 data enters; envelope, metric_deform and metric_shift keep the identity by
@@ -47,10 +51,10 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import PreconditionError
-from .polytope import Polytope, _hull_1d, _hull_2d, _monotone_chain
+from .polytope import Polytope, _homogeneous, _hull_1d, _hull_2d, _monotone_chain
 from .rational import Point, ZERO, frac, frac_str, point, point_str
 
 Piece = Tuple[Point, Fraction]          # v -> <slope, v> + const
@@ -61,26 +65,30 @@ IntegerBlocks = Tuple[int, Tuple[Tuple[Tuple[int, ...], ...], ...]]  # (D, block
 IntegerCells = List[Tuple[int, List[Tuple[int, ...]]]]  # [(piece index, corner rows)]
 
 
-def _scaled(row: Sequence[Fraction], scale: int) -> Tuple[int, ...]:
-    """scale * row as integers (scale a multiple of every denominator)."""
-    return tuple(c.numerator * (scale // c.denominator) for c in row)
-
-
 def _dedupe_rows(rows: Iterable[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-    """One row per slope, the one with the largest constant, in order of
-    first occurrence; the rows are (slope, const) over one denominator."""
-    best: Dict[Tuple[int, ...], int] = {}
+    """One row per slope, the one with the largest constant (the first of
+    equal ones), in order of first occurrence; the rows are (slope, const)
+    over one denominator."""
+    best: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for r in rows:
-        s, c = r[:-1], r[-1]
-        if s not in best or c > best[s]:
-            best[s] = c
-    return [s + (c,) for s, c in best.items()]
+        s = r[:-1]
+        old = best.get(s)
+        if old is None or r[-1] > old[-1]:
+            best[s] = r
+    return list(best.values())
 
 
 def _lowest(scale: int, blocks: Sequence[Sequence[Tuple[int, ...]]]) -> IntegerBlocks:
-    """Integer blocks over scale, both divided by their gcd: lowest terms."""
-    g = math.gcd(scale, *(x for b in blocks for r in b for x in r))
-    return scale // g, tuple(tuple(tuple(x // g for x in r) for r in b) for b in blocks)
+    """Integer blocks over scale, both divided by their gcd: lowest terms.
+    The gcd is read row by row and stops at 1, and the rows are rebuilt
+    only when it is above 1 (else the row tuples are returned as they are)."""
+    g = scale
+    for b in blocks:
+        for r in b:
+            g = math.gcd(g, *r)
+            if g == 1:
+                return scale, tuple(map(tuple, blocks))
+    return scale // g, tuple(tuple(tuple([x // g for x in r]) for r in b) for b in blocks)
 
 
 def _piece(row: Sequence[int], scale: int) -> Piece:
@@ -118,7 +126,7 @@ class PLMetric:
         # Each block keeps the rows whose lifted point lies on its lower
         # hull, which changes no value. The recession identity makes every
         # block's slope hull contain P, so the hulls are the conjugate on P.
-        blocks = [[point(s) + (frac(c),) for s, c in b] for b in blocks]
+        blocks = [[(*map(frac, s), frac(c)) for s, c in b] for b in blocks]
         n = polytope.ambient_dim
         for bi, b in enumerate(blocks):
             for pi, r in enumerate(b):
@@ -128,7 +136,8 @@ class PLMetric:
         scale = math.lcm(*{x.denominator for b in blocks for r in b for x in r})
         kept, planes = [], []
         for block in blocks:
-            rows = _dedupe_rows(_scaled(r, scale) for r in block)
+            rows = _dedupe_rows([tuple([x.numerator * (scale // x.denominator) for x in r])
+                                 for r in block])
             hull_planes, on_hull = _lower_hull(rows)
             kept.append([rows[i] for i in on_hull])
             planes += hull_planes
@@ -218,9 +227,9 @@ def _recession_mismatch(rows: IntegerBlocks, P: Polytope
     hull = _hull_1d if n == 1 else _hull_2d
     scale, blocks = rows
     v_scale, verts = P.integer_vertices()
-    hulls = list(dict.fromkeys(tuple(hull([r[:-1] for r in b])) for b in blocks))
-    if len(hulls) == 1 and [tuple(x * v_scale for x in s) for s in hulls[0]] \
-            == [tuple(x * scale for x in v) for v in verts]:
+    hulls = list(dict.fromkeys([tuple(hull([r[:-1] for r in b])) for b in blocks]))
+    if len(hulls) == 1 and [tuple([x * v_scale for x in s]) for s in hulls[0]] \
+            == [tuple([x * scale for x in v]) for v in verts]:
         return None
 
     def rec(w: Tuple[int, ...]) -> int:
@@ -312,8 +321,8 @@ class RoofFunction:
         (_dominance_cells)."""
         if self._integer_cells is None:
             self._integer_cells = _dominance_cells(
-                [_homogeneous(v) for v in self.polytope.vertices],
-                self.integer_rows()[1], self.polytope.affine_dim, 1)
+                self.polytope.homogeneous_vertices, self.integer_rows()[1],
+                self.polytope.affine_dim, 1)
         return self._integer_cells
 
     def integral(self) -> Fraction:
@@ -329,8 +338,8 @@ class RoofFunction:
             sums: Dict[int, int] = {}
             for i, region in self.integer_cells():
                 w, corners = _over_lcm(region)
-                vals = [sum(map(operator.mul, rows[i], c)) for c in corners]
-                sums[w] = sums.get(w, 0) + sum(a * sum(vals[k] for k in simplex)
+                vals = _values(rows[i], corners)
+                sums[w] = sums.get(w, 0) + sum(a * sum([vals[k] for k in simplex])
                                                for a, simplex in _fan(corners, n))
             self._integral = sum((Fraction(acc, math.factorial(n + 1) * scale * w ** (n + 1))
                                   for w, acc in sums.items()), ZERO)
@@ -352,21 +361,26 @@ class RoofFunction:
         return f"RoofFunction({len(self._rows[1])} pieces)"
 
 
-def _homogeneous(u: Point) -> Tuple[int, ...]:
-    """The rational point u as the integer row (x, w), u = x / w, in lowest
-    terms (w is the lcm of u's denominators)."""
-    w = math.lcm(*(c.denominator for c in u))
-    return _scaled(u, w) + (w,)
+def _values(r: Sequence[int], corners: Sequence[Tuple[int, ...]]) -> List[int]:
+    """<r, x> at each corner row x, for rows of 2 entries (the line) or 3
+    (the plane), read by unpacking."""
+    if len(r) == 3:
+        a, b, c = r
+        return [a * x + b * y + c * w for x, y, w in corners]
+    a, c = r
+    return [a * x + c * w for x, w in corners]
 
 
 def _clip_cycle(cycle: List[Tuple[int, ...]], h: Sequence[int]) -> List[Tuple[int, ...]]:
     """Clip a convex cycle of homogeneous corner rows by <h, row> <= 0.
 
-    The crossing on an edge p -> q is val_q * p - val_p * q, which has
-    value 0; its last entry is negated to be positive and the row reduced
-    by its gcd, so equal points have equal rows. Consecutive repeats are
-    dropped."""
-    vals = [sum(map(operator.mul, h, p)) for p in cycle]
+    The values <h, row> are read by unpacking (_values), rows of 2 or 3
+    entries. The crossing on an edge p -> q is val_q * p - val_p * q, which
+    has value 0; its last entry is negated to be positive and the row
+    reduced by its gcd, so equal points have equal rows. Consecutive repeats
+    are dropped. The output starts where the clip first keeps a corner or
+    crosses an edge, walking the cycle from its first corner."""
+    vals = _values(h, cycle)
     if max(vals) <= 0:
         return cycle
     out: List[Tuple[int, ...]] = []
@@ -380,7 +394,7 @@ def _clip_cycle(cycle: List[Tuple[int, ...]], h: Sequence[int]) -> List[Tuple[in
             continue
         row = [vq * a - vp * b for a, b in zip(p, q)]
         g = math.gcd(*row) if row[-1] > 0 else -math.gcd(*row)
-        x = tuple(c // g for c in row)
+        x = tuple([c // g for c in row])
         if not out or out[-1] != x:
             out.append(x)
     if len(out) > 1 and out[0] == out[-1]:
@@ -400,8 +414,8 @@ def _dominance_cells(region: List[Tuple[int, ...]], rows: Sequence[Sequence[int]
     max of affine rows is convex, and every other row is strictly below it
     at some corner, so has no interior. Ties at every corner are clipped."""
     if len(rows) > 1:
-        vals = [[sign * sum(map(operator.mul, r, p)) for p in region] for r in rows]
-        top = list(map(max, *vals))
+        vals = [_values(r, region) for r in rows]
+        top = list(map(max if sign > 0 else min, *vals))
         owners = [i for i, v in enumerate(vals) if v == top]
         if len(owners) == 1:
             return [(owners[0], region)]
@@ -431,7 +445,7 @@ def _interval_cells(region: List[Tuple[int, ...]], rows: Sequence[Sequence[int]]
     cells: IntegerCells = []
     for i, (s, c) in enumerate(rows):
         lo, hi = region
-        for ds, dc in ((sign * (s - s2) * o, sign * (c - c2)) for s2, c2 in rows):
+        for ds, dc in [(sign * (s - s2) * o, sign * (c - c2)) for s2, c2 in rows]:
             if ds == 0:   # the row itself, or one parallel to it
                 if dc < 0:
                     break
@@ -450,8 +464,8 @@ def _interval_cells(region: List[Tuple[int, ...]], rows: Sequence[Sequence[int]]
 
 def _over_lcm(region: List[Tuple[int, ...]]) -> Tuple[int, List[Tuple[int, ...]]]:
     """A cell's corner rows rescaled to the lcm W of their last entries."""
-    w = math.lcm(*(r[-1] for r in region))
-    return w, [tuple(x * (w // r[-1]) for x in r) for r in region]
+    w = math.lcm(*[r[-1] for r in region])
+    return w, [tuple([x * (w // r[-1]) for x in r]) for r in region]
 
 
 def _fan(corners: List[Tuple[int, ...]], n: int) -> Iterable[Tuple[int, Tuple[int, ...]]]:
@@ -468,11 +482,14 @@ def _fan(corners: List[Tuple[int, ...]], n: int) -> Iterable[Tuple[int, Tuple[in
 # lifted lower hulls: exact conjugates of convex max-of-affines blocks
 
 
-def _lower_facet_planes(points: Sequence[Tuple[int, int, int]]) -> List[IntPlane]:
+def _lower_facet_planes(points: Sequence[Tuple[int, int, int]]
+                        ) -> Tuple[List[IntPlane], Set[int]]:
     """Lower-hull facet planes of integer lifted points (x, y, z): primitive
     (nx, ny, nz, d) with nz < 0, every point satisfying
     nx*x + ny*y + nz*z <= d with equality on a full-dimensional contact set;
-    empty when the base points are all collinear.
+    empty when the base points are all collinear. With them, the lower
+    facets' vertices, as indices into the points kept (the lowest z per
+    (x, y), in order of first occurrence).
 
     Incremental convex hull; each facet, keyed by its oriented vertex triple,
     keeps its outward integer plane, so the visibility test is one integer
@@ -484,7 +501,7 @@ def _lower_facet_planes(points: Sequence[Tuple[int, int, int]]) -> List[IntPlane
             best[(x, y)] = z
     pts = [(x, y, z) for (x, y), z in best.items()]
     if len(pts) < 3:
-        return []
+        return [], set()
 
     def plane(i: int, j: int, k: int) -> IntPlane:
         # outward normal (b - a) x (c - a) of the oriented facet (a, b, c);
@@ -500,12 +517,12 @@ def _lower_facet_planes(points: Sequence[Tuple[int, int, int]]) -> List[IntPlane
 
     i2 = next((k for k in range(2, len(pts)) if plane(0, 1, k)[:3] != (0, 0, 0)), None)
     if i2 is None:
-        return []
+        return [], set()
     base = plane(0, 1, i2)
     i3 = next((k for k in range(2, len(pts)) if k != i2 and above(base, pts[k]) != 0),
               None)
     if i3 is None:
-        return [_primitive_plane(base)] if base[2] != 0 else []
+        return ([_primitive_plane(base)], set(range(len(pts)))) if base[2] != 0 else ([], set())
 
     order = [0, 1, i2, i3]
     order += [k for k in range(2, len(pts)) if k not in (i2, i3)]
@@ -534,7 +551,9 @@ def _lower_facet_planes(points: Sequence[Tuple[int, int, int]]) -> List[IntPlane
             facets[f] = plane(u, v, m)
             edges[u, v] = edges[v, m] = edges[m, u] = f
     # nz >= 0: vertical or upward-facing facet
-    return list(dict.fromkeys(_primitive_plane(pl) for pl in facets.values() if pl[2] < 0))
+    lower = [f for f, pl in facets.items() if pl[2] < 0]
+    return (list(dict.fromkeys(_primitive_plane(facets[f]) for f in lower)),
+            {i for f in lower for i in f})
 
 
 def _primitive_plane(pl: IntPlane) -> IntPlane:
@@ -542,7 +561,7 @@ def _primitive_plane(pl: IntPlane) -> IntPlane:
     g = math.gcd(*pl)
     if pl[2] > 0:
         g = -g
-    return tuple(x // g for x in pl)
+    return tuple([x // g for x in pl])
 
 
 def _lower_hull(rows: Sequence[Tuple[int, ...]]) -> Tuple[List[IntPlane], List[int]]:
@@ -552,23 +571,31 @@ def _lower_hull(rows: Sequence[Tuple[int, ...]]) -> Tuple[List[IntPlane], List[i
     Returns its planes (n, nz, d), n.x + nz*z = d on the lifted points
     (x, z) = (L*s, -L*c), whose pieces u -> <-n, u>/nz + d/(nz L)
     (_plane_roof) have as max the block's conjugate on the affine hull of its
-    slopes, and the indices of the rows whose lifted point lies on one of
-    them (the others change no value of the block). The planes are the
-    facet planes when the slopes span the plane, the lines of the lower chain
-    along the line (with n along it) when they are collinear, and the
-    constant -c for a single slope. Every test is an integer equality or
-    sign."""
+    slopes, and the indices, in row order, of the rows whose lifted point
+    lies on one of them (the others change no value of the block). The
+    planes are the facet planes when the slopes span the plane, the lines of
+    the lower chain along the line (with n along it) when they are
+    collinear, and the constant -c for a single slope. The vertices of the
+    lower facets or of the chain are kept as they are; only the other points,
+    which may lie on a facet or a chain segment without being a vertex, are
+    tested against the planes. Every test is an integer equality or sign."""
     dim = len(rows[0]) - 1
-    lifted = [r[:-1] + (-r[-1],) for r in rows]
-    planes = _lower_facet_planes(lifted) if dim == 2 else []
+    lifted = [(*r[:-1], -r[-1]) for r in rows]
+    planes, verts = _lower_facet_planes(lifted) if dim == 2 else ([], set())
     if not planes:
         e = (1,) if dim == 1 else tuple(a - b for a, b in zip(max(lifted), min(lifted)[:2]))
-        chain = _monotone_chain(sorted((sum(map(operator.mul, e, p)), p[-1]) for p in lifted))
-        planes = [tuple((z1 - z2) * k for k in e) + (t2 - t1, z1 * t2 - z2 * t1)
-                  for (t1, z1), (t2, z2) in zip(chain, chain[1:])] \
+        ts = _values((*e, 0), lifted)   # positions along the line
+        chain = _monotone_chain(sorted(zip(ts, [p[-1] for p in lifted], range(len(ts)))))
+        planes = [(*[(z1 - z2) * k for k in e], t2 - t1, z1 * t2 - z2 * t1)
+                  for (t1, z1, _), (t2, z2, _) in zip(chain, chain[1:])] \
             or [(0,) * dim + (1, chain[0][1])]
-    kept = [i for i, p in enumerate(lifted)
-            if any(sum(map(operator.mul, pl, p)) == pl[-1] for pl in planes)]
+        verts = {i for _, _, i in chain}
+    if dim == 1:
+        kept = [i for i, (x, z) in enumerate(lifted) if i in verts
+                or any(a * x + b * z == d for a, b, d in planes)]
+    else:
+        kept = [i for i, (x, y, z) in enumerate(lifted) if i in verts
+                or any(a * x + b * y + c * z == d for a, b, c, d in planes)]
     return planes, kept
 
 
@@ -581,7 +608,7 @@ def _plane_roof(P: Polytope, planes: Sequence[IntPlane], scale: int) -> RoofFunc
     rows = []
     for pl in planes:
         k = lcm // pl[-2]
-        rows.append(tuple(-k * scale * x for x in pl[:-2]) + (k * pl[-1],))
+        rows.append((*[-k * scale * x for x in pl[:-2]], k * pl[-1]))
     return RoofFunction(P, lcm * scale, _dedupe_rows(rows))
 
 
@@ -639,7 +666,7 @@ def envelope(metric: PLMetric) -> PLMetric:
         for r in region:
             owner.setdefault(r, i)
     w, points = _over_lcm(list(owner))
-    corners = [tuple(scale * x for x in r[:-1]) + (-sum(map(operator.mul, rows[i], r)),)
+    corners = [(*[scale * x for x in r[:-1]], -sum(map(operator.mul, rows[i], r)))
                for r, i in zip(points, owner.values())]
     conjugate = RoofFunction(P, scale, [rows[i] for i, _ in cells])
     conjugate._integer_cells = [(k, region) for k, (_, region) in enumerate(cells)]
@@ -678,8 +705,8 @@ def distance(m1: PLMetric, m2: PLMetric) -> Fraction:
     best, best_w = 0, 1
     for a1, cell1 in _branch_cells(box, blocks1, dim):
         for a2, cell in _branch_cells(cell1, blocks2, dim):
-            for x in cell:
-                gap = abs(sum(map(operator.mul, a1, x)) * d2 - sum(map(operator.mul, a2, x)) * d1)
+            for x, v1, v2 in zip(cell, _values(a1, cell), _values(a2, cell)):
+                gap = abs(v1 * d2 - v2 * d1)
                 if gap * best_w > best * x[-1]:
                     best, best_w = gap, x[-1]
     return Fraction(best, best_w * d1 * d2)
@@ -688,7 +715,7 @@ def distance(m1: PLMetric, m2: PLMetric) -> Fraction:
 def _box(dim: int, *metrics: Sequence[Sequence[Tuple[int, ...]]]) -> List[Tuple[int, ...]]:
     """The box |v_i| <= R of distance for metrics given as blocks of integer
     rows, as a cycle of homogeneous corner rows."""
-    m = max(abs(c) for blocks in metrics for b in blocks for r in b for c in r)
+    m = max([abs(c) for blocks in metrics for b in blocks for r in b for c in r])
     r = 8 * m * m + 1 if dim == 2 else 2 * m + 1
     return [(-r, 1), (r, 1)] if dim == 1 else [(-r, -r, 1), (r, -r, 1), (r, r, 1), (-r, r, 1)]
 
@@ -762,10 +789,10 @@ def _gap_maxima(metric: PLMetric) -> Iterator[Fraction]:
 
     def cut(row: Tuple[int, ...], part: List[Tuple[int, ...]]) -> bool:
         """Some envelope row e has (row - e)(x) <= best at every corner x."""
-        tops = [sum(map(operator.mul, row, x)) * e for x in part]
+        tops = [v * e for v in _values(row, part)]
         for low in env:
-            for top, x in zip(tops, part):
-                if (top - sum(map(operator.mul, low, x)) * d) * best_w > best * x[-1]:
+            for top, v, x in zip(tops, _values(low, part), part):
+                if (top - v * d) * best_w > best * x[-1]:
                     break
             else:
                 return True
@@ -773,8 +800,8 @@ def _gap_maxima(metric: PLMetric) -> Iterator[Fraction]:
 
     for a, cell in _branch_cells(_box(dim, blocks, [env]), blocks, dim, cut):
         for i, piece in _dominance_cells(cell, env, dim, 1):
-            for x in piece:
-                gap = sum(map(operator.mul, a, x)) * e - sum(map(operator.mul, env[i], x)) * d
+            for x, va, ve in zip(piece, _values(a, piece), _values(env[i], piece)):
+                gap = va * e - ve * d
                 if gap * best_w > best * x[-1]:
                     best, best_w = gap, x[-1]
                     yield Fraction(best, best_w * d * e)
@@ -802,11 +829,11 @@ def metric_shift(metric: PLMetric, t) -> PLMetric:
     p, q = t.numerator, t.denominator
     (d, blocks), (e, roof) = metric.integer_rows(), legendre(metric).integer_rows()
     moved = RoofFunction(metric.polytope, q * e,
-                         [(*(q * x for x in r[:-1]), q * r[-1] - p * e) for r in roof])
+                         [(*[q * x for x in r[:-1]], q * r[-1] - p * e) for r in roof])
     moved._integer_cells = metric._conjugate.integer_cells()
     out = PLMetric.__new__(PLMetric)
     out._build(metric.polytope,
-               _lowest(q * d, [[(*(q * x for x in r[:-1]), q * r[-1] + p * d) for r in b]
+               _lowest(q * d, [[(*[q * x for x in r[:-1]], q * r[-1] + p * d) for r in b]
                                for b in blocks]), moved)
     out._semipositive = metric._semipositive
     return out
@@ -850,8 +877,8 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
     blocks, planes = [], []
     for b1 in rows1:
         for b2 in rows2:
-            rows = _dedupe_rows(tuple(f1 * x + f2 * y for x, y in zip(r1, r2))
-                                for r1 in b1 for r2 in b2)
+            rows = _dedupe_rows([tuple([f1 * x + f2 * y for x, y in zip(r1, r2)])
+                                 for r1 in b1 for r2 in b2])
             hull_planes, on_hull = _lower_hull(rows)
             for t, tc in shifts:
                 planes += [pl[:-1] + (pl[-1] - sum(map(operator.mul, pl, t)) + pl[-2] * tc,)

@@ -41,6 +41,13 @@ def _integer_rows(points: Sequence[Point]) -> Tuple[int, List[IntVector]]:
     return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
 
 
+def _homogeneous(u: Point) -> IntVector:
+    """The rational point u as the integer row (x, w), u = x / w, in lowest
+    terms (w is the lcm of u's denominators)."""
+    w = math.lcm(*(c.denominator for c in u))
+    return (*[c.numerator * (w // c.denominator) for c in u], w)
+
+
 def _hull_1d(points: Sequence[Point]) -> List[Point]:
     lo = min(points)
     hi = max(points)
@@ -75,13 +82,15 @@ class Polytope:
 
     The hull's vertex cycle is the whole description. The vertices are also
     kept as integer rows over the lcm V of their denominators
-    (integer_vertices), and every edge a -> b of the cycle gives the integer
-    half-plane to its left, c0*x + c1*y + k >= 0 on V-scaled points, with
-    (c0, c1) = (a_y - b_y, b_x - a_x) and k = -(c0*a_x + c1*a_y). A
-    polygon's edges bound x, one edge of each chain on a band of rows
-    (row_bands, which lattice_rows expands); a segment's two opposite edges
-    pin it to its line. A point, a horizontal segment and an interval have
-    no edge that bounds x, and are one band, their bounding box.
+    (integer_vertices) and each as its homogeneous row (x, w), v = x / w in
+    lowest terms (homogeneous_vertices); every edge a -> b of the cycle gives
+    the integer half-plane to its left, c0*x + c1*y + k >= 0 on V-scaled
+    points, with (c0, c1) = (a_y - b_y, b_x - a_x) and
+    k = -(c0*a_x + c1*a_y). A polygon's edges bound x, one edge of each chain
+    on a band of rows (row_bands, which lattice_rows expands); a segment's
+    two opposite edges pin it to its line. A point, a horizontal segment and
+    an interval have no edge that bounds x, and are one band, their bounding
+    box.
     """
 
     def __init__(self, vertices: Sequence[Point], ambient_dim: int, affine_dim: int):
@@ -90,6 +99,7 @@ class Polytope:
         self.affine_dim = affine_dim
         self._vertex_set = frozenset(self.vertices)
         self._integer = _integer_rows(self.vertices)
+        self.homogeneous_vertices: List[IntVector] = [_homogeneous(v) for v in self.vertices]
         rows = self._integer[1]
         self._extent = [(min(c), max(c)) for c in zip(*rows)]   # V-scaled box
         self._edges: List[IntVector] = []

@@ -113,14 +113,15 @@ def _ceil_sum(roof: RoofFunction, bands: Sequence[Band], m: int) -> int:
     return total
 
 
-def _check_pair(m1: PLMetric, m2: PLMetric) -> None:
-    if m1.polytope != m2.polytope:
-        raise PreconditionError("lattice_length needs metrics on the same polytope")
+def _same_polytope(name: str, m: PLMetric, *others: PLMetric) -> None:
+    for o in others:
+        if o.polytope != m.polytope:
+            raise PreconditionError(f"{name} needs metrics on the same polytope")
 
 
 def lattice_length(m1: PLMetric, m2: PLMetric, m: int) -> int:
     """Total lattice length at level m of the norm quotient of the pair."""
-    _check_pair(m1, m2)
+    _same_polytope("lattice_length", m1, m2)
     if m < 1:
         raise PreconditionError("lattice_length needs a positive level m")
     bands = m1.polytope.row_bands(m)
@@ -157,6 +158,7 @@ class VolumeResult:
 def navol(m1: PLMetric, m2: PLMetric, schedule: Sequence[int]) -> VolumeResult:
     """Non-archimedean volume of a metric pair: lattice-length series plus the
     exact limit, the envelopes' energy read from the two conjugates."""
+    _same_polytope("navol", m1, m2)
     if not schedule:
         raise PreconditionError("navol needs at least one level")
     n = m1.dim
@@ -191,10 +193,10 @@ def lipschitz_check(m1: PLMetric, m1_alt: PLMetric, m2: PLMetric,
     N_m * ceil(m*d). In the limit: |vol' - vol| <= n!vol(P) * d.
     Each row is one lattice_length, of m1_alt against m1.
     """
+    _same_polytope("lipschitz_check", m1, m1_alt, m2)
     if not schedule:
         raise PreconditionError("lipschitz_check needs at least one level")
     d = distance(m1, m1_alt)
-    _check_pair(m1, m2)
     rows: List[Tuple[int, int, int]] = []
     ok = True
     for m in schedule:
@@ -227,7 +229,7 @@ def proportionality_check(m1: PLMetric, m2: PLMetric, t: Fraction,
     Each row is one lattice_length, of m1 + t (metric_shift) against m1; m2
     only pins the polytope, which it must share with m1."""
     t = frac(t)
-    _check_pair(m1, m2)
+    _same_polytope("proportionality_check", m1, m2)
     if not schedule:
         raise PreconditionError("proportionality_check needs at least one level")
     shifted = metric_shift(m1, t)

@@ -23,9 +23,7 @@ the package's metric type from the pairwise unions of two metrics' branches,
 half-planes a package polytope stores for its lattice rows, `tree_edges`
 and `tree_adjacency`, which read the integer edge rows a package tree
 stores as Fraction lengths,
-`dominance_cells_by_clipping`, which runs the package's half-plane clip on
-every pair of rows, a route the package's cell engine skips when one row
-owns the whole region, and `with_subdivided_edge` and
+`with_subdivided_edge` and
 `extend_to_subdivision`, which build the package's tree and tree-function
 types for a subdivided edge.
 All arithmetic is exact.
@@ -34,6 +32,7 @@ All arithmetic is exact.
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -62,7 +61,7 @@ def lower_hull_facets_2d(points):
     from navol.plmetric import _lower_facet_planes
     scale, rows = common_scale([s[0], s[1], z] for s, z in points)
     return [((Fraction(-nx, nz), Fraction(-ny, nz)), Fraction(d, nz * scale))
-            for nx, ny, nz, d in _lower_facet_planes(rows)]
+            for nx, ny, nz, d in _lower_facet_planes(rows)[0]]
 
 
 def plane_through(p1, p2, p3):
@@ -389,8 +388,15 @@ def curvature_atoms_1d_oracle(blocks):
 def curvature_atoms_2d_convex_oracle(block):
     """Monge-Ampere atoms of a convex max-of-affine function on the plane:
     at each arrangement vertex, twice the area of the hull of the slopes of
-    the pieces active there (the subdifferential)."""
-    pieces = [(tuple(Fraction(c) for c in s), Fraction(c0)) for s, c0 in block]
+    the pieces active there (the subdifferential). One piece is kept per
+    slope, the one with the largest constant: a smaller constant at the same
+    slope is never active, so the function is unchanged."""
+    best = {}
+    for s, c0 in block:
+        s, c0 = tuple(Fraction(c) for c in s), Fraction(c0)
+        if s not in best or c0 > best[s]:
+            best[s] = c0
+    pieces = list(best.items())
     lines = []
     for (s1, c1), (s2, c2) in itertools.combinations(pieces, 2):
         n = (s1[0] - s2[0], s1[1] - s2[1])
@@ -521,20 +527,48 @@ def cell_mass_oracle(region):
     return abs(2 * polygon_area(region))
 
 
+def clip_cycle(cycle, h):
+    """Clip a convex cycle of homogeneous integer corner rows by
+    <h, row> <= 0, with generic dot products. The crossing on an edge
+    p -> q is val_q * p - val_p * q, which has value 0, with its last entry
+    made positive and the row divided by its gcd; the output walks the cycle
+    from its first corner, and consecutive repeats (and a last corner equal
+    to the first) are dropped."""
+    vals = [sum(map(operator.mul, h, p)) for p in cycle]
+    if max(vals) <= 0:
+        return cycle
+    out = []
+    for p, q, vp, vq in zip(cycle, cycle[1:] + cycle[:1], vals, vals[1:] + vals[:1]):
+        if vp <= 0:
+            if not out or out[-1] != p:
+                out.append(p)
+            if vq <= 0:
+                continue
+        elif vq > 0:
+            continue
+        row = [vq * a - vp * b for a, b in zip(p, q)]
+        g = math.gcd(*row) if row[-1] > 0 else -math.gcd(*row)
+        x = tuple(c // g for c in row)
+        if not out or out[-1] != x:
+            out.append(x)
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    return out
+
+
 def dominance_cells_by_clipping(region, rows, dim, sign):
     """(row index, corner rows) for each sub-cell of dimension dim of a
     convex homogeneous cycle on which that row is the max (sign 1) or the
-    min (sign -1) of all rows: the region clipped, with the package's
-    _clip_cycle, by the half-plane where the row beats each other row, and
-    dropped once it has at most dim corners."""
-    from navol.plmetric import _clip_cycle
+    min (sign -1) of all rows: the region clipped (clip_cycle) by the
+    half-plane where the row beats each other row, and dropped once it has
+    at most dim corners."""
     cells = []
     for i, own in enumerate(rows):
         cell = region
         for j, other in enumerate(rows):
             if j != i:
                 pair = (other, own) if sign > 0 else (own, other)
-                cell = _clip_cycle(cell, tuple(a - b for a, b in zip(*pair)))
+                cell = clip_cycle(cell, tuple(a - b for a, b in zip(*pair)))
                 if len(cell) <= dim:
                     break
         else:

@@ -2,6 +2,7 @@
 (roofs), convex envelopes, and the exact lower-hull kernel behind them."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -536,6 +537,77 @@ def test_seeded_conjugate_matches_oracle_and_keeps_hull_pieces():
                 corners = dict.fromkeys(u for _, region in roof_cells(roof) for u in region)
                 raw_env = [(u, -roof.evaluate(u)) for u in corners]
                 assert env.blocks == (tuple(_on_lower_hull(_deduped(raw_env))),)
+
+
+def _with_points_on_the_hull(block, rng):
+    """The block with pieces whose lifted points lie on its lower hull
+    without being vertices, each at a random place: the midpoint of two kept
+    pieces on one edge of the hull, with the average of their constants,
+    and, when the slopes span the plane, the centroid of three kept pieces
+    on one facet."""
+    kept = sorted(_on_lower_hull(_deduped(block)))
+    extra = []
+    facets = brute_lower_hull_facets([(s, -c) for s, c in kept]) if len(kept[0][0]) == 2 else ()
+    if facets:
+        (a1, a2), b = rng.choice(sorted(facets))
+        on = [(s, c) for s, c in kept if -c == a1 * s[0] + a2 * s[1] + b]
+        for k in (2, 3):
+            chosen = rng.sample(on, k)
+            extra.append((tuple(sum(x) / k for x in zip(*(s for s, _ in chosen))),
+                          sum(c for _, c in chosen) / k))
+    elif len(kept) > 1:   # slopes along a line: two neighbours on the chain
+        i = rng.randrange(len(kept) - 1)
+        (s1, c1), (s2, c2) = kept[i], kept[i + 1]
+        extra.append((tuple((x + y) / 2 for x, y in zip(s1, s2)), (c1 + c2) / 2))
+    block = list(block)
+    for piece in extra:
+        block.insert(rng.randint(0, len(block)), piece)
+    return block, extra
+
+
+def test_kept_rows_include_hull_points_that_are_not_vertices():
+    # the lifted hull keeps its vertices without a test and plane-tests the
+    # other points; an edge midpoint and a point inside a facet lie on the
+    # hull, so they are kept, in row order, as the brute-force hull keeps them
+    rng = random.Random(341)
+    added = 0
+    for P, trials, extra in ((SEG, 12, 3), (BOX, 8, 2), (simplex(2), 8, 2),
+                             (HEXAGON, 5, 1), (LINE, 12, 2)):
+        for trial in range(trials):
+            blocks, extras = [], []
+            for block in _random_blocks(P, rng, 1 + trial % 2, extra):
+                block, pieces = _with_points_on_the_hull(block, rng)
+                blocks.append(block)
+                extras += pieces
+            kept = PLMetric(P, blocks).blocks
+            assert kept == tuple(tuple(_on_lower_hull(_deduped(b))) for b in blocks), (P, blocks)
+            added += sum(piece in b for piece in extras for b in kept)
+    assert added > 60, added
+
+
+def test_stored_rows_are_in_lowest_terms():
+    # every builder stores its kept rows, and its roof's rows, over a
+    # denominator with no factor common to all entries, and they are the
+    # rows recomputed from the Fraction blocks or pieces; a pruned piece
+    # that carries the only denominator leaves integral rows over 1
+    pruned = PLMetric(SEG, [[((0,), 0), ((F(1, 2),), F(-1, 6)), ((1,), 0)]])
+    assert pruned.integer_rows() == (1, (((0, 0), (1, 0)),))
+    rng = random.Random(342)
+    for P in (SEG, BOX, simplex(2), HEXAGON, LINE):
+        for _ in range(4):
+            a = PLMetric(P, _random_blocks(P, rng, 2, extra=2))
+            b = PLMetric(P, _random_blocks(P, rng, 1, extra=2))
+            t = F(rng.randint(-9, 9), rng.randint(1, 6))
+            eps = F(rng.randint(1, 5), rng.randint(1, 4))
+            for m in (a, envelope(a), metric_shift(a, t),
+                      metric_deform(a, eps, b, random_convex_metric(P, rng))):
+                scale, rows = m.integer_rows()
+                assert math.gcd(scale, *(x for bl in rows for r in bl for x in r)) == 1, (P, m)
+                want = common_scale(s + (c,) for b in m.blocks for s, c in b)
+                assert (scale, [r for b in rows for r in b]) == want, (P, m)
+                scale, rows = legendre(m).integer_rows()
+                assert math.gcd(scale, *(x for r in rows for x in r)) == 1, (P, m)
+                assert (scale, rows) == common_scale(s + (c,) for s, c in legendre(m).pieces)
 
 
 def test_points_and_segments_in_the_plane_match_the_oracles():

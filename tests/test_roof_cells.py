@@ -1,8 +1,9 @@
 """Roof linearity cells on integer rows, checked against the Fraction
 clipping route in _oracles: the cells themselves, the roof integral, the
-Monge-Ampere cell masses and the envelope's corner pieces; and the cell
+Monge-Ampere cell masses and the envelope's corner pieces; the cell
 engine's one-owner shortcut against clipping every pair of rows, on every
-call the roofs, distance and the envelope-gap walk make."""
+call the roofs, distance and the envelope-gap walk make; and the engine's
+half-plane clip against the oracle's generic one."""
 
 import math
 import random
@@ -15,8 +16,9 @@ from navol.plmetric import (PLMetric, distance, envelope, envelope_gap, is_semip
                             legendre, metric_deform)
 from navol.polytope import Polytope, segment, simplex, unit_box
 
-from _oracles import (cell_mass_oracle, dominance_cells_by_clipping, envelope_corners_oracle,
-                      roof_cells, roof_cells_oracle, roof_function, roof_integral_oracle)
+from _oracles import (cell_mass_oracle, clip_cycle, dominance_cells_by_clipping,
+                      envelope_corners_oracle, roof_cells, roof_cells_oracle, roof_function,
+                      roof_integral_oracle)
 
 F = Fraction
 SEG = segment(0, 1)
@@ -252,3 +254,47 @@ def test_interval_cells_equal_clipping_every_pair():
             assert out == dominance_cells_by_clipping(ends, rows, 1, sign), (ends, rows, sign)
             crossed += len(out) > 1
     assert crossed > 2000, crossed
+
+
+def _half_planes(cycle, rng):
+    """Half-planes <h, row> <= 0 for a cycle of homogeneous rows: random ones,
+    ones through a corner, along an edge (both sides), one that keeps every
+    corner and one that empties the cycle."""
+    n = len(cycle[0])
+    out = [tuple(rng.randint(-6, 6) for _ in range(n - 1)) + (rng.randint(-30, 30),)
+           for _ in range(4)]
+    out += [(0,) * (n - 1) + (1,), (0,) * (n - 1) + (-1,)]
+    for *x, w in rng.sample(cycle, min(2, len(cycle))):
+        a = [rng.randint(-5, 5) for _ in x]
+        out.append(tuple(k * w for k in a) + (-sum(k * c for k, c in zip(a, x)),))
+    if n == 3 and len(cycle) > 1:
+        k = rng.randrange(len(cycle))
+        (px, py, pw), (qx, qy, qw) = cycle[k], cycle[(k + 1) % len(cycle)]
+        edge = (py * qw - pw * qy, pw * qx - px * qw, px * qy - py * qx)
+        out += [edge, tuple(-c for c in edge)]
+    return out
+
+
+def test_clip_cycle_equals_the_generic_clip():
+    # convex cycles of 3-entry rows (polygons, segments and points in the
+    # plane) and of 2-entry rows (intervals either way round, and points),
+    # clipped by random half-planes and by ones through a corner, along an
+    # edge, keeping all or emptying the cycle: the unrolled clip returns the
+    # generic clip's list, corner order and start included
+    rng = random.Random(807)
+    crossed = emptied = 0
+    for trial in range(1500):
+        if trial % 3:
+            pts = [tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2))
+                   for _ in range(rng.choice((1, 2, 3, 5, 8)))]
+        else:
+            pts = [(F(rng.randint(-9, 9), rng.randint(1, 4)),) for _ in range(rng.randint(1, 2))]
+        cycle = Polytope.from_points(pts).homogeneous_vertices
+        if rng.random() < 0.5:
+            cycle = cycle[::-1] if len(cycle[0]) == 2 else cycle[1:] + cycle[:1]
+        for h in _half_planes(cycle, rng):
+            out = plmetric._clip_cycle(cycle, h)
+            assert out == clip_cycle(cycle, h), (cycle, h)
+            crossed += any(p not in cycle for p in out)
+            emptied += not out
+    assert crossed > 1500 and emptied > 1500, (crossed, emptied)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from navol import volumes
 from navol.errors import PreconditionError
 from navol.harness import (bump_metric, random_convex_metric,
                            random_nonconvex_metric, tent_metric)
@@ -333,3 +334,28 @@ def test_lattice_length_preconditions():
                   lambda s: proportionality_check(tent, tent, F(1), schedule=s)):
         with pytest.raises(PreconditionError):
             check([2, 0])
+
+
+def test_volume_checks_refuse_two_polytopes_up_front(monkeypatch):
+    # every metric's polytope is checked before any distance, shift, count or
+    # energy, and the message names the check that was called
+    def computed(*args):
+        raise AssertionError("computed before the polytope check")
+
+    for name in ("distance", "metric_shift", "_ceil_sum", "envelope_energy"):
+        monkeypatch.setattr(volumes, name, computed)
+    a, b, other = tent_metric(SEG), canonical_metric(SEG), canonical_metric(segment(0, 2))
+    refusals = {
+        "lipschitz_check": (lambda: lipschitz_check(a, b, other, [1]),
+                            lambda: lipschitz_check(a, other, b, [1]),
+                            lambda: lipschitz_check(other, a, b, [1])),
+        "proportionality_check": (lambda: proportionality_check(a, other, F(1), [1]),
+                                  lambda: proportionality_check(other, a, F(1, 2), [1])),
+        "navol": (lambda: navol(a, other, [1]), lambda: navol(other, a, [1])),
+        "lattice_length": (lambda: lattice_length(a, other, 1),),
+    }
+    for name, checks in refusals.items():
+        for check in checks:
+            with pytest.raises(PreconditionError,
+                               match=f"^{name} needs metrics on the same polytope$"):
+                check()
