@@ -47,22 +47,32 @@ def _as_class(data: Sequence, rank: int) -> Class:
     return cls
 
 
+def _hirzebruch_index(name: str) -> Optional[int]:
+    """a for a family name Fa, a in ASCII digits that int() converts; else None."""
+    digits = name[1:]
+    try:
+        return int(digits) if name[:1] == "F" and digits.isascii() and digits.isdigit() else None
+    except ValueError:   # more digits than sys.get_int_max_str_digits()
+        return None
+
+
 class ToricFamily:
     """One of the supported varieties, with its intersection theory and
     closed-form section counts."""
 
     def __init__(self, name: str):
         name = name.strip()
+        a = 0 if name == "P1xP1" else _hirzebruch_index(name)
         if name == "P1":
             self.dim, self.rank = 1, 1
             self.canonical = (-2,)
         elif name == "P2":
             self.dim, self.rank = 2, 1
             self.canonical = (-3,)
-        elif name == "P1xP1" or (name.startswith("F") and name[1:].isdigit()):
+        elif a is not None:
             # P1xP1 is F_0: the same form, canonical class and section counts
             self.dim, self.rank = 2, 2
-            self.hirzebruch_a = 0 if name == "P1xP1" else int(name[1:])
+            self.hirzebruch_a = a
             self.canonical = (-2, self.hirzebruch_a - 2)
         else:
             raise PreconditionError(

@@ -16,13 +16,14 @@ _dominance_cells, cuts a convex region into the sub-cells on which one
 affine row is the max (or the min). Inside P it gives the linearity cells of
 the conjugate, a RoofFunction, which yield integrals, Monge-Ampere measures,
 lattice lengths (volumes) and the double-conjugate envelope, whose own
-conjugate is that roof cut down to the pieces owning a cell. In a box of
-v-space it refines two metrics until each is one row on every cell, so their
-sup-distance is a max over the cells' corners. And the same box refinement,
-walked depth-first for one metric and its envelope, drops every part on
-which a row of psi and one of the envelope already bound psi - P(psi) by the
-running maximum: that gives the gap to the envelope and the semipositivity
-check, which stops at the first positive gap. A region that one row owns at
+conjugate is that roof cut down to the pieces owning a cell. And one
+pruned walk (_gap_maxima) gives every sup of a metric difference: it refines
+a box of v-space depth-first for psi, splits each cell by every block of a
+second metric, reads the gap at the corners, and drops every part on which a
+row of psi and a row of each block already bound psi minus the second
+metric by the running maximum. The gap to the envelope, the semipositivity
+check (which stops at the first positive gap) and the sup-distance, two
+walks one way and the other, all read it. A region that one row owns at
 every corner is that row's one cell, with nothing clipped.
 
 Metrics and roofs store only integer rows D * (slope, const) over their
@@ -585,11 +586,12 @@ def _lower_hull(rows: Sequence[Tuple[int, ...]]) -> Tuple[List[IntPlane], List[i
     if not planes:
         e = (1,) if dim == 1 else tuple(a - b for a, b in zip(max(lifted), min(lifted)[:2]))
         ts = _values((*e, 0), lifted)   # positions along the line
-        chain = _monotone_chain(sorted(zip(ts, [p[-1] for p in lifted], range(len(ts)))))
+        index = {(t, p[-1]): i for i, (t, p) in enumerate(zip(ts, lifted))}
+        chain = _monotone_chain(sorted(index))
         planes = [(*[(z1 - z2) * k for k in e], t2 - t1, z1 * t2 - z2 * t1)
-                  for (t1, z1, _), (t2, z2, _) in zip(chain, chain[1:])] \
+                  for (t1, z1), (t2, z2) in zip(chain, chain[1:])] \
             or [(0,) * dim + (1, chain[0][1])]
-        verts = {i for _, _, i in chain}
+        verts = {index[p] for p in chain}
     if dim == 1:
         kept = [i for i, (x, z) in enumerate(lifted) if i in verts
                 or any(a * x + b * z == d for a, b, d in planes)]
@@ -680,63 +682,47 @@ def envelope(metric: PLMetric) -> PLMetric:
 
 def distance(m1: PLMetric, m2: PLMetric) -> Fraction:
     """Exact sup-norm distance sup_v |psi1 - psi2| (finite: equal recessions)
-    between two arbitrary metrics. Its one library caller is
-    volumes.lipschitz_check; the distance from a metric to its envelope is
-    envelope_gap's, which refines fewer cells.
-
-    With each metric as integer rows (D_i * s, D_i * c), a box of v-space is
-    split for m1 and then for m2 (_branch_cells) until psi1 and psi2 are one
-    row each, a1 and a2, on every cell. There |psi1 - psi2| at a corner (x, w)
-    is |a1.x D2 - a2.x D1| / (D1 D2 w), and an affine function peaks at a
-    corner. The box |v_i| <= R, R = 8M^2 + 1 in the plane and 2M + 1 on the
-    line for the largest entry M of either metric's rows, loses nothing.
-    Every vertex of the refinement of all of v-space crosses two walls
-    (r - r').(v, 1) = 0 between rows of one metric, with entries at most 2M
-    and a nonzero integer determinant, so it lies strictly inside the box. A
-    bounded affine function on a cell peaks at a vertex of the cell; on a
-    cell with no vertex it is constant along the cell's lines and peaks on a
-    wall, and every wall has a point with one coordinate at most 2M and the
-    other 0."""
+    between two arbitrary metrics, for volumes.lipschitz_check: the larger of
+    sup(psi1 - psi2) and sup(psi2 - psi1), two walks of _gap_maxima, the
+    second from the first's maximum (which it keeps if it finds none higher)."""
     if m1.polytope != m2.polytope:
         raise PreconditionError("distance needs metrics on the same polytope")
-    (d1, blocks1), (d2, blocks2) = m1.integer_rows(), m2.integer_rows()
-    dim = m1.dim
-    box = _box(dim, blocks1, blocks2)
-    best, best_w = 0, 1
-    for a1, cell1 in _branch_cells(box, blocks1, dim):
-        for a2, cell in _branch_cells(cell1, blocks2, dim):
-            for x, v1, v2 in zip(cell, _values(a1, cell), _values(a2, cell)):
-                gap = abs(v1 * d2 - v2 * d1)
-                if gap * best_w > best * x[-1]:
-                    best, best_w = gap, x[-1]
-    return Fraction(best, best_w * d1 * d2)
+    return _gap_sup(m2, m1, _gap_sup(m1, m2))
+
+
+def envelope_gap(metric: PLMetric) -> Fraction:
+    """Exact sup_v (psi - P(psi))(v) for the envelope P(psi): the walk of
+    _gap_maxima for psi against P(psi). As P(psi) <= psi, it is also
+    distance(metric, envelope(metric)); it is >= 0, and 0 exactly when psi
+    is semipositive."""
+    return _gap_sup(metric, envelope(metric))
 
 
 def _box(dim: int, *metrics: Sequence[Sequence[Tuple[int, ...]]]) -> List[Tuple[int, ...]]:
-    """The box |v_i| <= R of distance for metrics given as blocks of integer
-    rows, as a cycle of homogeneous corner rows."""
+    """The box |v_i| <= R of _gap_maxima for metrics given as blocks of
+    integer rows, as a cycle of homogeneous corner rows."""
     m = max([abs(c) for blocks in metrics for b in blocks for r in b for c in r])
     r = 8 * m * m + 1 if dim == 2 else 2 * m + 1
     return [(-r, 1), (r, 1)] if dim == 1 else [(-r, -r, 1), (r, -r, 1), (r, r, 1), (-r, r, 1)]
 
 
 def _branch_cells(region: List[Tuple[int, ...]], blocks: Sequence[Sequence[Tuple[int, ...]]],
-                  dim: int, cut: Optional[Callable[..., bool]] = None
+                  dim: int, cut: Callable[..., bool]
                   ) -> Iterator[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]]:
     """The sub-cells of region on which the min over blocks of the max over
     each block's rows is one row, as (that row, corner rows): region split
     by each block's max, then by the min of the blocks' active rows.
 
     The parts are walked depth-first, one block deeper at a time, and each
-    cell is yielded as soon as it is cut. With a cut, a part on which
-    cut(row, part) holds for the row of the block last refined on it is
-    dropped with all its cells, and so is a cell on which cut(row, cell)
-    holds for its own row. cut is read as each part is reached, so it may
-    depend on the cells yielded before."""
+    cell is yielded as soon as it is cut. A part on which cut(row, part)
+    holds for the row of the block last refined on it is dropped with all
+    its cells, and so is a cell on which cut(row, cell) holds for its own
+    row; cut is read as each part is reached, so it may depend on the cells
+    yielded before."""
     stack: List[Tuple[Tuple[Tuple[int, ...], ...], List[Tuple[int, ...]]]] = [((), region)]
     while stack:
         active, part = stack.pop()
-        if cut is not None and active and cut(active[-1], part):
+        if active and cut(active[-1], part):
             continue
         if len(active) < len(blocks):
             block = blocks[len(active)]
@@ -744,78 +730,81 @@ def _branch_cells(region: List[Tuple[int, ...]], blocks: Sequence[Sequence[Tuple
                       for i, cell in _dominance_cells(part, block, dim, 1)]
             continue
         for i, cell in _dominance_cells(part, active, dim, -1):
-            if cut is None or not cut(active[i], cell):
+            if not cut(active[i], cell):
                 yield active[i], cell
 
 
-def envelope_gap(metric: PLMetric) -> Fraction:
-    """Exact sup_v (psi - P(psi))(v) for the envelope P(psi): the value of
-    distance(metric, envelope(metric)) with fewer cells refined. It is >= 0,
-    and 0 exactly when psi is semipositive.
-
-    psi's blocks are walked by _branch_cells in distance's box for psi and
-    P(psi); each cell left, on which psi is one row a, is split by the
-    envelope's rows, and a - e on each sub-cell is read at its corners
-    (_gap_maxima).
-
-    The bound. A part, or a cell of the min stage, is dropped when for its
-    row r (the row of the block last refined on the part, or the cell's row)
-    some envelope row e has (r - e)(x) <= best at every corner x, best the
-    running maximum. There psi <= r, since psi is the min of the blocks and r
-    is one block's max on the part; P(psi) >= e everywhere, since the
-    envelope is the max of its rows; and r - e is affine, so on the convex
-    part it peaks at a corner. So no point of the part has a gap above best,
-    and neither has any corner of the cells that distance would cut from it.
-
-    The box. The cells left are distance's own cells of psi and P(psi) (the
-    envelope's one block makes its min stage a no-op) less the dropped ones,
-    so distance's argument for its box holds unchanged: every vertex of the
-    refinement of v-space lies strictly inside the box, and the max over the
-    corners of all the cells is the sup over v-space."""
-    gap = ZERO
-    for gap in _gap_maxima(metric):
+def _gap_sup(psi: PLMetric, other: PLMetric, floor: Fraction = ZERO) -> Fraction:
+    """max(floor, sup_v (psi - other)(v)): the last of _gap_maxima."""
+    for floor in _gap_maxima(psi, other, floor):
         pass
-    return gap
+    return floor
 
 
-def _gap_maxima(metric: PLMetric) -> Iterator[Fraction]:
-    """Each new running maximum of psi - P(psi) over the corners of
-    envelope_gap's cells, increasing, the last one the sup; nothing when psi
-    equals its envelope. With the rows of psi over D and the envelope's over
-    E, the gap at a corner (x, w) is (a.x E - e.x D) / (D E w)."""
-    (d, blocks), (e, (env,)) = metric.integer_rows(), envelope(metric).integer_rows()
-    dim = metric.dim
-    best, best_w = 0, 1
+def _gap_maxima(psi: PLMetric, other: PLMetric, floor: Fraction = ZERO) -> Iterator[Fraction]:
+    """Each new running maximum above floor of psi - other at the corners of
+    the walk's cells, increasing, the last one sup_v (psi - other)(v).
+
+    psi's blocks are walked by _branch_cells in the _box of both metrics,
+    and each cell left, on which psi is one row a, is split by each block b
+    of other; where b is its row f, a - f is read at the corners. As other
+    is the min of its blocks, psi - other is the max over b of psi - b, and
+    an affine function on a convex cell peaks at a corner. With psi's rows
+    over D and other's over E, the gap at a corner (x, w) is
+    (a.x E - f.x D) / (D E w).
+
+    The cut drops a part, or a cell of the min stage, when for its row r
+    (of the block last refined on the part, or the cell's) every block of
+    other has a row f with (r - f)(x) <= best, the running maximum, at every
+    corner x. There psi <= r, each block is >= its row f, and r - f peaks at
+    a corner, so psi - other <= best on the whole part.
+
+    The box |v_i| <= R, R = 8M^2 + 1 in the plane and 2M + 1 on the line for
+    the largest entry M of either metric's rows, loses nothing. Every vertex
+    of the refinement of v-space by the rows of psi and of each block of
+    other crosses two walls (r - r').(v, 1) = 0, each between rows of one
+    metric, with entries at most 2M and a nonzero integer determinant, so it
+    lies strictly inside the box. An affine function bounded above on a cell
+    (psi - b <= psi - other) peaks at a vertex of the cell; on a cell with no
+    vertex it is constant along the cell's lines and peaks on a wall, and
+    every wall has a point with one coordinate at most 2M and the other 0."""
+    (d, blocks), (e, others) = psi.integer_rows(), other.integer_rows()
+    dim = psi.dim
+    best, best_w = floor.numerator * d * e, floor.denominator
 
     def cut(row: Tuple[int, ...], part: List[Tuple[int, ...]]) -> bool:
-        """Some envelope row e has (row - e)(x) <= best at every corner x."""
+        """Every block of other has a row f with row - f <= best at each corner."""
         tops = [v * e for v in _values(row, part)]
-        for low in env:
-            for top, v, x in zip(tops, _values(low, part), part):
-                if (top - v * d) * best_w > best * x[-1]:
-                    break
+        for block in others:
+            for low in block:
+                for top, v, x in zip(tops, _values(low, part), part):
+                    if (top - v * d) * best_w > best * x[-1]:
+                        break
+                else:
+                    break       # low bounds this block
             else:
-                return True
-        return False
+                return False    # no row of this block bounds it
+        return True
 
-    for a, cell in _branch_cells(_box(dim, blocks, [env]), blocks, dim, cut):
-        for i, piece in _dominance_cells(cell, env, dim, 1):
-            for x, va, ve in zip(piece, _values(a, piece), _values(env[i], piece)):
-                gap = va * e - ve * d
-                if gap * best_w > best * x[-1]:
-                    best, best_w = gap, x[-1]
-                    yield Fraction(best, best_w * d * e)
+    for a, cell in _branch_cells(_box(dim, blocks, others), blocks, dim, cut):
+        for block in others:
+            for i, piece in _dominance_cells(cell, block, dim, 1):
+                for x, va, vf in zip(piece, _values(a, piece), _values(block[i], piece)):
+                    gap = va * e - vf * d
+                    if gap * best_w > best * x[-1]:
+                        best, best_w = gap, x[-1]
+                        yield Fraction(best, best_w * d * e)
 
 
 def is_semipositive(metric: PLMetric) -> bool:
     """Exact convexity check, cached on the metric: psi equals its envelope,
-    i.e. psi - P(psi) is positive at no corner of envelope_gap's cells. It
-    reads the walk's first running maximum only, so it stops at the first
+    i.e. psi - P(psi) is positive at no corner of the walk's cells
+    (_gap_maxima). It reads the walk's first running maximum only, so it stops at the first
     positive gap; a single-branch metric is convex by shape and walks
     nothing."""
     if metric._semipositive is None:
         metric._semipositive = (metric.is_convex_representation()
-                                or next(_gap_maxima(metric), None) is None)
+                                or next(_gap_maxima(metric, envelope(metric)), None) is None)
     return metric._semipositive
 
 

@@ -30,11 +30,6 @@ IntVector = Tuple[int, ...]
 Band = Tuple[int, int, Tuple[int, int, int], Tuple[int, int, int]]   # see row_bands
 
 
-def cross2(o: Sequence[Fraction], a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    """Signed area of the triangle o,a,b times two (ints or Fractions)."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _integer_rows(points: Sequence[Point]) -> Tuple[int, List[IntVector]]:
     """(V, rows): the points as integer rows V * p over the lcm V of their denominators."""
     scale = math.lcm(*(c.denominator for p in points for c in p))
@@ -54,18 +49,23 @@ def _hull_1d(points: Sequence[Point]) -> List[Point]:
     return [lo] if lo == hi else [lo, hi]
 
 
-def _monotone_chain(points: Sequence[Sequence]) -> list:
-    """Andrew's monotone chain of sorted points: pop while cross2 <= 0. The
-    lower chain on increasing points, the upper one on their reverse."""
-    chain: list = []
+def _monotone_chain(points: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Andrew's monotone chain of sorted integer points: pop while the cross
+    product of the last two points and the next is <= 0. The lower chain on
+    increasing points, the upper one on their reverse."""
+    chain: List[Tuple[int, int]] = []
     for p in points:
-        while len(chain) >= 2 and cross2(chain[-2], chain[-1], p) <= 0:
+        x, y = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                break
             chain.pop()
         chain.append(p)
     return chain
 
 
-def _hull_2d(points: Sequence[Point]) -> List[Point]:
+def _hull_2d(points: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """The hull counterclockwise, collinear boundary points dropped, starting
     at the lexicographic minimum: the lower and then the upper chain."""
     pts = sorted(set(points))

@@ -425,3 +425,8 @@ def test_unknown_family_rejected():
         toric_family("P3")
     with pytest.raises(PreconditionError):
         toric_family("Fx")
+    # str.isdigit passes a superscript two and any number of digits; int()
+    # converts neither
+    for name in ("F\u00b2", "F" + "1" * 5000):
+        with pytest.raises(PreconditionError, match="unsupported family"):
+            toric_family(name)

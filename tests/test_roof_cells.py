@@ -2,8 +2,8 @@
 clipping route in _oracles: the cells themselves, the roof integral, the
 Monge-Ampere cell masses and the envelope's corner pieces; the cell
 engine's one-owner shortcut against clipping every pair of rows, on every
-call the roofs, distance and the envelope-gap walk make; and the engine's
-half-plane clip against the oracle's generic one."""
+call the roofs, the gap walks and an unpruned two-metric box refinement
+make; and the engine's half-plane clip against the oracle's generic one."""
 
 import math
 import random
@@ -197,12 +197,29 @@ def _blocks(P, rng, branches):
     return blocks
 
 
+def _refine_both(m1, m2):
+    """Walk the box refinement of m1 and then m2 with nothing dropped: every
+    cell of m1's branches split again by m2's, the most cells the engine
+    meets on one pair."""
+    (_, blocks1), (_, blocks2) = m1.integer_rows(), m2.integer_rows()
+    dim = m1.dim
+
+    def keep(row, part):
+        return False
+
+    box = plmetric._box(dim, blocks1, blocks2)
+    for _, cell in plmetric._branch_cells(box, blocks1, dim, keep):
+        for _ in plmetric._branch_cells(cell, blocks2, dim, keep):
+            pass
+
+
 def test_one_owner_cells_equal_clipping_every_pair(monkeypatch):
-    # every call the roof cells, distance's box refinements and the pruned
-    # walks of envelope_gap and is_semipositive make returns the list of the
-    # full clip loop (indices, order and corner cycles), on seeded metrics
-    # and on ties: repeated blocks put one row twice in the min stage, two
-    # distinct rows agree on a segment in the plane, and rows tie on a point P
+    # every call the roof cells, the pruned walks of distance, envelope_gap
+    # and is_semipositive, and the unpruned two-metric box refinement make
+    # returns the list of the full clip loop (indices, order and corner
+    # cycles), on seeded metrics and on ties: repeated blocks put one row
+    # twice in the min stage, two distinct rows agree on a segment in the
+    # plane, and rows tie on a point P
     engine, calls = plmetric._dominance_cells, []
 
     def recorded(region, rows, dim, sign):
@@ -218,6 +235,7 @@ def test_one_owner_cells_equal_clipping_every_pair(monkeypatch):
             twice = PLMetric(P, a.blocks[:1] * 2)
             for m1, m2 in ((a, b), (a, envelope(a)), (twice, b), (b, twice)):
                 distance(m1, m2)
+                _refine_both(m1, m2)
             for blocks in (a.blocks, b.blocks, twice.blocks):
                 envelope_gap(PLMetric(P, blocks))
                 is_semipositive(PLMetric(P, blocks))

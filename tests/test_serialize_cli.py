@@ -1019,6 +1019,13 @@ MALFORMED_FILES = {
                         ".polytope: points of mixed dimension"),
     "unknown-family": (SURFACE, ("family",), "P3",
                        ".family: unsupported family 'P3'; use P1, P2, P1xP1 or Fa (a >= 0)"),
+    # str.isdigit passes these, int() refuses them
+    "superscript-family": (SURFACE, ("family",), "F\u00b2",
+                           ".family: unsupported family 'F\u00b2'; "
+                           "use P1, P2, P1xP1 or Fa (a >= 0)"),
+    "family-too-long": (SURFACE, ("family",), "F" + "1" * 5000,
+                        ".family: unsupported family 'F" + "1" * 5000
+                        + "'; use P1, P2, P1xP1 or Fa (a >= 0)"),
     "divisor-basis": (SURFACE, ("divisors", "D", 0, "class"), [1, 0],
                       ".divisors.D: basis divisor (1, 0) needs 1 coordinates"),
     "scan-unknown-divisor": (SURFACE, ("scan", "p", 0), "Z",
