@@ -368,7 +368,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="navol",
+        prog="navol", allow_abbrev=False,
         description="Exact toolkit for discrete pluripotential theory on "
                     "polytopes, metric trees and toric surfaces.")
     parser.add_argument("command", choices=COMMANDS)

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import PreconditionError
 from .measures import DiscreteMeasure, envelope_energy, monge_ampere
 from .plmetric import (PLMetric, canonical_metric, envelope, envelope_gap,
-                       is_semipositive, metric_deform, metric_shift)
+                       is_semipositive, metric_deformations, metric_shift)
 from .polytope import Polytope, segment, unit_box
 from .rational import ZERO, frac, frac_str
 from .trees import MetricTree, laplacian_rows, net_mass_rows, potential_rows
@@ -85,7 +85,9 @@ def verify_differentiability(psi: PLMetric, pos: PLMetric, neg: PLMetric,
                              instance: str = "direction") -> VerificationReport:
     """vol(psi + eps*f, psi) = eps * integral of f against MA(psi) + O(eps^2)
     for the bounded direction f = pos - neg; the quadratic constant is fitted
-    on the largest eps values and verified on the smallest."""
+    on the largest eps values and verified on the smallest. The whole
+    schedule is deformed in one call of metric_deformations, which hulls each
+    branch pair once, at the largest eps."""
     start = time.monotonic()
     if not psi.polytope == pos.polytope == neg.polytope:
         raise PreconditionError("differentiability needs all three metrics on one polytope")
@@ -98,8 +100,8 @@ def verify_differentiability(psi: PLMetric, pos: PLMetric, neg: PLMetric,
     mu = monge_ampere(psi)
     derivative = mu.integrate(lambda v: pos.evaluate(v) - neg.evaluate(v))
     residuals: List[Tuple[Fraction, Fraction, Fraction]] = []
-    for eps in eps_values:
-        vol = envelope_energy(metric_deform(psi, eps, pos, neg), psi)
+    for eps, deformed in zip(eps_values, metric_deformations(psi, eps_values, pos, neg)):
+        vol = envelope_energy(deformed, psi)
         residuals.append((eps, vol, abs(vol - eps * derivative)))
     constant = ZERO
     ratios = [(eps, res / (eps * eps)) for eps, _, res in residuals[:window]]

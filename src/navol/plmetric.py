@@ -32,17 +32,20 @@ first access. Rational data is scaled once, by one common denominator, in
 the PLMetric constructor; every kernel after that (the lifted lower hull and
 the pruning by it, the conjugate's rows written from the hull planes, the
 recession check, evaluation, the cells, distances, the envelope gap and
-metric_deform's Minkowski blocks and translations) computes with Python ints
-only. Points are homogeneous integer rows (x, w) standing for x / w, in
-lowest terms with w > 0, so equal points have equal rows. Rows have 2
+metric_deformations' Minkowski blocks, re-offset planes and translations)
+computes with Python ints only. A schedule of deformations hulls each
+Minkowski block once for all its positive eps: the lower facets of
+conv A + eps conv B have the same normals at every eps > 0, so only their
+offsets move. Points are homogeneous integer rows (x, w) standing for
+x / w, in lowest terms with w > 0, so equal points have equal rows. Rows have 2
 entries on the line and 3 in the plane, and the cells, walks and integrals
 read them by unpacking (_values). A block keeps its lifted hull's vertices
 untested and plane-tests only its other rows; stored rows are divided by
 their gcd, which is read row by row, only when it is above 1 (_lowest).
 
 The recession check runs in the PLMetric constructor only, where rational
-data enters; envelope, metric_deform and metric_shift keep the identity by
-theorem (see each), so every PLMetric satisfies it. When every branch has
+data enters; envelope, metric_deformations and metric_shift keep the
+identity by theorem (see each), so every PLMetric satisfies it. When every branch has
 the same slope hull, the check is one comparison of that hull with P; only
 distinct hulls, or one hull that is not P, are probed direction by direction.
 """
@@ -110,8 +113,8 @@ class PLMetric:
     other than P's ambient number of coordinates. This constructor is the
     only place that checks the identity (against P's vertex cycle when every
     branch shares one slope hull, since then the recession is that hull's
-    support function): envelope, metric_deform and metric_shift, which build
-    their outputs without it, keep the identity by theorem. The input is
+    support function): envelope, metric_deformations and metric_shift,
+    which build their outputs without it, keep the identity by theorem. The input is
     scaled once, to integer rows over one common denominator. Each branch
     keeps one row per slope (the largest constant) and only the rows on its
     lower hull, so pieces that never reach the branch's max are dropped.
@@ -632,8 +635,9 @@ def legendre(metric: PLMetric) -> RoofFunction:
     block's slope hull contain P). Every metric stores its conjugate as
     integer rows, so it is read from the metric: the constructor writes the
     rows of the hull planes it builds while pruning each block,
-    metric_deform those of the translated planes, and an envelope takes its
-    metric's roof rows cut down to the pieces that own a cell (see envelope).
+    metric_deformations those of the translated planes, and an envelope
+    takes its metric's roof rows cut down to the pieces that own a cell (see
+    envelope).
     """
     return metric._conjugate
 
@@ -828,8 +832,37 @@ def metric_shift(metric: PLMetric, t) -> PLMetric:
     return out
 
 
+def _reoffset(planes: Sequence[IntPlane], rows: Sequence[Tuple[int, ...]]
+              ) -> Tuple[List[IntPlane], List[int]]:
+    """_lower_hull(rows) read from the planes of the same branch pair's hull
+    at another positive eps (see metric_deformations): each plane keeps its
+    normal and takes as offset the supporting value over rows' lifted points,
+    the max for a facet plane (nz < 0, every point on or below it) and the
+    min for a line of a chain or the constant (nz > 0, every point on or
+    above it). The rows kept are those whose lifted point lies on a plane, in
+    row order, as in _lower_hull."""
+    lifted = [(*r[:-1], -r[-1]) for r in rows]
+    moved, on = [], set()
+    for pl in planes:
+        vals = _values(pl[:-1], lifted)
+        d = max(vals) if pl[-2] < 0 else min(vals)
+        moved.append(pl[:-1] + (d,))
+        on.update([i for i, v in enumerate(vals) if v == d])
+    return moved, sorted(on)
+
+
 def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
-    """psi + eps*(pos - neg) on the same polytope, exact min-of-max form.
+    """psi + eps*(pos - neg) on the same polytope, exact min-of-max form: the
+    one output of metric_deformations for the schedule [eps], so every branch
+    pair is hulled at eps itself and the roof rows follow that hull."""
+    return metric_deformations(psi, [eps], pos, neg)[0]
+
+
+def metric_deformations(psi: PLMetric, eps_values: Iterable, pos: PLMetric,
+                        neg: PLMetric) -> List[PLMetric]:
+    """psi + eps*(pos - neg) on the same polytope for each eps of eps_values,
+    in order, exact min-of-max form. Every eps (nonnegative), the three
+    polytopes and neg's semipositivity are checked before anything is hulled.
 
     pos may be any metric; neg must be semipositive (its convex single-branch
     envelope is subtracted, which is what makes the min-of-max normal form
@@ -837,20 +870,43 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
     with eps = p/q everything below is over the one denominator
     L = lcm(D_psi, q D_pos, q D_neg). Each branch pair of psi and pos gives
     one Minkowski block B = {L (s1 + eps*s2, c1 + eps*c2)}, deduped by
-    integer slope (largest constant) and hulled once; the branch for the
-    piece (s_l, c_l) of neg is B moved by (T, T_c) = L eps (s_l, c_l), which
-    translates B's lifted points (x, z) = (L s, -L c) by (-T, T_c) and so
-    their lower hull: kept rows move by -(T, T_c), and a hull plane
-    n.x + nz*z = d (a facet, or a line of a chain) moves to
-    d - n.T + nz*T_c. The kept rows are stored over L divided by their
-    common gcd, and the conjugate's rows are written from the moved planes
-    (_plane_roof), with no Fraction built. The recession identity needs no
-    check: recession is additive on PL functions, so
-    rec = h_P + eps*h_P - eps*h_P, all three inputs being PLMetrics that
-    passed the constructor.
-    """
-    eps = frac(eps)
-    if eps < 0:
+    integer slope (largest constant); the branch for the piece (s_l, c_l) of
+    neg is B moved by (T, T_c) = L eps (s_l, c_l), which translates B's
+    lifted points (x, z) = (L s, -L c) by (-T, T_c) and so their lower hull:
+    kept rows move by -(T, T_c), and a hull plane n.x + nz*z = d (a facet,
+    or a line of a chain) moves to d - n.T + nz*T_c. The kept rows are
+    stored over L divided by their common gcd, and the conjugate's rows are
+    written from the moved planes (_plane_roof), with no Fraction built. The
+    recession identity needs no check: recession is additive on PL
+    functions, so rec = h_P + eps*h_P - eps*h_P, all three inputs being
+    PLMetrics that passed the constructor.
+
+    Each branch pair is hulled once for all positive eps, at the first of
+    them (_lower_hull), and once more at eps = 0, where B is psi's branch
+    alone. B's lifted points are L (a + eps*b) for the lifted points a of
+    psi's branch and b of pos's, and a linear form takes its max (or min)
+    over the sums a + eps*b exactly at the sums of an a and a b that each
+    take the form's max (min) over their own branch, whatever eps > 0, since
+    max (a + eps*b) = max a + eps * max b. So a point a + eps*b lies on the
+    lower facet (or chain segment) with normal (n, nz) exactly when a and b
+    each lie on their branch's face of that normal. The faces of
+    conv A + eps conv B are the sums of A's and B's faces of one normal,
+    whose dimension does not depend on eps > 0, so its lower facets (the
+    segments of its lower chain, for collinear slopes) have the same normals
+    at every eps > 0, and only their offsets move (the Cayley trick;
+    Huber-Sturmfels 1995). Deduplication changes nothing:
+    where two slopes collide at some eps, the two rows either tie, or the
+    one with the smaller constant lifts strictly higher and lies on no lower
+    facet. A later positive eps therefore keeps the first hull's normals and
+    takes each offset as the supporting value over its own lifted points,
+    and keeps the rows on a plane, in row order (_reoffset).
+
+    A later output equals a fresh hull's in its blocks, its roof function
+    and every value; only the order of its roof rows is the first hull's
+    plane order, which can differ from a fresh hull's (metric_deform hulls
+    at its own eps, so its roof rows keep _lower_hull's order)."""
+    eps_values = [frac(eps) for eps in eps_values]
+    if any(eps < 0 for eps in eps_values):
         raise PreconditionError("deformation parameter must be nonnegative")
     P = psi.polytope
     if pos.polytope != P or neg.polytope != P:
@@ -859,21 +915,29 @@ def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
         raise PreconditionError("the subtracted part of a direction must be semipositive")
     d3, (rows3,) = (neg if neg.is_convex_representation() else envelope(neg)).integer_rows()
     (d1, rows1), (d2, rows2) = psi.integer_rows(), pos.integer_rows()
-    p, q = eps.numerator, eps.denominator
-    scale = math.lcm(d1, q * d2, q * d3)
-    f1, f2, f3 = scale // d1, p * (scale // (q * d2)), p * (scale // (q * d3))
-    shifts = [([f3 * x for x in row[:-1]], f3 * row[-1]) for row in rows3]
-    blocks, planes = [], []
-    for b1 in rows1:
-        for b2 in rows2:
+    pairs = [(b1, b2) for b1 in rows1 for b2 in rows2]
+    first: List[List[IntPlane]] = []   # the first positive eps's planes, per pair
+    out = []
+    for eps in eps_values:
+        p, q = eps.numerator, eps.denominator
+        scale = math.lcm(d1, q * d2, q * d3)
+        f1, f2, f3 = scale // d1, p * (scale // (q * d2)), p * (scale // (q * d3))
+        shifts = [([f3 * x for x in row[:-1]], f3 * row[-1]) for row in rows3]
+        blocks, planes, hulls = [], [], []
+        for k, (b1, b2) in enumerate(pairs):
             rows = _dedupe_rows([tuple([f1 * x + f2 * y for x, y in zip(r1, r2)])
                                  for r1 in b1 for r2 in b2])
-            hull_planes, on_hull = _lower_hull(rows)
+            hull_planes, on_hull = (_reoffset(first[k], rows) if p and first
+                                    else _lower_hull(rows))
+            hulls.append(hull_planes)
             for t, tc in shifts:
                 planes += [pl[:-1] + (pl[-1] - sum(map(operator.mul, pl, t)) + pl[-2] * tc,)
                            for pl in hull_planes]
                 blocks.append([tuple(map(operator.sub, rows[i], t)) + (rows[i][-1] - tc,)
                                for i in on_hull])
-    out = PLMetric.__new__(PLMetric)
-    out._build(P, _lowest(scale, blocks), _plane_roof(P, planes, scale))
+        if p and not first:
+            first = hulls
+        deformed = PLMetric.__new__(PLMetric)
+        deformed._build(P, _lowest(scale, blocks), _plane_roof(P, planes, scale))
+        out.append(deformed)
     return out

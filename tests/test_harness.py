@@ -64,7 +64,7 @@ def test_differentiability_refuses_a_negative_eps_before_any_deformation(monkeyp
     def deform(*args):
         raise AssertionError("deformed before the schedule was checked")
 
-    monkeypatch.setattr(harness, "metric_deform", deform)
+    monkeypatch.setattr(harness, "metric_deformations", deform)
     pos, neg = tent_direction(SEG)
     with pytest.raises(PreconditionError, match="nonnegative eps"):
         verify_differentiability(canonical_metric(SEG), pos, neg, [F(1, 2), F(-1, 4)])

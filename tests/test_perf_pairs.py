@@ -5,6 +5,7 @@ The tool is loaded without running it: its summary is built here from canned
 """
 
 import importlib.util
+import json
 import os
 import sys
 
@@ -83,3 +84,30 @@ def test_a_gain_inside_the_base_spread_is_not_beyond_its_iqr(perf_pairs):
     tight = {"better": "higher", "bound": 0.05}
     assert perf_pairs.verdict(base, change, tight)["unresolved"]
     assert not perf_pairs.verdict(base, [120, 121, 122, 123, 124], tight)["unresolved"]
+
+
+def test_pairs_option_sets_the_runs_and_the_payload(perf_pairs, monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def bench(root, workload, seed, trace):
+        calls.append((root, trace))
+        return _result(100 + len(calls), 2.0, 30.0)
+
+    monkeypatch.setattr(perf_pairs, "bench", bench)
+    out = tmp_path / "bench.json"
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert perf_pairs.main(["--out", str(out), "--root", f"parent={a}", "--root", f"change={b}",
+                            "--workload", "deform-energy", "--seed", "2027",
+                            "--pairs", "3"]) == 0
+    # three untimed pairs alternating which side goes first, then one traced
+    # run per side
+    assert calls == [(a, 0), (b, 0), (b, 0), (a, 0), (a, 0), (b, 0), (a, 1), (b, 1)]
+    payload = json.loads(out.read_text())
+    assert payload["pairs"] == 3 and payload["seed"] == 2027
+    entry = payload["workloads"]["deform-energy"]
+    assert entry["parent"]["ops_per_s"] == [101, 104, 105]
+    assert entry["change"]["ops_per_s"] == [102, 103, 106]
+    assert "pairs won by change: 2 of 3" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        perf_pairs.main(["--out", str(out), "--root", f"parent={a}", "--root", f"change={b}",
+                         "--pairs", "1"])

@@ -14,10 +14,10 @@ from navol.errors import PreconditionError
 from navol.harness import (bump_metric, random_convex_metric,
                            random_nonconvex_metric, random_direction,
                            tent_metric)
-from navol.measures import energy, monge_ampere
+from navol.measures import energy, envelope_energy, monge_ampere
 from navol.plmetric import (PLMetric, canonical_metric,
                             distance, envelope, envelope_gap, is_semipositive, legendre,
-                            metric_deform, metric_shift)
+                            metric_deform, metric_deformations, metric_shift)
 from navol.polytope import Polytope, segment, simplex, unit_box
 from navol.rational import frac
 
@@ -956,6 +956,63 @@ def test_metric_deform_matches_hulling_every_branch():
             assert legendre(moved).pieces == legendre(want).pieces, (psi.polytope, eps)
 
 
+def test_metric_deformations_match_one_deformation_per_eps():
+    # one hull per branch pair serves a whole schedule: every output equals
+    # metric_deform's and the oracle's at its eps in its rows, its roof rows
+    # as a set and its envelope energy against psi; at the first positive
+    # eps, hulled there, its roof rows are in the same order too
+    rng = random.Random(66)
+    for psi, pos, neg in _deform_cases(rng):
+        schedule = [F(0), F(1, 32), F(1, 3), F(1), F(7, 5)]
+        rng.shuffle(schedule)
+        first = next(eps for eps in schedule if eps)
+        for eps, moved in zip(schedule, metric_deformations(psi, schedule, pos, neg)):
+            scale, rows = legendre(moved).integer_rows()
+            energy_moved = envelope_energy(moved, psi)
+            for want in (metric_deform(psi, eps, pos, neg),
+                         metric_deform_by_branches(psi, eps, pos, neg)):
+                case = (psi.polytope, schedule, eps)
+                assert moved.integer_rows() == want.integer_rows(), case
+                want_scale, want_rows = legendre(want).integer_rows()
+                assert scale == want_scale and set(rows) == set(want_rows), case
+                assert eps != first or rows == want_rows, case
+                assert energy_moved == envelope_energy(want, psi), case
+
+
+def _direction(normal):
+    g = math.gcd(*normal)
+    return tuple(x // g for x in normal)
+
+
+def test_minkowski_hull_normals_do_not_depend_on_eps():
+    # the lower hull of the lifted sums a + eps*b has the same plane normals
+    # at every eps > 0 (the normal fan of conv A + eps conv B does not move),
+    # so re-offsetting one eps's planes is the hull at another; eps = 1 makes
+    # vertex slopes collide on every body
+    rng = random.Random(72)
+    plane_segment = Polytope.from_points([(F(1, 2), F(1, 3)), (F(5, 2), F(4, 3))])
+    collided = 0
+    for P in (SEG, BOX, simplex(2), HEXAGON, LINE, plane_segment):
+        for trial in range(8):
+            a, b = (PLMetric(P, _random_blocks(P, rng, 1, extra=2)) for _ in range(2))
+            (da, (ra,)), (db, (rb,)) = a.integer_rows(), b.integer_rows()
+            fans, first = set(), None
+            for eps in (F(1, 32), F(1, 3), F(1), F(7, 5)):
+                scale = math.lcm(da, eps.denominator * db)
+                fa, fb = scale // da, eps.numerator * (scale // (eps.denominator * db))
+                rows = plmetric._dedupe_rows([tuple([fa * x + fb * y for x, y in zip(r1, r2)])
+                                              for r1 in ra for r2 in rb])
+                collided += len(rows) < len(ra) * len(rb)
+                planes, kept = plmetric._lower_hull(rows)
+                fans.add(frozenset(_direction(pl[:-1]) for pl in planes))
+                first = first or planes
+                moved, moved_kept = plmetric._reoffset(first, rows)
+                assert moved_kept == kept, (P, trial, eps)
+                assert {_direction(pl) for pl in moved} == {_direction(pl) for pl in planes}
+            assert len(fans) == 1, (P, trial)
+    assert collided > 20
+
+
 def test_metric_deform_with_prime_denominators_matches_the_oracles():
     # constants over primes near 10^6 and eps over others make the common
     # denominator of the integer rows a product of several of them; the
@@ -1037,8 +1094,15 @@ def test_metric_deform_hulls_each_branch_pair_once(monkeypatch):
                           counted("recession", plmetric._recession_mismatch))
             calls.update(hull=0, recession=0)
             moved = metric_deform(psi, F(1, 3), pos, neg)
-        assert len(moved.blocks) == 4 * len(neg.blocks[0])
-        assert calls == {"hull": 4, "recession": 0}
+            assert len(moved.blocks) == 4 * len(neg.blocks[0])
+            assert calls == {"hull": 4, "recession": 0}
+            # a schedule of positive eps hulls each pair once, at its first
+            # eps, and eps = 0 once more
+            schedule = [F(1, 3), F(1, 32), F(7, 5), F(1), F(1, 2)]
+            for eps_values, hulls in ((schedule, 4), (schedule[:2] + [F(0)] + schedule[2:], 8)):
+                calls.update(hull=0, recession=0)
+                assert len(metric_deformations(psi, eps_values, pos, neg)) == len(eps_values)
+                assert calls == {"hull": hulls, "recession": 0}
 
 
 def test_public_constructors_check_the_recession_once(monkeypatch):

@@ -299,6 +299,13 @@ def test_exit_code_2_on_parse_problems(tmp_path, capsys):
                 tmp_path, capsys)[0] == 2
     tent = _write(tmp_path, "tent.json", TENT)
     assert _run(["navol", tent, "--schedule", "abc"], tmp_path, capsys)[0] == 2
+    # a flag must be spelled out: argparse's prefix matching is off
+    for args in (["navol", tent, "--sch", "1-3"], ["navol", tent, "--o", str(tmp_path / "o")],
+                 ["verify-all", "--se", "3"]):
+        rc = cli.main(args + ["--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, args
+    assert not (tmp_path / "o").exists()
     cube = _write(tmp_path, "cube.json", {
         "kind": "toric",
         "polytope": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)],

@@ -2,14 +2,15 @@
 
     python3 tools/perf_pairs.py --out BENCH_<n>.json \\
         --root parent=PATH --root change=PATH \\
-        [--workload NAME ...] [--seed 811]
+        [--workload NAME ...] [--seed 811] [--pairs 10]
 
 For each workload, `perfbench/run.py` runs SECONDS long in each checkout
-PAIRS times, the two checkouts alternating which goes first. Per checkout
-the file records every end-to-end metric's value in each run, its median
-and quartiles, each run's ops_per_s and digest, and how many pairs the
-second checkout won on ops_per_s. Per metric, `verdicts` reads the pairs
-against BENCHMARK.json's `better` and `bound`: the pairs the second
+--pairs times (10 by default, the least that can show a gain; a check on a
+held-out seed may take fewer), the two checkouts alternating which goes
+first. Per checkout the file records every end-to-end metric's value in each
+run, its median and quartiles, each run's ops_per_s and digest, and how many
+pairs the second checkout won on ops_per_s. Per metric, `verdicts` reads the
+pairs against BENCHMARK.json's `better` and `bound`: the pairs the second
 checkout won, its median's relative change, whether that median beats the
 baseline's by more than the baseline's interquartile range, whether it is
 worse than the baseline's by more than the bound, and whether it is
@@ -36,7 +37,6 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-PAIRS = 10
 SECONDS = 40   # the length of one benchmark run, in s
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -112,6 +112,7 @@ def main(argv=None) -> int:
                         help="checkout to run; give exactly two, the baseline first")
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=811)
+    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload")
     args = parser.parse_args(argv)
     roots = {}
     for spec in args.root:
@@ -121,12 +122,14 @@ def main(argv=None) -> int:
         roots[name] = os.path.abspath(path)
     if len(roots) != 2:
         parser.error("give exactly two --root checkouts")
+    if args.pairs < 2:
+        parser.error("--pairs needs at least two pairs, for the quartiles")
     base, change = roots
     specs = end_to_end_specs()
     workloads = {}
     for workload in args.workload or WORKLOADS:
         runs = {name: [] for name in roots}
-        for i in range(PAIRS):
+        for i in range(args.pairs):
             for name in (list(roots) if i % 2 == 0 else list(roots)[::-1]):
                 runs[name].append(bench(roots[name], workload, args.seed, 0))
                 print(workload, name, i, runs[name][-1]["metrics"]["ops_per_s"]["value"],
@@ -139,7 +142,7 @@ def main(argv=None) -> int:
         "command": "perfbench/run.py pairs (tools/perf_pairs.py)",
         "seed": args.seed,
         "seconds": SECONDS,
-        "pairs": PAIRS,
+        "pairs": args.pairs,
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "workloads": workloads,
@@ -153,7 +156,7 @@ def main(argv=None) -> int:
             print(f"{workload:14s} {name:8s} " + " ".join(
                 f"{m}={v:.4g}" for m, v in med.items()))
         print(f"{workload:14s} pairs won by {change}: {entry['pairs_won_by_' + change]}"
-              f" of {PAIRS}")
+              f" of {args.pairs}")
     return 0
 
 
