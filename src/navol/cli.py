@@ -9,10 +9,11 @@ progress lines go to standard error.
 Every command but verify-all is one entry of `CHECKS`: the instance kind it
 reads and its check. A check takes the instance, the command's name and the
 ``--schedule`` text (None when absent; only `SCHEDULED` commands take one, and
-resolve their levels once: ``--schedule``, else the instance's schedule, else
-the default) and returns a VerificationReport, or its own summary fields with
-its series and verdict. One driver, `_run`, refuses a wrong kind, prints a
-report whole and other fields after ``command`` and ``instance``, and writes
+resolve their levels once: ``--schedule``, its entries read by the instance
+file's schedule reader, else the instance's schedule, else the default) and
+returns a VerificationReport, or its own summary fields with its series and
+verdict. One driver, `_run`, refuses a wrong kind, prints a report whole and
+other fields after ``command`` and ``instance``, and writes
 ``<command>.json`` and the series as ``<command>.csv`` with ``-`` as ``_``.
 verify-all, the one command that takes ``--seed``, runs the same checks on
 each instance file with no ``--schedule``. A flag the command does not take
@@ -41,9 +42,9 @@ from .harness import (DIFF_EPS, H0_SCHEDULE, VerificationReport, run_bundled_sui
                       verify_orthogonality, verify_tree_net_rows, verify_vol_is_energy)
 from .measures import energy, monge_ampere
 from .plmetric import envelope, is_semipositive
-from .rational import frac, frac_str, point_str
-from .serialize import (Instance, SurfaceInstance, ToricInstance,
-                        TreeInstance, csv_text, decimal_str, parse_instance,
+from .rational import frac_str, point_str
+from .serialize import (Instance, SurfaceInstance, ToricInstance, TreeInstance,
+                        _parse_schedule, csv_text, decimal_str, parse_instance,
                         parse_instance_text, write_json, write_text)
 from .trees import potential_rows
 from .volumes import default_schedule, navol as navol_run
@@ -52,42 +53,6 @@ EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
-
-
-def _parse_int_schedule(text: str) -> List[int]:
-    out: List[int] = []
-    for chunk in filter(None, map(str.strip, text.split(","))):
-        if "-" in chunk:
-            lo_text, _, hi_text = chunk.partition("-")
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError:
-                raise InstanceFormatError(f"bad schedule range {chunk!r}")
-            if lo > hi:
-                raise InstanceFormatError(f"empty schedule range {chunk!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            try:
-                out.append(int(chunk))
-            except ValueError:
-                raise InstanceFormatError(f"bad schedule entry {chunk!r}")
-    if not out or any(m < 1 for m in out):
-        raise InstanceFormatError(f"schedule {text!r} needs entries >= 1")
-    return out
-
-
-def _parse_eps_schedule(text: str) -> List[Fraction]:
-    out = []
-    for chunk in filter(None, map(str.strip, text.split(","))):
-        try:
-            out.append(frac(chunk))
-        except ValueError as exc:
-            raise InstanceFormatError(f"bad eps entry {chunk!r}: {exc}")
-        if out[-1] < 0:
-            raise InstanceFormatError(f"eps entry {chunk!r} is negative")
-    if not out:
-        raise InstanceFormatError("empty eps schedule")
-    return out
 
 
 def _report_payload(rep: VerificationReport) -> Dict[str, object]:
@@ -123,9 +88,26 @@ class CommandResult:
 
 
 def _levels(text: Optional[str], inst_schedule: Optional[Sequence], default: Sequence,
-            parse: Callable[[str], List] = _parse_int_schedule) -> List:
-    """--schedule parsed by parse, else the instance's schedule, else default."""
-    return parse(text) if text is not None else list(inst_schedule or default)
+            eps: bool = False) -> List:
+    """--schedule, else the instance's schedule, else default. The option is
+    split on commas and each level range a-b expanded; serialize's schedule
+    reader then checks its entries as an instance's levels (ε values with eps)."""
+    if text is None:
+        return list(inst_schedule or default)
+    chunks = [chunk for chunk in map(str.strip, text.split(",")) if chunk]
+    levels: List[int] = []
+    for chunk in [] if eps else chunks:
+        lo_text, dash, hi_text = chunk.partition("-")
+        is_range = bool(dash and lo_text)   # "-3" is one level, below 1
+        try:
+            lo, hi = (int(lo_text), int(hi_text)) if is_range else (int(chunk),) * 2
+        except ValueError:
+            raise InstanceFormatError(
+                f"bad schedule {'range' if is_range else 'entry'} {chunk!r}") from None
+        if lo > hi:
+            raise InstanceFormatError(f"empty schedule range {chunk!r}")
+        levels.extend(range(lo, hi + 1))
+    return _parse_schedule(chunks if eps else levels, "--schedule", eps)
 
 
 def _pair(toric: ToricInstance, command: str, schedule: Optional[str]):
@@ -184,7 +166,7 @@ def _ortho(toric, command, schedule) -> VerificationReport:
 def _diff(toric, command, schedule) -> VerificationReport:
     base = toric.metric_or_canonical("psi")
     pos, neg = toric.metric("pos", command), toric.metric("neg", command)
-    eps = _levels(schedule, toric.eps_schedule, DIFF_EPS, _parse_eps_schedule)
+    eps = _levels(schedule, toric.eps_schedule, DIFF_EPS, eps=True)
     return verify_differentiability(base, pos, neg, eps, instance=toric.name)
 
 

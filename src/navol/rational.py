@@ -40,7 +40,9 @@ def frac(value) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string to Fraction. Floats are refused.
 
     A string that is not a plain literal is left to Fraction's own parser, so
-    the two accept, value and reject the same strings."""
+    the two accept, value and reject the same strings: frac("0.5") is 1/2.
+    Decimal notation is refused at the boundary only, by serialize's reader
+    of instance files and of the command line's --schedule entries."""
     if type(value) is Fraction:
         return value
     if isinstance(value, str):

@@ -242,16 +242,18 @@ Instance = Union[ToricInstance, TreeInstance, SurfaceInstance]
 # parsing
 
 
-def _parse_schedule(value, path: str, read=_as_int,
-                    refuse=lambda m: m < 1 and "schedule entries are >= 1") -> List:
-    """A nonempty array of entries read by read (levels by default); refuse
-    gives the reason an entry is refused, or a false value."""
+def _parse_schedule(value, path: str, eps: bool = False) -> List:
+    """A nonempty array of levels (integers >= 1), or with eps of ε values
+    (exact rationals >= 0). The one reader of a schedule: an instance's
+    `schedule` and `eps_schedule`, and the entries of the `--schedule` option
+    with the path '--schedule'."""
     out = []
     for i, entry in enumerate(_as_array(value, path)):
-        out.append(read(entry, f"{path}[{i}]"))
-        why = refuse(out[-1])
-        if why:
-            raise InstanceFormatError(f"{path}[{i}]: {why}")
+        epath = f"{path}[{i}]"
+        out.append(_as_rational(entry, epath) if eps else _as_int(entry, epath))
+        if out[-1] < (0 if eps else 1):
+            why = f"eps entry {out[-1]} is negative" if eps else "schedule entries are >= 1"
+            raise InstanceFormatError(f"{epath}: {why}")
     if not out:
         raise InstanceFormatError(f"{path}: schedule must be nonempty")
     return out
@@ -313,8 +315,7 @@ def _parse_toric(obj: Dict[str, object], name: str) -> ToricInstance:
             canonical_names.append(mname)
     schedule = (_parse_schedule(obj["schedule"], f"{name}.schedule")
                 if "schedule" in obj else None)
-    eps = (_parse_schedule(obj["eps_schedule"], f"{name}.eps_schedule", _as_rational,
-                           lambda e: e < 0 and f"eps entry {e} is negative")
+    eps = (_parse_schedule(obj["eps_schedule"], f"{name}.eps_schedule", eps=True)
            if "eps_schedule" in obj else None)
     return ToricInstance(name=name, polytope=P, metrics=metrics,
                          canonical_names=tuple(canonical_names),

@@ -46,7 +46,9 @@ SCHEDULES = (None, "1-4", "1/2,1/4")
 # SHA-256 per command over its runs, recorded before the command table
 # replaced the per-command wrappers; measure, energy, envelope, ortho-check,
 # ma-solve and perturb-scan re-recorded when their `--schedule` runs began
-# to exit 2
+# to exit 2; diff-check re-recorded when its `--schedule` entries began to go
+# through the instance file's schedule reader, whose error line for `1-4`
+# names the entry as `--schedule[0]` (its only two runs that changed)
 GOLDEN = {
     "measure":
         "c03016349c0a4938a6302a4b1e6b5268d9204e9b65b4944c578e4d49d38b55e2",
@@ -59,7 +61,7 @@ GOLDEN = {
     "ortho-check":
         "d905424db762b713e342864d9f3a41db556603a031107e1c2e1fcf7782ce5bfc",
     "diff-check":
-        "2d25f2f61c3bdeea7e860845ae831cd5f0c971002159e12b1bf7dec86221e30f",
+        "e9ae6853860c56f3b6c25c5201742bac4e206cf26cd7c3ea3c10f0c2e5ecaeba",
     "h0-check":
         "ae63ea7e250e24eb8c9123e80bfd6d783fd3f82935f8b0e70c9ea301b11b85c1",
     "ma-solve":

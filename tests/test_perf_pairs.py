@@ -57,6 +57,10 @@ def test_summary_reads_each_metric_in_its_direction(perf_pairs):
     assert parent["counts_per_pass"] == {"x.calls": 3.0}
     assert entry["change"]["digests"] == ["d0", "d1"] and entry["change"]["failed"] == 2
     assert entry["pairs_won_by_change"] == 4
+    # one run of the change wrote other bytes than the parent's runs
+    assert entry["digests_equal"] is False
+    same = perf_pairs.summarize({"parent": base, "change": base[::-1]}, counts, specs)
+    assert same["digests_equal"] is True
 
     ops = entry["verdicts"]["ops_per_s"]
     assert ops == {"pairs_won": 4, "median_change": 0.15, "beats_base_iqr": True,
@@ -107,7 +111,7 @@ def test_pairs_option_sets_the_runs_and_the_payload(perf_pairs, monkeypatch, tmp
     entry = payload["workloads"]["deform-energy"]
     assert entry["parent"]["ops_per_s"] == [101, 104, 105]
     assert entry["change"]["ops_per_s"] == [102, 103, 106]
-    assert "pairs won by change: 2 of 3" in capsys.readouterr().out
+    assert "pairs won by change: 2 of 3; digests equal: True" in capsys.readouterr().out
     with pytest.raises(SystemExit):
         perf_pairs.main(["--out", str(out), "--root", f"parent={a}", "--root", f"change={b}",
                          "--pairs", "1"])

@@ -252,16 +252,45 @@ def test_diff_check_command_with_eps_flag(tmp_path, capsys):
 
 
 def test_negative_eps_is_refused_as_malformed(tmp_path, capsys):
-    # both entry points refuse the entry up front with one error line and
-    # exit 2, as a level schedule with m < 1 is refused
+    # both entry points refuse the entry up front with the same error line
+    # after the path, and exit 2, as a level schedule with m < 1 is refused
     path = _write(tmp_path, "diff.json", DIFF)
     listed = _write(tmp_path, "listed.json", dict(DIFF, eps_schedule=["1/2", "-1/4"]))
-    for args, entry in ((["diff-check", path, "--schedule", "1/2,-1/4"], "'-1/4'"),
-                        (["diff-check", listed], "eps_schedule[1]: eps entry -1/4")):
+    for args, where in ((["diff-check", path, "--schedule", "1/2,-1/4"], "--schedule"),
+                        (["diff-check", listed], "listed.json.eps_schedule")):
         rc = cli.main([*args, "--out-dir", str(tmp_path / "out")])
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1 and entry in err
+        assert err == f"error: {where}[1]: eps entry -1/4 is negative\n"
+
+
+# name -> (command, instance, schedule field, --schedule text, the same
+# entries as the field's JSON array); a negative eps is the test above
+SHARED_SCHEDULE_REFUSALS = {
+    "level-0": ("h0-check", TENT, "schedule", "2,0", [2, 0]),
+    "no-levels": ("navol", TENT, "schedule", ",", []),
+    "no-eps": ("diff-check", DIFF, "eps_schedule", "", []),
+    "decimal-eps": ("diff-check", DIFF, "eps_schedule", "0.5", ["0.5"]),
+    "exponent-eps": ("diff-check", DIFF, "eps_schedule", "1/2,1e-1", ["1/2", "1e-1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_SCHEDULE_REFUSALS))
+def test_schedule_option_and_file_refuse_an_entry_alike(case, tmp_path, capsys):
+    # one reader checks --schedule's entries and an instance's schedule, so
+    # each entry is refused with the same line after the path
+    command, instance, field_name, text, entries = SHARED_SCHEDULE_REFUSALS[case]
+    plain = _write(tmp_path, "plain.json", instance)
+    listed = _write(tmp_path, "listed.json", dict(instance, **{field_name: entries}))
+    lines = []
+    for args, where in (([plain, "--schedule", text], "--schedule"),
+                        ([listed], f"listed.json.{field_name}")):
+        rc = cli.main([command, *args, "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
+        lines.append(err[len(f"error: {where}"):])
+    assert lines[0] == lines[1]
 
 
 def test_ma_solve_and_surface_commands(tmp_path, capsys):
@@ -804,10 +833,15 @@ def test_rejected_metric_in_the_plane_names_a_direction_that_differs(tmp_path, c
 BAD_SCHEDULES = {
     "bad-range": ("navol", TENT, "1-x", "error: bad schedule range '1-x'"),
     "empty-range": ("navol", TENT, "5-3", "error: empty schedule range '5-3'"),
-    "zero-level": ("h0-check", TENT, "0,2", "error: schedule '0,2' needs entries >= 1"),
-    "no-levels": ("navol", TENT, ",", "error: schedule ',' needs entries >= 1"),
-    "empty-text": ("h0-check", TENT, "", "error: schedule '' needs entries >= 1"),
-    "no-eps": ("diff-check", DIFF, ",", "error: empty eps schedule"),
+    "bad-entry": ("navol", TENT, "1/2", "error: bad schedule entry '1/2'"),
+    "zero-level": ("h0-check", TENT, "0,2", "error: --schedule[0]: schedule entries are >= 1"),
+    "negative-level": ("navol", TENT, "2,-3",
+                       "error: --schedule[1]: schedule entries are >= 1"),
+    "no-levels": ("navol", TENT, ",", "error: --schedule: schedule must be nonempty"),
+    "empty-text": ("h0-check", TENT, "", "error: --schedule: schedule must be nonempty"),
+    "no-eps": ("diff-check", DIFF, ",", "error: --schedule: schedule must be nonempty"),
+    "eps-range": ("diff-check", DIFF, "1-4", "error: --schedule[0]: bad rational literal "
+                  "'1-4': Invalid literal for Fraction: '1-4'"),
 }
 
 

@@ -8,8 +8,9 @@ For each workload, `perfbench/run.py` runs SECONDS long in each checkout
 --pairs times (10 by default, the least that can show a gain; a check on a
 held-out seed may take fewer), the two checkouts alternating which goes
 first. Per checkout the file records every end-to-end metric's value in each
-run, its median and quartiles, each run's ops_per_s and digest, and how many
-pairs the second checkout won on ops_per_s. Per metric, `verdicts` reads the
+run, its median and quartiles, each run's ops_per_s and digest, whether the
+two checkouts' digests are equal, and how many pairs the second checkout won
+on ops_per_s. Per metric, `verdicts` reads the
 pairs against BENCHMARK.json's `better` and `bound`: the pairs the second
 checkout won, its median's relative change, whether that median beats the
 baseline's by more than the baseline's interquartile range, whether it is
@@ -97,6 +98,7 @@ def summarize(runs: dict, counts: dict, specs: dict) -> dict:
             "runs": values,
             "quartiles": {m: quartiles(v) for m, v in values.items()},
         }
+    entry["digests_equal"] = entry[base]["digests"] == entry[change]["digests"]
     entry["pairs_won_by_" + change] = sum(
         b["metrics"]["ops_per_s"]["value"] < c["metrics"]["ops_per_s"]["value"]
         for b, c in zip(runs[base], runs[change]))
@@ -156,7 +158,7 @@ def main(argv=None) -> int:
             print(f"{workload:14s} {name:8s} " + " ".join(
                 f"{m}={v:.4g}" for m, v in med.items()))
         print(f"{workload:14s} pairs won by {change}: {entry['pairs_won_by_' + change]}"
-              f" of {args.pairs}")
+              f" of {args.pairs}; digests equal: {entry['digests_equal']}")
     return 0
 
 
