@@ -91,19 +91,23 @@ def _levels(text: Optional[str], inst_schedule: Optional[Sequence], default: Seq
             eps: bool = False) -> List:
     """--schedule, else the instance's schedule, else default. The option is
     split on commas and each level range a-b expanded; serialize's schedule
-    reader then checks its entries as an instance's levels (ε values with eps)."""
+    reader then checks its entries as an instance's levels (ε values with eps).
+    A level that is not an integer reaches the reader as its text, which it
+    refuses as it refuses that string in a file's schedule."""
     if text is None:
         return list(inst_schedule or default)
     chunks = [chunk for chunk in map(str.strip, text.split(",")) if chunk]
-    levels: List[int] = []
+    levels: List = []
     for chunk in [] if eps else chunks:
         lo_text, dash, hi_text = chunk.partition("-")
         is_range = bool(dash and lo_text)   # "-3" is one level, below 1
         try:
             lo, hi = (int(lo_text), int(hi_text)) if is_range else (int(chunk),) * 2
         except ValueError:
-            raise InstanceFormatError(
-                f"bad schedule {'range' if is_range else 'entry'} {chunk!r}") from None
+            if is_range:
+                raise InstanceFormatError(f"bad schedule range {chunk!r}") from None
+            levels.append(chunk)
+            continue
         if lo > hi:
             raise InstanceFormatError(f"empty schedule range {chunk!r}")
         levels.extend(range(lo, hi + 1))

@@ -28,7 +28,10 @@ every corner is that row's one cell, with nothing clipped.
 
 Metrics and roofs store only integer rows D * (slope, const) over their
 lowest common denominator D, and build their Fraction blocks or pieces on
-first access. Rational data is scaled once, by one common denominator, in
+first access. The outputs of metric_deformations and metric_shift write
+their conjugate's rows at once and their own integer rows only on first
+read, as the differentiability and proportionality checks read only the
+conjugate. Rational data is scaled once, by one common denominator, in
 the PLMetric constructor; every kernel after that (the lifted lower hull and
 the pruning by it, the conjugate's rows written from the hull planes, the
 recession check, evaluation, the cells, distances, the envelope gap and
@@ -36,12 +39,15 @@ metric_deformations' Minkowski blocks, re-offset planes and translations)
 computes with Python ints only. A schedule of deformations hulls each
 Minkowski block once for all its positive eps: the lower facets of
 conv A + eps conv B have the same normals at every eps > 0, so only their
-offsets move. Points are homogeneous integer rows (x, w) standing for
-x / w, in lowest terms with w > 0, so equal points have equal rows. Rows have 2
-entries on the line and 3 in the plane, and the cells, walks and integrals
-read them by unpacking (_values). A block keeps its lifted hull's vertices
-untested and plane-tests only its other rows; stored rows are divided by
-their gcd, which is read row by row, only when it is above 1 (_lowest).
+offsets move. Each hull plane gives the deformation's conjugate one row:
+of its translates to the pieces of the subtracted metric, the one whose
+roof row has the largest constant. Points are homogeneous integer rows
+(x, w) standing for x / w, in lowest terms with w > 0, so equal points have
+equal rows. Rows have 2 entries on the line and 3 in the plane, and the
+cells, walks and integrals read them by unpacking (_values). A block keeps
+its lifted hull's vertices untested and plane-tests only its other rows;
+stored rows are divided by their gcd, which is read row by row, only when it
+is above 1 (_lowest).
 
 The recession check runs in the PLMetric constructor only, where rational
 data enters; envelope, metric_deformations and metric_shift keep the
@@ -55,7 +61,8 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from .errors import PreconditionError
 from .polytope import Polytope, _homogeneous, _hull_1d, _hull_2d, _monotone_chain
@@ -121,7 +128,10 @@ class PLMetric:
     Those hulls are the conjugate, whose rows come straight from the hull
     planes and are stored on the metric. Every metric stores only its kept
     rows in lowest terms (integer_rows) and builds the Fraction blocks on
-    first access.
+    first access. Those rows are one lazily filled attribute (_rows): the
+    constructor and envelope fill it at once, and the outputs of
+    metric_deformations and metric_shift, whose checks read only the
+    conjugate, on first read, with the same rows as an eager build.
     """
 
     def __init__(self, polytope: Polytope, blocks: Sequence[Sequence[Piece]]):
@@ -155,15 +165,25 @@ class PLMetric:
                 f"at w = {point_str(w)}")
         self._build(polytope, rows, _plane_roof(polytope, planes, scale))
 
-    def _build(self, polytope: Polytope, rows: IntegerBlocks,
+    def _build(self, polytope: Polytope,
+               rows: Union[IntegerBlocks, Callable[[], IntegerBlocks]],
                conjugate: "RoofFunction") -> None:
         """Set the metric from its blocks' integer rows in lowest terms and its
-        conjugate, all keeping the recession identity."""
+        conjugate, all keeping the recession identity. The rows are given as
+        they are, or as a function that builds them on first read (_rows)."""
         self.polytope = polytope
-        self._rows = rows
+        if callable(rows):
+            self._make_rows = rows
+        else:
+            self._rows = rows
         self._conjugate = conjugate
         self._envelope: Optional["PLMetric"] = None
         self._semipositive: Optional[bool] = None
+
+    @functools.cached_property
+    def _rows(self) -> IntegerBlocks:
+        """The blocks' integer rows of a metric built lazily, on first read."""
+        return self._make_rows()
 
     @functools.cached_property
     def blocks(self) -> Tuple[Block, ...]:
@@ -635,7 +655,7 @@ def legendre(metric: PLMetric) -> RoofFunction:
     block's slope hull contain P). Every metric stores its conjugate as
     integer rows, so it is read from the metric: the constructor writes the
     rows of the hull planes it builds while pruning each block,
-    metric_deformations those of the translated planes, and an envelope
+    metric_deformations one row per moved hull plane, and an envelope
     takes its metric's roof rows cut down to the pieces that own a cell (see
     envelope).
     """
@@ -817,19 +837,26 @@ def metric_shift(metric: PLMetric, t) -> PLMetric:
     stay: for t = p/q, a kept row r over D becomes q*r + (0, ..., p*D) over
     q*D and a roof row r over E becomes q*r - (0, ..., p*E) over q*E. Nothing
     is hulled, and semipositivity and the recession identity carry over. The
-    roof keeps its cells: a constant shift moves no cell."""
+    roof keeps its cells: a constant shift moves no cell. The roof rows are
+    written at once and the kept rows on first read (_shifted_rows), since
+    lattice lengths read only the roof."""
     t = frac(t)
     p, q = t.numerator, t.denominator
-    (d, blocks), (e, roof) = metric.integer_rows(), legendre(metric).integer_rows()
+    e, roof = legendre(metric).integer_rows()
     moved = RoofFunction(metric.polytope, q * e,
                          [(*[q * x for x in r[:-1]], q * r[-1] - p * e) for r in roof])
     moved._integer_cells = metric._conjugate.integer_cells()
     out = PLMetric.__new__(PLMetric)
-    out._build(metric.polytope,
-               _lowest(q * d, [[(*[q * x for x in r[:-1]], q * r[-1] + p * d) for r in b]
-                               for b in blocks]), moved)
+    out._build(metric.polytope, functools.partial(_shifted_rows, metric, p, q), moved)
     out._semipositive = metric._semipositive
     return out
+
+
+def _shifted_rows(metric: PLMetric, p: int, q: int) -> IntegerBlocks:
+    """metric_shift's kept rows for t = p/q, in lowest terms."""
+    d, blocks = metric.integer_rows()
+    return _lowest(q * d, [[(*[q * x for x in r[:-1]], q * r[-1] + p * d) for r in b]
+                           for b in blocks])
 
 
 def _reoffset(planes: Sequence[IntPlane], rows: Sequence[Tuple[int, ...]]
@@ -874,12 +901,23 @@ def metric_deformations(psi: PLMetric, eps_values: Iterable, pos: PLMetric,
     neg is B moved by (T, T_c) = L eps (s_l, c_l), which translates B's
     lifted points (x, z) = (L s, -L c) by (-T, T_c) and so their lower hull:
     kept rows move by -(T, T_c), and a hull plane n.x + nz*z = d (a facet,
-    or a line of a chain) moves to d - n.T + nz*T_c. The kept rows are
-    stored over L divided by their common gcd, and the conjugate's rows are
-    written from the moved planes (_plane_roof), with no Fraction built. The
-    recession identity needs no check: recession is additive on PL
-    functions, so rec = h_P + eps*h_P - eps*h_P, all three inputs being
-    PLMetrics that passed the constructor.
+    or a line of a chain) moves to d - n.T + nz*T_c = d - L eps v_l for
+    v_l = n.s_l - nz*c_l. The conjugate's rows are written from the moved
+    planes (_plane_roof), with no Fraction built. All translates of a plane
+    share its normal, so their roof rows share a slope, and _plane_roof's
+    dedupe keeps the one with the largest constant, k d' for k = N/nz of
+    nz's sign: the smallest moved offset d' for a facet (nz < 0), the
+    largest for a chain line or the constant (nz > 0). So each plane is
+    moved once, by the piece of neg with the largest v_l for a facet and the
+    smallest for a chain line, which depends on the normal only and is
+    found once per normal for the whole schedule; the planes keep the order
+    of their first translates, so the roof rows are the ones, in the order,
+    that every translate would give. The kept rows, every block's rows
+    moved to every piece of neg and stored over L divided by their common
+    gcd, are built on first read (_translated_rows). The recession identity
+    needs no check: recession is additive on PL functions, so
+    rec = h_P + eps*h_P - eps*h_P, all three inputs being PLMetrics that
+    passed the constructor.
 
     Each branch pair is hulled once for all positive eps, at the first of
     them (_lower_hull), and once more at eps = 0, where B is psi's branch
@@ -917,27 +955,40 @@ def metric_deformations(psi: PLMetric, eps_values: Iterable, pos: PLMetric,
     (d1, rows1), (d2, rows2) = psi.integer_rows(), pos.integer_rows()
     pairs = [(b1, b2) for b1 in rows1 for b2 in rows2]
     first: List[List[IntPlane]] = []   # the first positive eps's planes, per pair
+    far: Dict[Tuple[int, ...], int] = {}   # per hull normal, its extreme over neg's rows
     out = []
     for eps in eps_values:
         p, q = eps.numerator, eps.denominator
         scale = math.lcm(d1, q * d2, q * d3)
         f1, f2, f3 = scale // d1, p * (scale // (q * d2)), p * (scale // (q * d3))
-        shifts = [([f3 * x for x in row[:-1]], f3 * row[-1]) for row in rows3]
-        blocks, planes, hulls = [], [], []
+        kept, planes, hulls = [], [], []
         for k, (b1, b2) in enumerate(pairs):
             rows = _dedupe_rows([tuple([f1 * x + f2 * y for x, y in zip(r1, r2)])
                                  for r1 in b1 for r2 in b2])
             hull_planes, on_hull = (_reoffset(first[k], rows) if p and first
                                     else _lower_hull(rows))
             hulls.append(hull_planes)
-            for t, tc in shifts:
-                planes += [pl[:-1] + (pl[-1] - sum(map(operator.mul, pl, t)) + pl[-2] * tc,)
-                           for pl in hull_planes]
-                blocks.append([tuple(map(operator.sub, rows[i], t)) + (rows[i][-1] - tc,)
-                               for i in on_hull])
+            kept.append((rows, on_hull))
+            for pl in hull_planes:
+                n = pl[:-1]
+                if n not in far:
+                    vals = _values((*n[:-1], -n[-1]), rows3)
+                    far[n] = max(vals) if n[-1] < 0 else min(vals)
+                planes.append(n + (pl[-1] - f3 * far[n],))
         if p and not first:
             first = hulls
         deformed = PLMetric.__new__(PLMetric)
-        deformed._build(P, _lowest(scale, blocks), _plane_roof(P, planes, scale))
+        deformed._build(P, functools.partial(_translated_rows, scale, kept, rows3, f3),
+                        _plane_roof(P, planes, scale))
         out.append(deformed)
     return out
+
+
+def _translated_rows(scale: int, kept: Sequence[Tuple[Sequence[Tuple[int, ...]], List[int]]],
+                     rows3: Sequence[Tuple[int, ...]], f3: int) -> IntegerBlocks:
+    """metric_deformations' kept rows over scale, in lowest terms: for each
+    branch pair's (rows, indices on its hull), one block per row of neg, the
+    rows on the hull moved by -(T, T_c) = -f3 times neg's row."""
+    shifts = [([f3 * x for x in row[:-1]], f3 * row[-1]) for row in rows3]
+    return _lowest(scale, [[tuple(map(operator.sub, rows[i], t)) + (rows[i][-1] - tc,)
+                            for i in on_hull] for rows, on_hull in kept for t, tc in shifts])

@@ -8,6 +8,9 @@ library is not used to test itself.  The exceptions are
 Monge-Ampere measures, a route the package's own energy no longer takes,
 `metric_deform_by_branches`, which hands the package's metric constructor
 every raw branch of a deformation, a route `metric_deform` no longer takes,
+`deformation_roof_by_translates`, which writes a deformation's roof from
+every translate of the package's hull planes, one per piece of the
+subtracted metric, a route `metric_deformations` no longer takes,
 `lower_hull_facets_2d`, which reads the package's integer facet kernel
 back as Fraction pieces so the brute-force hull can be compared with it,
 `roof_cells`, which reads a roof's integer cells with rational corners,
@@ -679,6 +682,38 @@ def metric_deform_by_branches(psi, eps, pos, neg):
     scratch by the metric constructor."""
     from navol.plmetric import PLMetric
     return PLMetric(psi.polytope, deform_branches(psi, eps, pos, neg))
+
+
+def deformation_roof_by_translates(psi, eps_values, pos, neg):
+    """(D, roof rows) of each output of metric_deformations, written from
+    every translate of every hull plane: each branch pair's hull (hulled at
+    the first positive eps and at eps = 0, re-offset at the other eps, as the
+    package does) is moved by each piece of neg's single branch (of its
+    envelope when neg has several), and the package's _plane_roof turns all
+    the translates into rows and keeps one per slope."""
+    from navol import plmetric
+    convex = neg if neg.is_convex_representation() else plmetric.envelope(neg)
+    (d1, rows1), (d2, rows2) = psi.integer_rows(), pos.integer_rows()
+    d3, (rows3,) = convex.integer_rows()
+    first, out = [], []
+    for eps in map(Fraction, eps_values):
+        p, q = eps.numerator, eps.denominator
+        scale = math.lcm(d1, q * d2, q * d3)
+        f1, f2, f3 = scale // d1, p * (scale // (q * d2)), p * (scale // (q * d3))
+        planes, hulls = [], []
+        for k, (b1, b2) in enumerate(itertools.product(rows1, rows2)):
+            rows = plmetric._dedupe_rows([tuple(f1 * x + f2 * y for x, y in zip(r1, r2))
+                                          for r1 in b1 for r2 in b2])
+            hull = (plmetric._reoffset(first[k], rows) if p and first
+                    else plmetric._lower_hull(rows))[0]
+            hulls.append(hull)
+            for row in rows3:
+                t, tc = [f3 * x for x in row[:-1]], f3 * row[-1]
+                planes += [pl[:-1] + (pl[-1] - _dot(pl, t) + pl[-2] * tc,) for pl in hull]
+        if p and not first:
+            first = hulls
+        out.append(plmetric._plane_roof(psi.polytope, planes, scale).integer_rows())
+    return out
 
 
 def _dot(a, b):

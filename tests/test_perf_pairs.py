@@ -111,7 +111,17 @@ def test_pairs_option_sets_the_runs_and_the_payload(perf_pairs, monkeypatch, tmp
     entry = payload["workloads"]["deform-energy"]
     assert entry["parent"]["ops_per_s"] == [101, 104, 105]
     assert entry["change"]["ops_per_s"] == [102, 103, 106]
-    assert "pairs won by change: 2 of 3; digests equal: True" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "pairs won by change: 2 of 3; digests equal: True" in printed
+    # one verdict line per end-to-end metric, after the pairs line: ops_per_s
+    # 104 -> 103 (2 of 3 pairs), p50 and peak RSS equal in every run
+    assert printed.split("digests equal: True\n")[1].splitlines() == [
+        "deform-energy  ops_per_s: pairs won 2 of 3, median -0.96%, beats_base_iqr False,"
+        " worse_beyond_bound False, unresolved False",
+        "deform-energy  op_p50_ms: pairs won 0 of 3, median +0.00%, beats_base_iqr False,"
+        " worse_beyond_bound False, unresolved False",
+        "deform-energy  peak_rss_mb: pairs won 0 of 3, median +0.00%, beats_base_iqr False,"
+        " worse_beyond_bound False, unresolved False"]
     with pytest.raises(SystemExit):
         perf_pairs.main(["--out", str(out), "--root", f"parent={a}", "--root", f"change={b}",
                          "--pairs", "1"])

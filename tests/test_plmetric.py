@@ -24,7 +24,8 @@ from navol.rational import frac
 from navol.volumes import lattice_length
 
 from _oracles import (arrangement_candidates, block_conjugate_oracle,
-                      brute_lower_hull_facets, common_scale, deform_branches, dilate,
+                      brute_lower_hull_facets, common_scale, deform_branches,
+                      deformation_roof_by_translates, dilate,
                       distance_by_joint_arrangement, envelope_1d_oracle,
                       envelope_corners_oracle, eval_min_max, lattice_length_oracle,
                       lower_hull_facets_2d, metric_deform_by_branches, metric_min, metric_scale,
@@ -977,6 +978,59 @@ def test_metric_deformations_match_one_deformation_per_eps():
                 assert scale == want_scale and set(rows) == set(want_rows), case
                 assert eps != first or rows == want_rows, case
                 assert energy_moved == envelope_energy(want, psi), case
+
+
+def test_deformation_roof_keeps_one_row_per_hull_plane():
+    # all translates of a hull plane share its normal, so the one with the
+    # largest roof constant stands for all: the roof rows, order included,
+    # are _plane_roof's over every translate of every plane
+    rng = random.Random(73)
+    for psi, pos, neg in _deform_cases(rng):
+        schedule = [F(0), F(1, 32), F(1, 3), F(1), F(7, 5)]
+        rng.shuffle(schedule)
+        roofs = [legendre(moved).integer_rows()
+                 for moved in metric_deformations(psi, schedule, pos, neg)]
+        assert roofs == deformation_roof_by_translates(psi, schedule, pos, neg), \
+            (psi.polytope, schedule)
+
+
+def test_deformations_and_shifts_build_their_blocks_on_first_read(monkeypatch):
+    # the differentiability check reads only its deformations' roofs and the
+    # proportionality check only the shifted metric's; read afterwards, the
+    # blocks of each equal an eager build's in every way
+    from navol import harness, volumes
+    made = []
+
+    def kept(build):
+        def wrapper(*args):
+            out = build(*args)
+            made.extend(out if isinstance(out, list) else [out])
+            return out
+        return wrapper
+
+    monkeypatch.setattr(harness, "metric_deformations", kept(metric_deformations))
+    monkeypatch.setattr(volumes, "metric_shift", kept(metric_shift))
+    rng = random.Random(74)
+    for P in (SEG, BOX, simplex(2), LINE):
+        psi = random_convex_metric(P, rng)
+        pos, neg = random_direction(P, rng)
+        schedule = [F(1, 2), F(1, 5), F(1, 8)]   # decreasing, the harness's order
+        made.clear()
+        harness.verify_differentiability(psi, pos, neg, schedule)
+        assert len(made) == 3 and all("_rows" not in vars(m) for m in made), P
+        # the constructor builds its blocks at once
+        wants = [metric_deform_by_branches(psi, eps, pos, neg) for eps in schedule]
+        t = F(-2, 3)
+        volumes.proportionality_check(psi, pos, t, [1, 2])
+        assert len(made) == 4 and "_rows" not in vars(made[-1]), P
+        wants.append(PLMetric(P, [[(s, c + t) for s, c in b] for b in psi.blocks]))
+        points = [tuple(F(rng.randint(-40, 40), rng.randint(1, 5)) for _ in range(P.ambient_dim))
+                  for _ in range(8)]
+        for m, ref in zip(made, wants):
+            assert m == ref and hash(m) == hash(ref), P
+            assert m.integer_rows() == ref.integer_rows(), P
+            assert m.blocks == ref.blocks, P
+            assert [m.evaluate(v) for v in points] == [ref.evaluate(v) for v in points], P
 
 
 def _direction(normal):

@@ -272,6 +272,7 @@ SHARED_SCHEDULE_REFUSALS = {
     "no-eps": ("diff-check", DIFF, "eps_schedule", "", []),
     "decimal-eps": ("diff-check", DIFF, "eps_schedule", "0.5", ["0.5"]),
     "exponent-eps": ("diff-check", DIFF, "eps_schedule", "1/2,1e-1", ["1/2", "1e-1"]),
+    "fraction-level": ("navol", TENT, "schedule", "1/2", ["1/2"]),
 }
 
 
@@ -833,7 +834,7 @@ def test_rejected_metric_in_the_plane_names_a_direction_that_differs(tmp_path, c
 BAD_SCHEDULES = {
     "bad-range": ("navol", TENT, "1-x", "error: bad schedule range '1-x'"),
     "empty-range": ("navol", TENT, "5-3", "error: empty schedule range '5-3'"),
-    "bad-entry": ("navol", TENT, "1/2", "error: bad schedule entry '1/2'"),
+    "bad-entry": ("navol", TENT, "1/2", "error: --schedule[0]: expected an integer"),
     "zero-level": ("h0-check", TENT, "0,2", "error: --schedule[0]: schedule entries are >= 1"),
     "negative-level": ("navol", TENT, "2,-3",
                        "error: --schedule[1]: schedule entries are >= 1"),

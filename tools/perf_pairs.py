@@ -17,7 +17,9 @@ baseline's by more than the baseline's interquartile range, whether it is
 worse than the baseline's by more than the bound, and whether it is
 unresolved: either side's interquartile range is wider than the bound and
 not every run of the second checkout reads better than every run of the
-baseline. One traced run per checkout then gives the per-layer counts per
+baseline. The console shows each checkout's medians, the pairs won on
+ops_per_s, whether the digests are equal, and one line per end-to-end
+metric with its verdict. One traced run per checkout then gives the per-layer counts per
 pass (calls and counted work, no timings or bytes), which repeat exactly
 from run to run; the bytes written are left out, as the summaries they count
 hold the run's timings.
@@ -159,6 +161,11 @@ def main(argv=None) -> int:
                 f"{m}={v:.4g}" for m, v in med.items()))
         print(f"{workload:14s} pairs won by {change}: {entry['pairs_won_by_' + change]}"
               f" of {args.pairs}; digests equal: {entry['digests_equal']}")
+        for metric, v in entry["verdicts"].items():
+            print(f"{workload:14s} {metric}: pairs won {v['pairs_won']} of {args.pairs},"
+                  f" median {v['median_change']:+.2%}, beats_base_iqr {v['beats_base_iqr']},"
+                  f" worse_beyond_bound {v['worse_beyond_bound']},"
+                  f" unresolved {v['unresolved']}")
     return 0
 
 
