@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .harness import VerificationReport, _fit_window
-from .rational import ZERO, frac, frac_str
+from .rational import ZERO, frac, frac_str, point_str
 
 # defaults for the CLI's cohomology and morse-check commands and verify-all
 COHOMOLOGY_SCHEDULE = tuple(range(1, 11))
@@ -182,11 +182,13 @@ class RealDivisor:
              ) -> "RealDivisor":
         packed = []
         for coeff, base in terms:
-            base_t = tuple(int(c) for c in base)
-            if len(base_t) != family.rank:
+            cls = tuple(map(frac, base))
+            if len(cls) != family.rank:
                 raise PreconditionError(
-                    f"basis divisor {base_t} needs {family.rank} coordinates")
-            packed.append((frac(coeff), base_t))
+                    f"basis divisor {point_str(cls)} needs {family.rank} coordinates")
+            if any(c.denominator != 1 for c in cls):
+                raise PreconditionError(f"basis divisor {point_str(cls)} is not integral")
+            packed.append((frac(coeff), tuple(c.numerator for c in cls)))
         return RealDivisor(family, tuple(packed))
 
     @staticmethod

@@ -44,10 +44,11 @@ of its translates to the pieces of the subtracted metric, the one whose
 roof row has the largest constant. Points are homogeneous integer rows
 (x, w) standing for x / w, in lowest terms with w > 0, so equal points have
 equal rows. Rows have 2 entries on the line and 3 in the plane, and the
-cells, walks and integrals read them by unpacking (_values). A block keeps
-its lifted hull's vertices untested and plane-tests only its other rows;
-stored rows are divided by their gcd, which is read row by row, only when it
-is above 1 (_lowest).
+cells, walks and integrals read them by unpacking (_values). The hull
+kernels return planes only, and one rule decides which rows a block keeps
+(_on_hull): those whose lifted point lies on one of its hull planes. Stored
+rows are divided by their gcd, which is read row by row, only when it is
+above 1 (_lowest).
 
 The recession check runs in the PLMetric constructor only, where rational
 data enters; envelope, metric_deformations and metric_shift keep the
@@ -61,7 +62,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 
 from .errors import PreconditionError
@@ -124,9 +125,9 @@ class PLMetric:
     which build their outputs without it, keep the identity by theorem. The input is
     scaled once, to integer rows over one common denominator. Each branch
     keeps one row per slope (the largest constant) and only the rows on its
-    lower hull, so pieces that never reach the branch's max are dropped.
-    Those hulls are the conjugate, whose rows come straight from the hull
-    planes and are stored on the metric. Every metric stores only its kept
+    lower hull (_on_hull), so pieces that never reach the branch's max are
+    dropped. Those hulls are the conjugate, whose rows come straight from the
+    hull planes and are stored on the metric. Every metric stores only its kept
     rows in lowest terms (integer_rows) and builds the Fraction blocks on
     first access. Those rows are one lazily filled attribute (_rows): the
     constructor and envelope fill it at once, and the outputs of
@@ -137,9 +138,6 @@ class PLMetric:
     def __init__(self, polytope: Polytope, blocks: Sequence[Sequence[Piece]]):
         if not blocks or any(not b for b in blocks):
             raise PreconditionError("a metric needs at least one piece per branch")
-        # Each block keeps the rows whose lifted point lies on its lower
-        # hull, which changes no value. The recession identity makes every
-        # block's slope hull contain P, so the hulls are the conjugate on P.
         blocks = [[(*map(frac, s), frac(c)) for s, c in b] for b in blocks]
         n = polytope.ambient_dim
         for bi, b in enumerate(blocks):
@@ -152,9 +150,9 @@ class PLMetric:
         for block in blocks:
             rows = _dedupe_rows([tuple([x.numerator * (scale // x.denominator) for x in r])
                                  for r in block])
-            hull_planes, on_hull = _lower_hull(rows)
-            kept.append([rows[i] for i in on_hull])
-            planes += hull_planes
+            hull = _lower_hull(rows)
+            kept.append([rows[i] for i in _on_hull(hull, rows)])
+            planes += hull
         rows = _lowest(scale, kept)
         mismatch = _recession_mismatch(rows, polytope)
         if mismatch is not None:
@@ -167,10 +165,12 @@ class PLMetric:
 
     def _build(self, polytope: Polytope,
                rows: Union[IntegerBlocks, Callable[[], IntegerBlocks]],
-               conjugate: "RoofFunction") -> None:
-        """Set the metric from its blocks' integer rows in lowest terms and its
-        conjugate, all keeping the recession identity. The rows are given as
-        they are, or as a function that builds them on first read (_rows)."""
+               conjugate: "RoofFunction", semipositive: Optional[bool] = None) -> "PLMetric":
+        """Set the metric from its blocks' integer rows in lowest terms, its
+        conjugate and its semipositivity where a theorem gives it (None:
+        is_semipositive decides on first call), all keeping the recession
+        identity, and return it. The rows are given as they are, or as a
+        function that builds them on first read (_rows)."""
         self.polytope = polytope
         if callable(rows):
             self._make_rows = rows
@@ -178,7 +178,8 @@ class PLMetric:
             self._rows = rows
         self._conjugate = conjugate
         self._envelope: Optional["PLMetric"] = None
-        self._semipositive: Optional[bool] = None
+        self._semipositive = semipositive
+        return self
 
     @functools.cached_property
     def _rows(self) -> IntegerBlocks:
@@ -506,14 +507,11 @@ def _fan(corners: List[Tuple[int, ...]], n: int) -> Iterable[Tuple[int, Tuple[in
 # lifted lower hulls: exact conjugates of convex max-of-affines blocks
 
 
-def _lower_facet_planes(points: Sequence[Tuple[int, int, int]]
-                        ) -> Tuple[List[IntPlane], Set[int]]:
-    """Lower-hull facet planes of integer lifted points (x, y, z): primitive
-    (nx, ny, nz, d) with nz < 0, every point satisfying
-    nx*x + ny*y + nz*z <= d with equality on a full-dimensional contact set;
-    empty when the base points are all collinear. With them, the lower
-    facets' vertices, as indices into the points kept (the lowest z per
-    (x, y), in order of first occurrence).
+def _lower_facet_planes(points: Sequence[Tuple[int, int, int]]) -> List[IntPlane]:
+    """Lower-hull facet planes of integer lifted points (x, y, z), of the
+    lowest z per (x, y): primitive (nx, ny, nz, d) with nz < 0, every point
+    satisfying nx*x + ny*y + nz*z <= d with equality on a full-dimensional
+    contact set; empty when the base points are all collinear.
 
     Incremental convex hull; each facet, keyed by its oriented vertex triple,
     keeps its outward integer plane, so the visibility test is one integer
@@ -524,8 +522,6 @@ def _lower_facet_planes(points: Sequence[Tuple[int, int, int]]
         if (x, y) not in best or z < best[(x, y)]:
             best[(x, y)] = z
     pts = [(x, y, z) for (x, y), z in best.items()]
-    if len(pts) < 3:
-        return [], set()
 
     def plane(i: int, j: int, k: int) -> IntPlane:
         # outward normal (b - a) x (c - a) of the oriented facet (a, b, c);
@@ -541,12 +537,12 @@ def _lower_facet_planes(points: Sequence[Tuple[int, int, int]]
 
     i2 = next((k for k in range(2, len(pts)) if plane(0, 1, k)[:3] != (0, 0, 0)), None)
     if i2 is None:
-        return [], set()
+        return []
     base = plane(0, 1, i2)
     i3 = next((k for k in range(2, len(pts)) if k != i2 and above(base, pts[k]) != 0),
               None)
     if i3 is None:
-        return ([_primitive_plane(base)], set(range(len(pts)))) if base[2] != 0 else ([], set())
+        return [_primitive_plane(base)] if base[2] != 0 else []
 
     order = [0, 1, i2, i3]
     order += [k for k in range(2, len(pts)) if k not in (i2, i3)]
@@ -575,9 +571,7 @@ def _lower_facet_planes(points: Sequence[Tuple[int, int, int]]
             facets[f] = plane(u, v, m)
             edges[u, v] = edges[v, m] = edges[m, u] = f
     # nz >= 0: vertical or upward-facing facet
-    lower = [f for f, pl in facets.items() if pl[2] < 0]
-    return (list(dict.fromkeys(_primitive_plane(facets[f]) for f in lower)),
-            {i for f in lower for i in f})
+    return list(dict.fromkeys(_primitive_plane(pl) for pl in facets.values() if pl[2] < 0))
 
 
 def _primitive_plane(pl: IntPlane) -> IntPlane:
@@ -588,40 +582,40 @@ def _primitive_plane(pl: IntPlane) -> IntPlane:
     return tuple([x // g for x in pl])
 
 
-def _lower_hull(rows: Sequence[Tuple[int, ...]]) -> Tuple[List[IntPlane], List[int]]:
+def _lower_hull(rows: Sequence[Tuple[int, ...]]) -> List[IntPlane]:
     """Lower hull of a convex block's lifted slopes (s, -c), for the block
     given as integer rows (L*s, L*c) with distinct slopes.
 
     Returns its planes (n, nz, d), n.x + nz*z = d on the lifted points
     (x, z) = (L*s, -L*c), whose pieces u -> <-n, u>/nz + d/(nz L)
     (_plane_roof) have as max the block's conjugate on the affine hull of its
-    slopes, and the indices, in row order, of the rows whose lifted point
-    lies on one of them (the others change no value of the block). The
+    slopes; the rows on them are the ones the block keeps (_on_hull). The
     planes are the facet planes when the slopes span the plane, the lines of
     the lower chain along the line (with n along it) when they are
-    collinear, and the constant -c for a single slope. The vertices of the
-    lower facets or of the chain are kept as they are; only the other points,
-    which may lie on a facet or a chain segment without being a vertex, are
-    tested against the planes. Every test is an integer equality or sign."""
+    collinear, and the constant -c for a single slope. Every test is an
+    integer sign."""
     dim = len(rows[0]) - 1
     lifted = [(*r[:-1], -r[-1]) for r in rows]
-    planes, verts = _lower_facet_planes(lifted) if dim == 2 else ([], set())
-    if not planes:
-        e = (1,) if dim == 1 else tuple(a - b for a, b in zip(max(lifted), min(lifted)[:2]))
-        ts = _values((*e, 0), lifted)   # positions along the line
-        index = {(t, p[-1]): i for i, (t, p) in enumerate(zip(ts, lifted))}
-        chain = _monotone_chain(sorted(index))
-        planes = [(*[(z1 - z2) * k for k in e], t2 - t1, z1 * t2 - z2 * t1)
-                  for (t1, z1), (t2, z2) in zip(chain, chain[1:])] \
-            or [(0,) * dim + (1, chain[0][1])]
-        verts = {index[p] for p in chain}
-    if dim == 1:
-        kept = [i for i, (x, z) in enumerate(lifted) if i in verts
-                or any(a * x + b * z == d for a, b, d in planes)]
-    else:
-        kept = [i for i, (x, y, z) in enumerate(lifted) if i in verts
-                or any(a * x + b * y + c * z == d for a, b, c, d in planes)]
-    return planes, kept
+    planes = _lower_facet_planes(lifted) if dim == 2 else []
+    if planes:
+        return planes
+    e = (1,) if dim == 1 else tuple(a - b for a, b in zip(max(lifted), min(lifted)[:2]))
+    ts = _values((*e, 0), lifted)   # positions along the line
+    chain = _monotone_chain(sorted(zip(ts, [p[-1] for p in lifted])))
+    return [(*[(z1 - z2) * k for k in e], t2 - t1, z1 * t2 - z2 * t1)
+            for (t1, z1), (t2, z2) in zip(chain, chain[1:])] or [(0,) * dim + (1, chain[0][1])]
+
+
+def _on_hull(planes: Sequence[IntPlane], rows: Sequence[Tuple[int, ...]]) -> List[int]:
+    """The indices, in row order, of the integer rows (s, c) whose lifted
+    point (s, -c) lies on one of a block's hull planes (_lower_hull,
+    _reoffset): the rows the block keeps. The others lie strictly above its
+    lower hull, so they never reach the block's max and change no value.
+    This is the only kept-row rule; every test is an integer equality."""
+    if len(rows[0]) == 2:
+        return [i for i, (s, c) in enumerate(rows) if any(a * s - b * c == d for a, b, d in planes)]
+    return [i for i, (x, y, c) in enumerate(rows)
+            if any(a * x + b * y - nz * c == d for a, b, nz, d in planes)]
 
 
 def _plane_roof(P: Polytope, planes: Sequence[IntPlane], scale: int) -> RoofFunction:
@@ -696,11 +690,8 @@ def envelope(metric: PLMetric) -> PLMetric:
                for r, i in zip(points, owner.values())]
     conjugate = RoofFunction(P, scale, [rows[i] for i, _ in cells])
     conjugate._integer_cells = [(k, region) for k, (_, region) in enumerate(cells)]
-    env = PLMetric.__new__(PLMetric)
-    env._build(P, _lowest(scale * w, [corners]), conjugate)
-    metric._envelope = env
-    env._envelope = env
-    env._semipositive = True
+    env = PLMetric.__new__(PLMetric)._build(P, _lowest(scale * w, [corners]), conjugate, True)
+    metric._envelope = env._envelope = env
     return env
 
 
@@ -846,10 +837,9 @@ def metric_shift(metric: PLMetric, t) -> PLMetric:
     moved = RoofFunction(metric.polytope, q * e,
                          [(*[q * x for x in r[:-1]], q * r[-1] - p * e) for r in roof])
     moved._integer_cells = metric._conjugate.integer_cells()
-    out = PLMetric.__new__(PLMetric)
-    out._build(metric.polytope, functools.partial(_shifted_rows, metric, p, q), moved)
-    out._semipositive = metric._semipositive
-    return out
+    return PLMetric.__new__(PLMetric)._build(
+        metric.polytope, functools.partial(_shifted_rows, metric, p, q), moved,
+        metric._semipositive)
 
 
 def _shifted_rows(metric: PLMetric, p: int, q: int) -> IntegerBlocks:
@@ -859,23 +849,15 @@ def _shifted_rows(metric: PLMetric, p: int, q: int) -> IntegerBlocks:
                            for b in blocks])
 
 
-def _reoffset(planes: Sequence[IntPlane], rows: Sequence[Tuple[int, ...]]
-              ) -> Tuple[List[IntPlane], List[int]]:
+def _reoffset(planes: Sequence[IntPlane], rows: Sequence[Tuple[int, ...]]) -> List[IntPlane]:
     """_lower_hull(rows) read from the planes of the same branch pair's hull
     at another positive eps (see metric_deformations): each plane keeps its
     normal and takes as offset the supporting value over rows' lifted points,
     the max for a facet plane (nz < 0, every point on or below it) and the
     min for a line of a chain or the constant (nz > 0, every point on or
-    above it). The rows kept are those whose lifted point lies on a plane, in
-    row order, as in _lower_hull."""
+    above it)."""
     lifted = [(*r[:-1], -r[-1]) for r in rows]
-    moved, on = [], set()
-    for pl in planes:
-        vals = _values(pl[:-1], lifted)
-        d = max(vals) if pl[-2] < 0 else min(vals)
-        moved.append(pl[:-1] + (d,))
-        on.update([i for i, v in enumerate(vals) if v == d])
-    return moved, sorted(on)
+    return [pl[:-1] + ((max if pl[-2] < 0 else min)(_values(pl[:-1], lifted)),) for pl in planes]
 
 
 def metric_deform(psi: PLMetric, eps, pos: PLMetric, neg: PLMetric) -> PLMetric:
@@ -912,12 +894,11 @@ def metric_deformations(psi: PLMetric, eps_values: Iterable, pos: PLMetric,
     smallest for a chain line, which depends on the normal only and is
     found once per normal for the whole schedule; the planes keep the order
     of their first translates, so the roof rows are the ones, in the order,
-    that every translate would give. The kept rows, every block's rows
-    moved to every piece of neg and stored over L divided by their common
-    gcd, are built on first read (_translated_rows). The recession identity
-    needs no check: recession is additive on PL functions, so
-    rec = h_P + eps*h_P - eps*h_P, all three inputs being PLMetrics that
-    passed the constructor.
+    that every translate would give. Each output keeps every branch pair's
+    (rows, hull planes) and builds its kept rows on first read
+    (_translated_rows), so a schedule that reads only the conjugate tests no
+    row against a plane. The recession identity needs no check: recession is
+    additive on PL functions, so rec = h_P + eps*h_P - eps*h_P.
 
     Each branch pair is hulled once for all positive eps, at the first of
     them (_lower_hull), and once more at eps = 0, where B is psi's branch
@@ -932,12 +913,12 @@ def metric_deformations(psi: PLMetric, eps_values: Iterable, pos: PLMetric,
     whose dimension does not depend on eps > 0, so its lower facets (the
     segments of its lower chain, for collinear slopes) have the same normals
     at every eps > 0, and only their offsets move (the Cayley trick;
-    Huber-Sturmfels 1995). Deduplication changes nothing:
-    where two slopes collide at some eps, the two rows either tie, or the
-    one with the smaller constant lifts strictly higher and lies on no lower
-    facet. A later positive eps therefore keeps the first hull's normals and
-    takes each offset as the supporting value over its own lifted points,
-    and keeps the rows on a plane, in row order (_reoffset).
+    Huber-Sturmfels 1995). Deduplication changes nothing: where two slopes
+    collide at some eps, the two rows either tie, or the one with the
+    smaller constant lifts strictly higher and lies on no lower facet. A
+    later positive eps therefore keeps the first hull's normals and takes
+    each offset as the supporting value over its own lifted points
+    (_reoffset).
 
     A later output equals a fresh hull's in its blocks, its roof function
     and every value; only the order of its roof rows is the first hull's
@@ -961,34 +942,33 @@ def metric_deformations(psi: PLMetric, eps_values: Iterable, pos: PLMetric,
         p, q = eps.numerator, eps.denominator
         scale = math.lcm(d1, q * d2, q * d3)
         f1, f2, f3 = scale // d1, p * (scale // (q * d2)), p * (scale // (q * d3))
-        kept, planes, hulls = [], [], []
+        hulls, planes = [], []
         for k, (b1, b2) in enumerate(pairs):
             rows = _dedupe_rows([tuple([f1 * x + f2 * y for x, y in zip(r1, r2)])
                                  for r1 in b1 for r2 in b2])
-            hull_planes, on_hull = (_reoffset(first[k], rows) if p and first
-                                    else _lower_hull(rows))
-            hulls.append(hull_planes)
-            kept.append((rows, on_hull))
-            for pl in hull_planes:
+            hull = _reoffset(first[k], rows) if p and first else _lower_hull(rows)
+            hulls.append((rows, hull))
+            for pl in hull:
                 n = pl[:-1]
                 if n not in far:
                     vals = _values((*n[:-1], -n[-1]), rows3)
                     far[n] = max(vals) if n[-1] < 0 else min(vals)
                 planes.append(n + (pl[-1] - f3 * far[n],))
         if p and not first:
-            first = hulls
-        deformed = PLMetric.__new__(PLMetric)
-        deformed._build(P, functools.partial(_translated_rows, scale, kept, rows3, f3),
-                        _plane_roof(P, planes, scale))
-        out.append(deformed)
+            first = [hull for _, hull in hulls]
+        out.append(PLMetric.__new__(PLMetric)._build(
+            P, functools.partial(_translated_rows, scale, hulls, rows3, f3),
+            _plane_roof(P, planes, scale)))
     return out
 
 
-def _translated_rows(scale: int, kept: Sequence[Tuple[Sequence[Tuple[int, ...]], List[int]]],
+def _translated_rows(scale: int, hulls: Sequence[Tuple[Sequence[Tuple[int, ...]], List[IntPlane]]],
                      rows3: Sequence[Tuple[int, ...]], f3: int) -> IntegerBlocks:
     """metric_deformations' kept rows over scale, in lowest terms: for each
-    branch pair's (rows, indices on its hull), one block per row of neg, the
-    rows on the hull moved by -(T, T_c) = -f3 times neg's row."""
+    branch pair's (rows, hull planes), its rows on the hull (_on_hull, once
+    per pair) and one block per row of neg, those rows moved by
+    -(T, T_c) = -f3 times neg's row."""
     shifts = [([f3 * x for x in row[:-1]], f3 * row[-1]) for row in rows3]
-    return _lowest(scale, [[tuple(map(operator.sub, rows[i], t)) + (rows[i][-1] - tc,)
-                            for i in on_hull] for rows, on_hull in kept for t, tc in shifts])
+    kept = [[rows[i] for i in _on_hull(hull, rows)] for rows, hull in hulls]
+    return _lowest(scale, [[tuple(map(operator.sub, r, t)) + (r[-1] - tc,) for r in b]
+                           for b in kept for t, tc in shifts])

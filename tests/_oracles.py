@@ -64,7 +64,7 @@ def lower_hull_facets_2d(points):
     from navol.plmetric import _lower_facet_planes
     scale, rows = common_scale([s[0], s[1], z] for s, z in points)
     return [((Fraction(-nx, nz), Fraction(-ny, nz)), Fraction(d, nz * scale))
-            for nx, ny, nz, d in _lower_facet_planes(rows)[0]]
+            for nx, ny, nz, d in _lower_facet_planes(rows)]
 
 
 def plane_through(p1, p2, p3):
@@ -705,7 +705,7 @@ def deformation_roof_by_translates(psi, eps_values, pos, neg):
             rows = plmetric._dedupe_rows([tuple(f1 * x + f2 * y for x, y in zip(r1, r2))
                                           for r1 in b1 for r2 in b2])
             hull = (plmetric._reoffset(first[k], rows) if p and first
-                    else plmetric._lower_hull(rows))[0]
+                    else plmetric._lower_hull(rows))
             hulls.append(hull)
             for row in rows3:
                 t, tc = [f3 * x for x in row[:-1]], f3 * row[-1]

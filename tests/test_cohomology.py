@@ -430,3 +430,41 @@ def test_unknown_family_rejected():
     for name in ("F\u00b2", "F" + "1" * 5000):
         with pytest.raises(PreconditionError, match="unsupported family"):
             toric_family(name)
+
+
+def test_make_refuses_a_basis_class_that_is_not_integral():
+    # each entry of a basis class is read as the coefficient is (frac): a
+    # Fraction or a string that is an integer is kept, any other is refused
+    # with the class named, and a float is refused outright
+    for cls in ((F(1, 2), F(3, 2)), (0, F(5, 3)), ("1/2", 1)):
+        with pytest.raises(PreconditionError, match=r"basis divisor \(.*\) is not integral"):
+            RealDivisor.make(F1, [(1, cls)])
+    with pytest.raises(TypeError, match="cannot interpret 0.9"):
+        RealDivisor.make(F1, [(1, (0.9, 2.7))])
+    kept = RealDivisor.make(F1, [(F(1, 2), (F(4, 2), "3")), (2, (F(-1), 0))])
+    assert kept.terms == ((F(1, 2), (2, 3)), (F(2), (-1, 0)))
+    assert kept.total() == (F(-1), F(3, 2))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: P2.intersection((1, 0), (1,)), r"divisor class needs 1 coordinates, got 2"),
+    (lambda: F1.is_nef((1,)), r"divisor class needs 2 coordinates, got 1"),
+    (lambda: RealDivisor.make(F1, [(1, (1, 0, 2))]), r"basis divisor \(1, 0, 2\) needs 2"),
+    (lambda: P1.intersection((1,), (2,)), "P1 is a curve: it has no intersection form"),
+    (lambda: _div(F1, (1, 0)).minus(_div(F2, (1, 0))), "divisors live on different families"),
+    (lambda: asymptotic_hq(P2, _div(P2, (1,)), 0, []),
+     "schedule must be strictly increasing and nonempty"),
+    (lambda: asymptotic_hq(P2, _div(P2, (1,)), 0, [1, 3, 2]),
+     "schedule must be strictly increasing and nonempty"),
+    (lambda: asymptotic_hq(P2, _div(P2, (1,)), 0, [1, 1]),
+     "schedule must be strictly increasing and nonempty"),
+    (lambda: perturbation_scan(F1, [], [_div(F1, (1, 1))], 0, 4),
+     "perturbation scan needs nonempty divisor lists"),
+    (lambda: perturbation_scan(F1, [_div(F1, (1, 1))], [], 0, 4),
+     "perturbation scan needs nonempty divisor lists"),
+], ids=["intersection-wrong-length", "nef-wrong-length", "basis-wrong-length", "p1-intersection",
+        "minus-across-families", "asymptotic-empty", "asymptotic-not-increasing",
+        "asymptotic-repeated", "scan-empty-d", "scan-empty-p"])
+def test_cohomology_refusals(call, match):
+    with pytest.raises(PreconditionError, match=match):
+        call()

@@ -206,3 +206,15 @@ def test_bundled_suite_is_seed_stable():
     second = [(r.theorem, r.instance, r.passed, r.exact)
               for r in run_bundled_suite(seed=3)]
     assert first == second
+
+
+@pytest.mark.parametrize("metrics", [
+    (canonical_metric(BOX), canonical_metric(SEG), canonical_metric(SEG)),
+    (canonical_metric(SEG), canonical_metric(BOX), canonical_metric(SEG)),
+    (canonical_metric(SEG), canonical_metric(SEG), canonical_metric(BOX)),
+], ids=["psi", "pos", "neg"])
+def test_harness_refusals(metrics):
+    # refused before any eps is read or any metric deformed
+    with pytest.raises(PreconditionError,
+                       match="differentiability needs all three metrics on one polytope"):
+        verify_differentiability(*metrics, EPS)

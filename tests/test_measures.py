@@ -262,3 +262,15 @@ def test_energy_requires_shared_polytope():
     other = canonical_metric(segment(0, 2))
     with pytest.raises(PreconditionError):
         energy(can, other)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda bump, can: mixed_monge_ampere([bump]), "mixed measure needs semipositive metrics"),
+    (lambda bump, can: energy(bump, can), "energy needs semipositive metrics"),
+    (lambda bump, can: energy(can, bump), "energy needs semipositive metrics"),
+], ids=["mixed-measure", "energy-first", "energy-second"])
+def test_measures_refusals(call, match):
+    bump, can = bump_metric(SEG), canonical_metric(SEG)
+    assert not is_semipositive(bump)
+    with pytest.raises(PreconditionError, match=match):
+        call(bump, can)

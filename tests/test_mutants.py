@@ -46,9 +46,9 @@ def _first_corner_moved(delta):
             env = envelope(metric)
             scale, (rows,) = env.integer_rows()
             first = (*rows[0][:-1], rows[0][-1] + delta * scale)
-            moved = PLMetric.__new__(PLMetric)
-            moved._build(env.polytope, (scale, ((first, *rows[1:]),)), env._conjugate)
-            moved._envelope, moved._semipositive = moved, True
+            moved = PLMetric.__new__(PLMetric)._build(
+                env.polytope, (scale, ((first, *rows[1:]),)), env._conjugate, True)
+            moved._envelope = moved
             return moved
         return mutant
     return mutate

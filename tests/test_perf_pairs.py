@@ -125,3 +125,24 @@ def test_pairs_option_sets_the_runs_and_the_payload(perf_pairs, monkeypatch, tmp
     with pytest.raises(SystemExit):
         perf_pairs.main(["--out", str(out), "--root", f"parent={a}", "--root", f"change={b}",
                          "--pairs", "1"])
+
+
+def test_payload_and_console_carry_each_checkouts_src_lines(perf_pairs, monkeypatch, tmp_path,
+                                                            capsys):
+    monkeypatch.setattr(perf_pairs, "bench", lambda root, workload, seed, trace:
+                        _result(100, 2.0, 30.0))
+    roots = {}
+    for name, sizes in (("parent", (3, 5)), ("change", (3, 2))):
+        package = tmp_path / name / "src" / "navol"
+        package.mkdir(parents=True)
+        for k, size in enumerate(sizes):
+            (package / f"m{k}.py").write_text("x = 1\n" * size)
+        (package / "notes.txt").write_text("not counted\n")
+        roots[name] = str(tmp_path / name)
+    assert perf_pairs.src_lines(roots["parent"]) == 8
+    out = tmp_path / "bench.json"
+    assert perf_pairs.main(["--out", str(out), "--root", f"parent={roots['parent']}",
+                            "--root", f"change={roots['change']}",
+                            "--workload", "lattice-sweep", "--pairs", "2"]) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 8, "change": 5}
+    assert "src lines: parent 8 -> change 5" in capsys.readouterr().out.splitlines()

@@ -1057,11 +1057,12 @@ def test_minkowski_hull_normals_do_not_depend_on_eps():
                 rows = plmetric._dedupe_rows([tuple([fa * x + fb * y for x, y in zip(r1, r2)])
                                               for r1 in ra for r2 in rb])
                 collided += len(rows) < len(ra) * len(rb)
-                planes, kept = plmetric._lower_hull(rows)
+                planes = plmetric._lower_hull(rows)
                 fans.add(frozenset(_direction(pl[:-1]) for pl in planes))
                 first = first or planes
-                moved, moved_kept = plmetric._reoffset(first, rows)
-                assert moved_kept == kept, (P, trial, eps)
+                moved = plmetric._reoffset(first, rows)
+                assert plmetric._on_hull(moved, rows) == plmetric._on_hull(planes, rows), \
+                    (P, trial, eps)
                 assert {_direction(pl) for pl in moved} == {_direction(pl) for pl in planes}
             assert len(fans) == 1, (P, trial)
     assert collided > 20
@@ -1128,8 +1129,9 @@ def test_envelope_reads_its_conjugate_off_the_roof_cells(monkeypatch):
 
 def test_metric_deform_hulls_each_branch_pair_once(monkeypatch):
     # the recession of psi + eps*(pos - neg) is h_P + eps*h_P - eps*h_P, so
-    # the output is not re-checked
-    calls = {"hull": 0, "recession": 0}
+    # the output is not re-checked; its kept rows are tested against the
+    # hull (_on_hull) only when its blocks are first read, once per pair
+    calls = {"hull": 0, "recession": 0, "kept": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -1146,17 +1148,22 @@ def test_metric_deform_hulls_each_branch_pair_once(monkeypatch):
             patch.setattr(plmetric, "_lower_hull", counted("hull", plmetric._lower_hull))
             patch.setattr(plmetric, "_recession_mismatch",
                           counted("recession", plmetric._recession_mismatch))
-            calls.update(hull=0, recession=0)
+            patch.setattr(plmetric, "_on_hull", counted("kept", plmetric._on_hull))
+            calls.update(hull=0, recession=0, kept=0)
             moved = metric_deform(psi, F(1, 3), pos, neg)
+            assert calls == {"hull": 4, "recession": 0, "kept": 0}
             assert len(moved.blocks) == 4 * len(neg.blocks[0])
-            assert calls == {"hull": 4, "recession": 0}
+            assert calls == {"hull": 4, "recession": 0, "kept": 4}
             # a schedule of positive eps hulls each pair once, at its first
             # eps, and eps = 0 once more
             schedule = [F(1, 3), F(1, 32), F(7, 5), F(1), F(1, 2)]
             for eps_values, hulls in ((schedule, 4), (schedule[:2] + [F(0)] + schedule[2:], 8)):
-                calls.update(hull=0, recession=0)
-                assert len(metric_deformations(psi, eps_values, pos, neg)) == len(eps_values)
-                assert calls == {"hull": hulls, "recession": 0}
+                calls.update(hull=0, recession=0, kept=0)
+                made = metric_deformations(psi, eps_values, pos, neg)
+                assert len(made) == len(eps_values)
+                assert calls == {"hull": hulls, "recession": 0, "kept": 0}
+                assert len(made[-1].blocks) == 4 * len(neg.blocks[0])
+                assert calls == {"hull": hulls, "recession": 0, "kept": 4}
 
 
 def test_public_constructors_check_the_recession_once(monkeypatch):
@@ -1281,3 +1288,32 @@ def test_envelopes_of_deformations_build_no_fraction_blocks():
         for m in (psi, moved, env, base):
             assert "blocks" not in vars(m), P
             assert "pieces" not in vars(legendre(m)), P
+
+
+# Refusals that no other test reaches. The harness refuses a bad eps, polytope
+# or neg before it deforms anything, so those reach metric_deformations and
+# metric_deform only when called directly.
+BUMP_SEG, CAN_SEG, CAN_BOX = bump_metric(SEG), canonical_metric(SEG), canonical_metric(BOX)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: metric_deformations(CAN_SEG, [F(1, 2), F(-1, 3)], CAN_SEG, CAN_SEG),
+     "deformation parameter must be nonnegative"),
+    (lambda: metric_deform(CAN_SEG, F(-1), CAN_SEG, CAN_SEG),
+     "deformation parameter must be nonnegative"),
+    (lambda: metric_deformations(CAN_SEG, [F(1, 2)], CAN_BOX, CAN_SEG),
+     "direction metrics must live on the same polytope"),
+    (lambda: metric_deform(CAN_SEG, F(1, 2), CAN_SEG, CAN_BOX),
+     "direction metrics must live on the same polytope"),
+    (lambda: metric_deformations(CAN_SEG, [F(1, 2)], CAN_SEG, BUMP_SEG),
+     "subtracted part of a direction must be semipositive"),
+    (lambda: metric_deform(CAN_SEG, F(1, 2), CAN_SEG, BUMP_SEG),
+     "subtracted part of a direction must be semipositive"),
+    (lambda: distance(CAN_SEG, CAN_BOX), "distance needs metrics on the same polytope"),
+    (lambda: distance(CAN_BOX, CAN_SEG), "distance needs metrics on the same polytope"),
+], ids=["schedule-negative-eps", "deform-negative-eps", "schedule-other-polytope",
+        "deform-other-polytope", "schedule-neg-not-semipositive",
+        "deform-neg-not-semipositive", "distance-two-polytopes", "distance-reversed"])
+def test_plmetric_refusals(call, match):
+    with pytest.raises(PreconditionError, match=match):
+        call()

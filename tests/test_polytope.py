@@ -248,3 +248,14 @@ def test_lower_dimensional_bodies():
     assert pt.affine_dim == 0
     assert polytope_contains(pt, (F(3, 2),))
     assert not polytope_contains(pt, (1,))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Polytope.from_points([(0,), (1, 2)]), "points of mixed dimension"),
+    (lambda: Polytope.from_points([(0, 0), (1, 2), (F(1, 2),)]), "points of mixed dimension"),
+    (lambda: unit_box(2).row_bands(-1), "dilation factor must be nonnegative"),
+    (lambda: simplex(2).lattice_rows(-3), "dilation factor must be nonnegative"),
+], ids=["mixed-line-plane", "mixed-plane-line", "row-bands-negative", "lattice-rows-negative"])
+def test_polytope_refusals(call, match):
+    with pytest.raises(PreconditionError, match=match):
+        call()

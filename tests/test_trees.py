@@ -183,3 +183,14 @@ def test_from_pairs_needs_a_positive_denominator():
     for p, q in ((1, -2), (-1, -2), (1, 0), (0, 0)):
         with pytest.raises(PreconditionError):
             MetricTree.from_pairs(["a", "b"], [("a", "b", p, q)])
+
+
+@pytest.mark.parametrize("values", [
+    {"r": F(0), "a": F(1), "b": F(2)},
+    {"r": F(0), "a": F(1), "b": F(2), "c": F(3), "d": F(4)},
+    {"r": F(0), "a": F(1), "b": F(2), "d": F(3)},
+], ids=["misses-a-vertex", "one-vertex-too-many", "one-vertex-swapped"])
+def test_trees_refusals(values):
+    with pytest.raises(PreconditionError,
+                       match="function values must cover exactly the tree vertices"):
+        tree_laplacian(_star(), TreeFunction(values))

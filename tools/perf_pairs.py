@@ -22,7 +22,8 @@ ops_per_s, whether the digests are equal, and one line per end-to-end
 metric with its verdict. One traced run per checkout then gives the per-layer counts per
 pass (calls and counted work, no timings or bytes), which repeat exactly
 from run to run; the bytes written are left out, as the summaries they count
-hold the run's timings.
+hold the run's timings. The file also records each checkout's line count
+of `src/navol/*.py` (`src_lines`), and the console prints the two.
 
 Runs are sequential, one process at a time, in the checkouts' own
 directories; read the timings beside the machine and Python version the
@@ -31,6 +32,7 @@ file records.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -55,6 +57,15 @@ def bench(root: str, workload: str, seed: int, trace: int) -> dict:
     result = json.loads(out[-1])
     result["digest"] = next(line.split()[-1] for line in out if line.startswith("digest"))
     return result
+
+
+def src_lines(root: str) -> int:
+    """The number of lines in the checkout's `src/navol/*.py`."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "navol", "*.py")):
+        with open(path, encoding="utf-8") as handle:
+            total += sum(1 for _ in handle)
+    return total
 
 
 def end_to_end_specs() -> dict:
@@ -149,11 +160,14 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "src_lines": {name: src_lines(path) for name, path in roots.items()},
         "workloads": workloads,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
+    lines = payload["src_lines"]
+    print(f"src lines: {base} {lines[base]} -> {change} {lines[change]}")
     for workload, entry in workloads.items():
         for name in roots:
             med = entry[name]["median"]
