@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import PreconditionError
 from .measures import DiscreteMeasure, envelope_energy, monge_ampere
 from .plmetric import (PLMetric, canonical_metric, envelope, envelope_gap,
-                       is_semipositive, metric_deformations, metric_shift)
+                       is_semipositive, metric_deformations)
 from .polytope import Polytope, segment, unit_box
 from .rational import ZERO, frac, frac_str
 from .trees import MetricTree, laplacian_rows, net_mass_rows, potential_rows
@@ -300,55 +300,36 @@ def tent_direction(P: Polytope) -> Tuple[PLMetric, PLMetric]:
 
 
 def run_bundled_suite(seed: int = 0) -> List[VerificationReport]:
-    """The instance suite behind `verify-all`: bundled named instances plus a
-    deterministic seeded batch per theorem."""
+    """The seeded suite behind `verify-all`: one `random.Random(seed)` stream
+    drawn in table order. Each entry is (check, instance name, count,
+    draw(rng) -> the check's arguments); a count above one numbers the
+    instances. Named instances live in the bundled instance files, except
+    `tent-direction`: no file kind holds a direction."""
     rng = random.Random(seed)
-    seg = segment(0, 1)
-    box = unit_box(2)
-    reports: List[VerificationReport] = []
-
-    tent = tent_metric(seg)
-    can1 = canonical_metric(seg)
+    seg, box = segment(0, 1), unit_box(2)
     levels1, levels2 = default_schedule(1), default_schedule(2)
-    reports.append(verify_vol_is_energy(tent, can1, levels1, instance="tent"))
-    can2 = canonical_metric(box)
-    reports.append(verify_vol_is_energy(metric_shift(can2, 1), can2, levels2,
-                                        instance="square-shift"))
-    for i in range(3):
-        pair = (random_convex_metric(seg, rng), random_convex_metric(seg, rng))
-        reports.append(verify_vol_is_energy(*pair, levels1, instance=f"seg-convex-{i}"))
-    for i in range(2):
-        pair = (random_convex_metric(box, rng), random_convex_metric(box, rng))
-        reports.append(verify_vol_is_energy(*pair, levels2, instance=f"box-convex-{i}"))
 
-    pos, neg = tent_direction(seg)
-    reports.append(verify_differentiability(can1, pos, neg, DIFF_EPS,
-                                            instance="tent-direction"))
-
-    reports.append(verify_orthogonality(bump_metric(seg),
-                                        instance="bump"))
-    for i in range(3):
-        psi = random_nonconvex_metric(seg, rng)
-        reports.append(verify_orthogonality(psi, instance=f"seg-nonconvex-{i}"))
-    for i in range(2):
-        psi = random_nonconvex_metric(box, rng)
-        reports.append(verify_orthogonality(psi, instance=f"box-nonconvex-{i}"))
-
-    reports.append(verify_h0_envelope_equality(
-        bump_metric(seg), schedule=H0_SCHEDULE,
-        instance="bump"))
-    for i in range(2):
-        psi = random_nonconvex_metric(seg, rng)
-        reports.append(verify_h0_envelope_equality(
-            psi, schedule=H0_SCHEDULE, instance=f"seg-nonconvex-{i}"))
-
-    triple = [random_convex_metric(seg, rng) for _ in range(2)]
-    triple.append(random_nonconvex_metric(seg, rng))
-    reports.append(verify_length_cocycle(*triple, levels1, instance="seeded-triple"))
-
-    for i in range(3):
+    def tree_and_measures(rng: random.Random):
         tree = random_tree(rng, max_vertices=12)
-        target, base = random_tree_measures(tree, rng)
-        reports.append(verify_tree_solvability(tree, target, base,
-                                               instance=f"tree-{i}"))
-    return reports
+        return (tree, *random_tree_measures(tree, rng))
+
+    table = (
+        (verify_vol_is_energy, "seg-convex", 3, lambda rng: (
+            random_convex_metric(seg, rng), random_convex_metric(seg, rng), levels1)),
+        (verify_vol_is_energy, "box-convex", 2, lambda rng: (
+            random_convex_metric(box, rng), random_convex_metric(box, rng), levels2)),
+        (verify_differentiability, "tent-direction", 1, lambda rng: (
+            canonical_metric(seg), *tent_direction(seg), DIFF_EPS)),
+        (verify_orthogonality, "seg-nonconvex", 3, lambda rng: (
+            random_nonconvex_metric(seg, rng),)),
+        (verify_orthogonality, "box-nonconvex", 2, lambda rng: (
+            random_nonconvex_metric(box, rng),)),
+        (verify_h0_envelope_equality, "seg-nonconvex", 2, lambda rng: (
+            random_nonconvex_metric(seg, rng), H0_SCHEDULE)),
+        (verify_length_cocycle, "seeded-triple", 1, lambda rng: (
+            random_convex_metric(seg, rng), random_convex_metric(seg, rng),
+            random_nonconvex_metric(seg, rng), levels1)),
+        (verify_tree_solvability, "tree", 3, tree_and_measures),
+    )
+    return [check(*draw(rng), instance=name if count == 1 else f"{name}-{i}")
+            for check, name, count, draw in table for i in range(count)]

@@ -1,10 +1,12 @@
 """End-to-end verification drivers and the bundled instance suite."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import navol.cli as cli
 import navol.harness as harness
 from navol.errors import PreconditionError
 from navol.harness import (bump_metric, random_convex_metric,
@@ -189,12 +191,16 @@ def test_generators_are_deterministic_per_seed():
     assert t1.vertices == t2.vertices and tree_edges(t1) == tree_edges(t2)
 
 
-def test_bundled_suite_all_pass():
-    reports = run_bundled_suite(seed=0)
+def test_bundled_suite_all_pass(tmp_path, capsys):
+    # verify-all's reports: the bundled instance files' checks plus the suite
+    assert cli.main(["verify-all", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "verify_all.json", encoding="utf-8") as handle:
+        reports = json.load(handle)["reports"]
     assert len(reports) >= 20
-    failures = [r for r in reports if not r.passed]
-    assert not failures, [r.line() for r in failures]
-    theorems = {r.theorem for r in reports}
+    failures = [(r["theorem"], r["instance"]) for r in reports if not r["passed"]]
+    assert not failures, failures
+    theorems = {r["theorem"] for r in reports}
     assert {"vol-is-energy", "volume-differentiability",
             "envelope-orthogonality", "h0-envelope-equality",
             "length-cocycle", "tree-monge-ampere-solvability"} <= theorems

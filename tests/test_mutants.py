@@ -1,10 +1,11 @@
 """Falsifiability gate: each in-process mutant of a `navol.harness` name,
 patched also where `navol.volumes` binds the same function, must make the
-named theorems of `run_bundled_suite(0)` report FAIL, and make
-`navol verify-all --seed 0` exit 1. A check that no mutant can fail verifies
-nothing."""
+named theorems of `navol verify-all --seed 0` report FAIL, and make it exit 1.
+Its reports are the bundled instance files' checks plus
+`run_bundled_suite(0)`. A check that no mutant can fail verifies nothing."""
 
 import collections
+import json
 from fractions import Fraction
 
 import pytest
@@ -58,29 +59,34 @@ def _first_corner_moved(delta):
 # the energy mutant adds 1/1000, the length one 1, the masses-doubled one
 # doubles every Monge-Ampere mass, the extra atom has mass 1 at
 # (1/3, ..., 1/3), and the corner mutants lower or raise the envelope's
-# first corner by 1
+# first corner by 1. Each count is every such row of verify-all's reports.
 MUTANTS = {
     "energy-plus-1/1000": ("envelope_energy", _energy_off, {
-        "volume-differentiability": 1, "h0-envelope-equality": 3, "vol-is-energy": 1}),
+        "volume-differentiability": 1, "h0-envelope-equality": 4, "vol-is-energy": 1}),
     "length-plus-1": ("lattice_length", _length_off, {
-        "h0-envelope-equality": 3, "length-cocycle": 1}),
+        "h0-envelope-equality": 4, "length-cocycle": 1}),
     "masses-doubled": ("monge_ampere", _masses_doubled, {
         "volume-differentiability": 1}),
     "extra-atom": ("monge_ampere", _extra_atom, {
-        "envelope-orthogonality": 3, "volume-differentiability": 1}),
+        "envelope-orthogonality": 4, "volume-differentiability": 1}),
     "corner-lowered": ("envelope", _first_corner_moved(-1), {
-        "h0-envelope-equality": 3}),
+        "h0-envelope-equality": 4}),
     "corner-raised": ("envelope", _first_corner_moved(1), {
-        "h0-envelope-equality": 3, "envelope-orthogonality": 6}),
+        "h0-envelope-equality": 4, "envelope-orthogonality": 7}),
 }
 
 
-def _failures(reports):
-    return collections.Counter(r.theorem for r in reports if not r.passed)
+def _verify_all(out_dir):
+    """The exit code of `navol verify-all --seed 0` and its FAIL rows per theorem."""
+    rc = cli.main(["verify-all", "--seed", "0", "--out-dir", str(out_dir)])
+    with open(out_dir / "verify_all.json", encoding="utf-8") as handle:
+        reports = json.load(handle)["reports"]
+    return rc, collections.Counter(r["theorem"] for r in reports if not r["passed"])
 
 
-def test_the_unmutated_suite_passes():
-    assert _failures(harness.run_bundled_suite(0)) == {}
+def test_the_unmutated_suite_passes(tmp_path, capsys):
+    assert _verify_all(tmp_path) == (0, {})
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("label", sorted(MUTANTS))
@@ -91,8 +97,8 @@ def test_mutant_is_caught(label, monkeypatch, tmp_path, capsys):
     for module in (harness, volumes):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, mutant)
-    failed = _failures(harness.run_bundled_suite(0))
+    rc, failed = _verify_all(tmp_path)
+    capsys.readouterr()
     for theorem, rows in must_fail.items():
         assert failed[theorem] >= rows, (label, theorem, dict(failed))
-    assert cli.main(["verify-all", "--seed", "0", "--out-dir", str(tmp_path)]) == 1
-    capsys.readouterr()
+    assert rc == 1

@@ -146,3 +146,21 @@ def test_payload_and_console_carry_each_checkouts_src_lines(perf_pairs, monkeypa
                             "--workload", "lattice-sweep", "--pairs", "2"]) == 0
     assert json.loads(out.read_text())["src_lines"] == {"parent": 8, "change": 5}
     assert "src lines: parent 8 -> change 5" in capsys.readouterr().out.splitlines()
+
+
+def test_a_checkout_with_a_bytecode_cache_is_refused_before_any_run(perf_pairs, monkeypatch,
+                                                                    tmp_path, capsys):
+    def bench(root, workload, seed, trace):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(perf_pairs, "bench", bench)
+    cache = tmp_path / "change" / "src" / "navol" / "__pycache__"
+    cache.mkdir(parents=True)
+    (tmp_path / "parent").mkdir()
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_info:
+        perf_pairs.main(["--out", str(out), "--root", f"parent={tmp_path / 'parent'}",
+                         "--root", f"change={tmp_path / 'change'}"])
+    assert exit_info.value.code == 2
+    assert str(cache) in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """`navol verify-all` on a generated tree and a surface with a scan: frozen
 output digests, and the tree path reads integer rows only."""
 
+import csv
 import hashlib
 import json
 import os
@@ -14,11 +15,54 @@ from _oracles import tree_adjacency, tree_edges
 
 F = Fraction
 
-# SHA-256 of the CSV body (all lines but the '#' comment) and of the JSON
-# summary's reports with their runtimes dropped, as the Fraction routes of
-# the trees and cohomology modules wrote them.
-CSV_BODY_SHA256 = "13fd109e81d3e1005fc6b40924df8338e8a20d5286d53730ed1ce804fe7e8764"
-REPORTS_SHA256 = "4c9d6dd7d0f0549f68070f9164ad25c6b38ee6b83eba7bdd45b4333e51c54328"
+# SHA-256 per theorem of its CSV body rows, in order, and of its reports with
+# their runtimes dropped, as the Fraction routes of the trees and cohomology
+# modules wrote them; and of the CSV header with the ordered (theorem,
+# instance, status) list, which the reports follow too. Together they pin
+# every byte of the CSV body (all lines but the '#' comment) and of the JSON
+# summary's reports. A change to one theorem's rows moves that theorem's two
+# digests, and the order digest too if it adds, drops or renames a row.
+CSV_ROWS_SHA256 = {
+    "cohomology-consistency":
+        "6bdc6e7adf6f71d50255c324053d249e41ab774b432bf8c80a194c9289d6e586",
+    "cohomology-morse-bound":
+        "f9906394e0880c501fd16d171afaade08b175b636ca74416510bf599bba13d41",
+    "cohomology-twist-stability":
+        "b2aa38a5d2b529634bba2fe2017fd5f64308b5eaf97e660141e5f34589c14b27",
+    "envelope-orthogonality":
+        "375b589d36375f94529b6122e1dfca83bd26a7d2d652fc3515e94c79827df72b",
+    "h0-envelope-equality":
+        "bc859f0a132e0639ebc73bc7f66bef358f051ba09b8fd71daf70a52471499e04",
+    "length-cocycle":
+        "5f1500b7700d22c025d3c69a1cb8b51dc5d48eed0484913c4b264220ff45b848",
+    "tree-monge-ampere-solvability":
+        "fd09f0110401630e8e06b4f41627cbd67ba5aa8a14688b98508762f684e84a30",
+    "vol-is-energy":
+        "e113c931c0bc01ab5684df0cb491206c2389e666ce40cd93820fbc1f0938dbea",
+    "volume-differentiability":
+        "09bcea7f0ef3ab0bc2e1aadc0c999610e563d2f6036013006965ee90a62a7feb",
+}
+REPORTS_SHA256 = {
+    "cohomology-consistency":
+        "470eb16de3e1e06937fddcb85b82d568f66c5e1e116216864d86a3675e783ec3",
+    "cohomology-morse-bound":
+        "467e9347cc2b72266dd09064cee7dc975956f0c647302fac9f4516a289070f06",
+    "cohomology-twist-stability":
+        "e99ccdaaba1c94bbd34605ce0c724b0e9865b8a87351e5776db46d41314034a3",
+    "envelope-orthogonality":
+        "c3d3d80d745ee7de1b5670ff102a7262e0ff0be9c86d2a9e2650297a1c73802c",
+    "h0-envelope-equality":
+        "898cb24d79c756ddd16da6393db5a7fa9fbb5f44eb24dbe3bd20982e5f21010a",
+    "length-cocycle":
+        "2cc7b836792d6346dad161a60b2f6f12f02bf84640a3c5bb4d27ac5003ada5f6",
+    "tree-monge-ampere-solvability":
+        "d8bd0c92fd4c75d0501934e789c398eafc909a3e888841fce68c59183a43b832",
+    "vol-is-energy":
+        "577c9daf2dc484d37cff4fa237ceaa7147cc389beff1cb29f08ff02075987993",
+    "volume-differentiability":
+        "4845cd35731104abc57f58fa5a62502e71fb5c017f2d62daffcc704c8e8f7231",
+}
+ORDER_SHA256 = "ec5ccb3530e3e28a2eeb4b3247b8120c850d491b37db3d4f90c8f10c79a943a4"
 
 
 def guard_instances():
@@ -47,9 +91,14 @@ def guard_instances():
     return {"tree-450.json": tree, "surface-f1.json": surface}
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def verify_all_digests(directory):
-    """(exit code, CSV body digest, reports digest) of `navol verify-all
-    --seed 0` with the guard instances added."""
+    """(exit code, CSV rows digest per theorem, reports digest per theorem,
+    order digest) of `navol verify-all --seed 0` with the guard instances
+    added."""
     paths = []
     for name, payload in guard_instances().items():
         paths.append(os.path.join(directory, name))
@@ -58,22 +107,29 @@ def verify_all_digests(directory):
     out = os.path.join(directory, "out")
     rc = cli.main(["verify-all", *paths, "--seed", "0", "--out-dir", out])
     with open(os.path.join(out, "verify_all.csv"), encoding="utf-8") as handle:
-        body = "".join(line for line in handle if not line.startswith("#"))
+        header, *rows = [line for line in handle if not line.startswith("#")]
     with open(os.path.join(out, "verify_all.json"), encoding="utf-8") as handle:
         reports = json.load(handle)["reports"]
     for report in reports:
         del report["runtime_seconds"]
-    text = json.dumps(reports, sort_keys=True)
-    return (rc, hashlib.sha256(body.encode()).hexdigest(),
-            hashlib.sha256(text.encode()).hexdigest())
+    order = [tuple(fields[:3]) for fields in csv.reader(rows)]
+    assert order == [(r["theorem"], r["instance"], "pass" if r["passed"] else "FAIL")
+                     for r in reports]
+    theorems = sorted({theorem for theorem, _, _ in order})
+    csv_rows = {t: _sha256("".join(row for row, (theorem, _, _) in zip(rows, order)
+                                   if theorem == t)) for t in theorems}
+    report_rows = {t: _sha256(json.dumps([r for r in reports if r["theorem"] == t],
+                                         sort_keys=True)) for t in theorems}
+    return rc, csv_rows, report_rows, _sha256(header + json.dumps(order))
 
 
 def test_verify_all_outputs_are_frozen(tmp_path, capsys):
-    rc, body, reports = verify_all_digests(str(tmp_path))
+    rc, csv_rows, reports, order = verify_all_digests(str(tmp_path))
     capsys.readouterr()
     assert rc == 0
-    assert body == CSV_BODY_SHA256
+    assert csv_rows == CSV_ROWS_SHA256
     assert reports == REPORTS_SHA256
+    assert order == ORDER_SHA256
 
 
 def test_the_tree_check_builds_no_fraction_views():

@@ -27,7 +27,9 @@ of `src/navol/*.py` (`src_lines`), and the console prints the two.
 
 Runs are sequential, one process at a time, in the checkouts' own
 directories; read the timings beside the machine and Python version the
-file records.
+file records. A checkout that holds a `__pycache__` directory is refused
+(exit 2) before any run starts: its side would import compiled bytecode
+while perfbench compiles the other side's source, which moves `setup_s`.
 """
 from __future__ import annotations
 
@@ -139,6 +141,11 @@ def main(argv=None) -> int:
         parser.error("give exactly two --root checkouts")
     if args.pairs < 2:
         parser.error("--pairs needs at least two pairs, for the quartiles")
+    for name, path in roots.items():
+        caches = [d for d, _, _ in os.walk(path) if os.path.basename(d) == "__pycache__"]
+        if caches:
+            parser.error(f"--root {name} holds {caches[0]}: remove its __pycache__"
+                         " directories, or only one side imports compiled bytecode")
     base, change = roots
     specs = end_to_end_specs()
     workloads = {}
