@@ -612,10 +612,20 @@ def _on_hull(planes: Sequence[IntPlane], rows: Sequence[Tuple[int, ...]]) -> Lis
     _reoffset): the rows the block keeps. The others lie strictly above its
     lower hull, so they never reach the block's max and change no value.
     This is the only kept-row rule; every test is an integer equality."""
+    kept = []
     if len(rows[0]) == 2:
-        return [i for i, (s, c) in enumerate(rows) if any(a * s - b * c == d for a, b, d in planes)]
-    return [i for i, (x, y, c) in enumerate(rows)
-            if any(a * x + b * y - nz * c == d for a, b, nz, d in planes)]
+        for i, (s, c) in enumerate(rows):
+            for a, b, d in planes:
+                if a * s - b * c == d:
+                    kept.append(i)
+                    break
+        return kept
+    for i, (x, y, c) in enumerate(rows):
+        for a, b, nz, d in planes:
+            if a * x + b * y - nz * c == d:
+                kept.append(i)
+                break
+    return kept
 
 
 def _plane_roof(P: Polytope, planes: Sequence[IntPlane], scale: int) -> RoofFunction:

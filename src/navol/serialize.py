@@ -322,36 +322,47 @@ def _parse_toric(obj: Dict[str, object], name: str) -> ToricInstance:
                          schedule=schedule, eps_schedule=eps)
 
 
-# each distinct literal string of one tree parse -> its plain_pair (or None)
-_Pairs = Dict[str, Optional[Tuple[int, int]]]
+class _Literals(dict):
+    """The plain_pair (or None) of each distinct literal string of one tree
+    parse: a string is read on its first lookup only. Keyed by strings alone,
+    so a JSON true never meets the pair cached for "1"."""
 
-
-def _plain_pair(value, pairs: _Pairs) -> Optional[Tuple[int, int]]:
-    """A JSON integer or plain 'p/q' string as a reduced (p, q > 0) pair,
-    else None. pairs maps each string already read to its pair (or None),
-    so a parse that shares one dict reads each distinct literal once."""
-    if type(value) is str:
-        pair = pairs.get(value, False)
-        if pair is False:
-            pair = pairs[value] = plain_pair(value)
+    def __missing__(self, text: str) -> Optional[Tuple[int, int]]:
+        pair = self[text] = plain_pair(text)
         return pair
-    if type(value) is int:
-        return value, 1
-    return None
 
 
-# The tree parser reads each edge and atom by a plain route that builds no
-# field path and no Fraction, and reads each distinct literal once; an entry
-# it does not recognise goes through the validators, which accept it or name
-# the field that is wrong.
+# The tree parser reads each list of edges or atoms in one pass that builds
+# no field path and no Fraction and calls no function per entry: a missing
+# key, a literal that is not plain (its pair is None) or a wrong count of
+# ends stops the pass, and the list goes through the validators, which
+# accept it or name the field that is wrong.
 
-def _plain_edge(eraw, pairs: _Pairs) -> Optional[Tuple[str, str, int, int]]:
-    if type(eraw) is dict and len(eraw) == 2:
-        ends, length = eraw.get("ends"), _plain_pair(eraw.get("length"), pairs)
-        if (type(ends) is list and len(ends) == 2 and length is not None
-                and type(ends[0]) is str and type(ends[1]) is str):
-            return ends[0], ends[1], *length
-    return None
+def _read_edges(raw: List[object], literals: _Literals
+                ) -> Optional[List[Tuple[str, str, int, int]]]:
+    """The (u, v, p, q) rows of edges {"ends": [u, v], "length": plain
+    literal}, else None."""
+    rows = []
+    try:
+        for e in raw:
+            if type(e) is not dict or len(e) != 2:
+                return None
+            ends, length = e["ends"], e["length"]
+            if type(length) is str:
+                p, q = literals[length]
+            elif type(length) is int:
+                p, q = length, 1
+            else:
+                return None
+            if type(ends) is not list:
+                return None
+            u, v = ends
+            if type(u) is not str or type(v) is not str:
+                return None
+            rows.append((u, v, p, q))
+    except (KeyError, TypeError, ValueError):
+        return None
+    return rows
 
 
 def _edge(eraw, epath: str) -> Tuple[str, str, int, int]:
@@ -366,12 +377,28 @@ def _edge(eraw, epath: str) -> Tuple[str, str, int, int]:
     return u, v, length.numerator, length.denominator
 
 
-def _plain_atom(araw, position: Dict[str, int], pairs: _Pairs) -> Optional[AtomRow]:
-    if type(araw) is dict and len(araw) == 2:
-        vertex, mass = araw.get("vertex"), _plain_pair(araw.get("mass"), pairs)
-        if type(vertex) is str and vertex in position and mass is not None:
-            return position[vertex], *mass
-    return None
+def _read_atoms(raw: List[object], position: Dict[str, int],
+                literals: _Literals) -> Optional[List[AtomRow]]:
+    """The atom rows of atoms {"vertex": a known vertex, "mass": plain
+    literal}, else None."""
+    rows = []
+    try:
+        for a in raw:
+            if type(a) is not dict or len(a) != 2:
+                return None
+            vertex, mass = a["vertex"], a["mass"]
+            if type(mass) is str:
+                p, q = literals[mass]
+            elif type(mass) is int:
+                p, q = mass, 1
+            else:
+                return None
+            if type(vertex) is not str:
+                return None
+            rows.append((position[vertex], p, q))
+    except (KeyError, TypeError):
+        return None
+    return rows
 
 
 def _atom(araw, apath: str, position: Dict[str, int]) -> AtomRow:
@@ -393,9 +420,11 @@ def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
     verts = [v if type(v) is str else _as_string(v, f"{name}.tree.vertices[{i}]")
              for i, v in enumerate(_as_array(tobj["vertices"],
                                              f"{name}.tree.vertices"))]
-    pairs: _Pairs = {}  # lives for this parse only
-    edges = [_plain_edge(e, pairs) or _edge(e, f"{name}.tree.edges[{i}]")
-             for i, e in enumerate(_as_array(tobj["edges"], f"{name}.tree.edges"))]
+    literals = _Literals()  # lives for this parse only
+    edges_raw = _as_array(tobj["edges"], f"{name}.tree.edges")
+    edges = _read_edges(edges_raw, literals)
+    if edges is None:
+        edges = [_edge(e, f"{name}.tree.edges[{i}]") for i, e in enumerate(edges_raw)]
     root = (_as_string(tobj["root"], f"{name}.tree.root")
             if "root" in tobj else None)
     try:
@@ -408,9 +437,12 @@ def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
         mobj = _as_object(obj["measures"], f"{name}.measures")
         for mname, mval in mobj.items():
             mpath = f"{name}.measures.{mname}"
-            measure_atoms[mname] = [
-                _plain_atom(a, position, pairs) or _atom(a, f"{mpath}[{i}]", position)
-                for i, a in enumerate(_as_array(mval, mpath))]
+            atoms_raw = _as_array(mval, mpath)
+            atoms = _read_atoms(atoms_raw, position, literals)
+            if atoms is None:
+                atoms = [_atom(a, f"{mpath}[{i}]", position)
+                         for i, a in enumerate(atoms_raw)]
+            measure_atoms[mname] = atoms
     return TreeInstance(name=name, tree=tree, measure_atoms=measure_atoms)
 
 
@@ -501,17 +533,15 @@ def parse_instance(path: str) -> Instance:
 
 
 def decimal_str(x: Fraction) -> str:
-    """Exact rational as a 12-place fixed-point decimal (reports only)."""
-    x = Fraction(x)
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    scaled = x * 10 ** 12
-    units = scaled.numerator // scaled.denominator
-    if 2 * (scaled - units) >= 1:
-        units += 1
-    whole, fracpart = divmod(units, 10 ** 12)
+    """Exact rational as a 12-place fixed-point decimal (reports only),
+    rounded half up: for x = p/q, the units of 10**-12 are
+    floor(|x| * 10**12 + 1/2) = (2|p| * 10**12 + q) // 2q."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    whole, fracpart = divmod((2 * abs(p) * 10 ** 12 + q) // (2 * q), 10 ** 12)
     digits = f"{fracpart:012d}".rstrip("0") or "0"
-    return f"{sign}{whole}.{digits}"
+    return f"{'-' if p < 0 else ''}{whole}.{digits}"
 
 
 def csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -557,17 +587,27 @@ def _json_parts(value, indent: str, parts: List[str]) -> None:
                 head = sep
             parts.append("\n" + indent + "}")
             return
+        close = "\n" + indent + "]"
         try:  # a row of strings, in one join
-            parts += ("[\n" + inner, sep.join(map(_escape, value)), "\n" + indent + "]")
+            parts += ("[\n" + inner, sep.join(map(_escape, value)), close)
             return
         except TypeError:
             pass
         head = "[\n" + inner
+        row_head, row_sep, row_close = head + "  ", sep + "  ", "\n" + inner + "]"
+        try:  # rows of strings, one join per row
+            rows = [row_head + row_sep.join(map(_escape, row)) + row_close if row else "[]"
+                    for row in value if isinstance(row, (list, tuple))]
+            if len(rows) == len(value):
+                parts += (head, sep.join(rows), close)
+                return
+        except TypeError:
+            pass
         for item in value:
             parts.append(head)
             _json_parts(item, inner, parts)
             head = sep
-        parts.append("\n" + indent + "]")
+        parts.append(close)
 
 
 def write_json(out_dir: str, filename: str, payload: object) -> str:

@@ -20,6 +20,7 @@ reaches the solver without a DiscreteMeasure (`net_rows`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -50,16 +51,87 @@ class MetricTree:
     def _build(self, vertices: Sequence[str],
                edges: Iterable[Tuple[str, str, int, int]],
                root: Optional[str]) -> None:
+        """Check the tree and build its integer rows.
+
+        A list of edges is checked by whole-list invariants (_walk): unique
+        ids and at least one vertex, n - 1 edges whose ends are all known,
+        every numerator and every denominator above 0, a known root, and a
+        walk from the root that reaches all n vertices. A connected graph on
+        n vertices with n - 1 edges is a tree, so it has no loop and no
+        repeated edge: the invariants accept exactly what the per-edge checks
+        (_checked_walk) accept. Those run, in their order, only to name the
+        fault when an invariant fails, or when edges is no list (the
+        constructor converts its lengths as they are read)."""
         self.vertices: List[str] = list(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        self.position: Dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
+        walk = self._walk(edges, root) if type(edges) is list else None
+        self.order, self.parent, p_row, q_row = walk or self._checked_walk(edges, root)
+        # Integer rows by vertex position: the edge from a non-root vertex i
+        # to its parent has length lengths[i] / length_scale and reciprocal
+        # conductances[i] / conductance_scale, each scale the lcm of the
+        # denominators it clears; both rows hold 0 at the root.
+        self.length_scale = math.lcm(*set(q_row))
+        self.lengths = [p * (self.length_scale // q) for p, q in zip(p_row, q_row)]
+        self.conductance_scale = math.lcm(*set(p_row) - {0})
+        self.conductances = [q * (self.conductance_scale // p) if p else 0
+                             for p, q in zip(p_row, q_row)]
+
+    def _walk(self, edges: List[Tuple[str, str, int, int]], root: Optional[str]):
+        """(order, parent, p_row, q_row), or None when a whole-list invariant
+        fails: vertex positions in preorder from the root, each position's
+        parent position (-1 at the root), and the numerators and denominators
+        of each position's parent-edge length (0 and 1 at the root). The walk
+        pops the last vertex pushed and pushes each unreached neighbour in
+        edge order."""
+        n, position = len(self.vertices), self.position
+        if not n or len(position) != n or len(edges) != n - 1:
+            return None
+        us, vs, ps, qs = zip(*edges) if edges else ((),) * 4
+        if min(ps, default=1) <= 0 or min(qs, default=1) <= 0:
+            return None
+        try:
+            ends = list(map(position.__getitem__, us))
+            other = list(map(operator.add, ends, map(position.__getitem__, vs)))
+            self.root = self.vertices[0] if root is None else root
+            top = position[self.root]
+        except (KeyError, TypeError):
+            return None
+        # each position's edges by index, in edge order; edge k joins i and
+        # other[k] - i
+        incident: List[List[int]] = [[] for _ in range(n)]
+        for k, i in enumerate(ends):
+            incident[i].append(k)
+            incident[other[k] - i].append(k)
+        order: List[int] = []
+        parent = [-1] * n
+        parent_edge = [-1] * n  # -1 until reached; the root's is index n - 1,
+        parent_edge[top] = n - 1  # where ps and qs get the root's (0, 1)
+        stack = [top]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            for k in incident[i]:
+                j = other[k] - i
+                if parent_edge[j] < 0:
+                    parent_edge[j] = k
+                    parent[j] = i
+                    stack.append(j)
+        if len(order) != n:
+            return None
+        self._edge_rows = list(edges)
+        ps, qs = ps + (0,), qs + (1,)
+        return order, parent, [ps[k] for k in parent_edge], [qs[k] for k in parent_edge]
+
+    def _checked_walk(self, edges: Iterable[Tuple[str, str, int, int]],
+                      root: Optional[str]):
+        """_walk's result after checking edge by edge; raises on the first
+        fault."""
+        if len(self.position) != len(self.vertices):
             raise PreconditionError("tree has repeated vertex ids")
         if not self.vertices:
             raise PreconditionError("tree needs at least one vertex")
-        self.position: Dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
         position = self.position
-        self._edge_rows: List[Tuple[str, str, int, int]] = []
-        # by vertex position, the (position, (p, q)) of each neighbour
-        neighbours: List[List[Tuple[int, Tuple[int, int]]]] = [[] for _ in self.vertices]
+        rows = []
         seen_pairs = set()
         for u, v, p, q in edges:
             i, j = position.get(u), position.get(v)
@@ -75,50 +147,16 @@ class MetricTree:
             if pair in seen_pairs:
                 raise PreconditionError(f"edge ({u}, {v}) appears twice")
             seen_pairs.add(pair)
-            self._edge_rows.append((u, v, p, q))
-            length = (p, q)
-            neighbours[i].append((j, length))
-            neighbours[j].append((i, length))
-        if len(self._edge_rows) != len(self.vertices) - 1:
+            rows.append((u, v, p, q))
+        if len(rows) != len(self.vertices) - 1:
             raise PreconditionError("edge count must be vertex count minus one")
-        self.root = root if root is not None else self.vertices[0]
-        if self.root not in position:
-            raise PreconditionError(f"root {self.root} is not a vertex")
-        self.order, self.parent, parent_length = self._traverse(neighbours)
-        if len(self.order) != len(self.vertices):
+        root = root if root is not None else self.vertices[0]
+        if root not in position:
+            raise PreconditionError(f"root {root} is not a vertex")
+        walk = self._walk(rows, root)
+        if walk is None:
             raise PreconditionError("tree is not connected")
-        # Integer rows by vertex position: the edge from a non-root vertex i
-        # to its parent has length lengths[i] / length_scale and reciprocal
-        # conductances[i] / conductance_scale, each scale the lcm of the
-        # denominators it clears; both rows hold 0 at the root.
-        self.length_scale = math.lcm(*{q for _, q in parent_length})
-        self.lengths = [p * (self.length_scale // q) for p, q in parent_length]
-        self.conductance_scale = math.lcm(*{p for p, _ in parent_length if p})
-        self.conductances = [q * (self.conductance_scale // p) if p else 0
-                             for p, q in parent_length]
-
-    def _traverse(self, neighbours: Sequence[Sequence[Tuple[int, Tuple[int, int]]]]
-                  ) -> Tuple[List[int], List[int], List[Tuple[int, int]]]:
-        """Vertex positions in preorder from the root, each position's parent
-        position (-1 at the root) and parent-edge length pair ((0, 1) at the
-        root)."""
-        root = self.position[self.root]
-        order: List[int] = []
-        parent = [-1] * len(self.vertices)
-        parent_length = [(0, 1)] * len(self.vertices)
-        seen = [False] * len(self.vertices)
-        seen[root] = True
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            order.append(i)
-            for j, length in neighbours[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    parent[j] = i
-                    parent_length[j] = length
-                    stack.append(j)
-        return order, parent, parent_length
+        return walk
 
 
 def _pair(length) -> Tuple[int, int]:

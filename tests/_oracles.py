@@ -25,7 +25,8 @@ the package's metric type from the pairwise unions of two metrics' branches,
 `polytope_contains`, which reads membership from the box and edge
 half-planes a package polytope stores for its lattice rows, `tree_edges`
 and `tree_adjacency`, which read the integer edge rows a package tree
-stores as Fraction lengths,
+stores as Fraction lengths, `tree_rows_oracle`, which walks those edge rows
+over neighbour lists to a package tree's order, parent and integer rows,
 `with_subdivided_edge` and
 `extend_to_subdivision`, which build the package's tree and tree-function
 types for a subdivided edge.
@@ -1015,6 +1016,35 @@ def tree_adjacency(tree):
         adjacency[u].append((v, length))
         adjacency[v].append((u, length))
     return adjacency
+
+
+def tree_rows_oracle(tree):
+    """The tree's (order, parent, length_scale, lengths, conductance_scale,
+    conductances) from its edge rows: a stack walk from the root over
+    neighbour lists in edge order, each edge's integer length pair kept as
+    written, then the rows over the lcm of the denominators each one
+    clears (0 at the root)."""
+    position = {v: i for i, v in enumerate(tree.vertices)}
+    neighbours = [[] for _ in tree.vertices]
+    for u, v, p, q in tree._edge_rows:
+        neighbours[position[u]].append((position[v], (p, q)))
+        neighbours[position[v]].append((position[u], (p, q)))
+    root = position[tree.root]
+    order, parent = [], [-1] * len(tree.vertices)
+    length = [(0, 1)] * len(tree.vertices)
+    seen, stack = {root}, [root]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        for j, pq in neighbours[i]:
+            if j not in seen:
+                seen.add(j)
+                parent[j], length[j] = i, pq
+                stack.append(j)
+    length_scale = math.lcm(*(q for _, q in length))
+    conductance_scale = math.lcm(*(p for p, _ in length if p))
+    return (order, parent, length_scale, [p * length_scale // q for p, q in length],
+            conductance_scale, [q * conductance_scale // p if p else 0 for p, q in length])
 
 
 def tree_laplacian_oracle(tree, f):

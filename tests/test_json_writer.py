@@ -19,8 +19,12 @@ SCALARS = (st.none() | st.booleans() | TEXT
            | st.sampled_from([-0.0, 0.0, 1e-300, 1e300, 5e-324, 0.1,
                               float("inf"), float("nan")])
            | st.floats())
+# rows of rows: list and tuple rows of strings, empty rows, and now and then
+# a row holding a non-string
+ROW = st.lists(TEXT, max_size=4)
+ROWS = st.lists(ROW | ROW.map(tuple) | st.lists(TEXT | SCALARS, max_size=3), max_size=5)
 PAYLOADS = st.recursive(
-    SCALARS,
+    SCALARS | ROWS,
     lambda inner: (st.lists(inner, max_size=5)
                    | st.lists(inner, max_size=5).map(tuple)
                    | st.lists(TEXT, max_size=5)

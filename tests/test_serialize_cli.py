@@ -1,6 +1,8 @@
 """Instance files, strict parsing diagnostics, and the command-line front
 end with its exit-code contract (0 pass / 1 fail / 2 parse / 3 precondition)."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -10,13 +12,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import navol.cli as cli
 import navol.harness as harness
 import navol.serialize as serialize
 from navol.errors import InstanceFormatError, PreconditionError
 from navol.harness import VerificationReport
-from navol.serialize import (_as_rational, _plain_pair, csv_text,
+from navol.serialize import (_as_rational, _Literals, _read_edges, csv_text,
                              decimal_str, parse_instance_text)
 from navol.measures import DiscreteMeasure
 from navol.rational import plain_pair
@@ -24,7 +28,7 @@ from navol.trees import MetricTree, net_mass_rows, potential_rows
 
 from _oracles import (as_rational_oracle, first_primes, instance_json, ma_solve_oracle,
                       recession_at, serialize_instance, support_at, tree_adjacency,
-                      tree_edges, tree_measures)
+                      tree_edges, tree_measures, tree_rows_oracle)
 
 F = Fraction
 
@@ -534,15 +538,16 @@ def _outcome(thunk):
 
 
 def test_plain_literals_parse_like_fraction_strings():
-    # the literal route reads plain 'p/q' strings and JSON ints straight to
-    # ints; on every literal it must agree with Fraction's own parser
+    # the one-pass reader reads plain 'p/q' strings (through its literal
+    # table) and JSON ints straight to ints; on every literal it must agree
+    # with Fraction's own parser, or leave the entry to the validators
     for literal in LITERALS:
         expected = _outcome(lambda: as_rational_oracle(literal, "f.length"))
         assert _outcome(lambda: _as_rational(literal, "f.length")) == expected
-        pair = _plain_pair(literal, {})
-        assert pair is None or (
-            ("value", Fraction(*pair), Fraction) == expected
-            and pair == (expected[1].numerator, expected[1].denominator))
+        rows = _read_edges([{"ends": ["a", "b"], "length": literal}], _Literals())
+        assert rows is None or (
+            ("value", Fraction(*rows[0][2:]), Fraction) == expected
+            and rows == [("a", "b", expected[1].numerator, expected[1].denominator)])
         tree = {"kind": "tree",
                 "tree": {"vertices": ["a", "b"],
                          "edges": [{"ends": ["a", "b"], "length": 1}]},
@@ -600,8 +605,8 @@ def test_tree_file_errors_name_the_field(mutation, tmp_path, capsys):
     assert capsys.readouterr().err == line + "\n"
 
 
-# (change, exit code, error line) of tree files the edge checks, the plain
-# literal route or the mass balance refuse
+# (change, exit code, error line) of tree files the edge checks, the field
+# validators or the mass balance refuse
 TREE_REFUSALS = {
     "zero-length": (
         lambda t: t["tree"]["edges"][0].update(length=0), 2,
@@ -622,6 +627,13 @@ TREE_REFUSALS = {
     "unknown-edge-end": (
         lambda t: t["tree"]["edges"][1].update(ends=["center", "leaf7"]), 2,
         "error: tree.json.tree: edge (center, leaf7) uses an unknown vertex"),
+    "null-root": (
+        lambda t: t["tree"].update(root=None), 2,
+        "error: tree.json.tree.root: expected a string"),
+    # edges[0] has the length 1: a true later on is no cached 1
+    "boolean-length-after-one": (
+        lambda t: t["tree"]["edges"][2].update(length=True), 2,
+        "error: tree.json.tree.edges[2].length: expected a rational"),
     "boolean-mass": (
         lambda t: t["measures"]["target"][0].update(mass=True), 2,
         "error: tree.json.measures.target[0].mass: expected a rational"),
@@ -707,6 +719,164 @@ def test_parsed_rows_match_the_fraction_route_on_prime_trees():
             chosen = [rng.choice(primes + [1]) for _ in range(count)]
             _assert_rows_match_the_fraction_route(
                 _prime_tree_instance(rng, chosen, primes))
+
+
+def _tree_outcome(text):
+    """The parsed tree instance's rows, or the error line that refuses it."""
+    try:
+        inst = parse_instance_text(text, "t.json")
+    except (InstanceFormatError, PreconditionError) as exc:
+        return "error", str(exc)
+    tree = inst.tree
+    rows = (tree.vertices, tree.root, tree._edge_rows, tree.order, tree.parent,
+            tree.length_scale, tree.lengths, tree.conductance_scale, tree.conductances)
+    assert rows[3:] == tree_rows_oracle(tree)
+    return rows, inst.measure_atoms
+
+
+def _edge_fault(rng, t):
+    edges, names = t["tree"]["edges"], t["tree"]["vertices"]
+    e = rng.choice(edges)
+    fault = rng.randrange(9)
+    if fault == 0:
+        e["length"] = rng.choice([True, False, None, 0.5, "1/0", " 1/2 ", "1_0/3", "0",
+                                  "-3", "abc", [1], {"p": 1}, 10 ** 30, "+4/6"])
+    elif fault == 1:
+        e["ends"] = rng.choice(["ab", ["v0"], names[:3], [1, names[0]], [None, names[0]],
+                                [0.5, names[0]], {"a": names[0]}])
+    elif fault == 2:
+        e["ends"] = [e["ends"][0]] * 2
+    elif fault == 3:
+        e["ends"] = [e["ends"][0], "nowhere"]
+    elif fault == 4:
+        e["ends"] = rng.choice(edges)["ends"][::-1]
+    elif fault == 5:
+        e[rng.choice(["color", "ends"])] = "red"
+    elif fault == 6:
+        e.pop(rng.choice(["ends", "length"]))
+    elif fault == 7:
+        edges[edges.index(e)] = rng.choice([[e["ends"], e["length"]], "edge", 3, None])
+    else:
+        edges.append({"ends": rng.sample(names, 2), "length": 1})
+
+
+def _atom_fault(rng, t):
+    atoms = t["measures"][rng.choice(["target", "base"])]
+    a = rng.choice(atoms)
+    fault = rng.randrange(5)
+    if fault == 0:
+        a["vertex"] = rng.choice(["nowhere", 3, None, True, 0.5, ["v0"]])
+    elif fault == 1:
+        a["mass"] = rng.choice([True, None, 0.5, "1/0", " 2 ", "2/-3", [1], "7"])
+    elif fault == 2:
+        a[rng.choice(["weight", "mass"])] = 1
+    elif fault == 3:
+        a.pop(rng.choice(["vertex", "mass"]))
+    else:
+        atoms[atoms.index(a)] = rng.choice([["v0", 1], "atom", 2])
+
+
+def _tree_fault(rng, t):
+    fault = rng.randrange(4)
+    if fault == 0:
+        t["tree"]["root"] = rng.choice([None, 5, "nowhere", 0.5, ["v0"]])
+    elif fault == 1:
+        names = t["tree"]["vertices"]
+        names.append(rng.choice(names + [1, None]))
+    else:
+        (_edge_fault if fault == 2 else _atom_fault)(rng, t)
+
+
+def test_one_pass_reader_gives_the_validator_route_s_rows_and_lines(monkeypatch):
+    # the one-pass reader and the validators alone give equal trees and atom
+    # rows (and the oracle's), or the same error line, on seeded valid trees
+    # and one seeded fault of each
+    rng = random.Random(421)
+    primes = first_primes(40)
+    texts, lines = [], set()
+    for count in (1, 2, 5, 12, 40):
+        for _ in range(6):
+            chosen = [rng.choice(primes + [1]) for _ in range(count)]
+            valid = json.dumps(_prime_tree_instance(rng, chosen, primes))
+            texts.append(valid)
+            for _ in range(8):
+                broken = json.loads(valid)
+                _tree_fault(rng, broken)
+                texts.append(json.dumps(broken))
+    for text in texts:
+        fast = _tree_outcome(text)
+        with monkeypatch.context() as m:
+            m.setattr(serialize, "_read_edges", lambda *args: None)
+            m.setattr(serialize, "_read_atoms", lambda *args: None)
+            assert _tree_outcome(text) == fast
+        if fast[0] == "error":
+            lines.add(re.sub(r"\[\d+\]|\(.*\)|'.*'|root \S+", "", fast[1]))
+    assert len(lines) >= 20, sorted(lines)
+
+
+# values a tree file may hold in a wrong place: wrong types, booleans, zero
+# and negative lengths, literals that are not plain, loops and lone ends
+NASTY = st.sampled_from([True, False, None, 0, -1, 1, "0", "-1/2", "1/0", " 1/2 ",
+                         "1.5", 0.5, 10 ** 30, "", "v0", "center", [], {}, ["v0"],
+                         ["v0", "v0"], ["center", "leaf1"], {"ends": 1}])
+
+
+def _containers(node):
+    """Every object and array inside node, node first."""
+    found = [node]
+    for child in (node.values() if isinstance(node, dict) else node):
+        if isinstance(child, (dict, list)):
+            found += _containers(child)
+    return found
+
+
+def _mutate(data, t):
+    """One drawn change: a value replaced, a key dropped or added, an entry
+    appended, or an edge turned into a loop or a repeat of another."""
+    edges = [e for e in _containers(t) if isinstance(e, dict) and "ends" in e]
+    kind = data.draw(st.sampled_from(["value", "drop", "extra", "append", "loop",
+                                      "repeat"]))
+    if kind in ("loop", "repeat") and edges:
+        e = data.draw(st.sampled_from(edges))
+        ends = data.draw(st.sampled_from(edges))["ends"]
+        if isinstance(ends, list) and ends:
+            e["ends"] = [ends[0]] * 2 if kind == "loop" else ends[::-1]
+        return
+    node = data.draw(st.sampled_from(_containers(t)))
+    if kind == "append" and isinstance(node, list):
+        node.append(data.draw(NASTY | st.sampled_from([*node, {"vertex": "v0", "mass": 1}])))
+    elif kind == "extra" and isinstance(node, dict):
+        node["extra"] = 1
+    elif node:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        if kind == "drop":
+            del node[key]
+        else:
+            node[key] = data.draw(NASTY)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_mutated_tree_files_keep_the_exit_code_contract(data, tmp_path_factory):
+    # bundled and seeded tree files with drawn faults: ma-solve and
+    # verify-all exit 0-3 without a traceback, and 1 only with a FAIL line
+    seed = data.draw(st.integers(0, 40))
+    t = (json.loads(_bundled()["tree_star.json"]) if seed == 0 else _prime_tree_instance(
+        random.Random(seed), first_primes(seed % 7), first_primes(5)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, t)
+    tmp = tmp_path_factory.mktemp("mutated-tree")
+    path = tmp / "tree.json"
+    path.write_text(json.dumps(t), encoding="utf-8")
+    for command in ("ma-solve", "verify-all"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main([command, str(path), "--out-dir", str(tmp / "out")])
+        assert rc in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert rc != 1 or "[FAIL] " in err.getvalue()
+        assert rc < 2 or err.getvalue().startswith("error: ")
 
 
 # a tree whose lengths and masses repeat the strings "1/2", "0" and "1"

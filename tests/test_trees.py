@@ -1,6 +1,7 @@
 """Potential theory on metric trees: Laplacians, curvature, exact solving."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from navol.measures import DiscreteMeasure
 from navol.trees import MetricTree, TreeFunction, curvature, ma_solve, tree_laplacian
 
 from _oracles import (extend_to_subdivision, first_primes, ma_solve_oracle, tree_edges,
-                      tree_laplacian_oracle, with_subdivided_edge)
+                      tree_laplacian_oracle, tree_rows_oracle, with_subdivided_edge)
 
 F = Fraction
 
@@ -183,6 +184,84 @@ def test_from_pairs_needs_a_positive_denominator():
     for p, q in ((1, -2), (-1, -2), (1, 0), (0, 0)):
         with pytest.raises(PreconditionError):
             MetricTree.from_pairs(["a", "b"], [("a", "b", p, q)])
+
+
+def _built(vertices, edges, root):
+    """A tree's rows, or the PreconditionError line that refuses it."""
+    try:
+        tree = MetricTree.from_pairs(vertices, edges, root=root)
+    except PreconditionError as exc:
+        return "error", str(exc)
+    rows = tuple(getattr(tree, a) for a in ("root", "_edge_rows", "order", "parent",
+                                            "length_scale", "lengths",
+                                            "conductance_scale", "conductances"))
+    assert rows[2:] == tree_rows_oracle(tree)
+    return rows
+
+
+# one fault each, applied to a copy of (vertices, edges, root)
+def _loop(rng, vs, es, root):
+    k = rng.randrange(len(es))
+    es[k] = (es[k][0], es[k][0], *es[k][2:])
+
+
+def _repeat(rng, vs, es, root):
+    k = rng.randrange(len(es))
+    u, v, p, q = es[rng.randrange(len(es))]
+    es[k] = (v, u, p, q)
+
+
+def _unknown_end(rng, vs, es, root):
+    k = rng.randrange(len(es))
+    es[k] = (es[k][0], "nowhere", *es[k][2:])
+
+
+def _bad_length(rng, vs, es, root):
+    k = rng.randrange(len(es))
+    es[k] = (*es[k][:2], *rng.choice([(0, 1), (-3, 2), (1, 0), (2, -5), (0, 0)]))
+
+
+def _extra_edge(rng, vs, es, root):
+    es.append((rng.choice(vs), rng.choice(vs), 1, 1))
+
+
+def _cycle_and_isolated(rng, vs, es, root):
+    # n - 1 edges again, but one closes a cycle and a vertex is left alone
+    vs.append("isolated")
+    es.append((rng.choice(vs[:-1]), rng.choice(vs[:-1]), 1, 1))
+
+
+FAULTS = [_loop, _repeat, _unknown_end, _bad_length, _extra_edge, _cycle_and_isolated,
+          lambda rng, vs, es, root: es.pop(rng.randrange(len(es))),
+          lambda rng, vs, es, root: vs.append(rng.choice(vs)),
+          lambda rng, vs, es, root: vs.clear(),
+          lambda rng, vs, es, root: vs.reverse()]
+
+
+def test_whole_list_checks_build_the_rows_of_the_per_edge_checks():
+    # from_pairs reads a list by whole-list invariants and any other iterable
+    # edge by edge; both give the oracle's rows, or the same first fault
+    rng = random.Random(420)
+    primes = first_primes(30)
+    cases = [(["only"], [], None), (["only"], [], "elsewhere")]
+    for size in (2, 3, 8, 31):
+        for _ in range(4):
+            tree = _prime_tree(rng, [rng.choice(primes + [1]) for _ in range(size - 1)])
+            cases.append((tree.vertices, list(tree._edge_rows), tree.root))
+    for vertices, edges, root in list(cases[2:]):
+        for fault in FAULTS:
+            vs, es = list(vertices), list(edges)
+            fault(rng, vs, es, root)
+            cases.append((vs, es, root))
+        cases.append((vertices, edges, "nowhere"))
+        cases.append((vertices, edges, None))
+    outcomes = set()
+    for vertices, edges, root in cases:
+        fast = _built(vertices, edges, root)
+        assert fast == _built(vertices, iter(edges), root)
+        outcomes.add(re.sub(r"edge \(.*\)|root \S+", "", fast[1])
+                     if fast[0] == "error" else "rows")
+    assert len(outcomes) == 11, outcomes
 
 
 @pytest.mark.parametrize("values", [
