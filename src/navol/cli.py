@@ -66,19 +66,19 @@ def _report_payload(rep: VerificationReport) -> Dict[str, object]:
     }
 
 
-def _report_csv(rep: VerificationReport) -> Tuple[List[str], List[List[str]]]:
+def _report_csv(rep: VerificationReport) -> Tuple[Sequence[str], Sequence[Sequence[str]]]:
     if rep.series:
-        header = [str(c) for c in rep.series[0]]
-        rows = [[str(c) for c in row] for row in rep.series[1:]]
-        return header, rows
-    return ["key", "value"], [[k, v] for k, v in sorted(rep.exact.items())]
+        return rep.series[0], rep.series[1:]
+    return ["key", "value"], sorted(rep.exact.items())
 
 
 @dataclass
 class CommandResult:
+    """A command's summary, its series as a CSV header and rows of string
+    cells (written as <name, - as _>.csv) and its verdict."""
     name: str
     summary: Dict[str, object]
-    series: Dict[str, Tuple[List[str], List[List[str]]]]
+    series: Optional[Tuple[Sequence[str], Sequence[Sequence[str]]]]
     passed: bool = True
 
 
@@ -184,10 +184,10 @@ def _ma_solve(tree_inst, command, schedule):
     tree, net = tree_inst.tree, tree_inst.net_mass_rows(command)
     scale, phi = potential_rows(tree, *net)
     verified = verify_tree_net_rows(tree, *net).passed
-    values = [(v, Fraction(x, scale)) for v, x in zip(tree.vertices, phi)]
-    fields = {"values": {v: frac_str(x) for v, x in values}, "root": tree.root,
+    rows = [(v, frac_str(x), decimal_str(x))
+            for v, x in zip(tree.vertices, (Fraction(n, scale) for n in phi))]
+    fields = {"values": {v: value for v, value, _ in rows}, "root": tree.root,
               "curvature_matches_target": verified}
-    rows = [[v, frac_str(x), decimal_str(x)] for v, x in values]
     return fields, (["vertex", "value", "value_decimal"], rows), verified
 
 
@@ -282,8 +282,7 @@ def _run(command: str, inst: Instance, schedule: Optional[str]) -> CommandResult
     else:
         fields, series, passed = out
         summary = {"command": command, "instance": inst.name, **fields}
-    return CommandResult(command, summary,
-                         {command.replace("-", "_"): series} if series else {}, passed)
+    return CommandResult(command, summary, series, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +334,8 @@ def _cmd_verify_all(args, extra_paths: Sequence[str]) -> CommandResult:
     rows = [[r.theorem, r.instance, "pass" if r.passed else "FAIL",
              ";".join(f"{k}={v}" for k, v in sorted(r.exact.items()))]
             for r in reports]
-    return CommandResult(
-        "verify_all", summary,
-        {"verify_all": (["theorem", "instance", "status", "exact"], rows)},
-        passed=passed)
+    return CommandResult("verify_all", summary,
+                         (["theorem", "instance", "status", "exact"], rows), passed)
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +381,15 @@ def _out_dir(args) -> str:
 def _emit(result: CommandResult, args) -> None:
     out_dir = _out_dir(args)
     summary_text = write_json(out_dir, f"{result.name}.json", result.summary)
-    csv_texts = []
-    for series_name, (header, rows) in result.series.items():
-        csv_texts.append(csv_text(header, rows))
-        write_text(out_dir, f"{series_name}.csv", csv_texts[-1])
+    series_text = result.series and csv_text(*result.series)
+    if series_text:
+        write_text(out_dir, f"{result.name.replace('-', '_')}.csv", series_text)
     if args.format == "json":
         sys.stdout.write(summary_text)
-    elif csv_texts:
-        sys.stdout.write("".join(csv_texts))
     else:
-        sys.stdout.write(csv_text(["key", "value"],
-                                  [[k, str(v)] for k, v in result.summary.items()
-                                   if not isinstance(v, (list, dict))]))
+        sys.stdout.write(series_text or csv_text(
+            ["key", "value"], [[k, str(v)] for k, v in result.summary.items()
+                               if not isinstance(v, (list, dict))]))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -309,13 +309,15 @@ class RoofFunction:
     homogeneous row (x, w) in lowest terms with w > 0.
     """
 
-    def __init__(self, polytope: Polytope, scale: int, rows: Sequence[Tuple[int, ...]]):
+    def __init__(self, polytope: Polytope, scale: int, rows: Sequence[Tuple[int, ...]],
+                 cells: Optional[IntegerCells] = None):
         """The roof of integer rows (slope, const) over scale with distinct
-        slopes, stored in lowest terms."""
+        slopes, stored in lowest terms; cells, when known, are its linearity
+        cells (integer_cells)."""
         self.polytope = polytope
         scale, (rows,) = _lowest(scale, [rows])
         self._rows = scale, list(rows)
-        self._integer_cells: Optional[IntegerCells] = None
+        self._integer_cells = cells
         self._integral: Optional[Fraction] = None
 
     @functools.cached_property
@@ -698,8 +700,8 @@ def envelope(metric: PLMetric) -> PLMetric:
     w, points = _over_lcm(list(owner))
     corners = [(*[scale * x for x in r[:-1]], -sum(map(operator.mul, rows[i], r)))
                for r, i in zip(points, owner.values())]
-    conjugate = RoofFunction(P, scale, [rows[i] for i, _ in cells])
-    conjugate._integer_cells = [(k, region) for k, (_, region) in enumerate(cells)]
+    conjugate = RoofFunction(P, scale, [rows[i] for i, _ in cells],
+                             [(k, region) for k, (_, region) in enumerate(cells)])
     env = PLMetric.__new__(PLMetric)._build(P, _lowest(scale * w, [corners]), conjugate, True)
     metric._envelope = env._envelope = env
     return env
@@ -845,8 +847,8 @@ def metric_shift(metric: PLMetric, t) -> PLMetric:
     p, q = t.numerator, t.denominator
     e, roof = legendre(metric).integer_rows()
     moved = RoofFunction(metric.polytope, q * e,
-                         [(*[q * x for x in r[:-1]], q * r[-1] - p * e) for r in roof])
-    moved._integer_cells = metric._conjugate.integer_cells()
+                         [(*[q * x for x in r[:-1]], q * r[-1] - p * e) for r in roof],
+                         metric._conjugate.integer_cells())
     return PLMetric.__new__(PLMetric)._build(
         metric.polytope, functools.partial(_shifted_rows, metric, p, q), moved,
         metric._semipositive)

@@ -333,36 +333,38 @@ class _Literals(dict):
 
 
 # The tree parser reads each list of edges or atoms in one pass that builds
-# no field path and no Fraction and calls no function per entry: a missing
-# key, a literal that is not plain (its pair is None) or a wrong count of
-# ends stops the pass, and the list goes through the validators, which
-# accept it or name the field that is wrong.
+# no field path and no Fraction and calls no function per entry. An entry the
+# pass refuses (a missing key, a literal that is not plain, its pair None, or
+# a wrong count of ends) stops it: that entry goes to its validator with its
+# own path (its index is len(rows)), which accepts it or names the field that
+# is wrong, and the pass goes on from the next entry.
 
-def _read_edges(raw: List[object], literals: _Literals
-                ) -> Optional[List[Tuple[str, str, int, int]]]:
-    """The (u, v, p, q) rows of edges {"ends": [u, v], "length": plain
-    literal}, else None."""
+def _read_edges(raw: object, literals: _Literals,
+                path: str) -> List[Tuple[str, str, int, int]]:
+    """The (u, v, p, q) rows of the array of edges {"ends": [u, v],
+    "length": ...} at path."""
     rows = []
-    try:
-        for e in raw:
-            if type(e) is not dict or len(e) != 2:
-                return None
-            ends, length = e["ends"], e["length"]
-            if type(length) is str:
-                p, q = literals[length]
-            elif type(length) is int:
-                p, q = length, 1
+    entries = iter(_as_array(raw, path))
+    while True:
+        try:
+            for e in entries:
+                ends, length = e["ends"], e["length"]
+                if type(length) is str:
+                    p, q = literals[length]
+                elif type(length) is int:
+                    p, q = length, 1
+                else:
+                    break
+                u, v = ends
+                if (type(e) is not dict or len(e) != 2 or type(ends) is not list
+                        or type(u) is not str or type(v) is not str):
+                    break
+                rows.append((u, v, p, q))
             else:
-                return None
-            if type(ends) is not list:
-                return None
-            u, v = ends
-            if type(u) is not str or type(v) is not str:
-                return None
-            rows.append((u, v, p, q))
-    except (KeyError, TypeError, ValueError):
-        return None
-    return rows
+                return rows
+        except (KeyError, TypeError, ValueError):
+            pass
+        rows.append(_edge(e, f"{path}[{len(rows)}]"))
 
 
 def _edge(eraw, epath: str) -> Tuple[str, str, int, int]:
@@ -377,28 +379,30 @@ def _edge(eraw, epath: str) -> Tuple[str, str, int, int]:
     return u, v, length.numerator, length.denominator
 
 
-def _read_atoms(raw: List[object], position: Dict[str, int],
-                literals: _Literals) -> Optional[List[AtomRow]]:
-    """The atom rows of atoms {"vertex": a known vertex, "mass": plain
-    literal}, else None."""
+def _read_atoms(raw: object, position: Dict[str, int], literals: _Literals,
+                path: str) -> List[AtomRow]:
+    """The atom rows of the array of atoms {"vertex": a known vertex,
+    "mass": ...} at path."""
     rows = []
-    try:
-        for a in raw:
-            if type(a) is not dict or len(a) != 2:
-                return None
-            vertex, mass = a["vertex"], a["mass"]
-            if type(mass) is str:
-                p, q = literals[mass]
-            elif type(mass) is int:
-                p, q = mass, 1
+    entries = iter(_as_array(raw, path))
+    while True:
+        try:
+            for a in entries:
+                vertex, mass = a["vertex"], a["mass"]
+                if type(mass) is str:
+                    p, q = literals[mass]
+                elif type(mass) is int:
+                    p, q = mass, 1
+                else:
+                    break
+                if type(a) is not dict or len(a) != 2 or type(vertex) is not str:
+                    break
+                rows.append((position[vertex], p, q))
             else:
-                return None
-            if type(vertex) is not str:
-                return None
-            rows.append((position[vertex], p, q))
-    except (KeyError, TypeError):
-        return None
-    return rows
+                return rows
+        except (KeyError, TypeError):
+            pass
+        rows.append(_atom(a, f"{path}[{len(rows)}]", position))
 
 
 def _atom(araw, apath: str, position: Dict[str, int]) -> AtomRow:
@@ -421,29 +425,17 @@ def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
              for i, v in enumerate(_as_array(tobj["vertices"],
                                              f"{name}.tree.vertices"))]
     literals = _Literals()  # lives for this parse only
-    edges_raw = _as_array(tobj["edges"], f"{name}.tree.edges")
-    edges = _read_edges(edges_raw, literals)
-    if edges is None:
-        edges = [_edge(e, f"{name}.tree.edges[{i}]") for i, e in enumerate(edges_raw)]
+    edges = _read_edges(tobj["edges"], literals, f"{name}.tree.edges")
     root = (_as_string(tobj["root"], f"{name}.tree.root")
             if "root" in tobj else None)
     try:
         tree = MetricTree.from_pairs(verts, edges, root=root)
     except PreconditionError as exc:
         raise InstanceFormatError(f"{name}.tree: {exc}") from None
-    position = tree.position
-    measure_atoms: Dict[str, List[AtomRow]] = {}
-    if "measures" in obj:
-        mobj = _as_object(obj["measures"], f"{name}.measures")
-        for mname, mval in mobj.items():
-            mpath = f"{name}.measures.{mname}"
-            atoms_raw = _as_array(mval, mpath)
-            atoms = _read_atoms(atoms_raw, position, literals)
-            if atoms is None:
-                atoms = [_atom(a, f"{mpath}[{i}]", position)
-                         for i, a in enumerate(atoms_raw)]
-            measure_atoms[mname] = atoms
-    return TreeInstance(name=name, tree=tree, measure_atoms=measure_atoms)
+    measures = _as_object(obj.get("measures", {}), f"{name}.measures")
+    return TreeInstance(name=name, tree=tree, measure_atoms={
+        mname: _read_atoms(mval, tree.position, literals, f"{name}.measures.{mname}")
+        for mname, mval in measures.items()})
 
 
 def _parse_surface(obj: Dict[str, object], name: str) -> SurfaceInstance:
@@ -544,15 +536,14 @@ def decimal_str(x: Fraction) -> str:
     return f"{'-' if p < 0 else ''}{whole}.{digits}"
 
 
-def csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """CSV with a single leading comment line, the time it was generated;
-    the body below it is deterministic for identical inputs."""
+def csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """CSV of string cells with a single leading comment line, the time it
+    was generated; the body below it is deterministic for identical inputs."""
     buf = io.StringIO()
     buf.write(f"# generated {datetime.datetime.now(datetime.timezone.utc).isoformat()}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([str(cell) for cell in row])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 

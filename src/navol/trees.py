@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NoReturn, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .measures import DiscreteMeasure
@@ -36,7 +36,7 @@ class MetricTree:
     def __init__(self, vertices: Sequence[str],
                  edges: Iterable[Tuple[str, str, Fraction]],
                  root: Optional[str] = None):
-        self._build(vertices, ((u, v, *_pair(length)) for u, v, length in edges), root)
+        self._build(vertices, [(u, v, *_pair(length)) for u, v, length in edges], root)
 
     @classmethod
     def from_pairs(cls, vertices: Sequence[str],
@@ -45,27 +45,28 @@ class MetricTree:
         """The tree whose edges (u, v, p, q) have length p/q; validated like
         the constructor's Fraction edges, and q must be positive."""
         tree = cls.__new__(cls)
-        tree._build(vertices, edges, root)
+        tree._build(vertices, list(edges), root)
         return tree
 
     def _build(self, vertices: Sequence[str],
-               edges: Iterable[Tuple[str, str, int, int]],
+               edges: List[Tuple[str, str, int, int]],
                root: Optional[str]) -> None:
         """Check the tree and build its integer rows.
 
-        A list of edges is checked by whole-list invariants (_walk): unique
-        ids and at least one vertex, n - 1 edges whose ends are all known,
-        every numerator and every denominator above 0, a known root, and a
-        walk from the root that reaches all n vertices. A connected graph on
-        n vertices with n - 1 edges is a tree, so it has no loop and no
+        The edges are checked by whole-list invariants (_walk): unique ids
+        and at least one vertex, n - 1 edges whose ends are all known, every
+        numerator and every denominator above 0, a known root, and a walk
+        from the root that reaches all n vertices. A connected graph on n
+        vertices with n - 1 edges is a tree, so it has no loop and no
         repeated edge: the invariants accept exactly what the per-edge checks
-        (_checked_walk) accept. Those run, in their order, only to name the
-        fault when an invariant fails, or when edges is no list (the
-        constructor converts its lengths as they are read)."""
+        (_raise_fault) accept. Those run, in their order, only to name the
+        fault when an invariant fails."""
         self.vertices: List[str] = list(vertices)
         self.position: Dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
-        walk = self._walk(edges, root) if type(edges) is list else None
-        self.order, self.parent, p_row, q_row = walk or self._checked_walk(edges, root)
+        walk = self._walk(edges, root)
+        if walk is None:
+            self._raise_fault(edges, root)
+        self.order, self.parent, p_row, q_row = walk
         # Integer rows by vertex position: the edge from a non-root vertex i
         # to its parent has length lengths[i] / length_scale and reciprocal
         # conductances[i] / conductance_scale, each scale the lcm of the
@@ -118,20 +119,19 @@ class MetricTree:
                     stack.append(j)
         if len(order) != n:
             return None
-        self._edge_rows = list(edges)
+        self._edge_rows = edges
         ps, qs = ps + (0,), qs + (1,)
         return order, parent, [ps[k] for k in parent_edge], [qs[k] for k in parent_edge]
 
-    def _checked_walk(self, edges: Iterable[Tuple[str, str, int, int]],
-                      root: Optional[str]):
-        """_walk's result after checking edge by edge; raises on the first
-        fault."""
+    def _raise_fault(self, edges: List[Tuple[str, str, int, int]],
+                     root: Optional[str]) -> NoReturn:
+        """Raise the first fault of a tree _walk refused, checking edge by
+        edge; a tree that passes every check is not connected."""
         if len(self.position) != len(self.vertices):
             raise PreconditionError("tree has repeated vertex ids")
         if not self.vertices:
             raise PreconditionError("tree needs at least one vertex")
         position = self.position
-        rows = []
         seen_pairs = set()
         for u, v, p, q in edges:
             i, j = position.get(u), position.get(v)
@@ -147,16 +147,11 @@ class MetricTree:
             if pair in seen_pairs:
                 raise PreconditionError(f"edge ({u}, {v}) appears twice")
             seen_pairs.add(pair)
-            rows.append((u, v, p, q))
-        if len(rows) != len(self.vertices) - 1:
+        if len(edges) != len(self.vertices) - 1:
             raise PreconditionError("edge count must be vertex count minus one")
-        root = root if root is not None else self.vertices[0]
-        if root not in position:
+        if root is not None and root not in position:
             raise PreconditionError(f"root {root} is not a vertex")
-        walk = self._walk(rows, root)
-        if walk is None:
-            raise PreconditionError("tree is not connected")
-        return walk
+        raise PreconditionError("tree is not connected")
 
 
 def _pair(length) -> Tuple[int, int]:

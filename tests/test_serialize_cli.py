@@ -539,15 +539,15 @@ def _outcome(thunk):
 
 def test_plain_literals_parse_like_fraction_strings():
     # the one-pass reader reads plain 'p/q' strings (through its literal
-    # table) and JSON ints straight to ints; on every literal it must agree
-    # with Fraction's own parser, or leave the entry to the validators
+    # table) and JSON ints straight to ints, and hands any other literal to
+    # the validator; on every literal it must agree with Fraction's own parser
     for literal in LITERALS:
-        expected = _outcome(lambda: as_rational_oracle(literal, "f.length"))
-        assert _outcome(lambda: _as_rational(literal, "f.length")) == expected
-        rows = _read_edges([{"ends": ["a", "b"], "length": literal}], _Literals())
-        assert rows is None or (
-            ("value", Fraction(*rows[0][2:]), Fraction) == expected
-            and rows == [("a", "b", expected[1].numerator, expected[1].denominator)])
+        expected = _outcome(lambda: as_rational_oracle(literal, "f[0].length"))
+        assert _outcome(lambda: _as_rational(literal, "f[0].length")) == expected
+        rows = _outcome(lambda: _read_edges([{"ends": ["a", "b"], "length": literal}],
+                                            _Literals(), "f"))
+        assert rows == (expected if expected[0] == "error" else (
+            "value", [("a", "b", expected[1].numerator, expected[1].denominator)], list))
         tree = {"kind": "tree",
                 "tree": {"vertices": ["a", "b"],
                          "edges": [{"ends": ["a", "b"], "length": 1}]},
@@ -787,6 +787,16 @@ def _tree_fault(rng, t):
         (_edge_fault if fault == 2 else _atom_fault)(rng, t)
 
 
+def _validators_only(m):
+    """Route every tree entry through its validator."""
+    m.setattr(serialize, "_read_edges", lambda raw, literals, path: [
+        serialize._edge(e, f"{path}[{i}]")
+        for i, e in enumerate(serialize._as_array(raw, path))])
+    m.setattr(serialize, "_read_atoms", lambda raw, position, literals, path: [
+        serialize._atom(a, f"{path}[{i}]", position)
+        for i, a in enumerate(serialize._as_array(raw, path))])
+
+
 def test_one_pass_reader_gives_the_validator_route_s_rows_and_lines(monkeypatch):
     # the one-pass reader and the validators alone give equal trees and atom
     # rows (and the oracle's), or the same error line, on seeded valid trees
@@ -806,12 +816,30 @@ def test_one_pass_reader_gives_the_validator_route_s_rows_and_lines(monkeypatch)
     for text in texts:
         fast = _tree_outcome(text)
         with monkeypatch.context() as m:
-            m.setattr(serialize, "_read_edges", lambda *args: None)
-            m.setattr(serialize, "_read_atoms", lambda *args: None)
+            _validators_only(m)
             assert _tree_outcome(text) == fast
         if fast[0] == "error":
             lines.add(re.sub(r"\[\d+\]|\(.*\)|'.*'|root \S+", "", fast[1]))
     assert len(lines) >= 20, sorted(lines)
+
+
+def test_an_entry_the_pass_refuses_is_the_only_one_validated(monkeypatch):
+    # a 1,500-edge path whose edge k has a length that is not plain: the pass
+    # reads every other entry, the validator reads edge k alone, at its own
+    # path, and the rows are the validators'
+    names = [f"v{i}" for i in range(1501)]
+    edge, paths = serialize._edge, []
+    monkeypatch.setattr(serialize, "_edge",
+                        lambda e, epath: paths.append(epath) or edge(e, epath))
+    for k in (0, 731, 1499):
+        edges = [{"ends": [names[i], names[i + 1]], "length": f"{i % 7 + 1}/{i % 5 + 2}"}
+                 for i in range(1500)]
+        edges[k]["length"] = " 4/6 "
+        paths.clear()
+        rows = _tree_outcome(json.dumps(
+            {"kind": "tree", "tree": {"vertices": names, "edges": edges}}))[0][2]
+        assert paths == [f"t.json.tree.edges[{k}]"]
+        assert rows == [edge(e, "e") for e in edges] and rows[k][2:] == (2, 3)
 
 
 # values a tree file may hold in a wrong place: wrong types, booleans, zero

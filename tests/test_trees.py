@@ -239,8 +239,9 @@ FAULTS = [_loop, _repeat, _unknown_end, _bad_length, _extra_edge, _cycle_and_iso
 
 
 def test_whole_list_checks_build_the_rows_of_the_per_edge_checks():
-    # from_pairs reads a list by whole-list invariants and any other iterable
-    # edge by edge; both give the oracle's rows, or the same first fault
+    # from_pairs reads any iterable as one list, by whole-list invariants, and
+    # checks edge by edge only to name a fault; a list and an iterator give
+    # the oracle's rows, or the same first fault
     rng = random.Random(420)
     primes = first_primes(30)
     cases = [(["only"], [], None), (["only"], [], "elsewhere")]
@@ -262,6 +263,22 @@ def test_whole_list_checks_build_the_rows_of_the_per_edge_checks():
         outcomes.add(re.sub(r"edge \(.*\)|root \S+", "", fast[1])
                      if fast[0] == "error" else "rows")
     assert len(outcomes) == 11, outcomes
+
+
+def test_a_valid_fraction_built_tree_runs_no_per_edge_fault_scan(monkeypatch):
+    # both constructors check by whole-list invariants; the edge-by-edge scan
+    # runs only once they fail, to name the fault
+    scans = []
+    scan = MetricTree._raise_fault
+    monkeypatch.setattr(MetricTree, "_raise_fault",
+                        lambda tree, *args: scans.append(args) or scan(tree, *args))
+    tree = _prime_tree(random.Random(43), first_primes(40))
+    assert scans == []
+    assert MetricTree(tree.vertices, tree_edges(tree), tree.root).order == tree.order
+    assert scans == []
+    with pytest.raises(PreconditionError, match=r"edge \(r, r\) is a loop"):
+        MetricTree(["r", "a"], [("r", "r", F(1))])
+    assert len(scans) == 1
 
 
 @pytest.mark.parametrize("values", [
