@@ -114,13 +114,6 @@ def _levels(text: Optional[str], inst_schedule: Optional[Sequence], default: Seq
     return _parse_schedule(chunks if eps else levels, "--schedule", eps)
 
 
-def _pair(toric: ToricInstance, command: str, schedule: Optional[str]):
-    """The metrics psi1 and psi2 with their levels (default: default_schedule)."""
-    m1, m2 = toric.metric_pair(command)
-    return m1, m2, _levels(schedule, toric.schedule,
-                           default_schedule(toric.polytope.ambient_dim))
-
-
 def _measure(toric, command, schedule):
     mu = monge_ampere(toric.single_metric(command))
     atoms = mu.items_sorted()
@@ -137,7 +130,9 @@ def _energy(toric, command, schedule):
 
 
 def _navol(toric, command, schedule):
-    result = navol_run(*_pair(toric, command, schedule))
+    m1, m2 = toric.metric_pair(command)
+    result = navol_run(m1, m2, _levels(schedule, toric.schedule,
+                                       default_schedule(toric.polytope.ambient_dim)))
     fields = {"exact": frac_str(result.exact),
               "exact_decimal": decimal_str(result.exact),
               "estimate": frac_str(result.estimate),
@@ -149,8 +144,7 @@ def _navol(toric, command, schedule):
 
 
 def _vol_is_energy(toric, command, schedule) -> VerificationReport:
-    m1, m2, levels = _pair(toric, command, schedule)
-    return verify_vol_is_energy(m1, m2, levels, instance=toric.name)
+    return verify_vol_is_energy(*toric.metric_pair(command), instance=toric.name)
 
 
 def _envelope(toric, command, schedule):

@@ -16,7 +16,8 @@ back as Fraction pieces so the brute-force hull can be compared with it,
 `roof_cells`, which reads a roof's integer cells with rational corners,
 `roof_function`, which builds the package's roof type from rational pieces,
 `serialize_instance` and `instance_json`, which write the package's parsed
-instance types back in the instance-file schema,
+instance types back in the instance-file schema, `bump_metric`, which
+reads the bundled `bump_segment.json` through the package's parser,
 `dilate` and `metric_scale`, which build the package's polytope and metric
 types for t*P, `minkowski_sum` and `metric_sum`, which build them for P + Q
 and psi1 + psi2 (mixed measures polarized over such sums are the tests'
@@ -38,6 +39,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from importlib import resources
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -1217,3 +1219,12 @@ def instance_json(inst):
     """The instance as `serialize_instance` gives it, in indented JSON text."""
     import json
     return json.dumps(serialize_instance(inst), indent=2) + "\n"
+
+
+def bump_metric():
+    """The non-convex two-branch metric of the bundled `bump_segment.json` on
+    [0, 1], read through the package's parser."""
+    from navol.serialize import parse_instance_text
+    text = resources.files("navol").joinpath("instances", "bump_segment.json").read_text(
+        encoding="utf-8")
+    return parse_instance_text(text, "bump_segment.json").single_metric("bump")

@@ -1,7 +1,9 @@
 """End-to-end verification drivers and the bundled instance suite."""
 
 import json
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,20 +11,21 @@ import pytest
 import navol.cli as cli
 import navol.harness as harness
 from navol.errors import PreconditionError
-from navol.harness import (bump_metric, random_convex_metric,
-                           random_direction, random_nonconvex_metric,
-                           random_tree, random_tree_measures, run_bundled_suite,
+from navol.harness import (random_convex_metric, random_direction,
+                           random_nonconvex_metric, random_tree,
+                           random_tree_measures, run_bundled_suite,
                            tent_direction, tent_metric, verify_differentiability,
                            verify_h0_envelope_equality, verify_length_cocycle,
                            verify_orthogonality, verify_tree_solvability,
                            verify_vol_is_energy)
-from navol.measures import DiscreteMeasure, energy
-from navol.plmetric import canonical_metric, envelope, metric_deform
+from navol.measures import DiscreteMeasure, energy, envelope_energy
+from navol.plmetric import canonical_metric, envelope, legendre, metric_deform, metric_shift
 from navol.polytope import Polytope, segment, simplex, unit_box
+from navol.serialize import ToricInstance, parse_instance_text
 from navol.trees import MetricTree, potential_rows
-from navol.volumes import default_schedule, lipschitz_check, navol, proportionality_check
+from navol.volumes import lattice_length, lipschitz_check, navol, proportionality_check
 
-from _oracles import tree_edges
+from _oracles import bump_metric, instance_json, roof_cells, tree_edges
 
 F = Fraction
 SEG = segment(0, 1)
@@ -31,7 +34,7 @@ EPS = [F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 32)]
 
 
 def test_vol_is_energy_on_the_tent():
-    rep = verify_vol_is_energy(tent_metric(SEG), canonical_metric(SEG), default_schedule(1))
+    rep = verify_vol_is_energy(tent_metric(SEG), canonical_metric(SEG))
     assert rep.passed
     assert rep.theorem == "vol-is-energy"
     assert rep.exact["energy"] == "1/4"
@@ -39,10 +42,129 @@ def test_vol_is_energy_on_the_tent():
 
 
 def test_vol_is_energy_envelope_label_for_nonconvex_input():
-    rep = verify_vol_is_energy(bump_metric(SEG), canonical_metric(SEG),
-                               schedule=list(range(1, 13)))
+    rep = verify_vol_is_energy(bump_metric(), canonical_metric(SEG))
     assert rep.passed
     assert rep.theorem == "vol-is-energy-envelope"
+
+
+def _period(m1, m2):
+    """The lcm over both roofs of the row scale D times the lcm W of the
+    cell corners' denominators, read from the rational cells."""
+    q = 1
+    for metric in (m1, m2):
+        roof = legendre(metric)
+        corners = math.lcm(*(c.denominator for _, cell in roof_cells(roof)
+                             for corner in cell for c in corner))
+        q = math.lcm(q, roof.integer_rows()[0] * corners)
+    return q
+
+
+def _differences(m1, m2, q):
+    """The two (n+1)-th forward differences of the lengths at q*k, k = 0..n+2
+    (0 at k = 0), and what each must be: (n+1)*q^(n+1) times the energy."""
+    n = m1.dim
+    values = [0] + [lattice_length(m1, m2, q * k) for k in range(1, n + 3)]
+    for _ in range(n + 1):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values, (n + 1) * q ** (n + 1) * envelope_energy(m1, m2)
+
+
+def test_vol_is_energy_period_multiplies_scale_and_corner_denominators():
+    # the 16th pair of this draw: the lcm of the roofs' scales and corner
+    # denominators, 24, is too short a period; scale times corners, 144, is one
+    rng = random.Random(77)
+    m1, m2 = [(random_nonconvex_metric(BOX, rng), random_nonconvex_metric(BOX, rng))
+              for _ in range(16)][-1]
+    rep = verify_vol_is_energy(m1, m2)
+    assert rep.passed and rep.exact["period"] == "144" == str(_period(m1, m2))
+    assert [int(m) for m, _, _ in rep.series[1:]] == [144, 288, 432, 576]
+    assert set(rep.exact) == {"energy", "period"}
+    lcm = math.lcm(*(legendre(m).integer_rows()[0] for m in (m1, m2)),
+                   *(c.denominator for m in (m1, m2) for _, cell in roof_cells(legendre(m))
+                     for corner in cell for c in corner))
+    assert lcm == 24
+    differences, target = _differences(m1, m2, 144)
+    assert differences == [target] * 2
+    differences, target = _differences(m1, m2, 24)
+    assert differences != [target] * 2
+
+
+def test_vol_is_energy_refuses_a_planar_pair_over_the_budget(monkeypatch, tmp_path, capsys):
+    # the first pair of the same draw has period 83,160: its top level is
+    # 4 * 83,160, past the budget, and no level is computed
+    rng = random.Random(77)
+    m1, m2 = random_nonconvex_metric(BOX, rng), random_nonconvex_metric(BOX, rng)
+    assert 4 * _period(m1, m2) > harness.VOL_LEVEL_BUDGET
+    path = tmp_path / "far.json"
+    path.write_text(instance_json(ToricInstance("far.json", BOX, {"psi1": m1, "psi2": m2}, ())))
+    rc = cli.main(["verify-all", str(path), "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err == ("error: vol-is-energy needs level 332640 (period 83160), "
+                   f"above the planar budget {harness.VOL_LEVEL_BUDGET}\n")
+
+    # a period too long for str() gets frac_str's one line, not a traceback
+    big = 10 ** 4000
+    corners = [([0, 0], f"1/{big + 1}"), ([1, 0], f"1/{big + 3}"), ([0, 1], 0), ([1, 1], 0)]
+    path.write_text(json.dumps({
+        "kind": "toric", "polytope": [s for s, _ in corners],
+        "metrics": {"psi1": [[{"slope": s, "constant": c} for s, c in corners]]}}))
+    rc = cli.main(["verify-all", str(path), "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err == ("error: an exact result has an integer of more than "
+                   f"{sys.get_int_max_str_digits()} digits\n")
+
+    def length(*args):
+        raise AssertionError("a level was computed over the budget")
+
+    monkeypatch.setattr(harness, "lattice_length", length)
+    with pytest.raises(PreconditionError, match="planar budget"):
+        verify_vol_is_energy(m1, m2)
+
+
+def _energy_without_factorial(energy):
+    return lambda m1, m2: energy(m1, m2) / math.factorial(m1.dim)
+
+
+def _roof_shifted(length):
+    # one roof moved by 1/q, q the pair's period: at m = q*k every ceiling
+    # moves by k
+    return lambda m1, m2, m: length(m1, metric_shift(m2, F(1, _period(m1, m2))), m)
+
+
+def _length_plus_1(length):
+    return lambda m1, m2, m: length(m1, m2, m) + 1
+
+
+# label: (harness name, mutant of it, dimensions of the reports it touches)
+PROBES = {
+    "energy-without-n!": ("envelope_energy", _energy_without_factorial, (2,)),
+    "roof-shifted-by-1/q": ("lattice_length", _roof_shifted, (1, 2)),
+    "length-plus-1": ("lattice_length", _length_plus_1, (1, 2)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PROBES))
+def test_each_probe_fails_every_vol_is_energy_report_it_touches(label, monkeypatch):
+    name, mutate, dims = PROBES[label]
+    pairs = [parse_instance_text(text, file).metric_pair("verify-all")
+             for file, text in cli.bundled_instance_texts() if '"psi1"' in text]
+    rng = random.Random(2003)
+    pairs += [(random_nonconvex_metric(SEG, rng), random_nonconvex_metric(SEG, rng))
+              for _ in range(3)]
+    monkeypatch.setattr(harness, name, mutate(getattr(harness, name)))
+    reports = [verify_vol_is_energy(m1, m2) for m1, m2 in pairs]
+    reports += [r for seed in range(3) for r in run_bundled_suite(seed)
+                if r.theorem.startswith("vol-is-energy")]
+    touched = [r for r in reports if len(r.series) - 3 in dims]   # n+2 levels, a header
+    assert len(touched) >= 7 and not any(r.passed for r in touched), label
+
+
+def test_every_seeded_report_passes_on_seeds_0_to_149():
+    failed = [(seed, r.theorem, r.instance) for seed in range(150)
+              for r in run_bundled_suite(seed) if not r.passed]
+    assert failed == []
 
 
 def test_differentiability_on_the_tent_direction():
@@ -57,7 +179,7 @@ def test_differentiability_on_the_tent_direction():
 def test_differentiability_needs_semipositive_base():
     pos, neg = tent_direction(SEG)
     with pytest.raises(PreconditionError):
-        verify_differentiability(bump_metric(SEG), pos, neg, EPS)
+        verify_differentiability(bump_metric(), pos, neg, EPS)
     with pytest.raises(PreconditionError):
         verify_differentiability(canonical_metric(SEG), pos, neg, [F(0)])
 
@@ -100,14 +222,14 @@ def test_differentiability_series_is_the_energy_of_envelopes():
 
 
 def test_orthogonality_on_the_bump():
-    rep = verify_orthogonality(bump_metric(SEG), instance="bump")
+    rep = verify_orthogonality(bump_metric(), instance="bump")
     assert rep.passed
     assert rep.exact["residual"] == "0"
     assert rep.exact["gap_sup"] != "0"
 
 
 def test_h0_envelope_equality_reports():
-    rep = verify_h0_envelope_equality(bump_metric(SEG),
+    rep = verify_h0_envelope_equality(bump_metric(),
                                       schedule=list(range(1, 26)))
     assert rep.passed
     assert rep.exact["max_abs_length"] == "0"
@@ -126,15 +248,13 @@ def test_length_cocycle_on_seeded_triples():
 
 
 def test_checks_refuse_levels_that_leave_nothing_to_verify():
-    # a fitted check needs one level past its fit window, whatever fit_count
-    # asks, and a check of every level needs one level
+    # a fitted check needs one level past its fit window, and a check of
+    # every level needs one level
     tent, can = tent_metric(SEG), canonical_metric(SEG)
     pos, neg = tent_direction(SEG)
     refusals = {
-        "at least two levels": (lambda: verify_vol_is_energy(tent, can, [3]),
-                                lambda: verify_vol_is_energy(tent, can, [], fit_count=1),
-                                lambda: verify_differentiability(can, pos, neg,
-                                                                 [F(1, 2), F(1, 2)])),
+        "at least two levels": (lambda: verify_differentiability(can, pos, neg,
+                                                                 [F(1, 2), F(1, 2)]),),
         "at least one level": (lambda: verify_length_cocycle(tent, can, tent, []),
                                lambda: verify_h0_envelope_equality(tent, []),
                                lambda: proportionality_check(tent, can, F(1), []),
@@ -175,7 +295,7 @@ def test_tree_check_counts_the_defect_of_a_wrong_potential(monkeypatch):
 
 
 def test_report_line_format():
-    rep = verify_orthogonality(bump_metric(SEG), instance="bump")
+    rep = verify_orthogonality(bump_metric(), instance="bump")
     line = rep.line()
     assert line.startswith("[PASS]")
     assert "envelope-orthogonality" in line

@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 from navol.errors import PreconditionError
-from navol.harness import (bump_metric, random_convex_metric,
-                           random_nonconvex_metric, tent_metric)
+from navol.harness import random_convex_metric, random_nonconvex_metric, tent_metric
 from navol.measures import (DiscreteMeasure, energy, envelope_energy, monge_ampere,
                             mixed_monge_ampere)
 from navol.plmetric import PLMetric, canonical_metric, envelope, is_semipositive, metric_shift
 from navol.polytope import Polytope, segment, simplex, unit_box
 
-from _oracles import (curvature_atoms_1d_oracle,
+from _oracles import (bump_metric, curvature_atoms_1d_oracle,
                       curvature_atoms_2d_convex_oracle, dilate, energy_by_mixed_measures,
                       is_nonnegative, metric_sum)
 
@@ -86,13 +85,13 @@ def test_curvature_matches_subdifferential_oracle_in_the_plane():
 
 def test_nonconvex_metric_rejected_by_curvature():
     with pytest.raises(PreconditionError):
-        monge_ampere(bump_metric(SEG))
+        monge_ampere(bump_metric())
 
 
 def test_total_mass_is_factorial_times_volume():
     rng = random.Random(212)
     cases = [(tent_metric(SEG), 1), (canonical_metric(BOX), 2),
-             (envelope(bump_metric(SEG)), 1),
+             (envelope(bump_metric()), 1),
              (canonical_metric(simplex(2, size=2)), 4)]
     for _ in range(5):
         cases.append((random_convex_metric(SEG, rng), 1))
@@ -270,7 +269,7 @@ def test_energy_requires_shared_polytope():
     (lambda bump, can: energy(can, bump), "energy needs semipositive metrics"),
 ], ids=["mixed-measure", "energy-first", "energy-second"])
 def test_measures_refusals(call, match):
-    bump, can = bump_metric(SEG), canonical_metric(SEG)
+    bump, can = bump_metric(), canonical_metric(SEG)
     assert not is_semipositive(bump)
     with pytest.raises(PreconditionError, match=match):
         call(bump, can)

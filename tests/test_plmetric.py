@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from navol import plmetric
 from navol.errors import PreconditionError
-from navol.harness import (bump_metric, random_convex_metric,
-                           random_nonconvex_metric, random_direction,
+from navol.harness import (random_convex_metric, random_nonconvex_metric, random_direction,
                            tent_metric)
 from navol.measures import energy, envelope_energy, monge_ampere
 from navol.plmetric import (PLMetric, canonical_metric,
@@ -23,7 +22,7 @@ from navol.rational import frac
 
 from navol.volumes import lattice_length
 
-from _oracles import (arrangement_candidates, block_conjugate_oracle,
+from _oracles import (arrangement_candidates, bump_metric, block_conjugate_oracle,
                       brute_lower_hull_facets, common_scale, deform_branches,
                       deformation_roof_by_translates, dilate,
                       distance_by_joint_arrangement, envelope_1d_oracle,
@@ -471,7 +470,7 @@ def test_canonical_metric_is_support_function():
 
 def test_roof_values_match_exhaustive_conjugate_oracle():
     rng = random.Random(31)
-    metrics = [tent_metric(SEG), bump_metric(SEG),
+    metrics = [tent_metric(SEG), bump_metric(),
                canonical_metric(SEG), canonical_metric(BOX)]
     for _ in range(4):
         metrics.append(random_convex_metric(SEG, rng))
@@ -679,7 +678,7 @@ def test_roof_cells_partition_the_polytope():
 
 def test_envelope_matches_chain_oracle_on_the_line():
     rng = random.Random(1101)
-    metrics = [bump_metric(SEG), tent_metric(SEG)]
+    metrics = [bump_metric(), tent_metric(SEG)]
     for _ in range(12):
         metrics.append(random_nonconvex_metric(SEG, rng, branches=rng.randint(2, 3)))
     queries = [F(k, 16) for k in range(17)]
@@ -726,7 +725,7 @@ def test_envelope_of_convex_metric_is_itself():
 
 
 def test_bump_is_not_semipositive_but_its_envelope_is():
-    psi = bump_metric(SEG)
+    psi = bump_metric()
     assert not is_semipositive(psi)
     env = envelope(psi)
     assert is_semipositive(env)
@@ -1293,7 +1292,7 @@ def test_envelopes_of_deformations_build_no_fraction_blocks():
 # Refusals that no other test reaches. The harness refuses a bad eps, polytope
 # or neg before it deforms anything, so those reach metric_deformations and
 # metric_deform only when called directly.
-BUMP_SEG, CAN_SEG, CAN_BOX = bump_metric(SEG), canonical_metric(SEG), canonical_metric(BOX)
+BUMP_SEG, CAN_SEG, CAN_BOX = bump_metric(), canonical_metric(SEG), canonical_metric(BOX)
 
 
 @pytest.mark.parametrize("call, match", [

@@ -1158,7 +1158,6 @@ def test_results_too_long_to_print_exit_3_with_one_line(case, tmp_path, capsys):
 # name -> (command, file name, command line after the file) of the fitted
 # checks given one level: none would be left to verify the fitted constant
 ONE_LEVEL = {
-    "verify-all": ("verify-all", "one_level.json", []),
     "diff-check": ("diff-check", "diff.json", ["--schedule", "1/2"]),
     "morse-check": ("morse-check", "surface_f1.json", ["--schedule", "5"]),
 }
@@ -1167,7 +1166,7 @@ ONE_LEVEL = {
 @pytest.mark.parametrize("case", sorted(ONE_LEVEL))
 def test_a_fitted_check_on_one_level_exits_3_with_one_line(case, tmp_path, capsys):
     command, name, extra = ONE_LEVEL[case]
-    files = {**_bundled(), "diff.json": DIFF, "one_level.json": dict(TENT, schedule=[3])}
+    files = {**_bundled(), "diff.json": DIFF}
     path = _write(tmp_path, name, files[name])
     rc = cli.main([command, path, *extra, "--out-dir", str(tmp_path / "out")])
     out, err = capsys.readouterr()

@@ -30,15 +30,15 @@ CSV_ROWS_SHA256 = {
     "cohomology-twist-stability":
         "b2aa38a5d2b529634bba2fe2017fd5f64308b5eaf97e660141e5f34589c14b27",
     "envelope-orthogonality":
-        "375b589d36375f94529b6122e1dfca83bd26a7d2d652fc3515e94c79827df72b",
+        "405859e289f5b7fc39238fb60d31d1c961d84e73eddb7b2eb7b46bc9fb3d3a49",
     "h0-envelope-equality":
         "bc859f0a132e0639ebc73bc7f66bef358f051ba09b8fd71daf70a52471499e04",
     "length-cocycle":
         "5f1500b7700d22c025d3c69a1cb8b51dc5d48eed0484913c4b264220ff45b848",
     "tree-monge-ampere-solvability":
-        "fd09f0110401630e8e06b4f41627cbd67ba5aa8a14688b98508762f684e84a30",
+        "c84cdfa46274c0935e117b20d74be75c497371f7418979c440ed99b3be8e744b",
     "vol-is-energy":
-        "e113c931c0bc01ab5684df0cb491206c2389e666ce40cd93820fbc1f0938dbea",
+        "c796278abe36b723030f01010585297cc5e95b70326aae100d2665b027b0d5ce",
     "volume-differentiability":
         "09bcea7f0ef3ab0bc2e1aadc0c999610e563d2f6036013006965ee90a62a7feb",
 }
@@ -50,15 +50,15 @@ REPORTS_SHA256 = {
     "cohomology-twist-stability":
         "e99ccdaaba1c94bbd34605ce0c724b0e9865b8a87351e5776db46d41314034a3",
     "envelope-orthogonality":
-        "c3d3d80d745ee7de1b5670ff102a7262e0ff0be9c86d2a9e2650297a1c73802c",
+        "7077e39169cfe88fd0253ede02a923371b0a6b89288bdc48ded382a0bdac6b04",
     "h0-envelope-equality":
         "898cb24d79c756ddd16da6393db5a7fa9fbb5f44eb24dbe3bd20982e5f21010a",
     "length-cocycle":
         "2cc7b836792d6346dad161a60b2f6f12f02bf84640a3c5bb4d27ac5003ada5f6",
     "tree-monge-ampere-solvability":
-        "d8bd0c92fd4c75d0501934e789c398eafc909a3e888841fce68c59183a43b832",
+        "2577c170b97fa6c1f02f94980d40b8a8541761e9fae8f414d0e4ac196913fc85",
     "vol-is-energy":
-        "577c9daf2dc484d37cff4fa237ceaa7147cc389beff1cb29f08ff02075987993",
+        "7e3d6b7af8a3d0ba13f172c7af31623f788cd26736181bb1e43371490fd9fe9c",
     "volume-differentiability":
         "4845cd35731104abc57f58fa5a62502e71fb5c017f2d62daffcc704c8e8f7231",
 }

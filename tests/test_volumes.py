@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from navol import volumes
 from navol.errors import PreconditionError
-from navol.harness import (bump_metric, random_convex_metric,
-                           random_nonconvex_metric, tent_metric)
+from navol.harness import random_convex_metric, random_nonconvex_metric, tent_metric
 from navol.measures import energy
 from navol.plmetric import (RoofFunction, _dedupe_rows, canonical_metric, envelope, legendre,
                             metric_shift)
@@ -19,7 +18,7 @@ from navol.polytope import Polytope, segment, simplex, unit_box
 from navol.volumes import (_ceil_sum, _floor_sum, _point_count, default_schedule,
                            lattice_length, lipschitz_check, navol, proportionality_check)
 
-from _oracles import (ceil_sum_by_points, lattice_length_by_points,
+from _oracles import (bump_metric, ceil_sum_by_points, lattice_length_by_points,
                       lattice_length_oracle, lattice_points_oracle)
 
 F = Fraction
@@ -200,8 +199,8 @@ def test_default_schedules_are_increasing():
 def test_lattice_length_matches_enumeration_oracle():
     rng = random.Random(310)
     pairs = [(tent_metric(SEG), canonical_metric(SEG)),
-             (bump_metric(SEG), canonical_metric(SEG)),
-             (bump_metric(SEG), envelope(bump_metric(SEG)))]
+             (bump_metric(), canonical_metric(SEG)),
+             (bump_metric(), envelope(bump_metric()))]
     for _ in range(4):
         pairs.append((random_convex_metric(SEG, rng),
                       random_nonconvex_metric(SEG, rng)))
@@ -248,7 +247,7 @@ def test_navol_result_converges_to_energy():
 
 
 def test_navol_for_nonconvex_pair_uses_envelopes():
-    psi = bump_metric(SEG)
+    psi = bump_metric()
     res = navol(psi, canonical_metric(SEG), schedule=[40])
     limit = energy(envelope(psi), canonical_metric(SEG))
     assert res.exact == limit
