@@ -290,19 +290,21 @@ def bundled_instance_texts() -> List[Tuple[str, str]]:
             if entry.name.endswith(".json")]
 
 
-def _instance_checks(inst: Instance) -> List[VerificationReport]:
-    """verify-all's checks of one instance file, at the instance's levels
-    or the checks' defaults."""
+def _verify_all_checks(inst: Instance) -> List[Callable]:
+    """verify-all's checks of one instance file, each run as check(inst, "verify-all", None)."""
     if isinstance(inst, ToricInstance):
-        checks = [_vol_is_energy] if "psi1" in inst.metrics else [_ortho, _h0]
-    elif isinstance(inst, TreeInstance):
-        checks = [_tree_rows]
-    else:
-        has = inst.divisors
-        checks = [check for check, runs in ((_morse, "D" in has and "E" in has),
-                                            (_consistency, "D" in has),
-                                            (_perturb, inst.scan is not None)) if runs]
-    return [check(inst, "verify-all", None) for check in checks]
+        return [_vol_is_energy] if "psi1" in inst.metrics else [_ortho, _h0]
+    if isinstance(inst, TreeInstance):
+        return [_tree_rows]
+    has = inst.divisors
+    return [check for check, runs in ((_morse, "D" in has and "E" in has),
+                                      (_consistency, "D" in has),
+                                      (_perturb, inst.scan is not None)) if runs]
+
+
+def _instance_checks(inst: Instance) -> List[VerificationReport]:
+    """verify-all's reports on one instance file, at its levels or the defaults."""
+    return [check(inst, "verify-all", None) for check in _verify_all_checks(inst)]
 
 
 def _cmd_verify_all(args, extra_paths: Sequence[str]) -> CommandResult:

@@ -7,30 +7,29 @@ surfaces F_a for a >= 0 (basis: a section S with S^2 = a and a fibre F);
 P1xP1 is F_0 under its own name.
 h^0 is a lattice-point / section count in closed form, h^top comes from Serre
 duality, and the middle h^1 on surfaces is determined by Riemann-Roch; all
-values are exact integers. One evaluator gives every h^q from h^0 of the class
-and of its Serre dual, each computed only if some requested q reads it; the
-limit of n! h^q(mD)/m^n, from those closed forms' leading terms, likewise.
+values are exact integers. Each family builds one integer function per q,
+on the class's integer coordinates; the limit of n! h^q(mD)/m^n, from those
+closed forms' leading terms, is composed the same way.
 
 Everything runs on integers up to the reported values: a divisor rounds up
 its (p, q) coefficients as -(-m p // q), h^q of an integral class is a few
 closed-form counts, and the Morse and twist checks take their fitted
 constants and verdicts by cross-multiplying integer numerators and positive
-denominators. Each reported rational is built as one Fraction. The surface
-checks return `harness.VerificationReport`s, as the toric checks do.
+denominators, and write each reported rational from them with one gcd. The
+surface checks return `harness.VerificationReport`s, as the toric checks do.
 """
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .harness import VerificationReport, _fit_window
-from .rational import ZERO, frac, frac_str, point_str
+from .rational import ZERO, frac, frac_str, point_str, ratio_str
 
 # defaults for the CLI's cohomology and morse-check commands and verify-all
 COHOMOLOGY_SCHEDULE = tuple(range(1, 11))
@@ -56,28 +55,57 @@ def _hirzebruch_index(name: str) -> Optional[int]:
         return None
 
 
+def _kernels(h0: Callable, chi: Callable, canonical: Tuple[int, ...], dim: int):
+    """(h^0, h^1, h^2) of an integral class as functions of its coordinates,
+    and (h^0, h^1, h^2) from one read of each section count: h^n = h^0(K - D)
+    by Serre duality, h^1 = h^0 + h^2 - chi on a surface, 0 above n."""
+    k0, k1 = canonical[0], canonical[-1]
+    top = ((lambda d: h0(k0 - d)) if len(canonical) == 1 else
+           (lambda p, f: h0(k0 - p, k1 - f)))
+    if dim == 1:
+        return (h0, top, lambda d: 0), lambda d: (h0(d), top(d), 0)
+
+    def row(*cls: int) -> Tuple[int, int, int]:
+        low, up = h0(*cls), top(*cls)
+        return low, low + up - chi(*cls), up
+    return (h0, lambda *cls: h0(*cls) + top(*cls) - chi(*cls), top), row
+
+
 class ToricFamily:
-    """One of the supported varieties, with its intersection theory and
-    closed-form section counts."""
+    """One of the supported varieties, with its intersection theory and h^q of
+    an integral class cls as `hq_kernels[q](*cls)`, all three as `hq_row(*cls)`."""
 
     def __init__(self, name: str):
         name = name.strip()
         a = 0 if name == "P1xP1" else _hirzebruch_index(name)
+        # h^0 of an integral class in closed form, and chi = 1 + D.(D - K)/2
+        # by Riemann-Roch on a surface, where D.(D - K) is even
         if name == "P1":
-            self.dim, self.rank = 1, 1
-            self.canonical = (-2,)
+            self.dim, self.rank, self.canonical = 1, 1, (-2,)
+            h0, chi = (lambda d: d + 1 if d >= 0 else 0), (lambda d: 1 + d)
         elif name == "P2":
-            self.dim, self.rank = 2, 1
-            self.canonical = (-3,)
+            self.dim, self.rank, self.canonical = 2, 1, (-3,)
+            h0 = lambda d: (d + 1) * (d + 2) // 2 if d >= 0 else 0
+            chi = lambda d: 1 + d * (d + 3) // 2
         elif a is not None:
             # P1xP1 is F_0: the same form, canonical class and section counts
-            self.dim, self.rank = 2, 2
+            self.dim, self.rank, self.canonical = 2, 2, (-2, a - 2)
             self.hirzebruch_a = a
-            self.canonical = (-2, self.hirzebruch_a - 2)
+            chi = lambda p, f: 1 + a * p * (p + 1) // 2 + p * f + p + f
+
+            def h0(p: int, f: int) -> int:
+                # sum of max(0, a*y + f + 1) over 0 <= y <= p, nondecreasing as a >= 0:
+                # an arithmetic series from its first positive term (a > 0 if past y = 0)
+                if p < 0 or a * p + f + 1 <= 0:
+                    return 0
+                first = 0 if f + 1 > 0 else -(f + 1) // a + 1
+                count = p - first + 1
+                return count * (f + 1) + a * (first + p) * count // 2
         else:
             raise PreconditionError(
                 f"unsupported family {name!r}; use P1, P2, P1xP1 or Fa (a >= 0)")
-        self.name = name
+        self.name, self._chi = name, chi
+        self.hq_kernels, self.hq_row = _kernels(h0, chi, self.canonical, self.dim)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ToricFamily) and self.name == other.name
@@ -91,8 +119,7 @@ class ToricFamily:
     # -- intersection theory -------------------------------------------------
     def intersection(self, d1: Sequence, d2: Sequence) -> Fraction:
         """Intersection number of two (rational) classes; degree product on P1."""
-        a = _as_class(d1, self.rank)
-        b = _as_class(d2, self.rank)
+        a, b = _as_class(d1, self.rank), _as_class(d2, self.rank)
         if self.name == "P1":
             raise PreconditionError("P1 is a curve: it has no intersection form")
         return self._pairing(a, b)
@@ -107,40 +134,19 @@ class ToricFamily:
         """D^(n-q) . E^q as a rational number; on P1 the degree of D or E."""
         if self.name == "P1":
             return _as_class(d if q == 0 else e, 1)[0]
-        if q == 0:
-            return self.intersection(d, d)
-        if q == 1:
-            return self.intersection(d, e)
-        return self.intersection(e, e)
+        return self.intersection(*((d, d) if q == 0 else (d, e) if q == 1 else (e, e)))
 
     def is_nef(self, d: Sequence) -> bool:
-        cls = _as_class(d, self.rank)
-        return all(c >= 0 for c in cls)
+        return all(c >= 0 for c in _as_class(d, self.rank))
 
     # -- section counts ------------------------------------------------------
     def h0_integral(self, d: Sequence[int]) -> int:
         """Number of global sections of the line bundle of an integral class."""
-        cls = tuple(map(int, d))
-        if self.name == "P1":
-            (deg,) = cls
-            return deg + 1 if deg >= 0 else 0
-        if self.name == "P2":
-            (deg,) = cls
-            return (deg + 1) * (deg + 2) // 2 if deg >= 0 else 0
-        # sum of max(0, h*y + q + 1) over 0 <= y <= p: h >= 0, so the terms
-        # never decrease, and the sum is an arithmetic series from the first
-        # positive term (h > 0 whenever that term is not the one at y = 0)
-        p, q = cls
-        h = self.hirzebruch_a
-        if p < 0 or h * p + q + 1 <= 0:
-            return 0
-        first = 0 if q + 1 > 0 else -(q + 1) // h + 1
-        count = p - first + 1
-        return count * (q + 1) + h * (first + p) * count // 2
+        return self.hq_kernels[0](*map(int, d))
 
     def _h0_lead(self, d: Sequence[Fraction]) -> Fraction:
         """n! times the m^n coefficient of h^0(mD) for a rational class, read
-        off the closed forms of h0_integral (on F_h, n! times the integral
+        off the closed forms of h^0 (on F_h, n! times the integral
         of max(0, h*y + q) over 0 <= y <= p)."""
         if self.name == "P1":
             return max(d[0], ZERO)
@@ -152,17 +158,10 @@ class ToricFamily:
             return ZERO
         return 2 * p * q + h * p ** 2 if q >= 0 else (h * p + q) ** 2 / h
 
-    def serre_dual(self, cls: Sequence[int]) -> Tuple[int, ...]:
-        """K minus an integral class: h^top of a class is h^0 of this."""
-        return tuple(k - c for k, c in zip(self.canonical, cls))
-
     def euler_characteristic(self, d: Sequence[int]) -> int:
         """chi of the line bundle of an integral class, by Riemann-Roch:
         1 + D.(D - K)/2 on a surface, where D.(D - K) is even."""
-        cls = tuple(map(int, d))
-        if self.name == "P1":
-            return cls[0] + 1
-        return 1 + self._pairing(cls, [c - k for c, k in zip(cls, self.canonical)]) // 2
+        return self._chi(*map(int, d))
 
 
 def toric_family(name: str) -> ToricFamily:
@@ -227,7 +226,7 @@ class RealDivisor:
 def hq(family: ToricFamily, divisor: RealDivisor, m: int, q: int) -> int:
     """Exact h^q of the round-up of m times the divisor."""
     _check_level(m, (q,))
-    return _hq_values(family, divisor.round_up(m), (q,))[0]
+    return family.hq_kernels[q](*divisor.round_up(m))
 
 
 def _check_level(m: int, qs: Sequence[int]) -> None:
@@ -235,22 +234,6 @@ def _check_level(m: int, qs: Sequence[int]) -> None:
         raise PreconditionError("q must be 0, 1 or 2")
     if m < 1:
         raise PreconditionError("level m must be >= 1")
-
-
-def _hq_values(family: ToricFamily, cls: Sequence[int], qs: Sequence[int]) -> List[int]:
-    """h^q of an integral class for each q in qs, from low = h^0 of the class
-    and top = h^0 of its Serre dual, each computed only if read: h^0 is low,
-    h^top is top by Serre duality, h^1 on a surface is low + top - chi by
-    Riemann-Roch, and h^q vanishes above the dimension n. On a curve q = 0
-    reads low and q = 1 reads top; on a surface q = 1 reads both."""
-    n = family.dim
-    low = family.h0_integral(cls) if 0 in qs or (n == 2 and 1 in qs) else 0
-    top = family.h0_integral(family.serre_dual(cls)) if 1 in qs or n in qs else 0
-    return [low if q == 0 else
-            0 if q > n else
-            top if q == n else
-            low + top - family.euler_characteristic(cls)
-            for q in qs]
 
 
 @dataclass
@@ -263,31 +246,30 @@ class CohomologyTable:
         return all(h >= 0 for _, q, h, _ in self.rows if q == 1)
 
     def serre_consistent(self) -> bool:
-        """h^n(mD) recomputed independently as h^0 of K minus the round-up."""
-        fam = self.family
-        top = fam.dim
-        for m, q, h, _ in self.rows:
-            if q != top:
-                continue
-            if h != fam.h0_integral(fam.serre_dual(self.divisor.round_up(m))):
-                return False
-        return True
+        """h^n(mD) against h^n of the round-up, h^0 of K minus it by Serre
+        duality. The table's h^n is that same expression, so this recomputes
+        it and cannot fail; an independent route for h^n is ROADMAP item 14."""
+        n = self.family.dim
+        top = self.family.hq_kernels[n]
+        return all(h == top(*self.divisor.round_up(m)) for m, q, h, _ in self.rows if q == n)
 
 
 def cohomology_table(family: ToricFamily, divisor: RealDivisor,
                      schedule: Sequence[int],
                      qs: Optional[Sequence[int]] = None) -> CohomologyTable:
     """Rows (m, q, h^q(mD), n! h^q / m^n) for each level and each q (all q
-    by default). A level rounds the class up once, and its rows share the
-    section counts of `_hq_values`."""
+    by default). A level rounds the class up once; one q reads its own
+    kernel, and several share the section counts of the family's `hq_row`."""
     if qs is None:
         qs = tuple(range(family.dim + 1))
-    n = family.dim
+    n, rows = family.dim, []
     factorial = math.factorial(n)
-    rows = []
     for m in schedule:
         _check_level(m, qs)
-        for q, h in zip(qs, _hq_values(family, divisor.round_up(m), qs)):
+        cls = divisor.round_up(m)
+        hs = family.hq_row(*cls) if len(qs) > 1 else None
+        for q in qs:
+            h = family.hq_kernels[q](*cls) if hs is None else hs[q]
             rows.append((m, q, h, Fraction(factorial * h, m ** n)))
     return CohomologyTable(family, divisor, rows)
 
@@ -299,8 +281,7 @@ def cohomology_consistency(family: ToricFamily, divisor: RealDivisor,
     nonnegative h^1."""
     start = time.monotonic()
     table = cohomology_table(family, divisor, schedule)
-    serre = table.serre_consistent()
-    h1_ok = table.h1_all_nonnegative()
+    serre, h1_ok = table.serre_consistent(), table.h1_all_nonnegative()
     return VerificationReport(
         theorem="cohomology-consistency", instance=instance,
         passed=serre and h1_ok,
@@ -333,9 +314,10 @@ def asymptotic_hq(family: ToricFamily, divisor: RealDivisor, q: int,
 def asymptotic_hq_exact(family: ToricFamily, divisor: RealDivisor,
                         q: int) -> Fraction:
     """The limit of n! h^q(mD)/m^n for every rational class D, composed as
-    `_hq_values` composes h^q from low = lim n! h^0(mD)/m^n and top = that of
-    -D: low for q = 0, top for q = n by Serre duality (K is of lower order),
-    low + top - D^2 for h^1 on a surface by Riemann-Roch, 0 above n."""
+    the family's kernels compose h^q from low = lim n! h^0(mD)/m^n and
+    top = that of -D: low for q = 0, top for q = n by Serre duality (K is of
+    lower order), low + top - D^2 for h^1 on a surface by Riemann-Roch, 0
+    above n."""
     _check_level(1, (q,))
     total = divisor.total()
     n = family.dim
@@ -357,7 +339,7 @@ def morse_check(family: ToricFamily, d: RealDivisor, e: RealDivisor, q: int,
 
     With leading = a/b, the main term is a m^n / (b n!) and every quantity
     is an integer numerator over a positive integer denominator, compared
-    by cross-multiplication; each reported value is one Fraction."""
+    by cross-multiplication and written with one gcd per value."""
     start = time.monotonic()
     for div, label in ((d, "D"), (e, "E")):
         if not family.is_nef(div.total()):
@@ -368,7 +350,8 @@ def morse_check(family: ToricFamily, d: RealDivisor, e: RealDivisor, q: int,
     diff = d.minus(e)
     schedule = list(schedule)
     half = _fit_window(len(schedule), None, 2)
-    values = [(m, hq(family, diff, m, q)) for m in schedule]
+    _check_level(min(schedule), (q,))
+    values = [(m, family.hq_kernels[q](*diff.round_up(m))) for m in schedule]
     # fitted = c / f: the largest (h - main) / m^(n-1) on the first half, or 0
     c, f = 0, 1
     for m, h in values[:half]:
@@ -376,19 +359,17 @@ def morse_check(family: ToricFamily, d: RealDivisor, e: RealDivisor, q: int,
         if excess * f > c * over:
             c, f = excess, over
     series = [("m", "h", "bound", "margin")]
-    passed = True
+    passed, bf = True, b * f
     for idx, (m, h) in enumerate(values):
         # bound = upper / (b f), margin = bound - h
         upper = a * m ** n * f + c * m ** (n - 1) * b
-        margin = upper - h * b * f
-        series.append((str(m), str(h), frac_str(Fraction(upper, b * f)),
-                       frac_str(Fraction(margin, b * f))))
-        if idx >= half and margin < 0:
-            passed = False
+        margin = upper - h * bf
+        series.append((str(m), str(h), ratio_str(upper, bf), ratio_str(margin, bf)))
+        passed = passed and (idx < half or margin >= 0)
     return VerificationReport(
         theorem="cohomology-morse-bound", instance=instance, passed=passed,
         exact={"q": str(q), "leading": frac_str(leading),
-               "fitted_constant": frac_str(Fraction(c, f))},
+               "fitted_constant": ratio_str(c, f)},
         series=series, runtime=time.monotonic() - start)
 
 
@@ -404,29 +385,34 @@ def perturbation_scan(family: ToricFamily, d_list: Sequence[RealDivisor],
     start = time.monotonic()
     if not d_list or not p_list:
         raise PreconditionError("perturbation scan needs nonempty divisor lists")
+    _check_level(1, (q,))
     a = RealDivisor(family, tuple(t for d in d_list for t in d.terms))
     b = RealDivisor(family, tuple(t for d in p_list for t in d.terms))
     n = family.dim
+    kernel = family.hq_kernels[q]
     a_up = [a.round_up(m) for m in range(grid_max + 1)]
-    cells = []  # (m, p, |h^q(mA + pB) - h^q(pB)|, m (m+p)^(n-1))
+    # diffs[p - 1][m] = |h^q(mA + pB) - h^q(pB)|; fitted = c / f, the largest
+    # ratio to m (m+p)^(n-1) with m >= 1, m + p <= grid_max, by cross-multiplication
+    diffs, c, f = [], 0, 1
     for p in range(1, grid_max + 1):
         b_up = b.round_up(p)
-        plain = _hq_values(family, b_up, (q,))[0]
-        for m in range(grid_max + 1):
-            twisted = _hq_values(family, tuple(map(operator.add, a_up[m], b_up)), (q,))[0]
-            cells.append((m, p, abs(twisted - plain), m * (m + p) ** (n - 1)))
-    # fitted = c / f, compared with each cell's ratio by cross-multiplication
-    c, f = 0, 1
-    for m, p, lhs, weight in cells:
-        if m and m + p <= grid_max and lhs * f > c * weight:
-            c, f = lhs, weight
+        y0, y1, plain = b_up[0], b_up[-1], kernel(*b_up)
+        row = ([abs(kernel(x + y0) - plain) for (x,) in a_up] if family.rank == 1
+               else [abs(kernel(x + y0, y + y1) - plain) for x, y in a_up])
+        for m in range(1, grid_max - p + 1):
+            if row[m] * f > c * m * (m + p) ** (n - 1):
+                c, f = row[m], m * (m + p) ** (n - 1)
+        diffs.append(row)
+    g = math.gcd(c, f)
+    c, f = c // g, f // g
     series = [("m", "p", "difference", "bound")]
     passed = True
-    for m, p, lhs, weight in cells:
-        series.append((str(m), str(p), str(lhs), frac_str(Fraction(c * weight, f))))
-        if lhs * f > c * weight:
-            passed = False
+    for p, row in enumerate(diffs, 1):
+        for m, lhs in enumerate(row):
+            bound = c * m * (m + p) ** (n - 1)
+            series.append((str(m), str(p), str(lhs), ratio_str(bound, f)))
+            passed = passed and lhs * f <= bound
     return VerificationReport(
         theorem="cohomology-twist-stability", instance=instance, passed=passed,
-        exact={"q": str(q), "fitted_constant": frac_str(Fraction(c, f))},
+        exact={"q": str(q), "fitted_constant": ratio_str(c, f)},
         series=series, runtime=time.monotonic() - start)

@@ -70,6 +70,12 @@ def frac_str(value: Fraction) -> str:
                                 f"{sys.get_int_max_str_digits()} digits") from None
 
 
+def ratio_str(num: int, den: int) -> str:
+    """frac_str(Fraction(num, den)) for ints num and den > 0, reduced by one gcd."""
+    g = math.gcd(num, den)
+    return frac_str(num // g) if g == den else f"{frac_str(num // g)}/{frac_str(den // g)}"
+
+
 def point(coords: Iterable) -> Point:
     return tuple(frac(c) for c in coords)
 

@@ -572,6 +572,12 @@ def _json_parts(value, indent: str, parts: List[str]) -> None:
         sep = ",\n" + inner
         if isinstance(value, dict):
             head = "{\n" + inner
+            try:  # a map of strings, in one join
+                items = [_escape(key) + ": " + _escape(item) for key, item in value.items()]
+                parts += (head, sep.join(items), "\n" + indent + "}")
+                return
+            except TypeError:
+                pass
             for key, item in value.items():
                 parts += (head, _escape(key), ": ")
                 _json_parts(item, inner, parts)

@@ -7,16 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from navol.cohomology import (RealDivisor, ToricFamily, asymptotic_hq,
-                              asymptotic_hq_exact, cohomology_consistency,
-                              cohomology_table, hq, morse_check, perturbation_scan,
-                              toric_family)
+import navol.cohomology as cohomology
+from navol.cohomology import (RealDivisor, asymptotic_hq, asymptotic_hq_exact,
+                              cohomology_consistency, cohomology_table, hq, morse_check,
+                              perturbation_scan, toric_family)
 from navol.errors import PreconditionError
-from navol.rational import frac_str
+from navol.rational import frac_str, ratio_str
 
 from _oracles import (cohomology_rows_by_fractions, convex_hull_2d, divisor_polytope,
                       lattice_points_oracle, morse_check_by_fractions,
-                      perturbation_rows_by_cells, plane_hq, polygon_area,
+                      hq_by_closed_forms, perturbation_rows_by_cells, plane_hq, polygon_area,
                       product_surface_hq, round_up_by_fractions, ruled_surface_hq_any)
 
 F = Fraction
@@ -215,11 +215,17 @@ def test_cohomology_table_rows_equal_per_level_hq():
 
 def test_each_h_q_computes_only_the_section_counts_it_reads(monkeypatch):
     # h^q reads h^0 of the class for q < n and h^0 of its Serre dual for
-    # 0 < q <= n: a class gets each count at most once, and only if read
+    # 0 < q <= n: a class gets each count at most once, and only if read.
+    # The families are built with their closed-form h^0 wrapped, so each
+    # kernel counts its own h^0 reads
     calls = []
-    h0_integral = ToricFamily.h0_integral
-    monkeypatch.setattr(ToricFamily, "h0_integral",
-                        lambda fam, d: calls.append(d) or h0_integral(fam, d))
+    kernels = cohomology._kernels
+
+    def counted(h0, *rest):
+        return kernels(lambda *cls: calls.append(cls) or h0(*cls), *rest)
+
+    monkeypatch.setattr(cohomology, "_kernels", counted)
+    f1, p2, p1 = (toric_family(name) for name in ("F1", "P2", "P1"))
 
     def counts(run):
         calls.clear()
@@ -227,20 +233,20 @@ def test_each_h_q_computes_only_the_section_counts_it_reads(monkeypatch):
         return len(calls)
 
     schedule = [1, 2, 5, 8]
-    div = RealDivisor.make(F1, [(F(2, 3), (1, 0)), (F(-5, 2), (0, 1))])
+    div = RealDivisor.make(f1, [(F(2, 3), (1, 0)), (F(-5, 2), (0, 1))])
     for qs, per_class in (((0,), 1), ((1,), 2), ((2,), 1), ((2, 0, 1), 2), (None, 2)):
-        assert counts(lambda: cohomology_table(F1, div, schedule, qs)) == \
+        assert counts(lambda: cohomology_table(f1, div, schedule, qs)) == \
             per_class * len(schedule), qs
     for q, per_class in ((0, 1), (1, 2), (2, 1)):
-        assert counts(lambda: hq(F1, div, 3, q)) == per_class, q
+        assert counts(lambda: hq(f1, div, 3, q)) == per_class, q
     grid_max = 4
     classes = grid_max * (grid_max + 2)   # per p: h^q(pB), then m = 0..grid_max
     assert counts(lambda: perturbation_scan(
-        P2, [_div(P2, (1,))], [_div(P2, (-1,))], 1, grid_max)) == 2 * classes
-    line = _div(P1, (-3,))
+        p2, [_div(p2, (1,))], [_div(p2, (-1,))], 1, grid_max)) == 2 * classes
+    line = _div(p1, (-3,))
     for q in (0, 1):
-        assert counts(lambda: hq(P1, line, 2, q)) == 1, q
-        assert counts(lambda: cohomology_table(P1, line, schedule, (q,))) == len(schedule), q
+        assert counts(lambda: hq(p1, line, 2, q)) == 1, q
+        assert counts(lambda: cohomology_table(p1, line, schedule, (q,))) == len(schedule), q
 
 
 def test_asymptotic_mixed_class_on_the_product_surface():
@@ -375,6 +381,32 @@ def test_limits_are_the_exact_growth_of_hq():
                 assert type(limit) is F and diff == limit * step ** fam.dim, (fam, div, q)
             classes += 1
     assert classes >= 300
+
+
+def test_kernels_match_the_classical_closed_forms():
+    # each family's h^q kernels and its all-q row against the product
+    # formula, plane sections and the ruled-surface pushforward with Serre
+    # duality, on seeded integral classes
+    rng = random.Random(1104)
+    families = (P1, P2, P1XP1) + tuple(toric_family(f"F{a}") for a in (1, 2, 3))
+    for fam in families:
+        for _ in range(320):
+            cls = tuple(rng.randint(-40, 40) for _ in range(fam.rank))
+            want = [hq_by_closed_forms(fam, cls, q) for q in (0, 1, 2)]
+            assert [fam.hq_kernels[q](*cls) for q in (0, 1, 2)] == want, (fam, cls)
+            assert list(fam.hq_row(*cls)) == want, (fam, cls)
+
+
+def test_ratio_str_writes_the_reduced_fraction():
+    # the checks' bound and margin columns: one gcd in place of a Fraction,
+    # and frac_str's refusal of an integer too long for str()
+    rng = random.Random(1105)
+    for _ in range(2000):
+        num, den = rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4)
+        assert ratio_str(num, den) == frac_str(F(num, den)), (num, den)
+    assert ratio_str(0, 7) == "0" and ratio_str(-12, 4) == "-3"
+    with pytest.raises(PreconditionError, match="digits"):
+        ratio_str(10 ** 5000 + 1, 3)
 
 
 def test_round_up_matches_the_fraction_ceiling():

@@ -3,7 +3,7 @@ writes, plus a final newline, byte for byte."""
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import navol.cli as cli
@@ -28,12 +28,22 @@ PAYLOADS = st.recursive(
     lambda inner: (st.lists(inner, max_size=5)
                    | st.lists(inner, max_size=5).map(tuple)
                    | st.lists(TEXT, max_size=5)
+                   | st.dictionaries(TEXT, TEXT, max_size=5)
                    | st.dictionaries(TEXT, inner, max_size=5)),
     max_leaves=30)
 
 
+# a map of strings as large as `navol ma-solve`'s values map, and the same
+# map with non-string values mixed in, which the writer takes entry by entry
+STRING_MAP = {f"v{i}": f"{i}/{i % 7 + 1}" for i in range(1500)}
+MIXED_MAP = {**STRING_MAP, "v750": ["1", 2, None], "passed": True}
+
+
 @settings(max_examples=200)
 @given(payload=PAYLOADS)
+@example(payload=STRING_MAP)
+@example(payload=MIXED_MAP)
+@example(payload={"reports": [STRING_MAP, MIXED_MAP], "\u00e9\"": {"k\n": "\x00"}})
 def test_write_json_matches_json_dumps(payload, tmp_path_factory):
     out = tmp_path_factory.getbasetemp() / "json-writer"
     text = write_json(str(out), "p.json", payload)

@@ -16,6 +16,9 @@ op times are:
 
   parse/<kind>/<instance>  parse_instance_text on the file's text
   check/<kind>/<instance>  the instance's own verify-all checks
+  check/<theorem>/<instance>  each of those checks alone, named by its
+                           report's theorem (checkouts whose cli names its
+                           checks, `_verify_all_checks`)
   bundled_suite            run_bundled_suite, median over the deck's seeds
   emit                     writing the summary JSON and the CSV
   op                       one whole `navol verify-all` call, median over the deck
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib
 import io
 import json
@@ -95,6 +99,9 @@ def measure(root: str, seed: int, repeats: int) -> dict:
             lambda: N.serialize.parse_instance_text(text, origin=name), repeats)
         stages[f"check/{inst.kind}/{name}"] = _median_ms(
             lambda: N.cli._instance_checks(inst), repeats)
+        for check in getattr(N.cli, "_verify_all_checks", lambda _: [])(inst):
+            run = functools.partial(check, inst, "verify-all", None)
+            stages[f"check/{run().theorem}/{name}"] = _median_ms(run, repeats)
     deck = N.workloads.VERIFY_DECK_SIZE
     stages["bundled_suite"] = statistics.median(
         _median_ms(lambda: N.harness.run_bundled_suite(seed=i), repeats)
@@ -149,10 +156,12 @@ def main(argv=None) -> int:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
     names = list(medians)
-    print(f"{'stage':44s}" + "".join(f"{n:>12s}" for n in names))
-    for stage in medians[names[0]]:
-        print(f"{stage:44s}" + "".join(f"{medians[n].get(stage, float('nan')):12.3f}"
-                                       for n in names))
+    stages = list(dict.fromkeys(stage for n in names for stage in medians[n]))
+    width = max(map(len, stages)) + 2
+    print(f"{'stage':{width}s}" + "".join(f"{n:>12s}" for n in names))
+    for stage in stages:
+        print(f"{stage:{width}s}" + "".join(f"{medians[n].get(stage, float('nan')):12.3f}"
+                                           for n in names))
     return 0
 
 
