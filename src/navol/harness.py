@@ -24,7 +24,7 @@ from .plmetric import (PLMetric, canonical_metric, envelope, envelope_gap,
 from .polytope import Polytope, segment, unit_box
 from .rational import ZERO, frac, frac_str
 from .trees import MetricTree, laplacian_rows, net_mass_rows, potential_rows
-from .volumes import default_schedule, lattice_length
+from .volumes import lattice_length
 
 
 # defaults for h0-check and diff-check, shared by verify-all
@@ -184,7 +184,10 @@ def verify_h0_envelope_equality(psi: PLMetric, schedule: Sequence[int],
 def verify_length_cocycle(a: PLMetric, b: PLMetric, c: PLMetric,
                           schedule: Sequence[int],
                           instance: str = "triple") -> VerificationReport:
-    """Lengths are antisymmetric and additive along triples at every level."""
+    """Lengths are antisymmetric and additive along triples at every level.
+    `lattice_length(a, b, m)` is S_b(m) - S_a(m), one kernel sum per roof, so
+    the cocycle holds for any per-roof sum: it checks that S(m2) - S(m1)
+    pairs the right roofs, not the kernel, and `verify-all` does not run it."""
     start = time.monotonic()
     if not schedule:
         raise PreconditionError("length-cocycle needs at least one level")
@@ -277,17 +280,15 @@ def verify_tree_net_rows(tree: MetricTree, net_scale: int, net: Sequence[int],
     """The solvability check on the net mass rows of a target and a base
     (`trees.net_rows`): the defect base + laplacian(phi) - target, which is
     laplacian(phi) - (target - base), is counted on the solver's integer
-    rows."""
+    rows. `net_rows` refuses a net mass that does not sum to 0, so no defect
+    also means a Laplacian of mass 0."""
     start = time.monotonic()
     lap_scale, lap = laplacian_rows(tree, *potential_rows(tree, net_scale, net))
     defect_atoms = sum(1 for a, b in zip(lap, net)
                        if a * net_scale != b * lap_scale)
-    laplacian_mass = Fraction(sum(lap), lap_scale)
-    passed = defect_atoms == 0 and laplacian_mass == 0
     return VerificationReport(
-        theorem="tree-monge-ampere-solvability", instance=instance, passed=passed,
+        theorem="tree-monge-ampere-solvability", instance=instance, passed=defect_atoms == 0,
         exact={"defect_atoms": str(defect_atoms),
-               "laplacian_mass": frac_str(laplacian_mass),
                "vertices": str(len(tree.vertices))},
         runtime=time.monotonic() - start)
 
@@ -330,9 +331,6 @@ def run_bundled_suite(seed: int = 0) -> List[VerificationReport]:
             random_nonconvex_metric(box, rng),)),
         (verify_h0_envelope_equality, "seg-nonconvex", 2, lambda rng: (
             random_nonconvex_metric(seg, rng), H0_SCHEDULE)),
-        (verify_length_cocycle, "seeded-triple", 1, lambda rng: (
-            random_convex_metric(seg, rng), random_convex_metric(seg, rng),
-            random_nonconvex_metric(seg, rng), default_schedule(1))),
         (verify_tree_solvability, "tree", 3, tree_and_measures),
     )
     rngs = {check: random.Random(f"{seed}/{check.__name__}") for check, *_ in table}

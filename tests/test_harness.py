@@ -274,7 +274,6 @@ def test_tree_solvability_report():
     rep = verify_tree_solvability(tree, target, base)
     assert rep.passed
     assert rep.exact["defect_atoms"] == "0"
-    assert rep.exact["laplacian_mass"] == "0"
 
 
 def test_tree_check_counts_the_defect_of_a_wrong_potential(monkeypatch):
@@ -291,7 +290,6 @@ def test_tree_check_counts_the_defect_of_a_wrong_potential(monkeypatch):
                                   DiscreteMeasure([("r", F(2, 3))]))
     assert not rep.passed
     assert rep.exact["defect_atoms"] == "3"
-    assert rep.exact["laplacian_mass"] == "0"
 
 
 def test_report_line_format():
@@ -323,7 +321,7 @@ def test_bundled_suite_all_pass(tmp_path, capsys):
     theorems = {r["theorem"] for r in reports}
     assert {"vol-is-energy", "volume-differentiability",
             "envelope-orthogonality", "h0-envelope-equality",
-            "length-cocycle", "tree-monge-ampere-solvability"} <= theorems
+            "tree-monge-ampere-solvability"} <= theorems
 
 
 def test_bundled_suite_is_seed_stable():

@@ -1,7 +1,7 @@
-"""Falsifiability gate: each in-process mutant of a `navol.harness` name,
-patched also where `navol.volumes` binds the same function, must make the
-named theorems of `navol verify-all --seed 0` report FAIL, and make it exit 1.
-Its reports are the bundled instance files' checks plus
+"""Falsifiability gate: each in-process mutant of a `navol.harness` or
+`navol.volumes` name, patched in each of the two that binds the function,
+must make the named theorems of `navol verify-all --seed 0` report FAIL, and
+make it exit 1. Its reports are the bundled instance files' checks plus
 `run_bundled_suite(0)`. A check that no mutant can fail verifies nothing."""
 
 import collections
@@ -25,6 +25,23 @@ def _energy_off(energy):
 
 def _length_off(length):
     return lambda m1, m2, m: length(m1, m2, m) + 1
+
+
+def _garbage_kernel(ceil_sum):
+    """A per-roof sum that reads the roof's rows and the level but no lattice
+    point."""
+    def mutant(roof, bands, m):
+        scale, rows = roof.integer_rows()
+        return (7919 * sum(map(sum, rows)) + 13 * m * m + scale) % 100003
+    return mutant
+
+
+def _potential_nudged(potential_rows):
+    def mutant(tree, scale, net):
+        phi_scale, phi = potential_rows(tree, scale, net)
+        phi[-1] += 1
+        return phi_scale, phi
+    return mutant
 
 
 def _masses_doubled(monge_ampere):
@@ -55,18 +72,24 @@ def _first_corner_moved(delta):
     return mutate
 
 
-# label: (harness name, mutant of it, {theorem: rows of it that must FAIL});
-# the energy mutant adds 1/1000, the length one 1, the masses-doubled one
-# doubles every Monge-Ampere mass, the extra atom has mass 1 at
-# (1/3, ..., 1/3), and the corner mutants lower or raise the envelope's
-# first corner by 1. Each count is every such row of verify-all's reports
+# label: (name, mutant of it, {theorem: rows of it that must FAIL}); the
+# energy mutant adds 1/1000, the length one 1, the garbage kernel replaces
+# each roof's lattice sum by (7919 * its row entries + 13 m^2 + its row scale)
+# mod 100003, the masses-doubled one doubles every Monge-Ampere mass, the
+# extra atom has mass 1 at (1/3, ..., 1/3), the corner mutants lower or raise
+# the envelope's first corner by 1, and the nudged potential adds 1 at the
+# tree's last vertex. Each count is every such row of verify-all's reports
 # that the mutant moves: the extra atom moves an orthogonality residual by
-# the metric's gap to its envelope at (1/3, ..., 1/3), which is 0 on 4 rows.
+# the metric's gap to its envelope at (1/3, ..., 1/3), which is 0 on 4 rows,
+# and the garbage kernel moves no h0 length where the metric's roof and its
+# envelope's share their integer rows, which they do on 2 rows.
 MUTANTS = {
     "energy-plus-1/1000": ("envelope_energy", _energy_off, {
         "volume-differentiability": 1, "h0-envelope-equality": 4, "vol-is-energy": 7}),
     "length-plus-1": ("lattice_length", _length_off, {
-        "h0-envelope-equality": 4, "length-cocycle": 1, "vol-is-energy": 7}),
+        "h0-envelope-equality": 4, "vol-is-energy": 7}),
+    "garbage-kernel": ("_ceil_sum", _garbage_kernel, {
+        "h0-envelope-equality": 2, "vol-is-energy": 7}),
     "masses-doubled": ("monge_ampere", _masses_doubled, {
         "volume-differentiability": 1}),
     "extra-atom": ("monge_ampere", _extra_atom, {
@@ -75,6 +98,8 @@ MUTANTS = {
         "h0-envelope-equality": 4}),
     "corner-raised": ("envelope", _first_corner_moved(1), {
         "h0-envelope-equality": 4, "envelope-orthogonality": 7}),
+    "potential-nudged": ("potential_rows", _potential_nudged, {
+        "tree-monge-ampere-solvability": 4}),
 }
 
 
@@ -94,7 +119,7 @@ def test_the_unmutated_suite_passes(tmp_path, capsys):
 @pytest.mark.parametrize("label", sorted(MUTANTS))
 def test_mutant_is_caught(label, monkeypatch, tmp_path, capsys):
     name, mutate, must_fail = MUTANTS[label]
-    original = getattr(harness, name)
+    original = getattr(harness, name, None) or getattr(volumes, name)
     mutant = mutate(original)
     for module in (harness, volumes):
         if getattr(module, name, None) is original:

@@ -33,10 +33,8 @@ CSV_ROWS_SHA256 = {
         "405859e289f5b7fc39238fb60d31d1c961d84e73eddb7b2eb7b46bc9fb3d3a49",
     "h0-envelope-equality":
         "bc859f0a132e0639ebc73bc7f66bef358f051ba09b8fd71daf70a52471499e04",
-    "length-cocycle":
-        "5f1500b7700d22c025d3c69a1cb8b51dc5d48eed0484913c4b264220ff45b848",
     "tree-monge-ampere-solvability":
-        "c84cdfa46274c0935e117b20d74be75c497371f7418979c440ed99b3be8e744b",
+        "abbc6fedcc61899c94c017a82ae8dbe8c6abe50f70dc296f45752cbb44032917",
     "vol-is-energy":
         "c796278abe36b723030f01010585297cc5e95b70326aae100d2665b027b0d5ce",
     "volume-differentiability":
@@ -53,16 +51,14 @@ REPORTS_SHA256 = {
         "7077e39169cfe88fd0253ede02a923371b0a6b89288bdc48ded382a0bdac6b04",
     "h0-envelope-equality":
         "898cb24d79c756ddd16da6393db5a7fa9fbb5f44eb24dbe3bd20982e5f21010a",
-    "length-cocycle":
-        "2cc7b836792d6346dad161a60b2f6f12f02bf84640a3c5bb4d27ac5003ada5f6",
     "tree-monge-ampere-solvability":
-        "2577c170b97fa6c1f02f94980d40b8a8541761e9fae8f414d0e4ac196913fc85",
+        "281580255c3fa3b42ee7616793d07a51b7a175e3745d6988f1b45841defc1119",
     "vol-is-energy":
         "7e3d6b7af8a3d0ba13f172c7af31623f788cd26736181bb1e43371490fd9fe9c",
     "volume-differentiability":
         "4845cd35731104abc57f58fa5a62502e71fb5c017f2d62daffcc704c8e8f7231",
 }
-ORDER_SHA256 = "ec5ccb3530e3e28a2eeb4b3247b8120c850d491b37db3d4f90c8f10c79a943a4"
+ORDER_SHA256 = "5eb4fef52239e8ad6c94bd24cad0eee6e4ac599ae22bd48635c72db9de9e240c"
 
 
 def guard_instances():
