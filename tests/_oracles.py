@@ -18,6 +18,8 @@ back as Fraction pieces so the brute-force hull can be compared with it,
 `serialize_instance` and `instance_json`, which write the package's parsed
 instance types back in the instance-file schema, `bump_metric`, which
 reads the bundled `bump_segment.json` through the package's parser,
+`h0_lengths_by_levels`, which runs the package's lattice kernel level by
+level, a route the h0 check no longer takes,
 `dilate` and `metric_scale`, which build the package's polytope and metric
 types for t*P, `minkowski_sum` and `metric_sum`, which build them for P + Q
 and psi1 + psi2 (mixed measures polarized over such sums are the tests'
@@ -296,6 +298,14 @@ def lattice_length_oracle(blocks1, blocks2, m, vertices):
         g2 = roof_oracle(blocks2, u)
         total += math.ceil(m * g2) - math.ceil(m * g1)
     return total
+
+
+def h0_lengths_by_levels(psi, other, levels):
+    """The package's lattice_length of psi against other at each level: the
+    h0 check read level by level, against which its corner identity, which
+    covers every level at once, is compared."""
+    from navol.volumes import lattice_length
+    return [lattice_length(psi, other, m) for m in levels]
 
 
 def lattice_length_by_points(pieces1, pieces2, m, points):

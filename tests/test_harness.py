@@ -5,6 +5,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -19,13 +20,14 @@ from navol.harness import (random_convex_metric, random_direction,
                            verify_orthogonality, verify_tree_solvability,
                            verify_vol_is_energy)
 from navol.measures import DiscreteMeasure, energy, envelope_energy
-from navol.plmetric import canonical_metric, envelope, legendre, metric_deform, metric_shift
+from navol.plmetric import (PLMetric, canonical_metric, envelope, legendre, metric_deform,
+                            metric_shift)
 from navol.polytope import Polytope, segment, simplex, unit_box
 from navol.serialize import ToricInstance, parse_instance_text
 from navol.trees import MetricTree, potential_rows
 from navol.volumes import lattice_length, lipschitz_check, navol, proportionality_check
 
-from _oracles import bump_metric, instance_json, roof_cells, tree_edges
+from _oracles import bump_metric, h0_lengths_by_levels, instance_json, roof_cells, tree_edges
 
 F = Fraction
 SEG = segment(0, 1)
@@ -234,6 +236,63 @@ def test_h0_envelope_equality_reports():
     assert rep.passed
     assert rep.exact["max_abs_length"] == "0"
     assert rep.exact["volume_gap"] == "0"
+    assert rep.exact["corner_defects"] == "0"
+    assert rep.series == [("m", "length"), ("25", "0")]
+
+
+# the segment, the box, a lattice hexagon and a triangle with rational corners
+H0_BODIES = (SEG, BOX,
+             Polytope.from_points([(1, 0), (2, 0), (3, 1), (2, 2), (1, 2), (0, 1)]),
+             Polytope.from_points([(0, 0), (F(5, 2), 0), (0, F(3, 2))]))
+
+
+def _nudged(psi, rng):
+    """psi with one piece's constant moved by +-1/k, k in 1..4."""
+    blocks = [list(block) for block in psi.blocks]
+    block = rng.choice(blocks)
+    i = rng.randrange(len(block))
+    slope, const = block[i]
+    block[i] = (slope, const + F(rng.choice((-1, 1)), rng.randint(1, 4)))
+    return PLMetric(psi.polytope, blocks)
+
+
+def test_h0_corner_identity_matches_the_per_level_lengths(monkeypatch):
+    # (a) a metric against its envelope: no corner defect, and no length at
+    # levels 1..8; (b) a metric against a nudged copy or another draw, put in
+    # place of its envelope: a nonzero length at some level 1..12 always
+    # comes with a corner defect
+    rng = random.Random(4747)
+    pairs = []
+    for P in H0_BODIES:
+        for _ in range(20):
+            psi = random_nonconvex_metric(P, rng)
+            rep = verify_h0_envelope_equality(psi, [8])
+            assert rep.passed and rep.exact["corner_defects"] == "0", psi
+            assert h0_lengths_by_levels(psi, envelope(psi), range(1, 9)) == [0] * 8, psi
+            pairs += [(psi, _nudged(psi, rng)), (psi, random_nonconvex_metric(P, rng))]
+    moved = 0
+    for psi, other in pairs:
+        monkeypatch.setattr(harness, "envelope", lambda metric, other=other: other)
+        defects = int(verify_h0_envelope_equality(psi, [1]).exact["corner_defects"])
+        lengths = h0_lengths_by_levels(psi, other, range(1, 13))
+        moved += any(lengths)
+        assert defects > 0 or not any(lengths), (psi, other, lengths)
+    assert len(pairs) == 160 and moved >= 140, moved
+
+
+def test_h0_corner_defects_fail_the_check_alone(monkeypatch):
+    # with the lattice length and the energy gap read as 0, an envelope
+    # whose first corner is lowered by 1 still FAILs both bundled files
+    from test_mutants import _first_corner_moved
+    monkeypatch.setattr(harness, "lattice_length", lambda m1, m2, m: 0)
+    monkeypatch.setattr(harness, "envelope_energy", lambda m1, m2: F(0))
+    monkeypatch.setattr(harness, "envelope", _first_corner_moved(-1)(envelope))
+    for name, metric in (("bump_segment.json", "bump"), ("box_bump.json", "psi")):
+        text = resources.files("navol").joinpath("instances", name).read_text(encoding="utf-8")
+        inst = parse_instance_text(text, name)
+        rep = verify_h0_envelope_equality(inst.single_metric(metric), inst.schedule)
+        assert not rep.passed, name
+        assert rep.exact["corner_defects"] != "0" and rep.exact["max_abs_length"] == "0", name
 
 
 def test_length_cocycle_on_seeded_triples():

@@ -32,7 +32,7 @@ CSV_ROWS_SHA256 = {
     "envelope-orthogonality":
         "405859e289f5b7fc39238fb60d31d1c961d84e73eddb7b2eb7b46bc9fb3d3a49",
     "h0-envelope-equality":
-        "bc859f0a132e0639ebc73bc7f66bef358f051ba09b8fd71daf70a52471499e04",
+        "9981c13a604a8a005262b64af7843d28c7c27ae9b826b31b9f8a3d01fe6291bb",
     "tree-monge-ampere-solvability":
         "abbc6fedcc61899c94c017a82ae8dbe8c6abe50f70dc296f45752cbb44032917",
     "vol-is-energy":
@@ -50,7 +50,7 @@ REPORTS_SHA256 = {
     "envelope-orthogonality":
         "7077e39169cfe88fd0253ede02a923371b0a6b89288bdc48ded382a0bdac6b04",
     "h0-envelope-equality":
-        "898cb24d79c756ddd16da6393db5a7fa9fbb5f44eb24dbe3bd20982e5f21010a",
+        "2b57a41a18957ef22b0f9c1f8e3a71fe2ab0a751dfd33ecdeea872e8f45458a5",
     "tree-monge-ampere-solvability":
         "281580255c3fa3b42ee7616793d07a51b7a175e3745d6988f1b45841defc1119",
     "vol-is-energy":
