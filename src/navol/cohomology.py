@@ -5,11 +5,10 @@ upper bounds and twist-perturbation stability checks.
 Supported families: P1 (Picard rank 1, curve), P2, and the Hirzebruch
 surfaces F_a for a >= 0 (basis: a section S with S^2 = a and a fibre F);
 P1xP1 is F_0 under its own name.
-h^0 is a lattice-point / section count in closed form, h^top comes from Serre
-duality, and the middle h^1 on surfaces is determined by Riemann-Roch; all
-values are exact integers. Each family builds one integer function per q,
-on the class's integer coordinates; the limit of n! h^q(mD)/m^n, from those
-closed forms' leading terms, is composed the same way.
+Each family is one branch of `ToricFamily.__init__`: its h^0 (a section
+count in closed form), chi, lim n! h^0(mD)/m^n, K and intersection form.
+One rule composes exact integer h^q and their exact rational limits alike:
+h^top by Serre duality, the middle h^1 on surfaces by Riemann-Roch, 0 above n.
 
 Everything runs on integers up to the reported values: a divisor rounds up
 its (p, q) coefficients as -(-m p // q), h^q of an integral class is a few
@@ -56,9 +55,11 @@ def _hirzebruch_index(name: str) -> Optional[int]:
 
 
 def _kernels(h0: Callable, chi: Callable, canonical: Tuple[int, ...], dim: int):
-    """(h^0, h^1, h^2) of an integral class as functions of its coordinates,
-    and (h^0, h^1, h^2) from one read of each section count: h^n = h^0(K - D)
-    by Serre duality, h^1 = h^0 + h^2 - chi on a surface, 0 above n."""
+    """(h^0, h^1, h^2) of a class as functions of its coordinates, and all
+    three from one read of each section count: h^n = h^0(K - D) by Serre
+    duality, h^1 = h^0 + h^2 - chi on a surface by Riemann-Roch, 0 above n.
+    Given the limit of n! h^0(mD)/m^n for h0, D -> D.D for chi and K = 0
+    (K is of lower order), the same rule composes the limits of n! h^q(mD)/m^n."""
     k0, k1 = canonical[0], canonical[-1]
     top = ((lambda d: h0(k0 - d)) if len(canonical) == 1 else
            (lambda p, f: h0(k0 - p, k1 - f)))
@@ -72,25 +73,29 @@ def _kernels(h0: Callable, chi: Callable, canonical: Tuple[int, ...], dim: int):
 
 
 class ToricFamily:
-    """One of the supported varieties, with its intersection theory and h^q of
-    an integral class cls as `hq_kernels[q](*cls)`, all three as `hq_row(*cls)`."""
+    """One of the supported varieties, with its intersection form, h^q of an
+    integral class cls as `hq_kernels[q](*cls)`, all three as `hq_row(*cls)`,
+    and the limit of n! h^q(mD)/m^n of a rational class D as `limits[q](*D)`."""
 
     def __init__(self, name: str):
         name = name.strip()
         a = 0 if name == "P1xP1" else _hirzebruch_index(name)
-        # h^0 of an integral class in closed form, and chi = 1 + D.(D - K)/2
-        # by Riemann-Roch on a surface, where D.(D - K) is even
+        # each branch declares its family: h^0 of an integral class in closed
+        # form, chi = 1 + D.(D - K)/2 by Riemann-Roch on a surface (D.(D - K)
+        # is even), lead = lim n! h^0(mD)/m^n of a rational class, and the form
         if name == "P1":
-            self.dim, self.rank, self.canonical = 1, 1, (-2,)
+            self.dim, self.rank, self.canonical, self.form = 1, 1, (-2,), None
             h0, chi = (lambda d: d + 1 if d >= 0 else 0), (lambda d: 1 + d)
+            lead = lambda d: max(d, ZERO)
         elif name == "P2":
-            self.dim, self.rank, self.canonical = 2, 1, (-3,)
+            self.dim, self.rank, self.canonical, self.form = 2, 1, (-3,), ((1,),)
             h0 = lambda d: (d + 1) * (d + 2) // 2 if d >= 0 else 0
             chi = lambda d: 1 + d * (d + 3) // 2
+            lead = lambda d: d ** 2 if d >= 0 else ZERO
         elif a is not None:
             # P1xP1 is F_0: the same form, canonical class and section counts
             self.dim, self.rank, self.canonical = 2, 2, (-2, a - 2)
-            self.hirzebruch_a = a
+            self.form, self.hirzebruch_a = ((a, 1), (1, 0)), a
             chi = lambda p, f: 1 + a * p * (p + 1) // 2 + p * f + p + f
 
             def h0(p: int, f: int) -> int:
@@ -101,11 +106,19 @@ class ToricFamily:
                 first = 0 if f + 1 > 0 else -(f + 1) // a + 1
                 count = p - first + 1
                 return count * (f + 1) + a * (first + p) * count // 2
+
+            def lead(p: Fraction, f: Fraction) -> Fraction:
+                # 2 times the integral of max(0, a*y + f) over 0 <= y <= p
+                if p < 0 or (f < 0 and a * p + f <= 0):
+                    return ZERO
+                return 2 * p * f + a * p ** 2 if f >= 0 else (a * p + f) ** 2 / a
         else:
             raise PreconditionError(
                 f"unsupported family {name!r}; use P1, P2, P1xP1 or Fa (a >= 0)")
         self.name, self._chi = name, chi
         self.hq_kernels, self.hq_row = _kernels(h0, chi, self.canonical, self.dim)
+        self.limits, _ = _kernels(lead, lambda *d: self._pairing(d, d),
+                                  (0,) * self.rank, self.dim)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ToricFamily) and self.name == other.name
@@ -118,21 +131,20 @@ class ToricFamily:
 
     # -- intersection theory -------------------------------------------------
     def intersection(self, d1: Sequence, d2: Sequence) -> Fraction:
-        """Intersection number of two (rational) classes; degree product on P1."""
+        """Intersection number of two (rational) classes on a surface; the
+        curve P1 has no intersection form and is refused."""
         a, b = _as_class(d1, self.rank), _as_class(d2, self.rank)
-        if self.name == "P1":
+        if self.dim == 1:
             raise PreconditionError("P1 is a curve: it has no intersection form")
         return self._pairing(a, b)
 
     def _pairing(self, a: Sequence, b: Sequence):
         """The intersection form of a surface on coordinates; ints give ints."""
-        if self.name == "P2":
-            return a[0] * b[0]
-        return self.hirzebruch_a * a[0] * b[0] + a[0] * b[1] + a[1] * b[0]
+        return sum(x * g * y for x, row in zip(a, self.form) for g, y in zip(row, b))
 
     def top_power(self, d: Sequence, e: Sequence, q: int) -> Fraction:
         """D^(n-q) . E^q as a rational number; on P1 the degree of D or E."""
-        if self.name == "P1":
+        if self.dim == 1:
             return _as_class(d if q == 0 else e, 1)[0]
         return self.intersection(*((d, d) if q == 0 else (d, e) if q == 1 else (e, e)))
 
@@ -143,20 +155,6 @@ class ToricFamily:
     def h0_integral(self, d: Sequence[int]) -> int:
         """Number of global sections of the line bundle of an integral class."""
         return self.hq_kernels[0](*map(int, d))
-
-    def _h0_lead(self, d: Sequence[Fraction]) -> Fraction:
-        """n! times the m^n coefficient of h^0(mD) for a rational class, read
-        off the closed forms of h^0 (on F_h, n! times the integral
-        of max(0, h*y + q) over 0 <= y <= p)."""
-        if self.name == "P1":
-            return max(d[0], ZERO)
-        if self.name == "P2":
-            return d[0] ** 2 if d[0] >= 0 else ZERO
-        p, q = d
-        h = self.hirzebruch_a
-        if p < 0 or (q < 0 and h * p + q <= 0):
-            return ZERO
-        return 2 * p * q + h * p ** 2 if q >= 0 else (h * p + q) ** 2 / h
 
     def euler_characteristic(self, d: Sequence[int]) -> int:
         """chi of the line bundle of an integral class, by Riemann-Roch:
@@ -313,20 +311,10 @@ def asymptotic_hq(family: ToricFamily, divisor: RealDivisor, q: int,
 
 def asymptotic_hq_exact(family: ToricFamily, divisor: RealDivisor,
                         q: int) -> Fraction:
-    """The limit of n! h^q(mD)/m^n for every rational class D, composed as
-    the family's kernels compose h^q from low = lim n! h^0(mD)/m^n and
-    top = that of -D: low for q = 0, top for q = n by Serre duality (K is of
-    lower order), low + top - D^2 for h^1 on a surface by Riemann-Roch, 0
-    above n."""
+    """The limit of n! h^q(mD)/m^n for every rational class D, from the
+    family's limits, composed as its kernels compose h^q."""
     _check_level(1, (q,))
-    total = divisor.total()
-    n = family.dim
-    low = family._h0_lead(total)
-    top = family._h0_lead(tuple(-c for c in total))
-    return (low if q == 0 else
-            ZERO if q > n else
-            top if q == n else
-            low + top - family._pairing(total, total))
+    return frac(family.limits[q](*divisor.total()))
 
 
 def morse_check(family: ToricFamily, d: RealDivisor, e: RealDivisor, q: int,
@@ -349,7 +337,7 @@ def morse_check(family: ToricFamily, d: RealDivisor, e: RealDivisor, q: int,
     a, b = leading.numerator, leading.denominator * math.factorial(n)
     diff = d.minus(e)
     schedule = list(schedule)
-    half = _fit_window(len(schedule), None, 2)
+    half = _fit_window(len(schedule), None)
     _check_level(min(schedule), (q,))
     values = [(m, family.hq_kernels[q](*diff.round_up(m))) for m in schedule]
     # fitted = c / f: the largest (h - main) / m^(n-1) on the first half, or 0

@@ -53,13 +53,13 @@ class VerificationReport:
         return f"[{status}] {self.theorem} :: {self.instance}"
 
 
-def _fit_window(count: int, requested: Optional[int], default_fraction: int) -> int:
-    """How many of count levels fit the constant; the rest (one at least) verify it."""
+def _fit_window(count: int, requested: Optional[int]) -> int:
+    """How many of count levels fit the constant, half unless requested; the rest verify it."""
     if count < 2:
         raise PreconditionError(f"a fitted check needs at least two levels, got {count}")
     if requested is not None:
         return max(1, min(requested, count - 1))
-    return max(1, count // default_fraction)
+    return max(1, count // 2)
 
 
 def verify_vol_is_energy(m1: PLMetric, m2: PLMetric,
@@ -110,7 +110,7 @@ def verify_differentiability(psi: PLMetric, pos: PLMetric, neg: PLMetric,
     eps_values = sorted({frac(e) for e in eps_schedule} - {ZERO}, reverse=True)
     if not eps_values or eps_values[-1] < 0:
         raise PreconditionError("differentiability needs nonnegative eps values, not all 0")
-    window = _fit_window(len(eps_values), fit_count, 2)
+    window = _fit_window(len(eps_values), fit_count)
     if not is_semipositive(psi):
         raise PreconditionError("differentiability base metric must be semipositive")
     mu = monge_ampere(psi)

@@ -67,6 +67,17 @@ def _load(root: str) -> SimpleNamespace:
         del sys.path[:2]
 
 
+def parse_roots(parser: argparse.ArgumentParser, specs) -> dict:
+    """Checkout path by name from `--root NAME=PATH` values."""
+    roots = {}
+    for spec in specs:
+        name, sep, path = spec.partition("=")
+        if not sep or not name:
+            parser.error(f"--root needs NAME=PATH, got {spec!r}")
+        roots[name] = os.path.abspath(path)
+    return roots
+
+
 def _median_ms(fn, repeats: int) -> float:
     times = []
     for _ in range(repeats):
@@ -129,12 +140,7 @@ def main(argv=None) -> int:
                         help="checkout to measure (repeatable; default: "
                              "this one, as 'this')")
     args = parser.parse_args(argv)
-    roots = {}
-    for spec in args.root or [f"this={os.path.dirname(HERE)}"]:
-        name, sep, path = spec.partition("=")
-        if not sep or not name:
-            parser.error(f"--root needs NAME=PATH, got {spec!r}")
-        roots[name] = os.path.abspath(path)
+    roots = parse_roots(parser, args.root or [f"this={os.path.dirname(HERE)}"])
     runs = {name: [] for name in roots}
     for r in range(ROUNDS):
         for name in (list(roots) if r % 2 == 0 else list(roots)[::-1]):
