@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +54,8 @@ EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+SCHEDULE_LEVEL_LIMIT = 1_000   # the most levels one --schedule may list
+_LEVEL = re.compile(r"[+-]?[0-9]+")
 
 
 def _report_payload(rep: VerificationReport) -> Dict[str, object]:
@@ -90,10 +93,10 @@ class CommandResult:
 def _levels(text: Optional[str], inst_schedule: Optional[Sequence], default: Sequence,
             eps: bool = False) -> List:
     """--schedule, else the instance's schedule, else default. The option is
-    split on commas and each level range a-b expanded; serialize's schedule
-    reader then checks its entries as an instance's levels (ε values with eps).
-    A level that is not an integer reaches the reader as its text, which it
-    refuses as it refuses that string in a file's schedule."""
+    split on commas and each level range a-b expanded, refused past
+    SCHEDULE_LEVEL_LIMIT levels; serialize's schedule reader then checks the
+    entries as an instance's levels (ε values with eps). A level that is not
+    ASCII digits with an optional sign reaches the reader as its text."""
     if text is None:
         return list(inst_schedule or default)
     chunks = [chunk for chunk in map(str.strip, text.split(",")) if chunk]
@@ -101,15 +104,18 @@ def _levels(text: Optional[str], inst_schedule: Optional[Sequence], default: Seq
     for chunk in [] if eps else chunks:
         lo_text, dash, hi_text = chunk.partition("-")
         is_range = bool(dash and lo_text)   # "-3" is one level, below 1
-        try:
-            lo, hi = (int(lo_text), int(hi_text)) if is_range else (int(chunk),) * 2
-        except ValueError:
+        ends = (lo_text, hi_text) if is_range else (chunk, chunk)
+        try:   # not int() alone, which reads "1_0" as 10 and "٣" as 3
+            lo, hi = (int(_LEVEL.fullmatch(end)[0]) for end in ends)
+        except (TypeError, ValueError):   # no match, or more digits than int() reads
             if is_range:
                 raise InstanceFormatError(f"bad schedule range {chunk!r}") from None
             levels.append(chunk)
             continue
         if lo > hi:
             raise InstanceFormatError(f"empty schedule range {chunk!r}")
+        if len(levels) + hi - lo >= SCHEDULE_LEVEL_LIMIT:
+            raise PreconditionError(f"--schedule lists more than {SCHEDULE_LEVEL_LIMIT} levels")
         levels.extend(range(lo, hi + 1))
     return _parse_schedule(chunks if eps else levels, "--schedule", eps)
 

@@ -19,7 +19,10 @@ decimal literals are refused so floats can never contaminate exact data.
 Unknown fields are rejected with their full path.
 
 Artifact writers keep CSV bodies byte-deterministic: the only
-run-dependent line is a leading ``#`` comment carrying the timestamp.
+run-dependent line is a leading ``#`` comment carrying the timestamp. A
+summary is one line of ASCII-escaped JSON from ``json.dumps`` with its
+defaults, which run the json module's C encoder (``indent`` would not);
+``python -m json.tool`` indents it.
 """
 from __future__ import annotations
 
@@ -555,64 +558,9 @@ def write_text(out_dir: str, filename: str, text: str) -> str:
     return path
 
 
-_escape = json.encoder.encode_basestring_ascii
-
-
-def _json_parts(value, indent: str, parts: List[str]) -> None:
-    """Append to parts the text `json.dumps(value, indent=2)` writes for
-    value when its first line sits at indent; dict keys must be strings."""
-    if isinstance(value, str):
-        parts.append(_escape(value))
-    elif not isinstance(value, (dict, list, tuple)):
-        parts.append(json.dumps(value))
-    elif not value:
-        parts.append("{}" if isinstance(value, dict) else "[]")
-    else:
-        inner = indent + "  "
-        sep = ",\n" + inner
-        if isinstance(value, dict):
-            head = "{\n" + inner
-            try:  # a map of strings, in one join
-                items = [_escape(key) + ": " + _escape(item) for key, item in value.items()]
-                parts += (head, sep.join(items), "\n" + indent + "}")
-                return
-            except TypeError:
-                pass
-            for key, item in value.items():
-                parts += (head, _escape(key), ": ")
-                _json_parts(item, inner, parts)
-                head = sep
-            parts.append("\n" + indent + "}")
-            return
-        close = "\n" + indent + "]"
-        try:  # a row of strings, in one join
-            parts += ("[\n" + inner, sep.join(map(_escape, value)), close)
-            return
-        except TypeError:
-            pass
-        head = "[\n" + inner
-        row_head, row_sep, row_close = head + "  ", sep + "  ", "\n" + inner + "]"
-        try:  # rows of strings, one join per row
-            rows = [row_head + row_sep.join(map(_escape, row)) + row_close if row else "[]"
-                    for row in value if isinstance(row, (list, tuple))]
-            if len(rows) == len(value):
-                parts += (head, sep.join(rows), close)
-                return
-        except TypeError:
-            pass
-        for item in value:
-            parts.append(head)
-            _json_parts(item, inner, parts)
-            head = sep
-        parts.append(close)
-
-
 def write_json(out_dir: str, filename: str, payload: object) -> str:
-    """Write the payload as `json.dumps(payload, indent=2)` does, plus a
-    final newline, and return the text written."""
-    parts: List[str] = []
-    _json_parts(payload, "", parts)
-    parts.append("\n")
-    text = "".join(parts)
+    """Write the payload as one line of JSON, plus a final newline, and
+    return the text written."""
+    text = json.dumps(payload) + "\n"
     write_text(out_dir, filename, text)
     return text

@@ -24,7 +24,7 @@ def perf_pairs(monkeypatch):
     spec.loader.exec_module(module)
     yield module
     for name in set(sys.modules) - before:
-        if name in ("run", "workloads", "tracer"):
+        if name in ("run", "workloads", "tracer", "stage_timing"):
             del sys.modules[name]
 
 
@@ -163,4 +163,19 @@ def test_a_checkout_with_a_bytecode_cache_is_refused_before_any_run(perf_pairs, 
                          "--root", f"change={tmp_path / 'change'}"])
     assert exit_info.value.code == 2
     assert str(cache) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_malformed_root_is_refused_before_any_run(perf_pairs, monkeypatch, tmp_path, capsys):
+    def bench(root, workload, seed, trace):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(perf_pairs, "bench", bench)
+    out = tmp_path / "bench.json"
+    for spec in (str(tmp_path), f"={tmp_path}"):
+        with pytest.raises(SystemExit) as exit_info:
+            perf_pairs.main(["--out", str(out), "--root", spec,
+                             "--root", f"change={tmp_path}"])
+        assert exit_info.value.code == 2
+        assert f"--root needs NAME=PATH, got {spec!r}" in capsys.readouterr().err
     assert not out.exists()

@@ -277,6 +277,9 @@ SHARED_SCHEDULE_REFUSALS = {
     "decimal-eps": ("diff-check", DIFF, "eps_schedule", "0.5", ["0.5"]),
     "exponent-eps": ("diff-check", DIFF, "eps_schedule", "1/2,1e-1", ["1/2", "1e-1"]),
     "fraction-level": ("navol", TENT, "schedule", "1/2", ["1/2"]),
+    # int() alone reads these as 10 and 3; a file's schedule holds no such level
+    "underscore-level": ("h0-check", TENT, "schedule", "1_0", ["1_0"]),
+    "non-ascii-digit": ("navol", TENT, "schedule", "\u0663", ["\u0663"]),
 }
 
 
@@ -1032,6 +1035,7 @@ def test_rejected_metric_in_the_plane_names_a_direction_that_differs(tmp_path, c
 BAD_SCHEDULES = {
     "bad-range": ("navol", TENT, "1-x", "error: bad schedule range '1-x'"),
     "empty-range": ("navol", TENT, "5-3", "error: empty schedule range '5-3'"),
+    "underscore-range": ("h0-check", TENT, "1_0-20", "error: bad schedule range '1_0-20'"),
     "bad-entry": ("navol", TENT, "1/2", "error: --schedule[0]: expected an integer"),
     "zero-level": ("h0-check", TENT, "0,2", "error: --schedule[0]: schedule entries are >= 1"),
     "negative-level": ("navol", TENT, "2,-3",
@@ -1052,6 +1056,20 @@ def test_malformed_schedules_exit_2_with_one_line(case, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err == line + "\n"
+
+
+def test_a_schedule_past_the_level_limit_is_refused_before_it_is_expanded(tmp_path, capsys):
+    limit = cli.SCHEDULE_LEVEL_LIMIT
+    assert cli._levels(f"1-{limit}", None, [1]) == list(range(1, limit + 1))
+    path = _write(tmp_path, "tent.json", TENT)
+    # the first range is longer than a list can be, so expanding it at all
+    # would raise; the others pass the limit by one level
+    for schedule in ("1-100000000000000000000", f"1-{limit + 1}", f"2,3,1-{limit - 1}",
+                     f"1-{limit},7"):
+        rc = cli.main(["navol", path, "--schedule", schedule, "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert err == f"error: --schedule lists more than {limit} levels\n"
 
 
 @pytest.mark.parametrize("count", [0, 2])

@@ -46,8 +46,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SECONDS = 40   # the length of one benchmark run, in s
 
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path[:0] = [HERE, os.path.join(ROOT, "perfbench")]
 from run import WORKLOADS   # noqa: E402
+from stage_timing import parse_roots   # noqa: E402
 
 
 def bench(root: str, workload: str, seed: int, trace: int) -> dict:
@@ -131,12 +132,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=811)
     parser.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload")
     args = parser.parse_args(argv)
-    roots = {}
-    for spec in args.root:
-        name, sep, path = spec.partition("=")
-        if not sep or not name:
-            parser.error(f"--root needs NAME=PATH, got {spec!r}")
-        roots[name] = os.path.abspath(path)
+    roots = parse_roots(parser, args.root)
     if len(roots) != 2:
         parser.error("give exactly two --root checkouts")
     if args.pairs < 2:

@@ -15,7 +15,9 @@ A-B, inclusive, or one number), both checkouts run
 
 in-process, with the files cycling by N as the benchmark's deck takes them.
 The exit code, stdout and `verify_all.csv` are compared, each without its
-`# generated` timestamp line. Exit 0 if every seed matches; at the first seed
+`# generated` timestamp line, and so is `verify_all.json` once parsed, with
+every `runtime_seconds` removed and each object kept as its key-value pairs
+in order, so two writers of the same content agree. Exit 0 if every seed matches; at the first seed
 that differs, the script names it and the first output that differs, and
 exits 1.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
 import random
 import sys
@@ -46,24 +49,36 @@ def _body(text: Optional[str]) -> Optional[str]:
         line for line in text.splitlines(keepends=True) if not line.startswith("# generated"))
 
 
+def _content(text: Optional[str]) -> Optional[list]:
+    """The parsed summary, each object as its (key, value) pairs in order
+    less any `runtime_seconds`."""
+    return None if text is None else json.loads(text, object_pairs_hook=lambda pairs: [
+        (key, value) for key, value in pairs if key != "runtime_seconds"])
+
+
+def _read(path: str) -> Optional[str]:
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
 def run(checkout, argv, out_dir: str) -> tuple:
-    """(exit code, stdout, verify_all.csv) of one verify-all call, with the
-    checkout's navol modules in sys.modules while it runs."""
+    """(exit code, stdout, verify_all.csv, verify_all.json) of one verify-all
+    call, with the checkout's navol modules in sys.modules while it runs."""
     N, modules = checkout
     for name in _modules():
         del sys.modules[name]
     sys.modules.update(modules)
-    csv_path = os.path.join(out_dir, "verify_all.csv")
-    if os.path.exists(csv_path):
-        os.remove(csv_path)
+    paths = [os.path.join(out_dir, f"verify_all.{ext}") for ext in ("csv", "json")]
+    for path in paths:
+        if os.path.exists(path):
+            os.remove(path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = N.cli.main([*argv, "--out-dir", out_dir])
-    csv = None
-    if os.path.exists(csv_path):
-        with open(csv_path, encoding="utf-8") as handle:
-            csv = handle.read()
-    return code, _body(out.getvalue()), _body(csv)
+    return (code, _body(out.getvalue()), _body(_read(paths[0])),
+            _content(_read(paths[1])))
 
 
 def seed_range(text: str) -> range:
@@ -94,7 +109,8 @@ def main(argv=None) -> int:
             extra = [paths[g][seed % len(paths[g])] for g in ("toric", "tree", "surface")]
             argv = ["verify-all", *extra, "--seed", str(seed), "--format", "csv"]
             outs = [run(checkouts[name], argv, os.path.join(work, name)) for name in names]
-            for label, left, right in zip(("exit code", "stdout", "verify_all.csv"), *outs):
+            for label, left, right in zip(
+                    ("exit code", "stdout", "verify_all.csv", "verify_all.json"), *outs):
                 if left != right:
                     print(f"seed {seed}: {label} differs between {names[0]} and {names[1]}")
                     return 1
