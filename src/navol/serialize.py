@@ -16,7 +16,10 @@ Instances are JSON objects with a required ``kind`` tag:
 
 All rationals are written as ``"p/q"`` strings (or plain JSON integers);
 decimal literals are refused so floats can never contaminate exact data.
-Unknown fields are rejected with their full path.
+Unknown fields are rejected with their full path. Three readers build the
+paths: ``_array`` (each entry at ``path[i]``), ``_object`` (keys checked) and
+``_optional`` (a field at ``path.key``, if present); a tree file's edges and
+atoms keep their own one-pass readers, which fall back to the validators.
 
 Artifact writers keep CSV bodies byte-deterministic: the only
 run-dependent line is a leading ``#`` comment carrying the timestamp. A
@@ -34,7 +37,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .cohomology import RealDivisor, ToricFamily, toric_family
 from .errors import InstanceFormatError, PreconditionError
@@ -76,6 +79,9 @@ def _loads(text: str, origin: str) -> object:
 
 # ---------------------------------------------------------------------------
 # schema helpers (every validator takes the value and its field path)
+
+
+T = TypeVar("T")
 
 
 def _as_object(value, path: str) -> Dict[str, object]:
@@ -134,6 +140,29 @@ def _check_keys(obj: Dict[str, object], path: str,
             raise InstanceFormatError(f"{path}: missing required field {key!r}")
 
 
+def _array(value, path: str, read: Callable[[object, str], T],
+           empty: Optional[str] = None) -> List[T]:
+    """read(entry, path[i]) of each entry of the array at path; an empty
+    array is refused with the message empty, unless it is None."""
+    arr = _as_array(value, path)
+    if not arr and empty is not None:
+        raise InstanceFormatError(f"{path}: {empty}")
+    return [read(entry, f"{path}[{i}]") for i, entry in enumerate(arr)]
+
+
+def _object(value, path: str, required: Sequence[str],
+            optional: Sequence[str] = ()) -> Dict[str, object]:
+    obj = _as_object(value, path)
+    _check_keys(obj, path, required, optional)
+    return obj
+
+
+def _optional(obj: Dict[str, object], key: str, path: str,
+              read: Callable[..., T], *args) -> Optional[T]:
+    """read(obj[key], path.key, *args), or None when obj has no key."""
+    return read(obj[key], f"{path}.{key}", *args) if key in obj else None
+
+
 def _as_degree(value, path: str, dim: int) -> int:
     q = _as_int(value, path)
     if not 0 <= q <= dim:
@@ -142,16 +171,11 @@ def _as_degree(value, path: str, dim: int) -> int:
 
 
 def _as_point(value, path: str) -> Tuple[Fraction, ...]:
-    arr = _as_array(value, path)
-    if not arr:
-        raise InstanceFormatError(f"{path}: a point needs coordinates")
-    return tuple(_as_rational(c, f"{path}[{i}]") for i, c in enumerate(arr))
+    return tuple(_array(value, path, _as_rational, "a point needs coordinates"))
 
 
 # ---------------------------------------------------------------------------
 # instance containers
-
-T = TypeVar("T")
 
 
 def _named(table: Dict[str, T], what: str, name: str, command: str) -> T:
@@ -250,16 +274,13 @@ def _parse_schedule(value, path: str, eps: bool = False) -> List:
     (exact rationals >= 0). The one reader of a schedule: an instance's
     `schedule` and `eps_schedule`, and the entries of the `--schedule` option
     with the path '--schedule'."""
-    out = []
-    for i, entry in enumerate(_as_array(value, path)):
-        epath = f"{path}[{i}]"
-        out.append(_as_rational(entry, epath) if eps else _as_int(entry, epath))
-        if out[-1] < (0 if eps else 1):
-            why = f"eps entry {out[-1]} is negative" if eps else "schedule entries are >= 1"
+    def entry(raw, epath: str):
+        x = _as_rational(raw, epath) if eps else _as_int(raw, epath)
+        if x < (0 if eps else 1):
+            why = f"eps entry {x} is negative" if eps else "schedule entries are >= 1"
             raise InstanceFormatError(f"{epath}: {why}")
-    if not out:
-        raise InstanceFormatError(f"{path}: schedule must be nonempty")
-    return out
+        return x
+    return _array(value, path, entry, "schedule must be nonempty")
 
 
 def _parse_metric(value, path: str, P: Polytope, name: str) -> PLMetric:
@@ -268,27 +289,19 @@ def _parse_metric(value, path: str, P: Polytope, name: str) -> PLMetric:
             raise InstanceFormatError(
                 f"{path}: metric shorthand must be 'canonical'")
         return canonical_metric(P)
-    blocks_raw = _as_array(value, path)
-    if not blocks_raw:
-        raise InstanceFormatError(f"{path}: a metric needs at least one block")
-    blocks = []
-    for bi, block_raw in enumerate(blocks_raw):
-        pieces_raw = _as_array(block_raw, f"{path}[{bi}]")
-        if not pieces_raw:
+
+    def piece(raw, ppath: str):
+        obj = _object(raw, ppath, ("slope", "constant"))
+        slope = _as_point(obj["slope"], f"{ppath}.slope")
+        if len(slope) != P.ambient_dim:
             raise InstanceFormatError(
-                f"{path}[{bi}]: a block needs at least one piece")
-        pieces = []
-        for pi, piece_raw in enumerate(pieces_raw):
-            ppath = f"{path}[{bi}][{pi}]"
-            obj = _as_object(piece_raw, ppath)
-            _check_keys(obj, ppath, required=("slope", "constant"))
-            slope = _as_point(obj["slope"], f"{ppath}.slope")
-            if len(slope) != P.ambient_dim:
-                raise InstanceFormatError(
-                    f"{ppath}.slope: needs {P.ambient_dim} coordinates")
-            const = _as_rational(obj["constant"], f"{ppath}.constant")
-            pieces.append((slope, const))
-        blocks.append(pieces)
+                f"{ppath}.slope: needs {P.ambient_dim} coordinates")
+        return slope, _as_rational(obj["constant"], f"{ppath}.constant")
+
+    def block(raw, bpath: str):
+        return _array(raw, bpath, piece, "a block needs at least one piece")
+
+    blocks = _array(value, path, block, "a metric needs at least one block")
     try:
         return PLMetric(P, blocks)
     except PreconditionError as exc:
@@ -296,13 +309,9 @@ def _parse_metric(value, path: str, P: Polytope, name: str) -> PLMetric:
 
 
 def _parse_toric(obj: Dict[str, object], name: str) -> ToricInstance:
-    _check_keys(obj, name, required=("kind", "polytope", "metrics"),
-                optional=("schedule", "eps_schedule"))
-    verts_raw = _as_array(obj["polytope"], f"{name}.polytope")
-    if not verts_raw:
-        raise InstanceFormatError(f"{name}.polytope: needs at least one vertex")
-    verts = [_as_point(v, f"{name}.polytope[{i}]")
-             for i, v in enumerate(verts_raw)]
+    _check_keys(obj, name, ("kind", "polytope", "metrics"), ("schedule", "eps_schedule"))
+    verts = _array(obj["polytope"], f"{name}.polytope", _as_point,
+                   "needs at least one vertex")
     if len({len(v) for v in verts}) != 1:
         raise InstanceFormatError(f"{name}.polytope: points of mixed dimension")
     try:
@@ -310,19 +319,13 @@ def _parse_toric(obj: Dict[str, object], name: str) -> ToricInstance:
     except PreconditionError as exc:
         raise InstanceFormatError(f"{name}.polytope: {exc}") from None
     metrics_obj = _as_object(obj["metrics"], f"{name}.metrics")
-    metrics: Dict[str, PLMetric] = {}
-    canonical_names = []
-    for mname, mval in metrics_obj.items():
-        metrics[mname] = _parse_metric(mval, f"{name}.metrics.{mname}", P, mname)
-        if isinstance(mval, str) and not isinstance(mval, _FloatLiteral):
-            canonical_names.append(mname)
-    schedule = (_parse_schedule(obj["schedule"], f"{name}.schedule")
-                if "schedule" in obj else None)
-    eps = (_parse_schedule(obj["eps_schedule"], f"{name}.eps_schedule", eps=True)
-           if "eps_schedule" in obj else None)
-    return ToricInstance(name=name, polytope=P, metrics=metrics,
-                         canonical_names=tuple(canonical_names),
-                         schedule=schedule, eps_schedule=eps)
+    metrics = {mname: _parse_metric(mval, f"{name}.metrics.{mname}", P, mname)
+               for mname, mval in metrics_obj.items()}
+    return ToricInstance(
+        name=name, polytope=P, metrics=metrics,
+        canonical_names=tuple(n for n, v in metrics_obj.items() if v == "canonical"),
+        schedule=_optional(obj, "schedule", name, _parse_schedule),
+        eps_schedule=_optional(obj, "eps_schedule", name, _parse_schedule, True))
 
 
 class _Literals(dict):
@@ -371,13 +374,11 @@ def _read_edges(raw: object, literals: _Literals,
 
 
 def _edge(eraw, epath: str) -> Tuple[str, str, int, int]:
-    eobj = _as_object(eraw, epath)
-    _check_keys(eobj, epath, required=("ends", "length"))
+    eobj = _object(eraw, epath, ("ends", "length"))
     ends = _as_array(eobj["ends"], f"{epath}.ends")
     if len(ends) != 2:
         raise InstanceFormatError(f"{epath}.ends: exactly two endpoints")
-    u = _as_string(ends[0], f"{epath}.ends[0]")
-    v = _as_string(ends[1], f"{epath}.ends[1]")
+    u, v = _array(ends, f"{epath}.ends", _as_string)
     length = _as_rational(eobj["length"], f"{epath}.length")
     return u, v, length.numerator, length.denominator
 
@@ -409,8 +410,7 @@ def _read_atoms(raw: object, position: Dict[str, int], literals: _Literals,
 
 
 def _atom(araw, apath: str, position: Dict[str, int]) -> AtomRow:
-    aobj = _as_object(araw, apath)
-    _check_keys(aobj, apath, required=("vertex", "mass"))
+    aobj = _object(araw, apath, ("vertex", "mass"))
     vertex = _as_string(aobj["vertex"], f"{apath}.vertex")
     if vertex not in position:
         raise InstanceFormatError(f"{apath}.vertex: unknown vertex")
@@ -419,18 +419,14 @@ def _atom(araw, apath: str, position: Dict[str, int]) -> AtomRow:
 
 
 def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
-    _check_keys(obj, name, required=("kind", "tree"),
-                optional=("measures",))
-    tobj = _as_object(obj["tree"], f"{name}.tree")
-    _check_keys(tobj, f"{name}.tree", required=("vertices", "edges"),
-                optional=("root",))
+    _check_keys(obj, name, ("kind", "tree"), ("measures",))
+    tobj = _object(obj["tree"], f"{name}.tree", ("vertices", "edges"), ("root",))
     verts = [v if type(v) is str else _as_string(v, f"{name}.tree.vertices[{i}]")
              for i, v in enumerate(_as_array(tobj["vertices"],
                                              f"{name}.tree.vertices"))]
     literals = _Literals()  # lives for this parse only
     edges = _read_edges(tobj["edges"], literals, f"{name}.tree.edges")
-    root = (_as_string(tobj["root"], f"{name}.tree.root")
-            if "root" in tobj else None)
+    root = _optional(tobj, "root", f"{name}.tree", _as_string)
     try:
         tree = MetricTree.from_pairs(verts, edges, root=root)
     except PreconditionError as exc:
@@ -441,9 +437,31 @@ def _parse_tree(obj: Dict[str, object], name: str) -> TreeInstance:
         for mname, mval in measures.items()})
 
 
+def _divisor_term(raw, tpath: str) -> Tuple[Fraction, List[int]]:
+    tobj = _object(raw, tpath, ("coeff", "class"))
+    return (_as_rational(tobj["coeff"], f"{tpath}.coeff"),
+            _array(tobj["class"], f"{tpath}.class", _as_int))
+
+
+def _parse_scan(value, spath: str, dim: int,
+                divisors: Dict[str, RealDivisor]) -> ScanParams:
+    sobj = _object(value, spath, ("d", "p", "q", "grid_max"))
+    d_names, p_names = (_array(sobj[k], f"{spath}.{k}", _as_string) for k in "dp")
+    for ref in d_names + p_names:
+        if ref not in divisors:
+            raise InstanceFormatError(f"{spath}: references unknown divisor {ref!r}")
+    sq = _as_degree(sobj["q"], f"{spath}.q", dim)
+    grid_max = _as_int(sobj["grid_max"], f"{spath}.grid_max")
+    if grid_max < 2:
+        raise InstanceFormatError(f"{spath}.grid_max: must be >= 2")
+    if grid_max > 256:
+        raise InstanceFormatError(f"{spath}.grid_max: must be <= 256, as the scan "
+                                  "evaluates grid_max*(grid_max+1) cells")
+    return ScanParams(d_names, p_names, sq, grid_max)
+
+
 def _parse_surface(obj: Dict[str, object], name: str) -> SurfaceInstance:
-    _check_keys(obj, name, required=("kind", "family", "divisors"),
-                optional=("schedule", "q", "scan"))
+    _check_keys(obj, name, ("kind", "family", "divisors"), ("schedule", "q", "scan"))
     fam_name = _as_string(obj["family"], f"{name}.family")
     try:
         family = toric_family(fam_name)
@@ -452,46 +470,15 @@ def _parse_surface(obj: Dict[str, object], name: str) -> SurfaceInstance:
     divisors: Dict[str, RealDivisor] = {}
     for dname, dval in _as_object(obj["divisors"], f"{name}.divisors").items():
         dpath = f"{name}.divisors.{dname}"
-        terms = []
-        for i, traw in enumerate(_as_array(dval, dpath)):
-            tpath = f"{dpath}[{i}]"
-            tobj = _as_object(traw, tpath)
-            _check_keys(tobj, tpath, required=("coeff", "class"))
-            coeff = _as_rational(tobj["coeff"], f"{tpath}.coeff")
-            cls_arr = _as_array(tobj["class"], f"{tpath}.class")
-            cls = [_as_int(c, f"{tpath}.class[{j}]")
-                   for j, c in enumerate(cls_arr)]
-            terms.append((coeff, cls))
         try:
-            divisors[dname] = RealDivisor.make(family, terms)
+            divisors[dname] = RealDivisor.make(family, _array(dval, dpath, _divisor_term))
         except PreconditionError as exc:
             raise InstanceFormatError(f"{dpath}: {exc}") from None
-    schedule = (_parse_schedule(obj["schedule"], f"{name}.schedule")
-                if "schedule" in obj else None)
-    q = _as_degree(obj["q"], f"{name}.q", family.dim) if "q" in obj else None
-    scan = None
-    if "scan" in obj:
-        spath = f"{name}.scan"
-        sobj = _as_object(obj["scan"], spath)
-        _check_keys(sobj, spath, required=("d", "p", "q", "grid_max"))
-        d_names = [_as_string(x, f"{spath}.d[{i}]")
-                   for i, x in enumerate(_as_array(sobj["d"], f"{spath}.d"))]
-        p_names = [_as_string(x, f"{spath}.p[{i}]")
-                   for i, x in enumerate(_as_array(sobj["p"], f"{spath}.p"))]
-        for ref in d_names + p_names:
-            if ref not in divisors:
-                raise InstanceFormatError(
-                    f"{spath}: references unknown divisor {ref!r}")
-        sq = _as_degree(sobj["q"], f"{spath}.q", family.dim)
-        grid_max = _as_int(sobj["grid_max"], f"{spath}.grid_max")
-        if grid_max < 2:
-            raise InstanceFormatError(f"{spath}.grid_max: must be >= 2")
-        if grid_max > 256:
-            raise InstanceFormatError(f"{spath}.grid_max: must be <= 256, as the scan "
-                                      "evaluates grid_max*(grid_max+1) cells")
-        scan = ScanParams(d_names, p_names, sq, grid_max)
-    return SurfaceInstance(name=name, family=family, divisors=divisors,
-                           schedule=schedule, q=q, scan=scan)
+    return SurfaceInstance(
+        name=name, family=family, divisors=divisors,
+        schedule=_optional(obj, "schedule", name, _parse_schedule),
+        q=_optional(obj, "q", name, _as_degree, family.dim),
+        scan=_optional(obj, "scan", name, _parse_scan, family.dim, divisors))
 
 
 def parse_instance_text(text: str, origin: str = "<instance>") -> Instance:

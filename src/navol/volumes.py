@@ -40,7 +40,11 @@ from .measures import envelope_energy
 from .plmetric import (PLMetric, RoofFunction, distance, is_semipositive, legendre,
                        metric_shift)
 from .polytope import Band
-from .rational import frac
+from .rational import frac, frac_str
+
+# the most rows of m*P one lattice_length sums, about a second (2-core VM); the
+# top planar vol-is-energy level, 40,000, spans 80,001 on the lattice hexagon
+LATTICE_ROW_BUDGET = 200_000
 
 
 def default_schedule(dim: int) -> List[int]:
@@ -120,11 +124,16 @@ def _same_polytope(name: str, m: PLMetric, *others: PLMetric) -> None:
 
 
 def lattice_length(m1: PLMetric, m2: PLMetric, m: int) -> int:
-    """Total lattice length at level m of the norm quotient of the pair."""
+    """Total lattice length at level m of the norm quotient of the pair; a
+    level whose m*P spans over LATTICE_ROW_BUDGET rows is refused unsummed."""
     _same_polytope("lattice_length", m1, m2)
     if m < 1:
         raise PreconditionError("lattice_length needs a positive level m")
     bands = m1.polytope.row_bands(m)
+    rows = bands[-1][1] - bands[0][0] + 1 if bands else 0
+    if rows > LATTICE_ROW_BUDGET:
+        raise PreconditionError(f"lattice_length at level {frac_str(m)} spans {frac_str(rows)} "
+                                f"rows, above the row budget {LATTICE_ROW_BUDGET}")
     return _ceil_sum(legendre(m2), bands, m) - _ceil_sum(legendre(m1), bands, m)
 
 

@@ -2,6 +2,7 @@
 end with its exit-code contract (0 pass / 1 fail / 2 parse / 3 precondition)."""
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -861,9 +863,10 @@ def _containers(node):
     return found
 
 
-def _mutate(data, t):
-    """One drawn change: a value replaced, a key dropped or added, an entry
-    appended, or an edge turned into a loop or a repeat of another."""
+def _mutate(data, t, values=NASTY):
+    """One drawn change: a value replaced (by one of values), a key dropped or
+    added, an entry appended, or an edge turned into a loop or a repeat of
+    another."""
     edges = [e for e in _containers(t) if isinstance(e, dict) and "ends" in e]
     kind = data.draw(st.sampled_from(["value", "drop", "extra", "append", "loop",
                                       "repeat"]))
@@ -875,7 +878,7 @@ def _mutate(data, t):
         return
     node = data.draw(st.sampled_from(_containers(t)))
     if kind == "append" and isinstance(node, list):
-        node.append(data.draw(NASTY | st.sampled_from([*node, {"vertex": "v0", "mass": 1}])))
+        node.append(data.draw(values | st.sampled_from([*node, {"vertex": "v0", "mass": 1}])))
     elif kind == "extra" and isinstance(node, dict):
         node["extra"] = 1
     elif node:
@@ -884,7 +887,7 @@ def _mutate(data, t):
         if kind == "drop":
             del node[key]
         else:
-            node[key] = data.draw(NASTY)
+            node[key] = data.draw(values)
 
 
 @settings(max_examples=150)
@@ -908,6 +911,71 @@ def test_mutated_tree_files_keep_the_exit_code_contract(data, tmp_path_factory):
         assert "Traceback" not in err.getvalue()
         assert rc != 1 or "[FAIL] " in err.getvalue()
         assert rc < 2 or err.getvalue().startswith("error: ")
+
+
+# beside NASTY, values a toric or surface file meets: a 2-entry slope, the
+# metric shorthand, a block, and a level whose m*P spans more rows than the
+# lattice row budget; each draw a copy, as a later change may append to it
+SCHEMA_VALUES = (NASTY | st.sampled_from([[0, 1], "canonical",
+                                          [{"slope": [0, 1], "constant": 0}], 10 ** 8])
+                 ).map(copy.deepcopy)
+# the summary fields whose false value is a command's failed verification
+VERDICT_FIELDS = ("passed", "curvature_matches_target", "serre_consistent",
+                  "h1_all_nonnegative")
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_mutated_toric_and_surface_files_keep_the_exit_code_contract(data, tmp_path_factory):
+    # bundled toric and surface files, half with a level of 10**8 at the end
+    # of their schedule, with drawn faults: every command of the kind and
+    # verify-all exit 0-3 without a traceback, 2 and 3 with one error line,
+    # and 1 only with a FAIL line or a false verdict field
+    name = data.draw(st.sampled_from(sorted(n for n in _bundled() if not n.startswith("tree"))))
+    t = json.loads(_bundled()[name])
+    kind = t["kind"]
+    if data.draw(st.booleans()):
+        t["schedule"].append(10 ** 8)
+    for _ in range(data.draw(st.integers(0, 2))):
+        _mutate(data, t, SCHEMA_VALUES)
+    tmp = tmp_path_factory.mktemp("mutated")
+    path = tmp / name
+    path.write_text(json.dumps(t), encoding="utf-8")
+    for command in [c for c, (k, _) in cli.CHECKS.items() if k == kind] + ["verify-all"]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main([command, str(path), "--out-dir", str(tmp / "out")])
+        assert rc in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if rc >= 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        elif rc == 1 and command == "verify-all":
+            assert "[FAIL] " in err.getvalue()
+        elif rc == 1:
+            summary = json.loads(out.getvalue())
+            assert any(summary.get(f) is False for f in VERDICT_FIELDS), summary
+
+
+ROW_BUDGET_LINE = ("error: lattice_length at level 100000000 spans 100000001 rows, "
+                   "above the row budget 200000\n")
+
+
+def test_a_planar_level_past_the_row_budget_exits_3_at_once(tmp_path, capsys):
+    # given by --schedule or by the file's own schedule, a level of 10**8 on
+    # the unit square is refused before any row of it is summed
+    texts = _bundled()
+    box_bump, square_shift = (_write(tmp_path, n, texts[n])
+                              for n in ("box_bump.json", "square_shift.json"))
+    big = json.loads(texts["box_bump.json"])
+    big["schedule"].append(10 ** 8)
+    big_path = _write(tmp_path, "big_level.json", big)
+    for args in (["h0-check", box_bump, "--schedule", "100000000"],
+                 ["navol", square_shift, "--schedule", "100000000"],
+                 ["verify-all", big_path]):
+        start = time.monotonic()
+        assert cli.main([*args, "--out-dir", str(tmp_path / "out")]) == 3
+        assert time.monotonic() - start < 1
+        assert capsys.readouterr().err == ROW_BUDGET_LINE
 
 
 # a tree whose lengths and masses repeat the strings "1/2", "0" and "1"

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from navol import volumes
 from navol.errors import PreconditionError
-from navol.harness import random_convex_metric, random_nonconvex_metric, tent_metric
+from navol.harness import (VOL_LEVEL_BUDGET, random_convex_metric, random_nonconvex_metric,
+                           tent_metric)
 from navol.measures import energy
 from navol.plmetric import (RoofFunction, _dedupe_rows, canonical_metric, envelope, legendre,
                             metric_shift)
@@ -233,6 +234,29 @@ def test_shifted_segment_length_at_a_huge_level():
     can = canonical_metric(SEG)
     m = 10 ** 6
     assert lattice_length(metric_shift(can, 1), can, m) == m * (m + 1)
+
+
+def test_a_level_past_the_row_budget_is_refused_before_any_row_is_summed(monkeypatch):
+    """A vertical segment in the plane: m*P spans m + 1 rows of one point
+    each, so the last level within the budget is summed and the next one is
+    refused before any row is."""
+    can = canonical_metric(Polytope.from_points([(0, 0), (0, 1)]))
+    m = volumes.LATTICE_ROW_BUDGET - 1
+    assert lattice_length(metric_shift(can, 1), can, m) == m * (m + 1)
+    monkeypatch.setattr(volumes, "_ceil_sum", None)   # summing a row raises TypeError
+    with pytest.raises(PreconditionError, match=rf"^lattice_length at level {m + 1} spans "
+                                                rf"{m + 2} rows, above the row budget {m + 1}$"):
+        lattice_length(metric_shift(can, 1), can, m + 1)
+
+
+def test_the_row_budget_admits_vol_is_energy_s_top_planar_level():
+    """harness.VOL_LEVEL_BUDGET on the planar bodies of the seeded suite, the
+    bundled files and the benchmark: the unit square, the triangle and the
+    lattice hexagon (80,001 rows)."""
+    hexagon = Polytope.from_points([(1, 0), (2, 0), (2, 1), (1, 2), (0, 2), (0, 1)])
+    for P in (BOX, simplex(2), hexagon):
+        bands = P.row_bands(VOL_LEVEL_BUDGET)
+        assert bands[-1][1] - bands[0][0] + 1 <= volumes.LATTICE_ROW_BUDGET
 
 
 def test_navol_result_converges_to_energy():

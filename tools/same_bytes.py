@@ -1,4 +1,4 @@
-"""Whether two checkouts give the same `navol verify-all` output, seed by seed.
+"""Whether two checkouts give the same `navol` output: verify-all seed by seed, then every command.
 
     python3 tools/same_bytes.py --root parent=PATH --root change=PATH \\
         [--seeds 0-59]
@@ -14,21 +14,29 @@ A-B, inclusive, or one number), both checkouts run
         --out-dir DIR
 
 in-process, with the files cycling by N as the benchmark's deck takes them.
-The exit code, stdout and `verify_all.csv` are compared, each without its
-`# generated` timestamp line, and so is `verify_all.json` once parsed, with
-every `runtime_seconds` removed and each object kept as its key-value pairs
-in order, so two writers of the same content agree. Exit 0 if every seed matches; at the first seed
-that differs, the script names it and the first output that differs, and
-exits 1.
+Then every other command of `cli.COMMANDS` runs on each bundled instance
+file, the first checkout's `src/navol/instances/*.json` written once to a
+temporary directory:
+
+    <command> <file> --format csv --out-dir DIR
+
+Each run is compared by its exit code, stderr, stdout and every file it
+writes: stdout and each CSV without the `# generated` timestamp line, each
+JSON summary once parsed, with every `runtime_seconds` removed and each
+object kept as its key-value pairs in order, so two writers of the same
+content agree. Exit 0 if every run matches; at the first run that differs,
+the script names it and the first output that differs, and exits 1.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import glob
 import io
 import json
 import os
 import random
+import shutil
 import sys
 import tempfile
 from typing import Optional
@@ -44,41 +52,42 @@ def _modules() -> dict:
     return {n: m for n, m in sys.modules.items() if n == "navol" or n.startswith("navol.")}
 
 
-def _body(text: Optional[str]) -> Optional[str]:
-    return None if text is None else "".join(
+def _body(text: str) -> str:
+    return "".join(
         line for line in text.splitlines(keepends=True) if not line.startswith("# generated"))
 
 
-def _content(text: Optional[str]) -> Optional[list]:
+def _content(text: str) -> list:
     """The parsed summary, each object as its (key, value) pairs in order
     less any `runtime_seconds`."""
-    return None if text is None else json.loads(text, object_pairs_hook=lambda pairs: [
+    return json.loads(text, object_pairs_hook=lambda pairs: [
         (key, value) for key, value in pairs if key != "runtime_seconds"])
 
 
-def _read(path: str) -> Optional[str]:
-    if not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
-
-
-def run(checkout, argv, out_dir: str) -> tuple:
-    """(exit code, stdout, verify_all.csv, verify_all.json) of one verify-all
-    call, with the checkout's navol modules in sys.modules while it runs."""
+def run(checkout, argv, out_dir: str) -> dict:
+    """The exit code, stderr, stdout and each file written of one navol call
+    into an emptied out_dir, by name, with the checkout's navol modules in
+    sys.modules while it runs."""
     N, modules = checkout
     for name in _modules():
         del sys.modules[name]
     sys.modules.update(modules)
-    paths = [os.path.join(out_dir, f"verify_all.{ext}") for ext in ("csv", "json")]
-    for path in paths:
-        if os.path.exists(path):
-            os.remove(path)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    shutil.rmtree(out_dir, ignore_errors=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = N.cli.main([*argv, "--out-dir", out_dir])
-    return (code, _body(out.getvalue()), _body(_read(paths[0])),
-            _content(_read(paths[1])))
+    outputs = {"exit code": code, "stderr": err.getvalue(), "stdout": _body(out.getvalue())}
+    for name in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []:
+        with open(os.path.join(out_dir, name), encoding="utf-8") as handle:
+            text = handle.read()
+        outputs[name] = _content(text) if name.endswith(".json") else _body(text)
+    return outputs
+
+
+def first_difference(left: dict, right: dict) -> Optional[str]:
+    """The first output, by name, that the two runs do not share."""
+    return next((label for label in [*left, *right] if left.get(label) != right.get(label)),
+                None)
 
 
 def seed_range(text: str) -> range:
@@ -100,20 +109,28 @@ def main(argv=None) -> int:
     for name, path in roots.items():
         N = _load(path)
         checkouts[name] = (N, _modules())
-    workloads = next(iter(checkouts.values()))[0].workloads
     names = list(checkouts)
+    first = checkouts[names[0]][0]
     with tempfile.TemporaryDirectory() as work:
-        groups = workloads.verify_instances(random.Random(f"verify-all:{SEED}"))
-        paths = workloads.write_instances(groups, os.path.join(work, "instances"))
-        for seed in args.seeds:
-            extra = [paths[g][seed % len(paths[g])] for g in ("toric", "tree", "surface")]
-            argv = ["verify-all", *extra, "--seed", str(seed), "--format", "csv"]
-            outs = [run(checkouts[name], argv, os.path.join(work, name)) for name in names]
-            for label, left, right in zip(
-                    ("exit code", "stdout", "verify_all.csv", "verify_all.json"), *outs):
-                if left != right:
-                    print(f"seed {seed}: {label} differs between {names[0]} and {names[1]}")
-                    return 1
+        groups = first.workloads.verify_instances(random.Random(f"verify-all:{SEED}"))
+        paths = first.workloads.write_instances(groups, os.path.join(work, "instances"))
+        bundled = os.path.join(work, "bundled")
+        os.makedirs(bundled)
+        for path in glob.glob(os.path.join(roots[names[0]], "src", "navol", "instances", "*.json")):
+            shutil.copy(path, bundled)
+        calls = [(f"seed {seed}", ["verify-all", *[paths[g][seed % len(paths[g])]
+                                                   for g in ("toric", "tree", "surface")],
+                                   "--seed", str(seed), "--format", "csv"])
+                 for seed in args.seeds]
+        calls += [(f"{command} {file}", [command, os.path.join(bundled, file), "--format", "csv"])
+                  for command in first.cli.COMMANDS if command != "verify-all"
+                  for file in sorted(os.listdir(bundled))]
+        for what, call in calls:
+            outs = [run(checkouts[name], call, os.path.join(work, name)) for name in names]
+            label = first_difference(*outs)
+            if label is not None:
+                print(f"{what}: {label} differs between {names[0]} and {names[1]}")
+                return 1
     print(f"same bytes: {' and '.join(names)} agree on seeds "
           f"{args.seeds.start}-{args.seeds.stop - 1}")
     return 0
