@@ -20,8 +20,8 @@ from navol.harness import (random_convex_metric, random_direction,
                            verify_orthogonality, verify_tree_solvability,
                            verify_vol_is_energy)
 from navol.measures import DiscreteMeasure, energy, envelope_energy
-from navol.plmetric import (PLMetric, canonical_metric, envelope, legendre, metric_deform,
-                            metric_shift)
+from navol.plmetric import (PLMetric, canonical_metric, envelope, envelope_gap, legendre,
+                            metric_deform, metric_shift)
 from navol.polytope import Polytope, segment, simplex, unit_box
 from navol.serialize import ToricInstance, parse_instance_text
 from navol.trees import MetricTree, potential_rows
@@ -226,8 +226,21 @@ def test_differentiability_series_is_the_energy_of_envelopes():
 def test_orthogonality_on_the_bump():
     rep = verify_orthogonality(bump_metric(), instance="bump")
     assert rep.passed
-    assert rep.exact["residual"] == "0"
-    assert rep.exact["gap_sup"] != "0"
+    assert rep.exact == {"residual": "0", "measure_mass": "1"}
+    # the bump is not its envelope: the gap the residual integrates is not 0
+    assert envelope_gap(bump_metric()) > 0
+
+
+def test_orthogonality_passes_on_degenerate_bodies():
+    # a body that is not full-dimensional has no roof cells, so MA has mass
+    # n!vol(P) = 0 there; on [0, 3] the mass is 1!*3
+    rng = random.Random(51)
+    for P, mass in ((Polytope.from_points([(0, 0), (2, 1)]), "0"),
+                    (Polytope.from_points([(F(1, 2), F(-3, 2))]), "0"),
+                    (segment(0, 3), "3")):
+        for _ in range(20):
+            rep = verify_orthogonality(random_nonconvex_metric(P, rng, 3))
+            assert rep.passed and rep.exact["measure_mass"] == mass, (P, rep.exact)
 
 
 def test_h0_envelope_equality_reports():

@@ -79,10 +79,10 @@ def _first_corner_moved(delta):
 # extra atom has mass 1 at (1/3, ..., 1/3), the corner mutants lower or raise
 # the envelope's first corner by 1, and the nudged potential adds 1 at the
 # tree's last vertex. Each count is every such row of verify-all's reports
-# that the mutant moves: the extra atom moves an orthogonality residual by
-# the metric's gap to its envelope at (1/3, ..., 1/3), which is 0 on 4 rows,
-# and the garbage kernel moves no h0 length where the metric's roof and its
-# envelope's share their integer rows, which they do on 2 rows.
+# that the mutant moves: both measure mutants move every orthogonality row's
+# mass off n!vol(P), and the garbage kernel moves no h0 length where the
+# metric's roof and its envelope's share their integer rows, which they do
+# on 2 rows.
 MUTANTS = {
     "energy-plus-1/1000": ("envelope_energy", _energy_off, {
         "volume-differentiability": 1, "h0-envelope-equality": 4, "vol-is-energy": 7}),
@@ -91,9 +91,9 @@ MUTANTS = {
     "garbage-kernel": ("_ceil_sum", _garbage_kernel, {
         "h0-envelope-equality": 2, "vol-is-energy": 7}),
     "masses-doubled": ("monge_ampere", _masses_doubled, {
-        "volume-differentiability": 1}),
+        "envelope-orthogonality": 7, "volume-differentiability": 1}),
     "extra-atom": ("monge_ampere", _extra_atom, {
-        "envelope-orthogonality": 3, "volume-differentiability": 1}),
+        "envelope-orthogonality": 7, "volume-differentiability": 1}),
     "corner-lowered": ("envelope", _first_corner_moved(-1), {
         "h0-envelope-equality": 4}),
     "corner-raised": ("envelope", _first_corner_moved(1), {

@@ -848,10 +848,11 @@ def test_an_entry_the_pass_refuses_is_the_only_one_validated(monkeypatch):
 
 
 # values a tree file may hold in a wrong place: wrong types, booleans, zero
-# and negative lengths, literals that are not plain, loops and lone ends
+# and negative lengths, literals that are not plain, loops and lone ends; each
+# draw a copy, as a later change may append to it
 NASTY = st.sampled_from([True, False, None, 0, -1, 1, "0", "-1/2", "1/0", " 1/2 ",
                          "1.5", 0.5, 10 ** 30, "", "v0", "center", [], {}, ["v0"],
-                         ["v0", "v0"], ["center", "leaf1"], {"ends": 1}])
+                         ["v0", "v0"], ["center", "leaf1"], {"ends": 1}]).map(copy.deepcopy)
 
 
 def _containers(node):

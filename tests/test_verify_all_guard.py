@@ -30,7 +30,7 @@ CSV_ROWS_SHA256 = {
     "cohomology-twist-stability":
         "b2aa38a5d2b529634bba2fe2017fd5f64308b5eaf97e660141e5f34589c14b27",
     "envelope-orthogonality":
-        "405859e289f5b7fc39238fb60d31d1c961d84e73eddb7b2eb7b46bc9fb3d3a49",
+        "1be831883e6dda6c8c13b45a7a0efca576527b7e1d125647d66bd302c465195e",
     "h0-envelope-equality":
         "9981c13a604a8a005262b64af7843d28c7c27ae9b826b31b9f8a3d01fe6291bb",
     "tree-monge-ampere-solvability":
@@ -48,7 +48,7 @@ REPORTS_SHA256 = {
     "cohomology-twist-stability":
         "e99ccdaaba1c94bbd34605ce0c724b0e9865b8a87351e5776db46d41314034a3",
     "envelope-orthogonality":
-        "7077e39169cfe88fd0253ede02a923371b0a6b89288bdc48ded382a0bdac6b04",
+        "249a31e8a959c62447f742ff86947cca2f080d5727ed5a35957c08bf98f3214c",
     "h0-envelope-equality":
         "2b57a41a18957ef22b0f9c1f8e3a71fe2ab0a751dfd33ecdeea872e8f45458a5",
     "tree-monge-ampere-solvability":
